@@ -142,3 +142,24 @@ func TestApproxDifferentialNightly(t *testing.T) {
 		}
 	}
 }
+
+// TestApproxReplay runs the approx corpus through the replay harness by
+// both of its entries — LossReplay over a quiet UDP loopback and
+// CrashReplay in-proc with nobody crashing — and requires live and
+// replay to be bit-identical. The harness resolves the spec's family
+// before materializing the schedule and hands it to the runner, so the
+// second family's codec carries the live run; a kset-only harness dies
+// in round 1 encoding an *approx.Message.
+func TestApproxReplay(t *testing.T) {
+	for _, sched := range approxSuite(5, 341) {
+		rep, err := LossReplay(sched.Spec, LossReplayOpts{UDP: quietUDP()})
+		if err != nil {
+			t.Errorf("%s: LossReplay over udp: %v", sched.Name, err)
+		} else if rep.LostLinks != 0 {
+			t.Errorf("%s: quiet loopback lost %d scheduled deliveries", sched.Name, rep.LostLinks)
+		}
+		if _, err := CrashReplay(sched.Spec, nil, CrashReplayOpts{}); err != nil {
+			t.Errorf("%s: CrashReplay in-proc, nil plan: %v", sched.Name, err)
+		}
+	}
+}

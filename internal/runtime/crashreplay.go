@@ -7,7 +7,6 @@ import (
 
 	"kset/internal/adversary"
 	"kset/internal/graph"
-	"kset/internal/rounds"
 	"kset/internal/runfile"
 	"kset/internal/sim"
 	"kset/internal/transport"
@@ -32,7 +31,8 @@ type CrashReplayOpts struct {
 	LossSeed int64
 	// Stall optionally delays surviving senders (see StallPlan).
 	Stall *StallPlan
-	// Codec encodes the algorithm's messages; nil means WireCodec.
+	// Codec encodes the algorithm's messages; nil resolves spec.Algorithm
+	// through the registry.
 	Codec Codec
 	// ArtifactDir, when non-empty, receives a .ksr runfile of the
 	// realized graphs whenever the replay diverges from the live run, so
@@ -93,14 +93,18 @@ type CrashReplayReport struct {
 //  4. Evaluate the paper's agreement bound on the realized run:
 //     distinct live decisions against the replay's MinK.
 //
+// A nil plan crashes nobody, and the harness is then the loss-only
+// replay: LossReplay is exactly that call over UDP. The spec's algorithm
+// family is resolved once, up front, so any registered family replays.
+//
 // On any divergence the realized graphs are written to ArtifactDir as a
 // .ksr runfile (when set) and the error names the path.
 func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashReplayReport, error) {
 	if spec.Adversary == nil {
-		return nil, fmt.Errorf("runtime: CrashReplay with nil adversary")
+		return nil, fmt.Errorf("runtime: replay with nil adversary")
 	}
 	if opts.UDP.Meter != nil {
-		return nil, fmt.Errorf("runtime: CrashReplay owns the heard meter; UDP.Meter must be nil")
+		return nil, fmt.Errorf("runtime: the replay harness owns the heard meter; UDP.Meter must be nil")
 	}
 	n := spec.Adversary.N()
 	if err := plan.validate(n); err != nil {
@@ -109,35 +113,33 @@ func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashRe
 	if plan.Crashes() >= n {
 		return nil, fmt.Errorf("runtime: crash plan kills all %d processes; need a survivor to meter the run", n)
 	}
-	maxRounds := spec.MaxRounds
-	if maxRounds == 0 {
-		if s, ok := spec.Adversary.(rounds.Stabilizer); ok {
-			maxRounds = s.StabilizationRound() + 2*n + 5
-		} else {
-			maxRounds = 12 * n
-		}
+	// Resolve against the original adversary, before materialization can
+	// change the StabilizationRound answer (see Diff): the family's round
+	// bound and normalized options must be the ones both executions run.
+	if err := spec.Resolve(); err != nil {
+		return nil, fmt.Errorf("runtime: replay resolve: %w", err)
 	}
-	sched := adversary.MaterializeRun(spec.Adversary, maxRounds)
+	sched := adversary.MaterializeRun(spec.Adversary, spec.MaxRounds)
 	spec.Adversary = sched
-	spec.MaxRounds = maxRounds
 
 	meter := transport.NewHeardMeter(n)
 	live := spec
 	live.Runner = NewRunner(RunnerOpts{
-		Kind:     opts.Kind,
-		Nodes:    opts.Nodes,
-		UDP:      opts.UDP,
-		TCPOpts:  opts.TCP,
-		Loss:     opts.Loss,
-		LossSeed: opts.LossSeed,
-		Codec:    opts.Codec,
-		Crash:    plan,
-		Stall:    opts.Stall,
-		Meter:    meter,
+		Kind:      opts.Kind,
+		Nodes:     opts.Nodes,
+		UDP:       opts.UDP,
+		TCPOpts:   opts.TCP,
+		Loss:      opts.Loss,
+		LossSeed:  opts.LossSeed,
+		Algorithm: spec.Algorithm,
+		Codec:     opts.Codec,
+		Crash:     plan,
+		Stall:     opts.Stall,
+		Meter:     meter,
 	})
 	liveOut, err := sim.Execute(live)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: CrashReplay live execution: %w", err)
+		return nil, fmt.Errorf("runtime: replay live execution: %w", err)
 	}
 	realized := meter.Graphs()
 	if len(realized) != liveOut.Rounds {
@@ -147,14 +149,21 @@ func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashRe
 		return nil, fmt.Errorf("runtime: live run executed no rounds")
 	}
 
-	// Containment under the crash cut. A receiver that is dead (or dying
+	// Containment under the crash cut: the wire can only lose scheduled
+	// deliveries, never invent them. A receiver that is dead (or dying
 	// this round — a crashing process never gathers its crash round)
-	// records nothing, so only live gatherers are audited for loss.
+	// records nothing, so only live gatherers are audited for loss; and a
+	// live gatherer always hears itself — self-delivery is unconditional
+	// in the model and on every transport, so its absence is an error,
+	// not a lost link.
 	lost := 0
 	for r := 1; r <= liveOut.Rounds; r++ {
 		g, want := realized[r-1], sched.Graph(r)
 		for q := 0; q < n; q++ {
 			gathering := plan == nil || plan.Round[q] == 0 || r < plan.Round[q]
+			if gathering && !g.HasEdge(q, q) {
+				return nil, fmt.Errorf("runtime: round %d: p%d gathered without hearing itself", r, q+1)
+			}
 			for p := 0; p < n; p++ {
 				if !gathering {
 					if g.HasEdge(p, q) {
@@ -188,14 +197,15 @@ func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashRe
 	replay.MaxRounds = liveOut.Rounds
 	replayOut, err := sim.Execute(replay)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: CrashReplay reference execution: %w", err)
+		return nil, fmt.Errorf("runtime: replay reference execution: %w", err)
 	}
 
 	rep := &CrashReplayReport{
-		Live:     liveOut,
-		Replay:   replayOut,
-		Realized: realized,
-		Crashed:  plan.Crashes(),
+		Live:      liveOut,
+		Replay:    replayOut,
+		Realized:  realized,
+		LostLinks: lost,
+		Crashed:   plan.Crashes(),
 	}
 	diverge := func(format string, args ...any) error {
 		err := fmt.Errorf(format, args...)

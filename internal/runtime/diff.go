@@ -24,11 +24,6 @@ type DiffOpts struct {
 	// Frame coalescing across co-located processes must not change a
 	// single decision bit.
 	Nodes int
-
-	// TCP is the legacy spelling of Kind: "tcp".
-	TCP bool
-	// TCPNodes is the legacy spelling of Nodes.
-	TCPNodes int
 	// Jitter/JitterSeed inject deterministic per-link receive latency,
 	// to prove timing skew cannot leak into decisions.
 	Jitter     time.Duration
@@ -64,8 +59,6 @@ func Diff(spec sim.Spec, opts DiffOpts) error {
 	ro := RunnerOpts{
 		Kind:       opts.Kind,
 		Nodes:      opts.Nodes,
-		TCP:        opts.TCP,
-		TCPNodes:   opts.TCPNodes,
 		Jitter:     opts.Jitter,
 		JitterSeed: opts.JitterSeed,
 		Algorithm:  spec.Algorithm,

@@ -73,11 +73,11 @@ func TestDifferentialPipelined(t *testing.T) {
 		sched.Spec.RunToCompletion = true
 		for _, opts := range []DiffOpts{
 			{},
-			{TCP: true},
-			{TCP: true, TCPNodes: 2},
+			{Kind: "tcp"},
+			{Kind: "tcp", Nodes: 2},
 		} {
 			if err := Diff(sched.Spec, opts); err != nil {
-				t.Errorf("%s (tcp=%v nodes=%d): %v", sched.Name, opts.TCP, opts.TCPNodes, err)
+				t.Errorf("%s (kind=%q nodes=%d): %v", sched.Name, opts.Kind, opts.Nodes, err)
 			}
 		}
 	}
@@ -91,7 +91,7 @@ func TestDifferentialSuiteTCP(t *testing.T) {
 	n := 6
 	for _, sched := range ScheduleSuite(n, 2026) {
 		for _, nodes := range []int{0, 3} {
-			opts := DiffOpts{TCP: true, TCPNodes: nodes, Jitter: 200 * time.Microsecond, JitterSeed: 7}
+			opts := DiffOpts{Kind: "tcp", Nodes: nodes, Jitter: 200 * time.Microsecond, JitterSeed: 7}
 			if err := Diff(sched.Spec, opts); err != nil {
 				t.Errorf("n=%d nodes=%d %s: %v", n, nodes, sched.Name, err)
 			}
@@ -118,8 +118,8 @@ func TestDifferentialNightly(t *testing.T) {
 				}
 				if n <= 16 {
 					configs = append(configs,
-						DiffOpts{TCP: true, JitterSeed: seed},
-						DiffOpts{TCP: true, TCPNodes: 4, JitterSeed: seed})
+						DiffOpts{Kind: "tcp", JitterSeed: seed},
+						DiffOpts{Kind: "tcp", Nodes: 4, JitterSeed: seed})
 				}
 				for i, opts := range configs {
 					err := Diff(sched.Spec, opts)

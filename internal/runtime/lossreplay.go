@@ -1,11 +1,7 @@
 package runtime
 
 import (
-	"fmt"
-
-	"kset/internal/adversary"
 	"kset/internal/graph"
-	"kset/internal/rounds"
 	"kset/internal/sim"
 	"kset/internal/transport"
 )
@@ -23,7 +19,8 @@ type LossReplayOpts struct {
 	// whatever the wire really loses; see RunnerOpts.Loss.
 	Loss     float64
 	LossSeed int64
-	// Codec encodes the algorithm's messages; nil means WireCodec.
+	// Codec encodes the algorithm's messages; nil resolves spec.Algorithm
+	// through the registry.
 	Codec Codec
 }
 
@@ -57,129 +54,34 @@ type LossReplayReport struct {
 // does not hold: datagrams may be lost, so the heard-sets the processes
 // actually observe are known only after the fact. The paper's model has
 // no difficulty with that (a lossy round is just a sparser round graph),
-// and this harness turns the model's view into a checkable statement:
+// and the replay harness turns the model's view into a checkable
+// statement: run spec live over a metered UDP mesh, check that the
+// realized heard-sets never exceed the schedule (loss only shrinks
+// rounds), re-run the lockstep simulator against the realized graphs and
+// require every decision bit, value and round to match, then evaluate
+// the paper's agreement bound on the realized run (KBound).
 //
-//  1. Run spec live over a metered UDP mesh; the meter records, per
-//     round, exactly which sender→receiver deliveries happened.
-//  2. Check containment: realized heard-sets never exceed the schedule
-//     (plus unconditional self-delivery) — loss only shrinks rounds.
-//  3. Re-run the lockstep simulator against the realized graphs as the
-//     adversary. Every per-process decision bit, decision round, and
-//     the round count must match the live run exactly: whatever the
-//     network did, the distributed execution behaved as the round model
-//     on the realized communication pattern.
-//  4. Evaluate the paper's agreement bound on the realized run — the
-//     number of distinct live decisions against the replay's MinK, the
-//     tightest k the theorems grant for that communication pattern —
-//     and report it (LossReplayReport.KBound).
-//
-// The returned report carries both outcomes and the realized graphs so
-// callers (tests, the nightly soak) can assert more on top.
+// It is CrashReplay with nobody crashing, over UDP: to the round model a
+// lost datagram and a dead sender are the same missing edge, so one
+// harness body checks both (see CrashReplay for the steps in full).
 func LossReplay(spec sim.Spec, opts LossReplayOpts) (*LossReplayReport, error) {
-	if spec.Adversary == nil {
-		return nil, fmt.Errorf("runtime: LossReplay with nil adversary")
-	}
-	if opts.UDP.Meter != nil {
-		return nil, fmt.Errorf("runtime: LossReplay owns the heard meter; UDP.Meter must be nil")
-	}
-	n := spec.Adversary.N()
-	maxRounds := spec.MaxRounds
-	if maxRounds == 0 {
-		if s, ok := spec.Adversary.(rounds.Stabilizer); ok {
-			maxRounds = s.StabilizationRound() + 2*n + 5
-		} else {
-			maxRounds = 12 * n
-		}
-	}
-	sched := adversary.MaterializeRun(spec.Adversary, maxRounds)
-	spec.Adversary = sched
-	spec.MaxRounds = maxRounds
-
-	meter := transport.NewHeardMeter(n)
-	u := opts.UDP
-	u.Meter = meter
-	live := spec
-	live.Runner = NewRunner(RunnerOpts{
+	rep, err := CrashReplay(spec, nil, CrashReplayOpts{
 		Kind:     "udp",
 		Nodes:    opts.Nodes,
-		UDP:      u,
+		UDP:      opts.UDP,
 		Loss:     opts.Loss,
 		LossSeed: opts.LossSeed,
 		Codec:    opts.Codec,
 	})
-	liveOut, err := sim.Execute(live)
 	if err != nil {
-		return nil, fmt.Errorf("runtime: LossReplay live execution: %w", err)
-	}
-	realized := meter.Graphs()
-	if len(realized) != liveOut.Rounds {
-		return nil, fmt.Errorf("runtime: meter recorded %d rounds, live run executed %d", len(realized), liveOut.Rounds)
-	}
-	if liveOut.Rounds < 1 {
-		return nil, fmt.Errorf("runtime: live run executed no rounds")
-	}
-
-	// Containment: the wire can only lose scheduled deliveries, never
-	// invent them; self-delivery is unconditional in the model and on
-	// every transport.
-	lost := 0
-	for r := 1; r <= liveOut.Rounds; r++ {
-		g, want := realized[r-1], sched.Graph(r)
-		for q := 0; q < n; q++ {
-			for p := 0; p < n; p++ {
-				s := want.HasEdge(p, q) || p == q
-				switch got := g.HasEdge(p, q); {
-				case got && !s:
-					return nil, fmt.Errorf("runtime: round %d: wire delivered p%d->p%d through a dropped link", r, p+1, q+1)
-				case s && !got:
-					lost++
-				}
-			}
-		}
-		if !g.HasEdge(0, 0) { // meter graphs carry self-loops by construction
-			return nil, fmt.Errorf("runtime: round %d: realized graph lost a self-loop", r)
-		}
-	}
-
-	// Replay the realized communication pattern on the lockstep
-	// simulator. The stable graph past the recorded prefix is the last
-	// realized round — it is never consulted (MaxRounds pins the run to
-	// the live length) but NewRun requires one.
-	replay := spec
-	replay.Runner = nil
-	replay.Concurrent = false
-	replay.Adversary = adversary.NewRun(realized[:liveOut.Rounds-1], realized[liveOut.Rounds-1])
-	replay.MaxRounds = liveOut.Rounds
-	replayOut, err := sim.Execute(replay)
-	if err != nil {
-		return nil, fmt.Errorf("runtime: LossReplay reference execution: %w", err)
-	}
-
-	if replayOut.Rounds != liveOut.Rounds {
-		return nil, fmt.Errorf("runtime: replay executed %d rounds, live %d", replayOut.Rounds, liveOut.Rounds)
-	}
-	distinct := map[int64]bool{}
-	for i := 0; i < n; i++ {
-		if liveOut.Decided[i] != replayOut.Decided[i] {
-			return nil, fmt.Errorf("runtime: p%d decided: live %v, replay %v", i+1, liveOut.Decided[i], replayOut.Decided[i])
-		}
-		if !liveOut.Decided[i] {
-			continue
-		}
-		if liveOut.Decisions[i] != replayOut.Decisions[i] {
-			return nil, fmt.Errorf("runtime: p%d decision: live %d, replay %d", i+1, liveOut.Decisions[i], replayOut.Decisions[i])
-		}
-		if liveOut.DecideRounds[i] != replayOut.DecideRounds[i] {
-			return nil, fmt.Errorf("runtime: p%d decision round: live %d, replay %d", i+1, liveOut.DecideRounds[i], replayOut.DecideRounds[i])
-		}
-		distinct[liveOut.Decisions[i]] = true
+		return nil, err
 	}
 	return &LossReplayReport{
-		Live:      liveOut,
-		Replay:    replayOut,
-		Realized:  realized,
-		LostLinks: lost,
-		Distinct:  len(distinct),
-		KBound:    len(distinct) <= replayOut.MinK,
+		Live:      rep.Live,
+		Replay:    rep.Replay,
+		Realized:  rep.Realized,
+		LostLinks: rep.LostLinks,
+		Distinct:  rep.Distinct,
+		KBound:    rep.KBound,
 	}, nil
 }

@@ -123,25 +123,29 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 		reports = make(chan report, n)
 		conts   = make([]chan bool, n)
 		stop    = make(chan struct{})
-		wg      sync.WaitGroup
 	)
-	for i := range conts {
-		conts[i] = make(chan bool, 1)
+	run := &liveRun{
+		n:         n,
+		maxRounds: cfg.MaxRounds,
+		// Pipelining is exact only for fixed-length runs; see the package
+		// comment. Chaos runs are never pipelined: a crash or stall makes
+		// the next round's send burst locally unpredictable.
+		pipelined: cfg.StopWhen == nil && plan == nil && stall == nil,
+		tr:        tr,
+		codec:     codec,
+		share:     newDecodeShare(n),
+		reports:   reports,
+		stop:      stop,
 	}
-
-	// Pipelining is exact only for fixed-length runs; see the package
-	// comment. Chaos runs are never pipelined: a crash or stall makes the
-	// next round's send burst locally unpredictable.
-	pipelined := cfg.StopWhen == nil && plan == nil && stall == nil
-	share := newDecodeShare(n)
 	dm, _ := tr.(transport.DeadMarker)
-
+	var wg sync.WaitGroup
 	wg.Add(n)
 	for i := 0; i < n; i++ {
-		go func(self int, p rounds.Algorithm) {
+		conts[i] = make(chan bool, 1)
+		go func(self int) {
 			defer wg.Done()
-			runProcess(self, n, cfg.MaxRounds, pipelined, p, tr, codec, share, reports, conts[self], stop, newProcChaos(self, plan, stall, dm))
-		}(i, procs[i])
+			run.runProcess(self, procs[self], conts[self], newProcChaos(self, plan, stall, dm))
+		}(i)
 	}
 
 	res := &rounds.Result{Procs: procs}
@@ -208,6 +212,19 @@ loop:
 	return res, nil
 }
 
+// liveRun is what every process goroutine of one run shares: the run's
+// shape, its transport and codec, and the control-plane channels to the
+// controller. Built once in RunChaos.
+type liveRun struct {
+	n, maxRounds int
+	pipelined    bool
+	tr           transport.Transport
+	codec        Codec
+	share        *decodeShare
+	reports      chan<- report
+	stop         <-chan struct{}
+}
+
 // runProcess is one process goroutine: gather-decode-transition, then
 // (when pipelined) the round-r+1 broadcast, then rendezvous with the
 // controller, every round until released or aborted. In pipelined mode
@@ -217,16 +234,17 @@ loop:
 // planned crash (site-exact) and stall delays; a crashing process
 // performs its site's sends, optionally announces its death, reports
 // crashed, and returns — its goroutine is the thing that dies.
-func runProcess(self, n, maxRounds int, pipelined bool, p rounds.Algorithm, tr transport.Transport, codec Codec, share *decodeShare, reports chan<- report, cont <-chan bool, stop <-chan struct{}, chaos *procChaos) {
+func (run *liveRun) runProcess(self int, p rounds.Algorithm, cont <-chan bool, chaos *procChaos) {
+	n, pipelined, codec := run.n, run.pipelined, run.codec
 	sendReport := func(rep report) bool {
 		select {
-		case reports <- rep:
+		case run.reports <- rep:
 			return true
-		case <-stop:
+		case <-run.stop:
 			return false
 		}
 	}
-	ep, err := tr.Endpoint(self)
+	ep, err := run.tr.Endpoint(self)
 	if err != nil {
 		sendReport(report{self: self, err: fmt.Errorf("runtime: p%d endpoint: %w", self+1, err)})
 		return
@@ -293,7 +311,7 @@ func runProcess(self, n, maxRounds int, pipelined bool, p rounds.Algorithm, tr t
 			if got[q] == nil {
 				continue
 			}
-			v, derr := share.decode(dec, q, r, got[q])
+			v, derr := run.share.decode(dec, q, r, got[q])
 			if derr != nil {
 				sendReport(report{self: self, round: r, err: derr})
 				return
@@ -306,7 +324,7 @@ func runProcess(self, n, maxRounds int, pipelined bool, p rounds.Algorithm, tr t
 		// the controller runs observers. Observers run only after every
 		// round-r report, so they never see a difference. The last round
 		// sends nothing — the schedule is defined only up to MaxRounds.
-		if pipelined && r < maxRounds {
+		if pipelined && r < run.maxRounds {
 			if err := send(r + 1); err != nil {
 				sendReport(report{self: self, round: r, err: abortErr(self, r+1, err)})
 				return
@@ -320,7 +338,7 @@ func runProcess(self, n, maxRounds int, pipelined bool, p rounds.Algorithm, tr t
 			if !ok {
 				return
 			}
-		case <-stop:
+		case <-run.stop:
 			return
 		}
 	}
@@ -339,7 +357,6 @@ func abortErr(self, r int, err error) error {
 // RunnerOpts configures NewRunner.
 type RunnerOpts struct {
 	// Kind selects the transport: "inproc" (default), "tcp", or "udp".
-	// Empty defers to the legacy TCP flag below.
 	Kind string
 	// Nodes groups the n processes onto this many mesh nodes for the
 	// socket transports (co-located processes share sockets and their
@@ -359,12 +376,6 @@ type RunnerOpts struct {
 	// bounds.
 	Loss     float64
 	LossSeed int64
-
-	// TCP selects the TCP loopback transport when Kind is empty; kept
-	// for existing call sites, equivalent to Kind: "tcp".
-	TCP bool
-	// TCPNodes is the legacy spelling of Nodes.
-	TCPNodes int
 
 	// Algorithm names the registered family whose Codec carries the
 	// messages when Codec is nil; "" resolves to the registry default
@@ -403,27 +414,20 @@ type RunnerOpts struct {
 	OnTransport func(transport.Transport)
 }
 
-// kind resolves the transport selection, folding the legacy TCP flag in.
+// kind resolves the transport selection.
 func (o RunnerOpts) kind() string {
-	if o.Kind != "" {
-		return o.Kind
+	if o.Kind == "" {
+		return "inproc"
 	}
-	if o.TCP {
-		return "tcp"
-	}
-	return "inproc"
+	return o.Kind
 }
 
 // meshNodes resolves the node count for an n-process socket mesh.
 func (o RunnerOpts) meshNodes(n int) int {
-	nodes := o.Nodes
-	if nodes == 0 {
-		nodes = o.TCPNodes
+	if o.Nodes <= 0 || o.Nodes > n {
+		return n
 	}
-	if nodes <= 0 || nodes > n {
-		nodes = n
-	}
-	return nodes
+	return o.Nodes
 }
 
 // NewRunner adapts the distributed runtime to the executor signature of

@@ -137,10 +137,10 @@ func TestRunValidatesConfig(t *testing.T) {
 func TestRunnerMatchesSequentialExecutor(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	run := adversary.RandomSources(8, 2, 6, 0.3, rng)
-	for _, tcp := range []bool{false, true} {
+	for _, kind := range []string{"inproc", "tcp"} {
 		spec := sim.Spec{Adversary: run, Proposals: sim.SeqProposals(8)}
-		if err := Diff(spec, DiffOpts{TCP: tcp}); err != nil {
-			t.Fatalf("tcp=%v: %v", tcp, err)
+		if err := Diff(spec, DiffOpts{Kind: kind}); err != nil {
+			t.Fatalf("%s: %v", kind, err)
 		}
 	}
 }
@@ -176,7 +176,7 @@ func ExampleNewRunner() {
 	spec := sim.Spec{
 		Adversary: adversary.Figure1(),
 		Proposals: sim.SeqProposals(6),
-		Runner:    NewRunner(RunnerOpts{TCP: true}),
+		Runner:    NewRunner(RunnerOpts{Kind: "tcp"}),
 	}
 	out, err := sim.Execute(spec)
 	if err != nil {

@@ -5,107 +5,70 @@ import (
 	"testing"
 )
 
-// TestInProcSteadyStateAllocs pins the pooled-buffer claim: once the
-// refBuf pool and the mailbox rings are warm, a full round (every
-// process broadcasts, every process gathers) allocates nothing. The
-// in-process transport is fully synchronous, so a single goroutine can
-// drive both endpoints deterministically; GC is disabled for the
+// TestSteadyStateAllocs pins the pooled-buffer claim on the mesh core
+// and on each link: once the refBuf pool, the mailbox rings, the frame
+// scratch, and the links' batch, reassembly and writev state are warm,
+// a full round (every process broadcasts, every process gathers)
+// allocates nothing. AllocsPerRun counts mallocs across all goroutines,
+// so on the socket meshes the pin covers the writer and reader loops
+// too, not just the endpoint-facing calls. One goroutine drives every
+// endpoint — broadcasts never block, so all of round r is deposited or
+// on the wire before the first gather — and GC is disabled for the
 // measurement so pool evictions cannot masquerade as steady-state
 // allocations.
-func TestInProcSteadyStateAllocs(t *testing.T) {
+func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; alloc counts are not deterministic")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
 	const n = 2
-	tr := NewInProc(n, nil)
-	defer tr.Close()
-	eps := make([]Endpoint, n)
-	for i := range eps {
-		ep, err := tr.Endpoint(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[i] = ep
+	links := []struct {
+		name string
+		make func() (Transport, error)
+	}{
+		{"inproc", func() (Transport, error) { return NewInProc(n, nil), nil }},
+		{"stream", func() (Transport, error) { return NewTCPMeshLoopback(n, n, nil) }},
+		{"datagram", func() (Transport, error) { return NewUDPMeshLoopback(n, n, nil, udpTestOpts()) }},
 	}
-	payload := []byte("steady-state payload")
-	bufs := make([][][]byte, n)
-	r := 0
-	round := func() {
-		r++
-		for _, ep := range eps {
-			if err := ep.Broadcast(r, payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for i, ep := range eps {
-			recv, err := ep.Gather(r, bufs[i])
+	for _, link := range links {
+		t.Run(link.name, func(t *testing.T) {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			tr, err := link.make()
 			if err != nil {
 				t.Fatal(err)
 			}
-			bufs[i] = recv
-		}
-	}
-	// Warm the pool and the gather buffers past the ring window.
-	for i := 0; i < 2*window; i++ {
-		round()
-	}
-	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Fatalf("steady-state round allocates %.1f times, want 0", avg)
-	}
-}
-
-// TestUDPSteadyStateAllocs pins the same claim on the datagram path:
-// once the frame scratch, batch arrays, reassembly slots, and refBuf
-// pool are warm, a full round over real UDP sockets allocates nothing —
-// and because AllocsPerRun counts mallocs across all goroutines, the
-// pin covers the writer loops and batch readers too, not just the
-// endpoint-facing calls.
-func TestUDPSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector; alloc counts are not deterministic")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-
-	const n = 2
-	tr, err := NewUDPMeshLoopback(n, n, nil, udpTestOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	eps := make([]Endpoint, n)
-	for i := range eps {
-		ep, err := tr.Endpoint(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		eps[i] = ep
-	}
-	payload := []byte("steady-state payload")
-	bufs := make([][][]byte, n)
-	r := 0
-	round := func() {
-		r++
-		for _, ep := range eps {
-			if err := ep.Broadcast(r, payload); err != nil {
-				t.Fatal(err)
+			defer tr.Close()
+			eps := make([]Endpoint, n)
+			for i := range eps {
+				if eps[i], err = tr.Endpoint(i); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		for i, ep := range eps {
-			recv, err := ep.Gather(r, bufs[i])
-			if err != nil {
-				t.Fatal(err)
+			payload := []byte("steady-state payload")
+			bufs := make([][][]byte, n)
+			r := 0
+			round := func() {
+				r++
+				for _, ep := range eps {
+					if err := ep.Broadcast(r, payload); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, ep := range eps {
+					recv, err := ep.Gather(r, bufs[i])
+					if err != nil {
+						t.Fatal(err)
+					}
+					bufs[i] = recv
+				}
 			}
-			bufs[i] = recv
-		}
-	}
-	// Warm everything past the ring window: pools, batch arrays, frame
-	// and reassembly scratch all reach their steady capacity.
-	for i := 0; i < 4*window; i++ {
-		round()
-	}
-	if avg := testing.AllocsPerRun(100, round); avg != 0 {
-		t.Fatalf("steady-state round allocates %.1f times, want 0", avg)
+			// Warm everything past the ring window: pools, gather buffers,
+			// frame, batch and reassembly scratch all reach steady capacity.
+			for i := 0; i < 4*window; i++ {
+				round()
+			}
+			if avg := testing.AllocsPerRun(100, round); avg != 0 {
+				t.Fatalf("steady-state round allocates %.1f times, want 0", avg)
+			}
+		})
 	}
 }

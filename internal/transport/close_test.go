@@ -115,7 +115,7 @@ func TestUDPCloseWithoutTrafficLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestUDPCloseDuringInFlightGather closes the mesh while a Gather is
-// parked mid-round on the lossy mailbox's timer/arrival select — with a
+// parked mid-round on the deadline mailbox's timer/arrival select — with a
 // deliberately enormous round deadline, so only Close can release it —
 // and requires ErrClosed promptly, with no goroutine left behind, and a
 // second Close (from the endpoint side and the transport side) to stay
@@ -311,10 +311,10 @@ func TestTCPCloseDuringReconnectLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 		driveRun(t, tr, 2)
-		nd := tr.nodes[0]
-		nd.mu.Lock()
-		stream := nd.conns[1]
-		nd.mu.Unlock()
+		sn := tr.sl.nodes[0]
+		sn.mu.Lock()
+		stream := sn.conns[1]
+		sn.mu.Unlock()
 		stream.Close() // both reader loops fail: node 0 redials, node 1 awaits
 		time.Sleep(50 * time.Millisecond)
 		if err := tr.Close(); err != nil {

@@ -1,158 +1,21 @@
 package transport
 
-import (
-	"fmt"
-	"sync"
-)
-
-// InProc is the in-process transport: every receiver owns a roundBuffer
-// mailbox and Broadcast deposits straight into all n of them — no
-// goroutines, no channels, no OS involvement. One pooled copy of the
+// InProc is the in-process transport: the mesh with a single node and
+// no link. Every receiver's mailbox is hosted by that node, so Broadcast
+// deposits straight into all n of them — no goroutines, no sockets, no
+// OS involvement — and rounds close by count. One pooled copy of the
 // payload is shared read-only by every receiver (tracked by a reference
 // count), so the steady-state round is allocation-free. It is the
 // transport of choice for the agreement service's sessions and the
 // reference implementation of the transport contract.
-type InProc struct {
-	n     int
-	pol   Policy
-	boxes []*roundBuffer
-	done  chan struct{}
-
-	mu      sync.Mutex
-	claimed []bool
-	closed  bool
-}
+type InProc struct{ *mesh }
 
 // NewInProc returns an in-process transport for n processes under the
 // given policy (nil means Perfect).
 func NewInProc(n int, pol Policy) *InProc {
-	if n < 1 {
-		panic(fmt.Sprintf("transport: n = %d, need >= 1", n))
-	}
-	if pol == nil {
-		pol = Perfect{}
-	}
-	t := &InProc{
-		n:       n,
-		pol:     pol,
-		boxes:   make([]*roundBuffer, n),
-		done:    make(chan struct{}),
-		claimed: make([]bool, n),
-	}
-	for i := range t.boxes {
-		t.boxes[i] = newRoundBuffer(n)
-	}
-	return t
-}
-
-// N implements Transport.
-func (t *InProc) N() int { return t.n }
-
-// Endpoint implements Transport.
-func (t *InProc) Endpoint(self int) (Endpoint, error) {
-	if self < 0 || self >= t.n {
-		return nil, fmt.Errorf("transport: endpoint id %d out of range [0,%d)", self, t.n)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
-	if t.claimed[self] {
-		return nil, fmt.Errorf("transport: endpoint %d already claimed", self)
-	}
-	t.claimed[self] = true
-	return &inprocEndpoint{t: t, self: self, drops: make([]bool, t.n)}, nil
-}
-
-// MarkDead implements DeadMarker: process p's missing deliveries from
-// round fromRound onward become permanent nil tombstones at every
-// receiver, so their rounds close by count without p. With no deadline
-// machinery anywhere in this transport, an announced death verdict is
-// the only way an in-proc run survives a crashed process — which is
-// also the only way an in-proc process can die, since there is no OS
-// boundary for an unannounced crash to hide behind.
-func (t *InProc) MarkDead(p, fromRound int) {
-	for _, b := range t.boxes {
-		b.markDead(p, fromRound)
-	}
-}
-
-// Close implements Transport: it wakes every parked Gather with
-// ErrClosed. Idempotent.
-func (t *InProc) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	t.mu.Unlock()
-	close(t.done)
-	for _, b := range t.boxes {
-		b.close()
-	}
-	return nil
-}
-
-// inprocEndpoint is process self's port onto an InProc transport.
-type inprocEndpoint struct {
-	t     *InProc
-	self  int
-	drops []bool // per-broadcast drop decisions, reused across rounds
-}
-
-// Self implements Endpoint.
-func (ep *inprocEndpoint) Self() int { return ep.self }
-
-// N implements Endpoint.
-func (ep *inprocEndpoint) N() int { return ep.t.n }
-
-// Broadcast implements Endpoint. The payload is copied once into a
-// pooled buffer shared (read-only) by all delivered receivers; dropped
-// links get a tombstone deposit so the receivers' rounds still close.
-func (ep *inprocEndpoint) Broadcast(r int, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("transport: payload %d bytes exceeds MaxPayload %d", len(payload), MaxPayload)
-	}
-	t := ep.t
-	select {
-	case <-t.done:
-		return ErrClosed
-	default:
-	}
-	delivered := int32(0)
-	for to := 0; to < t.n; to++ {
-		drop := to != ep.self && !t.pol.Deliver(r, ep.self, to)
-		ep.drops[to] = drop
-		if !drop {
-			delivered++
-		}
-	}
-	rb := newRefBuf(payload, delivered) // >= 1: self-delivery is unconditional
-	for to := 0; to < t.n; to++ {
-		if ep.drops[to] {
-			t.boxes[to].deposit(ep.self, r, nil, nil)
-		} else {
-			t.boxes[to].deposit(ep.self, r, rb.b, rb)
-		}
-	}
-	return nil
-}
-
-// Gather implements Endpoint.
-func (ep *inprocEndpoint) Gather(r int, into [][]byte) ([][]byte, error) {
-	recv, _, err := ep.t.boxes[ep.self].await(r, into, 0, 0)
+	core, err := newMesh(n, 1, pol, meshOpts{})
 	if err != nil {
-		return nil, err
+		panic(err.Error()) // n < 1: a caller bug, as it always was here
 	}
-	if err := applyDelays(ep.t.pol, r, ep.self, recv, ep.t.done); err != nil {
-		return nil, err
-	}
-	return recv, nil
+	return &InProc{core}
 }
-
-// Close implements Endpoint. In-process endpoints share the transport's
-// lifetime; closing one tears down the whole transport (there is no
-// meaningful per-endpoint teardown for an in-memory mesh).
-func (ep *inprocEndpoint) Close() error { return ep.t.Close() }

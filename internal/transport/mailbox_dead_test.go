@@ -6,26 +6,28 @@ import (
 	"time"
 )
 
-// deadBoxes returns both mailbox implementations: the markDead contract
-// — pre-fill affected in-window rounds, persist across slot recycling,
-// silently drop in-flight frames from the dead sender — is shared, so
-// every scenario runs against the reliable and the lossy buffer.
-func deadBoxes() map[string]func(n int) mailbox {
-	return map[string]func(n int) mailbox{
-		"round": func(n int) mailbox { return newRoundBuffer(n) },
-		"lossy": func(n int) mailbox { return newLossyBuffer(n) },
+// noDeadline keeps a deadline mailbox from closing rounds on its own: any
+// round that completes did so by count (or markDead pre-fill), never by
+// a deadline burn.
+const noDeadline = time.Hour
+
+// closurePolicies returns the mailbox under its two closure policies:
+// count-only (deadline 0, the reliable links) and deadline+grace (the
+// best-effort links). The markDead contract — pre-fill affected
+// in-window rounds, persist across slot recycling, silently drop
+// in-flight frames from the dead sender — holds under both, so every
+// scenario runs against each.
+func closurePolicies() map[string]func(n int) *mailbox {
+	return map[string]func(n int) *mailbox{
+		"round": func(n int) *mailbox { return newMailbox(n, 0, 0) },
+		"lossy": func(n int) *mailbox { return newMailbox(n, noDeadline, noDeadline) },
 	}
 }
 
-// noDeadline keeps the lossy buffer from closing rounds on its own: any
-// round that completes did so by count (or markDead pre-fill), never by
-// a deadline burn. The reliable buffer ignores it either way.
-const noDeadline = time.Hour
-
-// awaitChecked runs await under a watchdog: a markDead bug on the
-// reliable mailbox has no deadline to fall back on and would hang the
-// test forever otherwise.
-func awaitChecked(t *testing.T, b mailbox, r int) [][]byte {
+// awaitResult runs await under a watchdog: a count-only mailbox has no
+// deadline to fall back on, so a bug that leaves a round open would hang
+// the test forever otherwise.
+func awaitResult(t *testing.T, b *mailbox, r int) ([][]byte, []int, error) {
 	t.Helper()
 	type result struct {
 		recv   [][]byte
@@ -34,22 +36,29 @@ func awaitChecked(t *testing.T, b mailbox, r int) [][]byte {
 	}
 	done := make(chan result, 1)
 	go func() {
-		recv, missed, err := b.await(r, nil, noDeadline, noDeadline)
+		recv, missed, err := b.await(r, nil)
 		done <- result{recv, missed, err}
 	}()
 	select {
 	case res := <-done:
-		if res.err != nil {
-			t.Fatalf("await(%d): %v", r, res.err)
-		}
-		if res.missed != nil {
-			t.Fatalf("await(%d) reported missed senders %v; dead pre-fill must close by count", r, res.missed)
-		}
-		return res.recv
+		return res.recv, res.missed, res.err
 	case <-time.After(10 * time.Second):
-		t.Fatalf("await(%d) still parked; dead sender's slot was not pre-filled", r)
-		return nil
+		t.Fatalf("await(%d) still parked", r)
+		return nil, nil, nil
 	}
+}
+
+// awaitChecked is awaitResult for rounds that must close by count.
+func awaitChecked(t *testing.T, b *mailbox, r int) [][]byte {
+	t.Helper()
+	recv, missed, err := awaitResult(t, b, r)
+	if err != nil {
+		t.Fatalf("await(%d): %v", r, err)
+	}
+	if missed != nil {
+		t.Fatalf("await(%d) reported missed senders %v; the round must close by count", r, missed)
+	}
+	return recv
 }
 
 // TestMarkDeadUnblocksParkedAwait parks an await on one missing sender
@@ -57,7 +66,7 @@ func awaitChecked(t *testing.T, b mailbox, r int) [][]byte {
 // close by count with a nil tombstone in the dead sender's slot and the
 // live payloads intact.
 func TestMarkDeadUnblocksParkedAwait(t *testing.T) {
-	for name, mk := range deadBoxes() {
+	for name, mk := range closurePolicies() {
 		t.Run(name, func(t *testing.T) {
 			b := mk(3)
 			b.deposit(0, 1, []byte("a"), nil)
@@ -82,7 +91,7 @@ func TestMarkDeadUnblocksParkedAwait(t *testing.T) {
 // sender's tombstone, so no later round ever waits on (or hears from)
 // the dead peer again.
 func TestMarkDeadPersistsAcrossRecycle(t *testing.T) {
-	for name, mk := range deadBoxes() {
+	for name, mk := range closurePolicies() {
 		t.Run(name, func(t *testing.T) {
 			b := mk(2)
 			b.markDead(1, 1)
@@ -107,7 +116,7 @@ func TestMarkDeadPersistsAcrossRecycle(t *testing.T) {
 // duplicate-delivery protocol violation, since the verdict pre-filled
 // the slot — and the dropped frame's buffer is released.
 func TestMarkDeadDropsInFlightFrames(t *testing.T) {
-	for name, mk := range deadBoxes() {
+	for name, mk := range closurePolicies() {
 		t.Run(name, func(t *testing.T) {
 			b := mk(2)
 			b.markDead(1, 2)
@@ -136,7 +145,7 @@ func TestMarkDeadDropsInFlightFrames(t *testing.T) {
 // earlier round tightens it. None of this may double-count a slot or
 // trip the duplicate-delivery check.
 func TestMarkDeadIsIdempotentAndMonotone(t *testing.T) {
-	for name, mk := range deadBoxes() {
+	for name, mk := range closurePolicies() {
 		t.Run(name, func(t *testing.T) {
 			b := mk(2)
 			b.markDead(1, 3)
@@ -157,5 +166,65 @@ func TestMarkDeadIsIdempotentAndMonotone(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestUnplaceableDepositFollowsClosurePolicy pins the one place the two
+// closure policies disagree: a deposit the ring cannot take — a
+// duplicate (sender, round), a round beyond the window, a round already
+// released — is a protocol violation that fails a count-only mailbox
+// (its link is reliable, so the frame has no innocent explanation) and
+// a late or replayed datagram that a deadline mailbox ignores, releasing
+// the buffer reference it carried and disturbing nothing.
+func TestUnplaceableDepositFollowsClosurePolicy(t *testing.T) {
+	deposits := []struct {
+		name  string
+		round int // the unplaceable deposit's round, made by sender 0 after round 1 was gathered
+	}{
+		{"duplicate", 2},
+		{"beyond-window", 1 + window + 1},
+		{"already-released", 1},
+	}
+	for policy, mk := range closurePolicies() {
+		for _, d := range deposits {
+			t.Run(policy+"/"+d.name, func(t *testing.T) {
+				b := mk(2)
+				for q := 0; q < 2; q++ {
+					b.deposit(q, 1, []byte("r1"), nil)
+				}
+				awaitChecked(t, b, 1)
+				b.deposit(0, 2, []byte("r2"), nil)
+				// Gathering round 2 releases round 1 and moves the window to
+				// (1, 1+window]; each case is unplaceable on either side of
+				// that release, so the sleep only makes the await park first.
+				go func() {
+					time.Sleep(10 * time.Millisecond)
+					bad := newRefBuf([]byte("unplaceable"), 1)
+					b.deposit(0, d.round, bad.b, bad)
+					if policy == "lossy" {
+						if got := bad.refs.Load(); got != 0 {
+							t.Errorf("ignored deposit holds %d references, want 0 (leaked buffer)", got)
+						}
+						b.deposit(1, 2, []byte("r2"), nil)
+					}
+				}()
+				recv, missed, err := awaitResult(t, b, 2)
+				if policy == "round" {
+					if err == nil {
+						t.Fatal("count-only mailbox accepted an unplaceable deposit; want the protocol error")
+					}
+					if _, _, again := awaitResult(t, b, 2); again == nil {
+						t.Error("mailbox recovered after a protocol violation; the failure must be sticky")
+					}
+					return
+				}
+				if err != nil || missed != nil {
+					t.Fatalf("deadline mailbox: await(2) = missed %v, err %v; want the deposit ignored", missed, err)
+				}
+				if !bytes.Equal(recv[0], []byte("r2")) || !bytes.Equal(recv[1], []byte("r2")) {
+					t.Errorf("ignored deposit disturbed round 2: %q %q", recv[0], recv[1])
+				}
+			})
+		}
 	}
 }

@@ -12,24 +12,13 @@ import (
 	"time"
 )
 
-// TCPMesh is the socket transport, rebuilt around node-grouped links
-// (wire-format v2). Processes are partitioned across `nodes` mesh nodes;
-// each unordered node pair shares ONE duplex TCP stream, and all of a
-// round's messages from one node to another ship as a single
-// length-prefixed frame: a per-round header, a drop bitmap over the
-// (sender × receiver) link matrix carried by that node link, and each
-// sender's payload exactly once — however many receivers the peer node
-// hosts. Compared with the v1 transport (one stream and one frame per
-// directed process link, n² of each), this cuts connections to
-// O(nodes²), syscalls to O(nodes²) per round, and the bytes crossing
-// the wire by the receiver fan-in factor; co-located delivery never
-// touches a socket at all.
-//
-// Each node runs exactly one writer event loop (it owns every outbound
-// stream half, coalescing all local senders' round-r payloads into one
-// frame per peer) and one reader goroutine per peer stream (each owns
-// its inbound half, depositing straight into the local receivers'
-// mailboxes). Goroutines scale with nodes, not with processes.
+// TCPMesh is the mesh over reliable streams: each unordered node pair
+// shares ONE duplex TCP stream, and all of a round's messages from one
+// node to another ship as a single length-prefixed frame (frame.go: drop
+// bitmap over the sender x receiver link matrix, each sender's payload
+// exactly once). Connections and syscalls per round are O(nodes²), the
+// bytes crossing the wire shrink by the receiver fan-in factor, and
+// co-located delivery never touches a socket at all.
 //
 // With nodes == n (NewTCPLoopback) every process is its own node — the
 // fully distributed one-process-per-socket-endpoint shape the E18
@@ -37,33 +26,15 @@ import (
 // whose co-located sessions multiplex one link per peer, the deployment
 // shape the agreement service is growing toward.
 //
-// Per-link frame layout (after a one-time uvarint node-id handshake by
-// the dialing side of each stream):
+// Stream layout (after a one-time uvarint node-id handshake by the
+// dialing side of each stream), per round:
 //
 //	uvarint frame length (bytes that follow)
 //	uvarint round
-//	bitmap  ceil(S*R/8) bytes; bit si*R+qi (LSB first) = the round-r
-//	        message of the node's si-th process to the peer's qi-th
-//	        process is delivered (0 = drop tombstone)
-//	then, for each sender si with at least one bit set:
-//	        uvarint payload length, payload bytes
+//	frame body (frame.go)
 type TCPMesh struct {
-	n, m  int
-	pol   Policy
-	opts  TCPOpts
-	stall bool // chaos mode: lossy mailboxes, deadline closure, reconnect
-	ready atomic.Bool
-	nodes []*meshNode
-	lns   []net.Listener
-	addrs []string
-	done  chan struct{}
-
-	mu        sync.Mutex
-	claimed   []bool
-	closed    bool
-	conns     []net.Conn
-	deadNodes []bool
-	setupErr  error
+	*mesh
+	sl *streamLink // nil on a single-node mesh, which never opens a socket
 }
 
 // TCPOpts tunes a TCP mesh beyond the lockstep-exact defaults. The zero
@@ -72,9 +43,9 @@ type TCPMesh struct {
 // differential suites, and a wedge under a crashed peer.
 type TCPOpts struct {
 	// Stall enables chaos mode when Stall.RoundTimeout > 0: receive
-	// mailboxes switch to the lossy deadline+grace closure the UDP mesh
-	// uses (a dead peer costs a deadline, not the run), the stall
-	// detector turns consecutive silence into a terminal death verdict
+	// mailboxes switch to the deadline+grace closure the UDP mesh uses (a
+	// dead peer costs a deadline, not the run), the stall detector turns
+	// consecutive silence into a terminal death verdict
 	// (Stall.DeadAfter), and broken streams are redialed with jittered
 	// exponential backoff up to Stall.MaxReconnect before the peer node
 	// is declared dead. Off by default so lockstep-exact suites keep the
@@ -82,26 +53,8 @@ type TCPOpts struct {
 	Stall StallOpts
 }
 
-// nodeLo returns the first process hosted by node i (processes are
-// partitioned contiguously and evenly: node i hosts [nodeLo(i),
-// nodeLo(i+1))).
-func (t *TCPMesh) nodeLo(i int) int { return i * t.n / t.m }
-
-// nodeOf returns the node hosting process p.
-func (t *TCPMesh) nodeOf(p int) int {
-	// Inverse of nodeLo's balanced split; the scan is O(m) but only runs
-	// at Endpoint claim time.
-	for i := 0; i < t.m; i++ {
-		if p >= t.nodeLo(i) && p < t.nodeLo(i+1) {
-			return i
-		}
-	}
-	return -1
-}
-
 // NewTCPLoopback returns the fully distributed mesh — one node per
-// process, every listener bound to 127.0.0.1 on kernel-assigned ports —
-// the same deployment shape (and constructor) as the v1 transport.
+// process, every listener bound to 127.0.0.1 on kernel-assigned ports.
 func NewTCPLoopback(n int, pol Policy) (*TCPMesh, error) {
 	return NewTCPMeshLoopback(n, n, pol)
 }
@@ -117,273 +70,239 @@ func NewTCPMeshLoopback(n, nodes int, pol Policy) (*TCPMesh, error) {
 // NewTCPMeshLoopbackOpts is NewTCPMeshLoopback with chaos knobs (see
 // TCPOpts).
 func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("transport: n = %d, need >= 1", n)
+	o := opts.Stall.withDefaults()
+	core, err := newMesh(n, nodes, pol, meshOpts{
+		deadline:  o.RoundTimeout,
+		grace:     o.Grace,
+		deadAfter: o.DeadAfter,
+		counters:  o.Counters,
+	})
+	if err != nil {
+		return nil, err
 	}
-	if nodes < 1 || nodes > n {
-		return nil, fmt.Errorf("transport: nodes = %d, need 1 <= nodes <= n = %d", nodes, n)
-	}
-	if pol == nil {
-		pol = Perfect{}
-	}
-	opts.Stall = opts.Stall.withDefaults()
-	t := &TCPMesh{
-		n:       n,
-		m:       nodes,
-		pol:     pol,
-		opts:    opts,
-		stall:   opts.Stall.RoundTimeout > 0,
-		claimed: make([]bool, n),
-		done:    make(chan struct{}),
-	}
-	for i := 0; i < t.m; i++ {
-		lo, hi := t.nodeLo(i), t.nodeLo(i+1)
-		nd := &meshNode{t: t, id: i, lo: lo, hi: hi}
-		nd.cond.L = &nd.mu
-		nd.boxes = make([]mailbox, hi-lo)
-		for j := range nd.boxes {
-			if t.stall {
-				nd.boxes[j] = newLossyBuffer(n)
-			} else {
-				nd.boxes[j] = newRoundBuffer(n)
-			}
-		}
-		for r := range nd.pending {
-			nd.pending[r] = make([]*refBuf, hi-lo)
-		}
-		nd.conns = make([]net.Conn, t.m)
-		nd.reconnecting = make([]bool, t.m)
-		t.nodes = append(t.nodes, nd)
-	}
-	if t.m == 1 {
+	t := &TCPMesh{mesh: core}
+	if nodes == 1 {
 		return t, nil // single node: every delivery is in-memory
 	}
-
-	for i := 0; i < t.m; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("transport: listen node %d: %w", i, err)
-		}
-		t.lns = append(t.lns, ln)
-		t.addrs = append(t.addrs, ln.Addr().String())
-	}
-	var accepts sync.WaitGroup
-	accepts.Add(t.m * (t.m - 1) / 2)
-	for i := 0; i < t.m; i++ {
-		go t.acceptLoop(t.nodes[i], t.lns[i], &accepts)
-	}
-	// Node i dials every higher-numbered node; the accept side learns
-	// the dialer from the handshake.
-	for i := 0; i < t.m; i++ {
-		for j := i + 1; j < t.m; j++ {
-			c, err := net.Dial("tcp", t.addrs[j])
-			if err != nil {
-				t.Close()
-				return nil, fmt.Errorf("transport: node %d dial node %d: %w", i, j, err)
-			}
-			t.track(c)
-			var hello [binary.MaxVarintLen64]byte
-			if _, err := c.Write(hello[:binary.PutUvarint(hello[:], uint64(i))]); err != nil {
-				t.Close()
-				return nil, fmt.Errorf("transport: node %d handshake to node %d: %w", i, j, err)
-			}
-			t.nodes[i].conns[j] = c
-			go t.readLoop(t.nodes[i], j, c)
-		}
-	}
-	accepts.Wait()
-	t.ready.Store(true) // accept handshakes from here on are reconnects
-	t.mu.Lock()
-	err := t.setupErr
-	t.mu.Unlock()
-	if err != nil {
+	t.sl = &streamLink{t: core, opts: o, chaos: o.RoundTimeout > 0}
+	core.link = t.sl
+	if err := t.sl.open(); err != nil {
 		t.Close()
 		return nil, err
 	}
-	for i := 0; i < t.m; i++ {
-		go t.nodes[i].writeLoop()
-	}
+	core.startWriters()
 	return t, nil
 }
-
-// MarkDead implements DeadMarker: process p's missing deliveries from
-// round fromRound onward become permanent nil tombstones at every
-// hosted mailbox of every node, and p's own node's writer stops waiting
-// for its contributions (its frame slots ship as drop tombstones). This
-// single call patches the whole mesh because the loopback mesh is one
-// object; on a real multi-host deployment each host applies the same
-// verdict to its local view when its own detector fires.
-func (t *TCPMesh) MarkDead(p, fromRound int) {
-	if p < 0 || p >= t.n {
-		return
-	}
-	for _, nd := range t.nodes {
-		for _, b := range nd.boxes {
-			b.markDead(p, fromRound)
-		}
-	}
-	nd := t.nodes[t.nodeOf(p)]
-	nd.markDeadLocal(p-nd.lo, fromRound)
-}
-
-// markNodeDead is the terminal verdict of the stall detector or an
-// exhausted reconnect budget: every process hosted by the peer node is
-// declared dead from now on. Idempotent.
-func (t *TCPMesh) markNodeDead(peer int) {
-	t.mu.Lock()
-	if t.closed || (t.deadNodes != nil && t.deadNodes[peer]) {
-		t.mu.Unlock()
-		return
-	}
-	if t.deadNodes == nil {
-		t.deadNodes = make([]bool, t.m)
-	}
-	t.deadNodes[peer] = true
-	t.mu.Unlock()
-	lo, hi := t.nodeLo(peer), t.nodeLo(peer+1)
-	if c := t.opts.Stall.Counters; c != nil {
-		c.Dead.Add(int64(hi - lo))
-	}
-	for p := lo; p < hi; p++ {
-		t.MarkDead(p, 1)
-	}
-}
-
-// N implements Transport.
-func (t *TCPMesh) N() int { return t.n }
 
 // Nodes returns the node count of the mesh.
 func (t *TCPMesh) Nodes() int { return t.m }
 
 // Addrs returns the node listen addresses, indexed by node id (empty
 // for a single-node mesh, which never opens a socket).
-func (t *TCPMesh) Addrs() []string { return append([]string(nil), t.addrs...) }
-
-// Endpoint implements Transport.
-func (t *TCPMesh) Endpoint(self int) (Endpoint, error) {
-	if self < 0 || self >= t.n {
-		return nil, fmt.Errorf("transport: endpoint id %d out of range [0,%d)", self, t.n)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
-	if t.claimed[self] {
-		return nil, fmt.Errorf("transport: endpoint %d already claimed", self)
-	}
-	t.claimed[self] = true
-	ep := &meshEndpoint{nd: t.nodes[t.nodeOf(self)], self: self, drops: make([]bool, t.n)}
-	if t.stall {
-		ep.stall = newStallDetector(t.n, t.opts.Stall.DeadAfter, t.opts.Stall.Counters, func(q int) {
-			t.markNodeDead(t.nodeOf(q))
-		})
-	}
-	return ep, nil
-}
-
-// Close implements Transport: it tears down listeners, streams and
-// loops, and wakes every parked Gather with ErrClosed. Idempotent and
-// safe from any goroutine.
-func (t *TCPMesh) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+func (t *TCPMesh) Addrs() []string {
+	if t.sl == nil {
 		return nil
 	}
-	t.closed = true
-	conns := t.conns
-	t.conns = nil
-	t.mu.Unlock()
-	close(t.done)
-	for _, ln := range t.lns {
+	return append([]string(nil), t.sl.addrs...)
+}
+
+// streamLink is the reliable-stream link: one listener per node, one
+// duplex TCP stream per node pair (the lower-numbered node dials), one
+// reader goroutine per stream end handing received frames to the core.
+// Outside chaos mode a stream failure is fatal to the nodes it touches;
+// in chaos mode (StallOpts.RoundTimeout > 0) a broken stream's frames
+// are loss — closed by the mailboxes' deadline — while the dialing side
+// redials within the reconnect budget, and an exhausted budget is the
+// peer node's death verdict.
+type streamLink struct {
+	t     *mesh
+	opts  StallOpts
+	chaos bool
+	ready atomic.Bool // setup done: accept handshakes from here on are reconnects
+	nodes []*streamNode
+	lns   []net.Listener
+	addrs []string
+
+	mu       sync.Mutex
+	closed   bool
+	conns    []net.Conn // every stream opened, for teardown
+	setupErr error
+}
+
+// streamNode is one node's ends of its streams.
+type streamNode struct {
+	nd *meshNode
+
+	mu           sync.Mutex
+	conns        []net.Conn // by peer node id; writes owned by the node's writer loop
+	reconnecting []bool     // by peer node id: stream down, replacement pending
+
+	// Writer-loop scratch. vecs is re-sliced from a fixed backing array
+	// every frame: net.Buffers.WriteTo consumes the slice from the front,
+	// so appending to vecs[:0] would reallocate per frame.
+	round   [binary.MaxVarintLen64]byte
+	hdr     [2 * binary.MaxVarintLen64]byte
+	vecsArr [2][]byte
+	vecs    net.Buffers
+}
+
+// open binds the listeners, establishes and handshakes every stream, and
+// starts the reader loops.
+func (l *streamLink) open() error {
+	t := l.t
+	for _, nd := range t.nodes {
+		l.nodes = append(l.nodes, &streamNode{nd: nd, conns: make([]net.Conn, t.m), reconnecting: make([]bool, t.m)})
+	}
+	for i := 0; i < t.m; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return fmt.Errorf("transport: listen node %d: %w", i, err)
+		}
+		l.lns = append(l.lns, ln)
+		l.addrs = append(l.addrs, ln.Addr().String())
+	}
+	var accepts sync.WaitGroup
+	accepts.Add(t.m * (t.m - 1) / 2)
+	for i := 0; i < t.m; i++ {
+		go l.acceptLoop(l.nodes[i], l.lns[i], &accepts)
+	}
+	// Node i dials every higher-numbered node; the accept side learns
+	// the dialer from the handshake.
+	for i := 0; i < t.m; i++ {
+		for j := i + 1; j < t.m; j++ {
+			c, err := net.Dial("tcp", l.addrs[j])
+			if err != nil {
+				return fmt.Errorf("transport: node %d dial node %d: %w", i, j, err)
+			}
+			l.track(c)
+			var hello [binary.MaxVarintLen64]byte
+			if _, err := c.Write(hello[:binary.PutUvarint(hello[:], uint64(i))]); err != nil {
+				return fmt.Errorf("transport: node %d handshake to node %d: %w", i, j, err)
+			}
+			l.nodes[i].conns[j] = c
+			go l.readLoop(l.nodes[i], j, c)
+		}
+	}
+	accepts.Wait()
+	l.ready.Store(true)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.setupErr
+}
+
+// close implements link: it closes the listeners and every stream,
+// which unblocks the accept and reader loops.
+func (l *streamLink) close() {
+	l.mu.Lock()
+	l.closed = true
+	conns := l.conns
+	l.conns = nil
+	l.mu.Unlock()
+	for _, ln := range l.lns {
 		ln.Close()
 	}
 	for _, c := range conns {
 		c.Close()
 	}
-	for _, nd := range t.nodes {
-		nd.mu.Lock()
-		nd.cond.Broadcast() // writer loop re-checks t.done and exits
-		nd.mu.Unlock()
-		for _, b := range nd.boxes {
-			b.close()
-		}
-	}
-	return nil
 }
 
 // track registers a stream for teardown; a stream arriving after
 // teardown (an accept racing Close) is closed on the spot.
-func (t *TCPMesh) track(c net.Conn) bool {
-	t.mu.Lock()
-	closed := t.closed
+func (l *streamLink) track(c net.Conn) bool {
+	l.mu.Lock()
+	closed := l.closed
 	if !closed {
-		t.conns = append(t.conns, c)
+		l.conns = append(l.conns, c)
 	}
-	t.mu.Unlock()
+	l.mu.Unlock()
 	if closed {
 		c.Close()
 	}
 	return !closed
 }
 
-func (t *TCPMesh) failSetup(err error) {
-	t.mu.Lock()
-	if t.setupErr == nil {
-		t.setupErr = err
+func (l *streamLink) failSetup(err error) {
+	l.mu.Lock()
+	if l.setupErr == nil {
+		l.setupErr = err
 	}
-	t.mu.Unlock()
+	l.mu.Unlock()
 }
+
+// send implements link: the frame goes out with a single writev. In
+// chaos mode a stream that is down, or breaks under the write, turns the
+// frame into loss instead of failing the node.
+func (l *streamLink) send(from, to, r int, body []byte) error {
+	sn := l.nodes[from]
+	sn.mu.Lock()
+	conn := sn.conns[to]
+	sn.mu.Unlock()
+	if conn == nil {
+		return nil // stream down (chaos mode only): this round's frame is loss
+	}
+	round := binary.AppendUvarint(sn.round[:0], uint64(r))
+	hdr := binary.AppendUvarint(sn.hdr[:0], uint64(len(round)+len(body)))
+	sn.vecsArr[0], sn.vecsArr[1] = append(hdr, round...), body
+	sn.vecs = net.Buffers(sn.vecsArr[:])
+	if _, err := sn.vecs.WriteTo(conn); err != nil {
+		if !l.chaos {
+			return fmt.Errorf("transport: node %d write to node %d: %w", from, to, err)
+		}
+		l.streamBroken(sn, to, conn)
+	}
+	return nil
+}
+
+// flush implements link; every send has already hit its socket.
+func (l *streamLink) flush(int) error { return nil }
 
 // acceptLoop accepts the streams dialed by lower-numbered nodes and
 // binds each to its peer via the handshake. After setup, in chaos mode,
 // it also accepts replacement streams from reconnecting peers: the
 // replacement closes whatever stream it supersedes and takes over the
 // peer's slot.
-func (t *TCPMesh) acceptLoop(nd *meshNode, ln net.Listener, accepts *sync.WaitGroup) {
+func (l *streamLink) acceptLoop(sn *streamNode, ln net.Listener, accepts *sync.WaitGroup) {
 	for {
 		c, err := ln.Accept()
 		if err != nil {
 			return // listener closed by Close
 		}
-		if !t.track(c) {
+		if !l.track(c) {
 			return
 		}
 		go func() {
-			if !t.ready.Load() {
+			if !l.ready.Load() {
 				defer accepts.Done()
 			}
 			c.SetReadDeadline(time.Now().Add(30 * time.Second))
 			from64, err := binary.ReadUvarint(oneByteReader{c})
 			c.SetReadDeadline(time.Time{})
 			if err != nil {
-				t.failSetup(fmt.Errorf("transport: node %d handshake read: %w", nd.id, err))
+				l.failSetup(fmt.Errorf("transport: node %d handshake read: %w", sn.nd.id, err))
 				return
 			}
 			from := int(from64)
 			var old net.Conn
-			nd.mu.Lock()
+			sn.mu.Lock()
 			switch {
-			case from64 >= uint64(nd.id):
-				err = fmt.Errorf("transport: node %d got handshake from unexpected node %d", nd.id, from64)
-			case nd.conns[from] != nil && !t.stall:
-				err = fmt.Errorf("transport: node %d got a second stream claiming node %d", nd.id, from)
+			case from64 >= uint64(sn.nd.id):
+				err = fmt.Errorf("transport: node %d got handshake from unexpected node %d", sn.nd.id, from64)
+			case sn.conns[from] != nil && !l.chaos:
+				err = fmt.Errorf("transport: node %d got a second stream claiming node %d", sn.nd.id, from)
 			default:
-				old = nd.conns[from]
-				nd.conns[from] = c
-				nd.reconnecting[from] = false
+				old = sn.conns[from]
+				sn.conns[from] = c
+				sn.reconnecting[from] = false
 			}
-			nd.mu.Unlock()
+			sn.mu.Unlock()
 			if err != nil {
-				t.failSetup(err)
+				l.failSetup(err)
 				return
 			}
 			if old != nil {
 				old.Close()
 			}
-			go t.readLoop(nd, from, c)
+			go l.readLoop(sn, from, c)
 		}()
 	}
 }
@@ -394,31 +313,31 @@ func (t *TCPMesh) acceptLoop(nd *meshNode, ln net.Listener, accepts *sync.WaitGr
 // dialer side redials with backoff, the accept side waits out the
 // dialer's budget for a replacement — and an exhausted budget turns into
 // the terminal peer-dead verdict.
-func (t *TCPMesh) streamBroken(nd *meshNode, peer int, c net.Conn) {
-	if closed(t.done) {
+func (l *streamLink) streamBroken(sn *streamNode, peer int, c net.Conn) {
+	if closed(l.t.done) {
 		return
 	}
-	nd.mu.Lock()
-	if nd.conns[peer] != c {
+	sn.mu.Lock()
+	if sn.conns[peer] != c {
 		// A replacement (or a second notice) already took over.
-		nd.mu.Unlock()
+		sn.mu.Unlock()
 		return
 	}
-	nd.conns[peer] = nil
-	already := nd.reconnecting[peer]
-	nd.reconnecting[peer] = true
-	nd.mu.Unlock()
+	sn.conns[peer] = nil
+	already := sn.reconnecting[peer]
+	sn.reconnecting[peer] = true
+	sn.mu.Unlock()
 	c.Close()
 	if already {
 		return
 	}
 	switch {
-	case t.opts.Stall.MaxReconnect <= 0:
-		t.markNodeDead(peer)
-	case nd.id < peer:
-		go t.redial(nd, peer)
+	case l.opts.MaxReconnect <= 0:
+		l.t.markNodeDead(peer)
+	case sn.nd.id < peer:
+		go l.redial(sn, peer)
 	default:
-		go t.awaitReplacement(nd, peer)
+		go l.awaitReplacement(sn, peer)
 	}
 }
 
@@ -426,12 +345,12 @@ func (t *TCPMesh) streamBroken(nd *meshNode, peer int, c net.Conn) {
 // jittered exponential backoff, up to the reconnect budget. Success
 // installs the new stream for both loops; exhaustion is the terminal
 // peer-dead verdict.
-func (t *TCPMesh) redial(nd *meshNode, peer int) {
-	o := t.opts.Stall
+func (l *streamLink) redial(sn *streamNode, peer int) {
+	o := l.opts
 	for attempt := 1; attempt <= o.MaxReconnect; attempt++ {
-		timer := time.NewTimer(o.backoff(nd.id, peer, attempt))
+		timer := time.NewTimer(o.backoff(sn.nd.id, peer, attempt))
 		select {
-		case <-t.done:
+		case <-l.t.done:
 			timer.Stop()
 			return
 		case <-timer.C:
@@ -439,46 +358,46 @@ func (t *TCPMesh) redial(nd *meshNode, peer int) {
 		if o.Counters != nil {
 			o.Counters.Retries.Add(1)
 		}
-		c, err := net.DialTimeout("tcp", t.addrs[peer], time.Second)
+		c, err := net.DialTimeout("tcp", l.addrs[peer], time.Second)
 		if err != nil {
 			continue
 		}
 		var hello [binary.MaxVarintLen64]byte
-		if _, err := c.Write(hello[:binary.PutUvarint(hello[:], uint64(nd.id))]); err != nil {
+		if _, err := c.Write(hello[:binary.PutUvarint(hello[:], uint64(sn.nd.id))]); err != nil {
 			c.Close()
 			continue
 		}
-		if !t.track(c) {
+		if !l.track(c) {
 			return
 		}
-		nd.mu.Lock()
-		nd.conns[peer] = c
-		nd.reconnecting[peer] = false
-		nd.mu.Unlock()
-		go t.readLoop(nd, peer, c)
+		sn.mu.Lock()
+		sn.conns[peer] = c
+		sn.reconnecting[peer] = false
+		sn.mu.Unlock()
+		go l.readLoop(sn, peer, c)
 		return
 	}
-	t.markNodeDead(peer)
+	l.t.markNodeDead(peer)
 }
 
 // awaitReplacement is the accept side of stream recovery: it gives the
 // dialer its full backoff budget (plus dial slack) to show up with a
 // replacement stream, then issues the peer-dead verdict if none did.
-func (t *TCPMesh) awaitReplacement(nd *meshNode, peer int) {
-	o := t.opts.Stall
+func (l *streamLink) awaitReplacement(sn *streamNode, peer int) {
+	o := l.opts
 	budget := time.Duration(o.MaxReconnect)*(o.ReconnectMax+o.ReconnectMax/2+time.Second) + time.Second
 	timer := time.NewTimer(budget)
 	defer timer.Stop()
 	select {
-	case <-t.done:
+	case <-l.t.done:
 		return
 	case <-timer.C:
 	}
-	nd.mu.Lock()
-	gone := nd.reconnecting[peer]
-	nd.mu.Unlock()
+	sn.mu.Lock()
+	gone := sn.reconnecting[peer]
+	sn.mu.Unlock()
 	if gone {
-		t.markNodeDead(peer)
+		l.t.markNodeDead(peer)
 	}
 }
 
@@ -494,218 +413,24 @@ func (r oneByteReader) ReadByte() (byte, error) {
 	return b[0], nil
 }
 
-// meshNode is one event-loop domain of the mesh: the processes it
-// hosts, their receive mailboxes, the outbound round-aggregation state
-// its writer loop consumes, and one stream per peer node.
-type meshNode struct {
-	t      *TCPMesh
-	id     int
-	lo, hi int       // hosted processes [lo, hi)
-	boxes  []mailbox // per hosted process (roundBuffer, or lossyBuffer in chaos mode)
-
-	mu           sync.Mutex
-	cond         sync.Cond
-	pending      [window][]*refBuf // [r%window][local sender] round contributions
-	pcount       [window]int
-	conns        []net.Conn // by peer node id; writes owned by the writer loop
-	deadFrom     []int      // per local sender: first dead round (0 = alive), lazily allocated
-	reconnecting []bool     // per peer node: stream down, replacement pending
-}
-
-func (nd *meshNode) localN() int { return nd.hi - nd.lo }
-
-// liveTargetLocked is the number of round-r contributions the writer
-// loop must wait for: the hosted senders not yet declared dead for r.
-func (nd *meshNode) liveTargetLocked(r int) int {
-	target := nd.localN()
-	if nd.deadFrom != nil {
-		for _, f := range nd.deadFrom {
-			if f != 0 && f <= r {
-				target--
-			}
-		}
-	}
-	return target
-}
-
-// markDeadLocal records a hosted sender's death for the writer loop: the
-// writer stops waiting for its contributions from fromRound onward and
-// ships its frame slots as drop tombstones.
-func (nd *meshNode) markDeadLocal(local, fromRound int) {
-	if fromRound < 1 {
-		fromRound = 1
-	}
-	nd.mu.Lock()
-	if nd.deadFrom == nil {
-		nd.deadFrom = make([]int, nd.localN())
-	}
-	if nd.deadFrom[local] == 0 || nd.deadFrom[local] > fromRound {
-		nd.deadFrom[local] = fromRound
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
-}
-
-// contribute hands a local sender's round-r payload to the writer loop.
-func (nd *meshNode) contribute(local, r int, rb *refBuf) error {
-	nd.mu.Lock()
-	if nd.pending[r%window][local] != nil {
-		nd.mu.Unlock()
-		return fmt.Errorf("transport: p%d round %d overran the writer window", nd.lo+local+1, r)
-	}
-	nd.pending[r%window][local] = rb
-	nd.pcount[r%window]++
-	if nd.pcount[r%window] >= nd.liveTargetLocked(r) {
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
-	return nil
-}
-
-// writeLoop is the node's single outbound event loop: for each round in
-// order, once every live hosted process has contributed its payload, it
-// coalesces them into one v2 frame per peer node and writes each with a
-// single writev. Send-side drops (the Policy) are folded into the
-// frame's bitmap here; a dead local sender's slots ship as bitmap
-// tombstones (its contribution is never waited for), and in chaos mode
-// a broken stream turns the frame into loss instead of failing the run.
-func (nd *meshNode) writeLoop() {
-	t := nd.t
-	_, perfect := t.pol.(Perfect)
-	bufs := make([]*refBuf, nd.localN())
-	var body []byte
-	var hdr [2 * binary.MaxVarintLen64]byte
-	// vecs is re-sliced from a fixed backing array every frame:
-	// net.Buffers.WriteTo consumes the slice from the front, so
-	// appending to vecs[:0] would reallocate per frame.
-	var vecsArr [2][]byte
-	var vecs net.Buffers
-	for r := 1; ; r++ {
-		nd.mu.Lock()
-		for {
-			target := nd.liveTargetLocked(r)
-			if target == 0 {
-				// The whole node is dead. Its receivers' slots are already
-				// pre-filled mesh-wide by the death verdict; nothing left
-				// to ship, ever.
-				nd.mu.Unlock()
-				return
-			}
-			if nd.pcount[r%window] >= target || closed(t.done) {
-				break
-			}
-			nd.cond.Wait()
-		}
-		if closed(t.done) {
-			nd.mu.Unlock()
-			return
-		}
-		copy(bufs, nd.pending[r%window])
-		for i := range nd.pending[r%window] {
-			nd.pending[r%window][i] = nil
-		}
-		nd.pcount[r%window] = 0
-		nd.mu.Unlock()
-
-		failed := false
-		for j := 0; j < t.m && !closed(t.done) && !failed; j++ {
-			if j == nd.id {
-				continue
-			}
-			conn := nd.conns[j]
-			if t.stall {
-				nd.mu.Lock()
-				conn = nd.conns[j]
-				nd.mu.Unlock()
-				if conn == nil {
-					continue // stream down: this round's frame is loss
-				}
-			}
-			peerLo, peerHi := t.nodeLo(j), t.nodeLo(j+1)
-			rcv := peerHi - peerLo
-			body = binary.AppendUvarint(body[:0], uint64(r))
-			// Drop bitmap over the S x R link matrix of this node link,
-			// zero-extended byte-wise so the buffer's capacity is reused
-			// across frames instead of allocating a temp per frame.
-			bitOff := len(body)
-			for i := (nd.localN()*rcv + 7) / 8; i > 0; i-- {
-				body = append(body, 0)
-			}
-			bitmap := body[bitOff:]
-			for si := 0; si < nd.localN(); si++ {
-				if bufs[si] == nil {
-					continue // dead sender: all its bits stay tombstones
-				}
-				any := false
-				for qi := 0; qi < rcv; qi++ {
-					if perfect || t.pol.Deliver(r, nd.lo+si, peerLo+qi) {
-						bit := si*rcv + qi
-						bitmap[bit>>3] |= 1 << (bit & 7)
-						any = true
-					}
-				}
-				if any {
-					body = binary.AppendUvarint(body, uint64(len(bufs[si].b)))
-					body = append(body, bufs[si].b...)
-					bitmap = body[bitOff : bitOff+(nd.localN()*rcv+7)/8]
-				}
-			}
-			n := binary.PutUvarint(hdr[:], uint64(len(body)))
-			vecsArr[0], vecsArr[1] = hdr[:n], body
-			vecs = net.Buffers(vecsArr[:])
-			if _, err := vecs.WriteTo(conn); err != nil {
-				if t.stall {
-					t.streamBroken(nd, j, conn)
-				} else {
-					nd.failLocal(fmt.Errorf("transport: node %d write to node %d: %w", nd.id, j, err))
-					failed = true
-				}
-			}
-		}
-		for _, rb := range bufs {
-			if rb != nil {
-				rb.release()
-			}
-		}
-		if failed || closed(t.done) {
-			return
-		}
-	}
-}
-
-// failLocal surfaces a wire failure to every process this node hosts,
-// unless the transport is already closing (teardown makes writes and
-// reads fail by design).
-func (nd *meshNode) failLocal(err error) {
-	if closed(nd.t.done) {
-		return
-	}
-	for _, b := range nd.boxes {
-		b.fail(err)
-	}
-}
-
-// readLoop is the inbound half of one node link: it parses the peer's
-// coalesced round frames and deposits each sender's payload (shared,
-// reference-counted) or drop tombstone straight into the hosted
-// receivers' mailboxes. A clean EOF is the normal end of a peer's run
-// in reliable mode; in chaos mode any stream end while the transport is
-// live routes to streamBroken for reconnect, and forward round gaps are
-// tolerated (the frames a dead stream swallowed are loss, closed by the
-// receive deadline).
-func (t *TCPMesh) readLoop(nd *meshNode, peer int, c net.Conn) {
-	peerLo, peerHi := t.nodeLo(peer), t.nodeLo(peer+1)
-	snd, rcv := peerHi-peerLo, nd.localN()
-	bitmapLen := (snd*rcv + 7) / 8
-	frameLimit := uint64(binary.MaxVarintLen64 + bitmapLen + snd*(binary.MaxVarintLen64+MaxPayload))
+// readLoop is the inbound half of one stream: it reads the peer's
+// length-prefixed round frames and hands each body to the core. A clean
+// EOF is the normal end of a peer's run in reliable mode; in chaos mode
+// any stream end while the transport is live routes to streamBroken for
+// reconnect, and forward round gaps are tolerated (the frames a dead
+// stream swallowed are loss, closed by the receive deadline).
+func (l *streamLink) readLoop(sn *streamNode, peer int, c net.Conn) {
+	t, nd := l.t, sn.nd
+	snd := t.nodeLo(peer+1) - t.nodeLo(peer)
+	frameLimit := uint64(binary.MaxVarintLen64 + frameBodyLimit(snd, nd.localN()))
 	br := bufio.NewReaderSize(c, 1<<16)
-	var body []byte
+	var frame []byte
 	prevRound := 0
 	fail := func(err error) {
-		if t.stall {
+		if l.chaos {
 			// Chaos mode: a broken or corrupt stream is a recoverable
 			// transport event, not a run failure.
-			t.streamBroken(nd, peer, c)
+			l.streamBroken(sn, peer, c)
 			return
 		}
 		nd.failLocal(fmt.Errorf("transport: node %d read from node %d: %w", nd.id, peer, err))
@@ -713,7 +438,7 @@ func (t *TCPMesh) readLoop(nd *meshNode, peer int, c net.Conn) {
 	for {
 		flen, err := binary.ReadUvarint(br)
 		if err != nil {
-			if t.stall || !errors.Is(err, io.EOF) {
+			if l.chaos || !errors.Is(err, io.EOF) {
 				fail(err)
 			}
 			return
@@ -722,17 +447,17 @@ func (t *TCPMesh) readLoop(nd *meshNode, peer int, c net.Conn) {
 			fail(fmt.Errorf("%d-byte frame exceeds limit %d", flen, frameLimit))
 			return
 		}
-		if cap(body) < int(flen) {
-			body = make([]byte, flen)
+		if cap(frame) < int(flen) {
+			frame = make([]byte, flen)
 		}
-		body = body[:flen]
-		if _, err := io.ReadFull(br, body); err != nil {
+		frame = frame[:flen]
+		if _, err := io.ReadFull(br, frame); err != nil {
 			fail(err)
 			return
 		}
-		round64, k := binary.Uvarint(body)
+		round64, k := binary.Uvarint(frame)
 		badRound := k <= 0 || int(round64) != prevRound+1
-		if badRound && t.stall && k > 0 && int(round64) > prevRound {
+		if badRound && l.chaos && k > 0 && int(round64) > prevRound {
 			badRound = false // forward gap: the missing rounds were lost with the old stream
 		}
 		if badRound {
@@ -740,135 +465,9 @@ func (t *TCPMesh) readLoop(nd *meshNode, peer int, c net.Conn) {
 			return
 		}
 		prevRound = int(round64)
-		rest := body[k:]
-		if len(rest) < bitmapLen {
-			fail(fmt.Errorf("truncated bitmap"))
-			return
-		}
-		bitmap := rest[:bitmapLen]
-		rest = rest[bitmapLen:]
-		ok := true
-		for si := 0; si < snd && ok; si++ {
-			delivered := 0
-			for qi := 0; qi < rcv; qi++ {
-				bit := si*rcv + qi
-				if bitmap[bit>>3]&(1<<(bit&7)) != 0 {
-					delivered++
-				}
-			}
-			if delivered == 0 {
-				for qi := 0; qi < rcv; qi++ {
-					nd.boxes[qi].deposit(peerLo+si, prevRound, nil, nil)
-				}
-				continue
-			}
-			plen, k := binary.Uvarint(rest)
-			if k <= 0 || plen > MaxPayload || uint64(len(rest)-k) < plen {
-				fail(fmt.Errorf("bad payload length for sender p%d", peerLo+si+1))
-				ok = false
-				break
-			}
-			rb := newRefBuf(rest[k:k+int(plen)], int32(delivered))
-			rest = rest[k+int(plen):]
-			for qi := 0; qi < rcv; qi++ {
-				bit := si*rcv + qi
-				if bitmap[bit>>3]&(1<<(bit&7)) != 0 {
-					nd.boxes[qi].deposit(peerLo+si, prevRound, rb.b, rb)
-				} else {
-					nd.boxes[qi].deposit(peerLo+si, prevRound, nil, nil)
-				}
-			}
-		}
-		if !ok {
-			return
-		}
-		if len(rest) != 0 {
-			fail(fmt.Errorf("%d trailing bytes in round-%d frame", len(rest), prevRound))
+		if err := nd.deliver(peer, prevRound, frame[k:]); err != nil {
+			fail(err)
 			return
 		}
 	}
 }
-
-// closed reports whether the done channel is closed without blocking.
-func closed(done <-chan struct{}) bool {
-	select {
-	case <-done:
-		return true
-	default:
-		return false
-	}
-}
-
-// meshEndpoint is process self's port onto a TCP mesh.
-type meshEndpoint struct {
-	nd    *meshNode
-	self  int
-	drops []bool
-	stall *stallDetector // nil outside chaos mode
-}
-
-// Self implements Endpoint.
-func (ep *meshEndpoint) Self() int { return ep.self }
-
-// N implements Endpoint.
-func (ep *meshEndpoint) N() int { return ep.nd.t.n }
-
-// Broadcast implements Endpoint. Co-hosted receivers get the pooled
-// payload deposited directly (no socket); one extra reference goes to
-// the node's writer loop, which coalesces all local senders' round-r
-// payloads into one frame per peer node. Remote drop decisions are the
-// writer's (folded into the frame bitmap); local drops are applied
-// here, as tombstone deposits.
-func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("transport: payload %d bytes exceeds MaxPayload %d", len(payload), MaxPayload)
-	}
-	nd := ep.nd
-	t := nd.t
-	if closed(t.done) {
-		return ErrClosed
-	}
-	delivered := int32(0)
-	for to := nd.lo; to < nd.hi; to++ {
-		drop := to != ep.self && !t.pol.Deliver(r, ep.self, to)
-		ep.drops[to] = drop
-		if !drop {
-			delivered++
-		}
-	}
-	if t.m > 1 {
-		delivered++ // the writer loop's reference
-	}
-	rb := newRefBuf(payload, delivered)
-	for to := nd.lo; to < nd.hi; to++ {
-		if ep.drops[to] {
-			nd.boxes[to-nd.lo].deposit(ep.self, r, nil, nil)
-		} else {
-			nd.boxes[to-nd.lo].deposit(ep.self, r, rb.b, rb)
-		}
-	}
-	if t.m > 1 {
-		return nd.contribute(ep.self-nd.lo, r, rb)
-	}
-	return nil
-}
-
-// Gather implements Endpoint. In chaos mode the await closes by
-// deadline+grace and the missed-sender list feeds the stall detector.
-func (ep *meshEndpoint) Gather(r int, into [][]byte) ([][]byte, error) {
-	o := ep.nd.t.opts.Stall
-	recv, missed, err := ep.nd.boxes[ep.self-ep.nd.lo].await(r, into, o.RoundTimeout, o.Grace)
-	if err != nil {
-		return nil, err
-	}
-	ep.stall.observe(r, missed)
-	if err := applyDelays(ep.nd.t.pol, r, ep.self, recv, ep.nd.t.done); err != nil {
-		return nil, err
-	}
-	return recv, nil
-}
-
-// Close implements Endpoint: mesh endpoints share the transport's
-// lifetime (the streams are per node pair, not per process), so closing
-// one tears down the whole mesh. Idempotent.
-func (ep *meshEndpoint) Close() error { return ep.nd.t.Close() }

@@ -3,40 +3,52 @@
 // broadcast payload per process per round and reassemble, on the receive
 // side, the per-round message vector the round model prescribes.
 //
-// Three production implementations exist:
+// Closing a round with a heard-set is one job, so it is implemented
+// once: the unexported mesh core (mesh.go) partitions the processes onto
+// nodes, hosts one mailbox per receiver (mailbox.go), delivers between
+// co-hosted processes by direct deposit, and coalesces everything a node
+// sends a peer node in a round into one frame body (frame.go: a drop
+// bitmap over the sender x receiver link matrix, then each delivering
+// sender's payload once). A link — the package's one internal seam —
+// only moves finished frame bodies between nodes. The three exported
+// transports are the core under three links:
 //
-//   - InProc — per-receiver mailboxes (roundBuffer) with direct
-//     deposits, zero goroutines and zero OS involvement; the transport
-//     used by the agreement service (internal/service) for its sessions.
-//   - TCPMesh — node-grouped real TCP sockets (loopback or a LAN): one
-//     duplex stream per node pair carrying all of a round's messages
-//     between the two nodes as a single coalesced v2 frame (per-round
-//     header, drop bitmap, each sender's payload once), with one writer
-//     event loop and one reader goroutine per stream on each node.
-//   - UDPMesh — best-effort datagrams (udp.go): the same coalesced
-//     frames packed into MTU-sized datagrams (fragmenting large frames
-//     across numbered datagrams), batched through sendmmsg/recvmmsg on
-//     Linux, with round closure by deadline + grace instead of by
-//     tombstone: a datagram the network loses simply never arrives, and
-//     the receiver records the absence as a nil delivery — exactly the
-//     heard-set semantics the paper's round model assigns to a lossy
-//     link. The algorithm tolerates arbitrary loss given a stable
-//     skeleton, so nothing is retransmitted.
+//   - InProc — the single-node mesh. With every mailbox on one node
+//     there is nothing to move and no link: zero goroutines, zero OS
+//     involvement; the transport used by the agreement service
+//     (internal/service) for its sessions.
+//   - TCPMesh — the stream link (tcp.go): one duplex TCP stream per node
+//     pair (loopback or a LAN), each round's frame length-prefixed and
+//     written with one writev, one reader goroutine per stream end. In
+//     chaos mode (TCPOpts.Stall) broken streams are redialed and their
+//     frames are loss.
+//   - UDPMesh — the datagram link (udp.go): frame bodies packed into
+//     MTU-sized datagrams (fragmenting large frames across numbered
+//     datagrams), batched through sendmmsg/recvmmsg on Linux. A datagram
+//     the network loses simply never arrives, and the receiver records
+//     the absence as a nil delivery — exactly the heard-set semantics
+//     the paper's round model assigns to a lossy link. The algorithm
+//     tolerates arbitrary loss given a stable skeleton, so nothing is
+//     retransmitted.
 //
-// All three share the mailbox receive path (mailbox.go, and its
-// loss-tolerant variant lossy_mailbox.go): senders deposit into
-// per-receiver round slots backed by pooled reference-counted buffers,
-// so the steady-state round allocates nothing and a receiver wakes
-// exactly once per round.
+// How a round closes is the mailbox's policy, derived from its deadline:
+// with none (InProc, TCPMesh) a round closes by count — every sender
+// deposited or was declared dead — and an unplaceable frame is a
+// protocol violation; with one (UDPMesh, TCPMesh in chaos mode) a round
+// closes by count or by deadline plus grace, senders still missing
+// become nil deliveries, and late or duplicate frames are ignored.
+// Payloads travel in pooled reference-counted buffers, so the
+// steady-state round allocates nothing and a receiver wakes exactly once
+// per round.
 //
 // All are driven by a Policy, the per-link fault injector: drops are
-// applied at the sending endpoint (a dropped payload never crosses the
-// wire; a header-only tombstone frame still closes the round), delays at
-// the receiving endpoint. Because every adversary schedule from
-// internal/adversary is a Policy (see Schedule), any simulated run can be
-// replayed over a real transport — the differential harness in
-// internal/runtime proves the replay is decision-for-decision identical
-// to sim.Execute.
+// applied on the sending side (a dropped payload never crosses the wire;
+// a tombstone — a nil deposit, or a cleared bitmap bit — still closes
+// the round), delays at the receiving endpoint. Because every adversary
+// schedule from internal/adversary is a Policy (see Schedule), any
+// simulated run can be replayed over a real transport — the differential
+// harness in internal/runtime proves the replay is decision-for-decision
+// identical to sim.Execute.
 //
 // # Transport contract
 //

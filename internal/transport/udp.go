@@ -1,50 +1,33 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
 	"net"
 	"net/netip"
-	"sync"
 	"time"
 )
 
-// UDPMesh is the best-effort datagram transport: the node-grouped,
-// coalesced-round-frame architecture of the TCP mesh (one writer event
-// loop and one reader per node, one v2-style frame per node pair per
-// round, co-located delivery never touching a socket) rebuilt on UDP
-// sockets — one unconnected socket per node, so a round costs one
-// sendmmsg batch instead of n-1 stream writes.
+// UDPMesh is the mesh over best-effort datagrams: one unconnected UDP
+// socket per node, so a round costs one sendmmsg batch instead of
+// nodes-1 stream writes. Frame bodies larger than a datagram budget are
+// fragmented across numbered datagrams (udp_frame.go documents the
+// layout); receivers reassemble by fragment index into a per-peer ring
+// of round slots. There is no retransmission and no acknowledgment
+// anywhere: the k-set agreement algorithm this repo grows tolerates
+// arbitrary message loss as long as a stable skeleton survives, so a
+// lost datagram is semantically just another dropped link. Rounds close
+// by the mailboxes' deadline+grace rule — absence is the drop signal —
+// while Policy-injected drops still travel as explicit bitmap
+// tombstones, so simulated faults stay fast and compose with real loss
+// (a tombstone-bearing datagram can itself be lost).
 //
-// Frames larger than a datagram budget are fragmented across numbered
-// datagrams (udp_frame.go documents the layout); receivers reassemble
-// by fragment index into a per-peer ring of round slots. There is no
-// retransmission and no acknowledgment anywhere: the k-set agreement
-// algorithm this repo grows tolerates arbitrary message loss as long as
-// a stable skeleton survives, so a lost datagram is semantically just
-// another dropped link. Round closure at the receiver is the lossy
-// mailbox's deadline+grace rule — absence is the drop signal — while
-// Policy-injected drops still travel as explicit bitmap tombstones, so
-// simulated faults stay fast and compose with real loss (a tombstone-
-// bearing datagram can itself be lost).
-//
-// The zero-allocation discipline of the TCP path carries over: pooled
-// payload buffers, reused frame/fragment scratch, reused reassembly
-// slots, and batch send/receive state allocated once — the steady-state
-// round trip does not allocate.
+// The zero-allocation discipline of the core carries through the link:
+// reused frame/fragment scratch, reused reassembly slots, and batch
+// send/receive state allocated once — the steady-state round trip does
+// not allocate.
 type UDPMesh struct {
-	n, m  int
-	pol   Policy
-	opts  UDPOpts
-	chunk int // fragment body bytes (all fragments but the last)
-	nodes []*udpNode
-	addrs []netip.AddrPort
-	done  chan struct{}
-
-	mu        sync.Mutex
-	claimed   []bool
-	closed    bool
-	deadNodes []bool
+	*mesh
+	dl *datagramLink // nil on a single-node mesh, which never opens a socket
 }
 
 // UDPOpts tunes a UDP mesh. The zero value means: 1400-byte datagrams,
@@ -133,202 +116,66 @@ func NewUDPLoopback(n int, pol Policy) (*UDPMesh, error) {
 // grouped onto `nodes` loopback nodes. All sockets are bound and all
 // loops running before the constructor returns.
 func NewUDPMeshLoopback(n, nodes int, pol Policy, opts UDPOpts) (*UDPMesh, error) {
-	if n < 1 {
-		return nil, fmt.Errorf("transport: n = %d, need >= 1", n)
-	}
-	if nodes < 1 || nodes > n {
-		return nil, fmt.Errorf("transport: nodes = %d, need 1 <= nodes <= n = %d", nodes, n)
-	}
-	if pol == nil {
-		pol = Perfect{}
-	}
 	opts = opts.withDefaults()
 	if opts.MaxDatagram < minUDPDatagram || opts.MaxDatagram > maxUDPDatagram {
 		return nil, fmt.Errorf("transport: MaxDatagram = %d, need %d <= MaxDatagram <= %d",
 			opts.MaxDatagram, minUDPDatagram, maxUDPDatagram)
 	}
-	if opts.Meter != nil && opts.Meter.N() != n {
-		return nil, fmt.Errorf("transport: meter for n = %d on an n = %d mesh", opts.Meter.N(), n)
+	core, err := newMesh(n, nodes, pol, meshOpts{
+		deadline:  opts.RoundTimeout,
+		grace:     opts.Grace,
+		deadAfter: opts.DeadAfter,
+		counters:  opts.Counters,
+		meter:     opts.Meter,
+	})
+	if err != nil {
+		return nil, err
 	}
-	t := &UDPMesh{
-		n:       n,
-		m:       nodes,
-		pol:     pol,
-		opts:    opts,
-		chunk:   opts.MaxDatagram - udpHeaderMax,
-		claimed: make([]bool, n),
-		done:    make(chan struct{}),
-	}
-	for i := 0; i < t.m; i++ {
-		lo, hi := t.nodeLo(i), t.nodeLo(i+1)
-		nd := &udpNode{t: t, id: i, lo: lo, hi: hi}
-		nd.cond.L = &nd.mu
-		nd.boxes = make([]*lossyBuffer, hi-lo)
-		for j := range nd.boxes {
-			nd.boxes[j] = newLossyBuffer(n)
-		}
-		for r := range nd.pending {
-			nd.pending[r] = make([]*refBuf, hi-lo)
-		}
-		t.nodes = append(t.nodes, nd)
-	}
-	if t.m == 1 {
+	t := &UDPMesh{mesh: core}
+	if nodes == 1 {
 		return t, nil // single node: every delivery is in-memory
 	}
-
-	for i := 0; i < t.m; i++ {
-		conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Close()
-			return nil, fmt.Errorf("transport: bind node %d: %w", i, err)
-		}
-		conn.SetReadBuffer(opts.SocketBuffer)
-		conn.SetWriteBuffer(opts.SocketBuffer)
-		t.nodes[i].conn = conn
-		t.addrs = append(t.addrs, conn.LocalAddr().(*net.UDPAddr).AddrPort())
+	t.dl = &datagramLink{t: core, opts: opts, chunk: opts.MaxDatagram - udpHeaderMax}
+	core.link = t.dl
+	if err := t.dl.open(); err != nil {
+		t.Close()
+		return nil, err
 	}
-	for i := 0; i < t.m; i++ {
-		nd := t.nodes[i]
-		if err := nd.initIO(); err != nil {
-			t.Close()
-			return nil, fmt.Errorf("transport: node %d io setup: %w", i, err)
-		}
-		go nd.readLoop()
-		go nd.writeLoop()
-	}
+	core.startWriters()
 	return t, nil
 }
-
-// MarkDead implements DeadMarker: process p's missing deliveries from
-// round fromRound onward become permanent nil tombstones at every
-// hosted mailbox of every node — deadline-closed rounds stop waiting
-// out its silence — and p's own node's writer stops waiting for its
-// contributions.
-func (t *UDPMesh) MarkDead(p, fromRound int) {
-	if p < 0 || p >= t.n {
-		return
-	}
-	for _, nd := range t.nodes {
-		for _, b := range nd.boxes {
-			b.markDead(p, fromRound)
-		}
-	}
-	nd := t.nodes[t.nodeOf(p)]
-	nd.markDeadLocal(p-nd.lo, fromRound)
-}
-
-// markNodeDead is the stall detector's terminal verdict: every process
-// hosted by the peer node is declared dead from now on. Idempotent.
-func (t *UDPMesh) markNodeDead(peer int) {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return
-	}
-	if t.deadNodes == nil {
-		t.deadNodes = make([]bool, t.m)
-	}
-	if t.deadNodes[peer] {
-		t.mu.Unlock()
-		return
-	}
-	t.deadNodes[peer] = true
-	t.mu.Unlock()
-	lo, hi := t.nodeLo(peer), t.nodeLo(peer+1)
-	if c := t.opts.Counters; c != nil {
-		c.Dead.Add(int64(hi - lo))
-	}
-	for p := lo; p < hi; p++ {
-		t.MarkDead(p, 1)
-	}
-}
-
-// nodeLo returns the first process hosted by node i (the same
-// contiguous balanced partition as the TCP mesh).
-func (t *UDPMesh) nodeLo(i int) int { return i * t.n / t.m }
-
-// nodeOf returns the node hosting process p.
-func (t *UDPMesh) nodeOf(p int) int {
-	for i := 0; i < t.m; i++ {
-		if p >= t.nodeLo(i) && p < t.nodeLo(i+1) {
-			return i
-		}
-	}
-	return -1
-}
-
-// N implements Transport.
-func (t *UDPMesh) N() int { return t.n }
 
 // Nodes returns the node count of the mesh.
 func (t *UDPMesh) Nodes() int { return t.m }
 
 // Addrs returns the node socket addresses, indexed by node id (empty
 // for a single-node mesh, which never opens a socket).
-func (t *UDPMesh) Addrs() []netip.AddrPort { return append([]netip.AddrPort(nil), t.addrs...) }
-
-// Endpoint implements Transport.
-func (t *UDPMesh) Endpoint(self int) (Endpoint, error) {
-	if self < 0 || self >= t.n {
-		return nil, fmt.Errorf("transport: endpoint id %d out of range [0,%d)", self, t.n)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil, ErrClosed
-	}
-	if t.claimed[self] {
-		return nil, fmt.Errorf("transport: endpoint %d already claimed", self)
-	}
-	t.claimed[self] = true
-	ep := &udpEndpoint{nd: t.nodes[t.nodeOf(self)], self: self, drops: make([]bool, t.n)}
-	ep.stall = newStallDetector(t.n, t.opts.DeadAfter, t.opts.Counters, func(q int) {
-		t.markNodeDead(t.nodeOf(q))
-	})
-	return ep, nil
-}
-
-// Close implements Transport: it tears down sockets and loops and wakes
-// every parked Gather with ErrClosed. Idempotent and safe from any
-// goroutine.
-func (t *UDPMesh) Close() error {
-	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
+func (t *UDPMesh) Addrs() []netip.AddrPort {
+	if t.dl == nil {
 		return nil
 	}
-	t.closed = true
-	t.mu.Unlock()
-	close(t.done)
-	for _, nd := range t.nodes {
-		if nd.conn != nil {
-			nd.conn.Close() // unblocks the reader and any batch send
-		}
-		nd.mu.Lock()
-		nd.cond.Broadcast() // writer loop re-checks t.done and exits
-		nd.mu.Unlock()
-		for _, b := range nd.boxes {
-			b.close()
-		}
-	}
-	return nil
+	return append([]netip.AddrPort(nil), t.dl.addrs...)
 }
 
-// udpNode is one event-loop domain of the mesh: the processes it hosts,
-// their lossy mailboxes, the outbound round-aggregation state its
-// writer loop consumes, and the node's one socket.
-type udpNode struct {
-	t      *UDPMesh
-	id     int
-	lo, hi int // hosted processes [lo, hi)
-	boxes  []*lossyBuffer
-	conn   *net.UDPConn
+// datagramLink is the best-effort link: one socket per node, frame
+// bodies fragmented into datagrams and batched per round on the way out
+// (one sendmmsg on Linux), reassembled per peer on the way in. Nothing
+// it does can fail a run short of a dead socket — a datagram the kernel
+// refuses, a malformed or stale packet, a frame that never completes
+// are all loss.
+type datagramLink struct {
+	t     *mesh
+	opts  UDPOpts
+	chunk int // fragment body bytes (all fragments but the last)
+	nodes []*udpNode
+	addrs []netip.AddrPort
+}
 
-	mu       sync.Mutex
-	cond     sync.Cond
-	pending  [window][]*refBuf // [r%window][local sender] round contributions
-	pcount   [window]int
-	deadFrom []int // per local sender: first dead round (0 = alive), lazily allocated
+// udpNode is one node's socket and its batch and reassembly state.
+type udpNode struct {
+	l    *datagramLink
+	nd   *meshNode
+	conn *net.UDPConn
 
 	sender    udpSender   // writer-loop owned
 	rcv       udpReceiver // reader-loop owned
@@ -336,266 +183,112 @@ type udpNode struct {
 	badDgrams int         // datagrams dropped by validation, reader-loop owned
 }
 
-func (nd *udpNode) localN() int { return nd.hi - nd.lo }
-
-// initIO prepares the batch send/receive state (platform-specific; see
-// udp_batch_linux.go and udp_batch_fallback.go) and the reassembly
-// rings. Called once per node after every socket is bound.
-func (nd *udpNode) initIO() error {
-	t := nd.t
-	nd.reasm = make([]*udpReasm, t.m)
-	for j := 0; j < t.m; j++ {
-		if j == nd.id {
-			continue
+// open binds every node's socket, then prepares the batch send/receive
+// state (platform-specific; see udp_batch_linux.go and
+// udp_batch_fallback.go) and the reassembly rings, and starts the reader
+// loops.
+func (l *datagramLink) open() error {
+	t := l.t
+	for i, nd := range t.nodes {
+		conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			return fmt.Errorf("transport: bind node %d: %w", i, err)
 		}
-		snd := t.nodeLo(j+1) - t.nodeLo(j)
-		nd.reasm[j] = newUDPReasm(j, snd, nd.localN(), t.chunk)
+		conn.SetReadBuffer(l.opts.SocketBuffer)
+		conn.SetWriteBuffer(l.opts.SocketBuffer)
+		l.nodes = append(l.nodes, &udpNode{l: l, nd: nd, conn: conn})
+		l.addrs = append(l.addrs, conn.LocalAddr().(*net.UDPAddr).AddrPort())
 	}
-	if err := nd.sender.init(nd.conn, t.addrs); err != nil {
-		return err
-	}
-	return nd.rcv.init(nd.conn, t.opts.MaxDatagram)
-}
-
-// liveTargetLocked is the number of round-r contributions the writer
-// loop must wait for: the hosted senders not yet declared dead for r.
-func (nd *udpNode) liveTargetLocked(r int) int {
-	target := nd.localN()
-	if nd.deadFrom != nil {
-		for _, f := range nd.deadFrom {
-			if f != 0 && f <= r {
-				target--
+	for i, un := range l.nodes {
+		un.reasm = make([]*udpReasm, t.m)
+		for j := 0; j < t.m; j++ {
+			if j != i {
+				un.reasm[j] = newUDPReasm(j, t.nodeLo(j+1)-t.nodeLo(j), un.nd.localN(), l.chunk)
 			}
 		}
+		err := un.sender.init(un.conn, l.addrs)
+		if err == nil {
+			err = un.rcv.init(un.conn, l.opts.MaxDatagram)
+		}
+		if err != nil {
+			return fmt.Errorf("transport: node %d io setup: %w", i, err)
+		}
+		go un.readLoop()
 	}
-	return target
-}
-
-// markDeadLocal records a hosted sender's death for the writer loop: the
-// writer stops waiting for its contributions from fromRound onward and
-// ships its frame slots as drop tombstones.
-func (nd *udpNode) markDeadLocal(local, fromRound int) {
-	if fromRound < 1 {
-		fromRound = 1
-	}
-	nd.mu.Lock()
-	if nd.deadFrom == nil {
-		nd.deadFrom = make([]int, nd.localN())
-	}
-	if nd.deadFrom[local] == 0 || nd.deadFrom[local] > fromRound {
-		nd.deadFrom[local] = fromRound
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
-}
-
-// contribute hands a local sender's round-r payload to the writer loop.
-func (nd *udpNode) contribute(local, r int, rb *refBuf) error {
-	nd.mu.Lock()
-	if nd.pending[r%window][local] != nil {
-		nd.mu.Unlock()
-		return fmt.Errorf("transport: p%d round %d overran the writer window", nd.lo+local+1, r)
-	}
-	nd.pending[r%window][local] = rb
-	nd.pcount[r%window]++
-	if nd.pcount[r%window] >= nd.liveTargetLocked(r) {
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
 	return nil
 }
 
-// writeLoop is the node's single outbound event loop: for each round in
-// order, once every hosted process has contributed, it coalesces the
-// payloads into one frame body per peer node, fragments each into
-// datagrams, and ships the whole round as one batch (one sendmmsg on
-// Linux). Send-side Policy drops fold into the frame bitmaps here;
-// simulated wire loss (DropDatagram) is applied per fragment.
-func (nd *udpNode) writeLoop() {
-	t := nd.t
-	_, perfect := t.pol.(Perfect)
-	bufs := make([]*refBuf, nd.localN())
-	var body []byte
-	for r := 1; ; r++ {
-		nd.mu.Lock()
-		for {
-			target := nd.liveTargetLocked(r)
-			if target == 0 {
-				// The whole node is dead; its receivers' slots are already
-				// pre-filled mesh-wide. Nothing left to ship, ever.
-				nd.mu.Unlock()
-				return
-			}
-			if nd.pcount[r%window] >= target || closed(t.done) {
-				break
-			}
-			nd.cond.Wait()
-		}
-		if closed(t.done) {
-			nd.mu.Unlock()
-			return
-		}
-		copy(bufs, nd.pending[r%window])
-		for i := range nd.pending[r%window] {
-			nd.pending[r%window][i] = nil
-		}
-		nd.pcount[r%window] = 0
-		nd.mu.Unlock()
-
-		for j := 0; j < t.m && !closed(t.done); j++ {
-			if j == nd.id {
-				continue
-			}
-			body = nd.appendFrameBody(body[:0], r, j, bufs, perfect)
-			nd.queueFrame(r, j, body)
-		}
-		err := nd.sender.flush()
-		for _, rb := range bufs {
-			if rb != nil {
-				rb.release()
-			}
-		}
-		if closed(t.done) {
-			return
-		}
-		if err != nil {
-			// Only a dead socket surfaces here (per-datagram errors are
-			// treated as loss); without a socket the node is partitioned
-			// for good, so fail its processes rather than stall them.
-			nd.failLocal(fmt.Errorf("transport: node %d send: %w", nd.id, err))
-			return
-		}
+// close implements link: closing a socket unblocks its reader and any
+// batch send.
+func (l *datagramLink) close() {
+	for _, un := range l.nodes {
+		un.conn.Close()
 	}
 }
 
-// appendFrameBody builds the round-r frame body for peer node j: the
-// drop bitmap over this node link's sender x receiver matrix, then each
-// delivering sender's payload once.
-func (nd *udpNode) appendFrameBody(body []byte, r, j int, bufs []*refBuf, perfect bool) []byte {
-	t := nd.t
-	peerLo, peerHi := t.nodeLo(j), t.nodeLo(j+1)
-	rcv := peerHi - peerLo
-	bitmapLen := (nd.localN()*rcv + 7) / 8
-	bitOff := len(body)
-	for i := bitmapLen; i > 0; i-- {
-		body = append(body, 0)
-	}
-	bitmap := body[bitOff:]
-	for si := 0; si < nd.localN(); si++ {
-		if bufs[si] == nil {
-			continue // dead sender: all its bits stay tombstones
-		}
-		any := false
-		for qi := 0; qi < rcv; qi++ {
-			if perfect || t.pol.Deliver(r, nd.lo+si, peerLo+qi) {
-				bit := si*rcv + qi
-				bitmap[bit>>3] |= 1 << (bit & 7)
-				any = true
-			}
-		}
-		if any {
-			body = binary.AppendUvarint(body, uint64(len(bufs[si].b)))
-			body = append(body, bufs[si].b...)
-			bitmap = body[bitOff : bitOff+bitmapLen]
-		}
-	}
-	return body
-}
-
-// queueFrame fragments a frame body into datagrams and queues them on
-// the node's batch sender.
-func (nd *udpNode) queueFrame(r, to int, body []byte) {
-	t := nd.t
-	fragCount := (len(body) + t.chunk - 1) / t.chunk
+// send implements link: it fragments the frame body into datagrams and
+// queues them on the sending node's batch. Simulated wire loss
+// (DropDatagram) is applied per fragment.
+func (l *datagramLink) send(from, to, r int, body []byte) error {
+	fragCount := (len(body) + l.chunk - 1) / l.chunk
 	if fragCount == 0 {
 		fragCount = 1
 	}
 	for fi := 0; fi < fragCount; fi++ {
-		if t.opts.DropDatagram != nil && t.opts.DropDatagram(r, nd.id, to, fi) {
+		if l.opts.DropDatagram != nil && l.opts.DropDatagram(r, from, to, fi) {
 			continue
 		}
-		lo := fi * t.chunk
-		hi := lo + t.chunk
+		lo := fi * l.chunk
+		hi := lo + l.chunk
 		if hi > len(body) {
 			hi = len(body)
 		}
-		nd.sender.queue(to, udpHeader{from: nd.id, round: r, fragIdx: fi, fragCount: fragCount}, body[lo:hi])
+		l.nodes[from].sender.queue(to, udpHeader{from: from, round: r, fragIdx: fi, fragCount: fragCount}, body[lo:hi])
 	}
+	return nil
 }
 
-// failLocal surfaces a socket failure to every process this node hosts,
-// unless the transport is already closing.
-func (nd *udpNode) failLocal(err error) {
-	if closed(nd.t.done) {
-		return
+// flush implements link: the node's whole round ships as one batch. Only
+// a dead socket surfaces here (per-datagram errors are treated as loss).
+func (l *datagramLink) flush(from int) error {
+	if err := l.nodes[from].sender.flush(); err != nil {
+		return fmt.Errorf("transport: node %d send: %w", from, err)
 	}
-	for _, b := range nd.boxes {
-		b.fail(err)
-	}
+	return nil
 }
 
 // readLoop drains the node's socket until Close, reassembling and
-// depositing every valid datagram. Malformed or stale datagrams are
+// delivering every valid datagram. Malformed or stale datagrams are
 // dropped silently (counted in badDgrams) — on a best-effort transport
 // a bad packet is indistinguishable from a lost one.
-func (nd *udpNode) readLoop() {
+func (un *udpNode) readLoop() {
 	for {
-		if err := nd.rcv.recv(nd); err != nil {
+		if err := un.rcv.recv(un); err != nil {
 			return // socket closed by Close
 		}
 	}
 }
 
 // handleDatagram validates, reassembles, and (on frame completion)
-// deposits one received packet.
-func (nd *udpNode) handleDatagram(pkt []byte, from netip.AddrPort) {
-	t := nd.t
+// hands one received packet's frame to the core.
+func (un *udpNode) handleDatagram(pkt []byte, from netip.AddrPort) {
 	hdr, frag, err := parseUDPDatagram(pkt)
-	if err != nil || hdr.from >= t.m || hdr.from == nd.id || t.addrs[hdr.from] != from {
-		nd.badDgrams++
+	if err != nil || hdr.from >= un.l.t.m || hdr.from == un.nd.id || un.l.addrs[hdr.from] != from {
+		un.badDgrams++
 		return
 	}
-	ra := nd.reasm[hdr.from]
-	body, ok := ra.place(hdr, frag)
+	body, ok := un.reasm[hdr.from].place(hdr, frag)
 	if !ok {
 		if body == nil {
-			nd.badDgrams++
+			un.badDgrams++
 		}
 		return
 	}
 	if body == nil {
 		return // fragment accepted; frame not complete yet
 	}
-	nd.depositFrame(hdr.from, hdr.round, body)
-}
-
-// depositFrame fans a reassembled frame body out to the node's hosted
-// mailboxes. A frame that fails validation mid-walk simply stops — the
-// deposits already made stand, and the missing ones close as loss.
-func (nd *udpNode) depositFrame(peer, round int, body []byte) {
-	t := nd.t
-	peerLo := t.nodeLo(peer)
-	snd := t.nodeLo(peer+1) - peerLo
-	rcv := nd.localN()
-	err := decodeUDPFrame(body, snd, rcv, func(si, delivered int, payload, bitmap []byte) {
-		if delivered == 0 {
-			for qi := 0; qi < rcv; qi++ {
-				nd.boxes[qi].deposit(peerLo+si, round, nil, nil)
-			}
-			return
-		}
-		rb := newRefBuf(payload, int32(delivered))
-		for qi := 0; qi < rcv; qi++ {
-			bit := si*rcv + qi
-			if bitmap[bit>>3]&(1<<(bit&7)) != 0 {
-				nd.boxes[qi].deposit(peerLo+si, round, rb.b, rb)
-			} else {
-				nd.boxes[qi].deposit(peerLo+si, round, nil, nil)
-			}
-		}
-	})
-	if err != nil {
-		nd.badDgrams++
+	if un.nd.deliver(hdr.from, hdr.round, body) != nil {
+		un.badDgrams++ // the deposits already made stand; the rest close as loss
 	}
 }
 
@@ -623,7 +316,7 @@ type reasmSlot struct {
 }
 
 func newUDPReasm(peer, snd, rcv, chunk int) *udpReasm {
-	limit := udpFrameLimit(snd, rcv)
+	limit := frameBodyLimit(snd, rcv)
 	return &udpReasm{
 		peer:     peer,
 		chunk:    chunk,
@@ -692,80 +385,3 @@ func (ra *udpReasm) place(hdr udpHeader, frag []byte) ([]byte, bool) {
 	s.done = true
 	return s.body[:(s.fragCount-1)*ra.chunk+s.lastLen], true
 }
-
-// udpEndpoint is process self's port onto a UDP mesh.
-type udpEndpoint struct {
-	nd    *udpNode
-	self  int
-	drops []bool
-	stall *stallDetector // nil unless DeadAfter > 0
-}
-
-// Self implements Endpoint.
-func (ep *udpEndpoint) Self() int { return ep.self }
-
-// N implements Endpoint.
-func (ep *udpEndpoint) N() int { return ep.nd.t.n }
-
-// Broadcast implements Endpoint. Co-hosted receivers get the pooled
-// payload deposited directly (no socket); one extra reference goes to
-// the node's writer loop. Same split as the TCP mesh: remote drop
-// decisions are the writer's, local drops are applied here.
-func (ep *udpEndpoint) Broadcast(r int, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("transport: payload %d bytes exceeds MaxPayload %d", len(payload), MaxPayload)
-	}
-	nd := ep.nd
-	t := nd.t
-	if closed(t.done) {
-		return ErrClosed
-	}
-	delivered := int32(0)
-	for to := nd.lo; to < nd.hi; to++ {
-		drop := to != ep.self && !t.pol.Deliver(r, ep.self, to)
-		ep.drops[to] = drop
-		if !drop {
-			delivered++
-		}
-	}
-	if t.m > 1 {
-		delivered++ // the writer loop's reference
-	}
-	rb := newRefBuf(payload, delivered)
-	for to := nd.lo; to < nd.hi; to++ {
-		if ep.drops[to] {
-			nd.boxes[to-nd.lo].deposit(ep.self, r, nil, nil)
-		} else {
-			nd.boxes[to-nd.lo].deposit(ep.self, r, rb.b, rb)
-		}
-	}
-	if t.m > 1 {
-		return nd.contribute(ep.self-nd.lo, r, rb)
-	}
-	return nil
-}
-
-// Gather implements Endpoint: it blocks until round r closes under the
-// lossy mailbox's deadline+grace rule and reports absent senders as nil
-// payloads, records the realized heard-set on the meter if one is
-// attached, then applies receive-side Policy delays.
-func (ep *udpEndpoint) Gather(r int, into [][]byte) ([][]byte, error) {
-	t := ep.nd.t
-	recv, missed, err := ep.nd.boxes[ep.self-ep.nd.lo].await(r, into, t.opts.RoundTimeout, t.opts.Grace)
-	if err != nil {
-		return nil, err
-	}
-	ep.stall.observe(r, missed)
-	if t.opts.Meter != nil {
-		t.opts.Meter.Record(r, ep.self, recv)
-	}
-	if err := applyDelays(t.pol, r, ep.self, recv, t.done); err != nil {
-		return nil, err
-	}
-	return recv, nil
-}
-
-// Close implements Endpoint: UDP endpoints share the transport's
-// lifetime (the socket is per node, not per process), so closing one
-// tears down the whole mesh. Idempotent.
-func (ep *udpEndpoint) Close() error { return ep.nd.t.Close() }

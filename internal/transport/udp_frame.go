@@ -5,11 +5,10 @@ import (
 	"fmt"
 )
 
-// This file is the pure codec of the UDP transport's datagram layer:
-// header encode/parse and the reassembled-frame walk. Everything here is
-// a function of its byte inputs — no sockets, no state — which is what
-// makes FuzzDecodeUDPFrame (udp_fuzz_test.go) a faithful model of the
-// reader goroutine's parse path.
+// This file is the pure codec of the datagram link's packet header.
+// Everything here is a function of its byte inputs — no sockets, no
+// state — which is what makes FuzzDecodeUDPFrame (udp_fuzz_test.go) a
+// faithful model of the reader goroutine's parse path.
 //
 // Datagram layout (one UDP packet):
 //
@@ -19,15 +18,9 @@ import (
 //	uvarint fragCount  total fragments of this round frame (>= 1)
 //	fragment bytes     body[fragIndex*chunk : ...] of the frame body
 //
-// The frame body is the v2 coalesced round frame of the TCP mesh, minus
-// the round (it lives in every datagram header) and the length prefix
-// (datagrams are self-delimiting):
-//
-//	bitmap  ceil(S*R/8) bytes; bit si*R+qi (LSB first) = the sender
-//	        node's si-th process reaches the peer's qi-th process
-//	        (0 = an injected-drop tombstone)
-//	then, for each sender si with at least one bit set:
-//	        uvarint payload length, payload bytes
+// The frame body is the mesh's coalesced round frame (frame.go). The
+// round lives in every datagram header and datagrams are self-
+// delimiting, so unlike the stream link nothing else is prefixed.
 //
 // Fragmentation is deterministic: both sides derive the same chunk size
 // from the transport's MaxDatagram, every fragment except the last
@@ -100,59 +93,4 @@ func parseUDPDatagram(pkt []byte) (udpHeader, []byte, error) {
 		return hdr, nil, fmt.Errorf("transport: udp datagram: fragment %d of %d", hdr.fragIdx, hdr.fragCount)
 	}
 	return hdr, rest, nil
-}
-
-// udpFrameLimit bounds a reassembled frame body for an snd-sender,
-// rcv-receiver node link — the same ceiling the TCP mesh enforces per
-// stream frame. Reassembly buffers are sized from this transport-derived
-// bound, never from header fields alone.
-func udpFrameLimit(snd, rcv int) int {
-	return (snd*rcv+7)/8 + snd*(binary.MaxVarintLen64+MaxPayload)
-}
-
-// decodeUDPFrame validates and walks a reassembled frame body for an
-// snd-sender, rcv-receiver node link. deliver is called exactly once per
-// sender index si in [0, snd): payload is the sender's round payload (a
-// view into body, valid only during the call) and delivered the number
-// of set bits in its bitmap row — payload is nil iff delivered == 0 (an
-// all-links tombstone). bitmap is the frame's full drop bitmap; bit
-// si*rcv+qi (LSB first) reports delivery to local receiver qi.
-//
-// Allocation hardening mirrors the other decoders in the repo: every
-// length is validated against the remaining input before it is used, so
-// no input can make the walk read past the body or a caller allocate
-// more than the bytes actually received.
-func decodeUDPFrame(body []byte, snd, rcv int, deliver func(si, delivered int, payload []byte, bitmap []byte)) error {
-	if snd < 1 || rcv < 1 {
-		return fmt.Errorf("transport: udp frame for %dx%d link", snd, rcv)
-	}
-	bitmapLen := (snd*rcv + 7) / 8
-	if len(body) < bitmapLen {
-		return fmt.Errorf("transport: udp frame: truncated bitmap")
-	}
-	bitmap := body[:bitmapLen]
-	rest := body[bitmapLen:]
-	for si := 0; si < snd; si++ {
-		delivered := 0
-		for qi := 0; qi < rcv; qi++ {
-			bit := si*rcv + qi
-			if bitmap[bit>>3]&(1<<(bit&7)) != 0 {
-				delivered++
-			}
-		}
-		if delivered == 0 {
-			deliver(si, 0, nil, bitmap)
-			continue
-		}
-		plen, k := binary.Uvarint(rest)
-		if k <= 0 || plen > MaxPayload || uint64(len(rest)-k) < plen {
-			return fmt.Errorf("transport: udp frame: bad payload length for sender %d", si)
-		}
-		deliver(si, delivered, rest[k:k+int(plen)], bitmap)
-		rest = rest[k+int(plen):]
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("transport: udp frame: %d trailing bytes", len(rest))
-	}
-	return nil
 }

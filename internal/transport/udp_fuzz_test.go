@@ -75,14 +75,15 @@ func FuzzDecodeUDPFrame(f *testing.F) {
 			}
 		}
 
-		// Layer 2: frame-body walk over fuzzed link dimensions.
+		// Layer 2: frame-body walk over fuzzed link dimensions — the one
+		// decoder (frame.go) behind both the datagram and the stream link.
 		type delivery struct {
 			delivered int
 			payload   []byte
 		}
 		var walked []delivery
 		var bitmap []byte
-		err := decodeUDPFrame(data, snd, rcv, func(si, delivered int, payload, bits []byte) {
+		err := decodeFrameBody(data, snd, rcv, func(si, delivered int, payload, bits []byte) {
 			if si != len(walked) {
 				t.Fatalf("sender callbacks out of order: got %d, want %d", si, len(walked))
 			}
@@ -109,7 +110,7 @@ func FuzzDecodeUDPFrame(f *testing.F) {
 			}
 		}
 		i := 0
-		if err := decodeUDPFrame(re, snd, rcv, func(si, delivered int, payload, _ []byte) {
+		if err := decodeFrameBody(re, snd, rcv, func(si, delivered int, payload, _ []byte) {
 			if delivered != walked[i].delivered || !bytes.Equal(payload, walked[i].payload) {
 				t.Fatalf("re-encoded frame changed sender %d: %d/%q vs %d/%q",
 					si, delivered, payload, walked[i].delivered, walked[i].payload)

@@ -110,9 +110,9 @@ func TestUDPFragmentationRoundTrip(t *testing.T) {
 	// Every fragment was valid traffic: none may have been miscounted as
 	// a bad datagram (reader loops are quiesced once Close returns).
 	tr.Close()
-	for _, nd := range tr.nodes {
-		if nd.badDgrams != 0 {
-			t.Fatalf("node %d rejected %d datagrams of well-formed fragmented traffic", nd.id, nd.badDgrams)
+	for _, un := range tr.dl.nodes {
+		if un.badDgrams != 0 {
+			t.Fatalf("node %d rejected %d datagrams of well-formed fragmented traffic", un.nd.id, un.badDgrams)
 		}
 	}
 }
