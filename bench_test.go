@@ -175,7 +175,7 @@ func BenchmarkE7Consensus(b *testing.B) {
 				out, err := sim.Execute(sim.Spec{
 					Adversary: run,
 					Proposals: sim.SeqProposals(n),
-					Opts:      core.Options{ConservativeDecide: true},
+					Params:    core.Options{ConservativeDecide: true},
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -226,7 +226,7 @@ func BenchmarkE9Ablations(b *testing.B) {
 				out, err := sim.Execute(sim.Spec{
 					Adversary: run,
 					Proposals: sim.SeqProposals(n),
-					Opts:      v.opts,
+					Params:    v.opts,
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -252,7 +252,7 @@ func BenchmarkE10GuardFlaw(b *testing.B) {
 	} {
 		b.Run(v.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				out, err := sim.Execute(sim.Spec{Adversary: adv, Proposals: props, Opts: v.opts})
+				out, err := sim.Execute(sim.Spec{Adversary: adv, Proposals: props, Params: v.opts})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -599,34 +599,6 @@ func BenchmarkTransportRound(b *testing.B) {
 				}
 			})
 		}
-	}
-}
-
-// BenchmarkConcurrentExecutor compares the goroutine-per-process executor
-// with the sequential one on identical workloads.
-func BenchmarkConcurrentExecutor(b *testing.B) {
-	n := 32
-	rng := rand.New(rand.NewSource(14))
-	run := adversary.RandomSources(n, 2, 4, 0.2, rng)
-	for _, mode := range []struct {
-		name       string
-		concurrent bool
-	}{{"sequential", false}, {"concurrent", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				out, err := sim.Execute(sim.Spec{
-					Adversary:  run,
-					Proposals:  sim.SeqProposals(n),
-					Concurrent: mode.concurrent,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := out.CheckTermination(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -77,41 +77,34 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "   (Psrcs(3) holds; MinK = 3)\n\n")
 	}
 
-	// Execute Algorithm 1 and capture p6's approximations.
-	procs := make([]*core.Process, n)
+	// Execute Algorithm 1 and show p6's approximation after each round.
 	factory := core.NewFactory([]int64{1, 2, 3, 4, 5, 6}, core.Options{})
-	for i := range procs {
-		procs[i] = factory(i).(*core.Process)
-		procs[i].Init(i, n)
-	}
-	msgs := make([]any, n)
 	figure := adversary.Figure1LabelMultisets()
-	for r := 1; r <= *nRounds; r++ {
-		for i, p := range procs {
-			msgs[i] = p.Send(r)
-		}
-		g := fig.Graph(r)
-		for q := 0; q < n; q++ {
-			recv := make([]any, n)
-			g.ForEachIn(q, func(p int) { recv[p] = msgs[p] })
-			procs[q].Transition(r, recv)
-		}
-		approx := procs[p6].Approx()
+	showP6 := rounds.ObserverFunc(func(r int, _ *graph.Digraph, procs []rounds.Algorithm) {
+		approx := procs[p6].(*core.Process).Approx()
 		if *dot {
 			fmt.Fprint(stdout, graph.DOTLabeled(approx, fmt.Sprintf("G%d_p6", r), true))
-			continue
+			return
 		}
 		fmt.Fprintf(stdout, "Figure 1%c — G^%d_p6: %s\n", 'b'+byte(r), r, withoutSelfLoops(approx))
 		if r <= len(figure) {
 			fmt.Fprintf(stdout, "             paper labels: %v, measured: %v\n",
 				figure[r-1], approx.LabelMultiset())
 		}
+	})
+	if _, err := rounds.RunSequential(rounds.Config{
+		Adversary:  fig,
+		NewProcess: factory,
+		MaxRounds:  *nRounds,
+		Observer:   showP6,
+	}); err != nil {
+		return err
 	}
 
 	// Run to completion for the decision table.
 	res, err := rounds.RunSequential(rounds.Config{
 		Adversary:  fig,
-		NewProcess: core.NewFactory([]int64{1, 2, 3, 4, 5, 6}, core.Options{}),
+		NewProcess: factory,
 		MaxRounds:  50,
 		StopWhen:   rounds.AllDecided,
 	})

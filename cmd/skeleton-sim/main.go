@@ -62,7 +62,6 @@ func run(args []string, stdout io.Writer) error {
 		crashes      = fs.Int("crashes", 1, "crash count for the crash adversary")
 		seed         = fs.Int64("seed", 1, "random seed")
 		maxRounds    = fs.Int("rounds", 0, "round bound (0 = automatic)")
-		concurrent   = fs.Bool("concurrent", false, "use the goroutine-per-process executor")
 		meter        = fs.Bool("meter", false, "measure encoded message sizes")
 		conservative = fs.Bool("conservative", false, "use the repaired line-28 guard (r >= 2n-1)")
 		mergeOwn     = fs.Bool("mergeown", false, "merge own previous graph (ablation)")
@@ -147,15 +146,7 @@ func run(args []string, stdout io.Writer) error {
 		observer = rounds.ObserverFunc(func(r int, g *graph.Digraph, procs []rounds.Algorithm) {
 			fmt.Fprintf(stdout, "--- round %d (graph: %d edges) ---\n", r, g.NumEdges())
 			for i, a := range procs {
-				p, ok := a.(interface {
-					PT() graph.NodeSet
-					Approx() *graph.Labeled
-					Estimate() int64
-					Decided() bool
-				})
-				if !ok {
-					continue
-				}
+				p := a.(*core.Process) // metered or not, observers see Algorithm 1 itself
 				status := " "
 				if p.Decided() {
 					status = "D"
@@ -171,9 +162,8 @@ func run(args []string, stdout io.Writer) error {
 		Adversary:     adv,
 		Proposals:     proposals,
 		MaxRounds:     *maxRounds,
-		Concurrent:    *concurrent,
 		MeterMessages: *meter,
-		Opts: core.Options{
+		Params: core.Options{
 			ConservativeDecide: *conservative,
 			MergeOwnGraph:      *mergeOwn,
 		},

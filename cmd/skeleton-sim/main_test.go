@@ -84,13 +84,21 @@ func TestAdversarySelectionErrors(t *testing.T) {
 	}
 }
 
-// TestTraceFlag smoke-checks the per-round trace path.
+// TestTraceFlag checks the per-round trace path: one PT line per
+// process per round, with and without -meter (the metering wrapper must
+// not hide the processes from the trace observer).
 func TestTraceFlag(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-adversary", "complete", "-n", "3", "-trace"}, &out); err != nil {
-		t.Fatalf("err = %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "--- round 1") {
-		t.Fatalf("trace output missing round banners:\n%s", out.String())
+	for _, extra := range [][]string{nil, {"-meter"}} {
+		var out bytes.Buffer
+		args := append([]string{"-adversary", "complete", "-n", "3", "-trace"}, extra...)
+		if err := run(args, &out); err != nil {
+			t.Fatalf("%v: err = %v\n%s", args, err, out.String())
+		}
+		s := out.String()
+		rounds := strings.Count(s, "--- round ")
+		if rounds == 0 || strings.Count(s, "PT=") != 3*rounds {
+			t.Fatalf("%v: %d round banners, %d PT lines, want 3 per round:\n%s",
+				args, rounds, strings.Count(s, "PT="), s)
+		}
 	}
 }

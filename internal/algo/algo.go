@@ -3,10 +3,10 @@
 // agreement problem it executes instead of hardwired to k-set
 // agreement. A registered Algorithm bundles everything a layer needs to
 // run one family end to end — a rounds.Algorithm factory, the wire
-// Codec its messages travel under, an outcome extractor, its automatic
-// round bound, and its whole-run correctness oracles — so executors,
-// the differential harness, and ksetd resolve behavior by name instead
-// of type-asserting k-set message types.
+// Codec its messages travel under, its automatic round bound, and its
+// whole-run correctness oracles — so executors, the differential
+// harness, and ksetd resolve behavior by name instead of type-asserting
+// k-set message types.
 //
 // Two families are built in: "kset" (Algorithm 1 of the source paper,
 // the default everywhere a name is omitted) and "approx" (approximate
@@ -125,9 +125,6 @@ type Algorithm struct {
 	NewFactory func(run Run) (func(self int) rounds.Algorithm, error)
 	// MaxRounds returns the automatic round bound for a prepared run.
 	MaxRounds func(run Run) int
-	// Collect extracts the outcome of a finished run; nil defaults to
-	// trace.Collect (every process a rounds.Decider).
-	Collect func(res *rounds.Result) (*trace.Outcome, error)
 	// Check evaluates the family's whole-run oracles; nil checks
 	// nothing. Oracles must be sound: a returned Violation is a bug in
 	// the algorithm, the executor, or the transport.
@@ -177,9 +174,6 @@ func Register(a *Algorithm) error {
 	}
 	if err := selfTest(a); err != nil {
 		return fmt.Errorf("algo: %s failed the registration self-test: %w", a.Name, err)
-	}
-	if a.Collect == nil {
-		a.Collect = trace.Collect
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -244,7 +238,9 @@ func Names() []string {
 
 // selfTest smoke-runs a registration: probe run through Prepare and
 // NewFactory, each process Inits and Sends, the codec round-trips the
-// message byte-identically, and Transition accepts the decoded value.
+// message byte-identically, Transition accepts the decoded value, and
+// the process is a rounds.Decider (what trace.Collect reads outcomes
+// through).
 // A panic anywhere (nil Send dereferenced by the codec, a Transition
 // type assertion on a mismatched decode) is converted into the error.
 func selfTest(a *Algorithm) (err error) {
@@ -304,9 +300,7 @@ func selfTest(a *Algorithm) (err error) {
 		recv[self] = decoded
 		p.Transition(1, recv)
 		if _, ok := p.(rounds.Decider); !ok {
-			if a.Collect == nil {
-				return fmt.Errorf("p%d (%T) is not a rounds.Decider and no Collect override is set", self+1, p)
-			}
+			return fmt.Errorf("p%d (%T) is not a rounds.Decider", self+1, p)
 		}
 	}
 	return nil

@@ -136,6 +136,12 @@ func TestRegisterRejectsStructuralBreakage(t *testing.T) {
 		{"nil maxrounds", func(a *algo.Algorithm) { a.MaxRounds = nil }, "nil MaxRounds"},
 		{"nil probe", func(a *algo.Algorithm) { a.Probe = nil }, "nil Probe"},
 		{"no fuzz target", func(a *algo.Algorithm) { a.FuzzTarget = "" }, "fuzz target"},
+		// Outcomes are read through rounds.Decider (trace.Collect) only.
+		{"non-decider", func(a *algo.Algorithm) {
+			a.NewFactory = func(algo.Run) (func(int) rounds.Algorithm, error) {
+				return func(int) rounds.Algorithm { return struct{ rounds.Algorithm }{&echoProc{}} }, nil
+			}
+		}, "not a rounds.Decider"},
 	}
 	for _, c := range cases {
 		a := echoFamily("echo-broken")

@@ -14,7 +14,6 @@ const KSet = "kset"
 
 // KSetCodec carries Algorithm 1 messages in the canonical internal/wire
 // encoding — the same bytes the E5 bit-complexity experiment meters.
-// runtime.WireCodec aliases it for existing call sites.
 type KSetCodec struct{}
 
 // Encode implements Codec; msg is what core.Process.Send returns.

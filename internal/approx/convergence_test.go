@@ -154,33 +154,3 @@ func TestCycleWideSpanTerminates(t *testing.T) {
 		}
 	}
 }
-
-// TestSequentialConcurrentIdentical pins executor determinism at the
-// sim level: the lockstep and goroutine-per-process executors produce
-// bit-identical approx outcomes.
-func TestSequentialConcurrentIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(59))
-	for trial := 0; trial < 10; trial++ {
-		n := 4 + rng.Intn(5)
-		seed := rng.Int63()
-		mk := func(concurrent bool) *sim.Outcome {
-			r := rand.New(rand.NewSource(seed))
-			props := make([]int64, n)
-			for i := range props {
-				props[i] = int64(r.Intn(n + 1))
-			}
-			return executeApprox(t, sim.Spec{
-				Adversary:  adversary.RandomSources(n, 1+r.Intn(2), r.Intn(n), 0.3, r),
-				Proposals:  props,
-				Concurrent: concurrent,
-			})
-		}
-		seq, conc := mk(false), mk(true)
-		for i := 0; i < n; i++ {
-			if seq.Decisions[i] != conc.Decisions[i] || seq.DecideRounds[i] != conc.DecideRounds[i] {
-				t.Fatalf("trial %d: executor divergence at p%d: %d@%d vs %d@%d", trial, i+1,
-					seq.Decisions[i], seq.DecideRounds[i], conc.Decisions[i], conc.DecideRounds[i])
-			}
-		}
-	}
-}

@@ -138,7 +138,7 @@ func TestDifferentialConsensusRegime(t *testing.T) {
 						Adversary:  run,
 						Proposals:  sim.SeqProposals(n),
 						NewProcess: newProcess,
-						Opts:       core.Options{ConservativeDecide: true},
+						Params:     core.Options{ConservativeDecide: true},
 					})
 					if err != nil {
 						t.Fatalf("trial %d: %v", trial, err)

@@ -151,7 +151,7 @@ func Run(cfg BatteryConfig, artifactDir string) (*runtime.CrashReplayReport, err
 	spec := sim.Spec{
 		Adversary: adversary.RandomSources(n, 1+rng.Intn(2), n/2, 0.3, rng),
 		Proposals: sim.SeqProposals(n),
-		Opts:      core.Options{ConservativeDecide: true},
+		Params:    core.Options{ConservativeDecide: true},
 		MaxRounds: 4*n + 20,
 	}
 	maxCrashRound := n/2 + 2

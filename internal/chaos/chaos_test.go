@@ -60,7 +60,7 @@ func TestCrashSitesExactHeardSets(t *testing.T) {
 			spec := sim.Spec{
 				Adversary: adversary.Complete(n),
 				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
+				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 3*n + 10,
 			}
 			rep, err := runtime.CrashReplay(spec, plan, runtime.CrashReplayOpts{Kind: "inproc"})
@@ -132,7 +132,7 @@ func TestSilentCrashDetectedByStall(t *testing.T) {
 			spec := sim.Spec{
 				Adversary: adversary.Complete(n),
 				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
+				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 3*n + 12,
 			}
 			opts := runtime.CrashReplayOpts{Kind: kind}
@@ -189,7 +189,7 @@ func TestStallPlanRecoversWithoutVerdict(t *testing.T) {
 	spec := sim.Spec{
 		Adversary: adversary.Complete(n),
 		Proposals: sim.SeqProposals(n),
-		Opts:      core.Options{ConservativeDecide: true},
+		Params:    core.Options{ConservativeDecide: true},
 		MaxRounds: 3*n + 10,
 	}
 	rep, err := runtime.CrashReplay(spec, nil, runtime.CrashReplayOpts{

@@ -64,7 +64,7 @@ func TestChaosNightlySoak(t *testing.T) {
 			spec := sim.Spec{
 				Adversary: adversary.RandomSources(n, 1+rng.Intn(2), n/2, 0.3, rng),
 				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
+				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 4*n + 20,
 			}
 			plan := RandomCrashPlan(n, 2, n/2+2, seed, false)

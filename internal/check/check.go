@@ -197,7 +197,7 @@ func NewCheckedSpec(run *adversary.Run, cfg Config) (sim.Spec, *Observer) {
 	return sim.Spec{
 		Adversary: run,
 		Proposals: proposals,
-		Opts:      cfg.Opts,
+		Params:    cfg.Opts,
 		MaxRounds: MaxRoundsFor(run),
 		Observer:  obs,
 	}, obs

@@ -284,41 +284,6 @@ func TestWidePurgeWindowDelaysNothingFatal(t *testing.T) {
 	}
 }
 
-// TestConcurrentExecutorSameDecisions — Algorithm 1 behaves identically
-// under the goroutine-per-process executor.
-func TestConcurrentExecutorSameDecisions(t *testing.T) {
-	adv := adversary.Figure1()
-	props := seqProposals(6)
-	seq, err := rounds.RunSequential(rounds.Config{
-		Adversary:  adv,
-		NewProcess: NewFactory(props, Options{}),
-		MaxRounds:  15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	conc, err := rounds.RunConcurrent(rounds.Config{
-		Adversary:  adv,
-		NewProcess: NewFactory(props, Options{}),
-		MaxRounds:  15,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq.Procs {
-		a, b := seq.Procs[i].(*Process), conc.Procs[i].(*Process)
-		av, ar := a.Decision()
-		bv, br := b.Decision()
-		if av != bv || ar != br || a.DecidedVia() != b.DecidedVia() {
-			t.Fatalf("p%d diverges across executors: (%d,%d,%v) vs (%d,%d,%v)",
-				i+1, av, ar, a.DecidedVia(), bv, br, b.DecidedVia())
-		}
-		if !a.Approx().Equal(b.Approx()) {
-			t.Fatalf("p%d approximation graphs diverge across executors", i+1)
-		}
-	}
-}
-
 // TestStopWhenAllDecided — simulations can stop as soon as everyone
 // decided; Figure 1's run finishes in 8 rounds.
 func TestStopWhenAllDecided(t *testing.T) {

@@ -47,7 +47,7 @@ func E13TInterval(cfg Config) (*Result, error) {
 				return sim.Spec{
 					Adversary: adv,
 					Proposals: sim.SeqProposals(n),
-					Opts:      core.Options{ConservativeDecide: true},
+					Params:    core.Options{ConservativeDecide: true},
 					MaxRounds: adv.StabilizationRound() + 4*n,
 				}, nil
 			},
@@ -250,7 +250,7 @@ func vertexStableSpec(n int, p float64, seed int64) (sim.Spec, error) {
 	return sim.Spec{
 		Adversary:       adv,
 		Proposals:       sim.SeqProposals(n),
-		Opts:            core.Options{ConservativeDecide: true},
+		Params:          core.Options{ConservativeDecide: true},
 		MaxRounds:       6 * n,
 		RunToCompletion: true,
 		Observer:        &staleMeter{base: adv.Base()},

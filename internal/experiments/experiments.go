@@ -58,20 +58,19 @@ func E1Figure1() (*Result, error) {
 	res := &Result{Name: "E1 Figure 1 (approximation of the stable skeleton)"}
 	run := adversary.Figure1()
 
+	// p6's approximation graph after each round, read off the run itself.
 	var approxes []*graph.Labeled
-	spec := sim.Spec{
+	if _, err := sim.Execute(sim.Spec{
 		Adversary:       run,
 		Proposals:       sim.SeqProposals(6),
-		MaxRounds:       12,
+		MaxRounds:       8,
 		RunToCompletion: true,
-	}
-	// Execute manually to capture p6's graphs: use the facade-level
-	// pieces directly for full control.
-	procs, err := captureApprox(spec, 5, 8)
-	if err != nil {
+		Observer: rounds.ObserverFunc(func(_ int, _ *graph.Digraph, procs []rounds.Algorithm) {
+			approxes = append(approxes, procs[5].(*core.Process).Approx())
+		}),
+	}); err != nil {
 		return nil, err
 	}
-	approxes = procs
 
 	want := adversary.Figure1LabelMultisets()
 	table := sim.NewTable("E1: p6's approximation graphs vs paper Figure 1c-1h",
@@ -129,33 +128,6 @@ func E1Figure1() (*Result, error) {
 	res.note("decisions: %v in %d rounds (2 values <= k=3)",
 		out.DistinctDecisions(), out.Rounds)
 	return res, nil
-}
-
-// captureApprox runs Algorithm 1 and returns process `who`'s
-// approximation graph after each of the first `upTo` rounds.
-func captureApprox(spec sim.Spec, who, upTo int) ([]*graph.Labeled, error) {
-	var approxes []*graph.Labeled
-	n := spec.Adversary.N()
-	factory := core.NewFactory(spec.Proposals, spec.Opts)
-	procs := make([]*core.Process, n)
-	for i := 0; i < n; i++ {
-		procs[i] = factory(i).(*core.Process)
-		procs[i].Init(i, n)
-	}
-	msgs := make([]any, n)
-	for r := 1; r <= upTo; r++ {
-		for i, p := range procs {
-			msgs[i] = p.Send(r)
-		}
-		g := spec.Adversary.Graph(r)
-		for q := 0; q < n; q++ {
-			recv := make([]any, n)
-			g.ForEachIn(q, func(p int) { recv[p] = msgs[p] })
-			procs[q].Transition(r, recv)
-		}
-		approxes = append(approxes, procs[who].Approx())
-	}
-	return approxes, nil
 }
 
 func rootsString(skel *graph.Digraph) string {
@@ -464,7 +436,7 @@ func E7Consensus(cfg Config) (*Result, error) {
 			outR, err := sim.Execute(sim.Spec{
 				Adversary: run,
 				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
+				Params:    core.Options{ConservativeDecide: true},
 			})
 			if err != nil {
 				return nil, err
@@ -518,7 +490,7 @@ func E10GuardFlaw(cfg Config) (*Result, error) {
 		{"published r>=n", core.Options{}},
 		{"repaired r>=2n-1", core.Options{ConservativeDecide: true}},
 	} {
-		out, err := sim.Execute(sim.Spec{Adversary: witness, Proposals: props, Opts: variant.opts})
+		out, err := sim.Execute(sim.Spec{Adversary: witness, Proposals: props, Params: variant.opts})
 		if err != nil {
 			return nil, err
 		}
@@ -550,7 +522,7 @@ func E10GuardFlaw(cfg Config) (*Result, error) {
 		for trial := 0; trial < cfg.Trials; trial++ {
 			n := 4 + rng2.Intn(5)
 			run := adversary.RandomSingleSource(n, 1+rng2.Intn(n), 0.3, 0.3, rng2)
-			out, err := sim.Execute(sim.Spec{Adversary: run, Proposals: sim.SeqProposals(n), Opts: variant.opts})
+			out, err := sim.Execute(sim.Spec{Adversary: run, Proposals: sim.SeqProposals(n), Params: variant.opts})
 			if err != nil {
 				return nil, err
 			}
@@ -648,7 +620,7 @@ func E9Ablations(cfg Config) (*Result, error) {
 			out, err := sim.Execute(sim.Spec{
 				Adversary:     run,
 				Proposals:     sim.SeqProposals(n),
-				Opts:          v.opts,
+				Params:        v.opts,
 				MeterMessages: true,
 			})
 			if err != nil {

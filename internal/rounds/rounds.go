@@ -6,9 +6,11 @@
 // communication graph G^r, supplied by an Adversary.
 //
 // A run is completely determined by the initial states of the processes
-// and the sequence of communication graphs; both executors (sequential
-// lockstep and concurrent goroutine-per-process) therefore produce
-// identical runs for identical inputs, which the test suite verifies.
+// and the sequence of communication graphs. Two independent executors
+// step that definition: RunSequential here (lockstep, on the calling
+// goroutine) and the live runtime (internal/runtime: a goroutine per
+// process over a transport). They therefore produce identical runs for
+// identical inputs, which runtime.Diff verifies.
 package rounds
 
 import (
@@ -150,9 +152,9 @@ func AllDecided(_ int, procs []Algorithm) bool {
 }
 
 // Validate checks the Config's structural requirements and returns the
-// number of processes. Exported for alternative executors (the
-// distributed runtime in internal/runtime), which must enforce exactly
-// the same contract as the in-package ones.
+// number of processes. Exported for the distributed runtime
+// (internal/runtime), which must enforce exactly the same contract as
+// RunSequential.
 func (c *Config) Validate() (int, error) {
 	if c.Adversary == nil {
 		return 0, errors.New("rounds: Config.Adversary is nil")
@@ -172,8 +174,8 @@ func (c *Config) Validate() (int, error) {
 
 // CheckGraph enforces the model's structural requirements on a round
 // graph: correct universe, all nodes present, all self-loops (every
-// process hears itself; cf. Figure 1's caption). Exported for
-// alternative executors (internal/runtime).
+// process hears itself; cf. Figure 1's caption). Exported for the
+// distributed runtime (internal/runtime).
 func CheckGraph(g *graph.Digraph, n, r int) error {
 	if g == nil {
 		return fmt.Errorf("rounds: adversary returned nil graph for round %d", r)

@@ -1,7 +1,6 @@
 package runtime
 
 import (
-	"fmt"
 	"sync"
 
 	"kset/internal/algo"
@@ -10,18 +9,13 @@ import (
 // Codec and Decoder are the registry's interfaces (internal/algo owns
 // the contract; see algo.Codec for the shared-statelessness and
 // decode-into-scratch requirements). The runtime aliases them so
-// transport plumbing keeps reading naturally, and resolves a nil Codec
-// through the algorithm registry instead of hardwiring the k-set wire
-// format.
+// transport plumbing keeps reading naturally; which codec a run uses is
+// the registry's answer for its family (NewRunner), never a default
+// hardwired here.
 type (
 	Codec   = algo.Codec
 	Decoder = algo.Decoder
 )
-
-// WireCodec carries Algorithm 1 messages in the canonical internal/wire
-// encoding — the same bytes the E5 bit-complexity experiment meters. It
-// is the registry's kset codec under its historical runtime name.
-type WireCodec = algo.KSetCodec
 
 // decodeShare deduplicates decoding across the processes of one run.
 // Both transports deliver one shared payload buffer per (sender, round)
@@ -33,16 +27,15 @@ type WireCodec = algo.KSetCodec
 // Decoder and publishes the value; co-located receivers reuse it.
 //
 // Sharing one decoded message among receivers is the round model's
-// native shape — the lockstep executors (rounds.RunSequential and
-// RunConcurrent, including concurrent transitions) hand every receiver
-// the same Send(r) result, so Transition treats received messages as
-// read-only by contract. Entry lifetime is also the model's: a value is
-// reused only within its round, and the control barrier orders every
-// round-r Transition before any round-r+1 Decode can overwrite the
-// scratch the value lives in. Stale keys cannot alias — a recycled
-// payload buffer re-enters the cache under its new round, and the
-// refcount on the shared buffer keeps it pinned while any co-located
-// receiver is still in the round.
+// native shape — the lockstep executor (rounds.RunSequential) hands
+// every receiver the same Send(r) result, so Transition treats received
+// messages as read-only by contract. Entry lifetime is also the
+// model's: a value is reused only within its round, and the control
+// barrier orders every round-r Transition before any round-r+1 Decode
+// can overwrite the scratch the value lives in. Stale keys cannot alias
+// — a recycled payload buffer re-enters the cache under its new round,
+// and the refcount on the shared buffer keeps it pinned while any
+// co-located receiver is still in the round.
 type decodeShare struct {
 	slots []shareSlot
 }
@@ -92,26 +85,3 @@ func (s *decodeShare) decode(dec Decoder, from, r int, payload []byte) (any, err
 	sl.entries[key] = shareEntry{round: r, val: val, err: err}
 	return val, err
 }
-
-// RawCodec carries opaque byte slices unchanged — for algorithms (and
-// tests) whose messages already are bytes. Decode hands the transport's
-// payload through without copying; the round-scoped validity contract
-// is the transport's.
-type RawCodec struct{}
-
-// Encode implements Codec; msg must be a []byte.
-func (RawCodec) Encode(dst []byte, msg any) ([]byte, error) {
-	b, ok := msg.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("runtime: RawCodec got %T, want []byte", msg)
-	}
-	return append(dst, b...), nil
-}
-
-// NewDecoder implements Codec.
-func (RawCodec) NewDecoder(n int) Decoder { return rawDecoder{} }
-
-type rawDecoder struct{}
-
-// Decode implements Decoder.
-func (rawDecoder) Decode(from int, payload []byte) (any, error) { return payload, nil }

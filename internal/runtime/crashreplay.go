@@ -31,9 +31,6 @@ type CrashReplayOpts struct {
 	LossSeed int64
 	// Stall optionally delays surviving senders (see StallPlan).
 	Stall *StallPlan
-	// Codec encodes the algorithm's messages; nil resolves spec.Algorithm
-	// through the registry.
-	Codec Codec
 	// ArtifactDir, when non-empty, receives a .ksr runfile of the
 	// realized graphs whenever the replay diverges from the live run, so
 	// the divergence can be re-executed standalone.
@@ -132,7 +129,6 @@ func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashRe
 		Loss:      opts.Loss,
 		LossSeed:  opts.LossSeed,
 		Algorithm: spec.Algorithm,
-		Codec:     opts.Codec,
 		Crash:     plan,
 		Stall:     opts.Stall,
 		Meter:     meter,
@@ -192,7 +188,6 @@ func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashRe
 
 	replay := spec
 	replay.Runner = nil
-	replay.Concurrent = false
 	replay.Adversary = adversary.NewRun(realized[:liveOut.Rounds-1], realized[liveOut.Rounds-1])
 	replay.MaxRounds = liveOut.Rounds
 	replayOut, err := sim.Execute(replay)

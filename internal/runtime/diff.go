@@ -125,7 +125,7 @@ func CompareOutcomes(want, got *sim.Outcome) error {
 type NamedSchedule struct {
 	// Name identifies the experiment family the schedule is drawn from.
 	Name string
-	// Spec is ready to Execute (Adversary, Proposals, Opts set).
+	// Spec is ready to Execute (Adversary, Proposals, Params set).
 	Spec sim.Spec
 }
 
@@ -160,7 +160,7 @@ func ScheduleSuite(n int, seed int64) []NamedSchedule {
 		{"E10-witness-repaired", sim.Spec{
 			Adversary: adversary.ConsensusViolation(),
 			Proposals: adversary.ConsensusViolationProposals(),
-			Opts:      core.Options{ConservativeDecide: true},
+			Params:    core.Options{ConservativeDecide: true},
 		}},
 		{"E11-churn", spec(adversary.NewChurn(adversary.Complete(n).Base(), 0.15, rng.Int63()))},
 		{"E12-mobile", spec(adversary.NewMobileRoundRobin(n, 1, n, rng.Int63()))},
@@ -184,6 +184,6 @@ func metered(adv rounds.Adversary) sim.Spec {
 
 func withOpts(adv rounds.Adversary, opts core.Options) sim.Spec {
 	s := spec(adv)
-	s.Opts = opts
+	s.Params = opts
 	return s
 }

@@ -157,8 +157,8 @@ func writeDivergenceArtifact(t *testing.T, dir string, sched NamedSchedule, n in
 	if err := runfile.WriteFile(base+".ksr", adversary.MaterializeRun(adv, maxRounds)); err != nil {
 		t.Logf("write runfile artifact: %v", err)
 	}
-	report := fmt.Sprintf("schedule %s (n=%d, seed=%d)\nproposals %v\nopts %+v\ndivergence: %v\n",
-		sched.Name, n, seed, sched.Spec.Proposals, sched.Spec.Opts, derr)
+	report := fmt.Sprintf("schedule %s (n=%d, seed=%d)\nproposals %v\nparams %+v\ndivergence: %v\n",
+		sched.Name, n, seed, sched.Spec.Proposals, sched.Spec.Params, derr)
 	if err := os.WriteFile(base+".txt", []byte(report), 0o644); err != nil {
 		t.Logf("write report artifact: %v", err)
 	}

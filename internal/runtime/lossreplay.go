@@ -19,9 +19,6 @@ type LossReplayOpts struct {
 	// whatever the wire really loses; see RunnerOpts.Loss.
 	Loss     float64
 	LossSeed int64
-	// Codec encodes the algorithm's messages; nil resolves spec.Algorithm
-	// through the registry.
-	Codec Codec
 }
 
 // LossReplayReport is the evidence one loss-tolerant replay produced.
@@ -71,7 +68,6 @@ func LossReplay(spec sim.Spec, opts LossReplayOpts) (*LossReplayReport, error) {
 		UDP:      opts.UDP,
 		Loss:     opts.Loss,
 		LossSeed: opts.LossSeed,
-		Codec:    opts.Codec,
 	})
 	if err != nil {
 		return nil, err

@@ -65,7 +65,7 @@ func TestLossReplayBoundedInjectedLoss(t *testing.T) {
 		spec := sim.Spec{
 			Adversary: adversary.RandomSources(n, 1+rng.Intn(3), n/2, 0.3, rng),
 			Proposals: sim.SeqProposals(n),
-			Opts:      core.Options{ConservativeDecide: true},
+			Params:    core.Options{ConservativeDecide: true},
 		}
 		inject := transport.FrameLoss(0.3, seed)
 		u := quietUDP()
@@ -106,7 +106,7 @@ func TestLossReplaySustainedTenPercent(t *testing.T) {
 			spec := sim.Spec{
 				Adversary: adversary.RandomSources(n, 2, n/2, 0.25, rng),
 				Proposals: sim.SeqProposals(n),
-				Opts:      core.Options{ConservativeDecide: true},
+				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 30,
 			}
 			rep, err := LossReplay(spec, LossReplayOpts{
@@ -138,7 +138,7 @@ func TestLossReplayPipelined(t *testing.T) {
 	spec := sim.Spec{
 		Adversary:       adversary.RandomSources(n, 2, n/2, 0.3, rng),
 		Proposals:       sim.SeqProposals(n),
-		Opts:            core.Options{ConservativeDecide: true},
+		Params:          core.Options{ConservativeDecide: true},
 		MaxRounds:       25,
 		RunToCompletion: true,
 	}

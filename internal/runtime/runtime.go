@@ -68,11 +68,13 @@ type report struct {
 }
 
 // Run executes cfg with one goroutine per process over the given
-// transport. It enforces exactly the contract of rounds.RunSequential /
-// RunConcurrent (same Config validation, same graph checks, same
-// observer and stop semantics) and produces the identical Result for
-// the identical inputs, provided the transport's drop policy replays
-// cfg.Adversary (see NewRunner, which wires that up).
+// transport. It enforces exactly the contract of rounds.RunSequential
+// (same Config validation, same graph checks, same observer and stop
+// semantics) and produces the identical Result for the identical
+// inputs, provided the transport's drop policy replays cfg.Adversary
+// (see NewRunner, which wires that up). codec must be the one of the
+// family cfg.NewProcess builds (algo.Lookup(name).Codec); nil is an
+// error, not a default.
 //
 // Run owns the transport: it is closed before Run returns, on every
 // path. cfg.Adversary is read concurrently by the controller and — via
@@ -110,7 +112,9 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 		return nil, err
 	}
 	if codec == nil {
-		codec = WireCodec{}
+		// No family is the default here: guessing one would fail rounds
+		// deep, on the first message of any other family.
+		return nil, errors.New("runtime: nil codec")
 	}
 
 	procs := make([]rounds.Algorithm, n)
@@ -378,13 +382,8 @@ type RunnerOpts struct {
 	LossSeed int64
 
 	// Algorithm names the registered family whose Codec carries the
-	// messages when Codec is nil; "" resolves to the registry default
-	// (kset). An explicit Codec always wins.
+	// messages; "" resolves to the registry default (kset).
 	Algorithm string
-	// Codec encodes the algorithm's messages; nil resolves the
-	// Algorithm name through the registry (default: WireCodec,
-	// Algorithm 1 over internal/wire).
-	Codec Codec
 	// Jitter, when positive, layers deterministic per-link receive
 	// latency in [0, Jitter) on top of the schedule's drops, seeded by
 	// JitterSeed. Decisions are unaffected (Diff proves it); timing
@@ -434,18 +433,16 @@ func (o RunnerOpts) meshNodes(n int) int {
 // internal/rounds, for sim.Spec.Runner: the returned function builds a
 // fresh transport whose drop policy replays cfg.Adversary (materialized
 // for concurrent access), runs cfg over it, and tears the transport
-// down. Each call of the returned runner is an independent run.
+// down. Each call of the returned runner is an independent run, and
+// calls may overlap: the runner only reads opts.
 func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 	return func(cfg rounds.Config) (*rounds.Result, error) {
 		if _, err := cfg.Validate(); err != nil {
 			return nil, err
 		}
-		if opts.Codec == nil {
-			alg, err := algo.Lookup(opts.Algorithm)
-			if err != nil {
-				return nil, err
-			}
-			opts.Codec = alg.Codec
+		alg, err := algo.Lookup(opts.Algorithm)
+		if err != nil {
+			return nil, err
 		}
 		adv := adversary.MaterializeRun(cfg.Adversary, cfg.MaxRounds)
 		cfg.Adversary = adv
@@ -494,6 +491,6 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 		if opts.OnTransport != nil {
 			opts.OnTransport(tr)
 		}
-		return RunChaos(cfg, tr, opts.Codec, opts.Crash, opts.Stall)
+		return RunChaos(cfg, tr, alg.Codec, opts.Crash, opts.Stall)
 	}
 }

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"kset/internal/adversary"
+	"kset/internal/algo"
 	"kset/internal/graph"
 	"kset/internal/rounds"
 	"kset/internal/sim"
@@ -32,6 +34,25 @@ func (a *countingAlg) Transition(r int, recv []any) {
 	}
 }
 
+// rawCodec carries countingAlg's opaque byte-slice messages unchanged.
+// Decode hands the transport's payload through without copying; the
+// round-scoped validity contract is the transport's.
+type rawCodec struct{}
+
+func (rawCodec) Encode(dst []byte, msg any) ([]byte, error) {
+	b, ok := msg.([]byte)
+	if !ok {
+		return nil, fmt.Errorf("rawCodec got %T, want []byte", msg)
+	}
+	return append(dst, b...), nil
+}
+
+func (rawCodec) NewDecoder(n int) Decoder { return rawDecoder{} }
+
+type rawDecoder struct{}
+
+func (rawDecoder) Decode(from int, payload []byte) (any, error) { return payload, nil }
+
 func TestRunExecutesMaxRoundsAndNotifiesObserver(t *testing.T) {
 	n, maxRounds := 4, 7
 	var observed []int
@@ -48,7 +69,7 @@ func TestRunExecutesMaxRoundsAndNotifiesObserver(t *testing.T) {
 			}
 		}),
 	}
-	res, err := Run(cfg, transport.NewInProc(n, nil), RawCodec{})
+	res, err := Run(cfg, transport.NewInProc(n, nil), rawCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +99,7 @@ func TestRunStopWhen(t *testing.T) {
 		MaxRounds:  50,
 		StopWhen:   func(r int, procs []rounds.Algorithm) bool { return r == 4 },
 	}
-	res, err := Run(cfg, transport.NewInProc(n, nil), RawCodec{})
+	res, err := Run(cfg, transport.NewInProc(n, nil), rawCodec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,14 +132,14 @@ func TestRunRejectsInvalidGraph(t *testing.T) {
 		NewProcess: func(self int) rounds.Algorithm { return &countingAlg{} },
 		MaxRounds:  10,
 	}
-	_, err := Run(cfg, transport.NewInProc(n, nil), RawCodec{})
+	_, err := Run(cfg, transport.NewInProc(n, nil), rawCodec{})
 	if err == nil || !strings.Contains(err.Error(), "self-loop") {
 		t.Fatalf("Run with a self-loop-free round graph returned %v, want structural error", err)
 	}
 }
 
 func TestRunValidatesConfig(t *testing.T) {
-	if _, err := Run(rounds.Config{}, transport.NewInProc(1, nil), RawCodec{}); err == nil {
+	if _, err := Run(rounds.Config{}, transport.NewInProc(1, nil), rawCodec{}); err == nil {
 		t.Fatal("Run accepted an empty Config")
 	}
 	cfg := rounds.Config{
@@ -126,8 +147,30 @@ func TestRunValidatesConfig(t *testing.T) {
 		NewProcess: func(self int) rounds.Algorithm { return &countingAlg{} },
 		MaxRounds:  5,
 	}
-	if _, err := Run(cfg, transport.NewInProc(2, nil), RawCodec{}); err == nil {
+	if _, err := Run(cfg, transport.NewInProc(2, nil), rawCodec{}); err == nil {
 		t.Fatal("Run accepted a transport sized for the wrong n")
+	}
+}
+
+// TestRunRejectsNilCodec: no family is the runtime's default, so a nil
+// codec is an up-front error — not a kset encode failure in round 1 of
+// an approx run, and not a started run.
+func TestRunRejectsNilCodec(t *testing.T) {
+	n, built := 3, 0
+	cfg := rounds.Config{
+		Adversary: adversary.Complete(n),
+		NewProcess: func(self int) rounds.Algorithm {
+			built++
+			return &countingAlg{}
+		},
+		MaxRounds: 5,
+	}
+	_, err := Run(cfg, transport.NewInProc(n, nil), nil)
+	if err == nil || !strings.Contains(err.Error(), "nil codec") {
+		t.Fatalf("Run with a nil codec returned %v, want the nil-codec error", err)
+	}
+	if built != 0 {
+		t.Fatalf("Run built %d processes before rejecting the nil codec", built)
 	}
 }
 
@@ -145,11 +188,40 @@ func TestRunnerMatchesSequentialExecutor(t *testing.T) {
 	}
 }
 
-func TestWireCodecRejectsForeignMessage(t *testing.T) {
-	if _, err := (WireCodec{}).Encode(nil, "not a message"); err == nil {
-		t.Fatal("WireCodec encoded a string")
+// TestRunnerReusableConcurrently pins that each call of a NewRunner
+// runner is an independent run: overlapping runs of one shared runner
+// write no shared state (-race) and each reproduces the lockstep outcome.
+func TestRunnerReusableConcurrently(t *testing.T) {
+	spec := sim.Spec{Adversary: adversary.Figure1(), Proposals: sim.SeqProposals(6)}
+	want, err := sim.Execute(spec)
+	if err != nil {
+		t.Fatal(err)
 	}
-	dec := WireCodec{}.NewDecoder(2)
+	spec.Runner = NewRunner(RunnerOpts{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := sim.Execute(spec)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if err := CompareOutcomes(want, got); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+func TestWireCodecRejectsForeignMessage(t *testing.T) {
+	codec := algo.MustLookup(algo.KSet).Codec
+	if _, err := codec.Encode(nil, "not a message"); err == nil {
+		t.Fatal("the kset wire codec encoded a string")
+	}
+	dec := codec.NewDecoder(2)
 	if _, err := dec.Decode(5, nil); err == nil {
 		t.Fatal("decoder accepted out-of-range sender")
 	}

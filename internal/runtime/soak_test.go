@@ -34,7 +34,7 @@ func TestLossReplayNightlySoak(t *testing.T) {
 				spec := sim.Spec{
 					Adversary: adversary.RandomSources(n, 1+rng.Intn(3), n/2, 0.25, rng),
 					Proposals: sim.SeqProposals(n),
-					Opts:      core.Options{ConservativeDecide: true},
+					Params:    core.Options{ConservativeDecide: true},
 					MaxRounds: 40,
 				}
 				rep, err := LossReplay(spec, LossReplayOpts{

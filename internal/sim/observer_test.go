@@ -39,23 +39,3 @@ func TestSpecObserverChainsWithTracker(t *testing.T) {
 		t.Fatalf("tracker bypassed: RST=%d MinK=%d", out.RST, out.MinK)
 	}
 }
-
-// TestSpecObserverWithConcurrentExecutor ensures the observer contract
-// holds under the goroutine-per-process executor too.
-func TestSpecObserverWithConcurrentExecutor(t *testing.T) {
-	count := 0
-	out, err := Execute(Spec{
-		Adversary:  adversary.Complete(4),
-		Proposals:  SeqProposals(4),
-		Concurrent: true,
-		Observer: rounds.ObserverFunc(func(int, *graph.Digraph, []rounds.Algorithm) {
-			count++
-		}),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != out.Rounds {
-		t.Fatalf("observer calls %d != rounds %d", count, out.Rounds)
-	}
-}

@@ -14,7 +14,6 @@ import (
 	"sync"
 
 	"kset/internal/algo"
-	"kset/internal/core"
 	"kset/internal/graph"
 	"kset/internal/predicate"
 	"kset/internal/rounds"
@@ -36,13 +35,6 @@ type Spec struct {
 	// kset, approx.Options for approx); nil means the family defaults.
 	// Resolve normalizes it in place.
 	Params any
-	// Opts configures Algorithm 1.
-	//
-	// Deprecated: Opts is the k-set-only spelling of Params, kept
-	// working for existing callers — when Algorithm is "kset" (or
-	// empty) and Params is nil, Opts is used, and sweeps built either
-	// way produce byte-identical output. New code should set Params.
-	Opts core.Options
 	// NewProcess optionally overrides the algorithm under test (e.g. a
 	// baseline); when nil, the registered Algorithm family runs with
 	// Proposals and Params.
@@ -54,10 +46,8 @@ type Spec struct {
 	// RunToCompletion keeps executing until MaxRounds even after all
 	// processes decided (needed when later rounds are inspected).
 	RunToCompletion bool
-	// Concurrent selects the goroutine-per-process executor.
-	Concurrent bool
-	// Runner, if non-nil, overrides the executor entirely (taking
-	// precedence over Concurrent). The distributed runtime plugs in here
+	// Runner, if non-nil, executes the run in place of the lockstep
+	// rounds.RunSequential. The distributed runtime plugs in here
 	// (runtime.NewRunner), so the whole sim pipeline — skeleton tracker,
 	// wire meter, outcome checks — runs unchanged over a real transport;
 	// the differential harness compares such runs against the lockstep
@@ -106,30 +96,18 @@ type Outcome struct {
 	Observer rounds.Observer
 }
 
-// meteredProc wraps Algorithm 1 to measure outgoing message sizes.
-type meteredProc struct {
-	*core.Process
-	mu    *sync.Mutex
-	meter *wire.Meter
-}
-
-// Send implements rounds.Algorithm; it feeds every outgoing (tag, x, G)
-// message through the wire meter before broadcast, measuring the
-// Section V bit-complexity claim without touching the algorithm.
-func (m meteredProc) Send(r int) any {
-	msg := m.Process.Send(r).(*core.Message)
-	m.mu.Lock()
-	m.meter.ObserveMessage(*msg)
-	m.mu.Unlock()
-	return msg
-}
-
-// meteredAlg is the family-generic metering wrapper: it measures each
+// meteredAlg is the metering wrapper the executor steps in place of a
+// family's process when Spec.MeterMessages is set: it measures each
 // outgoing message by encoding it through the family's own codec —
-// exactly the bytes the distributed runtime would put on the wire.
+// exactly the bytes the distributed runtime would put on the wire (for
+// kset, the Section V bit-complexity claim) — without touching the
+// algorithm. Only the executor sees it: Execute hands observers and the
+// outcome collector the wrapped processes themselves.
 type meteredAlg struct {
 	rounds.Algorithm
-	dec   rounds.Decider
+	// The executors' stop rules (rounds.AllDecided, a crash plan's
+	// survivors-decided rule) read decisions off the processes they step.
+	rounds.Decider
 	mu    *sync.Mutex
 	codec algo.Codec
 	buf   *[]byte
@@ -151,47 +129,27 @@ func (m meteredAlg) Send(r int) any {
 	return msg
 }
 
-// Proposal implements rounds.Decider.
-func (m meteredAlg) Proposal() int64 { return m.dec.Proposal() }
-
-// Decided implements rounds.Decider.
-func (m meteredAlg) Decided() bool { return m.dec.Decided() }
-
-// Decision implements rounds.Decider.
-func (m meteredAlg) Decision() (int64, int) { return m.dec.Decision() }
-
-// meteredFactory wraps a family's process factory with metering. The
-// kset family keeps its historical wrapper (byte-identical meters are
-// pinned by the E5 differential battery); other families meter through
-// their codec.
-func meteredFactory(alg *algo.Algorithm, inner func(int) rounds.Algorithm, meter *wire.Meter) func(int) rounds.Algorithm {
+// meteredFactory wraps a family's process factory with metering and
+// records each process it wraps in procs, by id.
+func meteredFactory(codec algo.Codec, inner func(int) rounds.Algorithm, procs []rounds.Algorithm, meter *wire.Meter) func(int) rounds.Algorithm {
 	var mu sync.Mutex
-	if alg.Name == algo.KSet {
-		return func(self int) rounds.Algorithm {
-			return meteredProc{Process: inner(self).(*core.Process), mu: &mu, meter: meter}
-		}
-	}
 	buf := new([]byte)
 	return func(self int) rounds.Algorithm {
 		p := inner(self)
-		dec, ok := p.(rounds.Decider)
-		if !ok {
-			// A family with a custom Collect and no Decider cannot be
-			// wrapped without hiding its real type; run it unmetered.
-			return p
-		}
-		return meteredAlg{Algorithm: p, dec: dec, mu: &mu, codec: alg.Codec, buf: buf, meter: meter}
+		procs[self] = p
+		// Registration rejects a family whose processes are not Deciders.
+		return meteredAlg{Algorithm: p, Decider: p.(rounds.Decider), mu: &mu, codec: codec, buf: buf, meter: meter}
 	}
 }
 
 // Resolve normalizes the spec in place for its registered algorithm
-// family: it validates the adversary and proposals, applies the
-// deprecated Opts shim, fills Params defaults through the family's
-// Prepare hook, and computes the automatic MaxRounds bound. Execute
-// calls it internally; the differential harness (runtime.Diff) calls it
-// before materializing the schedule, so parameter defaults that depend
-// on the adversary's stabilization round are identical in both
-// executions. Resolve is idempotent.
+// family: it validates the adversary and proposals, fills Params
+// defaults through the family's Prepare hook, and computes the
+// automatic MaxRounds bound. Execute calls it internally; the
+// differential harness (runtime.Diff) calls it before materializing the
+// schedule, so parameter defaults that depend on the adversary's
+// stabilization round are identical in both executions. Resolve is
+// idempotent.
 func (s *Spec) Resolve() error {
 	if s.Adversary == nil {
 		return fmt.Errorf("sim: nil adversary")
@@ -232,9 +190,6 @@ func (s *Spec) algoRun(alg *algo.Algorithm, n int) algo.Run {
 		Params:    s.Params,
 		MaxRounds: s.MaxRounds,
 	}
-	if alg.Name == algo.KSet && run.Params == nil {
-		run.Params = s.Opts // the deprecated Spec.Opts shim
-	}
 	if st, ok := s.Adversary.(rounds.Stabilizer); ok {
 		run.Stabilizes = true
 		run.Stab = st.StabilizationRound()
@@ -264,7 +219,9 @@ func Execute(spec Spec) (*Outcome, error) {
 	tracker := skeleton.NewTracker(n, false)
 
 	factory := spec.NewProcess
-	collect := trace.Collect
+	// own holds the family's own processes when the executor steps
+	// metering wrappers instead; nil when it steps them directly.
+	var own []rounds.Algorithm
 	if factory == nil {
 		alg := algo.MustLookup(spec.Algorithm)
 		run := spec.algoRun(alg, n)
@@ -273,16 +230,22 @@ func Execute(spec Spec) (*Outcome, error) {
 			return nil, err
 		}
 		factory = f
-		collect = alg.Collect
 		out.Run = &run
 		if spec.MeterMessages {
-			factory = meteredFactory(alg, factory, &out.Meter)
+			own = make([]rounds.Algorithm, n)
+			factory = meteredFactory(alg.Codec, factory, own, &out.Meter)
 		}
 	}
 
 	var observer rounds.Observer = tracker
 	if spec.Observer != nil {
 		observer = rounds.MultiObserver{tracker, spec.Observer}
+	}
+	if own != nil {
+		seen := observer
+		observer = rounds.ObserverFunc(func(r int, g *graph.Digraph, _ []rounds.Algorithm) {
+			seen.OnRound(r, g, own)
+		})
 	}
 	cfg := rounds.Config{
 		Adversary:  spec.Adversary,
@@ -295,9 +258,6 @@ func Execute(spec Spec) (*Outcome, error) {
 	}
 
 	runner := rounds.RunSequential
-	if spec.Concurrent {
-		runner = rounds.RunConcurrent
-	}
 	if spec.Runner != nil {
 		runner = spec.Runner
 	}
@@ -305,8 +265,11 @@ func Execute(spec Spec) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	if own != nil {
+		res.Procs = own
+	}
 
-	oc, err := collect(res)
+	oc, err := trace.Collect(res)
 	if err != nil {
 		return nil, err
 	}

@@ -2,13 +2,17 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"kset/internal/adversary"
+	"kset/internal/algo"
 	"kset/internal/baseline"
 	"kset/internal/core"
+	"kset/internal/graph"
 	"kset/internal/rounds"
+	"kset/internal/wire"
 )
 
 func TestExecuteFigure1(t *testing.T) {
@@ -54,21 +58,91 @@ func TestExecuteMeterCountsAllMessages(t *testing.T) {
 	}
 }
 
-func TestExecuteConcurrentMatchesSequential(t *testing.T) {
-	a, err := Execute(Spec{Adversary: adversary.Figure1(), Proposals: SeqProposals(6)})
+// sizedProc is Algorithm 1 with every outgoing message sized by the
+// wire format itself — the independent yardstick for the meter.
+type sizedProc struct {
+	*core.Process
+	sizes *[]int
+}
+
+func (p sizedProc) Send(r int) any {
+	msg := p.Process.Send(r)
+	*p.sizes = append(*p.sizes, len(wire.AppendEncode(nil, *msg.(*core.Message))))
+	return msg
+}
+
+// TestMeterMatchesWireFormat pins the E5 numbers against internal/wire
+// rather than against the metering wrapper: a kset run's Meter is the
+// count, sum and max of the wire encodings of every message sent.
+func TestMeterMatchesWireFormat(t *testing.T) {
+	const n = 7
+	mkAdv := func() rounds.Adversary {
+		return adversary.RandomSources(n, 2, 5, 0.3, rand.New(rand.NewSource(21)))
+	}
+	out, err := Execute(Spec{Adversary: mkAdv(), Proposals: SeqProposals(n), MeterMessages: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Execute(Spec{Adversary: adversary.Figure1(), Proposals: SeqProposals(6), Concurrent: true})
+	var sizes []int
+	inner := core.NewFactory(SeqProposals(n), core.Options{})
+	ref, err := Execute(Spec{
+		Adversary: mkAdv(),
+		NewProcess: func(self int) rounds.Algorithm {
+			return sizedProc{Process: inner(self).(*core.Process), sizes: &sizes}
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Rounds != b.Rounds {
-		t.Fatalf("round counts differ: %d vs %d", a.Rounds, b.Rounds)
+	if ref.Rounds != out.Rounds {
+		t.Fatalf("reference run took %d rounds, metered run %d", ref.Rounds, out.Rounds)
 	}
-	for i := range a.Decisions {
-		if a.Decisions[i] != b.Decisions[i] || a.DecideRounds[i] != b.DecideRounds[i] {
-			t.Fatalf("p%d differs across executors", i+1)
+	var want wire.Meter
+	for _, sz := range sizes {
+		want.Observe(sz)
+	}
+	if out.Meter != want {
+		t.Fatalf("Meter = %+v, wire format says %+v", out.Meter, want)
+	}
+}
+
+// TestMeteredRunShowsOwnProcesses: only the executor sees the metering
+// wrapper — for every registered family, the observers of a metered run
+// get the family's own process type in every round, so their type
+// assertions (check.Observer, the E15 stale-edge meter, -trace) hold.
+func TestMeteredRunShowsOwnProcesses(t *testing.T) {
+	for _, name := range algo.Names() {
+		alg := algo.MustLookup(name)
+		run := alg.Probe()
+		if err := alg.Prepare(&run); err != nil {
+			t.Fatal(err)
+		}
+		factory, err := alg.NewFactory(run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := reflect.TypeOf(factory(0))
+		observed := 0
+		out, err := Execute(Spec{
+			Adversary:     adversary.Complete(run.N),
+			Algorithm:     name,
+			Proposals:     run.Proposals,
+			Params:        run.Params,
+			MeterMessages: true,
+			Observer: rounds.ObserverFunc(func(r int, _ *graph.Digraph, procs []rounds.Algorithm) {
+				observed++
+				for i, p := range procs {
+					if got := reflect.TypeOf(p); got != own {
+						t.Errorf("%s round %d: observer sees p%d as %v, want %v", name, r, i+1, got, own)
+					}
+				}
+			}),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if observed != out.Rounds || out.Meter.Messages != run.N*out.Rounds {
+			t.Fatalf("%s: observed %d of %d rounds, metered %d messages", name, observed, out.Rounds, out.Meter.Messages)
 		}
 	}
 }
@@ -213,8 +287,3 @@ func TestTableRowMismatchPanics(t *testing.T) {
 	}()
 	tb.AddRow(1)
 }
-
-// Interface checks for the wrapped process.
-var _ rounds.Decider = meteredProc{}
-var _ rounds.Algorithm = meteredProc{}
-var _ = core.Options{}

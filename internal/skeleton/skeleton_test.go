@@ -279,3 +279,46 @@ func TestComponentMonotone(t *testing.T) {
 		}
 	}
 }
+
+// TestTrackerMatchesHOAndRRFD pins the paper's Section II bridge to the
+// HO and RRFD models on the tracker itself. With HO(p, r) the in-neighbors
+// of p in G^r and D(p, r) its complement, eq. (7) says
+// PT(p, r) = ⋂_{r'≤r} HO(p, r') = Π \ ⋃_{r'≤r} D(p, r'), and eq. (6)
+// says (q → p) ∈ E^∩r ⇔ ∀r' ≤ r: q ∈ HO(p, r').
+func TestTrackerMatchesHOAndRRFD(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for trial := 0; trial < 20; trial++ {
+		n := 2 + rng.Intn(9)
+		tr := NewTracker(n, false)
+		hoInt := make([]graph.NodeSet, n)
+		dUnion := make([]graph.NodeSet, n)
+		for p := range hoInt {
+			hoInt[p] = graph.FullNodeSet(n)
+			dUnion[p] = graph.NewNodeSet(n)
+		}
+		for r := 1; r <= 12; r++ {
+			g := graph.RandomDigraph(n, 0.3+0.6*rng.Float64(), rng)
+			tr.Observe(r, g)
+			skel := tr.Skeleton()
+			for p := 0; p < n; p++ {
+				ho := g.InNeighbors(p)
+				d := graph.FullNodeSet(n)
+				d.SubtractWith(ho)
+				hoInt[p].IntersectWith(ho)
+				dUnion[p].UnionWith(d)
+				fromD := graph.FullNodeSet(n)
+				fromD.SubtractWith(dUnion[p])
+				if pt := tr.PT(p); !pt.Equal(hoInt[p]) || !pt.Equal(fromD) {
+					t.Fatalf("trial %d round %d: PT(p%d) = %v, ⋂HO = %v, Π\\⋃D = %v",
+						trial, r, p+1, pt, hoInt[p], fromD)
+				}
+				for q := 0; q < n; q++ {
+					if skel.HasEdge(q, p) != hoInt[p].Has(q) {
+						t.Fatalf("trial %d round %d: (p%d→p%d) ∈ E^∩r is %v, q ∈ every HO(p, r') is %v",
+							trial, r, q+1, p+1, skel.HasEdge(q, p), hoInt[p].Has(q))
+					}
+				}
+			}
+		}
+	}
+}

@@ -201,11 +201,6 @@ func (mt *Meter) Observe(size int) {
 	}
 }
 
-// ObserveMessage encodes and accounts a message.
-func (mt *Meter) ObserveMessage(m core.Message) {
-	mt.Observe(EncodedSize(m))
-}
-
 // Avg returns the mean message size in bytes.
 func (mt *Meter) Avg() float64 {
 	if mt.Messages == 0 {

@@ -143,12 +143,6 @@ func TestMeter(t *testing.T) {
 	if empty.Avg() != 0 {
 		t.Fatal("empty Avg should be 0")
 	}
-	g := graph.NewLabeled(2)
-	g.MergeEdge(0, 1, 1)
-	mt.ObserveMessage(core.Message{Kind: core.Prop, X: 1, G: g})
-	if mt.Messages != 3 {
-		t.Fatal("ObserveMessage did not count")
-	}
 }
 
 func TestSizeGrowsWithGraph(t *testing.T) {

@@ -113,9 +113,6 @@ func NewFactory(proposals []int64, opts Options) func(self int) Algorithm {
 // RunSequential executes a run in deterministic lockstep.
 func RunSequential(cfg Config) (*Result, error) { return rounds.RunSequential(cfg) }
 
-// RunConcurrent executes a run with one goroutine per process.
-func RunConcurrent(cfg Config) (*Result, error) { return rounds.RunConcurrent(cfg) }
-
 // Execute runs one fully instrumented simulation.
 func Execute(spec Spec) (*Outcome, error) { return sim.Execute(spec) }
 
