@@ -136,7 +136,7 @@ func (g *Labeled) Reset() {
 // AddNode marks v present.
 func (g *Labeled) AddNode(v int) {
 	g.check(v)
-	g.present.Add(v)
+	g.present.set(v)
 }
 
 // HasNode reports whether v is present.
@@ -168,7 +168,7 @@ func (g *Labeled) RemoveNode(v int) {
 			w &^= 1 << b
 			t := i*wordBits + b
 			g.labels[base+t] = 0
-			g.in[t].Remove(v)
+			g.in[t].unset(v)
 		}
 		row[i] = 0
 	}
@@ -179,11 +179,11 @@ func (g *Labeled) RemoveNode(v int) {
 			w &^= 1 << b
 			s := i*wordBits + b
 			g.labels[s*g.n+v] = 0
-			g.out[s].Remove(v)
+			g.out[s].unset(v)
 		}
 		col[i] = 0
 	}
-	g.present.Remove(v)
+	g.present.unset(v)
 }
 
 // MergeEdge merges the edge u --label--> v keeping the maximum label for
@@ -198,12 +198,12 @@ func (g *Labeled) MergeEdge(u, v, label int) bool {
 	if label > MaxLabel {
 		panic(fmt.Sprintf("graph: label %d exceeds MaxLabel %d", label, MaxLabel))
 	}
-	g.present.Add(u)
-	g.present.Add(v)
+	g.present.set(u)
+	g.present.set(v)
 	if int32(label) > g.labels[u*g.n+v] {
 		if g.labels[u*g.n+v] == 0 {
-			g.out[u].Add(v)
-			g.in[v].Add(u)
+			g.out[u].set(v)
+			g.in[v].set(u)
 			g.m++
 		}
 		g.labels[u*g.n+v] = int32(label)
@@ -315,7 +315,7 @@ func (g *Labeled) MergeFrom(src *Labeled) {
 				for nw != 0 {
 					b := bits.TrailingZeros64(nw)
 					nw &^= 1 << b
-					g.in[lo+b].Add(u)
+					g.in[lo+b].set(u)
 				}
 			} else {
 				for t := w; t != 0; {
@@ -324,7 +324,7 @@ func (g *Labeled) MergeFrom(src *Labeled) {
 					v := i*wordBits + b
 					if sl[v] > dl[v] {
 						if dl[v] == 0 {
-							g.in[v].Add(u)
+							g.in[v].set(u)
 							g.m++
 						}
 						dl[v] = sl[v]
@@ -357,8 +357,8 @@ func (g *Labeled) PurgeOlderThan(threshold int) int {
 			if l != 0 && l <= t32 {
 				u, v := i/g.n, i%g.n
 				g.labels[i] = 0
-				g.out[u].Remove(v)
-				g.in[v].Remove(u)
+				g.out[u].unset(v)
+				g.in[v].unset(u)
 				removed++
 			}
 		}
@@ -379,7 +379,7 @@ func (g *Labeled) PurgeOlderThan(threshold int) int {
 					if l := g.labels[base+v]; l != 0 && l <= t32 {
 						g.labels[base+v] = 0
 						row[i] &^= 1 << (v - lo)
-						g.in[v].Remove(u)
+						g.in[v].unset(u)
 						removed++
 					}
 				}
@@ -391,7 +391,7 @@ func (g *Labeled) PurgeOlderThan(threshold int) int {
 					if g.labels[base+v] <= t32 {
 						g.labels[base+v] = 0
 						row[i] &^= 1 << b
-						g.in[v].Remove(u)
+						g.in[v].unset(u)
 						removed++
 					}
 				}
@@ -431,7 +431,7 @@ func (g *Labeled) PruneUnreachableTo(p int) int {
 // nothing.
 func (g *Labeled) PruneUnreachableToInPlace(p int, s *ReachScratch) int {
 	g.check(p)
-	g.present.Add(p)
+	g.present.set(p)
 	g.reverseReachInto(p, s)
 	removed := 0
 	for i, word := range g.present.words {

@@ -74,6 +74,14 @@ func (s *NodeSet) Add(v int) {
 	s.words[v/wordBits] |= 1 << (v % wordBits)
 }
 
+// set and unset are Add and Remove for a set whose universe is fixed and
+// whose caller has already range-checked v — the arena-backed rows of
+// Labeled, whose capacity must never grow into the neighbouring slot.
+// Without the growth loop and the range branches they inline into the
+// per-edge kernels; an out-of-universe v fails the slice bounds check.
+func (s NodeSet) set(v int)   { s.words[uint(v)/wordBits] |= 1 << (uint(v) % wordBits) }
+func (s NodeSet) unset(v int) { s.words[uint(v)/wordBits] &^= 1 << (uint(v) % wordBits) }
+
 // Remove deletes v from the set. Removing an absent node is a no-op.
 func (s *NodeSet) Remove(v int) {
 	if v < 0 || v/wordBits >= len(s.words) {

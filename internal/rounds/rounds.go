@@ -7,10 +7,12 @@
 //
 // A run is completely determined by the initial states of the processes
 // and the sequence of communication graphs. Two independent executors
-// step that definition: RunSequential here (lockstep, on the calling
-// goroutine) and the live runtime (internal/runtime: a goroutine per
-// process over a transport). They therefore produce identical runs for
-// identical inputs, which runtime.Diff verifies.
+// step that definition: RunSequential here (lockstep: one round at a
+// time, coordinated by the calling goroutine, which from a measured
+// size up shares each round's transitions with the idle cores) and the
+// live runtime (internal/runtime: a goroutine per process over a
+// transport). They therefore produce identical runs for identical
+// inputs, which runtime.Diff verifies.
 package rounds
 
 import (
@@ -22,8 +24,9 @@ import (
 
 // Algorithm is the paper's pair of sending and transition functions,
 // instantiated once per process. Implementations must be deterministic:
-// the executor may run transitions in any order or concurrently, but each
-// process only ever sees its own state plus received messages.
+// the executor may run the Init calls, and the transitions of one round,
+// in any order or concurrently — both executors do — but each process
+// only ever sees its own state plus received messages.
 //
 // Messages must be treated as immutable by receivers: a broadcast message
 // is shared by every receiver in the round.

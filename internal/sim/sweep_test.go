@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -10,12 +11,18 @@ import (
 	"kset/internal/stats"
 )
 
-// streamDigest runs a streaming sweep over `cells` random-source trials
-// and renders the aggregated statistics as a string. Any dependence of
-// the aggregation on the worker count would change the digest.
-func streamDigest(t *testing.T, cells, workers, shardSize int) string {
+// randomSources8 is the digest tests' default trial: n = 8, a random
+// rooted skeleton under a noisy prefix.
+func randomSources8(rng *rand.Rand) *adversary.Run {
+	return adversary.RandomSources(8, 1+rng.Intn(3), rng.Intn(8), 0.25, rng)
+}
+
+// streamDigest runs a streaming sweep over `cells` random trials drawn
+// by adv and renders the aggregated statistics as a string. Any
+// dependence of the aggregation on the worker count would change the
+// digest.
+func streamDigest(t *testing.T, adv func(*rand.Rand) *adversary.Run, cells, workers, shardSize int) string {
 	t.Helper()
-	n := 8
 	rounds := stats.NewStream()
 	var distinct stats.Running
 	order := make([]int, 0, cells)
@@ -24,11 +31,8 @@ func streamDigest(t *testing.T, cells, workers, shardSize int) string {
 		Workers:   workers,
 		ShardSize: shardSize,
 		Spec: func(cell int) (Spec, error) {
-			rng := rand.New(rand.NewSource(CellSeed(42, cell)))
-			return Spec{
-				Adversary: adversary.RandomSources(n, 1+rng.Intn(3), rng.Intn(n), 0.25, rng),
-				Proposals: SeqProposals(n),
-			}, nil
+			run := adv(rand.New(rand.NewSource(CellSeed(42, cell))))
+			return Spec{Adversary: run, Proposals: SeqProposals(run.N())}, nil
 		},
 		OnOutcome: func(cell int, out *Outcome) error {
 			order = append(order, cell)
@@ -50,13 +54,32 @@ func streamDigest(t *testing.T, cells, workers, shardSize int) string {
 
 func TestStreamSweepByteStableAcrossWorkers(t *testing.T) {
 	const cells = 60
-	want := streamDigest(t, cells, 1, 4)
+	want := streamDigest(t, randomSources8, cells, 1, 4)
 	for _, workers := range []int{4, 8} {
 		for _, shard := range []int{1, 4, 16} {
-			if got := streamDigest(t, cells, workers, shard); got != want {
+			if got := streamDigest(t, randomSources8, cells, workers, shard); got != want {
 				t.Fatalf("workers=%d shard=%d digest\n  %s\nwant (workers=1)\n  %s",
 					workers, shard, got, want)
 			}
+		}
+	}
+}
+
+// TestStreamSweepByteStableAcrossCores is the same pin one size above the
+// crossover (n >= 128) from which rounds.RunSequential shards each
+// trial's transitions over GOMAXPROCS workers: the table must not depend
+// on the core count either, alone or under a parallel sweep.
+func TestStreamSweepByteStableAcrossCores(t *testing.T) {
+	const n, cells = 130, 6
+	hubs := func(rng *rand.Rand) *adversary.Run {
+		return adversary.HubClusters(n, 1+rng.Intn(3), 4, 2/float64(n), rng)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := streamDigest(t, hubs, cells, 1, 1)
+	runtime.GOMAXPROCS(2)
+	for _, workers := range []int{1, 4} {
+		if got := streamDigest(t, hubs, cells, workers, 2); got != want {
+			t.Fatalf("GOMAXPROCS=2 workers=%d digest\n  %s\nwant (GOMAXPROCS=1, workers=1)\n  %s", workers, got, want)
 		}
 	}
 }

@@ -110,7 +110,9 @@ func NewFactory(proposals []int64, opts Options) func(self int) Algorithm {
 	return core.NewFactory(proposals, opts)
 }
 
-// RunSequential executes a run in deterministic lockstep.
+// RunSequential executes a run in deterministic lockstep, one round at a
+// time. Large runs step each round's transitions on all available
+// cores; the result does not depend on how many there are.
 func RunSequential(cfg Config) (*Result, error) { return rounds.RunSequential(cfg) }
 
 // Execute runs one fully instrumented simulation.
