@@ -539,8 +539,12 @@ func BenchmarkTransportRound(b *testing.B) {
 		// ~1000 in-flight buffers per round make pool-eviction alloc
 		// counts GC-timing-dependent, which the benchdiff gate cannot
 		// tolerate (E19 covers that shape's throughput instead).
-		{"tcp", []int{8}, func(n int) (transport.Transport, error) { return transport.NewTCPLoopback(n, nil) }},
-		{"tcpnodes2", []int{8, 32}, func(n int) (transport.Transport, error) { return transport.NewTCPMeshLoopback(n, 2, nil) }},
+		{"tcp", []int{8}, func(n int) (transport.Transport, error) {
+			return transport.NewTCPMeshLoopbackOpts(n, n, nil, transport.TCPOpts{})
+		}},
+		{"tcpnodes2", []int{8, 32}, func(n int) (transport.Transport, error) {
+			return transport.NewTCPMeshLoopbackOpts(n, 2, nil, transport.TCPOpts{})
+		}},
 		// The UDP rows mirror the TCP ones (same n=8 restriction on the
 		// fully distributed shape, for the same pool-eviction reason).
 		// Default options: on a quiet loopback nothing is lost, so the

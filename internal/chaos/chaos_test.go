@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"os"
 	"testing"
 	"time"
 
@@ -14,9 +15,14 @@ import (
 // TestCrashReplayBattery is the acceptance battery: every transport ×
 // n ∈ {8, 16} × seeded crash plans cycling through all three crash
 // sites, each live run verified bit-for-bit against its lockstep replay.
-// Zero tolerance: any divergence fails (and drops a .ksr artifact via
-// ArtifactDir when debugging locally).
+// Zero tolerance: any divergence fails and drops a .ksr of the realized
+// graphs into KSET_ARTIFACT_DIR, which the CI chaos lane uploads (a test
+// temp dir, deleted with the test, when the variable is unset).
 func TestCrashReplayBattery(t *testing.T) {
+	artifactDir := os.Getenv("KSET_ARTIFACT_DIR")
+	if artifactDir == "" {
+		artifactDir = t.TempDir()
+	}
 	for _, cfg := range BatteryConfigs() {
 		cfg := cfg
 		if testing.Short() && cfg.N > 8 {
@@ -24,7 +30,7 @@ func TestCrashReplayBattery(t *testing.T) {
 		}
 		t.Run(cfg.Name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := Run(cfg, t.TempDir())
+			rep, err := Run(cfg, artifactDir)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -271,15 +271,15 @@ func TestLabeledArenaBoundaries(t *testing.T) {
 						if w == u {
 							wantOut = 1
 						}
-						if g.out[w].Len() != wantOut {
-							t.Fatalf("edge %d->%d: out shadow [%d] = %v", u, v, w, g.out[w])
+						if g.shadow.out[w].Len() != wantOut {
+							t.Fatalf("edge %d->%d: out shadow [%d] = %v", u, v, w, g.shadow.out[w])
 						}
 						wantIn := 0
 						if w == v {
 							wantIn = 1
 						}
-						if g.in[w].Len() != wantIn {
-							t.Fatalf("edge %d->%d: in shadow [%d] = %v", u, v, w, g.in[w])
+						if g.shadow.in[w].Len() != wantIn {
+							t.Fatalf("edge %d->%d: in shadow [%d] = %v", u, v, w, g.shadow.in[w])
 						}
 					}
 					for a := 0; a < n; a++ {

@@ -54,28 +54,6 @@ func RootComponents(g *Digraph) []NodeSet {
 	return roots
 }
 
-// IsRootComponent reports whether the given node set is a root component
-// of g: it must be an exact strongly connected component and have no
-// incoming edges from outside.
-func IsRootComponent(g *Digraph, comp NodeSet) bool {
-	m := comp.Min()
-	if m < 0 || !g.HasNode(m) {
-		return false
-	}
-	if !ComponentOf(g, m).Equal(comp) {
-		return false
-	}
-	ok := true
-	comp.ForEach(func(v int) {
-		g.in[v].ForEach(func(u int) {
-			if !comp.Has(u) {
-				ok = false
-			}
-		})
-	})
-	return ok
-}
-
 // IsDAG reports whether g has no directed cycle (self-loops count as
 // cycles).
 func IsDAG(g *Digraph) bool {
@@ -89,33 +67,4 @@ func IsDAG(g *Digraph) bool {
 		}
 	}
 	return true
-}
-
-// TopoOrder returns a topological order of a DAG's present nodes; it
-// panics if g has a cycle.
-func TopoOrder(g *Digraph) []int {
-	if !IsDAG(g) {
-		panic("graph: TopoOrder on cyclic graph")
-	}
-	indeg := make([]int, g.N())
-	var queue []int
-	g.present.ForEach(func(v int) {
-		indeg[v] = g.InDegree(v)
-		if indeg[v] == 0 {
-			queue = append(queue, v)
-		}
-	})
-	var order []int
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		g.out[v].ForEach(func(w int) {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
-			}
-		})
-	}
-	return order
 }

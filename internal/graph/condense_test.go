@@ -99,26 +99,15 @@ func TestRootComponentsHaveNoIncomingEdges(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		g := RandomDigraph(8, 0.3, rng)
 		for _, root := range RootComponents(g) {
-			if !IsRootComponent(g, root) {
-				t.Fatalf("reported root %v fails IsRootComponent in %v", root, g)
+			if !ComponentOf(g, root.Min()).Equal(root) {
+				t.Fatalf("reported root %v is not a component of %v", root, g)
 			}
+			root.ForEach(func(v int) {
+				if !g.InNeighbors(v).SubsetOf(root) {
+					t.Fatalf("root %v has an incoming edge at p%d in %v", root, v+1, g)
+				}
+			})
 		}
-	}
-}
-
-func TestIsRootComponentRejectsNonComponents(t *testing.T) {
-	g := figure1StableSkeleton()
-	if IsRootComponent(g, NodeSetOf(0)) {
-		t.Fatal("{p1} is not maximal (p1,p2 strongly connected)")
-	}
-	if IsRootComponent(g, NodeSetOf(5)) {
-		t.Fatal("{p6} has incoming edge from p5")
-	}
-	if IsRootComponent(g, NodeSetOf(0, 1, 2)) {
-		t.Fatal("{p1,p2,p3} is not a strongly connected component")
-	}
-	if !IsRootComponent(g, NodeSetOf(2, 3, 4)) {
-		t.Fatal("{p3,p4,p5} should be a root component")
 	}
 }
 
@@ -138,39 +127,6 @@ func TestIsDAG(t *testing.T) {
 	if IsDAG(h) {
 		t.Fatal("self-loop reported as DAG")
 	}
-}
-
-func TestTopoOrder(t *testing.T) {
-	g := NewDigraph(5)
-	g.AddEdge(0, 2)
-	g.AddEdge(1, 2)
-	g.AddEdge(2, 3)
-	g.AddNode(4)
-	order := TopoOrder(g)
-	pos := make(map[int]int)
-	for i, v := range order {
-		pos[v] = i
-	}
-	if len(order) != 5 {
-		t.Fatalf("order = %v", order)
-	}
-	for _, e := range g.Edges() {
-		if pos[e.From] >= pos[e.To] {
-			t.Fatalf("edge %v violates topological order %v", e, order)
-		}
-	}
-}
-
-func TestTopoOrderPanicsOnCycle(t *testing.T) {
-	g := NewDigraph(2)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	TopoOrder(g)
 }
 
 func TestRootComponentCountMatchesCondensationSources(t *testing.T) {

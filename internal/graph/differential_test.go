@@ -145,31 +145,29 @@ func (r *refLabeled) stronglyConnected() bool {
 	return true
 }
 
-// checkLabeledInvariants verifies the bit-shadow invariant directly
-// against the label matrix: out[u] has bit v and in[v] has bit u exactly
-// when labels[u*n+v] != 0, and edges exist only between present nodes.
+// checkLabeledInvariants verifies the shadow invariant directly against
+// the label matrix: shadow.out[u] has bit v and shadow.in[v] has bit u
+// exactly when labels[u*n+v] != 0, edges exist only between present
+// nodes, and m counts the shadow's edges.
 func checkLabeledInvariants(t *testing.T, g *Labeled) {
 	t.Helper()
-	for u := 0; u < g.n; u++ {
-		for v := 0; v < g.n; v++ {
-			l := g.labels[u*g.n+v]
-			if (l != 0) != g.out[u].Has(v) {
-				t.Fatalf("shadow invariant: labels[%d->%d]=%d but out bit %v", u, v, l, g.out[u].Has(v))
+	sh, n := &g.shadow, g.N()
+	for u := 0; u < n; u++ {
+		for v := 0; v < n; v++ {
+			l := g.labels[u*n+v]
+			if (l != 0) != sh.out[u].Has(v) {
+				t.Fatalf("shadow invariant: labels[%d->%d]=%d but out bit %v", u, v, l, sh.out[u].Has(v))
 			}
-			if (l != 0) != g.in[v].Has(u) {
-				t.Fatalf("shadow invariant: labels[%d->%d]=%d but in bit %v", u, v, l, g.in[v].Has(u))
+			if (l != 0) != sh.in[v].Has(u) {
+				t.Fatalf("shadow invariant: labels[%d->%d]=%d but in bit %v", u, v, l, sh.in[v].Has(u))
 			}
-			if l != 0 && (!g.present.Has(u) || !g.present.Has(v)) {
+			if l != 0 && (!sh.present.Has(u) || !sh.present.Has(v)) {
 				t.Fatalf("edge %d->%d between non-present nodes", u, v)
 			}
 		}
 	}
-	count := 0
-	for u := 0; u < g.n; u++ {
-		count += g.out[u].Len()
-	}
-	if g.m != count {
-		t.Fatalf("edge counter m = %d, shadows hold %d edges", g.m, count)
+	if g.m != sh.NumEdges() {
+		t.Fatalf("edge counter m = %d, shadow holds %d edges", g.m, sh.NumEdges())
 	}
 }
 
@@ -184,13 +182,13 @@ func checkLabeledMatchesRef(t *testing.T, g *Labeled, ref *refLabeled) {
 	if g.NumEdges() != len(ref.labels) {
 		t.Fatalf("NumEdges = %d, ref %d", g.NumEdges(), len(ref.labels))
 	}
-	for v := 0; v < g.n; v++ {
+	for v := 0; v < g.N(); v++ {
 		if g.HasNode(v) != ref.present[v] {
 			t.Fatalf("HasNode(%d) = %v, ref %v", v, g.HasNode(v), ref.present[v])
 		}
 	}
-	for u := 0; u < g.n; u++ {
-		for v := 0; v < g.n; v++ {
+	for u := 0; u < g.N(); u++ {
+		for v := 0; v < g.N(); v++ {
 			if g.Label(u, v) != ref.labels[[2]int{u, v}] {
 				t.Fatalf("Label(%d,%d) = %d, ref %d", u, v, g.Label(u, v), ref.labels[[2]int{u, v}])
 			}
@@ -208,11 +206,50 @@ func checkLabeledMatchesRef(t *testing.T, g *Labeled, ref *refLabeled) {
 	})
 }
 
+// checkUnlabeledIsCopy verifies that Unlabeled returns the reference
+// model's structure in a graph of its own: emptying the copy and adding an
+// edge to it must leave g (checked against ref by the caller right after)
+// unchanged.
+func checkUnlabeledIsCopy(t *testing.T, g *Labeled, ref *refLabeled) {
+	t.Helper()
+	d, n := g.Unlabeled(), g.N()
+	if d.NumNodes() != len(ref.present) || d.NumEdges() != len(ref.labels) {
+		t.Fatalf("Unlabeled has %d nodes %d edges, ref %d and %d", d.NumNodes(), d.NumEdges(), len(ref.present), len(ref.labels))
+	}
+	for k := range ref.labels {
+		if !d.HasEdge(k[0], k[1]) {
+			t.Fatalf("Unlabeled lacks edge %d->%d", k[0], k[1])
+		}
+	}
+	for v := 0; v < n; v++ {
+		if d.HasNode(v) != ref.present[v] {
+			t.Fatalf("Unlabeled HasNode(%d) = %v, ref %v", v, d.HasNode(v), ref.present[v])
+		}
+		d.RemoveNode(v)
+	}
+	d.AddEdge(0, n-1)
+}
+
+// checkStep is what every battery asserts after every operation.
+func checkStep(t *testing.T, step string, g *Labeled, ref *refLabeled) {
+	t.Helper()
+	if g.StronglyConnected() != ref.stronglyConnected() {
+		t.Fatalf("%s: StronglyConnected = %v, ref %v\n%s", step, g.StronglyConnected(), ref.stronglyConnected(), g)
+	}
+	checkUnlabeledIsCopy(t, g, ref)
+	checkLabeledMatchesRef(t, g, ref)
+	checkLabeledInvariants(t, g)
+}
+
 // TestDifferentialLabeledOps drives Labeled and the reference model
 // through identical seeded random operation sequences at every width,
 // comparing full state and shadow invariants after each step. The op mix
-// covers the entire per-round kernel surface of Algorithm 1's rebuild.
+// covers the entire per-round kernel surface of Algorithm 1's rebuild;
+// the merged-in side graph is either a handful of seam edges or wordRows,
+// so the receiver moves back and forth across dense()'s 25% line and both
+// tiers of every kernel run on it.
 func TestDifferentialLabeledOps(t *testing.T) {
+	flatMerges, crossings := 0, 0
 	for _, n := range diffWidths {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -221,11 +258,13 @@ func TestDifferentialLabeledOps(t *testing.T) {
 			ref := newRefLabeled(n)
 			other := NewLabeled(n)
 			refOther := newRefLabeled(n)
+			var scratch ReachScratch
 			steps := 120
 			if n >= 127 {
 				steps = 60
 			}
 			for step := 0; step < steps; step++ {
+				wasDense := g.dense()
 				switch op := rng.Intn(10); op {
 				case 0, 1, 2, 3: // merge a batch of edges, seams included
 					for i := 0; i < 1+rng.Intn(8); i++ {
@@ -242,20 +281,27 @@ func TestDifferentialLabeledOps(t *testing.T) {
 					thr := rng.Intn(60) - 5
 					g.PurgeOlderThan(thr)
 					ref.purgeOlderThan(thr)
-				case 6: // rebuild the side graph and merge it in
+				case 6: // rebuild the side graph — a few seam edges, or word-filling rows — and merge it in
 					other.Reset()
 					refOther.reset()
-					for i := 0; i < 1+rng.Intn(10); i++ {
-						u, v := seamNode(rng, n), seamNode(rng, n)
-						l := 1 + rng.Intn(50)
-						other.MergeEdge(u, v, l)
-						refOther.mergeEdge(u, v, l)
+					if rng.Intn(2) == 0 {
+						for i := 0; i < 1+rng.Intn(10); i++ {
+							u, v := seamNode(rng, n), seamNode(rng, n)
+							l := 1 + rng.Intn(50)
+							other.MergeEdge(u, v, l)
+							refOther.mergeEdge(u, v, l)
+						}
+					} else {
+						wordRows(rng, n, []int{15, 16, 17, 64}[rng.Intn(4)], other, refOther)
+					}
+					if n >= 63 && other.dense() {
+						flatMerges++
 					}
 					g.MergeFrom(other)
 					ref.mergeFrom(refOther)
 				case 7: // prune to a node
 					p := seamNode(rng, n)
-					g.PruneUnreachableTo(p)
+					g.PruneUnreachableToInPlace(p, &scratch)
 					ref.pruneUnreachableTo(p)
 				case 8: // add an isolated node
 					v := seamNode(rng, n)
@@ -267,13 +313,38 @@ func TestDifferentialLabeledOps(t *testing.T) {
 						ref.reset()
 					}
 				}
-				if g.StronglyConnected() != ref.stronglyConnected() {
-					t.Fatalf("step %d: StronglyConnected = %v, ref %v\n%s", step, g.StronglyConnected(), ref.stronglyConnected(), g)
+				checkStep(t, fmt.Sprintf("step %d", step), g, ref)
+				if n >= 63 && g.dense() != wasDense {
+					crossings++
 				}
-				checkLabeledMatchesRef(t, g, ref)
-				checkLabeledInvariants(t, g)
 			}
 		})
+	}
+	if flatMerges == 0 || crossings == 0 {
+		t.Fatalf("%d flat-tier merges and %d crossings of dense()'s line: the mix no longer reaches both tiers", flatMerges, crossings)
+	}
+}
+
+// wordRows fills g (and ref) with rows whose every 64-pair word holds
+// exactly perWord edges (fewer only where the universe ends inside the
+// word), on a random half of the nodes. 16 is the popcount at which a
+// deleted middle tier of MergeFrom/Reset/PurgeOlderThan used to switch
+// from the per-bit walk to a scan of the word's 64 cells; 15 and 17 are
+// its two sides and 64 the full word. Half the rows at 64 per word is a
+// 50% graph (flat tier), at 15-17 a 12% one (per-bit tier).
+func wordRows(rng *rand.Rand, n, perWord int, g *Labeled, ref *refLabeled) {
+	for u := 0; u < n; u++ {
+		if rng.Intn(2) == 0 {
+			continue
+		}
+		for lo := 0; lo < n; lo += wordBits {
+			width := min(wordBits, n-lo)
+			for _, b := range rng.Perm(width)[:min(perWord, width)] {
+				l := 1 + rng.Intn(50)
+				g.MergeEdge(u, lo+b, l)
+				ref.mergeEdge(u, lo+b, l)
+			}
+		}
 	}
 }
 
@@ -388,7 +459,8 @@ func TestDifferentialEmbedding(t *testing.T) {
 			t.Fatalf("trial %d: purge counts differ", trial)
 		}
 		p := rng.Intn(64)
-		if small.PruneUnreachableTo(p) != big.PruneUnreachableTo(p) {
+		var s ReachScratch
+		if small.PruneUnreachableToInPlace(p, &s) != big.PruneUnreachableToInPlace(p, &s) {
 			t.Fatalf("trial %d: prune counts differ", trial)
 		}
 		if small.StronglyConnected() != big.StronglyConnected() {

@@ -19,30 +19,45 @@ func (e Edge) String() string { return fmt.Sprintf("p%d->p%d", e.From+1, e.To+1)
 // contain only the processes a node has heard about). Both out- and
 // in-adjacency are maintained so that timely neighborhoods (in-neighbor
 // queries) are O(1).
+//
+// All 2n+1 node sets live in one flat arena — words [0,w) hold present,
+// row i of out starts at (1+i)·w and row i of in at (1+n+i)·w, with
+// w = ⌈n/64⌉ — so a graph is three allocations, and Clone, Labeled's
+// whole-graph merge and its dense Reset are single passes over the arena.
+// Every mutation is range-checked against n, so no set ever grows out of
+// its slot; the full-capacity reslices make a stray append reallocate
+// instead of clobbering the neighbouring row.
 type Digraph struct {
 	n       int
 	present NodeSet
 	out     []NodeSet
 	in      []NodeSet
+	arena   []uint64
 }
 
 // NewDigraph returns an empty graph over the universe 0..n-1 with no nodes
-// present. All 2n+1 node sets (present, out, in) share one flat []uint64
-// arena, so construction costs three allocations instead of 2n+2; the
-// full-capacity reslices confine each set to its arena slot even if it is
-// later grown through append.
+// present.
 func NewDigraph(n int) *Digraph {
+	g := makeDigraph(n)
+	return &g
+}
+
+// makeDigraph lays out the arena of NewDigraph and returns the graph by
+// value, so Labeled can hold its unweighted shadow without another pointer
+// hop on the per-edge paths.
+func makeDigraph(n int) Digraph {
 	if n < 0 {
 		panic(fmt.Sprintf("graph: negative universe size %d", n))
 	}
 	words := (n + wordBits - 1) / wordBits
 	sets := make([]NodeSet, 2*n)
 	arena := make([]uint64, (2*n+1)*words)
-	g := &Digraph{
+	g := Digraph{
 		n:       n,
 		present: NodeSet{words: arena[0:words:words]},
 		out:     sets[:n:n],
 		in:      sets[n:],
+		arena:   arena,
 	}
 	for i := 0; i < n; i++ {
 		lo := (1 + i) * words
@@ -203,14 +218,10 @@ func (g *Digraph) AddSelfLoops() {
 	g.present.ForEach(func(v int) { g.AddEdge(v, v) })
 }
 
-// Clone returns a deep copy of g, arena-backed like NewDigraph.
+// Clone returns a deep copy of g: one flat copy of the arena.
 func (g *Digraph) Clone() *Digraph {
 	c := NewDigraph(g.n)
-	c.present.CopyFrom(g.present)
-	for i := 0; i < g.n; i++ {
-		c.out[i].CopyFrom(g.out[i])
-		c.in[i].CopyFrom(g.in[i])
-	}
+	copy(c.arena, g.arena)
 	return c
 }
 
@@ -234,7 +245,8 @@ func (g *Digraph) Intersect(h *Digraph) *Digraph {
 		panic(fmt.Sprintf("graph: intersect over different universes %d and %d", g.n, h.n))
 	}
 	r := NewDigraph(g.n)
-	r.present = g.present.Intersect(h.present)
+	r.present.CopyFrom(g.present) // same universe: stays inside r's arena slot
+	r.present.IntersectWith(h.present)
 	r.present.ForEach(func(u int) {
 		common := g.out[u].Intersect(h.out[u])
 		common.IntersectWith(r.present)

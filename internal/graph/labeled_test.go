@@ -97,7 +97,8 @@ func TestLabeledPruneUnreachableTo(t *testing.T) {
 	g.MergeEdge(1, 2, 1)
 	g.MergeEdge(2, 3, 1)
 	g.AddNode(4) // isolated
-	removed := g.PruneUnreachableTo(2)
+	var scratch ReachScratch
+	removed := g.PruneUnreachableToInPlace(2, &scratch)
 	if removed != 2 {
 		t.Fatalf("removed = %d, want 2 (p4 and p5)", removed)
 	}
@@ -112,7 +113,8 @@ func TestLabeledPruneUnreachableTo(t *testing.T) {
 func TestLabeledPruneKeepsTargetEvenIfAbsent(t *testing.T) {
 	g := NewLabeled(3)
 	g.MergeEdge(0, 1, 1)
-	g.PruneUnreachableTo(2)
+	var scratch ReachScratch
+	g.PruneUnreachableToInPlace(2, &scratch)
 	if !g.HasNode(2) {
 		t.Fatal("target not present after prune")
 	}

@@ -1,7 +1,8 @@
 // Package graph provides the directed-graph substrate used throughout the
-// stable-skeleton reproduction: node sets, plain and round-labeled digraphs,
-// strongly connected components, root components, condensations,
-// reachability, and DOT/ASCII rendering.
+// stable-skeleton reproduction: node sets, one arena-backed digraph, the
+// round-labeled digraph built on it (a digraph plus a label matrix),
+// reachability and the strong-connectivity test over one frontier walk,
+// strongly connected components, root components, and DOT/ASCII rendering.
 //
 // Nodes are dense integers 0..n-1 and stand for the processes p1..pn of the
 // paper (node i is process p(i+1)). All structures are sized for a fixed
@@ -183,13 +184,6 @@ func (s NodeSet) Union(t NodeSet) NodeSet {
 func (s NodeSet) Intersect(t NodeSet) NodeSet {
 	r := s.Clone()
 	r.IntersectWith(t)
-	return r
-}
-
-// Subtract returns a new set s \ t.
-func (s NodeSet) Subtract(t NodeSet) NodeSet {
-	r := s.Clone()
-	r.SubtractWith(t)
 	return r
 }
 

@@ -82,7 +82,9 @@ func TestNodeSetSetOps(t *testing.T) {
 	if got := a.Intersect(b).Elems(); len(got) != 1 || got[0] != 3 {
 		t.Fatalf("intersect = %v", got)
 	}
-	if got := a.Subtract(b).Elems(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	diff := a.Clone()
+	diff.SubtractWith(b)
+	if got := diff.Elems(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("subtract = %v", got)
 	}
 	if !a.Intersects(b) {
@@ -169,9 +171,11 @@ func TestNodeSetPropertyDeMorgan(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		a, b := randomSet(rng), randomSet(rng)
 		// universe \ (a ∪ b) == (universe \ a) ∩ (universe \ b)
-		left := universe.Subtract(a.Union(b))
-		right := universe.Subtract(a).Intersect(universe.Subtract(b))
-		if !left.Equal(right) {
+		left, notA, notB := universe.Clone(), universe.Clone(), universe.Clone()
+		left.SubtractWith(a.Union(b))
+		notA.SubtractWith(a)
+		notB.SubtractWith(b)
+		if !left.Equal(notA.Intersect(notB)) {
 			t.Fatalf("De Morgan violated: a=%v b=%v", a, b)
 		}
 	}

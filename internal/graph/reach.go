@@ -27,44 +27,53 @@ func (s *ReachScratch) reset(n int) {
 	s.stack = s.stack[:0]
 }
 
-// Reachable returns the set of present nodes reachable from v by a
-// directed path of length >= 0 (v itself included). It panics if v is not
-// present.
-func Reachable(g *Digraph, v int) NodeSet {
-	var s ReachScratch
-	ReachableInto(g, v, &s)
-	return s.seen
-}
-
-// ReachableInto is Reachable with caller-owned scratch: the returned set
-// is the scratch's visited set and stays valid only until the scratch is
-// reused. The frontier walk is word-parallel: each popped node merges its
-// whole adjacency row with one AND-NOT + OR per word, and only newly seen
-// nodes are pushed.
-func ReachableInto(g *Digraph, v int, s *ReachScratch) NodeSet {
-	if !g.HasNode(v) {
-		panic("graph: Reachable from absent node")
-	}
-	s.reset(g.N())
-	s.seen.Add(v)
-	s.stack = append(s.stack, v)
+// walk fills s.seen with every node reachable from start along rows,
+// where rows[u] is the set of nodes one step from u: a graph's out rows
+// walk forward, its in rows backward. It is the one frontier walk behind
+// every reachability, prune and connectivity kernel of Digraph and
+// Labeled. The walk is word-parallel: each popped node merges its whole
+// row with one AND-NOT + OR per word, and only newly seen nodes are
+// pushed. The returned set is s.seen and stays valid only until the
+// scratch is reused.
+func (s *ReachScratch) walk(rows []NodeSet, start int) NodeSet {
+	s.reset(len(rows))
+	s.seen.set(start)
+	s.stack = append(s.stack, start)
 	for len(s.stack) > 0 {
 		u := s.stack[len(s.stack)-1]
 		s.stack = s.stack[:len(s.stack)-1]
-		for i, w := range g.out[u].words {
+		for i, w := range rows[u].words {
 			nw := w &^ s.seen.words[i]
 			if nw == 0 {
 				continue
 			}
 			s.seen.words[i] |= nw
 			for nw != 0 {
-				x := bits.TrailingZeros64(nw)
-				nw &^= 1 << x
-				s.stack = append(s.stack, i*wordBits+x)
+				b := bits.TrailingZeros64(nw)
+				nw &^= 1 << b
+				s.stack = append(s.stack, i*wordBits+b)
 			}
 		}
 	}
 	return s.seen
+}
+
+// Reachable returns the set of present nodes reachable from v by a
+// directed path of length >= 0 (v itself included). It panics if v is not
+// present.
+func Reachable(g *Digraph, v int) NodeSet {
+	var s ReachScratch
+	return ReachableInto(g, v, &s)
+}
+
+// ReachableInto is Reachable with caller-owned scratch: the returned set
+// is the scratch's visited set and stays valid only until the scratch is
+// reused.
+func ReachableInto(g *Digraph, v int, s *ReachScratch) NodeSet {
+	if !g.HasNode(v) {
+		panic("graph: Reachable from absent node")
+	}
+	return s.walk(g.out, v)
 }
 
 // NodesReaching returns the set of present nodes that can reach v by a
@@ -72,46 +81,17 @@ func ReachableInto(g *Digraph, v int, s *ReachScratch) NodeSet {
 // keeps exactly these nodes in the approximation graph.
 func NodesReaching(g *Digraph, v int) NodeSet {
 	var s ReachScratch
-	NodesReachingInto(g, v, &s)
-	return s.seen
+	return NodesReachingInto(g, v, &s)
 }
 
 // NodesReachingInto is NodesReaching with caller-owned scratch: the
 // returned set is the scratch's visited set and stays valid only until
-// the scratch is reused. Same word-parallel frontier walk as
-// ReachableInto, over the in-adjacency rows.
+// the scratch is reused.
 func NodesReachingInto(g *Digraph, v int, s *ReachScratch) NodeSet {
 	if !g.HasNode(v) {
 		panic("graph: NodesReaching on absent node")
 	}
-	s.reset(g.N())
-	s.seen.Add(v)
-	s.stack = append(s.stack, v)
-	for len(s.stack) > 0 {
-		u := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		for i, w := range g.in[u].words {
-			nw := w &^ s.seen.words[i]
-			if nw == 0 {
-				continue
-			}
-			s.seen.words[i] |= nw
-			for nw != 0 {
-				x := bits.TrailingZeros64(nw)
-				nw &^= 1 << x
-				s.stack = append(s.stack, i*wordBits+x)
-			}
-		}
-	}
-	return s.seen
-}
-
-// CanReach reports whether there is a directed path from u to v.
-func CanReach(g *Digraph, u, v int) bool {
-	if !g.HasNode(u) || !g.HasNode(v) {
-		return false
-	}
-	return Reachable(g, u).Has(v)
+	return s.walk(g.in, v)
 }
 
 // Distances returns the BFS distance (number of edges on a shortest path)
@@ -138,102 +118,4 @@ func Distances(g *Digraph, src int) []int {
 		})
 	}
 	return dist
-}
-
-// DistancesTo returns the BFS distance from every node to dst (following
-// edges forward); unreachable nodes get -1.
-func DistancesTo(g *Digraph, dst int) []int {
-	if !g.HasNode(dst) {
-		panic("graph: DistancesTo on absent node")
-	}
-	dist := make([]int, g.N())
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[dst] = 0
-	queue := []int{dst}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		g.in[u].ForEach(func(w int) {
-			if dist[w] == -1 {
-				dist[w] = dist[u] + 1
-				queue = append(queue, w)
-			}
-		})
-	}
-	return dist
-}
-
-// ShortestPath returns one shortest directed path from u to v as a node
-// sequence (u first, v last), or nil if v is unreachable from u. The paper
-// repeatedly uses the fact that simple paths have length at most n-1.
-func ShortestPath(g *Digraph, u, v int) []int {
-	if !g.HasNode(u) || !g.HasNode(v) {
-		return nil
-	}
-	prev := make([]int, g.N())
-	for i := range prev {
-		prev[i] = -1
-	}
-	if u == v {
-		return []int{u}
-	}
-	seen := NewNodeSet(g.N())
-	seen.Add(u)
-	queue := []int{u}
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		found := false
-		g.out[cur].ForEach(func(w int) {
-			if found || seen.Has(w) {
-				return
-			}
-			seen.Add(w)
-			prev[w] = cur
-			if w == v {
-				found = true
-				return
-			}
-			queue = append(queue, w)
-		})
-		if found {
-			break
-		}
-	}
-	if prev[v] == -1 {
-		return nil
-	}
-	var rev []int
-	for cur := v; cur != -1; cur = prev[cur] {
-		rev = append(rev, cur)
-		if cur == u {
-			break
-		}
-	}
-	path := make([]int, len(rev))
-	for i, x := range rev {
-		path[len(rev)-1-i] = x
-	}
-	return path
-}
-
-// IsPath reports whether nodes forms a directed path of distinct nodes in
-// g (the paper's convention: all nodes on a path are distinct).
-func IsPath(g *Digraph, nodes []int) bool {
-	if len(nodes) == 0 {
-		return false
-	}
-	seen := NewNodeSet(g.N())
-	for i, v := range nodes {
-		if !g.HasNode(v) || seen.Has(v) {
-			return false
-		}
-		seen.Add(v)
-		if i > 0 && !g.HasEdge(nodes[i-1], v) {
-			return false
-		}
-	}
-	return true
 }

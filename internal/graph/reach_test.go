@@ -46,19 +46,6 @@ func TestReachableMirrorsNodesReachingOnTranspose(t *testing.T) {
 	}
 }
 
-func TestCanReach(t *testing.T) {
-	g := chainGraph(3)
-	if !CanReach(g, 0, 2) || CanReach(g, 2, 0) {
-		t.Fatal("CanReach wrong")
-	}
-	if !CanReach(g, 1, 1) {
-		t.Fatal("every node reaches itself")
-	}
-	if CanReach(g, 0, 5) {
-		t.Fatal("absent node reached")
-	}
-}
-
 func TestDistances(t *testing.T) {
 	g := chainGraph(4)
 	g.AddEdge(0, 2) // shortcut
@@ -83,122 +70,12 @@ func TestDistancesUnreachable(t *testing.T) {
 	}
 }
 
-func TestDistancesToMatchesForwardOnTranspose(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 100; trial++ {
-		g := RandomDigraph(8, 0.3, rng)
-		tr := g.Transpose()
-		for v := 0; v < 8; v++ {
-			a := DistancesTo(g, v)
-			b := Distances(tr, v)
-			for i := range a {
-				if a[i] != b[i] {
-					t.Fatalf("DistancesTo mismatch at %d", v)
-				}
-			}
-		}
-	}
-}
-
 func TestSelfLoopDoesNotChangeDistance(t *testing.T) {
 	g := chainGraph(3)
 	g.AddSelfLoops()
 	d := Distances(g, 0)
 	if d[0] != 0 || d[1] != 1 || d[2] != 2 {
 		t.Fatalf("Distances = %v", d)
-	}
-}
-
-func TestShortestPath(t *testing.T) {
-	g := chainGraph(5)
-	g.AddEdge(0, 3)
-	path := ShortestPath(g, 0, 4)
-	want := []int{0, 3, 4}
-	if len(path) != len(want) {
-		t.Fatalf("path = %v, want %v", path, want)
-	}
-	for i := range want {
-		if path[i] != want[i] {
-			t.Fatalf("path = %v, want %v", path, want)
-		}
-	}
-	if !IsPath(g, path) {
-		t.Fatal("returned path is not a valid path")
-	}
-}
-
-func TestShortestPathSelf(t *testing.T) {
-	g := chainGraph(2)
-	p := ShortestPath(g, 1, 1)
-	if len(p) != 1 || p[0] != 1 {
-		t.Fatalf("path = %v, want [1]", p)
-	}
-}
-
-func TestShortestPathUnreachable(t *testing.T) {
-	g := chainGraph(3)
-	if p := ShortestPath(g, 2, 0); p != nil {
-		t.Fatalf("path = %v, want nil", p)
-	}
-}
-
-func TestShortestPathLengthMatchesDistances(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 100; trial++ {
-		g := RandomDigraph(9, 0.25, rng)
-		for u := 0; u < 9; u++ {
-			d := Distances(g, u)
-			for v := 0; v < 9; v++ {
-				p := ShortestPath(g, u, v)
-				if d[v] == -1 {
-					if p != nil {
-						t.Fatalf("path to unreachable node: %v", p)
-					}
-					continue
-				}
-				if len(p)-1 != d[v] {
-					t.Fatalf("path len %d, distance %d (u=%d v=%d)", len(p)-1, d[v], u, v)
-				}
-				if !IsPath(g, p) {
-					t.Fatalf("invalid path %v", p)
-				}
-			}
-		}
-	}
-}
-
-func TestIsPath(t *testing.T) {
-	g := chainGraph(4)
-	if !IsPath(g, []int{0, 1, 2}) {
-		t.Fatal("valid path rejected")
-	}
-	if IsPath(g, []int{0, 2}) {
-		t.Fatal("non-edge accepted")
-	}
-	if IsPath(g, []int{}) {
-		t.Fatal("empty path accepted")
-	}
-	if IsPath(g, []int{0, 1, 0}) {
-		t.Fatal("repeated node accepted (paper: path nodes are distinct)")
-	}
-	if !IsPath(g, []int{2}) {
-		t.Fatal("single node path rejected")
-	}
-}
-
-func TestSimplePathLengthBound(t *testing.T) {
-	// The paper repeatedly uses: a simple path has length at most n-1.
-	rng := rand.New(rand.NewSource(24))
-	for trial := 0; trial < 100; trial++ {
-		n := 2 + rng.Intn(8)
-		g := RandomDigraph(n, 0.5, rng)
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				if p := ShortestPath(g, u, v); p != nil && len(p)-1 > n-1 {
-					t.Fatalf("path longer than n-1: %v", p)
-				}
-			}
-		}
 	}
 }
 

@@ -219,12 +219,17 @@ func ComponentOf(g *Digraph, v int) NodeSet {
 // a single node is (with or without a self-loop), matching the decision
 // test of Algorithm 1 line 28.
 func StronglyConnected(g *Digraph) bool {
+	var s ReachScratch
+	return g.stronglyConnected(&s)
+}
+
+// stronglyConnected is the one connectivity test of the package: from the
+// smallest present node, the forward walk and the backward walk must each
+// cover exactly the present set. With a warm scratch it allocates nothing.
+func (g *Digraph) stronglyConnected(s *ReachScratch) bool {
 	first := g.present.Min()
 	if first < 0 {
 		return false
 	}
-	if !Reachable(g, first).Equal(g.present) {
-		return false
-	}
-	return NodesReaching(g, first).Equal(g.present)
+	return s.walk(g.out, first).Equal(g.present) && s.walk(g.in, first).Equal(g.present)
 }

@@ -1,10 +1,6 @@
 package predicate
 
-import (
-	"math/rand"
-
-	"kset/internal/graph"
-)
+import "kset/internal/graph"
 
 // MinK is exact but exponential in the worst case (it computes an
 // independence number). For skeletons beyond a few dozen processes the
@@ -16,29 +12,13 @@ import (
 // independent set witnesses that Psrcs fails below its size); the upper
 // bound is a greedy clique cover (every clique of the shares-a-source
 // graph contributes at most one member to any independent set). Both are
-// deterministic; MinKLowerRandomized restarts the greedy search from
-// random orders to tighten the lower bound.
+// deterministic.
 
 // MinKLower returns a lower bound on MinK: the size of a greedily built
 // maximal independent set of the shares-a-source graph (minimum-degree
 // heuristic).
 func MinKLower(skel *graph.Digraph) int {
-	return greedyIndependent(SharesSourceGraph(skel), nil).Len()
-}
-
-// MinKLowerRandomized tightens MinKLower with `restarts` random greedy
-// orders; it never returns less than MinKLower.
-func MinKLowerRandomized(skel *graph.Digraph, restarts int, rng *rand.Rand) int {
-	h := SharesSourceGraph(skel)
-	best := greedyIndependent(h, nil).Len()
-	n := h.N()
-	for i := 0; i < restarts; i++ {
-		order := rng.Perm(n)
-		if got := greedyIndependent(h, order).Len(); got > best {
-			best = got
-		}
-	}
-	return best
+	return greedyIndependent(SharesSourceGraph(skel)).Len()
 }
 
 // MinKUpper returns an upper bound on MinK: the number of cliques in a
@@ -79,26 +59,12 @@ func MinKUpper(skel *graph.Digraph) int {
 	return cliques
 }
 
-// greedyIndependent builds a maximal independent set. With a nil order it
-// repeatedly picks the unremoved vertex of minimum remaining degree;
-// otherwise it scans vertices in the given order.
-func greedyIndependent(h *graph.Digraph, order []int) graph.NodeSet {
+// greedyIndependent builds a maximal independent set by repeatedly picking
+// the unremoved vertex of minimum remaining degree.
+func greedyIndependent(h *graph.Digraph) graph.NodeSet {
 	n := h.N()
 	removed := graph.NewNodeSet(n)
 	out := graph.NewNodeSet(n)
-	take := func(v int) {
-		out.Add(v)
-		removed.Add(v)
-		h.OutNeighbors(v).ForEach(func(w int) { removed.Add(w) })
-	}
-	if order != nil {
-		for _, v := range order {
-			if !removed.Has(v) {
-				take(v)
-			}
-		}
-		return out
-	}
 	for {
 		best, bestDeg := -1, n+1
 		for v := 0; v < n; v++ {
@@ -118,7 +84,9 @@ func greedyIndependent(h *graph.Digraph, order []int) graph.NodeSet {
 		if best == -1 {
 			return out
 		}
-		take(best)
+		out.Add(best)
+		removed.Add(best)
+		h.OutNeighbors(best).ForEach(func(w int) { removed.Add(w) })
 	}
 }
 

@@ -21,22 +21,6 @@ func TestMinKBoundsSandwichExact(t *testing.T) {
 	}
 }
 
-func TestMinKLowerRandomizedImproves(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 50; trial++ {
-		n := 4 + rng.Intn(8)
-		skel := graph.RandomDigraph(n, 0.2, rng)
-		base := MinKLower(skel)
-		better := MinKLowerRandomized(skel, 20, rng)
-		if better < base {
-			t.Fatalf("randomized lower bound %d below greedy %d", better, base)
-		}
-		if better > MinK(skel) {
-			t.Fatalf("randomized lower bound %d exceeds exact %d", better, MinK(skel))
-		}
-	}
-}
-
 func TestMinKBoundsTightOnStructuredSkeletons(t *testing.T) {
 	// Star: exact MinK = 1 — bounds must pin it.
 	star := loopy(6)
@@ -84,7 +68,7 @@ func TestGreedyIndependentIsIndependentAndMaximal(t *testing.T) {
 		n := 2 + rng.Intn(10)
 		skel := graph.RandomDigraph(n, 0.3, rng)
 		h := SharesSourceGraph(skel)
-		is := greedyIndependent(h, nil)
+		is := greedyIndependent(h)
 		is.ForEach(func(u int) {
 			is.ForEach(func(v int) {
 				if u != v && h.HasEdge(u, v) {

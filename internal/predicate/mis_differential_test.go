@@ -123,7 +123,7 @@ func TestMISMultiExactAtBoundaryWidths(t *testing.T) {
 				set := MaxIndependentSet(h)
 				assertIndependent(t, h, set)
 				// Exactness witness: α ≥ greedy maximal set size.
-				greedy := greedyIndependent(h, nil)
+				greedy := greedyIndependent(h)
 				if set.Len() < greedy.Len() {
 					t.Fatalf("n=%d trial %d: MIS %d below greedy %d", n, trial, set.Len(), greedy.Len())
 				}

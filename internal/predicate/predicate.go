@@ -35,24 +35,6 @@ func Psrc(skel *graph.Digraph, p int, S graph.NodeSet) bool {
 	return timelyReceivers.Len() >= 2
 }
 
-// TwoSources returns every process that is a 2-source for S:
-// {p : Psrc(skel, p, S)}.
-func TwoSources(skel *graph.Digraph, S graph.NodeSet) graph.NodeSet {
-	out := graph.NewNodeSet(skel.N())
-	skel.Nodes().ForEach(func(p int) {
-		if Psrc(skel, p, S) {
-			out.Add(p)
-		}
-	})
-	return out
-}
-
-// CommonSources returns PT(q) ∩ PT(q'): the processes both q and q'
-// perpetually hear from.
-func CommonSources(skel *graph.Digraph, q, qq int) graph.NodeSet {
-	return skel.InNeighbors(q).Intersect(skel.InNeighbors(qq))
-}
-
 // SharesSourceGraph builds the undirected "shares-a-source" graph over
 // all n processes: q and q' (q ≠ q') are adjacent iff PT(q) ∩ PT(q') ≠ ∅.
 // It is represented as a symmetric digraph without self-loops.

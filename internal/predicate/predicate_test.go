@@ -53,24 +53,6 @@ func TestPsrcRequiresTwoDistinct(t *testing.T) {
 	}
 }
 
-func TestTwoSources(t *testing.T) {
-	skel := figure1Skeleton()
-	srcs := TwoSources(skel, graph.NodeSetOf(2, 5))
-	if !srcs.Equal(graph.NodeSetOf(4)) {
-		t.Fatalf("TwoSources = %v, want {p5}", srcs)
-	}
-}
-
-func TestCommonSources(t *testing.T) {
-	skel := figure1Skeleton()
-	if got := CommonSources(skel, 2, 5); !got.Equal(graph.NodeSetOf(4)) {
-		t.Fatalf("CommonSources(p3,p6) = %v, want {p5}", got)
-	}
-	if got := CommonSources(skel, 0, 5); !got.Empty() {
-		t.Fatalf("CommonSources(p1,p6) = %v, want empty", got)
-	}
-}
-
 func TestFigure1SatisfiesPsrcs3Not2(t *testing.T) {
 	skel := figure1Skeleton()
 	if !Holds(skel, 3) {
@@ -191,8 +173,10 @@ func TestViolationWitness(t *testing.T) {
 			if S.Len() != k {
 				t.Fatalf("witness size %d, want %d", S.Len(), k)
 			}
-			if !TwoSources(skel, S).Empty() {
-				t.Fatalf("witness %v has a 2-source", S)
+			for p := 0; p < n; p++ {
+				if Psrc(skel, p, S) {
+					t.Fatalf("witness %v has the 2-source p%d", S, p+1)
+				}
 			}
 		}
 		if _, ok := Violation(skel, k); ok {

@@ -183,6 +183,10 @@ func TestHTTPErrors(t *testing.T) {
 		{"{not json", http.StatusBadRequest},
 		{`{"sessions":[]}`, http.StatusBadRequest},
 		{`{"sessions":[{"n":0,"family":"rooted"}]}`, http.StatusTooManyRequests}, // all rejected
+		// Out-of-range lengths are rejected positionally, before any
+		// adversary is built from them (a negative prefix used to panic
+		// on the handler's goroutine).
+		{`{"sessions":[{"n":5,"family":"eventual","noisy":-1},{"n":5,"family":"rooted","noisy":1000000000},{"n":5,"family":"rooted","max_rounds":-1}]}`, http.StatusTooManyRequests},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {

@@ -302,6 +302,17 @@ func (s *Service) List(status string, limit int) []Session {
 	return out
 }
 
+// Bounds on the two lengths a client chooses, per process. validate
+// builds the noisy prefix graph by graph before it answers, and a session
+// holds a worker for max_rounds rounds, so both are checked before any
+// adversary is built. 4n is the longest horizon a family picks for itself
+// (tinterval); 32n is over twice the largest automatic round bound (12n,
+// or a 4n prefix + 2n + 5).
+const (
+	maxNoisyPerN  = 4
+	maxRoundsPerN = 32
+)
+
 func (s *Service) validate(spec *SessionSpec) error {
 	if spec.Family == "figure1" {
 		if spec.N == 0 {
@@ -313,6 +324,12 @@ func (s *Service) validate(spec *SessionSpec) error {
 	}
 	if spec.N < 1 || spec.N > s.cfg.MaxN {
 		return fmt.Errorf("n = %d out of range [1,%d]", spec.N, s.cfg.MaxN)
+	}
+	if spec.Noisy < 0 || spec.Noisy > maxNoisyPerN*spec.N {
+		return fmt.Errorf("noisy = %d out of range [0,%d] for n = %d", spec.Noisy, maxNoisyPerN*spec.N, spec.N)
+	}
+	if spec.MaxRounds < 0 || spec.MaxRounds > maxRoundsPerN*spec.N {
+		return fmt.Errorf("max_rounds = %d out of range [0,%d] for n = %d", spec.MaxRounds, maxRoundsPerN*spec.N, spec.N)
 	}
 	if spec.Proposals != nil && len(spec.Proposals) != spec.N {
 		return fmt.Errorf("%d proposals for n = %d", len(spec.Proposals), spec.N)

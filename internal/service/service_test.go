@@ -38,6 +38,10 @@ func TestSubmitValidation(t *testing.T) {
 		{N: 4, Family: "rooted", Roots: 9},
 		{N: 4, Family: "lowerbound", K: 17},
 		{N: 129, Family: "rooted"},
+		{N: 5, Family: "eventual", Noisy: -1},
+		{N: 128, Family: "rooted", Noisy: 4*128 + 1},
+		{N: 4, Family: "rooted", MaxRounds: -1},
+		{N: 4, Family: "rooted", MaxRounds: 32*4 + 1},
 	})
 	if res[0].Error != "" || res[0].ID == "" {
 		t.Fatalf("valid spec rejected: %+v", res[0])

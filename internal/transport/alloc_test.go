@@ -26,7 +26,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		make func() (Transport, error)
 	}{
 		{"inproc", func() (Transport, error) { return NewInProc(n, nil), nil }},
-		{"stream", func() (Transport, error) { return NewTCPMeshLoopback(n, n, nil) }},
+		{"stream", func() (Transport, error) { return NewTCPMeshLoopbackOpts(n, n, nil, TCPOpts{}) }},
 		{"datagram", func() (Transport, error) { return NewUDPMeshLoopback(n, n, nil, udpTestOpts()) }},
 	}
 	for _, link := range links {

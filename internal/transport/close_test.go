@@ -53,7 +53,7 @@ func TestInProcCloseLeaksNoGoroutines(t *testing.T) {
 func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 	for _, nodes := range []int{4, 2} {
 		leakCheck(t, func() {
-			tr, err := NewTCPMeshLoopback(4, nodes, nil)
+			tr, err := NewTCPMeshLoopbackOpts(4, nodes, nil, TCPOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,7 +70,7 @@ func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 // Read and writer loops in their cond wait, and Close must unwind both.
 func TestTCPCloseWithoutTrafficLeaksNoGoroutines(t *testing.T) {
 	leakCheck(t, func() {
-		tr, err := NewTCPMeshLoopback(6, 3, nil)
+		tr, err := NewTCPMeshLoopbackOpts(6, 3, nil, TCPOpts{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,8 +334,8 @@ func TestCloseIsIdempotent(t *testing.T) {
 		make func() (Transport, error)
 	}{
 		{"inproc", func() (Transport, error) { return NewInProc(3, nil), nil }},
-		{"tcp", func() (Transport, error) { return NewTCPLoopback(3, nil) }},
-		{"tcp-nodes2", func() (Transport, error) { return NewTCPMeshLoopback(3, 2, nil) }},
+		{"tcp", func() (Transport, error) { return NewTCPMeshLoopbackOpts(3, 3, nil, TCPOpts{}) }},
+		{"tcp-nodes2", func() (Transport, error) { return NewTCPMeshLoopbackOpts(3, 2, nil, TCPOpts{}) }},
 		{"udp", func() (Transport, error) { return NewUDPMeshLoopback(3, 3, nil, udpTestOpts()) }},
 		{"udp-nodes2", func() (Transport, error) { return NewUDPMeshLoopback(3, 2, nil, udpTestOpts()) }},
 	}

@@ -52,12 +52,10 @@ type StallOpts struct {
 	MaxReconnect int
 	// ReconnectBase and ReconnectMax bound the jittered exponential
 	// backoff between redials: attempt k sleeps base<<(k-1) capped at
-	// max, plus up to half that again of seeded jitter. Zero values
-	// default to 5ms and 500ms.
+	// max, plus up to half that again of jitter keyed on (node, peer,
+	// attempt). Zero values default to 5ms and 500ms.
 	ReconnectBase time.Duration
 	ReconnectMax  time.Duration
-	// ReconnectSeed selects the backoff jitter stream.
-	ReconnectSeed int64
 
 	// Counters, when non-nil, receives stall/retry/death events.
 	Counters *StallCounters
@@ -89,7 +87,7 @@ func (o StallOpts) backoff(node, peer, attempt int) time.Duration {
 	if d <= 0 || d > o.ReconnectMax {
 		d = o.ReconnectMax
 	}
-	h := mix64(uint64(o.ReconnectSeed) ^ uint64(node)<<40 ^ uint64(peer)<<24 ^ uint64(attempt))
+	h := mix64(uint64(node)<<40 ^ uint64(peer)<<24 ^ uint64(attempt))
 	return d + time.Duration(h%uint64(d/2+1))
 }
 

@@ -20,9 +20,9 @@ import (
 // bytes crossing the wire shrink by the receiver fan-in factor, and
 // co-located delivery never touches a socket at all.
 //
-// With nodes == n (NewTCPLoopback) every process is its own node — the
-// fully distributed one-process-per-socket-endpoint shape the E18
-// measurements used; with nodes < n the transport models a cluster
+// With nodes == n every process is its own node — the fully distributed
+// one-process-per-socket-endpoint shape the E18 measurements used; with
+// nodes < n the transport models a cluster
 // whose co-located sessions multiplex one link per peer, the deployment
 // shape the agreement service is growing toward.
 //
@@ -53,22 +53,12 @@ type TCPOpts struct {
 	Stall StallOpts
 }
 
-// NewTCPLoopback returns the fully distributed mesh — one node per
-// process, every listener bound to 127.0.0.1 on kernel-assigned ports.
-func NewTCPLoopback(n int, pol Policy) (*TCPMesh, error) {
-	return NewTCPMeshLoopback(n, n, pol)
-}
-
-// NewTCPMeshLoopback returns a TCP mesh transport for n processes
-// grouped onto `nodes` loopback nodes. The full mesh — listeners,
-// streams, handshakes, reader and writer loops — is established before
-// the constructor returns, so Endpoint never dials.
-func NewTCPMeshLoopback(n, nodes int, pol Policy) (*TCPMesh, error) {
-	return NewTCPMeshLoopbackOpts(n, nodes, pol, TCPOpts{})
-}
-
-// NewTCPMeshLoopbackOpts is NewTCPMeshLoopback with chaos knobs (see
-// TCPOpts).
+// NewTCPMeshLoopbackOpts returns a TCP mesh transport for n processes
+// grouped onto `nodes` loopback nodes, every listener bound to 127.0.0.1
+// on a kernel-assigned port. The full mesh — listeners, streams,
+// handshakes, reader and writer loops — is established before the
+// constructor returns, so Endpoint never dials. The zero TCPOpts is the
+// reliable lockstep-exact mesh; see TCPOpts for the chaos knobs.
 func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, error) {
 	o := opts.Stall.withDefaults()
 	core, err := newMesh(n, nodes, pol, meshOpts{

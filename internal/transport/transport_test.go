@@ -96,7 +96,7 @@ func TestInProcPerfectDeliversEverything(t *testing.T) {
 
 func TestTCPPerfectDeliversEverything(t *testing.T) {
 	n, rounds := 4, 6
-	tr, err := NewTCPLoopback(n, nil)
+	tr, err := NewTCPMeshLoopbackOpts(n, n, nil, TCPOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,14 +139,18 @@ func TestScheduleDropsMatchHeardSets(t *testing.T) {
 		make  func(n int, pol Policy) (Transport, error)
 	}{
 		{name: "inproc", make: func(n int, pol Policy) (Transport, error) { return NewInProc(n, pol), nil }},
-		{name: "tcp", make: func(n int, pol Policy) (Transport, error) { return NewTCPLoopback(n, pol) }},
+		{name: "tcp", make: func(n int, pol Policy) (Transport, error) { return NewTCPMeshLoopbackOpts(n, n, pol, TCPOpts{}) }},
 		// Grouped meshes exercise the coalesced frame path: multiple
 		// senders per v2 frame, drop bitmaps folding tombstones, local
 		// and remote receivers of the same broadcast.
 		{name: "tcp-nodes2", nodes: func(n int) int { return min(2, n) },
-			make: func(n int, pol Policy) (Transport, error) { return NewTCPMeshLoopback(n, min(2, n), pol) }},
+			make: func(n int, pol Policy) (Transport, error) {
+				return NewTCPMeshLoopbackOpts(n, min(2, n), pol, TCPOpts{})
+			}},
 		{name: "tcp-nodes3", nodes: func(n int) int { return min(3, n) },
-			make: func(n int, pol Policy) (Transport, error) { return NewTCPMeshLoopback(n, min(3, n), pol) }},
+			make: func(n int, pol Policy) (Transport, error) {
+				return NewTCPMeshLoopbackOpts(n, min(3, n), pol, TCPOpts{})
+			}},
 		{name: "udp", lossy: true,
 			make: func(n int, pol Policy) (Transport, error) { return NewUDPMeshLoopback(n, n, pol, udpTestOpts()) }},
 		{name: "udp-nodes2", nodes: func(n int) int { return min(2, n) }, lossy: true,
@@ -247,7 +251,7 @@ func TestCloseUnblocksGather(t *testing.T) {
 			case "inproc":
 				tr = NewInProc(2, nil)
 			case "tcp":
-				tr, err = NewTCPLoopback(2, nil)
+				tr, err = NewTCPMeshLoopbackOpts(2, 2, nil, TCPOpts{})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -105,13 +105,6 @@ const (
 	minUDPDatagram = udpHeaderMax + 64
 )
 
-// NewUDPLoopback returns the fully distributed mesh — one node and one
-// socket per process, bound to 127.0.0.1 on kernel-assigned ports —
-// with default options.
-func NewUDPLoopback(n int, pol Policy) (*UDPMesh, error) {
-	return NewUDPMeshLoopback(n, n, pol, UDPOpts{})
-}
-
 // NewUDPMeshLoopback returns a UDP mesh transport for n processes
 // grouped onto `nodes` loopback nodes. All sockets are bound and all
 // loops running before the constructor returns.
