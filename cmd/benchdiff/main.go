@@ -1,17 +1,18 @@
 // Command benchdiff is the CI benchmark-regression gate: it parses
-// `go test -bench` output, records a committed baseline, and compares
-// later runs against it with benchstat-style medians.
+// `go test -bench` output, records a baseline, and compares a later run
+// against it with benchstat-style medians.
 //
 // The gated set is the BenchmarkHot family (zero-alloc algorithm hot
 // paths) plus BenchmarkTransportRound (round latency of the wire layer
-// on both transports). Record the baseline (bench-baseline.json at the
-// repo root):
+// on every transport). No baseline is committed — ns/op only means
+// something between two builds on one machine — so CI's bench-gate job
+// records it from the merge-base on the runner that then measures HEAD:
 //
 //	go test -run '^$' -bench 'BenchmarkHot|BenchmarkTransportRound' \
-//	    -count 5 -benchmem . > bench.txt
-//	go run ./cmd/benchdiff -record -input bench.txt -out bench-baseline.json
+//	    -count 5 -benchmem . > bench-base.txt        # in a merge-base checkout
+//	go run ./cmd/benchdiff -record -input bench-base.txt -out bench-baseline.json
 //
-// Gate a run against it (nonzero exit on regression):
+// Gate HEAD against it (nonzero exit on regression):
 //
 //	go run ./cmd/benchdiff -compare bench-baseline.json -input bench-new.txt \
 //	    -tolerance 0.15 -report bench-report.json

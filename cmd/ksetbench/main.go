@@ -7,15 +7,14 @@
 //	ksetbench [-quick] [-trials N] [-seed S] [-workers W] [-only E5] [-json] [-timings=false]
 //
 // With -json the suite is emitted as one JSON document instead of text
-// tables, so CI and future PRs can record BENCH_*.json trajectory files:
-//
-//	go run ./cmd/ksetbench -quick -json > BENCH_run.json
+// tables; CI records a smoke run of it as an artifact.
 //
 // Every experiment is deterministic given -trials and -seed, for any
 // -workers value (the streaming sweep engine delivers outcomes to the
 // aggregators in cell order regardless of scheduling); pass
-// -timings=false to also zero the per-experiment seconds, making the
-// -json document byte-identical across runs and worker counts.
+// -timings=false to also zero the per-experiment seconds and blank the
+// wall-clock table columns (E20's ms/trial), making the -json document
+// byte-identical across runs and worker counts.
 package main
 
 import (
@@ -29,6 +28,7 @@ import (
 	"time"
 
 	"kset/internal/experiments"
+	"kset/internal/sim"
 )
 
 // jsonExperiment is one experiment record of the -json output.
@@ -69,7 +69,7 @@ func run(args []string, stdout io.Writer) error {
 		workers = fs.Int("workers", 0, "override sweep worker count")
 		only    = fs.String("only", "", "run only the experiment with this id (e.g. E5)")
 		asJSON  = fs.Bool("json", false, "emit one JSON document instead of text tables")
-		timings = fs.Bool("timings", true, "record per-experiment seconds (disable for byte-stable -json output)")
+		timings = fs.Bool("timings", true, "record wall-clock measurements: per-experiment seconds and ms/trial columns (disable for byte-stable output)")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -115,7 +115,7 @@ func run(args []string, stdout io.Writer) error {
 		{"E16", func() (*experiments.Result, error) { return experiments.E16Scaling(cfg) }},
 		{"E20", func() (*experiments.Result, error) {
 			// Quick mode runs the n = {128, 256} rung; the full
-			// ladder to n = 1024 takes tens of minutes (BENCH_7.json).
+			// ladder to n = 1024 takes tens of minutes.
 			if *quick {
 				return experiments.E20Suite(cfg)
 			}
@@ -147,6 +147,7 @@ func run(args []string, stdout io.Writer) error {
 		secs := time.Since(start).Seconds()
 		if !*timings {
 			secs = 0
+			maskWallClock(res.Table)
 		}
 		if res.Violations != 0 {
 			suite.Failures++
@@ -190,4 +191,20 @@ func run(args []string, stdout io.Writer) error {
 		return fmt.Errorf("%d experiment(s) reported violations", suite.Failures)
 	}
 	return nil
+}
+
+// maskWallClock blanks the one table column that is a wall-clock
+// measurement rather than a function of (-trials, -seed): E20's ms/trial.
+func maskWallClock(t *sim.Table) {
+	if t == nil {
+		return
+	}
+	for c, h := range t.Header {
+		if h != "ms/trial" {
+			continue
+		}
+		for _, row := range t.Rows() {
+			row[c] = "-"
+		}
+	}
 }

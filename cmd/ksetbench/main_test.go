@@ -7,34 +7,48 @@ import (
 	"testing"
 )
 
-// TestJSONSmokeDeterministic runs the E1 reproduction twice through the
-// JSON path on a fixed seed with timings zeroed: the documents must be
-// valid JSON, carry the experiment record, and be byte-identical.
+// TestJSONSmokeDeterministic runs an experiment twice through the JSON
+// path on a fixed seed with timings off: the documents must be valid
+// JSON, carry the experiment record, and be byte-identical. E20 is the
+// experiment whose table has a wall-clock column (ms/trial), which
+// -timings=false must blank along with the seconds.
 func TestJSONSmokeDeterministic(t *testing.T) {
-	args := []string{"-quick", "-trials", "2", "-seed", "1", "-only", "E1", "-json", "-timings=false"}
-	var a, b bytes.Buffer
-	if err := run(args, &a); err != nil {
-		t.Fatalf("err = %v\n%s", err, a.String())
-	}
-	if err := run(args, &b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("-json -timings=false output is not byte-stable across runs")
-	}
+	for _, tc := range []struct {
+		id   string
+		args []string
+	}{
+		{"E1", []string{"-quick", "-trials", "2", "-seed", "1", "-only", "E1", "-json", "-timings=false"}},
+		{"E20", []string{"-quick", "-trials", "1", "-only", "E20", "-json", "-timings=false"}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			if tc.id == "E20" && testing.Short() {
+				t.Skip("two n = {128, 256} sweeps exceed the short-test budget")
+			}
+			var a, b bytes.Buffer
+			if err := run(tc.args, &a); err != nil {
+				t.Fatalf("err = %v\n%s", err, a.String())
+			}
+			if err := run(tc.args, &b); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a.Bytes(), b.Bytes()) {
+				t.Fatalf("-json -timings=false output is not byte-stable across runs:\n%s\n%s", a.String(), b.String())
+			}
 
-	var suite jsonSuite
-	if err := json.Unmarshal(a.Bytes(), &suite); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, a.String())
-	}
-	if suite.Failures != 0 {
-		t.Fatalf("suite reports %d failures", suite.Failures)
-	}
-	if len(suite.Experiments) != 1 || suite.Experiments[0].ID != "E1" {
-		t.Fatalf("experiments = %+v, want exactly E1", suite.Experiments)
-	}
-	if suite.Experiments[0].Violations != 0 {
-		t.Fatalf("E1 reports %d violations", suite.Experiments[0].Violations)
+			var suite jsonSuite
+			if err := json.Unmarshal(a.Bytes(), &suite); err != nil {
+				t.Fatalf("invalid JSON: %v\n%s", err, a.String())
+			}
+			if suite.Failures != 0 {
+				t.Fatalf("suite reports %d failures", suite.Failures)
+			}
+			if len(suite.Experiments) != 1 || suite.Experiments[0].ID != tc.id {
+				t.Fatalf("experiments = %+v, want exactly %s", suite.Experiments, tc.id)
+			}
+			if suite.Experiments[0].Violations != 0 {
+				t.Fatalf("%s reports %d violations", tc.id, suite.Experiments[0].Violations)
+			}
+		})
 	}
 }
 

@@ -76,14 +76,11 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	cfg := check.Config{
-		Opts:    core.Options{ConservativeDecide: !*faithful},
-		Oracles: check.SoundOracles(),
-	}
+	cfg := check.Config{Opts: core.Options{ConservativeDecide: !*faithful}}
 	switch *oracle {
 	case "sound":
 	case "inverted-k":
-		cfg.Oracles = check.OracleSet{InvertKBound: true}
+		cfg.InvertKBound = true
 	default:
 		return fmt.Errorf("unknown -oracle %q (sound|inverted-k)", *oracle)
 	}

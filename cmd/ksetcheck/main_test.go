@@ -86,8 +86,8 @@ func TestInvertedOracleProducesReplayableCounterexample(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := check.Config{
-		Opts:    core.Options{ConservativeDecide: true},
-		Oracles: check.OracleSet{InvertKBound: true},
+		Opts:         core.Options{ConservativeDecide: true},
+		InvertKBound: true,
 	}
 	fail, err := check.CheckRun(replayed, cfg)
 	if err != nil {

@@ -52,6 +52,3 @@ func (c *Churn) Graph(r int) *graph.Digraph {
 	}
 	return g
 }
-
-// Core returns a copy of the noise-free core graph.
-func (c *Churn) Core() *graph.Digraph { return c.core.Clone() }

@@ -86,6 +86,3 @@ func (a *VertexStableRoot) Graph(r int) *graph.Digraph {
 // it was real in some recent round but is not part of the stable
 // structure the purge (line 24) converges to.
 func (a *VertexStableRoot) Base() *graph.Digraph { return a.base.Clone() }
-
-// RootSize returns the number of processes in the fixed root clique.
-func (a *VertexStableRoot) RootSize() int { return a.rootSize }

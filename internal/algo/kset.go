@@ -83,8 +83,8 @@ func init() {
 		},
 		// The automatic bound is generous for Lemma 11: stabilization +
 		// 2n + 5 when the adversary declares a stabilization round, 12n
-		// otherwise. (sim.Execute's historical formula, verbatim — the
-		// differential batteries pin it bit for bit.)
+		// otherwise. (The differential batteries pin it bit for bit;
+		// sim.Resolve applies it to NewProcess overrides too.)
 		MaxRounds: func(run Run) int {
 			if run.Stabilizes {
 				return run.Stab + 2*run.N + 5

@@ -71,30 +71,6 @@ func SiteCrashPlan(n, victim, r int, site runtime.CrashSite, notify bool, partia
 	return plan
 }
 
-// RandomStallPlan builds a seeded plan delaying `stalled` distinct
-// processes' sends by delay for a window of `span` rounds starting in
-// [2, 2+maxStart).
-func RandomStallPlan(n, stalled, span, maxStart int, delay time.Duration, seed int64) *runtime.StallPlan {
-	if stalled > n {
-		stalled = n
-	}
-	if maxStart < 1 {
-		maxStart = 1
-	}
-	rng := rand.New(rand.NewSource(seed))
-	plan := &runtime.StallPlan{
-		From:  make([]int, n),
-		To:    make([]int, n),
-		Delay: make([]time.Duration, n),
-	}
-	for _, v := range rng.Perm(n)[:stalled] {
-		plan.From[v] = 2 + rng.Intn(maxStart)
-		plan.To[v] = plan.From[v] + span - 1
-		plan.Delay[v] = delay
-	}
-	return plan
-}
-
 // randomSubset returns a uniformly random subset of {0..n-1} (possibly
 // empty: a mid-send crash that reached nobody).
 func randomSubset(n int, rng *rand.Rand) graph.NodeSet {

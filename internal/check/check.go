@@ -64,50 +64,6 @@ func (v Violation) String() string {
 	return fmt.Sprintf("[%s] %s %s: %s", v.Oracle, loc, who, v.Detail)
 }
 
-// OracleSet selects which invariants a checked run evaluates.
-type OracleSet struct {
-	// PerRound enables the structural per-round oracles on every
-	// process's live state: approximation-graph label range, freshness
-	// and accuracy against the real round graphs, purge window, prune
-	// reachability, PT-vs-skeleton consistency, estimate validity, and
-	// decision irrevocability.
-	PerRound bool
-	// Validity checks that every decision is some process's proposal.
-	Validity bool
-	// KBound checks that the number of distinct decisions never exceeds
-	// MinK of the realized stable skeleton — the paper's Theorem 1/
-	// Lemma 15 chain, with k instantiated as tightly as the run allows.
-	KBound bool
-	// Termination checks that every process decides within the run's
-	// round bound (stabilization + 3n + 5, generous for Lemma 11 under
-	// either guard).
-	Termination bool
-	// DecisionFloor checks that no decision precedes the line-28 floor
-	// (n, or 2n-1 under the conservative guard).
-	DecisionFloor bool
-	// SkeletonStability checks that the skeleton tracker's G^∩r equals
-	// the adversary's exact stable skeleton from the stabilization round
-	// on.
-	SkeletonStability bool
-	// InvertKBound replaces the k-bound oracle with its negation: a
-	// violation is reported whenever the run SATISFIES the bound. It is
-	// deliberately broken — the fire drill used to demonstrate that the
-	// fuzzer finds and the shrinker minimizes counterexamples.
-	InvertKBound bool
-}
-
-// SoundOracles returns the full set of correct oracles.
-func SoundOracles() OracleSet {
-	return OracleSet{
-		PerRound:          true,
-		Validity:          true,
-		KBound:            true,
-		Termination:       true,
-		DecisionFloor:     true,
-		SkeletonStability: true,
-	}
-}
-
 // Config drives one oracle-checked execution.
 type Config struct {
 	// Opts configures Algorithm 1. The zero value is the paper-faithful
@@ -116,22 +72,19 @@ type Config struct {
 	// oracles and the zero value WILL surface the E10 flaw; set
 	// ConservativeDecide for a guard the oracles hold against.
 	Opts core.Options
-	// Oracles selects the invariants; the zero value checks nothing, so
-	// callers normally start from SoundOracles.
-	Oracles OracleSet
+	// InvertKBound replaces every oracle with the negation of the
+	// k-bound: a violation is reported whenever the run SATISFIES the
+	// bound. It is deliberately broken — the fire drill used to
+	// demonstrate that the fuzzer finds and the shrinker minimizes
+	// counterexamples.
+	InvertKBound bool
 	// Proposals overrides the initial values; nil means the canonical
 	// distinct vector 1..n. Must have length n when set.
 	Proposals []int64
-	// MaxViolations caps the violations recorded per run; 0 means 16.
-	MaxViolations int
 }
 
-func (c Config) maxViolations() int {
-	if c.MaxViolations <= 0 {
-		return 16
-	}
-	return c.MaxViolations
-}
+// maxViolations caps the violations recorded per run.
+const maxViolations = 16
 
 // Failure describes a run that violated at least one oracle, with enough
 // context to report, shrink, and replay it.
@@ -173,7 +126,7 @@ func MaxRoundsFor(run *adversary.Run) int {
 }
 
 // CheckRun executes one schedule under the oracle set and returns the
-// Failure, or nil if every enabled oracle held.
+// Failure, or nil if every oracle held.
 func CheckRun(run *adversary.Run, cfg Config) (*Failure, error) {
 	spec, obs := NewCheckedSpec(run, cfg)
 	out, err := sim.Execute(spec)

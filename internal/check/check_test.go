@@ -11,10 +11,7 @@ import (
 )
 
 func conservative() Config {
-	return Config{
-		Opts:    core.Options{ConservativeDecide: true},
-		Oracles: SoundOracles(),
-	}
+	return Config{Opts: core.Options{ConservativeDecide: true}}
 }
 
 // TestCheckRunCleanOnZoo pins that the sound oracle set holds on the
@@ -46,7 +43,6 @@ func TestCheckRunCleanOnZoo(t *testing.T) {
 func TestCheckRunFindsE10Flaw(t *testing.T) {
 	cfg := Config{
 		Opts:      core.Options{},
-		Oracles:   SoundOracles(),
 		Proposals: adversary.ConsensusViolationProposals(),
 	}
 	fail, err := CheckRun(adversary.ConsensusViolation(), cfg)
@@ -73,8 +69,8 @@ func TestCheckRunFindsE10Flaw(t *testing.T) {
 // schedule that still replays through a runfile round-trip.
 func TestInvertedOracleShrinksToTrivialRun(t *testing.T) {
 	cfg := Config{
-		Opts:    core.Options{ConservativeDecide: true},
-		Oracles: OracleSet{InvertKBound: true},
+		Opts:         core.Options{ConservativeDecide: true},
+		InvertKBound: true,
 	}
 	run := GenRun(4, StrategyArbitrary, 7, 0)
 	fail, err := CheckRun(run, cfg)
@@ -124,7 +120,6 @@ func TestInvertedOracleShrinksToTrivialRun(t *testing.T) {
 func TestShrinkPreservesOracleClass(t *testing.T) {
 	cfg := Config{
 		Opts:      core.Options{},
-		Oracles:   SoundOracles(),
 		Proposals: adversary.ConsensusViolationProposals(),
 	}
 	fail, err := CheckRun(adversary.ConsensusViolation(), cfg)
@@ -160,8 +155,8 @@ func TestShrinkPreservesOracleClass(t *testing.T) {
 // artifact files and that the runfile replays.
 func TestWriteCounterexampleArtifacts(t *testing.T) {
 	cfg := Config{
-		Opts:    core.Options{ConservativeDecide: true},
-		Oracles: OracleSet{InvertKBound: true},
+		Opts:         core.Options{ConservativeDecide: true},
+		InvertKBound: true,
 	}
 	fail, err := CheckRun(adversary.Complete(3), cfg)
 	if err != nil {

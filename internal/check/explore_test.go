@@ -62,7 +62,7 @@ func TestExploreN3Exhaustive(t *testing.T) {
 // 4-process run. The first failure must shrink without growing and keep
 // its oracle class.
 func TestExploreFaithfulGuardFindsFlaw(t *testing.T) {
-	cfg := Config{Opts: core.Options{}, Oracles: SoundOracles()}
+	cfg := Config{Opts: core.Options{}}
 	rep, err := Explore(ExploreConfig{N: 3, Depth: 2, Check: cfg})
 	if err != nil {
 		t.Fatal(err)
@@ -112,7 +112,7 @@ func TestExploreMatchesBruteForce(t *testing.T) {
 		return failed
 	}
 
-	faithful := Config{Opts: core.Options{}, Oracles: SoundOracles()}
+	faithful := Config{Opts: core.Options{}}
 	bruteFaithful := brute(faithful)
 	if bruteFaithful == 0 {
 		t.Fatal("fixed-proposal brute force found no faithful-guard failures; expected the E10 flaw at n=3")

@@ -34,8 +34,8 @@ func TestFuzzDeterministicAcrossWorkers(t *testing.T) {
 		Budget: 500,
 		Seed:   42,
 		Check: Config{
-			Opts:    core.Options{ConservativeDecide: true},
-			Oracles: OracleSet{InvertKBound: true}, // fires on every run
+			Opts:         core.Options{ConservativeDecide: true},
+			InvertKBound: true, // fires on every run
 		},
 		KeepFailures: 1,
 	}
@@ -75,7 +75,7 @@ func TestFuzzFindsPlantedFlaw(t *testing.T) {
 		N:      4,
 		Budget: budget,
 		Seed:   1,
-		Check:  Config{Opts: core.Options{}, Oracles: SoundOracles()},
+		Check:  Config{Opts: core.Options{}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestFuzzFindsPlantedFlaw(t *testing.T) {
 	fail := rep.Failures[0]
 	t.Logf("found %d failing runs; first:\n%s", rep.FailedRuns, fail)
 
-	res, err := Shrink(fail, Config{Opts: core.Options{}, Oracles: SoundOracles()}, 0)
+	res, err := Shrink(fail, Config{Opts: core.Options{}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,7 +73,7 @@ func newObserver(run *adversary.Run, proposals []int64, cfg Config) *Observer {
 func (o *Observer) Violations() []Violation { return o.viols }
 
 func (o *Observer) record(oracle string, round, process int, format string, args ...any) {
-	if len(o.viols) >= o.cfg.maxViolations() {
+	if len(o.viols) >= maxViolations {
 		return
 	}
 	o.viols = append(o.viols, Violation{
@@ -88,9 +88,12 @@ func (o *Observer) record(oracle string, round, process int, format string, args
 // oracle's own skeleton tracker and evaluates the per-round oracles on
 // every Algorithm 1 process.
 func (o *Observer) OnRound(r int, g *graph.Digraph, procs []rounds.Algorithm) {
+	if o.cfg.InvertKBound {
+		return // the fire drill evaluates nothing but its negated verdict
+	}
 	o.tracker.Observe(r, g)
 
-	if o.cfg.Oracles.SkeletonStability && r == o.stab {
+	if r == o.stab {
 		if !o.tracker.Skeleton().Equal(o.stable) {
 			o.record("skeleton-stability", r, -1,
 				"tracker skeleton %v != stable skeleton %v at stabilization round",
@@ -98,7 +101,7 @@ func (o *Observer) OnRound(r int, g *graph.Digraph, procs []rounds.Algorithm) {
 		}
 	}
 
-	if !o.cfg.Oracles.PerRound || len(o.viols) >= o.cfg.maxViolations() {
+	if len(o.viols) >= maxViolations {
 		return
 	}
 	for i, a := range procs {
@@ -204,38 +207,22 @@ func (o *Observer) checkPrune(r, i int, gp *graph.Labeled, self int) {
 }
 
 // Finish evaluates the whole-trace oracles on the finished run's outcome
-// and returns the Failure, or nil if every enabled oracle held. It must
-// be called exactly once, after the execution that used this observer.
+// and returns the Failure, or nil if every oracle held. It must be
+// called exactly once, after the execution that used this observer.
 func (o *Observer) Finish(out *sim.Outcome) *Failure {
-	ocl := o.cfg.Oracles
-	// Termination, validity, and the k-bound are the algorithm family's
-	// own whole-run oracles now (internal/algo); the checked spec runs
-	// the registered kset family, so CheckAlgorithm reproduces the
-	// historical oracle strings bit for bit. The flags below gate which
-	// of the family's verdicts this observer records.
-	for _, v := range out.CheckAlgorithm() {
-		switch v.Oracle {
-		case "termination":
-			if !ocl.Termination {
-				continue
-			}
-		case "validity":
-			if !ocl.Validity {
-				continue
-			}
-		case "k-bound", "agreement":
-			if !ocl.KBound {
-				continue
-			}
+	if o.cfg.InvertKBound {
+		if out.AgreementHolds() {
+			o.record("inverted-k-bound", 0, -1,
+				"deliberately broken oracle: %d distinct decisions within MinK=%d",
+				len(out.DistinctDecisions()), out.MinK)
 		}
-		o.record(v.Oracle, 0, -1, "%s", v.Detail)
-	}
-	distinct := len(out.DistinctDecisions())
-	if ocl.InvertKBound && distinct <= out.MinK {
-		o.record("inverted-k-bound", 0, -1,
-			"deliberately broken oracle: %d distinct decisions within MinK=%d", distinct, out.MinK)
-	}
-	if ocl.DecisionFloor {
+	} else {
+		// Termination, validity, and the k-bound are the algorithm
+		// family's own whole-run oracles (internal/algo); the checked spec
+		// runs the registered kset family.
+		for _, v := range out.CheckAlgorithm() {
+			o.record(v.Oracle, 0, -1, "%s", v.Detail)
+		}
 		if err := out.CheckDecisionFloor(o.floor); err != nil {
 			o.record("decision-floor", 0, -1, "%v", err)
 		}

@@ -3,8 +3,8 @@
 // claim of its theorems, the soundness audit of its main proof, the
 // classical regimes it cites, the dynamic-network adversary suite
 // E13-E16 that probes just outside the paper's eventually-stable model,
-// and the E20 multi-word scaling sweep, rendered as measured tables. cmd/ksetbench prints these tables (EXPERIMENTS.md
-// records them) and bench_test.go wraps them as Go benchmarks.
+// and the E20 multi-word scaling sweep, rendered as measured tables.
+// cmd/ksetbench prints these tables (EXPERIMENTS.md records them).
 package experiments
 
 import (

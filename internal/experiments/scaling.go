@@ -15,7 +15,7 @@ var e20Sizes = []int{128, 256, 512, 1024}
 // e20SuiteSizes is the rung All() runs: past the word boundary on both
 // sizes so every multi-word path is exercised, but within the tier-1
 // test budget. The full ladder to n = 1024 runs via
-// `ksetbench -only E20` (BENCH_7.json) and the nightly n = 512 lane.
+// `ksetbench -only E20` and the nightly n = 512 lane.
 var e20SuiteSizes = []int{128, 256}
 
 // e20Hubs returns the hub counts exercised at size n. MinK is computed
@@ -128,5 +128,5 @@ func E20Suite(cfg Config) (*Result, error) { return e20(cfg, e20SuiteSizes) }
 // held to the same bounds as E16 — termination, Lemma 11's r_ST + 2n - 1,
 // Theorem 1's distinct <= MinK — plus the analytic pins MinK = hubs and
 // RootComps = 1 that the skeleton family guarantees by construction. The
-// ms/trial column is the scaling curve published as BENCH_7.json.
+// ms/trial column is the scaling curve of EXPERIMENTS.md §E20.
 func E20LargeN(cfg Config) (*Result, error) { return e20(cfg, e20Sizes) }

@@ -8,7 +8,7 @@ import (
 // TestE20Smoke runs the n = 128 rung of the scaling sweep — the smallest
 // size at which every bitset kernel takes its multi-word path — within
 // the tier-1 time budget. The full sweep up to n = 1024 runs via
-// cmd/ksetbench (BENCH_7.json) and the nightly lane below.
+// cmd/ksetbench and the nightly lane below.
 func TestE20Smoke(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Trials = 6

@@ -30,6 +30,18 @@ func approxSuite(n int, seed int64) []NamedSchedule {
 		// Narrow arc wrapping vertex 0 — the universal-cover lifting path.
 		cycProps[i] = int64((v - 1 + rng.Intn(3)) % v)
 	}
+	// A6 keeps its intrinsic size (n = 5 on a 10-vertex path, proposals
+	// [1 2 2 2 7]): under a single-source skeleton (MinK = 1) it decides
+	// the two adjacent vertices 4 and 5 — correct approximate agreement
+	// that k-set's distinct <= MinK formula would read as a violation.
+	rng6 := rand.New(rand.NewSource(24))
+	n6 := 4 + rng6.Intn(5)
+	v6 := 2*n6 + rng6.Intn(20)
+	props6 := make([]int64, n6)
+	for i := range props6 {
+		props6[i] = int64(rng6.Intn(v6))
+	}
+	adv6 := adversary.RandomSingleSource(n6, rng6.Intn(n6), 0.2, 0.3, rng6)
 	suite := []NamedSchedule{
 		{"A1-path-sources", sim.Spec{
 			Algorithm: algo.Approx,
@@ -57,6 +69,12 @@ func approxSuite(n int, seed int64) []NamedSchedule {
 			Algorithm: algo.Approx,
 			Adversary: adversary.NewChurn(adversary.Complete(n).Base(), 0.2, rng.Int63()),
 			Proposals: props,
+		}},
+		{"A6-path-adjacent-pair", sim.Spec{
+			Algorithm: algo.Approx,
+			Adversary: adv6,
+			Proposals: props6,
+			Params:    approx.Options{Graph: approx.Graph{Shape: approx.Path, V: v6}},
 		}},
 	}
 	return suite
@@ -149,7 +167,8 @@ func TestApproxDifferentialNightly(t *testing.T) {
 // replay to be bit-identical. The harness resolves the spec's family
 // before materializing the schedule and hands it to the runner, so the
 // second family's codec carries the live run; a kset-only harness dies
-// in round 1 encoding an *approx.Message.
+// in round 1 encoding an *approx.Message. The agreement verdict must be
+// the family's own too: A6 decides two adjacent vertices under MinK = 1.
 func TestApproxReplay(t *testing.T) {
 	for _, sched := range approxSuite(5, 341) {
 		rep, err := LossReplay(sched.Spec, LossReplayOpts{UDP: quietUDP()})
@@ -158,8 +177,18 @@ func TestApproxReplay(t *testing.T) {
 		} else if rep.LostLinks != 0 {
 			t.Errorf("%s: quiet loopback lost %d scheduled deliveries", sched.Name, rep.LostLinks)
 		}
-		if _, err := CrashReplay(sched.Spec, nil, CrashReplayOpts{}); err != nil {
+		crep, err := CrashReplay(sched.Spec, nil, CrashReplayOpts{})
+		if err != nil {
 			t.Errorf("%s: CrashReplay in-proc, nil plan: %v", sched.Name, err)
+			continue
+		}
+		if !crep.KBound {
+			t.Errorf("%s: KBound = false on a correct run (decisions %v, MinK %d)",
+				sched.Name, crep.Live.Decisions, crep.Replay.MinK)
+		}
+		if sched.Name == "A6-path-adjacent-pair" && (crep.Distinct != 2 || crep.Replay.MinK != 1) {
+			t.Errorf("A6 decided %d values under MinK %d; the schedule no longer exercises the adjacent-pair case",
+				crep.Distinct, crep.Replay.MinK)
 		}
 	}
 }

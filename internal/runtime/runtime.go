@@ -368,7 +368,7 @@ type RunnerOpts struct {
 	// node per process — the fully distributed shape.
 	Nodes int
 	// UDP configures the datagram mesh when Kind is "udp" (round
-	// deadline, grace, datagram size, meter, injected datagram loss).
+	// deadline, grace, socket buffers, injected datagram loss).
 	// The zero value takes the transport's defaults.
 	UDP transport.UDPOpts
 	// Loss, when positive and Kind is "udp", loses each round frame on
@@ -404,8 +404,7 @@ type RunnerOpts struct {
 	// detection, reconnect). The zero value is the classic reliable mesh.
 	TCPOpts transport.TCPOpts
 	// Meter, when non-nil, records the realized heard-set of every
-	// gather. On the UDP mesh it is wired natively (overriding
-	// UDP.Meter); the other transports are wrapped with Metered.
+	// gather on any transport kind (overriding UDP.Meter).
 	Meter *transport.HeardMeter
 	// OnTransport, when non-nil, is called with each run's transport
 	// right after construction — the hook the agreement service uses to
@@ -474,9 +473,6 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 					return injected(r, from, to, frag) || (inner != nil && inner(r, from, to, frag))
 				}
 			}
-			if opts.Meter != nil {
-				u.Meter = opts.Meter
-			}
 			t, err := transport.NewUDPMeshLoopback(adv.N(), opts.meshNodes(adv.N()), pol, u)
 			if err != nil {
 				return nil, err
@@ -485,8 +481,11 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 		default:
 			return nil, fmt.Errorf("runtime: unknown transport kind %q", kind)
 		}
-		if opts.Meter != nil && opts.kind() != "udp" {
-			tr = transport.Metered(tr, opts.Meter)
+		if opts.Meter != nil {
+			if err := transport.Metered(tr, opts.Meter); err != nil {
+				tr.Close()
+				return nil, err
+			}
 		}
 		if opts.OnTransport != nil {
 			opts.OnTransport(tr)

@@ -259,3 +259,81 @@ func ExampleNewRunner() {
 	// Output:
 	// decisions: [1 2]
 }
+
+// TestMeterRecordsScheduleOnEveryTransport runs one metered fixed-length
+// spec over each transport kind — the meter is installed on the mesh
+// core, not wrapped around the transport — and requires the recorded
+// heard-set graphs to equal the schedule round for round.
+func TestMeterRecordsScheduleOnEveryTransport(t *testing.T) {
+	const n, maxRounds = 6, 12
+	sched := adversary.MaterializeRun(
+		adversary.RandomSources(n, 2, maxRounds/2, 0.3, rand.New(rand.NewSource(16))), maxRounds)
+	for _, tc := range []struct {
+		name string
+		opts RunnerOpts
+	}{
+		{"inproc", RunnerOpts{}},
+		{"tcp-2-nodes", RunnerOpts{Kind: "tcp", Nodes: 2}},
+		{"udp-quiet-loopback", RunnerOpts{Kind: "udp", UDP: quietUDP()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			meter := transport.NewHeardMeter(n)
+			tc.opts.Meter = meter
+			out, err := sim.Execute(sim.Spec{
+				Adversary:       sched,
+				Proposals:       sim.SeqProposals(n),
+				MaxRounds:       maxRounds,
+				RunToCompletion: true,
+				Runner:          NewRunner(tc.opts),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			graphs := meter.Graphs()
+			if out.Rounds != maxRounds || len(graphs) != maxRounds {
+				t.Fatalf("executed %d rounds, metered %d, want %d", out.Rounds, len(graphs), maxRounds)
+			}
+			for r := 1; r <= maxRounds; r++ {
+				if !graphs[r-1].Equal(sched.Graph(r)) {
+					t.Fatalf("round %d: metered %v, scheduled %v", r, graphs[r-1], sched.Graph(r))
+				}
+			}
+		})
+	}
+}
+
+// TestMeteredInProcRunSurvivesAnnouncedDeath pins that a death verdict
+// reaches the mesh of a metered run: the in-proc transport closes rounds
+// by count only, so without MarkDead the round after the crash would
+// never close. The survivors' later rounds must be metered, with nobody
+// hearing the dead.
+func TestMeteredInProcRunSurvivesAnnouncedDeath(t *testing.T) {
+	const n, maxRounds, victim, crashRound = 5, 8, 2, 3
+	plan := &CrashPlan{Round: make([]int, n), Site: make([]CrashSite, n), Notify: true}
+	plan.Round[victim] = crashRound // CrashBeforeSend: silent from crashRound on
+	meter := transport.NewHeardMeter(n)
+	out, err := sim.Execute(sim.Spec{
+		Adversary:       adversary.Complete(n),
+		Proposals:       sim.SeqProposals(n),
+		MaxRounds:       maxRounds,
+		RunToCompletion: true,
+		Runner:          NewRunner(RunnerOpts{Crash: plan, Meter: meter}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs := meter.Graphs()
+	if out.Rounds != maxRounds || len(graphs) != maxRounds {
+		t.Fatalf("executed %d rounds, metered %d, want %d", out.Rounds, len(graphs), maxRounds)
+	}
+	for r := 1; r <= maxRounds; r++ {
+		for p := 0; p < n; p++ {
+			for q := 0; q < n; q++ {
+				want := r < crashRound || (p != victim && q != victim)
+				if got := graphs[r-1].HasEdge(p, q); got != want {
+					t.Fatalf("round %d: edge p%d->p%d metered %v, want %v", r, p+1, q+1, got, want)
+				}
+			}
+		}
+	}
+}

@@ -495,17 +495,10 @@ func (s *Service) execute(sess *Session) {
 		RST:        out.RST,
 		AllDecided: out.CheckTermination() == nil,
 	}
-	// The agreement-bound verdict is the family's own oracle now: for
-	// kset, a "k-bound" violation fires exactly when |Distinct| > MinK
-	// (the historical check, bit for bit); for approx, an "agreement"
-	// violation fires when two decisions are not adjacent on the target
-	// graph inside the claimed regime.
-	res.KBound = true
-	for _, v := range out.CheckAlgorithm() {
-		if v.Oracle == "k-bound" || v.Oracle == "agreement" {
-			res.KBound = false
-		}
-	}
+	// The agreement-bound verdict is the family's own oracle: for kset,
+	// |Distinct| <= MinK; for approx, decisions pairwise adjacent on the
+	// target graph inside the claimed regime.
+	res.KBound = out.AgreementHolds()
 	if !res.KBound {
 		s.met.kboundViolations.Add(1)
 	}
@@ -531,12 +524,10 @@ func runSession(spec SessionSpec, lr *liveRun, counters *transport.StallCounters
 	ropts := runtime.RunnerOpts{Kind: spec.Transport, Algorithm: spec.Algorithm, OnTransport: lr.onTransport}
 	switch spec.Transport {
 	case "udp":
-		// Sessions favor fidelity over round latency: with a generous
-		// deadline, a quiet loopback effectively never loses a frame, so
-		// session results stay replayable in practice while the
-		// algorithm still tolerates any loss that does occur.
-		ropts.UDP = transport.UDPOpts{RoundTimeout: 250 * time.Millisecond, Grace: 2 * time.Millisecond,
-			Counters: counters}
+		// Sessions favor fidelity over round latency, so that results
+		// stay replayable in practice.
+		ropts.UDP = runtime.QuietLoopbackUDP()
+		ropts.UDP.Counters = counters
 	case "tcp":
 		// Counters alone do not switch the mesh into chaos mode (that
 		// takes a round deadline); they just surface any verdicts a

@@ -9,12 +9,30 @@ import (
 	"time"
 )
 
-// slowSpec is a session that cannot decide before the watchdog fires:
-// at n = 128 a round costs ~20ms of O(n^4) merge work and the decision
-// sits hundreds of rounds out, so the session is reliably still
-// executing (with rounds observed) seconds into its run.
-func slowSpec() SessionSpec {
-	return SessionSpec{N: 128, Family: "rooted", Roots: 2, Seed: 1}
+// The watchdog tests tell a wedged session from a healthy one by round
+// count, not by how fast the machine is. A wedged session is approx at
+// n = 256 on a 2^16-vertex path behind a 4n-round isolation prefix:
+// approx decides in exactly its decide round and in no earlier one, and
+// that round is (5 + 19 phases) x 255 rounds = 6120 rounds out — over
+// 400 million message deliveries, far beyond any deadline used here —
+// while one round of its tiny interval messages is cheap enough to be
+// observed well inside the deadline even under the race detector. A
+// healthy session is kset on the complete graph at n = 4, which decides
+// within 3n rounds of a few microseconds each. watchdogDeadline sits
+// between the two with orders of magnitude to spare on either side.
+const (
+	wedgedN          = 256
+	wedgedDecideAt   = 6120
+	healthyN         = 4
+	watchdogDeadline = 2 * time.Second
+)
+
+func wedgedSpec() SessionSpec {
+	return SessionSpec{N: wedgedN, Algorithm: "approx", Family: "eventual", Noisy: 4 * wedgedN, Vertices: 1 << 16}
+}
+
+func healthySpec() SessionSpec {
+	return SessionSpec{N: healthyN, Family: "complete", Seed: 2}
 }
 
 // waitStatus polls until the session reaches the wanted status.
@@ -44,10 +62,10 @@ func waitStatus(t *testing.T, s *Service, id, want string) Session {
 // and the crash is counted in /metrics. The worker survives to run the
 // next session.
 func TestWatchdogCrashesWedgedSession(t *testing.T) {
-	s := New(Config{Workers: 1, SessionTimeout: 300 * time.Millisecond})
+	s := New(Config{Workers: 1, MaxN: wedgedN, SessionTimeout: watchdogDeadline})
 	defer s.Close()
 
-	r := s.Submit([]SessionSpec{slowSpec()})[0]
+	r := s.Submit([]SessionSpec{wedgedSpec()})[0]
 	if r.Error != "" {
 		t.Fatal(r.Error)
 	}
@@ -55,27 +73,31 @@ func TestWatchdogCrashesWedgedSession(t *testing.T) {
 	if sess.Result == nil || !sess.Result.Partial {
 		t.Fatalf("crashed session carries no partial result: %+v", sess)
 	}
-	if sess.Result.Rounds == 0 {
-		t.Error("watchdog flushed zero observed rounds from a session that was executing")
+	if sess.Result.Rounds == 0 || sess.Result.Rounds >= wedgedDecideAt {
+		t.Errorf("watchdog flushed %d observed rounds from a session executing %d", sess.Result.Rounds, wedgedDecideAt)
 	}
 	if !strings.Contains(sess.Error, "watchdog") {
 		t.Errorf("crashed session error %q does not name the watchdog", sess.Error)
 	}
 	for i, d := range sess.Result.Decided {
 		if d {
-			t.Errorf("p%d decided under permanent noise", i+1)
+			t.Errorf("p%d decided before the decide round", i+1)
 		}
 	}
 
 	// The worker is free again: a fast session completes normally and
 	// the watchdog leaves it alone.
-	r = s.Submit([]SessionSpec{{N: 4, Family: "complete", Seed: 2}})[0]
+	r = s.Submit([]SessionSpec{healthySpec()})[0]
 	if r.Error != "" {
 		t.Fatal(r.Error)
 	}
 	done := waitStatus(t, s, r.ID, "done")
 	if done.Result.Partial {
 		t.Error("completed session marked partial")
+	}
+	if !done.Result.AllDecided || done.Result.Rounds > 3*healthyN {
+		t.Errorf("healthy session: all decided %v after %d rounds, want within %d",
+			done.Result.AllDecided, done.Result.Rounds, 3*healthyN)
 	}
 
 	var sb strings.Builder
@@ -97,9 +119,9 @@ func TestWatchdogCrashesWedgedSession(t *testing.T) {
 // returns, and no watchdog or session goroutines leak.
 func TestDrainFlushesCrashedInFlight(t *testing.T) {
 	before := runtime.NumGoroutine()
-	s := New(Config{Workers: 2, SessionTimeout: 300 * time.Millisecond})
+	s := New(Config{Workers: 2, MaxN: wedgedN, SessionTimeout: watchdogDeadline})
 
-	r := s.Submit([]SessionSpec{slowSpec()})[0]
+	r := s.Submit([]SessionSpec{wedgedSpec()})[0]
 	if r.Error != "" {
 		t.Fatal(r.Error)
 	}
@@ -132,7 +154,7 @@ func TestDrainFlushesCrashedInFlight(t *testing.T) {
 // batch gets 503 plus a Retry-After hint, and the shed submissions are
 // counted.
 func TestLoadSheddingRetryAfter(t *testing.T) {
-	s := New(Config{Workers: 1, Queue: 1, SessionTimeout: time.Second})
+	s := New(Config{Workers: 1, Queue: 1, MaxN: wedgedN, SessionTimeout: time.Second})
 	defer s.Close()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -143,7 +165,7 @@ func TestLoadSheddingRetryAfter(t *testing.T) {
 	// dequeued the first — retry until both are resident.
 	accepted := 0
 	for i := 0; i < 100 && accepted < 2; i++ {
-		if s.Submit([]SessionSpec{slowSpec()})[0].Error == "" {
+		if s.Submit([]SessionSpec{wedgedSpec()})[0].Error == "" {
 			accepted++
 		} else {
 			time.Sleep(5 * time.Millisecond)

@@ -2,11 +2,10 @@
 // registered algorithm family (internal/algo — Algorithm 1 by default,
 // or a baseline), the skeleton tracker, the wire meter, and the outcome
 // checker into one call (Execute), and runs parameter sweeps on a worker
-// pool — either buffered (Sweep) or sharded-and-streaming (StreamSweep),
-// which delivers outcomes to incremental aggregators in deterministic
-// cell order without retaining per-trial records. All experiment tables
-// in EXPERIMENTS.md are produced through this package (see cmd/ksetbench
-// and bench_test.go).
+// pool (StreamSweep: sharded and streaming, delivering outcomes to
+// incremental aggregators in deterministic cell order without retaining
+// per-trial records). All experiment tables in EXPERIMENTS.md are
+// produced through this package (see cmd/ksetbench).
 package sim
 
 import (
@@ -157,7 +156,9 @@ func (s *Spec) Resolve() error {
 	n := s.Adversary.N()
 	if s.NewProcess != nil {
 		if s.MaxRounds == 0 {
-			s.MaxRounds = defaultMaxRounds(s.Adversary)
+			// An override (a baseline) runs under Algorithm 1's bound.
+			kset := algo.MustLookup(algo.KSet)
+			s.MaxRounds = kset.MaxRounds(s.algoRun(kset, n))
 		}
 		return nil
 	}
@@ -195,17 +196,6 @@ func (s *Spec) algoRun(alg *algo.Algorithm, n int) algo.Run {
 		run.Stab = st.StabilizationRound()
 	}
 	return run
-}
-
-// defaultMaxRounds is the historical automatic bound, retained for
-// NewProcess-override runs (baselines): stabilization + 2n + 5, or 12n
-// without a Stabilizer.
-func defaultMaxRounds(adv rounds.Adversary) int {
-	n := adv.N()
-	if s, ok := adv.(rounds.Stabilizer); ok {
-		return s.StabilizationRound() + 2*n + 5
-	}
-	return 12 * n
 }
 
 // Execute runs one simulation.
@@ -314,6 +304,21 @@ func (o *Outcome) CheckAlgorithm() []algo.Violation {
 		RootComps: o.RootComps,
 		MinK:      o.MinK,
 	})
+}
+
+// AgreementHolds reports whether the executed family's agreement-bound
+// oracle held: no "k-bound" violation for kset (distinct decisions <=
+// MinK), no "agreement" violation for approx (decisions pairwise
+// adjacent, inside the regime that claims it). It is the one reading of
+// that verdict — the replay harness, the service's per-session k_bound
+// and the model checker's fire drill all go through it.
+func (o *Outcome) AgreementHolds() bool {
+	for _, v := range o.CheckAlgorithm() {
+		if v.Oracle == "k-bound" || v.Oracle == "agreement" {
+			return false
+		}
+	}
+	return true
 }
 
 // minKOf computes Outcome.MinK. The exact independence-number search is

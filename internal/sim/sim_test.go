@@ -219,20 +219,37 @@ func TestSweepPreservesOrderAndParallelism(t *testing.T) {
 		wantK = append(wantK, k)
 	}
 	for _, workers := range []int{0, 1, 4} {
-		outs, err := Sweep(specs, workers)
+		next := 0
+		err := sweepSpecs(specs, workers, func(cell int, out *Outcome) error {
+			if cell != next {
+				t.Fatalf("workers=%d: cell %d delivered, want %d", workers, cell, next)
+			}
+			next++
+			if got := len(out.DistinctDecisions()); got != wantK[cell] {
+				t.Fatalf("workers=%d spec %d: %d decisions, want %d",
+					workers, cell, got, wantK[cell])
+			}
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(outs) != len(specs) {
-			t.Fatalf("outs = %d", len(outs))
-		}
-		for i, out := range outs {
-			if got := len(out.DistinctDecisions()); got != wantK[i] {
-				t.Fatalf("workers=%d spec %d: %d decisions, want %d",
-					workers, i, got, wantK[i])
-			}
+		if next != len(specs) {
+			t.Fatalf("workers=%d: %d outcomes, want %d", workers, next, len(specs))
 		}
 	}
+}
+
+// sweepSpecs streams a fixed spec list, one spec per shard so that up to
+// `workers` of them execute concurrently.
+func sweepSpecs(specs []Spec, workers int, on func(cell int, out *Outcome) error) error {
+	return StreamSweep(StreamConfig{
+		Cells:     len(specs),
+		Workers:   workers,
+		shardSize: 1,
+		Spec:      func(cell int) (Spec, error) { return specs[cell], nil },
+		OnOutcome: on,
+	})
 }
 
 func TestSweepPropagatesError(t *testing.T) {
@@ -240,10 +257,11 @@ func TestSweepPropagatesError(t *testing.T) {
 		{Adversary: adversary.Complete(2), Proposals: SeqProposals(2)},
 		{}, // invalid
 	}
-	if _, err := Sweep(specs, 2); err == nil {
+	ok := func(int, *Outcome) error { return nil }
+	if err := sweepSpecs(specs, 2, ok); err == nil {
 		t.Fatal("error not propagated")
 	}
-	if _, err := Sweep(specs, 1); err == nil {
+	if err := sweepSpecs(specs, 1, ok); err == nil {
 		t.Fatal("error not propagated sequentially")
 	}
 }

@@ -7,23 +7,21 @@ import (
 	"kset/internal/adversary"
 )
 
-// This file is the sharded streaming sweep engine (DESIGN.md §5). The
-// original Sweep buffered every *Outcome of a parameter sweep before the
-// caller could aggregate, putting an O(trials) memory ceiling on
-// experiment size; StreamSweep instead fans cells out to a worker pool in
-// shards and delivers each outcome to the caller exactly once, in cell
-// order, so incremental aggregators (stats.Running, stats.Stream) can
-// consume and discard it. Determinism contract: OnOutcome is invoked in
-// strictly ascending cell order for every worker count, and Spec must be
-// a pure function of its cell index (derive all randomness from
-// CellSeed), so a streamed table is byte-identical for Workers = 1 and
-// Workers = 64.
+// This file is the sharded streaming sweep engine (DESIGN.md §5):
+// StreamSweep fans cells out to a worker pool in shards and delivers each
+// outcome to the caller exactly once, in cell order, so incremental
+// aggregators (stats.Running, stats.Stream) can consume and discard it
+// and no sweep holds O(trials) outcomes. Determinism contract: OnOutcome
+// is invoked in strictly ascending cell order for every worker count, and
+// Spec must be a pure function of its cell index (derive all randomness
+// from CellSeed), so a streamed table is byte-identical for Workers = 1
+// and Workers = 64.
 
-// DefaultShardSize is the number of cells a worker claims at a time when
-// StreamConfig.ShardSize is 0. Shards amortize channel traffic without
-// hurting load balance; peak retained outcomes are O(Workers · ShardSize),
-// independent of the total cell count.
-const DefaultShardSize = 16
+// defaultShardSize is the number of cells a worker claims at a time.
+// Shards amortize channel traffic without hurting load balance; peak
+// retained outcomes are O(Workers · shard size), independent of the total
+// cell count.
+const defaultShardSize = 16
 
 // StreamConfig describes a streaming sweep.
 type StreamConfig struct {
@@ -41,16 +39,12 @@ type StreamConfig struct {
 	// the memory ceiling streaming exists to remove). A non-nil error
 	// aborts the sweep.
 	OnOutcome func(cell int, out *Outcome) error
-	// OnProgress, if non-nil, is called on the StreamSweep goroutine
-	// after each outcome is delivered, with the number of delivered
-	// cells and the total.
-	OnProgress func(done, total int)
 	// Workers bounds parallelism; <= 1 runs sequentially on the calling
 	// goroutine.
 	Workers int
-	// ShardSize is the number of cells per work unit; 0 means
-	// DefaultShardSize.
-	ShardSize int
+	// shardSize overrides defaultShardSize when positive; the engine's
+	// tests use small shards to maximize reordering.
+	shardSize int
 }
 
 // CellSeed derives the per-cell random seed of a sweep from its base
@@ -87,9 +81,9 @@ func StreamSweep(cfg StreamConfig) error {
 	if cfg.Cells < 0 {
 		return fmt.Errorf("sim: StreamConfig.Cells = %d", cfg.Cells)
 	}
-	shard := cfg.ShardSize
+	shard := cfg.shardSize
 	if shard <= 0 {
-		shard = DefaultShardSize
+		shard = defaultShardSize
 	}
 
 	runCell := func(cell int) (*Outcome, error) {
@@ -106,9 +100,6 @@ func StreamSweep(cfg StreamConfig) error {
 	deliver := func(cell int, out *Outcome) error {
 		if err := cfg.OnOutcome(cell, out); err != nil {
 			return fmt.Errorf("sim: cell %d: %w", cell, err)
-		}
-		if cfg.OnProgress != nil {
-			cfg.OnProgress(cell+1, cfg.Cells)
 		}
 		return nil
 	}
@@ -143,7 +134,7 @@ func StreamSweep(cfg StreamConfig) error {
 	// ascending order, so the lowest undelivered shard always owns a
 	// token and is either being computed or already deliverable — no
 	// deadlock — while the reorder buffer stays bounded at
-	// O(workers · ShardSize) outcomes no matter how skewed the shard
+	// O(workers · shard) outcomes no matter how skewed the shard
 	// latencies are.
 	tokens := make(chan struct{}, workers+1)
 
@@ -206,10 +197,7 @@ func StreamSweep(cfg StreamConfig) error {
 	// (dispatch is ascending), so their outcomes always arrive and are
 	// delivered first — for every worker count the caller sees exactly
 	// the outcomes below the lowest failing cell, then that cell's
-	// error, matching what a sequential sweep would do. (The previous
-	// collector stopped delivering the moment any error ARRIVED, so the
-	// delivered prefix — and even which error was returned — depended on
-	// worker scheduling.)
+	// error, matching what a sequential sweep would do.
 	pending := make(map[int]shardResult, workers)
 	next := 0 // next cell to deliver
 	var firstErr error
@@ -250,29 +238,4 @@ func StreamSweep(cfg StreamConfig) error {
 		// Keep draining results so workers never block on send.
 	}
 	return firstErr
-}
-
-// Sweep executes specs on `workers` goroutines and returns all outcomes
-// in order; it is the buffering convenience wrapper over StreamSweep for
-// small sweeps whose caller wants the slice. Large sweeps should call
-// StreamSweep directly and aggregate incrementally. A nil or zero workers
-// value runs sequentially. The first error aborts the sweep.
-func Sweep(specs []Spec, workers int) ([]*Outcome, error) {
-	outs := make([]*Outcome, len(specs))
-	err := StreamSweep(StreamConfig{
-		Cells:   len(specs),
-		Workers: workers,
-		// One spec per shard: callers of the buffered API expect up to
-		// `workers` specs executing concurrently even for small sweeps.
-		ShardSize: 1,
-		Spec:      func(cell int) (Spec, error) { return specs[cell], nil },
-		OnOutcome: func(cell int, out *Outcome) error {
-			outs[cell] = out
-			return nil
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return outs, nil
 }

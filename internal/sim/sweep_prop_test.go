@@ -51,7 +51,7 @@ func TestStreamSweepStrictOrderUnderJitter(t *testing.T) {
 		err := StreamSweep(StreamConfig{
 			Cells:     cells,
 			Workers:   workers,
-			ShardSize: 4,
+			shardSize: 4,
 			Spec:      jitterSpec(cells, rng),
 			OnOutcome: func(cell int, out *Outcome) error {
 				delivered = append(delivered, cell)
@@ -86,7 +86,7 @@ func TestStreamSweepErrorPathDeterministic(t *testing.T) {
 		err := StreamSweep(StreamConfig{
 			Cells:     cells,
 			Workers:   workers,
-			ShardSize: 4,
+			shardSize: 4,
 			Spec: func(cell int) (Spec, error) {
 				if cell == failCell {
 					return Spec{}, errors.New("planted failure")
@@ -133,7 +133,7 @@ func TestStreamSweepOnOutcomeErrorDeterministic(t *testing.T) {
 		err := StreamSweep(StreamConfig{
 			Cells:     cells,
 			Workers:   workers,
-			ShardSize: 5,
+			shardSize: 5,
 			Spec:      jitterSpec(cells, rng),
 			OnOutcome: func(cell int, out *Outcome) error {
 				if cell == failCell {
@@ -163,7 +163,7 @@ func TestStreamSweepLowestErrorWins(t *testing.T) {
 		err := StreamSweep(StreamConfig{
 			Cells:     cells,
 			Workers:   workers,
-			ShardSize: 1, // every cell its own shard: maximal reordering freedom
+			shardSize: 1, // every cell its own shard: maximal reordering freedom
 			Spec: func(cell int) (Spec, error) {
 				switch cell {
 				case lowFail:

@@ -29,7 +29,7 @@ func streamDigest(t *testing.T, adv func(*rand.Rand) *adversary.Run, cells, work
 	err := StreamSweep(StreamConfig{
 		Cells:     cells,
 		Workers:   workers,
-		ShardSize: shardSize,
+		shardSize: shardSize,
 		Spec: func(cell int) (Spec, error) {
 			run := adv(rand.New(rand.NewSource(CellSeed(42, cell))))
 			return Spec{Adversary: run, Proposals: SeqProposals(run.N())}, nil
@@ -84,36 +84,6 @@ func TestStreamSweepByteStableAcrossCores(t *testing.T) {
 	}
 }
 
-func TestStreamSweepProgress(t *testing.T) {
-	var calls []int
-	err := StreamSweep(StreamConfig{
-		Cells:     5,
-		Workers:   3,
-		ShardSize: 2,
-		Spec: func(cell int) (Spec, error) {
-			return Spec{Adversary: adversary.Complete(3), Proposals: SeqProposals(3)}, nil
-		},
-		OnOutcome: func(cell int, out *Outcome) error { return nil },
-		OnProgress: func(done, total int) {
-			if total != 5 {
-				t.Errorf("total = %d", total)
-			}
-			calls = append(calls, done)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 5 {
-		t.Fatalf("progress calls = %v", calls)
-	}
-	for i, d := range calls {
-		if d != i+1 {
-			t.Fatalf("progress out of order: %v", calls)
-		}
-	}
-}
-
 func TestStreamSweepPropagatesErrors(t *testing.T) {
 	specErr := func(cell int) (Spec, error) {
 		if cell == 3 {
@@ -125,7 +95,7 @@ func TestStreamSweepPropagatesErrors(t *testing.T) {
 		err := StreamSweep(StreamConfig{
 			Cells:     10,
 			Workers:   workers,
-			ShardSize: 2,
+			shardSize: 2,
 			Spec:      specErr,
 			OnOutcome: func(cell int, out *Outcome) error { return nil },
 		})

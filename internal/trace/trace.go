@@ -58,18 +58,7 @@ func Collect(res *rounds.Result) (*Outcome, error) {
 
 // DistinctDecisions returns the sorted distinct decided values.
 func (o *Outcome) DistinctDecisions() []int64 {
-	seen := map[int64]bool{}
-	for i := range o.Decisions {
-		if o.Decided[i] {
-			seen[o.Decisions[i]] = true
-		}
-	}
-	out := make([]int64, 0, len(seen))
-	for v := range seen {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return o.DistinctDecisionsAmong(func(int) bool { return true })
 }
 
 // DistinctDecisionsAmong returns the sorted distinct values decided by

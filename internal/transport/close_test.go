@@ -304,8 +304,8 @@ func TestTCPCloseDuringReconnectLeaksNoGoroutines(t *testing.T) {
 		tr, err := NewTCPMeshLoopbackOpts(4, 2, nil, TCPOpts{Stall: StallOpts{
 			RoundTimeout:  time.Minute, // rounds close by count; only the break matters
 			MaxReconnect:  64,
-			ReconnectBase: 2 * time.Second, // first redial parks well past the Close below
-			ReconnectMax:  10 * time.Second,
+			reconnectBase: 2 * time.Second, // first redial parks well past the Close below
+			reconnectMax:  10 * time.Second,
 		}})
 		if err != nil {
 			t.Fatal(err)

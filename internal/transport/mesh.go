@@ -77,9 +77,6 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 	if nodes < 1 || nodes > n {
 		return nil, fmt.Errorf("transport: nodes = %d, need 1 <= nodes <= n = %d", nodes, n)
 	}
-	if opts.meter != nil && opts.meter.N() != n {
-		return nil, fmt.Errorf("transport: meter for n = %d on an n = %d mesh", opts.meter.N(), n)
-	}
 	if pol == nil {
 		pol = Perfect{}
 	}
@@ -106,7 +103,33 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 		}
 		t.nodes = append(t.nodes, nd)
 	}
+	if opts.meter != nil {
+		if err := t.setMeter(opts.meter); err != nil {
+			return nil, err
+		}
+	}
 	return t, nil
+}
+
+// core is how Metered reaches the mesh inside an exported transport,
+// which embeds it.
+func (t *mesh) core() *mesh { return t }
+
+// setMeter installs the heard meter Gather records on. Endpoints read it
+// without a lock, so it can only change while none is claimed.
+func (t *mesh) setMeter(m *HeardMeter) error {
+	if m.n != t.n {
+		return fmt.Errorf("transport: meter for n = %d on an n = %d mesh", m.n, t.n)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for p, claimed := range t.claimed {
+		if claimed {
+			return fmt.Errorf("transport: meter attached after endpoint %d was claimed", p)
+		}
+	}
+	t.opts.meter = m
+	return nil
 }
 
 // startWriters launches the nodes' writer loops.

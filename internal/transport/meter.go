@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"sync"
 
 	"kset/internal/graph"
@@ -31,9 +32,6 @@ func NewHeardMeter(n int) *HeardMeter {
 	return &HeardMeter{n: n}
 }
 
-// N returns the process count the meter was built for.
-func (m *HeardMeter) N() int { return m.n }
-
 // Record notes the heard-set of receiver self in round r: recv[q] is
 // nil iff q's payload did not arrive (injected drop or real loss).
 // Safe for concurrent use by all receivers of a round; each (r, self)
@@ -52,14 +50,6 @@ func (m *HeardMeter) Record(r, self int, recv [][]byte) {
 	m.mu.Unlock()
 }
 
-// Rounds returns the number of rounds with at least one recorded
-// gather.
-func (m *HeardMeter) Rounds() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.graphs)
-}
-
 // Graphs returns the recorded per-round graphs (graphs[r-1] = round r).
 // The returned slice is a snapshot; the graphs themselves are shared
 // and must be treated as read-only once the run has finished.
@@ -69,52 +59,16 @@ func (m *HeardMeter) Graphs() []*graph.Digraph {
 	return append([]*graph.Digraph(nil), m.graphs...)
 }
 
-// Metered wraps any transport so every successful Gather records its
-// realized heard-set on m. The UDP mesh meters natively (UDPOpts.Meter);
-// this wrapper gives the in-proc and TCP transports the same ground
-// truth, which is what the crash-replay differential mode feeds back
-// through the sequential executor. Death verdicts pass through when the
-// underlying transport supports them.
-func Metered(tr Transport, m *HeardMeter) Transport {
-	return &meteredTransport{tr: tr, m: m}
-}
-
-type meteredTransport struct {
-	tr Transport
-	m  *HeardMeter
-}
-
-func (t *meteredTransport) N() int { return t.tr.N() }
-
-func (t *meteredTransport) Endpoint(self int) (Endpoint, error) {
-	ep, err := t.tr.Endpoint(self)
-	if err != nil {
-		return nil, err
+// Metered attaches m to tr so that every successful Gather records its
+// realized heard-set — the ground truth the replay harnesses feed back
+// through the sequential executor. Every transport in this package is
+// the mesh core, whose Gather records natively, so nothing is wrapped:
+// the meter is installed on the core. It must be attached before any
+// endpoint is claimed; a transport that is not a mesh is rejected.
+func Metered(tr Transport, m *HeardMeter) error {
+	c, ok := tr.(interface{ core() *mesh })
+	if !ok {
+		return fmt.Errorf("transport: cannot meter a %T: not a mesh transport", tr)
 	}
-	return &meteredEndpoint{Endpoint: ep, m: t.m}, nil
-}
-
-func (t *meteredTransport) Close() error { return t.tr.Close() }
-
-// MarkDead implements DeadMarker by forwarding; a verdict on a transport
-// without death support is dropped (the wrapped run then simply has no
-// crash tolerance, same as the unwrapped one).
-func (t *meteredTransport) MarkDead(p, fromRound int) {
-	if dm, ok := t.tr.(DeadMarker); ok {
-		dm.MarkDead(p, fromRound)
-	}
-}
-
-type meteredEndpoint struct {
-	Endpoint
-	m *HeardMeter
-}
-
-func (ep *meteredEndpoint) Gather(r int, into [][]byte) ([][]byte, error) {
-	recv, err := ep.Endpoint.Gather(r, into)
-	if err != nil {
-		return nil, err
-	}
-	ep.m.Record(r, ep.Self(), recv)
-	return recv, nil
+	return c.core().setMeter(m)
 }

@@ -50,15 +50,17 @@ type StallOpts struct {
 	// it runs out the peer node gets a terminal death verdict. 0 means a
 	// broken stream is immediately terminal (no redial).
 	MaxReconnect int
-	// ReconnectBase and ReconnectMax bound the jittered exponential
-	// backoff between redials: attempt k sleeps base<<(k-1) capped at
-	// max, plus up to half that again of jitter keyed on (node, peer,
-	// attempt). Zero values default to 5ms and 500ms.
-	ReconnectBase time.Duration
-	ReconnectMax  time.Duration
 
 	// Counters, when non-nil, receives stall/retry/death events.
 	Counters *StallCounters
+
+	// reconnectBase and reconnectMax bound the jittered exponential
+	// backoff between redials: attempt k sleeps base<<(k-1) capped at
+	// max, plus up to half that again of jitter keyed on (node, peer,
+	// attempt). 5ms and 500ms; only the teardown tests park a redial
+	// longer.
+	reconnectBase time.Duration
+	reconnectMax  time.Duration
 }
 
 // withDefaults fills the derived defaults documented on the fields.
@@ -69,23 +71,23 @@ func (o StallOpts) withDefaults() StallOpts {
 			o.Grace = 100 * time.Microsecond
 		}
 	}
-	if o.ReconnectBase <= 0 {
-		o.ReconnectBase = 5 * time.Millisecond
+	if o.reconnectBase <= 0 {
+		o.reconnectBase = 5 * time.Millisecond
 	}
-	if o.ReconnectMax <= 0 {
-		o.ReconnectMax = 500 * time.Millisecond
+	if o.reconnectMax <= 0 {
+		o.reconnectMax = 500 * time.Millisecond
 	}
 	return o
 }
 
 // backoff returns the sleep before redial attempt k (1-based):
-// exponential from ReconnectBase, capped at ReconnectMax, with up to
+// exponential from reconnectBase, capped at reconnectMax, with up to
 // +50% of deterministic jitter so a partitioned mesh's redials don't
 // thundering-herd in phase.
 func (o StallOpts) backoff(node, peer, attempt int) time.Duration {
-	d := o.ReconnectBase << (attempt - 1)
-	if d <= 0 || d > o.ReconnectMax {
-		d = o.ReconnectMax
+	d := o.reconnectBase << (attempt - 1)
+	if d <= 0 || d > o.reconnectMax {
+		d = o.reconnectMax
 	}
 	h := mix64(uint64(node)<<40 ^ uint64(peer)<<24 ^ uint64(attempt))
 	return d + time.Duration(h%uint64(d/2+1))

@@ -375,7 +375,7 @@ func (l *streamLink) redial(sn *streamNode, peer int) {
 // replacement stream, then issues the peer-dead verdict if none did.
 func (l *streamLink) awaitReplacement(sn *streamNode, peer int) {
 	o := l.opts
-	budget := time.Duration(o.MaxReconnect)*(o.ReconnectMax+o.ReconnectMax/2+time.Second) + time.Second
+	budget := time.Duration(o.MaxReconnect)*(o.reconnectMax+o.reconnectMax/2+time.Second) + time.Second
 	timer := time.NewTimer(budget)
 	defer timer.Stop()
 	select {

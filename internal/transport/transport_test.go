@@ -296,3 +296,29 @@ func TestBroadcastRejectsOversizedPayload(t *testing.T) {
 		t.Fatal("oversized broadcast succeeded")
 	}
 }
+
+// fakeTransport is a Transport that is not a mesh.
+type fakeTransport struct{ Transport }
+
+// TestMeteredRejectsWhatItCannotMeter pins Metered's three refusals: a
+// transport that is not the mesh core, a meter sized for another n, and
+// a mesh whose endpoints are already gathering unmetered.
+func TestMeteredRejectsWhatItCannotMeter(t *testing.T) {
+	tr := NewInProc(3, nil)
+	defer tr.Close()
+	if err := Metered(fakeTransport{tr}, NewHeardMeter(3)); err == nil {
+		t.Error("a non-mesh transport was metered")
+	}
+	if err := Metered(tr, NewHeardMeter(4)); err == nil {
+		t.Error("a meter for n = 4 was attached to an n = 3 mesh")
+	}
+	if err := Metered(tr, NewHeardMeter(3)); err != nil {
+		t.Fatalf("fresh mesh: %v", err)
+	}
+	if _, err := tr.Endpoint(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := Metered(tr, NewHeardMeter(3)); err == nil {
+		t.Error("a meter was attached after an endpoint was claimed")
+	}
+}

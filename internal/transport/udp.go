@@ -34,12 +34,6 @@ type UDPMesh struct {
 // a 2ms round deadline with 300µs grace extensions, 1MiB socket
 // buffers, no meter, no simulated wire loss.
 type UDPOpts struct {
-	// MaxDatagram caps the bytes of one UDP packet, header included.
-	// Both sides derive the fragment chunk size from it, so every node
-	// of a mesh (and, in a future multi-process deployment, every
-	// configured peer) must agree on it.
-	MaxDatagram int
-
 	// RoundTimeout is the receiver's per-round closure deadline: how
 	// long a Gather waits for senders the bitmap has not accounted for
 	// before starting to suspect loss.
@@ -78,12 +72,18 @@ type UDPOpts struct {
 
 	// Counters, when non-nil, receives stall and death events.
 	Counters *StallCounters
+
+	// maxDatagram caps the bytes of one UDP packet, header included
+	// (0 = defaultUDPDatagram). Both sides derive the fragment chunk size
+	// from it. Only the fragmentation tests shrink it, down to
+	// minUDPDatagram.
+	maxDatagram int
 }
 
 func (o *UDPOpts) withDefaults() UDPOpts {
 	opts := *o
-	if opts.MaxDatagram == 0 {
-		opts.MaxDatagram = 1400
+	if opts.maxDatagram == 0 {
+		opts.maxDatagram = defaultUDPDatagram
 	}
 	if opts.RoundTimeout == 0 {
 		opts.RoundTimeout = 2 * time.Millisecond
@@ -97,12 +97,11 @@ func (o *UDPOpts) withDefaults() UDPOpts {
 	return opts
 }
 
-// maxUDPDatagram is the largest UDP payload the protocol allows (the
-// IPv4 limit); the floor keeps at least one fragment byte after a
-// worst-case header.
+// defaultUDPDatagram fits an Ethernet MTU; minUDPDatagram is the floor
+// that keeps fragment bytes after a worst-case header.
 const (
-	maxUDPDatagram = 65507
-	minUDPDatagram = udpHeaderMax + 64
+	defaultUDPDatagram = 1400
+	minUDPDatagram     = udpHeaderMax + 64
 )
 
 // NewUDPMeshLoopback returns a UDP mesh transport for n processes
@@ -110,10 +109,6 @@ const (
 // loops running before the constructor returns.
 func NewUDPMeshLoopback(n, nodes int, pol Policy, opts UDPOpts) (*UDPMesh, error) {
 	opts = opts.withDefaults()
-	if opts.MaxDatagram < minUDPDatagram || opts.MaxDatagram > maxUDPDatagram {
-		return nil, fmt.Errorf("transport: MaxDatagram = %d, need %d <= MaxDatagram <= %d",
-			opts.MaxDatagram, minUDPDatagram, maxUDPDatagram)
-	}
 	core, err := newMesh(n, nodes, pol, meshOpts{
 		deadline:  opts.RoundTimeout,
 		grace:     opts.Grace,
@@ -128,7 +123,7 @@ func NewUDPMeshLoopback(n, nodes int, pol Policy, opts UDPOpts) (*UDPMesh, error
 	if nodes == 1 {
 		return t, nil // single node: every delivery is in-memory
 	}
-	t.dl = &datagramLink{t: core, opts: opts, chunk: opts.MaxDatagram - udpHeaderMax}
+	t.dl = &datagramLink{t: core, opts: opts, chunk: opts.maxDatagram - udpHeaderMax}
 	core.link = t.dl
 	if err := t.dl.open(); err != nil {
 		t.Close()
@@ -201,7 +196,7 @@ func (l *datagramLink) open() error {
 		}
 		err := un.sender.init(un.conn, l.addrs)
 		if err == nil {
-			err = un.rcv.init(un.conn, l.opts.MaxDatagram)
+			err = un.rcv.init(un.conn, l.opts.maxDatagram)
 		}
 		if err != nil {
 			return fmt.Errorf("transport: node %d io setup: %w", i, err)

@@ -23,7 +23,7 @@ import (
 // delimiting, so unlike the stream link nothing else is prefixed.
 //
 // Fragmentation is deterministic: both sides derive the same chunk size
-// from the transport's MaxDatagram, every fragment except the last
+// from the transport's datagram size, every fragment except the last
 // carries exactly chunk bytes, and fragment i covers body bytes
 // [i*chunk, min((i+1)*chunk, len)). A receiver therefore places
 // fragments by index alone, in any arrival order, and validates the

@@ -54,13 +54,13 @@ func bigPayloadFor(p, r, size int) []byte {
 }
 
 // TestUDPFragmentationRoundTrip forces every frame across many
-// datagrams (tiny MaxDatagram, kilobyte payloads) and requires exact
+// datagrams (tiny maxDatagram, kilobyte payloads) and requires exact
 // reassembly in every round — out-of-order and interleaved fragments
 // from all peers included.
 func TestUDPFragmentationRoundTrip(t *testing.T) {
 	const n, rounds, size = 3, 6, 2000
 	opts := udpTestOpts()
-	opts.MaxDatagram = minUDPDatagram // chunk of 64 bytes -> ~32 fragments per frame
+	opts.maxDatagram = minUDPDatagram // chunk of 64 bytes -> ~32 fragments per frame
 	tr, err := NewUDPMeshLoopback(n, n, nil, opts)
 	if err != nil {
 		t.Fatal(err)
