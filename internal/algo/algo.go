@@ -18,7 +18,7 @@
 // smoke run of the factory and a codec round-trip on a real message
 // (selfTest), so a broken registration — nil sends, codecs that do not
 // round-trip, factories that reject their own probe — fails loudly at
-// registration time, not rounds deep inside a process goroutine.
+// registration time, not rounds deep inside a live run.
 package algo
 
 import (
@@ -35,16 +35,16 @@ import (
 
 // Codec translates between an algorithm's in-memory messages and the
 // byte payloads a transport carries. Codec values are shared by every
-// process goroutine and must be stateless; per-goroutine decode state
-// lives in the Decoder each goroutine obtains from NewDecoder.
+// worker of a run and must be stateless; decode state lives in the
+// Decoder the runtime obtains from NewDecoder for each process.
 type Codec interface {
 	// Encode appends msg's wire form to dst and returns the extended
 	// buffer (the runtime reuses dst across rounds). msg is whatever the
 	// algorithm's Send returns; encoding a foreign message type is an
 	// error, surfaced by Register's self-test before any run starts.
 	Encode(dst []byte, msg any) ([]byte, error)
-	// NewDecoder returns a decoder for one process goroutine on an
-	// n-process transport.
+	// NewDecoder returns a decoder for one process on an n-process
+	// transport; only one goroutine at a time uses it.
 	NewDecoder(n int) Decoder
 }
 

@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"math/rand"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,6 +175,35 @@ func TestSilentCrashDetectedByStall(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSilentCrashOnCountClosedMeshRejected: with no round deadline nobody
+// ever notices a process that fell silent unannounced, so a silent crash
+// plan on the in-proc mesh or on TCP without chaos mode used to wedge the
+// run forever — no result, no error. It is an error before any process
+// starts.
+func TestSilentCrashOnCountClosedMeshRejected(t *testing.T) {
+	const n = 4
+	for _, kind := range []string{"inproc", "tcp"} {
+		spec := sim.Spec{
+			Adversary: adversary.RandomSingleSource(n, 0, 0.2, 0, rand.New(rand.NewSource(1))),
+			Proposals: sim.SeqProposals(n),
+			MaxRounds: 30,
+		}
+		failed := make(chan error, 1)
+		go func() {
+			_, err := runtime.CrashReplay(spec, SiteCrashPlan(n, 1, 2, runtime.CrashBeforeSend, false), runtime.CrashReplayOpts{Kind: kind})
+			failed <- err
+		}()
+		select {
+		case err := <-failed:
+			if err == nil || !strings.Contains(err.Error(), "silent crash plan") {
+				t.Errorf("%s: silent crash returned %v, want the silent-crash-plan error", kind, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: silent crash on a count-closed mesh is still running after 5s", kind)
+		}
 	}
 }
 

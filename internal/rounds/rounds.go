@@ -10,9 +10,9 @@
 // step that definition: RunSequential here (lockstep: one round at a
 // time, coordinated by the calling goroutine, which from a measured
 // size up shares each round's transitions with the idle cores) and the
-// live runtime (internal/runtime: a goroutine per process over a
-// transport). They therefore produce identical runs for identical
-// inputs, which runtime.Diff verifies.
+// live runtime (internal/runtime: the same loop and worker pool, Shards,
+// stepping real sends and gathers over a transport). They therefore
+// produce identical runs for identical inputs, which runtime.Diff verifies.
 package rounds
 
 import (

@@ -15,6 +15,7 @@ import (
 	"kset/internal/core"
 	"kset/internal/graph"
 	"kset/internal/rounds"
+	"kset/internal/rounds/roundstest"
 	"kset/internal/sim"
 	"kset/internal/wire"
 )
@@ -173,12 +174,14 @@ func caught(fn func()) (v any) {
 	return nil
 }
 
-// settled reports whether the goroutine count falls back to want: a
-// worker the executor has waited for may still be between its last
-// statement and its exit.
-func settled(want int) bool {
+// settled reports whether every pool worker has gone: a worker the
+// executor has waited for may still be between its last statement and its
+// exit. It counts the pool's own goroutines (roundstest.PoolWorkers), not
+// runtime.NumGoroutine, which also sees the goroutines of earlier tests
+// that are still exiting.
+func settled() bool {
 	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > want {
+	for roundstest.PoolWorkers() > 0 {
 		if time.Now().After(deadline) {
 			return false
 		}
@@ -205,7 +208,6 @@ func TestShardedPanicReachesCaller(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, workers := range []int{1, 2, 3} {
-			before := runtime.NumGoroutine()
 			cfg := rounds.Config{
 				Adversary: adversary.Complete(n),
 				MaxRounds: 5,
@@ -223,8 +225,8 @@ func TestShardedPanicReachesCaller(t *testing.T) {
 			if err, ok := v.(error); !ok || !errors.Is(err, boom[tc.want]) {
 				t.Errorf("%s, workers=%d: caller recovered %v, want %v", tc.name, workers, v, boom[tc.want])
 			}
-			if !settled(before) {
-				t.Errorf("%s, workers=%d: %d goroutines after the panic, %d before", tc.name, workers, runtime.NumGoroutine(), before)
+			if !settled() {
+				t.Errorf("%s, workers=%d: %d pool workers alive after the panic", tc.name, workers, roundstest.PoolWorkers())
 			}
 		}
 	}
@@ -256,7 +258,6 @@ func TestShardedWorkersStopOnEveryExit(t *testing.T) {
 		"CheckGraph error": {Adversary: badFrom{adversary.Complete(n), 3}, NewProcess: quiet, MaxRounds: 9},
 	}
 	for name, cfg := range exits {
-		before := runtime.NumGoroutine()
 		res, err := rounds.RunLockstep(cfg, 3)
 		if (err != nil) != (name == "CheckGraph error") {
 			t.Errorf("%s: err = %v", name, err)
@@ -264,23 +265,25 @@ func TestShardedWorkersStopOnEveryExit(t *testing.T) {
 		if err == nil && res.Stopped != (name == "StopWhen") {
 			t.Errorf("%s: Stopped = %v after %d rounds", name, res.Stopped, res.Rounds)
 		}
-		if !settled(before) {
-			t.Errorf("%s: %d goroutines after the run, %d before", name, runtime.NumGoroutine(), before)
+		if !settled() {
+			t.Errorf("%s: %d pool workers alive after the run", name, roundstest.PoolWorkers())
 		}
 	}
 }
 
-// counting records the largest goroutine count its transitions saw.
+// counting records the largest number of pool workers its transitions
+// saw alive.
 type counting struct {
 	faulty
 	seen int
 }
 
-func (c *counting) Transition(int, []any) { c.seen = max(c.seen, runtime.NumGoroutine()) }
+func (c *counting) Transition(int, []any) { c.seen = max(c.seen, roundstest.PoolWorkers()) }
 
 // TestInlineBelowCrossoverAndOnOneCore pins the selection rule: below
 // the crossover, and on one core at any n, RunSequential steps every
-// transition on the caller's goroutine and starts none.
+// transition on the caller's goroutine and starts none; from the
+// crossover up it starts GOMAXPROCS - 1.
 func TestInlineBelowCrossoverAndOnOneCore(t *testing.T) {
 	run := func(n int) (during int) {
 		res, err := rounds.RunSequential(rounds.Config{
@@ -296,21 +299,23 @@ func TestInlineBelowCrossoverAndOnOneCore(t *testing.T) {
 		}
 		return during
 	}
-	before := runtime.NumGoroutine()
-	if runtime.GOMAXPROCS(0) > 1 {
-		if got := run(minN); got <= before {
-			t.Errorf("n=%d on %d cores: no worker goroutine was started", minN, runtime.GOMAXPROCS(0))
+	if !settled() {
+		t.Fatal("pool workers of an earlier test still running")
+	}
+	if cores := runtime.GOMAXPROCS(0); cores > 1 {
+		if got := run(minN); got != cores-1 {
+			t.Errorf("n=%d on %d cores: %d pool workers during the run, want %d", minN, cores, got, cores-1)
 		}
-		if !settled(before) {
+		if !settled() {
 			t.Fatalf("workers still running")
 		}
 	}
-	if got := run(minN - 1); got != before {
-		t.Errorf("n=%d: %d goroutines during the run, %d before it", minN-1, got, before)
+	if got := run(minN - 1); got != 0 {
+		t.Errorf("n=%d: %d pool workers during the run", minN-1, got)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if got := run(2 * minN); got != before {
-		t.Errorf("GOMAXPROCS=1, n=%d: %d goroutines during the run, %d before it", 2*minN, got, before)
+	if got := run(2 * minN); got != 0 {
+		t.Errorf("GOMAXPROCS=1, n=%d: %d pool workers during the run", 2*minN, got)
 	}
 }
 

@@ -47,22 +47,23 @@ func (s CrashSite) String() string {
 // node always hears itself — self-delivery is unconditional on every
 // transport, matching the paper's crashed-but-internally-correct node).
 //
-// The plan acts in three places, which together make an injected crash
+// The plan acts in two places, which together make an injected crash
 // indistinguishable from a real one at every layer below the injector:
-// the process goroutine returns at the site (the process IS dead, not
-// simulating dead), the crash-cut transport policy drops the sends a
-// real crash would have lost, and the controller stops expecting the
-// victim's reports.
+// the process's worker stops stepping it at the site (no send, gather or
+// transition ever again — the process IS dead, not simulating dead), and
+// the crash-cut transport policy drops the sends a real crash would have
+// lost.
 //
 // Notify selects announced versus silent death. Announced (Notify =
 // true) calls MarkDead on the transport at the crash, the way a
-// supervisor announces a dead child — required on the in-proc transport,
-// which has no deadline machinery to notice silence. Silent (false)
-// leaves detection to the transport's stall layer: receivers burn
-// deadlines until the stall detector's verdict. Silent crashes assume
-// one process per node on the socket meshes — a silent co-located
-// process would wedge its node's shared writer, which is faithful to
-// what an OS process crash does to everything inside it.
+// supervisor announces a dead child — required on a transport that
+// closes rounds by count only (in-proc, TCP without a round deadline)
+// and so never notices silence: RunChaos rejects a silent plan there.
+// Silent (false) leaves detection to the transport's stall layer:
+// receivers burn deadlines until the stall detector's verdict. Silent
+// crashes assume one process per node on the socket meshes — a silent
+// co-located process would wedge its node's shared writer, which is
+// faithful to what an OS process crash does to everything inside it.
 type CrashPlan struct {
 	Round   []int
 	Site    []CrashSite
@@ -132,9 +133,9 @@ func (p *CrashPlan) Sends(r, from, to int) bool {
 	}
 }
 
-// aliveEntering counts the processes that will report round r: everyone
-// whose crash round is unset or still ahead — a process reports (as
-// crashed) IN its crash round, and never after.
+// aliveEntering counts the processes that are stepped in round r:
+// everyone whose crash round is unset or still ahead — a process is
+// stepped (up to its site) IN its crash round, and never after.
 func (p *CrashPlan) aliveEntering(r int) int {
 	alive := 0
 	for _, cr := range p.Round {
@@ -210,39 +211,4 @@ func (s *StallPlan) delay(self, r int) time.Duration {
 		return s.Delay[self]
 	}
 	return 0
-}
-
-// procChaos is one process's slice of the chaos plans, precomputed so
-// the per-round hot path is two field reads for the (overwhelmingly
-// common) untouched process.
-type procChaos struct {
-	crashRound int
-	site       CrashSite
-	notify     bool
-	dm         transport.DeadMarker
-	stall      *StallPlan
-	self       int
-}
-
-// newProcChaos returns process self's chaos state, or nil when no plan
-// touches it (the hot-path fast out).
-func newProcChaos(self int, plan *CrashPlan, stall *StallPlan, dm transport.DeadMarker) *procChaos {
-	crashRound := 0
-	var site CrashSite
-	notify := false
-	if plan != nil && plan.Round[self] != 0 {
-		crashRound, site, notify = plan.Round[self], plan.Site[self], plan.Notify
-	}
-	if crashRound == 0 && (stall == nil || stall.Delay[self] <= 0) {
-		return nil
-	}
-	return &procChaos{crashRound: crashRound, site: site, notify: notify, dm: dm, stall: stall, self: self}
-}
-
-// sendDelay returns the stall delay before the round-r send (nil-safe).
-func (c *procChaos) sendDelay(r int) time.Duration {
-	if c == nil || c.stall == nil {
-		return 0
-	}
-	return c.stall.delay(c.self, r)
 }

@@ -23,7 +23,7 @@ type CrashReplayOpts struct {
 	// CrashReplay and must be nil.
 	UDP transport.UDPOpts
 	// TCP tunes the TCP mesh; with a silent crash plan its Stall knobs
-	// must enable chaos mode or the run will wedge on the dead peer.
+	// must enable chaos mode, or RunChaos rejects the plan (see CrashPlan).
 	TCP transport.TCPOpts
 	// Loss adds i.i.d. frame loss on the UDP mesh (see RunnerOpts.Loss),
 	// composing real loss under the injected crashes.
@@ -75,7 +75,7 @@ type CrashReplayReport struct {
 
 // CrashReplay is the differential harness for crash faults, the
 // crash-layer analogue of LossReplay: it proves that a distributed run
-// with real process deaths — goroutines gone mid-protocol, streams cut,
+// with real process deaths — processes gone mid-protocol, streams cut,
 // rounds closed by deadline — is still bit-for-bit an execution of the
 // paper's round model on the communication pattern the crashes carved
 // out.

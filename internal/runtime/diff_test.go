@@ -38,7 +38,7 @@ func TestDifferentialSuiteInProc(t *testing.T) {
 
 // TestDifferentialSuiteN128 replays the full schedule suite at n = 128
 // on the distributed runtime over the in-process transport — 128
-// process goroutines per run, every E1–E16 family — and requires exact
+// workers per run, every E1–E16 family — and requires exact
 // outcome equality with the simulator. This is the scale pin: the
 // runtime's control plane, codec sharing, and transport windowing must
 // not degrade into divergence (or deadlock) an order of magnitude above

@@ -1,13 +1,13 @@
 // Package runtime executes the round model as a real distributed system:
-// one goroutine per process running its algorithm end-to-end, messages
-// crossing a pluggable transport (internal/transport) as encoded bytes,
-// and per-link drops/delays injected by the transport's policy instead
-// of a lock-step delivery loop. It is the second, independent
-// implementation of the executor contract in internal/rounds — the
-// differential harness in this package (Diff) proves it
-// decision-for-decision identical to the simulator, in the same spirit
-// as the differential baselines in internal/baseline and the
-// model-checker's brute-force cross-check in internal/check.
+// every process runs its algorithm end-to-end, messages cross a pluggable
+// transport (internal/transport) as encoded bytes, and per-link
+// drops/delays are injected by the transport's policy instead of a
+// lock-step delivery loop. It is the second, independent implementation
+// of the executor contract in internal/rounds — the differential harness
+// in this package (Diff) proves it decision-for-decision identical to
+// the simulator, in the same spirit as the differential baselines in
+// internal/baseline and the model-checker's brute-force cross-check in
+// internal/check.
 //
 // # Determinism
 //
@@ -20,37 +20,53 @@
 // and compares every per-process decision, decision round, and skeleton
 // measurement against sim.Execute on the same schedule and seed.
 //
-// # Control plane and pipelining
+// # Who steps a process
 //
-// Data-plane messages (the algorithm's (tag, x, G) broadcasts) travel
-// over the transport. Round pacing is a thin control plane on the
-// runner: after its round-r transition, each process reports to the
-// controller, which runs the observers and the stop predicate against
-// the quiescent round-r state and releases round r+1 — or ends the run.
+// For the same reason, which goroutine applies a process's transition is
+// unobservable, so the live executor is the lockstep loop on the lockstep
+// executor's worker pool (rounds.Shards) with a different step: each
+// round every worker takes its block of processes through send → gather
+// → decode → transition, Run's caller being worker 0, and between rounds
+// the caller alone runs the observers and the stop predicate on the
+// quiescent state. The worker count is derived, never set: 1 — the
+// caller steps every process inline: no goroutine, no channel operation,
+// and on the in-proc transport no Gather ever parks — unless a process
+// needs a clock of its own, and then n, one process per worker. That is
+// when the transport closes rounds by deadline (sequential Gathers would
+// serialise deadline + grace), a crash or stall plan is present (a
+// stall's sleep would delay a whole block), the policy can inject
+// receive delay (the sleeps would add up instead of skewing), the
+// transport is not one of internal/transport's meshes
+// (transport.CountClosed answers these three), or n >= inlineBelowN on
+// more than one core, where a round is big enough to split. Inside a
+// block every round-r send precedes the first round-r gather, so a
+// count-closed gather only waits on sends that do not wait on it; and a
+// step that fails closes the transport before it returns, so blocks
+// parked in Gather wake with ErrClosed and the pool cannot hang.
+//
+// # Pipelining
 //
 // Fixed-length runs (StopWhen == nil — benchmarks, load generators,
 // service sessions) are pipelined: a process writes its round-r+1
-// broadcast immediately after its round-r transition, BEFORE reporting
-// to the controller, so by the time the barrier releases round r+1
-// every process's message is already deposited (or on the wire) and
-// Gather completes without waiting out a fresh send burst. This is
-// exact, not just safe: with no early-stop predicate, rounds 1..
+// broadcast right after its round-r transition, BEFORE the round
+// barrier, so when round r+1 starts every message is already deposited
+// (or on the wire) and Gather does not wait out a fresh send burst. This
+// is exact, not just safe: with no early-stop predicate, rounds 1..
 // MaxRounds all execute, so the pipelined run performs precisely the
 // Send calls and per-link drops the lockstep simulator does — only
-// earlier in wall-clock — and the transport contract's bounded
-// lookahead (one round past the lowest un-gathered round) licenses the
-// head start. Runs with a StopWhen predicate are not pipelined: the
-// controller's stop decision is not locally predictable, so a
-// speculative round-r+1 broadcast after a stop at round r would call
-// Send (observable to metering wrappers) and consult the drop policy
-// for a round the simulator never executes. The differential harness
-// covers both paths.
+// earlier in wall-clock — and the transport contract's bounded lookahead
+// (one round past the lowest un-gathered round) licenses the head start.
+// Runs with a StopWhen predicate are not pipelined: a speculative
+// round-r+1 broadcast after a stop at round r would call Send
+// (observable to metering wrappers) and consult the drop policy for a
+// round the simulator never executes. Diff covers both paths.
 package runtime
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sync"
+	goruntime "runtime"
 	"time"
 
 	"kset/internal/adversary"
@@ -59,43 +75,43 @@ import (
 	"kset/internal/transport"
 )
 
-// report is one process's round-completion message to the controller.
-type report struct {
-	self    int
-	round   int
-	crashed bool // the process executed its planned crash in this round
-	err     error
-}
+// inlineBelowN is the n from which processes that need no clock of their
+// own get a worker each anyway. Measured on the 2-core sandbox
+// (BenchmarkLiveCrossover; DESIGN.md §4 has the table): inline beats one
+// worker per process 2.6x at n = 8, 1.3x at n = 16, is level at n = 24
+// and loses from n = 32 (0.5x at n = 64); GOMAXPROCS blocks never win.
+const inlineBelowN = 32
 
-// Run executes cfg with one goroutine per process over the given
-// transport. It enforces exactly the contract of rounds.RunSequential
-// (same Config validation, same graph checks, same observer and stop
-// semantics) and produces the identical Result for the identical
-// inputs, provided the transport's drop policy replays cfg.Adversary
-// (see NewRunner, which wires that up). codec must be the one of the
-// family cfg.NewProcess builds (algo.Lookup(name).Codec); nil is an
-// error, not a default.
+// Run executes cfg over the given transport. It enforces exactly the
+// contract of rounds.RunSequential (same Config validation, same graph
+// checks, same observer and stop semantics, both on Run's caller) and
+// produces the identical Result for the identical inputs, provided the
+// transport's drop policy replays cfg.Adversary (see NewRunner, which
+// wires that up). codec must be the one of the family cfg.NewProcess
+// builds (algo.Lookup(name).Codec); nil is an error, not a default. A
+// panic in a process reaches Run's caller with its original value.
 //
 // Run owns the transport: it is closed before Run returns, on every
-// path. cfg.Adversary is read concurrently by the controller and — via
-// the transport policy — by every process goroutine, so it must be safe
-// for concurrent Graph calls (adversary.MaterializeRun makes any
-// adversary so).
+// path. cfg.Adversary is read concurrently by the caller and — via the
+// transport policy — by every worker, so it must be safe for concurrent
+// Graph calls (adversary.MaterializeRun makes any adversary so).
 func Run(cfg rounds.Config, tr transport.Transport, codec Codec) (*rounds.Result, error) {
 	return RunChaos(cfg, tr, codec, nil, nil)
 }
 
 // RunChaos is Run with fault injection: plan schedules process crashes
 // (site-exact, see CrashPlan), stall delays processes' sends without
-// killing them. Both may be nil; with both nil this IS Run.
+// killing them. Both may be nil; with both nil this IS Run. A silent
+// plan (Notify false) that crashes anyone is rejected on a transport
+// that closes rounds by count only: nobody would ever notice the dead.
 //
 // Crashed processes freeze at their pre-crash state (they appear in the
 // Result undecided or with their pre-crash decision, the paper's
-// internally-correct crashed node), the controller stops expecting their
-// reports, and — when cfg.StopWhen is set — the run additionally ends as
-// soon as every surviving process has decided, since waiting on the dead
-// is exactly the wedge this layer exists to remove. Fixed-length runs
-// (StopWhen == nil) still execute all MaxRounds with the survivors.
+// internally-correct crashed node), nothing steps them again, and — when
+// cfg.StopWhen is set — the run additionally ends as soon as every
+// surviving process has decided, since waiting on the dead is exactly
+// the wedge this layer exists to remove. Fixed-length runs (StopWhen ==
+// nil) still execute all MaxRounds with the survivors.
 func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
 	defer tr.Close()
 	n, err := cfg.Validate()
@@ -116,236 +132,222 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 		// deep, on the first message of any other family.
 		return nil, errors.New("runtime: nil codec")
 	}
-
-	procs := make([]rounds.Algorithm, n)
-	for i := 0; i < n; i++ {
-		procs[i] = cfg.NewProcess(i)
-		procs[i].Init(i, n)
+	byCount, instant := transport.CountClosed(tr)
+	if byCount && plan.Crashes() > 0 && !plan.Notify {
+		return nil, errors.New("runtime: silent crash plan on a transport that closes rounds by count only: nothing would notice the dead (set CrashPlan.Notify, or give the mesh a round deadline)")
 	}
+	workers := n
+	if byCount && instant && plan == nil && stall == nil && (n < inlineBelowN || goruntime.GOMAXPROCS(0) == 1) {
+		workers = 1
+	}
+	return runLive(cfg, n, workers, tr, codec, plan, stall)
+}
 
-	var (
-		reports = make(chan report, n)
-		conts   = make([]chan bool, n)
-		stop    = make(chan struct{})
-	)
+// runLive is RunChaos at a given worker count, on validated inputs.
+func runLive(cfg rounds.Config, n, workers int, tr transport.Transport, codec Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
 	run := &liveRun{
-		n:         n,
 		maxRounds: cfg.MaxRounds,
-		// Pipelining is exact only for fixed-length runs; see the package
-		// comment. Chaos runs are never pipelined: a crash or stall makes
-		// the next round's send burst locally unpredictable.
+		// Exact only for fixed-length runs (package comment); a crash or
+		// stall makes the next round's send burst locally unpredictable.
 		pipelined: cfg.StopWhen == nil && plan == nil && stall == nil,
 		tr:        tr,
 		codec:     codec,
 		share:     newDecodeShare(n),
-		reports:   reports,
-		stop:      stop,
+		procs:     make([]liveProc, n),
+		errs:      make([]error, workers),
+		plan:      plan,
+		stall:     stall,
 	}
-	dm, _ := tr.(transport.DeadMarker)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		conts[i] = make(chan bool, 1)
-		go func(self int) {
-			defer wg.Done()
-			run.runProcess(self, procs[self], conts[self], newProcChaos(self, plan, stall, dm))
-		}(i)
+	run.dm, _ = tr.(transport.DeadMarker)
+	algs := make([]rounds.Algorithm, n)
+	for i := range algs {
+		ep, err := tr.Endpoint(i)
+		if err != nil {
+			return nil, fmt.Errorf("runtime: p%d endpoint: %w", i+1, err)
+		}
+		algs[i] = cfg.NewProcess(i)
+		algs[i].Init(i, n)
+		run.procs[i] = liveProc{alg: algs[i], ep: ep, dec: codec.NewDecoder(n), recv: make([]any, n)}
+	}
+	pool := rounds.NewShards(n, workers, run.step)
+	defer pool.Stop()
+	phase := func(r int) error {
+		pool.Phase(r)
+		return run.err()
+	}
+	if run.pipelined {
+		if err := phase(0); err != nil { // the round-1 sends prime the pipeline
+			return nil, err
+		}
 	}
 
-	res := &rounds.Result{Procs: procs}
-	var runErr error
-loop:
+	res := &rounds.Result{Procs: algs}
 	for r := 1; r <= cfg.MaxRounds; r++ {
 		g := cfg.Adversary.Graph(r)
 		if err := rounds.CheckGraph(g, n, r); err != nil {
-			runErr = err
-			break
+			return nil, err
 		}
-		expect := n
-		if plan != nil {
-			expect = plan.aliveEntering(r)
-			if expect == 0 {
-				break // everyone has crashed; round r never happens
-			}
+		if plan != nil && plan.aliveEntering(r) == 0 {
+			break // everyone has crashed; round r never happens
 		}
-		for i := 0; i < expect; i++ {
-			rep := <-reports
-			if rep.err != nil {
-				runErr = rep.err
-				break loop
-			}
-			if rep.round != r {
-				runErr = fmt.Errorf("runtime: p%d reported round %d during round %d", rep.self+1, rep.round, r)
-				break loop
-			}
-			if rep.crashed != (plan != nil && plan.Round[rep.self] == r) {
-				runErr = fmt.Errorf("runtime: p%d crash report in round %d disagrees with the plan", rep.self+1, r)
-				break loop
-			}
+		if err := phase(r); err != nil {
+			return nil, err
 		}
-		// All round-r transitions are complete and every live process is
-		// parked awaiting release: the quiescent state observers and
-		// stop predicates are defined on.
+		// All round-r transitions are complete and every worker is idle:
+		// the quiescent state observers and stop predicates are defined on.
 		res.Rounds = r
 		if cfg.Observer != nil {
-			cfg.Observer.OnRound(r, g, procs)
+			cfg.Observer.OnRound(r, g, algs)
 		}
-		stopNow := r == cfg.MaxRounds
-		if cfg.StopWhen != nil {
-			if cfg.StopWhen(r, procs) || (plan != nil && plan.survivorsDecided(procs)) {
-				res.Stopped = true
-				stopNow = true
-			}
-		}
-		for i := range conts {
-			if plan != nil && plan.Round[i] != 0 && plan.Round[i] <= r {
-				continue // crashed: its goroutine is gone
-			}
-			conts[i] <- !stopNow
-		}
-		if stopNow {
+		if cfg.StopWhen != nil && (cfg.StopWhen(r, algs) || (plan != nil && plan.survivorsDecided(algs))) {
+			res.Stopped = true
 			break
 		}
-	}
-	close(stop)
-	tr.Close()
-	wg.Wait()
-	if runErr != nil {
-		return nil, runErr
 	}
 	return res, nil
 }
 
-// liveRun is what every process goroutine of one run shares: the run's
-// shape, its transport and codec, and the control-plane channels to the
-// controller. Built once in RunChaos.
+// liveRun is what the workers of one run share. Built once in runLive.
 type liveRun struct {
-	n, maxRounds int
-	pipelined    bool
-	tr           transport.Transport
-	codec        Codec
-	share        *decodeShare
-	reports      chan<- report
-	stop         <-chan struct{}
+	maxRounds int
+	pipelined bool
+	tr        transport.Transport
+	codec     Codec
+	share     *decodeShare
+	procs     []liveProc
+	errs      []error // per worker: what ended its last step early
+	plan      *CrashPlan
+	stall     *StallPlan
+	dm        transport.DeadMarker // nil when the transport takes no death verdicts
 }
 
-// runProcess is one process goroutine: gather-decode-transition, then
-// (when pipelined) the round-r+1 broadcast, then rendezvous with the
-// controller, every round until released or aborted. In pipelined mode
-// the round-1 send primes the pipeline before the loop; otherwise each
-// round's send happens at the top of its own iteration, after the
-// controller's release. chaos, when non-nil, injects this process's
-// planned crash (site-exact) and stall delays; a crashing process
-// performs its site's sends, optionally announces its death, reports
-// crashed, and returns — its goroutine is the thing that dies.
-func (run *liveRun) runProcess(self int, p rounds.Algorithm, cont <-chan bool, chaos *procChaos) {
-	n, pipelined, codec := run.n, run.pipelined, run.codec
-	sendReport := func(rep report) bool {
-		select {
-		case run.reports <- rep:
-			return true
-		case <-run.stop:
-			return false
+// liveProc is one process, its port onto the network and the buffers
+// its rounds reuse; during a phase only its block's worker touches it.
+type liveProc struct {
+	alg     rounds.Algorithm
+	ep      transport.Endpoint
+	dec     Decoder
+	recv    []any
+	sendBuf []byte
+	frames  [][]byte
+	dead    bool // its planned crash has happened: nothing steps it again
+}
+
+// err returns what ended the run early, if anything: the first failure
+// that is not teardown noise, lowest block first. A transport closed
+// under the run from outside (a watchdog) leaves only ErrClosed.
+func (run *liveRun) err() error {
+	var closed error
+	for _, err := range run.errs {
+		if err != nil && !errors.Is(err, transport.ErrClosed) {
+			return err
 		}
+		closed = cmp.Or(closed, err)
 	}
-	ep, err := run.tr.Endpoint(self)
-	if err != nil {
-		sendReport(report{self: self, err: fmt.Errorf("runtime: p%d endpoint: %w", self+1, err)})
-		return
-	}
-	dec := codec.NewDecoder(n)
-	recv := make([]any, n)
-	var sendBuf []byte
-	var frames [][]byte
-	send := func(r int) error {
-		var serr error
-		sendBuf, serr = codec.Encode(sendBuf[:0], p.Send(r))
-		if serr != nil {
-			return serr
+	return closed
+}
+
+// step is one worker's share of round r: for the processes of its block,
+// the round-r broadcasts (unless the previous step pipelined them), then
+// gather-decode-transition and — when pipelined — the round-r+1
+// broadcast, which is all of phase 0. A step that does not complete — an
+// error, or a panic passing through — closes the transport on its way
+// out, so the other blocks cannot stay parked in Gather.
+func (run *liveRun) step(w, lo, hi, r int) {
+	completed := false
+	defer func() {
+		if !completed {
+			run.tr.Close()
 		}
-		return ep.Broadcast(r, sendBuf)
-	}
-	if pipelined {
-		if err := send(1); err != nil {
-			sendReport(report{self: self, round: 1, err: abortErr(self, 1, err)})
-			return
-		}
-	}
-	for r := 1; ; r++ {
-		if chaos != nil && chaos.crashRound == r {
-			// The planned crash. Before-send dies with the round-r message
-			// unsent; mid-send broadcasts through the crash-cut policy (the
-			// receivers in Partial get it, the rest get tombstones);
-			// after-send broadcasts in full. Then the goroutine — the
-			// process — is gone: no gather, no transition, no report beyond
-			// the crash notice.
-			if chaos.site != CrashBeforeSend {
-				if err := send(r); err != nil {
-					sendReport(report{self: self, round: r, err: abortErr(self, r, err)})
-					return
+	}()
+	run.errs[w] = run.stepBlock(lo, hi, r)
+	completed = run.errs[w] == nil
+}
+
+func (run *liveRun) stepBlock(lo, hi, r int) error {
+	if !run.pipelined {
+		for self := lo; self < hi; self++ {
+			if p := &run.procs[self]; !p.dead {
+				if err := run.begin(p, self, r); err != nil {
+					return abortErr(self, r, err)
 				}
 			}
-			if chaos.notify && chaos.dm != nil {
-				from := r
-				if chaos.site != CrashBeforeSend {
-					from = r + 1 // the round-r frame was really sent; only later rounds are dead
-				}
-				chaos.dm.MarkDead(self, from)
-			}
-			sendReport(report{self: self, round: r, crashed: true})
-			return
-		}
-		if !pipelined {
-			if d := chaos.sendDelay(r); d > 0 {
-				time.Sleep(d)
-			}
-			if err := send(r); err != nil {
-				sendReport(report{self: self, round: r, err: abortErr(self, r, err)})
-				return
-			}
-		}
-		got, err := ep.Gather(r, frames)
-		if err != nil {
-			sendReport(report{self: self, round: r, err: abortErr(self, r, err)})
-			return
-		}
-		frames = got
-		for q := 0; q < n; q++ {
-			recv[q] = nil
-			if got[q] == nil {
-				continue
-			}
-			v, derr := run.share.decode(dec, q, r, got[q])
-			if derr != nil {
-				sendReport(report{self: self, round: r, err: derr})
-				return
-			}
-			recv[q] = v
-		}
-		p.Transition(r, recv)
-		// Pipelined send: round r+1's broadcast goes out before the
-		// round-r report, so the next round's frames are in flight while
-		// the controller runs observers. Observers run only after every
-		// round-r report, so they never see a difference. The last round
-		// sends nothing — the schedule is defined only up to MaxRounds.
-		if pipelined && r < run.maxRounds {
-			if err := send(r + 1); err != nil {
-				sendReport(report{self: self, round: r, err: abortErr(self, r+1, err)})
-				return
-			}
-		}
-		if !sendReport(report{self: self, round: r}) {
-			return
-		}
-		select {
-		case ok := <-cont:
-			if !ok {
-				return
-			}
-		case <-run.stop:
-			return
 		}
 	}
+	n := len(run.procs)
+	for self := lo; self < hi; self++ {
+		p := &run.procs[self]
+		if p.dead {
+			continue
+		}
+		if r > 0 {
+			got, err := p.ep.Gather(r, p.frames)
+			if err != nil {
+				return abortErr(self, r, err)
+			}
+			p.frames = got
+			// The walk starts at the block's own first sender: workers
+			// decode disjoint senders first, not queue on one share slot.
+			for i, q := 0, lo; i < n; i, q = i+1, q+1 {
+				if q == n {
+					q = 0
+				}
+				p.recv[q] = nil
+				if got[q] == nil {
+					continue
+				}
+				if p.recv[q], err = run.share.decode(p.dec, q, r, got[q]); err != nil {
+					return err
+				}
+			}
+			p.alg.Transition(r, p.recv)
+		}
+		// Pipelined send, before the round barrier: the next round's
+		// frames are in flight while the caller runs the observers. The
+		// last round sends nothing: the schedule ends at MaxRounds.
+		if run.pipelined && r < run.maxRounds {
+			if err := run.send(p, r+1); err != nil {
+				return abortErr(self, r+1, err)
+			}
+		}
+	}
+	return nil
+}
+
+// begin is a live process's round-r broadcast on a run that is not
+// pipelined, chaos included: a stall sleeps before it; the planned crash
+// happens here. Before-send dies with the round-r message unsent;
+// mid-send broadcasts through the crash-cut policy (only the receivers
+// in Partial get it); after-send broadcasts in full. Then the process is
+// gone — no gather, no transition, no later round — and, when the plan
+// says so, its death announced.
+func (run *liveRun) begin(p *liveProc, self, r int) error {
+	if plan := run.plan; plan != nil && plan.Round[self] == r {
+		p.dead = true
+		from := r
+		if plan.Site[self] != CrashBeforeSend {
+			if err := run.send(p, r); err != nil {
+				return err
+			}
+			from = r + 1 // the round-r frame was really sent; only later rounds are dead
+		}
+		if plan.Notify && run.dm != nil {
+			run.dm.MarkDead(self, from)
+		}
+		return nil
+	}
+	if d := run.stall.delay(self, r); d > 0 {
+		time.Sleep(d)
+	}
+	return run.send(p, r)
+}
+
+// send encodes and broadcasts p's round-r message.
+func (run *liveRun) send(p *liveProc, r int) (err error) {
+	if p.sendBuf, err = run.codec.Encode(p.sendBuf[:0], p.alg.Send(r)); err != nil {
+		return err
+	}
+	return p.ep.Broadcast(r, p.sendBuf)
 }
 
 // abortErr keeps teardown noise out of error reports: a transport closed
@@ -392,9 +394,9 @@ type RunnerOpts struct {
 	JitterSeed int64
 
 	// Crash, when non-nil, injects process crashes (see CrashPlan): the
-	// planned processes' goroutines die at their planned rounds and
-	// sites, their sends are cut accordingly in the transport policy,
-	// and the run continues with the survivors (RunChaos).
+	// planned processes die at their planned rounds and sites, their
+	// sends are cut accordingly in the transport policy, and the run
+	// continues with the survivors (RunChaos).
 	Crash *CrashPlan
 	// Stall, when non-nil, delays processes' sends without killing them
 	// (see StallPlan) — the stimulus for deadline closures and stall

@@ -8,12 +8,15 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
+	"kset/internal/algo"
 	"kset/internal/approx"
+	"kset/internal/rounds"
 )
 
 func TestApproxSessionLifecycle(t *testing.T) {
@@ -158,6 +161,78 @@ func TestAlgorithmMetricsLabels(t *testing.T) {
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("metrics scrape missing %q:\n%s", want, scrape)
+		}
+	}
+}
+
+// panicsInRound3 is a k-set process whose third transition panics; the
+// registry's self-test only reaches round 1.
+type panicsInRound3 struct {
+	rounds.Algorithm
+	rounds.Decider
+}
+
+func (p panicsInRound3) Transition(r int, recv []any) {
+	if r == 3 {
+		panic("lost itself in round 3")
+	}
+	p.Algorithm.Transition(r, recv)
+}
+
+// TestPanickingProcessFailsOnlyItsSession: a panic inside a session's
+// process — on the worker's own goroutine when the runtime steps the
+// processes inline (in-proc), re-raised from a pool worker when every
+// process has its own (udp) — ends that session as failed, with the
+// panic value as its error and the failed counters moved, and the worker
+// goes on serving. It used to kill the whole program.
+func TestPanickingProcessFailsOnlyItsSession(t *testing.T) {
+	const family = "panics-in-round-3"
+	bad := *algo.MustLookup(algo.KSet)
+	bad.Name = family
+	bad.NewFactory = func(run algo.Run) (func(int) rounds.Algorithm, error) {
+		factory, err := algo.MustLookup(algo.KSet).NewFactory(run)
+		if err != nil {
+			return nil, err
+		}
+		return func(self int) rounds.Algorithm {
+			p := factory(self)
+			return panicsInRound3{p, p.(rounds.Decider)}
+		}, nil
+	}
+	if err := algo.Register(&bad); err != nil {
+		t.Fatal(err)
+	}
+	defer algo.Unregister(family)
+
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	for i, transport := range []string{"inproc", "udp"} {
+		healthy := SessionSpec{N: 4, Family: "rooted", Roots: 1, Seed: 41, Transport: transport}
+		faulty := healthy
+		faulty.Algorithm = family
+		want := []string{"done", "failed", "done"}
+		for j, r := range s.Submit([]SessionSpec{healthy, faulty, healthy}) {
+			if r.Error != "" {
+				t.Fatalf("%s spec %d: %s", transport, j, r.Error)
+			}
+			sess := waitDone(t, s, r.ID)
+			if sess.Status != want[j] {
+				t.Errorf("%s session %d: status %q (%s), want %q", transport, j, sess.Status, sess.Error, want[j])
+			}
+			if want[j] == "failed" && sess.Error != "lost itself in round 3" {
+				t.Errorf("%s: failed session's error is %q, want the panic value", transport, sess.Error)
+			}
+		}
+		var sb strings.Builder
+		s.WriteMetrics(&sb)
+		for _, line := range []string{
+			fmt.Sprintf("ksetd_sessions_failed_total %d", i+1),
+			fmt.Sprintf("ksetd_sessions_completed_total %d", 2*(i+1)),
+			fmt.Sprintf(`ksetd_algorithm_sessions_total{algorithm=%q,status="failed"} %d`, family, i+1),
+		} {
+			if !strings.Contains(sb.String(), line) {
+				t.Errorf("%s: metrics scrape missing %q:\n%s", transport, line, sb.String())
+			}
 		}
 	}
 }

@@ -459,9 +459,9 @@ func (s *Service) worker() {
 // execute runs one session over the distributed runtime and records the
 // outcome. When Config.SessionTimeout is set, a watchdog arms for the
 // duration of the run: firing tears the session's transport down (the
-// run's process goroutines die on ErrClosed within a round) and the
-// session terminates as "crashed" with the partial outcome the watchdog
-// observed — so one wedged session can never pin a worker forever.
+// run ends with ErrClosed within a round) and the session terminates as
+// "crashed" with the partial outcome the watchdog observed — so one
+// wedged session can never pin a worker forever.
 func (s *Service) execute(sess *Session) {
 	s.setStatus(sess.ID, "running")
 	s.met.running.Add(1)
@@ -515,8 +515,16 @@ func (s *Service) execute(sess *Session) {
 // only supplies the measurement pipeline around runtime.NewRunner). lr
 // observes the run for the watchdog (partial outcomes, transport
 // teardown handle); counters aggregate the transport's stall/retry/
-// death tallies into the service's /metrics.
-func runSession(spec SessionSpec, lr *liveRun, counters *transport.StallCounters) (*sim.Outcome, error) {
+// death tallies into the service's /metrics. A panic in one of the
+// session's processes — the runtime re-raises it here, with its value
+// and with the run torn down — is the session's error, not the
+// service's end: one bad session must not take every other with it.
+func runSession(spec SessionSpec, lr *liveRun, counters *transport.StallCounters) (out *sim.Outcome, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			out, err = nil, fmt.Errorf("%v", v)
+		}
+	}()
 	adv, err := buildAdversary(spec)
 	if err != nil {
 		return nil, err
@@ -540,8 +548,8 @@ func runSession(spec SessionSpec, lr *liveRun, counters *transport.StallCounters
 }
 
 // liveRun is the watchdog's view of one executing session: it observes
-// every completed round (rounds.Observer, called on the runtime
-// controller's quiescent point) so a crashed session can flush the
+// every completed round (rounds.Observer, called at the runtime's
+// quiescent point) so a crashed session can flush the
 // outcome it reached, and it holds the transport handle so the watchdog
 // verdict can tear the run down.
 type liveRun struct {
@@ -571,8 +579,8 @@ func (lr *liveRun) onTransport(tr transport.Transport) {
 }
 
 // OnRound implements rounds.Observer: snapshot the decision state after
-// every completed round. Runs on the controller goroutine while all
-// processes are parked, so reading the Deciders is race-free.
+// every completed round. Runs on the runtime's caller while no process
+// is being stepped, so reading the Deciders is race-free.
 func (lr *liveRun) OnRound(r int, _ *graph.Digraph, procs []rounds.Algorithm) {
 	lr.mu.Lock()
 	defer lr.mu.Unlock()

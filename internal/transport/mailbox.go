@@ -11,7 +11,7 @@ import (
 // loop needs at most three consecutive rounds live at once — round r-1
 // (gathered, payloads still valid until the next Gather call), round r
 // (filling), and round r+1 (pipelined sends racing ahead of the
-// controller barrier; bounded-lookahead caps senders at one round past
+// round barrier; bounded-lookahead caps senders at one round past
 // the lowest un-gathered round). Four slots leave one round of slack so
 // a violated contract is detected as an error instead of corrupting a
 // live slot.

@@ -24,7 +24,8 @@ import (
 type mesh struct {
 	n, m    int
 	pol     Policy
-	perfect bool // pol is Perfect: skip the per-link policy calls
+	perfect bool // pol is Perfect: skip the per-link Deliver calls
+	instant bool // pol is Perfect or a Schedule: it never delays, Gather never sleeps
 	opts    meshOpts
 	nodes   []*meshNode
 	link    link // nil on a single-node mesh
@@ -89,6 +90,8 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 		done:    make(chan struct{}),
 	}
 	_, t.perfect = pol.(Perfect)
+	_, scheduled := pol.(Schedule)
+	t.instant = t.perfect || scheduled
 	for i := 0; i < t.m; i++ {
 		nd := &meshNode{t: t, id: i, lo: t.nodeLo(i), hi: t.nodeLo(i + 1)}
 		nd.cond.L = &nd.mu
@@ -111,9 +114,23 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 	return t, nil
 }
 
-// core is how Metered reaches the mesh inside an exported transport,
-// which embeds it.
+// core is how Metered and CountClosed reach the mesh inside an exported
+// transport, which embeds it.
 func (t *mesh) core() *mesh { return t }
+
+// CountClosed reports what, besides arrivals, can pace a Gather on tr —
+// what an executor must know before one goroutine steps several
+// endpoints. byCount: tr is one of this package's meshes and closes
+// rounds by count only, so a Gather never waits out a clock and nothing
+// ever notices a sender that fell silent unannounced. instant: nor can
+// the policy inject receive delay (it is Perfect or a Schedule), so only
+// arrivals pace a Gather. Both are false for a transport that is not a
+// mesh: nothing is known about it.
+func CountClosed(tr Transport) (byCount, instant bool) {
+	c, ok := tr.(interface{ core() *mesh })
+	byCount = ok && c.core().opts.deadline == 0
+	return byCount, byCount && c.core().instant
+}
 
 // setMeter installs the heard meter Gather records on. Endpoints read it
 // without a lock, so it can only change while none is claimed.
@@ -517,10 +534,10 @@ func (ep *meshEndpoint) Gather(r int, into [][]byte) ([][]byte, error) {
 }
 
 // applyDelays sleeps for the policy's slowest delivered link of round r
-// (receive-side netem, semantically inert). The Perfect fast path skips
-// the n policy calls per gather.
+// (receive-side netem, semantically inert). A policy that never delays
+// skips the n policy calls per gather.
 func (t *mesh) applyDelays(r, self int, recv [][]byte) error {
-	if t.perfect {
+	if t.instant {
 		return nil
 	}
 	var maxDelay time.Duration

@@ -122,7 +122,7 @@ func TestUDPFragmentationRoundTrip(t *testing.T) {
 // any process gathers it. Loss tests need this shape — in a
 // barrier-free run one deadline stall delays that process's *next*
 // broadcast past everyone else's deadline, cascading one injected loss
-// into arbitrary extra absences. (The runtime's controller gives real
+// into arbitrary extra absences. (The runtime's round barrier gives real
 // runs the same lockstep property.) Returns heard[r-1][q][p] like
 // driveRun.
 func driveLockstep(t *testing.T, tr Transport, rounds int) [][][]bool {
