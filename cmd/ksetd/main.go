@@ -1,9 +1,11 @@
 // Command ksetd is the long-running agreement service: it serves the
 // batched session-submission API of internal/service over HTTP,
-// executing each agreement session on the distributed runtime
-// (goroutine-per-process over an in-proc, TCP, or UDP transport) with a
-// bounded worker pool, and exposing /healthz and Prometheus-style
-// /metrics (per-algorithm breakdowns under ksetd_algorithm_*).
+// executing each agreement session on the distributed runtime (over an
+// in-proc, TCP, or UDP transport; in-proc, the default, processes are
+// handed each other's messages by value, sockets carry the family's
+// wire encoding) with a bounded worker pool, and exposing /healthz and
+// Prometheus-style /metrics (per-algorithm breakdowns under
+// ksetd_algorithm_*).
 //
 // Sessions pick their algorithm family by name ("algorithm" in the
 // session spec): "kset" — Algorithm 1 of the source paper, the default

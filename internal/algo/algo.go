@@ -36,7 +36,13 @@ import (
 // Codec translates between an algorithm's in-memory messages and the
 // byte payloads a transport carries. Codec values are shared by every
 // worker of a run and must be stateless; decode state lives in the
-// Decoder the runtime obtains from NewDecoder for each process.
+// Decoder the runtime obtains from NewDecoder for each process. Only
+// links that leave a mesh node are encoded: a receiver on the sender's
+// own node is handed the Send value itself (rounds.Algorithm.Send states
+// how long it must stay intact), so a codec must be a faithful copy —
+// decode(encode(m)) and m drive Transition identically — which the
+// registration round-trip and the runtime's by-value/by-bytes
+// differential hold it to.
 type Codec interface {
 	// Encode appends msg's wire form to dst and returns the extended
 	// buffer (the runtime reuses dst across rounds). msg is whatever the
@@ -150,7 +156,8 @@ var nameRE = regexp.MustCompile(`^[a-z0-9_-]+$`)
 // Register validates and adds a family to the registry. It fails on
 // structural problems (bad name, missing hooks, duplicate) and on a
 // failed self-test — a probe run through the factory, one Send, a codec
-// round-trip, and a Transition on the decoded message.
+// round-trip, a Transition on the decoded round, and the Send lifetime
+// rule checked on the round-1 values.
 func Register(a *Algorithm) error {
 	if a == nil {
 		return fmt.Errorf("algo: Register(nil)")
@@ -238,9 +245,12 @@ func Names() []string {
 
 // selfTest smoke-runs a registration: probe run through Prepare and
 // NewFactory, each process Inits and Sends, the codec round-trips the
-// message byte-identically, Transition accepts the decoded value, and
+// message byte-identically, Transition accepts the decoded round, and
 // the process is a rounds.Decider (what trace.Collect reads outcomes
-// through).
+// through). It then holds every process to the lifetime rule of
+// rounds.Algorithm.Send: the round-1 value must still encode to the same
+// bytes after the sender's own Transition(1) and Send(2), because a
+// co-located receiver may be reading it until then.
 // A panic anywhere (nil Send dereferenced by the codec, a Transition
 // type assertion on a mismatched decode) is converted into the error.
 func selfTest(a *Algorithm) (err error) {
@@ -268,11 +278,16 @@ func selfTest(a *Algorithm) (err error) {
 	if dec == nil {
 		return fmt.Errorf("NewDecoder returned nil")
 	}
-	recv := make([]any, run.N)
-	for self := 0; self < run.N; self++ {
+	procs := make([]rounds.Algorithm, run.N)
+	sent, recv := make([]any, run.N), make([]any, run.N)
+	encoded := make([][]byte, run.N)
+	for self := range procs {
 		p := factory(self)
 		if p == nil {
 			return fmt.Errorf("factory returned a nil process for p%d", self+1)
+		}
+		if _, ok := p.(rounds.Decider); !ok {
+			return fmt.Errorf("p%d (%T) is not a rounds.Decider", self+1, p)
 		}
 		p.Init(self, run.N)
 		msg := p.Send(1)
@@ -294,13 +309,15 @@ func selfTest(a *Algorithm) (err error) {
 		if !bytes.Equal(enc, re) {
 			return fmt.Errorf("codec round-trip mismatch for p%d: %d bytes became %d", self+1, len(enc), len(re))
 		}
-		for q := range recv {
-			recv[q] = nil
-		}
-		recv[self] = decoded
+		procs[self], sent[self], recv[self], encoded[self] = p, msg, decoded, enc
+	}
+	// One full round, so that the transitions have something to change.
+	for self, p := range procs {
 		p.Transition(1, recv)
-		if _, ok := p.(rounds.Decider); !ok {
-			return fmt.Errorf("p%d (%T) is not a rounds.Decider", self+1, p)
+		p.Send(2)
+		re, err := a.Codec.Encode(nil, sent[self])
+		if err != nil || !bytes.Equal(encoded[self], re) {
+			return fmt.Errorf("p%d's Send(1) value changed under its own Transition(1) and Send(2): Send must keep a result intact until the sender's Transition of the next round begins", self+1)
 		}
 	}
 	return nil

@@ -195,6 +195,35 @@ func TestRegisterRejectsRoundTripMismatch(t *testing.T) {
 	}
 }
 
+// singleBufferProc breaks the lifetime rule of rounds.Algorithm.Send: one
+// buffer serves every round, so Send(2) rewrites the round-1 value a
+// co-located receiver may still be reading.
+type singleBufferProc struct{ echoProc }
+
+func (p *singleBufferProc) Send(r int) any {
+	p.out[0].v = p.val
+	return &p.out[0]
+}
+
+func TestRegisterRejectsSingleBufferSender(t *testing.T) {
+	a := echoFamily("echo-onebuffer")
+	a.NewFactory = func(run algo.Run) (func(int) rounds.Algorithm, error) {
+		return func(self int) rounds.Algorithm {
+			return &singleBufferProc{echoProc{proposal: run.Proposals[self]}}
+		}, nil
+	}
+	err := algo.Register(a)
+	if err == nil {
+		algo.Unregister("echo-onebuffer")
+		t.Fatal("family whose Send reuses one buffer in consecutive rounds was registered")
+	}
+	// p2 proposes 9 and hears p1's 3 in the probe round: its Send(2)
+	// turns the round-1 message from 9 into 3.
+	if !strings.Contains(err.Error(), "p2's Send(1) value changed") {
+		t.Fatalf("error %q does not name the rewritten message", err)
+	}
+}
+
 func TestRegisterRejectsForeignDecodePanic(t *testing.T) {
 	// A codec whose decoder hands back the wrong message type makes the
 	// family's Transition assertion panic; the self-test converts that

@@ -50,7 +50,10 @@ func (k Kind) String() string {
 // must treat a message as immutable and must not retain it — or its graph
 // — beyond the round it was delivered in; copy what must outlive the
 // round. Both executors guarantee a sender never rewrites storage before
-// every round-r reader has finished its round-r transition.
+// every round-r reader has finished its round-r transition, given the
+// lifetime rule of rounds.Algorithm.Send: a round-r message stays intact
+// until the sender's Transition(r+1) begins (two buffers on r&1, and
+// Transition rebuilds G beside the graph that was sent).
 type Message struct {
 	Kind Kind
 	X    int64
@@ -183,7 +186,9 @@ func (p *Process) Init(self, n int) {
 // per-round broadcast boxes a pointer instead of copying the message into
 // a fresh interface allocation. Reusing buffer r mod 2 is safe in both
 // executors: it was last exposed to readers in round r-2, and every
-// round-(r-2) transition completes before any process sends for round r.
+// round-(r-2) transition completes before any process sends for round r
+// — the live runtime's pipelined Send(r) comes right after this process's
+// own Transition(r-1), a phase barrier after the last round-(r-2) reader.
 func (p *Process) Send(r int) any {
 	m := &p.msgs[r&1]
 	m.Kind = Prop

@@ -37,7 +37,14 @@ type Algorithm interface {
 
 	// Send returns the message this process broadcasts in round r
 	// (r >= 1), based on its state at the beginning of round r. The
-	// returned message must be non-nil.
+	// returned message must be non-nil. Both executors hand receivers the
+	// returned value itself (the live runtime: those on the sender's own
+	// mesh node), and the live one lets a sender run a phase ahead of its
+	// readers, so the result must stay intact through the sender's own
+	// Transition(r) and Send(r+1), until its Transition(r+1) begins;
+	// from then on it may be rewritten. Two buffers alternating on r&1,
+	// with Transition building the next state beside the one that was
+	// sent, satisfy this; algo.Register refuses a family that does not.
 	Send(r int) any
 
 	// Transition consumes the messages received in round r and moves the

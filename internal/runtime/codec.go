@@ -17,46 +17,39 @@ type (
 	Decoder = algo.Decoder
 )
 
-// decodeShare deduplicates decoding across the processes of one run.
-// Both transports deliver one shared payload buffer per (sender, round)
-// to every co-located receiver (InProc: all n; TCPMesh: the node's
-// local group), so without sharing each receiver decodes an identical
-// byte string — Θ(n²) DecodeInto calls per round, the dominant cost of
-// a TCP round once frames are coalesced. The cache keys on (sender,
-// backing array): the first receiver to miss decodes with its own
-// Decoder and publishes the value; co-located receivers reuse it.
+// decodeShare deduplicates the decoding of one remote sender across the
+// receivers of one node. A mesh delivers one shared payload buffer per
+// (sender, round) to every receiver hosted by the node the frame arrived
+// at (TCP/UDP: that node's group; senders of the receiver's own node are
+// not decoded at all, see liveRun.send), and so does a transport the
+// runtime knows nothing about that wraps InProc (all n), so without
+// sharing each of them decodes an identical byte string. The cache keys
+// on (sender, backing array): the first receiver to miss decodes with its
+// own Decoder and publishes the value; the others reuse it.
 //
 // Sharing one decoded message among receivers is the round model's
 // native shape — the lockstep executor (rounds.RunSequential) hands
 // every receiver the same Send(r) result, so Transition treats received
 // messages as read-only by contract. Entry lifetime is also the
-// model's: a value is reused only within its round, and the control
+// model's: a value is reused only within its round, and the phase
 // barrier orders every round-r Transition before any round-r+1 Decode
 // can overwrite the scratch the value lives in. Stale keys cannot alias
 // — a recycled payload buffer re-enters the cache under its new round,
 // and the refcount on the shared buffer keeps it pinned while any
 // co-located receiver is still in the round.
 type decodeShare struct {
-	slots []shareSlot
+	slots []shareSlot // per sender
 }
 
 type shareSlot struct {
 	mu      sync.Mutex
-	entries map[*byte]shareEntry
+	entries map[*byte]shareEntry // built by the sender's first remote message
 }
 
 type shareEntry struct {
 	round int
 	val   any
 	err   error
-}
-
-func newDecodeShare(n int) *decodeShare {
-	s := &decodeShare{slots: make([]shareSlot, n)}
-	for i := range s.slots {
-		s.slots[i].entries = make(map[*byte]shareEntry, 4)
-	}
-	return s
 }
 
 // decode returns sender from's round-r message, decoding payload with
@@ -71,6 +64,9 @@ func (s *decodeShare) decode(dec Decoder, from, r int, payload []byte) (any, err
 	defer sl.mu.Unlock()
 	if e, ok := sl.entries[key]; ok && e.round == r {
 		return e.val, e.err
+	}
+	if sl.entries == nil {
+		sl.entries = make(map[*byte]shareEntry, 4)
 	}
 	if len(sl.entries) > 64 {
 		// Pool churn can mint fresh backing arrays; drop dead rounds so

@@ -87,6 +87,9 @@ func TestDifferentialPipelined(t *testing.T) {
 // loopback sockets with jittered delays — both fully distributed (one
 // node per process) and grouped onto 3 mesh nodes, where all of a
 // round's messages between two nodes travel as one coalesced frame.
+// Since co-located links carry values, the fully distributed lane here
+// (and TestApproxDifferentialTCP's, for the other family) is what runs
+// the codec end to end on every push: it stays outside -short.
 func TestDifferentialSuiteTCP(t *testing.T) {
 	n := 6
 	for _, sched := range ScheduleSuite(n, 2026) {

@@ -1,13 +1,25 @@
 // Package runtime executes the round model as a real distributed system:
-// every process runs its algorithm end-to-end, messages cross a pluggable
-// transport (internal/transport) as encoded bytes, and per-link
-// drops/delays are injected by the transport's policy instead of a
-// lock-step delivery loop. It is the second, independent implementation
-// of the executor contract in internal/rounds — the differential harness
-// in this package (Diff) proves it decision-for-decision identical to
-// the simulator, in the same spirit as the differential baselines in
-// internal/baseline and the model-checker's brute-force cross-check in
-// internal/check.
+// every process runs its algorithm end-to-end, whether a link delivers is
+// decided by a pluggable transport (internal/transport), whose policy
+// injects the per-link drops/delays instead of a lock-step delivery loop,
+// and what a delivered link carries depends on where it leads (below). It
+// is the second, independent implementation of the executor contract in
+// internal/rounds — the differential harness in this package (Diff)
+// proves it decision-for-decision identical to the simulator, in the same
+// spirit as the differential baselines in internal/baseline and the
+// model-checker's brute-force cross-check in internal/check.
+//
+// # What a link carries
+//
+// A link between two processes on different mesh nodes carries encoded
+// bytes, decoded once per receiving node (decodeShare). A link inside one
+// node (transport.NodeOf; every link of an in-proc run) never leaves
+// memory, so once Gather reports it delivered the receiver takes the
+// sender's Send(r) value itself, as in the lockstep executor — kept in a
+// two-slot table, valid by the lifetime rule of rounds.Algorithm.Send and
+// the phase barrier — and a sender with no receiver on another node
+// encodes nothing: its Broadcast carries only a "delivered" mark. A
+// transport that is not a mesh knows no co-location: every link is bytes.
 //
 // # Determinism
 //
@@ -26,7 +38,7 @@
 // unobservable, so the live executor is the lockstep loop on the lockstep
 // executor's worker pool (rounds.Shards) with a different step: each
 // round every worker takes its block of processes through send → gather
-// → decode → transition, Run's caller being worker 0, and between rounds
+// → receive → transition, Run's caller being worker 0, and between rounds
 // the caller alone runs the observers and the stop predicate on the
 // quiescent state. The worker count is derived, never set: 1 — the
 // caller steps every process inline: no goroutine, no channel operation,
@@ -67,6 +79,7 @@ import (
 	"errors"
 	"fmt"
 	goruntime "runtime"
+	"slices"
 	"time"
 
 	"kset/internal/adversary"
@@ -76,11 +89,12 @@ import (
 )
 
 // inlineBelowN is the n from which processes that need no clock of their
-// own get a worker each anyway. Measured on the 2-core sandbox
-// (BenchmarkLiveCrossover; DESIGN.md §4 has the table): inline beats one
-// worker per process 2.6x at n = 8, 1.3x at n = 16, is level at n = 24
-// and loses from n = 32 (0.5x at n = 64); GOMAXPROCS blocks never win.
-const inlineBelowN = 32
+// own get a worker each anyway. Measured on the 2-core sandbox, in-proc,
+// co-located links by value (BenchmarkLiveCrossover; DESIGN.md §4 has the
+// table): inline beats one worker per process 2.9x at n = 8, 1.9x at
+// n = 16, 1.4x at n = 24, is level at n = 32 and loses from n = 36 (0.8x;
+// 0.55x at n = 64); GOMAXPROCS blocks never win.
+const inlineBelowN = 36
 
 // Run executes cfg over the given transport. It enforces exactly the
 // contract of rounds.RunSequential (same Config validation, same graph
@@ -140,11 +154,12 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 	if byCount && instant && plan == nil && stall == nil && (n < inlineBelowN || goruntime.GOMAXPROCS(0) == 1) {
 		workers = 1
 	}
-	return runLive(cfg, n, workers, tr, codec, plan, stall)
+	return runLive(cfg, n, workers, transport.NodeOf(tr), tr, codec, plan, stall)
 }
 
-// runLive is RunChaos at a given worker count, on validated inputs.
-func runLive(cfg rounds.Config, n, workers int, tr transport.Transport, codec Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
+// runLive is RunChaos at a given worker count and node partition (nil:
+// unknown, every link carries bytes), on validated inputs.
+func runLive(cfg rounds.Config, n, workers int, node []int, tr transport.Transport, codec Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
 	run := &liveRun{
 		maxRounds: cfg.MaxRounds,
 		// Exact only for fixed-length runs (package comment); a crash or
@@ -152,7 +167,10 @@ func runLive(cfg rounds.Config, n, workers int, tr transport.Transport, codec Co
 		pipelined: cfg.StopWhen == nil && plan == nil && stall == nil,
 		tr:        tr,
 		codec:     codec,
-		share:     newDecodeShare(n),
+		node:      node,
+		wire:      node == nil || slices.Max(node) > slices.Min(node),
+		sent:      [2][]any{make([]any, n), make([]any, n)},
+		share:     decodeShare{slots: make([]shareSlot, n)},
 		procs:     make([]liveProc, n),
 		errs:      make([]error, workers),
 		plan:      plan,
@@ -167,7 +185,7 @@ func runLive(cfg rounds.Config, n, workers int, tr transport.Transport, codec Co
 		}
 		algs[i] = cfg.NewProcess(i)
 		algs[i].Init(i, n)
-		run.procs[i] = liveProc{alg: algs[i], ep: ep, dec: codec.NewDecoder(n), recv: make([]any, n)}
+		run.procs[i] = liveProc{alg: algs[i], ep: ep, recv: make([]any, n)}
 	}
 	pool := rounds.NewShards(n, workers, run.step)
 	defer pool.Stop()
@@ -213,7 +231,10 @@ type liveRun struct {
 	pipelined bool
 	tr        transport.Transport
 	codec     Codec
-	share     *decodeShare
+	node      []int    // per process: its mesh node; nil when the transport is not a mesh
+	wire      bool     // some link leaves its node (or may): senders encode
+	sent      [2][]any // [r&1][sender]: its Send(r) value, read by its node's receivers
+	share     decodeShare
 	procs     []liveProc
 	errs      []error // per worker: what ended its last step early
 	plan      *CrashPlan
@@ -226,7 +247,7 @@ type liveRun struct {
 type liveProc struct {
 	alg     rounds.Algorithm
 	ep      transport.Endpoint
-	dec     Decoder
+	dec     Decoder // built by the first message from another node
 	recv    []any
 	sendBuf []byte
 	frames  [][]byte
@@ -292,12 +313,20 @@ func (run *liveRun) stepBlock(lo, hi, r int) error {
 				if q == n {
 					q = 0
 				}
-				p.recv[q] = nil
-				if got[q] == nil {
-					continue
-				}
-				if p.recv[q], err = run.share.decode(p.dec, q, r, got[q]); err != nil {
-					return err
+				switch {
+				case got[q] == nil: // not delivered: the transport's verdict alone
+					p.recv[q] = nil
+				case run.node != nil && run.node[q] == run.node[self]:
+					// Written before q's Broadcast(r), intact until q's
+					// Transition(r+1) (rounds.Algorithm.Send): a phase away.
+					p.recv[q] = run.sent[r&1][q]
+				default:
+					if p.dec == nil {
+						p.dec = run.codec.NewDecoder(n)
+					}
+					if p.recv[q], err = run.share.decode(p.dec, q, r, got[q]); err != nil {
+						return abortErr(self, r, fmt.Errorf("decoding p%d's message: %w", q+1, err))
+					}
 				}
 			}
 			p.alg.Transition(r, p.recv)
@@ -306,7 +335,7 @@ func (run *liveRun) stepBlock(lo, hi, r int) error {
 		// frames are in flight while the caller runs the observers. The
 		// last round sends nothing: the schedule ends at MaxRounds.
 		if run.pipelined && r < run.maxRounds {
-			if err := run.send(p, r+1); err != nil {
+			if err := run.send(p, self, r+1); err != nil {
 				return abortErr(self, r+1, err)
 			}
 		}
@@ -326,7 +355,7 @@ func (run *liveRun) begin(p *liveProc, self, r int) error {
 		p.dead = true
 		from := r
 		if plan.Site[self] != CrashBeforeSend {
-			if err := run.send(p, r); err != nil {
+			if err := run.send(p, self, r); err != nil {
 				return err
 			}
 			from = r + 1 // the round-r frame was really sent; only later rounds are dead
@@ -339,12 +368,23 @@ func (run *liveRun) begin(p *liveProc, self, r int) error {
 	if d := run.stall.delay(self, r); d > 0 {
 		time.Sleep(d)
 	}
-	return run.send(p, r)
+	return run.send(p, self, r)
 }
 
-// send encodes and broadcasts p's round-r message.
-func (run *liveRun) send(p *liveProc, r int) (err error) {
-	if p.sendBuf, err = run.codec.Encode(p.sendBuf[:0], p.alg.Send(r)); err != nil {
+// delivered is all a sender with no receiver on another node broadcasts:
+// the transport still decides every link, the message stays where it is.
+// One byte, not none: Gather reports a delivery as a non-nil payload.
+var delivered = []byte{1}
+
+// send broadcasts p's round-r message: kept by value for the receivers
+// of its own node, encoded only if some link leaves the node.
+func (run *liveRun) send(p *liveProc, self, r int) (err error) {
+	msg := p.alg.Send(r)
+	run.sent[r&1][self] = msg
+	if !run.wire {
+		return p.ep.Broadcast(r, delivered)
+	}
+	if p.sendBuf, err = run.codec.Encode(p.sendBuf[:0], msg); err != nil {
 		return err
 	}
 	return p.ep.Broadcast(r, p.sendBuf)

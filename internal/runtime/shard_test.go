@@ -54,8 +54,10 @@ func mesh(t testing.TB, kind string, adv *adversary.Run) transport.Transport {
 }
 
 // executeLive runs spec through sim.Execute (metered, observed, heard-
-// metered) on the live executor at the given worker count.
-func executeLive(t *testing.T, spec sim.Spec, kind string, workers int) (run liveOutcome) {
+// metered) on the live executor at the given worker count, co-located
+// links by value as every exported entry point runs them, or — byBytes —
+// every link through the codec.
+func executeLive(t *testing.T, spec sim.Spec, kind string, workers int, byBytes bool) (run liveOutcome) {
 	t.Helper()
 	alg := algo.MustLookup(spec.Algorithm)
 	var res *rounds.Result
@@ -69,8 +71,12 @@ func executeLive(t *testing.T, spec sim.Spec, kind string, workers int) (run liv
 		if err := transport.Metered(tr, heard); err != nil {
 			return nil, err
 		}
+		runWorkers := RunWorkers
+		if byBytes {
+			runWorkers = RunWorkersByBytes
+		}
 		var err error
-		res, err = RunWorkers(cfg, tr, alg.Codec, workers)
+		res, err = runWorkers(cfg, tr, alg.Codec, workers)
 		return res, err
 	}
 	spec.Observer = rounds.ObserverFunc(func(r int, g *graph.Digraph, procs []rounds.Algorithm) {
@@ -141,7 +147,7 @@ func TestBlockSteppedEqualsPerProcess(t *testing.T) {
 		for _, kind := range kinds {
 			// One process per worker is the shape every live run had
 			// before the pool: the reference.
-			want := executeLive(t, spec, kind, n)
+			want := executeLive(t, spec, kind, n, false)
 			if len(want.Observed) != want.Rounds || len(want.Heard) != want.Rounds || want.Meter.Messages != n*want.Rounds {
 				t.Fatalf("%s %s: reference run observed %d rounds, heard %d, metered %d messages, executed %d rounds",
 					name, kind, len(want.Observed), len(want.Heard), want.Meter.Messages, want.Rounds)
@@ -150,7 +156,7 @@ func TestBlockSteppedEqualsPerProcess(t *testing.T) {
 				t.Fatalf("%s %s: Stopped = %v after %d rounds", name, kind, want.Stopped, want.Rounds)
 			}
 			for _, w := range workers {
-				if got := executeLive(t, spec, kind, w); !reflect.DeepEqual(got, want) {
+				if got := executeLive(t, spec, kind, w, false); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s %s workers=%d: run differs from the one-per-process run\n got %+v\nwant %+v", name, kind, w, got, want)
 				}
 			}
@@ -384,7 +390,9 @@ func TestCloseAbortsInlineRun(t *testing.T) {
 // counts are process-wide, so they are equal only up to a handful —
 // goroutines earlier tests left winding down, and the waiter record
 // (sudog) the Go runtime allocates now and then when two blocks contend
-// for a mailbox or decode mutex — where one allocation per round is 200.
+// for a mailbox mutex — where one allocation per round is 200. In-proc,
+// so every message goes by value: what is pinned is the table and the
+// mark, beside TestBuiltinCodecAllocs for the codec the sockets still pay.
 func TestLiveRoundAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector; alloc counts are not deterministic")
@@ -422,7 +430,7 @@ func TestLiveRoundAllocs(t *testing.T) {
 // worker per process (the shape every live run had before the pool).
 func BenchmarkLiveCrossover(b *testing.B) {
 	codec := algo.MustLookup(algo.KSet).Codec
-	for _, n := range []int{8, 16, 24, 32, 48, 64} {
+	for _, n := range []int{8, 16, 24, 32, 36, 40, 48, 64} {
 		adv := adversary.MaterializeRun(adversary.RandomSingleSource(n, 0, 0.2, 0, rand.New(rand.NewSource(1))), 1)
 		cfg := rounds.Config{
 			Adversary:  adv,

@@ -114,8 +114,8 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 	return t, nil
 }
 
-// core is how Metered and CountClosed reach the mesh inside an exported
-// transport, which embeds it.
+// core is how Metered, CountClosed and NodeOf reach the mesh inside an
+// exported transport, which embeds it.
 func (t *mesh) core() *mesh { return t }
 
 // CountClosed reports what, besides arrivals, can pace a Gather on tr —
@@ -130,6 +130,24 @@ func CountClosed(tr Transport) (byCount, instant bool) {
 	c, ok := tr.(interface{ core() *mesh })
 	byCount = ok && c.core().opts.deadline == 0
 	return byCount, byCount && c.core().instant
+}
+
+// NodeOf reports tr's node partition: process p lives on node NodeOf(tr)[p],
+// and a link between two processes of one node never leaves memory, so an
+// executor may hand its receiver the message itself once Gather says the
+// link delivered. nil for a transport that is not a mesh: nothing is known.
+func NodeOf(tr Transport) []int {
+	c, ok := tr.(interface{ core() *mesh })
+	if !ok {
+		return nil
+	}
+	nodes := make([]int, c.core().n)
+	for _, nd := range c.core().nodes {
+		for p := nd.lo; p < nd.hi; p++ {
+			nodes[p] = nd.id
+		}
+	}
+	return nodes
 }
 
 // setMeter installs the heard meter Gather records on. Endpoints read it
