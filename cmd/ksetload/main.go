@@ -369,6 +369,11 @@ func runRuntime(stdout io.Writer, p runtimeParams) error {
 	if p.n < 1 || p.rounds < 1 || p.trials < 1 {
 		return fmt.Errorf("need positive -n, -rounds, -trials")
 	}
+	switch p.transport {
+	case "sim", "inproc", "tcp", "udp":
+	default:
+		return fmt.Errorf("unknown transport %q (want inproc, tcp, udp, or sim)", p.transport)
+	}
 	if p.nodes != 0 && p.transport != "tcp" && p.transport != "udp" {
 		return fmt.Errorf("-nodes only applies to -transport tcp or udp")
 	}
@@ -398,6 +403,18 @@ func runRuntime(stdout io.Writer, p runtimeParams) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
+	// The checks above left -nodes and the loss flags zero where the
+	// transport does not read them.
+	ropts := runtime.RunnerOpts{Kind: p.transport, Nodes: p.nodes, Loss: p.loss, LossSeed: p.seed}
+	if p.lossModel == "ge" {
+		// Bursty loss: the Gilbert-Elliott walk drops whole per-link
+		// frame runs instead of i.i.d. singles.
+		drop, err := ktransport.GEFrameLoss(p.burst, p.gap, p.seed)
+		if err != nil {
+			return err
+		}
+		ropts.UDP.DropDatagram = drop
+	}
 	var secs []float64
 	for trial := 0; trial < p.trials; trial++ {
 		rng := rand.New(rand.NewSource(p.seed + int64(trial)))
@@ -407,29 +424,8 @@ func runRuntime(stdout io.Writer, p runtimeParams) error {
 			MaxRounds:       p.rounds,
 			RunToCompletion: true,
 		}
-		switch p.transport {
-		case "sim":
-			// Lockstep reference: no Runner override.
-		case "inproc":
-			spec.Runner = runtime.NewRunner(runtime.RunnerOpts{})
-		case "tcp":
-			spec.Runner = runtime.NewRunner(runtime.RunnerOpts{Kind: "tcp", Nodes: p.nodes})
-		case "udp":
-			ropts := runtime.RunnerOpts{
-				Kind: "udp", Nodes: p.nodes, Loss: p.loss, LossSeed: p.seed,
-			}
-			if p.lossModel == "ge" {
-				// Bursty loss: the Gilbert-Elliott walk drops whole
-				// per-link frame runs instead of i.i.d. singles.
-				drop, err := ktransport.GEFrameLoss(p.burst, p.gap, p.seed)
-				if err != nil {
-					return err
-				}
-				ropts.UDP.DropDatagram = drop
-			}
+		if p.transport != "sim" { // the lockstep reference keeps the default executor
 			spec.Runner = runtime.NewRunner(ropts)
-		default:
-			return fmt.Errorf("unknown transport %q (want inproc, tcp, udp, or sim)", p.transport)
 		}
 		start := time.Now()
 		if _, err := sim.Execute(spec); err != nil {

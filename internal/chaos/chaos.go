@@ -13,11 +13,14 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"time"
 
 	"kset/internal/adversary"
 	"kset/internal/core"
 	"kset/internal/graph"
+	"kset/internal/runfile"
 	"kset/internal/runtime"
 	"kset/internal/sim"
 	"kset/internal/transport"
@@ -131,25 +134,35 @@ func Run(cfg BatteryConfig, artifactDir string) (*runtime.CrashReplayReport, err
 		MaxRounds: 4*n + 20,
 	}
 	maxCrashRound := n/2 + 2
-	plan := RandomCrashPlan(n, cfg.Crashes, maxCrashRound, cfg.Seed, cfg.Kind == "inproc")
-	opts := runtime.CrashReplayOpts{Kind: cfg.Kind, ArtifactDir: artifactDir}
-	switch cfg.Kind {
-	case "inproc":
-		// Announced crashes: MarkDead is the supervisor's notice.
-	case "tcp":
-		opts.TCP.Stall = transport.StallOpts{
-			RoundTimeout: 25 * time.Millisecond,
-			DeadAfter:    4,
-			MaxReconnect: 2,
-		}
-	case "udp":
-		opts.UDP = transport.UDPOpts{
-			RoundTimeout: 15 * time.Millisecond,
-			Grace:        2 * time.Millisecond,
-			DeadAfter:    4,
-		}
-	default:
-		return nil, fmt.Errorf("chaos: unknown transport kind %q", cfg.Kind)
+	opts := runtime.RunnerOpts{
+		Kind: cfg.Kind,
+		// In-proc crashes are announced (MarkDead is the supervisor's
+		// notice); the socket meshes must detect theirs by stall.
+		Crash: RandomCrashPlan(n, cfg.Crashes, maxCrashRound, cfg.Seed, cfg.Kind == "inproc"),
+		// Each socket mesh reads its own timing; in-proc reads neither.
+		TCP: transport.TCPOpts{RoundTimeout: 25 * time.Millisecond, DeadAfter: 4, MaxReconnect: 2},
+		UDP: transport.UDPOpts{RoundTimeout: 15 * time.Millisecond, Grace: 2 * time.Millisecond, DeadAfter: 4},
 	}
-	return runtime.CrashReplay(spec, plan, opts)
+	rep, err := runtime.CrashReplay(spec, opts)
+	return rep, fileDivergence(artifactDir, rep, err)
+}
+
+// fileDivergence keeps what a diverging runtime.CrashReplay returned: the
+// report beside its error carries the realized graphs, which go to dir
+// (when non-empty) as a .ksr runfile the returned error names, so the
+// divergence can be re-executed standalone. Any other result passes through.
+func fileDivergence(dir string, rep *runtime.CrashReplayReport, err error) error {
+	if err == nil || rep == nil || dir == "" {
+		return err
+	}
+	rounds := len(rep.Realized)
+	path := filepath.Join(dir, fmt.Sprintf("crash-divergence-r%d.ksr", rounds))
+	werr := os.MkdirAll(dir, 0o755)
+	if werr == nil {
+		werr = runfile.WriteFile(path, adversary.NewRun(rep.Realized[:rounds-1], rep.Realized[rounds-1]))
+	}
+	if werr != nil {
+		return fmt.Errorf("%w (realized graphs not written: %v)", err, werr)
+	}
+	return fmt.Errorf("%w (realized graphs: %s)", err, path)
 }

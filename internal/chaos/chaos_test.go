@@ -1,14 +1,17 @@
 package chaos
 
 import (
+	"errors"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"kset/internal/adversary"
 	"kset/internal/core"
+	"kset/internal/runfile"
 	"kset/internal/runtime"
 	"kset/internal/sim"
 	"kset/internal/transport"
@@ -71,7 +74,7 @@ func TestCrashSitesExactHeardSets(t *testing.T) {
 				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 3*n + 10,
 			}
-			rep, err := runtime.CrashReplay(spec, plan, runtime.CrashReplayOpts{Kind: "inproc"})
+			rep, err := runtime.CrashReplay(spec, runtime.RunnerOpts{Crash: plan})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,23 +146,22 @@ func TestSilentCrashDetectedByStall(t *testing.T) {
 				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 3*n + 12,
 			}
-			opts := runtime.CrashReplayOpts{Kind: kind}
-			if kind == "tcp" {
-				opts.TCP.Stall = transport.StallOpts{
+			rep, err := runtime.CrashReplay(spec, runtime.RunnerOpts{
+				Kind:  kind,
+				Crash: plan,
+				TCP: transport.TCPOpts{
 					RoundTimeout: 25 * time.Millisecond,
 					DeadAfter:    3,
 					MaxReconnect: 2,
 					Counters:     &counters,
-				}
-			} else {
-				opts.UDP = transport.UDPOpts{
+				},
+				UDP: transport.UDPOpts{
 					RoundTimeout: 15 * time.Millisecond,
 					Grace:        2 * time.Millisecond,
 					DeadAfter:    3,
 					Counters:     &counters,
-				}
-			}
-			rep, err := runtime.CrashReplay(spec, plan, opts)
+				},
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,7 +195,7 @@ func TestSilentCrashOnCountClosedMeshRejected(t *testing.T) {
 		}
 		failed := make(chan error, 1)
 		go func() {
-			_, err := runtime.CrashReplay(spec, SiteCrashPlan(n, 1, 2, runtime.CrashBeforeSend, false), runtime.CrashReplayOpts{Kind: kind})
+			_, err := runtime.CrashReplay(spec, runtime.RunnerOpts{Kind: kind, Crash: SiteCrashPlan(n, 1, 2, runtime.CrashBeforeSend, false)})
 			failed <- err
 		}()
 		select {
@@ -229,7 +231,7 @@ func TestStallPlanRecoversWithoutVerdict(t *testing.T) {
 		Params:    core.Options{ConservativeDecide: true},
 		MaxRounds: 3*n + 10,
 	}
-	rep, err := runtime.CrashReplay(spec, nil, runtime.CrashReplayOpts{
+	rep, err := runtime.CrashReplay(spec, runtime.RunnerOpts{
 		Kind:  "udp",
 		Stall: stall,
 		UDP: transport.UDPOpts{
@@ -248,6 +250,55 @@ func TestStallPlanRecoversWithoutVerdict(t *testing.T) {
 	for i := 0; i < n; i++ {
 		if !rep.Live.Decided[i] {
 			t.Errorf("p%d never decided after the stall cleared", i+1)
+		}
+	}
+}
+
+// TestDivergenceLeavesRunfile plants a divergence: a real replay's report
+// (its Realized graphs) handed to fileDivergence beside an error, as
+// CrashReplay returns them when live run and replay disagree. The error
+// must name a .ksr under the artifact directory that reads back as
+// exactly the realized run; every other result passes through untouched
+// and files nothing.
+func TestDivergenceLeavesRunfile(t *testing.T) {
+	cfg := BatteryConfigs()[0]
+	rep, err := Run(cfg, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	planted := errors.New("planted divergence")
+	dir := filepath.Join(t.TempDir(), "artifacts")
+	for _, tc := range []struct {
+		name      string
+		got, want error
+	}{
+		{"no error", fileDivergence(dir, rep, nil), nil},
+		{"no report", fileDivergence(dir, nil, planted), planted},
+		{"no directory", fileDivergence("", rep, planted), planted},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: got %v, want %v passed through", tc.name, tc.got, tc.want)
+		}
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("a result that is no divergence touched the artifact directory: %v", err)
+	}
+
+	err = fileDivergence(dir, rep, planted)
+	if !errors.Is(err, planted) {
+		t.Fatalf("filed error %v does not wrap the divergence", err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "*.ksr"))
+	if len(files) != 1 || !strings.Contains(err.Error(), files[0]) {
+		t.Fatalf("artifact directory holds %v; the error is %q", files, err)
+	}
+	run, err := runfile.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, want := range rep.Realized {
+		if got := run.Graph(r + 1); !got.Equal(want) {
+			t.Fatalf("round %d of the runfile is %v, realized %v", r+1, got, want)
 		}
 	}
 }

@@ -67,19 +67,18 @@ func TestChaosNightlySoak(t *testing.T) {
 				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 4*n + 20,
 			}
-			plan := RandomCrashPlan(n, 2, n/2+2, seed, false)
-			rep, err := runtime.CrashReplay(spec, plan, runtime.CrashReplayOpts{
-				Kind: "udp",
+			rep, err := runtime.CrashReplay(spec, runtime.RunnerOpts{
+				Kind:  "udp",
+				Crash: RandomCrashPlan(n, 2, n/2+2, seed, false),
 				UDP: transport.UDPOpts{
 					RoundTimeout: 15 * time.Millisecond,
 					Grace:        2 * time.Millisecond,
 					DeadAfter:    4,
 				},
-				Loss:        0.10,
-				LossSeed:    seed,
-				ArtifactDir: artifactDir,
+				Loss:     0.10,
+				LossSeed: seed,
 			})
-			if err != nil {
+			if err := fileDivergence(artifactDir, rep, err); err != nil {
 				t.Fatal(err)
 			}
 			if !rep.KBound {

@@ -92,7 +92,7 @@ func TestApproxDifferentialInProc(t *testing.T) {
 	}
 	for _, n := range ns {
 		for _, sched := range approxSuite(n, int64(300+n)) {
-			if err := Diff(sched.Spec, DiffOpts{}); err != nil {
+			if err := Diff(sched.Spec, RunnerOpts{}); err != nil {
 				t.Errorf("n=%d %s: %v", n, sched.Name, err)
 			}
 		}
@@ -105,7 +105,7 @@ func TestApproxDifferentialInProc(t *testing.T) {
 func TestApproxDifferentialTCP(t *testing.T) {
 	n := 5
 	for _, sched := range approxSuite(n, 311) {
-		for _, opts := range []DiffOpts{
+		for _, opts := range []RunnerOpts{
 			{Kind: "tcp", Jitter: 150 * time.Microsecond, JitterSeed: 9},
 			{Kind: "tcp", Nodes: 2},
 		} {
@@ -126,7 +126,7 @@ func TestApproxDifferentialUDP(t *testing.T) {
 	}
 	suite := approxSuite(4, 331)
 	for _, sched := range suite[:2] {
-		if err := Diff(sched.Spec, DiffOpts{Kind: "udp"}); err != nil {
+		if err := Diff(sched.Spec, RunnerOpts{Kind: "udp"}); err != nil {
 			t.Errorf("%s: %v", sched.Name, err)
 		}
 	}
@@ -142,14 +142,14 @@ func TestApproxDifferentialNightly(t *testing.T) {
 	for _, n := range []int{4, 6, 9, 12} {
 		for seed := int64(1); seed <= 3; seed++ {
 			for _, sched := range approxSuite(n, seed) {
-				configs := []DiffOpts{
+				configs := []RunnerOpts{
 					{},
 					{Jitter: 150 * time.Microsecond, JitterSeed: seed},
 					{Kind: "tcp", JitterSeed: seed},
 					{Kind: "tcp", Nodes: 3, JitterSeed: seed},
 				}
 				if n <= 6 {
-					configs = append(configs, DiffOpts{Kind: "udp"})
+					configs = append(configs, RunnerOpts{Kind: "udp"})
 				}
 				for i, opts := range configs {
 					if err := Diff(sched.Spec, opts); err != nil {
@@ -171,13 +171,13 @@ func TestApproxDifferentialNightly(t *testing.T) {
 // the family's own too: A6 decides two adjacent vertices under MinK = 1.
 func TestApproxReplay(t *testing.T) {
 	for _, sched := range approxSuite(5, 341) {
-		rep, err := LossReplay(sched.Spec, LossReplayOpts{UDP: quietUDP()})
+		rep, err := LossReplay(sched.Spec, RunnerOpts{UDP: quietUDP()})
 		if err != nil {
 			t.Errorf("%s: LossReplay over udp: %v", sched.Name, err)
 		} else if rep.LostLinks != 0 {
 			t.Errorf("%s: quiet loopback lost %d scheduled deliveries", sched.Name, rep.LostLinks)
 		}
-		crep, err := CrashReplay(sched.Spec, nil, CrashReplayOpts{})
+		crep, err := CrashReplay(sched.Spec, RunnerOpts{})
 		if err != nil {
 			t.Errorf("%s: CrashReplay in-proc, nil plan: %v", sched.Name, err)
 			continue

@@ -1,41 +1,14 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"kset/internal/adversary"
 	"kset/internal/graph"
-	"kset/internal/runfile"
 	"kset/internal/sim"
 	"kset/internal/transport"
 )
-
-// CrashReplayOpts configures one crash-fault differential replay.
-type CrashReplayOpts struct {
-	// Kind selects the live transport: "inproc" (default), "tcp", "udp".
-	Kind string
-	// Nodes groups the processes onto this many mesh nodes (0 = one per
-	// process). Silent crash plans require one process per node.
-	Nodes int
-	// UDP configures the datagram mesh; the Meter field is owned by
-	// CrashReplay and must be nil.
-	UDP transport.UDPOpts
-	// TCP tunes the TCP mesh; with a silent crash plan its Stall knobs
-	// must enable chaos mode, or RunChaos rejects the plan (see CrashPlan).
-	TCP transport.TCPOpts
-	// Loss adds i.i.d. frame loss on the UDP mesh (see RunnerOpts.Loss),
-	// composing real loss under the injected crashes.
-	Loss     float64
-	LossSeed int64
-	// Stall optionally delays surviving senders (see StallPlan).
-	Stall *StallPlan
-	// ArtifactDir, when non-empty, receives a .ksr runfile of the
-	// realized graphs whenever the replay diverges from the live run, so
-	// the divergence can be re-executed standalone.
-	ArtifactDir string
-}
 
 // CrashReplayReport is the evidence one crash replay produced.
 type CrashReplayReport struct {
@@ -68,9 +41,6 @@ type CrashReplayReport struct {
 	// it under the published guard, and the harness's job there is to
 	// detect the violation, not to refuse to measure it.
 	KBound bool
-	// Artifact is the path of the divergence runfile, when one was
-	// written.
-	Artifact string
 }
 
 // CrashReplay is the differential harness for crash faults, the
@@ -80,9 +50,10 @@ type CrashReplayReport struct {
 // paper's round model on the communication pattern the crashes carved
 // out.
 //
-//  1. Run spec live under plan over a metered transport: processes die
-//     at their planned rounds and sites, and the meter records exactly
-//     which deliveries the survivors gathered.
+//  1. Run spec live as opts describes, under its crash plan (opts.Crash)
+//     and over a metered transport: processes die at their planned
+//     rounds and sites, and the meter records exactly which deliveries
+//     the survivors gathered.
 //  2. Check containment: realized heard-sets never exceed the schedule
 //     restricted by the crash cut — a dead process sends nothing it
 //     was not entitled to, and nobody hears the dead.
@@ -99,16 +70,20 @@ type CrashReplayReport struct {
 // A nil plan crashes nobody, and the harness is then the loss-only
 // replay: LossReplay is exactly that call over UDP. The spec's algorithm
 // family is resolved once, up front, so any registered family replays.
+// With a silent crash plan on TCP, opts.TCP must enable chaos mode, or
+// RunChaos rejects the plan (see CrashPlan).
 //
-// On any divergence the realized graphs are written to ArtifactDir as a
-// .ksr runfile (when set) and the error names the path.
-func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashReplayReport, error) {
+// A divergence in step 3 returns the report (Realized included) beside
+// the error, so the caller can file the realized graphs as a .ksr runfile
+// and re-execute the diverging run standalone.
+func CrashReplay(spec sim.Spec, opts RunnerOpts) (*CrashReplayReport, error) {
 	if spec.Adversary == nil {
 		return nil, fmt.Errorf("runtime: replay with nil adversary")
 	}
-	if opts.UDP.Meter != nil {
-		return nil, fmt.Errorf("runtime: the replay harness owns the heard meter; UDP.Meter must be nil")
+	if err := opts.harnessOwned(true); err != nil {
+		return nil, err
 	}
+	plan := opts.Crash
 	n := spec.Adversary.N()
 	if err := plan.validate(n); err != nil {
 		return nil, err
@@ -127,18 +102,8 @@ func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashRe
 
 	meter := transport.NewHeardMeter(n)
 	live := spec
-	live.Runner = NewRunner(RunnerOpts{
-		Kind:      opts.Kind,
-		Nodes:     opts.Nodes,
-		UDP:       opts.UDP,
-		TCPOpts:   opts.TCP,
-		Loss:      opts.Loss,
-		LossSeed:  opts.LossSeed,
-		Algorithm: spec.Algorithm,
-		Crash:     plan,
-		Stall:     opts.Stall,
-		Meter:     meter,
-	})
+	opts.Algorithm, opts.Meter = spec.Algorithm, meter
+	live.Runner = NewRunner(opts)
 	liveOut, err := sim.Execute(live)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: replay live execution: %w", err)
@@ -208,18 +173,8 @@ func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashRe
 		LostLinks: lost,
 		Crashed:   plan.Crashes(),
 	}
-	diverge := func(format string, args ...any) error {
-		err := fmt.Errorf(format, args...)
-		if opts.ArtifactDir != "" {
-			if path, werr := writeDivergence(opts.ArtifactDir, realized, liveOut.Rounds); werr == nil {
-				rep.Artifact = path
-				err = fmt.Errorf("%w (realized graphs: %s)", err, path)
-			}
-		}
-		return err
-	}
 	if replayOut.Rounds != liveOut.Rounds {
-		return rep, diverge("runtime: replay executed %d rounds, live %d", replayOut.Rounds, liveOut.Rounds)
+		return rep, fmt.Errorf("runtime: replay executed %d rounds, live %d", replayOut.Rounds, liveOut.Rounds)
 	}
 	for i := 0; i < n; i++ {
 		crashed := plan != nil && plan.Round[i] != 0
@@ -227,16 +182,16 @@ func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashRe
 			continue // died undecided: its replay twin outlives it and may decide
 		}
 		if liveOut.Decided[i] != replayOut.Decided[i] {
-			return rep, diverge("runtime: p%d decided: live %v, replay %v", i+1, liveOut.Decided[i], replayOut.Decided[i])
+			return rep, fmt.Errorf("runtime: p%d decided: live %v, replay %v", i+1, liveOut.Decided[i], replayOut.Decided[i])
 		}
 		if !liveOut.Decided[i] {
 			continue
 		}
 		if liveOut.Decisions[i] != replayOut.Decisions[i] {
-			return rep, diverge("runtime: p%d decision: live %d, replay %d", i+1, liveOut.Decisions[i], replayOut.Decisions[i])
+			return rep, fmt.Errorf("runtime: p%d decision: live %d, replay %d", i+1, liveOut.Decisions[i], replayOut.Decisions[i])
 		}
 		if liveOut.DecideRounds[i] != replayOut.DecideRounds[i] {
-			return rep, diverge("runtime: p%d decision round: live %d, replay %d", i+1, liveOut.DecideRounds[i], replayOut.DecideRounds[i])
+			return rep, fmt.Errorf("runtime: p%d decision round: live %d, replay %d", i+1, liveOut.DecideRounds[i], replayOut.DecideRounds[i])
 		}
 	}
 	// The verdict is the family's own oracle on the live decisions — a
@@ -249,34 +204,19 @@ func CrashReplay(spec sim.Spec, plan *CrashPlan, opts CrashReplayOpts) (*CrashRe
 	return rep, nil
 }
 
-// LossReplayOpts and LossReplayReport are the replay harness's option and
-// report types under the names the loss-only entry point is called with.
-type (
-	LossReplayOpts   = CrashReplayOpts
-	LossReplayReport = CrashReplayReport
-)
-
 // LossReplay is CrashReplay with nobody crashing, over UDP — the
 // differential harness for the best-effort transport, where Diff's
 // premise (the realized run equals the scheduled run) does not hold.
 // To the round model a lost datagram and a dead sender are the same
-// missing edge, so one harness body checks both.
-func LossReplay(spec sim.Spec, opts LossReplayOpts) (*LossReplayReport, error) {
+// missing edge, so one harness body checks both. opts.Kind may be left
+// empty; any other transport, or a crash plan, is an error.
+func LossReplay(spec sim.Spec, opts RunnerOpts) (*CrashReplayReport, error) {
+	if opts.Kind != "" && opts.Kind != "udp" {
+		return nil, fmt.Errorf("runtime: LossReplay runs over udp; Kind is %q", opts.Kind)
+	}
+	if opts.Crash != nil {
+		return nil, errors.New("runtime: LossReplay crashes nobody; Crash must be nil (use CrashReplay)")
+	}
 	opts.Kind = "udp"
-	return CrashReplay(spec, nil, opts)
-}
-
-// writeDivergence persists the realized graphs as a replayable .ksr
-// runfile named by its content length, for standalone re-execution of a
-// diverging run.
-func writeDivergence(dir string, realized []*graph.Digraph, rounds int) (string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	run := adversary.NewRun(realized[:rounds-1], realized[rounds-1])
-	path := filepath.Join(dir, fmt.Sprintf("crash-divergence-r%d.ksr", rounds))
-	if err := runfile.WriteFile(path, run); err != nil {
-		return "", err
-	}
-	return path, nil
+	return CrashReplay(spec, opts)
 }

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -9,21 +10,26 @@ import (
 	"kset/internal/transport"
 )
 
-// DiffOpts configures one differential replay.
-type DiffOpts struct {
-	// Kind selects the replay transport: "inproc" (default), "tcp", or
-	// "udp". The UDP replay uses QuietLoopbackUDP's timing, so the
-	// comparison stays bit-exact.
-	Kind string
-	// Nodes groups the processes onto this many mesh nodes for the
-	// socket transports (0 = one per process); see RunnerOpts.Nodes.
-	// Frame coalescing across co-located processes must not change a
-	// single decision bit.
-	Nodes int
-	// Jitter/JitterSeed inject deterministic per-link receive latency,
-	// to prove timing skew cannot leak into decisions.
-	Jitter     time.Duration
-	JitterSeed int64
+// DiffOpts and LossReplayOpts are RunnerOpts: the harnesses take the one
+// description of a live run. The two names exist only because the frozen
+// benchmark module spells them.
+type (
+	DiffOpts       = RunnerOpts
+	LossReplayOpts = RunnerOpts
+)
+
+// harnessOwned rejects a caller who set a field the harnesses fill in
+// themselves, rather than silently overwriting it: the codec's family
+// comes from the spec, and the replay harnesses (replay true) record the
+// run on a meter of their own.
+func (o RunnerOpts) harnessOwned(replay bool) error {
+	switch {
+	case o.Algorithm != "":
+		return errors.New("runtime: the harness takes Algorithm from the spec; it must be empty")
+	case replay && (o.Meter != nil || o.UDP.Meter != nil):
+		return errors.New("runtime: the replay harness owns the heard meter; Meter and UDP.Meter must be nil")
+	}
+	return nil
 }
 
 // QuietLoopbackUDP returns the UDP timing for runs that must be
@@ -42,9 +48,18 @@ func QuietLoopbackUDP() transport.UDPOpts {
 // decision round, round count, and skeleton measurement. The schedule
 // is materialized exactly once, so stateful adversaries feed both
 // executions the same run.
-func Diff(spec sim.Spec, opts DiffOpts) error {
+//
+// opts says what the replay runs over. Jitter there proves timing skew
+// cannot leak into decisions, Nodes that frame coalescing across
+// co-located processes changes no decision bit; a UDP replay with no
+// RoundTimeout of its own gets QuietLoopbackUDP's timing, so the
+// comparison stays bit-exact.
+func Diff(spec sim.Spec, opts RunnerOpts) error {
 	if spec.Adversary == nil {
 		return fmt.Errorf("runtime: Diff with nil adversary")
+	}
+	if err := opts.harnessOwned(false); err != nil {
+		return err
 	}
 	// Resolve against the original adversary, before materialization can
 	// change the StabilizationRound answer: both the family's automatic
@@ -61,17 +76,12 @@ func Diff(spec sim.Spec, opts DiffOpts) error {
 		return fmt.Errorf("runtime: Diff reference execution: %w", err)
 	}
 	rt := spec
-	ro := RunnerOpts{
-		Kind:       opts.Kind,
-		Nodes:      opts.Nodes,
-		Jitter:     opts.Jitter,
-		JitterSeed: opts.JitterSeed,
-		Algorithm:  spec.Algorithm,
+	opts.Algorithm = spec.Algorithm
+	if opts.UDP.RoundTimeout == 0 {
+		quiet := QuietLoopbackUDP()
+		opts.UDP.RoundTimeout, opts.UDP.Grace = quiet.RoundTimeout, quiet.Grace
 	}
-	if ro.kind() == "udp" {
-		ro.UDP = QuietLoopbackUDP()
-	}
-	rt.Runner = NewRunner(ro)
+	rt.Runner = NewRunner(opts)
 	got, err := sim.Execute(rt)
 	if err != nil {
 		return fmt.Errorf("runtime: Diff runtime execution: %w", err)

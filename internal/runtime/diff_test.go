@@ -24,7 +24,7 @@ func TestDifferentialSuiteInProc(t *testing.T) {
 	}
 	for _, n := range ns {
 		for _, sched := range ScheduleSuite(n, int64(1000+n)) {
-			opts := DiffOpts{}
+			opts := RunnerOpts{}
 			if n == 8 {
 				opts.Jitter = 100 * time.Microsecond
 				opts.JitterSeed = int64(n)
@@ -55,7 +55,7 @@ func TestDifferentialSuiteN128(t *testing.T) {
 	const n = 128
 	for _, sched := range ScheduleSuite(n, int64(1000+n)) {
 		sched.Spec.MaxRounds = 12
-		if err := Diff(sched.Spec, DiffOpts{}); err != nil {
+		if err := Diff(sched.Spec, RunnerOpts{}); err != nil {
 			t.Errorf("n=%d %s: %v", n, sched.Name, err)
 		}
 	}
@@ -71,7 +71,7 @@ func TestDifferentialPipelined(t *testing.T) {
 	n := 6
 	for _, sched := range ScheduleSuite(n, 77) {
 		sched.Spec.RunToCompletion = true
-		for _, opts := range []DiffOpts{
+		for _, opts := range []RunnerOpts{
 			{},
 			{Kind: "tcp"},
 			{Kind: "tcp", Nodes: 2},
@@ -94,7 +94,7 @@ func TestDifferentialSuiteTCP(t *testing.T) {
 	n := 6
 	for _, sched := range ScheduleSuite(n, 2026) {
 		for _, nodes := range []int{0, 3} {
-			opts := DiffOpts{Kind: "tcp", Nodes: nodes, Jitter: 200 * time.Microsecond, JitterSeed: 7}
+			opts := RunnerOpts{Kind: "tcp", Nodes: nodes, Jitter: 200 * time.Microsecond, JitterSeed: 7}
 			if err := Diff(sched.Spec, opts); err != nil {
 				t.Errorf("n=%d nodes=%d %s: %v", n, nodes, sched.Name, err)
 			}
@@ -115,14 +115,14 @@ func TestDifferentialNightly(t *testing.T) {
 	for _, n := range []int{8, 16, 24, 32} {
 		for seed := int64(1); seed <= 3; seed++ {
 			for _, sched := range ScheduleSuite(n, seed) {
-				configs := []DiffOpts{
+				configs := []RunnerOpts{
 					{},
 					{Jitter: 150 * time.Microsecond, JitterSeed: seed},
 				}
 				if n <= 16 {
 					configs = append(configs,
-						DiffOpts{Kind: "tcp", JitterSeed: seed},
-						DiffOpts{Kind: "tcp", Nodes: 4, JitterSeed: seed})
+						RunnerOpts{Kind: "tcp", JitterSeed: seed},
+						RunnerOpts{Kind: "tcp", Nodes: 4, JitterSeed: seed})
 				}
 				for i, opts := range configs {
 					err := Diff(sched.Spec, opts)

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"kset/internal/adversary"
+	"kset/internal/algo"
 	"kset/internal/core"
 	"kset/internal/sim"
 	"kset/internal/transport"
@@ -33,7 +34,7 @@ func lossyUDP() transport.UDPOpts {
 func TestLossReplayLosslessEqualsSchedule(t *testing.T) {
 	for _, sched := range ScheduleSuite(6, 88) {
 		// Families with fixed small n keep it; the meter adapts.
-		rep, err := LossReplay(sched.Spec, LossReplayOpts{UDP: quietUDP()})
+		rep, err := LossReplay(sched.Spec, RunnerOpts{UDP: quietUDP()})
 		if err != nil {
 			t.Errorf("%s: %v", sched.Name, err)
 			continue
@@ -71,7 +72,7 @@ func TestLossReplayBoundedInjectedLoss(t *testing.T) {
 		u := quietUDP()
 		u.RoundTimeout = 15 * time.Millisecond
 		u.DropDatagram = func(r, from, to, frag int) bool { return r <= 6 && inject(r, from, to, frag) }
-		rep, err := LossReplay(spec, LossReplayOpts{UDP: u})
+		rep, err := LossReplay(spec, RunnerOpts{UDP: u})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -109,7 +110,7 @@ func TestLossReplaySustainedTenPercent(t *testing.T) {
 				Params:    core.Options{ConservativeDecide: true},
 				MaxRounds: 30,
 			}
-			rep, err := LossReplay(spec, LossReplayOpts{
+			rep, err := LossReplay(spec, RunnerOpts{
 				Nodes: nodes,
 				UDP:   lossyUDP(),
 				Loss:  0.10, LossSeed: seed,
@@ -142,7 +143,7 @@ func TestLossReplayPipelined(t *testing.T) {
 		MaxRounds:       25,
 		RunToCompletion: true,
 	}
-	rep, err := LossReplay(spec, LossReplayOpts{UDP: lossyUDP(), Loss: 0.08, LossSeed: 21})
+	rep, err := LossReplay(spec, RunnerOpts{UDP: lossyUDP(), Loss: 0.08, LossSeed: 21})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,15 +152,47 @@ func TestLossReplayPipelined(t *testing.T) {
 	}
 }
 
-// TestLossReplayOwnsMeter pins the misuse guard: the harness installs
-// its own heard meter, so a caller-supplied one is rejected instead of
-// silently ignored.
-func TestLossReplayOwnsMeter(t *testing.T) {
-	spec := sim.Spec{Adversary: adversary.Complete(4), Proposals: sim.SeqProposals(4)}
-	u := quietUDP()
-	u.Meter = transport.NewHeardMeter(4)
-	_, err := LossReplay(spec, LossReplayOpts{UDP: u})
-	if err == nil || !strings.Contains(err.Error(), "Meter") {
-		t.Fatalf("caller-supplied meter accepted: %v", err)
+// TestHarnessOwnedFields pins which fields of the one RunnerOpts each
+// harness entry point fills in itself: a caller who set one gets an error
+// naming it, never a silent overwrite (LossReplay used to rewrite Kind
+// "tcp" to "udp" without a word). What an entry point does not own it
+// runs with.
+func TestHarnessOwnedFields(t *testing.T) {
+	// The two names the benchmark module spells are RunnerOpts itself.
+	var _ RunnerOpts = DiffOpts{}
+	var _ RunnerOpts = LossReplayOpts{}
+
+	const n = 4
+	spec := sim.Spec{Adversary: adversary.Complete(n), Proposals: sim.SeqProposals(n)}
+	meter := func() *transport.HeardMeter { return transport.NewHeardMeter(n) }
+	diff := func(o RunnerOpts) error { return Diff(spec, o) }
+	crash := func(o RunnerOpts) error { _, err := CrashReplay(spec, o); return err }
+	loss := func(o RunnerOpts) error { _, err := LossReplay(spec, o); return err }
+	for _, tc := range []struct {
+		name  string
+		run   func(RunnerOpts) error
+		opts  RunnerOpts
+		owned string // the field the error must name; "" = accepted
+	}{
+		{"Diff/Algorithm", diff, RunnerOpts{Algorithm: algo.KSet}, "Algorithm"},
+		{"Diff/Meter", diff, RunnerOpts{Meter: meter()}, ""},
+		{"CrashReplay/Algorithm", crash, RunnerOpts{Algorithm: algo.KSet}, "Algorithm"},
+		{"CrashReplay/Meter", crash, RunnerOpts{Meter: meter()}, "Meter"},
+		{"CrashReplay/UDP.Meter", crash, RunnerOpts{Kind: "udp", UDP: transport.UDPOpts{Meter: meter()}}, "UDP.Meter"},
+		{"CrashReplay/Kind", crash, RunnerOpts{Kind: "tcp", Nodes: 2}, ""},
+		{"LossReplay/Algorithm", loss, RunnerOpts{Algorithm: algo.KSet}, "Algorithm"},
+		{"LossReplay/Meter", loss, RunnerOpts{Meter: meter()}, "Meter"},
+		{"LossReplay/UDP.Meter", loss, RunnerOpts{UDP: transport.UDPOpts{Meter: meter()}}, "UDP.Meter"},
+		{"LossReplay/Kind", loss, RunnerOpts{Kind: "tcp"}, "Kind"},
+		{"LossReplay/Crash", loss, RunnerOpts{Crash: &CrashPlan{Round: make([]int, n), Site: make([]CrashSite, n), Notify: true}}, "Crash"},
+		{"LossReplay/udp", loss, RunnerOpts{Kind: "udp", UDP: quietUDP()}, ""},
+	} {
+		err := tc.run(tc.opts)
+		switch {
+		case tc.owned == "" && err != nil:
+			t.Errorf("%s: rejected a field the harness does not own: %v", tc.name, err)
+		case tc.owned != "" && (err == nil || !strings.Contains(err.Error(), tc.owned)):
+			t.Errorf("%s: got %v, want an error naming %s", tc.name, err, tc.owned)
+		}
 	}
 }

@@ -58,20 +58,24 @@
 //
 // # Pipelining
 //
-// Fixed-length runs (StopWhen == nil — benchmarks, load generators,
-// service sessions) are pipelined: a process writes its round-r+1
-// broadcast right after its round-r transition, BEFORE the round
-// barrier, so when round r+1 starts every message is already deposited
-// (or on the wire) and Gather does not wait out a fresh send burst. This
-// is exact, not just safe: with no early-stop predicate, rounds 1..
-// MaxRounds all execute, so the pipelined run performs precisely the
-// Send calls and per-link drops the lockstep simulator does — only
-// earlier in wall-clock — and the transport contract's bounded lookahead
-// (one round past the lowest un-gathered round) licenses the head start.
+// Fixed-length runs (StopWhen == nil — benchmarks, load generators) are
+// pipelined: a process writes its round-r+1 broadcast right after its
+// round-r transition, BEFORE the round barrier, so when round r+1 starts
+// every message is already deposited (or on the wire) and Gather does not
+// wait out a fresh send burst. This is exact, not just safe: with no
+// early-stop predicate, rounds 1..MaxRounds all execute, so the pipelined
+// run performs precisely the Send calls and per-link drops the lockstep
+// simulator does — only earlier in wall-clock — and the transport
+// contract's bounded lookahead (one round past the lowest un-gathered
+// round) licenses the head start.
 // Runs with a StopWhen predicate are not pipelined: a speculative
 // round-r+1 broadcast after a stop at round r would call Send
 // (observable to metering wrappers) and consult the drop policy for a
-// round the simulator never executes. Diff covers both paths.
+// round the simulator never executes. A service session is one of these
+// (its spec never sets RunToCompletion, so sim.Execute stops it once all
+// have decided): it sends round r only after the round r-1 barrier and
+// stop check, every process of a block before the block's first gather.
+// Diff covers both paths.
 package runtime
 
 import (
@@ -400,7 +404,9 @@ func abortErr(self, r int, err error) error {
 	return fmt.Errorf("runtime: p%d round %d: %w", self+1, r, err)
 }
 
-// RunnerOpts configures NewRunner.
+// RunnerOpts is the one description of a live run — which mesh, grouped
+// how, with which faults — that NewRunner turns into a transport and a
+// run; Diff, CrashReplay and LossReplay take the same value.
 type RunnerOpts struct {
 	// Kind selects the transport: "inproc" (default), "tcp", or "udp".
 	Kind string
@@ -442,9 +448,10 @@ type RunnerOpts struct {
 	// (see StallPlan) — the stimulus for deadline closures and stall
 	// streaks that end in recovery rather than a death verdict.
 	Stall *StallPlan
-	// TCPOpts tunes the TCP mesh (chaos knobs: deadline closure, stall
-	// detection, reconnect). The zero value is the classic reliable mesh.
-	TCPOpts transport.TCPOpts
+	// TCP tunes the stream mesh when Kind is "tcp" (chaos knobs: deadline
+	// closure, stall detection, reconnect). The zero value is the classic
+	// reliable mesh.
+	TCP transport.TCPOpts
 	// Meter, when non-nil, records the realized heard-set of every
 	// gather on any transport kind (overriding UDP.Meter).
 	Meter *transport.HeardMeter
@@ -452,14 +459,6 @@ type RunnerOpts struct {
 	// right after construction — the hook the agreement service uses to
 	// get a DeadMarker handle for watchdog verdicts.
 	OnTransport func(transport.Transport)
-}
-
-// kind resolves the transport selection.
-func (o RunnerOpts) kind() string {
-	if o.Kind == "" {
-		return "inproc"
-	}
-	return o.Kind
 }
 
 // meshNodes resolves the node count for an n-process socket mesh.
@@ -498,15 +497,11 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 			pol = transport.Jitter{Inner: pol, Seed: opts.JitterSeed, Max: opts.Jitter}
 		}
 		var tr transport.Transport
-		switch kind := opts.kind(); kind {
-		case "inproc":
+		switch opts.Kind {
+		case "", "inproc":
 			tr = transport.NewInProc(adv.N(), pol)
 		case "tcp":
-			t, err := transport.NewTCPMeshLoopbackOpts(adv.N(), opts.meshNodes(adv.N()), pol, opts.TCPOpts)
-			if err != nil {
-				return nil, err
-			}
-			tr = t
+			tr, err = transport.NewTCPMeshLoopbackOpts(adv.N(), opts.meshNodes(adv.N()), pol, opts.TCP)
 		case "udp":
 			u := opts.UDP
 			if injected := transport.FrameLoss(opts.Loss, opts.LossSeed); injected != nil {
@@ -515,13 +510,12 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 					return injected(r, from, to, frag) || (inner != nil && inner(r, from, to, frag))
 				}
 			}
-			t, err := transport.NewUDPMeshLoopback(adv.N(), opts.meshNodes(adv.N()), pol, u)
-			if err != nil {
-				return nil, err
-			}
-			tr = t
+			tr, err = transport.NewUDPMeshLoopback(adv.N(), opts.meshNodes(adv.N()), pol, u)
 		default:
-			return nil, fmt.Errorf("runtime: unknown transport kind %q", kind)
+			err = fmt.Errorf("runtime: unknown transport kind %q", opts.Kind)
+		}
+		if err != nil {
+			return nil, err
 		}
 		if opts.Meter != nil {
 			if err := transport.Metered(tr, opts.Meter); err != nil {

@@ -182,7 +182,7 @@ func TestRunnerMatchesSequentialExecutor(t *testing.T) {
 	run := adversary.RandomSources(8, 2, 6, 0.3, rng)
 	for _, kind := range []string{"inproc", "tcp"} {
 		spec := sim.Spec{Adversary: run, Proposals: sim.SeqProposals(8)}
-		if err := Diff(spec, DiffOpts{Kind: kind}); err != nil {
+		if err := Diff(spec, RunnerOpts{Kind: kind}); err != nil {
 			t.Fatalf("%s: %v", kind, err)
 		}
 	}
@@ -241,7 +241,7 @@ func TestRunnerEncodesRealWireBytes(t *testing.T) {
 		rng := rand.New(rand.NewSource(13))
 		run := adversary.RandomSources(6, 2, 4, 0.3, rng)
 		spec := sim.Spec{Adversary: run, Proposals: sim.SeqProposals(6), MeterMessages: true}
-		if err := Diff(spec, DiffOpts{Kind: "tcp", Nodes: nodes}); err != nil {
+		if err := Diff(spec, RunnerOpts{Kind: "tcp", Nodes: nodes}); err != nil {
 			t.Fatalf("nodes=%d: %v", nodes, err)
 		}
 	}

@@ -37,7 +37,7 @@ func TestLossReplayNightlySoak(t *testing.T) {
 					Params:    core.Options{ConservativeDecide: true},
 					MaxRounds: 40,
 				}
-				rep, err := LossReplay(spec, LossReplayOpts{
+				rep, err := LossReplay(spec, RunnerOpts{
 					Nodes: nodes,
 					UDP: transport.UDPOpts{
 						RoundTimeout: 15 * time.Millisecond,

@@ -85,7 +85,7 @@ type SessionSpec struct {
 	// Seed makes the schedule deterministic.
 	Seed int64 `json:"seed"`
 	// K is the lower-bound construction's k (family lowerbound only);
-	// default n/2.
+	// default n/2, at least 1.
 	K int `json:"k,omitempty"`
 	// Roots is the number of root components (family rooted); default 1.
 	Roots int `json:"roots,omitempty"`
@@ -414,7 +414,7 @@ func buildAdversary(spec SessionSpec) (rounds.Adversary, error) {
 	case "lowerbound":
 		k := spec.K
 		if k == 0 {
-			k = n / 2
+			k = max(1, n/2)
 		}
 		if k < 1 || k > n {
 			return nil, fmt.Errorf("lowerbound k = %d out of range [1,%d]", k, n)
@@ -514,8 +514,10 @@ func (s *Service) execute(sess *Session) {
 // distributed executions, not simulator calls — the sim package here
 // only supplies the measurement pipeline around runtime.NewRunner). lr
 // observes the run for the watchdog (partial outcomes, transport
-// teardown handle); counters aggregate the transport's stall/retry/
-// death tallies into the service's /metrics. A panic in one of the
+// teardown handle); counters aggregate a udp session's stall and death
+// tallies into the service's /metrics (in-proc and tcp sessions close
+// rounds by count: no stall detector runs, no stream is redialed, and
+// there is nothing to tally). A panic in one of the
 // session's processes — the runtime re-raises it here, with its value
 // and with the run torn down — is the session's error, not the
 // service's end: one bad session must not take every other with it.
@@ -529,19 +531,13 @@ func runSession(spec SessionSpec, lr *liveRun, counters *transport.StallCounters
 	if err != nil {
 		return nil, err
 	}
-	ropts := runtime.RunnerOpts{Kind: spec.Transport, Algorithm: spec.Algorithm, OnTransport: lr.onTransport}
-	switch spec.Transport {
-	case "udp":
-		// Sessions favor fidelity over round latency, so that results
-		// stay replayable in practice.
-		ropts.UDP = runtime.QuietLoopbackUDP()
-		ropts.UDP.Counters = counters
-	case "tcp":
-		// Counters alone do not switch the mesh into chaos mode (that
-		// takes a round deadline); they just surface any verdicts a
-		// chaos-tuned future session records.
-		ropts.TCPOpts.Stall.Counters = counters
+	ropts := runtime.RunnerOpts{
+		Kind: spec.Transport, Algorithm: spec.Algorithm, OnTransport: lr.onTransport,
+		// Read by udp sessions only. Sessions favor fidelity over round
+		// latency, so that results stay replayable in practice.
+		UDP: runtime.QuietLoopbackUDP(),
 	}
+	ropts.UDP.Counters = counters
 	simSpec := sessionSimSpec(spec, adv, runtime.NewRunner(ropts))
 	simSpec.Observer = lr
 	return sim.Execute(simSpec)

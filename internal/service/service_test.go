@@ -30,6 +30,7 @@ func TestSubmitValidation(t *testing.T) {
 	defer s.Close()
 	res := s.Submit([]SessionSpec{
 		{N: 4, Family: "rooted", Seed: 1},
+		{N: 1, Family: "lowerbound"}, // k defaults to n/2, which must not be 0
 		{N: 0, Family: "rooted"},
 		{N: 4, Family: "no-such-family"},
 		{N: 4, Family: "rooted", Proposals: []int64{1, 2}},
@@ -43,12 +44,13 @@ func TestSubmitValidation(t *testing.T) {
 		{N: 4, Family: "rooted", MaxRounds: -1},
 		{N: 4, Family: "rooted", MaxRounds: 32*4 + 1},
 	})
-	if res[0].Error != "" || res[0].ID == "" {
-		t.Fatalf("valid spec rejected: %+v", res[0])
-	}
-	for i, r := range res[1:] {
-		if r.Error == "" {
-			t.Errorf("invalid spec %d accepted: %+v", i+1, r)
+	const valid = 2
+	for i, r := range res {
+		switch {
+		case i < valid && (r.Error != "" || r.ID == ""):
+			t.Errorf("valid spec %d rejected: %+v", i, r)
+		case i >= valid && r.Error == "":
+			t.Errorf("invalid spec %d accepted: %+v", i, r)
 		}
 	}
 }

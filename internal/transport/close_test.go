@@ -248,12 +248,12 @@ func TestCloseWithKilledPeerLeaksNoGoroutines(t *testing.T) {
 	t.Run("tcp", func(t *testing.T) {
 		var c StallCounters
 		leakCheck(t, func() {
-			tr, err := NewTCPMeshLoopbackOpts(n, n, nil, TCPOpts{Stall: StallOpts{
+			tr, err := NewTCPMeshLoopbackOpts(n, n, nil, TCPOpts{
 				RoundTimeout: 100 * time.Millisecond,
 				DeadAfter:    2,
 				MaxReconnect: 3,
 				Counters:     &c,
-			}})
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,12 +301,12 @@ func TestCloseWithKilledPeerLeaksNoGoroutines(t *testing.T) {
 // unwind via the transport's done channel, not their timers.
 func TestTCPCloseDuringReconnectLeaksNoGoroutines(t *testing.T) {
 	leakCheck(t, func() {
-		tr, err := NewTCPMeshLoopbackOpts(4, 2, nil, TCPOpts{Stall: StallOpts{
+		tr, err := NewTCPMeshLoopbackOpts(4, 2, nil, TCPOpts{
 			RoundTimeout:  time.Minute, // rounds close by count; only the break matters
 			MaxReconnect:  64,
 			reconnectBase: 2 * time.Second, // first redial parks well past the Close below
 			reconnectMax:  10 * time.Second,
-		}})
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

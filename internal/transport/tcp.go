@@ -40,17 +40,67 @@ type TCPMesh struct {
 // TCPOpts tunes a TCP mesh beyond the lockstep-exact defaults. The zero
 // value is the classic reliable mesh: a missing frame blocks Gather
 // until it arrives or the transport fails — the right contract for
-// differential suites, and a wedge under a crashed peer.
+// differential suites, and a wedge under a crashed peer. RoundTimeout > 0
+// enables chaos mode, the machinery that turns an unannounced peer death
+// into a bounded number of wasted deadlines instead of a wedged run:
+// receive mailboxes switch to the deadline+grace closure the UDP mesh
+// uses (a dead peer costs a deadline, not the run), the stall detector
+// turns consecutive silence into a terminal death verdict (DeadAfter),
+// and broken streams are redialed with jittered exponential backoff up to
+// MaxReconnect before the peer node is declared dead. Off by default so
+// lockstep-exact suites keep the reliable contract. What each zero value
+// means is in the package comment's option table.
 type TCPOpts struct {
-	// Stall enables chaos mode when Stall.RoundTimeout > 0: receive
-	// mailboxes switch to the deadline+grace closure the UDP mesh uses (a
-	// dead peer costs a deadline, not the run), the stall detector turns
-	// consecutive silence into a terminal death verdict
-	// (Stall.DeadAfter), and broken streams are redialed with jittered
-	// exponential backoff up to Stall.MaxReconnect before the peer node
-	// is declared dead. Off by default so lockstep-exact suites keep the
-	// reliable contract.
-	Stall StallOpts
+	// RoundTimeout is the receiver's per-round closure deadline: a Gather
+	// waits at most RoundTimeout (plus Grace extensions while frames are
+	// still trickling in) before recording missing senders as losses,
+	// exactly the UDP mesh's rule.
+	RoundTimeout time.Duration
+	// Grace extends a timed-out round while progress continues.
+	Grace time.Duration
+	// DeadAfter is the stall detector's verdict threshold, as
+	// UDPOpts.DeadAfter.
+	DeadAfter int
+	// MaxReconnect bounds redials of a broken stream (dialer side). While
+	// the budget lasts the peer's frames are treated as loss; when it
+	// runs out the peer node gets a terminal death verdict.
+	MaxReconnect int
+	// Counters, when non-nil, receives stall/retry/death events.
+	Counters *StallCounters
+
+	// reconnectBase and reconnectMax bound the jittered exponential
+	// backoff between redials: attempt k sleeps base<<(k-1) capped at
+	// max, plus up to half that again of jitter keyed on (node, peer,
+	// attempt). 5ms and 500ms; only the teardown tests park a redial
+	// longer.
+	reconnectBase, reconnectMax time.Duration
+}
+
+// withDefaults fills the derived defaults of the option table.
+func (o TCPOpts) withDefaults() TCPOpts {
+	if o.RoundTimeout > 0 && o.Grace == 0 {
+		o.Grace = max(o.RoundTimeout/8, 100*time.Microsecond)
+	}
+	if o.reconnectBase <= 0 {
+		o.reconnectBase = 5 * time.Millisecond
+	}
+	if o.reconnectMax <= 0 {
+		o.reconnectMax = 500 * time.Millisecond
+	}
+	return o
+}
+
+// backoff returns the sleep before redial attempt k (1-based):
+// exponential from reconnectBase, capped at reconnectMax, with up to
+// +50% of deterministic jitter so a partitioned mesh's redials don't
+// thundering-herd in phase.
+func (o TCPOpts) backoff(node, peer, attempt int) time.Duration {
+	d := o.reconnectBase << (attempt - 1)
+	if d <= 0 || d > o.reconnectMax {
+		d = o.reconnectMax
+	}
+	h := mix64(uint64(node)<<40 ^ uint64(peer)<<24 ^ uint64(attempt))
+	return d + time.Duration(h%uint64(d/2+1))
 }
 
 // NewTCPMeshLoopbackOpts returns a TCP mesh transport for n processes
@@ -60,7 +110,7 @@ type TCPOpts struct {
 // constructor returns, so Endpoint never dials. The zero TCPOpts is the
 // reliable lockstep-exact mesh; see TCPOpts for the chaos knobs.
 func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, error) {
-	o := opts.Stall.withDefaults()
+	o := opts.withDefaults()
 	core, err := newMesh(n, nodes, pol, meshOpts{
 		deadline:  o.RoundTimeout,
 		grace:     o.Grace,
@@ -84,29 +134,17 @@ func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, e
 	return t, nil
 }
 
-// Nodes returns the node count of the mesh.
-func (t *TCPMesh) Nodes() int { return t.m }
-
-// Addrs returns the node listen addresses, indexed by node id (empty
-// for a single-node mesh, which never opens a socket).
-func (t *TCPMesh) Addrs() []string {
-	if t.sl == nil {
-		return nil
-	}
-	return append([]string(nil), t.sl.addrs...)
-}
-
 // streamLink is the reliable-stream link: one listener per node, one
 // duplex TCP stream per node pair (the lower-numbered node dials), one
 // reader goroutine per stream end handing received frames to the core.
 // Outside chaos mode a stream failure is fatal to the nodes it touches;
-// in chaos mode (StallOpts.RoundTimeout > 0) a broken stream's frames
+// in chaos mode (TCPOpts.RoundTimeout > 0) a broken stream's frames
 // are loss — closed by the mailboxes' deadline — while the dialing side
 // redials within the reconnect budget, and an exhausted budget is the
 // peer node's death verdict.
 type streamLink struct {
 	t     *mesh
-	opts  StallOpts
+	opts  TCPOpts
 	chaos bool
 	ready atomic.Bool // setup done: accept handshakes from here on are reconnects
 	nodes []*streamNode

@@ -20,8 +20,8 @@
 //   - TCPMesh — the stream link (tcp.go): one duplex TCP stream per node
 //     pair (loopback or a LAN), each round's frame length-prefixed and
 //     written with one writev, one reader goroutine per stream end. In
-//     chaos mode (TCPOpts.Stall) broken streams are redialed and their
-//     frames are loss.
+//     chaos mode (TCPOpts.RoundTimeout > 0) broken streams are redialed
+//     and their frames are loss.
 //   - UDPMesh — the datagram link (udp.go): frame bodies packed into
 //     MTU-sized datagrams (fragmenting large frames across numbered
 //     datagrams), batched through sendmmsg/recvmmsg on Linux. A datagram
@@ -49,6 +49,28 @@
 // simulated run can be replayed over a real transport — the differential
 // harness in internal/runtime proves the replay is decision-for-decision
 // identical to sim.Execute.
+//
+// # Options
+//
+// UDPOpts and TCPOpts describe a socket mesh; InProc takes none. Which
+// link reads a field, and what its zero value means there:
+//
+//	field         datagram link (UDPOpts)      stream link (TCPOpts)
+//	RoundTimeout  0 = 2ms                      0 = none: rounds close by count
+//	Grace         0 = 300µs                    0 = RoundTimeout/8, at least 100µs
+//	DeadAfter     0 = no stall detector        0 = no stall detector
+//	Counters      nil = events not counted     nil = events not counted
+//	MaxReconnect  -                            0 = a broken stream is terminal at once
+//	SocketBuffer  0 = 1MiB                     -
+//	Meter         nil = heard-sets not kept    - (Metered attaches one to any mesh)
+//	DropDatagram  nil = no simulated loss      -
+//
+// On the stream link Grace, DeadAfter and MaxReconnect only act in chaos
+// mode (RoundTimeout > 0): a count-closed mesh has no deadline to extend,
+// no deadline-closed round to count, and fails on a broken stream. With
+// DeadAfter 0 silence costs a deadline every round but is never terminal,
+// the right setting when loss is expected to be transient. Datagrams are
+// 1400 bytes.
 //
 // # Transport contract
 //
@@ -134,7 +156,7 @@ type Transport interface {
 // announces itself, round-exactly, the way a real crashed OS process is
 // announced by its supervisor) and the transports' own stall detectors
 // (an unannounced crash is inferred from consecutive deadline-closed
-// rounds; see StallOpts).
+// rounds; see DeadAfter in the option table above).
 type DeadMarker interface {
 	MarkDead(p, fromRound int)
 }

@@ -30,9 +30,8 @@ type UDPMesh struct {
 	dl *datagramLink // nil on a single-node mesh, which never opens a socket
 }
 
-// UDPOpts tunes a UDP mesh. The zero value means: 1400-byte datagrams,
-// a 2ms round deadline with 300µs grace extensions, 1MiB socket
-// buffers, no meter, no simulated wire loss.
+// UDPOpts tunes a UDP mesh. What each zero value means is in the package
+// comment's option table.
 type UDPOpts struct {
 	// RoundTimeout is the receiver's per-round closure deadline: how
 	// long a Gather waits for senders the bitmap has not accounted for
@@ -45,9 +44,8 @@ type UDPOpts struct {
 	// the first silent window.
 	Grace time.Duration
 
-	// SocketBuffer sizes SO_RCVBUF/SO_SNDBUF in bytes (0 = 1MiB). The
-	// lossy soak shrinks it to put real kernel-buffer pressure on the
-	// mesh.
+	// SocketBuffer sizes SO_RCVBUF/SO_SNDBUF in bytes. The lossy soak
+	// shrinks it to put real kernel-buffer pressure on the mesh.
 	SocketBuffer int
 
 	// Meter, when non-nil, records the realized heard-set of every
@@ -65,9 +63,7 @@ type UDPOpts struct {
 	// many consecutive deadline-closed rounds at one receiver is declared
 	// dead — its whole node, since an OS process dying takes every
 	// co-located participant with it — and its absences stop costing the
-	// deadline. 0 disables detection (every silent round burns the full
-	// RoundTimeout, but nothing is ever terminal), which is the right
-	// setting when loss is expected to be transient.
+	// deadline.
 	DeadAfter int
 
 	// Counters, when non-nil, receives stall and death events.
@@ -131,18 +127,6 @@ func NewUDPMeshLoopback(n, nodes int, pol Policy, opts UDPOpts) (*UDPMesh, error
 	}
 	core.startWriters()
 	return t, nil
-}
-
-// Nodes returns the node count of the mesh.
-func (t *UDPMesh) Nodes() int { return t.m }
-
-// Addrs returns the node socket addresses, indexed by node id (empty
-// for a single-node mesh, which never opens a socket).
-func (t *UDPMesh) Addrs() []netip.AddrPort {
-	if t.dl == nil {
-		return nil
-	}
-	return append([]netip.AddrPort(nil), t.dl.addrs...)
 }
 
 // datagramLink is the best-effort link: one socket per node, frame
