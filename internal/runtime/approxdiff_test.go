@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"os"
 	"testing"
-	"time"
 
 	"kset/internal/adversary"
 	"kset/internal/algo"
@@ -101,12 +100,12 @@ func TestApproxDifferentialInProc(t *testing.T) {
 
 // TestApproxDifferentialTCP replays the approx corpus over real TCP
 // loopback sockets, fully distributed and with processes coalesced onto
-// 2 mesh nodes, plus jittered link delays on the distributed lane.
+// 2 mesh nodes, plus skewed senders (skewPlan) on the distributed lane.
 func TestApproxDifferentialTCP(t *testing.T) {
 	n := 5
 	for _, sched := range approxSuite(n, 311) {
 		for _, opts := range []RunnerOpts{
-			{Kind: "tcp", Jitter: 150 * time.Microsecond, JitterSeed: 9},
+			{Kind: "tcp", Stall: skewPlan(sched.Spec.Adversary.N(), 9)},
 			{Kind: "tcp", Nodes: 2},
 		} {
 			if err := Diff(sched.Spec, opts); err != nil {
@@ -144,9 +143,9 @@ func TestApproxDifferentialNightly(t *testing.T) {
 			for _, sched := range approxSuite(n, seed) {
 				configs := []RunnerOpts{
 					{},
-					{Jitter: 150 * time.Microsecond, JitterSeed: seed},
-					{Kind: "tcp", JitterSeed: seed},
-					{Kind: "tcp", Nodes: 3, JitterSeed: seed},
+					{Stall: skewPlan(sched.Spec.Adversary.N(), seed)},
+					{Kind: "tcp"},
+					{Kind: "tcp", Nodes: 3},
 				}
 				if n <= 6 {
 					configs = append(configs, RunnerOpts{Kind: "udp"})

@@ -164,7 +164,7 @@ func (p *CrashPlan) survivorsDecided(procs []rounds.Algorithm) bool {
 
 // crashCut composes a crash plan's send cut under an inner policy: a
 // delivery happens iff the plan lets the sender make it AND the inner
-// policy (the run's schedule) delivers it. Delays pass through.
+// policy (the run's schedule) delivers it.
 type crashCut struct {
 	inner transport.Policy
 	plan  *CrashPlan
@@ -174,9 +174,6 @@ type crashCut struct {
 func (c crashCut) Deliver(r, from, to int) bool {
 	return c.plan.Sends(r, from, to) && c.inner.Deliver(r, from, to)
 }
-
-// Delay implements transport.Policy.
-func (c crashCut) Delay(r, from, to int) time.Duration { return c.inner.Delay(r, from, to) }
 
 // StallPlan delays processes' broadcasts without killing them: process
 // i's round-r send is preceded by a Delay[i] sleep for every r in

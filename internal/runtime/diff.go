@@ -21,13 +21,16 @@ type (
 // harnessOwned rejects a caller who set a field the harnesses fill in
 // themselves, rather than silently overwriting it: the codec's family
 // comes from the spec, and the replay harnesses (replay true) record the
-// run on a meter of their own.
+// run on a meter of their own. Diff (replay false) takes no crash plan:
+// nobody crashes in the reference it compares against.
 func (o RunnerOpts) harnessOwned(replay bool) error {
 	switch {
 	case o.Algorithm != "":
 		return errors.New("runtime: the harness takes Algorithm from the spec; it must be empty")
 	case replay && (o.Meter != nil || o.UDP.Meter != nil):
 		return errors.New("runtime: the replay harness owns the heard meter; Meter and UDP.Meter must be nil")
+	case !replay && o.Crash != nil:
+		return errors.New("runtime: Diff's reference run crashes nobody; Crash must be nil (use CrashReplay)")
 	}
 	return nil
 }
@@ -49,11 +52,11 @@ func QuietLoopbackUDP() transport.UDPOpts {
 // is materialized exactly once, so stateful adversaries feed both
 // executions the same run.
 //
-// opts says what the replay runs over. Jitter there proves timing skew
-// cannot leak into decisions, Nodes that frame coalescing across
-// co-located processes changes no decision bit; a UDP replay with no
-// RoundTimeout of its own gets QuietLoopbackUDP's timing, so the
-// comparison stays bit-exact.
+// opts says what the replay runs over. Stall there proves timing skew
+// (processes sending late, the others already gathering) cannot leak into
+// decisions, Nodes that frame coalescing across co-located processes
+// changes no decision bit; a UDP replay with no RoundTimeout of its own
+// gets QuietLoopbackUDP's timing, so the comparison stays bit-exact.
 func Diff(spec sim.Spec, opts RunnerOpts) error {
 	if spec.Adversary == nil {
 		return fmt.Errorf("runtime: Diff with nil adversary")

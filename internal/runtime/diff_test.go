@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"kset/internal/adversary"
 	"kset/internal/rounds"
@@ -15,8 +14,8 @@ import (
 
 // TestDifferentialSuiteInProc replays the full E1–E16 schedule suite on
 // the distributed runtime over the in-process transport and requires
-// outcome-for-outcome equality with the simulator. One n also runs with
-// jittered link delays: timing skew must not leak into decisions.
+// outcome-for-outcome equality with the simulator. One n also runs under
+// a stall plan (skewPlan): timing skew must not leak into decisions.
 func TestDifferentialSuiteInProc(t *testing.T) {
 	ns := []int{4, 8, 16}
 	if testing.Short() {
@@ -26,8 +25,7 @@ func TestDifferentialSuiteInProc(t *testing.T) {
 		for _, sched := range ScheduleSuite(n, int64(1000+n)) {
 			opts := RunnerOpts{}
 			if n == 8 {
-				opts.Jitter = 100 * time.Microsecond
-				opts.JitterSeed = int64(n)
+				opts.Stall = skewPlan(sched.Spec.Adversary.N(), int64(n))
 			}
 			if err := Diff(sched.Spec, opts); err != nil {
 				t.Errorf("n=%d %s: %v", n, sched.Name, err)
@@ -84,7 +82,7 @@ func TestDifferentialPipelined(t *testing.T) {
 }
 
 // TestDifferentialSuiteTCP replays the full suite over real TCP
-// loopback sockets with jittered delays — both fully distributed (one
+// loopback sockets with skewed senders — both fully distributed (one
 // node per process) and grouped onto 3 mesh nodes, where all of a
 // round's messages between two nodes travel as one coalesced frame.
 // Since co-located links carry values, the fully distributed lane here
@@ -94,7 +92,7 @@ func TestDifferentialSuiteTCP(t *testing.T) {
 	n := 6
 	for _, sched := range ScheduleSuite(n, 2026) {
 		for _, nodes := range []int{0, 3} {
-			opts := RunnerOpts{Kind: "tcp", Nodes: nodes, Jitter: 200 * time.Microsecond, JitterSeed: 7}
+			opts := RunnerOpts{Kind: "tcp", Nodes: nodes, Stall: skewPlan(sched.Spec.Adversary.N(), 7)}
 			if err := Diff(sched.Spec, opts); err != nil {
 				t.Errorf("n=%d nodes=%d %s: %v", n, nodes, sched.Name, err)
 			}
@@ -117,12 +115,12 @@ func TestDifferentialNightly(t *testing.T) {
 			for _, sched := range ScheduleSuite(n, seed) {
 				configs := []RunnerOpts{
 					{},
-					{Jitter: 150 * time.Microsecond, JitterSeed: seed},
+					{Stall: skewPlan(sched.Spec.Adversary.N(), seed)},
 				}
 				if n <= 16 {
 					configs = append(configs,
-						RunnerOpts{Kind: "tcp", JitterSeed: seed},
-						RunnerOpts{Kind: "tcp", Nodes: 4, JitterSeed: seed})
+						RunnerOpts{Kind: "tcp"},
+						RunnerOpts{Kind: "tcp", Nodes: 4})
 				}
 				for i, opts := range configs {
 					err := Diff(sched.Spec, opts)

@@ -168,6 +168,7 @@ func TestHarnessOwnedFields(t *testing.T) {
 	diff := func(o RunnerOpts) error { return Diff(spec, o) }
 	crash := func(o RunnerOpts) error { _, err := CrashReplay(spec, o); return err }
 	loss := func(o RunnerOpts) error { _, err := LossReplay(spec, o); return err }
+	nobody := &CrashPlan{Round: make([]int, n), Site: make([]CrashSite, n), Notify: true}
 	for _, tc := range []struct {
 		name  string
 		run   func(RunnerOpts) error
@@ -176,6 +177,9 @@ func TestHarnessOwnedFields(t *testing.T) {
 	}{
 		{"Diff/Algorithm", diff, RunnerOpts{Algorithm: algo.KSet}, "Algorithm"},
 		{"Diff/Meter", diff, RunnerOpts{Meter: meter()}, ""},
+		{"Diff/Crash", diff, RunnerOpts{Crash: nobody}, "Crash"},
+		{"Diff/Stall", diff, RunnerOpts{Stall: skewPlan(n, 1)}, ""},
+		{"Diff/Loss over tcp", diff, RunnerOpts{Kind: "tcp", Loss: 0.1}, "Loss"},
 		{"CrashReplay/Algorithm", crash, RunnerOpts{Algorithm: algo.KSet}, "Algorithm"},
 		{"CrashReplay/Meter", crash, RunnerOpts{Meter: meter()}, "Meter"},
 		{"CrashReplay/UDP.Meter", crash, RunnerOpts{Kind: "udp", UDP: transport.UDPOpts{Meter: meter()}}, "UDP.Meter"},
@@ -184,7 +188,7 @@ func TestHarnessOwnedFields(t *testing.T) {
 		{"LossReplay/Meter", loss, RunnerOpts{Meter: meter()}, "Meter"},
 		{"LossReplay/UDP.Meter", loss, RunnerOpts{UDP: transport.UDPOpts{Meter: meter()}}, "UDP.Meter"},
 		{"LossReplay/Kind", loss, RunnerOpts{Kind: "tcp"}, "Kind"},
-		{"LossReplay/Crash", loss, RunnerOpts{Crash: &CrashPlan{Round: make([]int, n), Site: make([]CrashSite, n), Notify: true}}, "Crash"},
+		{"LossReplay/Crash", loss, RunnerOpts{Crash: nobody}, "Crash"},
 		{"LossReplay/udp", loss, RunnerOpts{Kind: "udp", UDP: quietUDP()}, ""},
 	} {
 		err := tc.run(tc.opts)

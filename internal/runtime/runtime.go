@@ -1,7 +1,7 @@
 // Package runtime executes the round model as a real distributed system:
 // every process runs its algorithm end-to-end, whether a link delivers is
 // decided by a pluggable transport (internal/transport), whose policy
-// injects the per-link drops/delays instead of a lock-step delivery loop,
+// injects the per-link drops instead of a lock-step delivery loop,
 // and what a delivered link carries depends on where it leads (below). It
 // is the second, independent implementation of the executor contract in
 // internal/rounds — the differential harness in this package (Diff)
@@ -26,7 +26,7 @@
 // A run is fully determined by (schedule, proposals, options): rounds
 // are communication-closed, transitions are deterministic, and the
 // transport's fault injection is a pure function of (round, link). Real
-// concurrency — goroutine scheduling, TCP timing, jittered link delays —
+// concurrency — goroutine scheduling, TCP timing, a process sending late —
 // can therefore change only wall-clock phase, never decisions. That is
 // not assumed but enforced: Diff replays any schedule over a transport
 // and compares every per-process decision, decision round, and skeleton
@@ -45,16 +45,15 @@
 // and on the in-proc transport no Gather ever parks — unless a process
 // needs a clock of its own, and then n, one process per worker. That is
 // when the transport closes rounds by deadline (sequential Gathers would
-// serialise deadline + grace), a crash or stall plan is present (a
-// stall's sleep would delay a whole block), the policy can inject
-// receive delay (the sleeps would add up instead of skewing), the
-// transport is not one of internal/transport's meshes
-// (transport.CountClosed answers these three), or n >= inlineBelowN on
-// more than one core, where a round is big enough to split. Inside a
-// block every round-r send precedes the first round-r gather, so a
-// count-closed gather only waits on sends that do not wait on it; and a
-// step that fails closes the transport before it returns, so blocks
-// parked in Gather wake with ErrClosed and the pool cannot hang.
+// serialise deadline + grace) or is not one of internal/transport's
+// meshes (transport.CountClosed answers these two), a crash or stall plan
+// is present (a stall's sleep would delay a whole block), or n >=
+// inlineBelowN on more than one core, where a round is big enough to
+// split; the policy is no part of the rule. Inside a block every round-r
+// send precedes the first round-r gather, so a count-closed gather only
+// waits on sends that do not wait on it; and a step that fails closes the
+// transport before it returns, so blocks parked in Gather wake with
+// ErrClosed and the pool cannot hang.
 //
 // # Pipelining
 //
@@ -150,12 +149,12 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 		// deep, on the first message of any other family.
 		return nil, errors.New("runtime: nil codec")
 	}
-	byCount, instant := transport.CountClosed(tr)
+	byCount := transport.CountClosed(tr)
 	if byCount && plan.Crashes() > 0 && !plan.Notify {
 		return nil, errors.New("runtime: silent crash plan on a transport that closes rounds by count only: nothing would notice the dead (set CrashPlan.Notify, or give the mesh a round deadline)")
 	}
 	workers := n
-	if byCount && instant && plan == nil && stall == nil && (n < inlineBelowN || goruntime.GOMAXPROCS(0) == 1) {
+	if byCount && plan == nil && stall == nil && (n < inlineBelowN || goruntime.GOMAXPROCS(0) == 1) {
 		workers = 1
 	}
 	return runLive(cfg, n, workers, transport.NodeOf(tr), tr, codec, plan, stall)
@@ -432,12 +431,6 @@ type RunnerOpts struct {
 	// Algorithm names the registered family whose Codec carries the
 	// messages; "" resolves to the registry default (kset).
 	Algorithm string
-	// Jitter, when positive, layers deterministic per-link receive
-	// latency in [0, Jitter) on top of the schedule's drops, seeded by
-	// JitterSeed. Decisions are unaffected (Diff proves it); timing
-	// skew is.
-	Jitter     time.Duration
-	JitterSeed int64
 
 	// Crash, when non-nil, injects process crashes (see CrashPlan): the
 	// planned processes die at their planned rounds and sites, their
@@ -484,6 +477,9 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 		if err != nil {
 			return nil, err
 		}
+		if opts.Loss > 0 && opts.Kind != "udp" {
+			return nil, fmt.Errorf("runtime: Loss = %g is wire loss on the datagram mesh; transport kind %q has none to lose", opts.Loss, opts.Kind)
+		}
 		adv := adversary.MaterializeRun(cfg.Adversary, cfg.MaxRounds)
 		cfg.Adversary = adv
 		var pol transport.Policy = transport.NewSchedule(adv)
@@ -492,9 +488,6 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 			// process's round-r sends are restricted to its site's
 			// receivers before the schedule's own drops apply.
 			pol = crashCut{inner: pol, plan: opts.Crash}
-		}
-		if opts.Jitter > 0 {
-			pol = transport.Jitter{Inner: pol, Seed: opts.JitterSeed, Max: opts.Jitter}
 		}
 		var tr transport.Transport
 		switch opts.Kind {

@@ -39,12 +39,20 @@ type liveOutcome struct {
 	Observed     []string // one line per observer call
 }
 
+// ownPolicy is a policy of a caller's own: to the transport and the
+// runtime it is not a Schedule, just something with a Deliver method.
+type ownPolicy struct{ transport.Schedule }
+
 // mesh builds the transport for an n-process run of adv the way
-// NewRunner does: "inproc", or "tcp" on 2 nodes.
+// NewRunner does: "inproc" ("inproc-own": under an ownPolicy), or "tcp"
+// on 2 nodes.
 func mesh(t testing.TB, kind string, adv *adversary.Run) transport.Transport {
 	t.Helper()
-	if kind == "inproc" {
+	switch kind {
+	case "inproc":
 		return transport.NewInProc(adv.N(), transport.NewSchedule(adv))
+	case "inproc-own":
+		return transport.NewInProc(adv.N(), ownPolicy{transport.NewSchedule(adv)})
 	}
 	tr, err := transport.NewTCPMeshLoopbackOpts(adv.N(), 2, transport.NewSchedule(adv), transport.TCPOpts{})
 	if err != nil {
@@ -139,7 +147,7 @@ func liveSchedules(n int) map[string]sim.Spec {
 
 func TestBlockSteppedEqualsPerProcess(t *testing.T) {
 	const n = 9
-	kinds, workers := []string{"inproc", "tcp"}, []int{1, 2, 3}
+	kinds, workers := []string{"inproc", "inproc-own", "tcp"}, []int{1, 2, 3}
 	if testing.Short() || raceEnabled {
 		workers = []int{2}
 	}
@@ -316,7 +324,7 @@ func TestInlineRunStartsNoGoroutine(t *testing.T) {
 		{"tcp below the crossover", small, tcp, nil, 0},
 		{"inproc from the crossover up", big, transport.NewInProc(big, nil), nil, spread},
 		{"empty stall plan", 4, transport.NewInProc(4, nil), &StallPlan{From: make([]int, 4), To: make([]int, 4), Delay: make([]time.Duration, 4)}, 3},
-		{"policy that can delay", 4, transport.NewInProc(4, transport.Jitter{}), nil, 3},
+		{"a policy of the caller's own", 4, transport.NewInProc(4, ownPolicy{transport.NewSchedule(adversary.Complete(4))}), nil, 0},
 		{"deadline mesh", 4, udp, nil, 3},
 		{"not a mesh", 4, opaque{transport.NewInProc(4, nil)}, nil, 3},
 	} {

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"math/rand"
+	"time"
 
 	"kset/internal/adversary"
 	"kset/internal/core"
@@ -74,4 +75,18 @@ func withOpts(adv rounds.Adversary, opts core.Options) sim.Spec {
 	s := spec(adv)
 	s.Params = opts
 	return s
+}
+
+// skewPlan is the timing skew of the differential batteries: a seeded
+// third of the n processes send 100–300 µs late in rounds 2…n, while
+// the others already gather — the one injector that makes a Gather wait
+// on a late frame. Decisions must not notice.
+func skewPlan(n int, seed int64) *StallPlan {
+	rng := rand.New(rand.NewSource(seed))
+	plan := &StallPlan{From: make([]int, n), To: make([]int, n), Delay: make([]time.Duration, n)}
+	for _, p := range rng.Perm(n)[:max(1, n/3)] {
+		plan.From[p], plan.To[p] = 2, n
+		plan.Delay[p] = 100*time.Microsecond + time.Duration(rng.Int63n(int64(200*time.Microsecond)))
+	}
+	return plan
 }

@@ -93,8 +93,6 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("ksetd_sessions_failed_total", "Sessions that ended in an execution error.", s.met.failed.Load())
 	counter("ksetd_sessions_crashed_total", "Sessions the watchdog declared crashed (partial results flushed).", s.met.crashed.Load())
 	counter("ksetd_peer_stalls_total", "Rounds a session transport closed by deadline with senders missing.", s.stall.Stalls.Load())
-	counter("ksetd_retries_total", "Transport reconnect attempts to stalled peers.", s.stall.Retries.Load())
-	counter("ksetd_peers_dead_total", "Peer-death verdicts issued by session transports.", s.stall.Dead.Load())
 	counter("ksetd_rounds_total", "Algorithm rounds executed across all sessions.", s.met.roundsTotal.Load())
 	counter("ksetd_decisions_total", "Distinct decision values across all sessions.", s.met.decisionsTotal.Load())
 	counter("ksetd_kbound_violations_total", "Sessions whose decisions exceeded the MinK bound (possible only with faithful_guard).", s.met.kboundViolations.Load())

@@ -171,9 +171,8 @@ type Service struct {
 	cfg   Config
 	start time.Time
 	met   metrics
-	// stall aggregates the transports' chaos counters across all
-	// sessions (deadline-closed rounds, reconnect attempts, peer-death
-	// verdicts) for /metrics.
+	// stall aggregates, across all sessions, the senders their
+	// transports' deadline-closed rounds gave up on, for /metrics.
 	stall transport.StallCounters
 
 	queue chan *Session
@@ -514,13 +513,13 @@ func (s *Service) execute(sess *Session) {
 // distributed executions, not simulator calls — the sim package here
 // only supplies the measurement pipeline around runtime.NewRunner). lr
 // observes the run for the watchdog (partial outcomes, transport
-// teardown handle); counters aggregate a udp session's stall and death
-// tallies into the service's /metrics (in-proc and tcp sessions close
-// rounds by count: no stall detector runs, no stream is redialed, and
-// there is nothing to tally). A panic in one of the
-// session's processes — the runtime re-raises it here, with its value
-// and with the run torn down — is the session's error, not the
-// service's end: one bad session must not take every other with it.
+// teardown handle); counters tallies the senders a udp session's
+// deadline-closed rounds gave up on into the service's /metrics (in-proc
+// and tcp sessions close rounds by count: there is nothing to tally). A
+// panic in one of the session's processes — the runtime re-raises it
+// here, with its value and with the run torn down — is the session's
+// error, not the service's end: one bad session must not take every
+// other with it.
 func runSession(spec SessionSpec, lr *liveRun, counters *transport.StallCounters) (out *sim.Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {

@@ -105,7 +105,6 @@ func TestWatchdogCrashesWedgedSession(t *testing.T) {
 	for _, want := range []string{
 		"ksetd_sessions_crashed_total 1",
 		"ksetd_peer_stalls_total",
-		"ksetd_retries_total",
 	} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("metrics missing %q", want)

@@ -3,10 +3,9 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
-// GilbertElliott is the classic two-state Markov loss model: each
+// gilbertElliott is the classic two-state Markov loss model: each
 // directed link is either Good (delivering) or Bad (dropping), and flips
 // state between rounds with the transition probabilities implied by the
 // mean sojourn times — a mean loss burst of Burst rounds (P[Bad->Good] =
@@ -24,7 +23,7 @@ import (
 // earlier round than the memo recomputes the walk from round 1 (correct,
 // just slower — transports query rounds in order per link, so the memo
 // path is the hot one).
-type GilbertElliott struct {
+type gilbertElliott struct {
 	seed       int64
 	pGB, pBG   float64 // per-round transition probabilities
 	stationary float64 // P[Bad] at round 1
@@ -38,15 +37,15 @@ type geLink struct {
 	bad   bool
 }
 
-// NewGilbertElliott returns the bursty-loss policy with mean burst
+// newGilbertElliott returns the bursty-loss chain with mean burst
 // length `burst` and mean gap length `gap` (both in rounds, both >= 1;
 // a burst of 1 with a large gap degenerates to rare i.i.d. loss).
-func NewGilbertElliott(burst, gap float64, seed int64) (*GilbertElliott, error) {
+func newGilbertElliott(burst, gap float64, seed int64) (*gilbertElliott, error) {
 	if burst < 1 || gap < 1 {
 		return nil, fmt.Errorf("transport: gilbert-elliott burst = %g, gap = %g, need both >= 1", burst, gap)
 	}
 	pBG, pGB := 1/burst, 1/gap
-	return &GilbertElliott{
+	return &gilbertElliott{
 		seed:       seed,
 		pGB:        pGB,
 		pBG:        pBG,
@@ -56,13 +55,13 @@ func NewGilbertElliott(burst, gap float64, seed int64) (*GilbertElliott, error) 
 }
 
 // u returns the round-r transition draw for the link, uniform in [0, 1).
-func (g *GilbertElliott) u(r, from, to int) float64 {
+func (g *gilbertElliott) u(r, from, to int) float64 {
 	h := mix64(uint64(g.seed) ^ uint64(r)*0x9e3779b97f4a7c15 ^ uint64(from)<<32 ^ uint64(to)<<8 ^ 0xa0761d6478bd642f)
 	return float64(h>>11) / (1 << 53)
 }
 
 // bad reports whether link from->to is in the Bad state in round r.
-func (g *GilbertElliott) bad(r, from, to int) bool {
+func (g *gilbertElliott) bad(r, from, to int) bool {
 	key := uint64(from)<<32 | uint64(uint32(to))
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -87,14 +86,6 @@ func (g *GilbertElliott) bad(r, from, to int) bool {
 	return l.bad
 }
 
-// Deliver implements Policy.
-func (g *GilbertElliott) Deliver(r, from, to int) bool {
-	return !g.bad(r, from, to)
-}
-
-// Delay implements Policy.
-func (g *GilbertElliott) Delay(r, from, to int) time.Duration { return 0 }
-
 // GEFrameLoss returns a DropDatagram hook (see UDPOpts) driven by a
 // Gilbert–Elliott chain per node link: real wire loss that arrives in
 // bursts instead of FrameLoss's i.i.d. coin flips. As with FrameLoss,
@@ -103,7 +94,7 @@ func (g *GilbertElliott) Delay(r, from, to int) time.Duration { return 0 }
 // the hook are node ids — on a grouped mesh a burst takes out the whole
 // node link, the failure unit of a congested path.
 func GEFrameLoss(burst, gap float64, seed int64) (func(r, from, to, frag int) bool, error) {
-	g, err := NewGilbertElliott(burst, gap, seed)
+	g, err := newGilbertElliott(burst, gap, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -3,13 +3,13 @@ package transport
 import "testing"
 
 // TestGilbertElliottValidation pins the parameter contract: mean burst
-// and gap lengths below one round are rejected, on the policy and on
+// and gap lengths below one round are rejected, on the chain and on
 // the frame-loss hook alike.
 func TestGilbertElliottValidation(t *testing.T) {
-	if _, err := NewGilbertElliott(0.5, 36, 1); err == nil {
+	if _, err := newGilbertElliott(0.5, 36, 1); err == nil {
 		t.Error("burst < 1 accepted")
 	}
-	if _, err := NewGilbertElliott(4, 0.5, 1); err == nil {
+	if _, err := newGilbertElliott(4, 0.5, 1); err == nil {
 		t.Error("gap < 1 accepted")
 	}
 	if _, err := GEFrameLoss(0, 36, 1); err == nil {
@@ -23,7 +23,7 @@ func TestGilbertElliottValidation(t *testing.T) {
 // absorbs the burst correlation's variance inflation.
 func TestGilbertElliottStationaryLossRate(t *testing.T) {
 	const burst, gap = 4.0, 36.0
-	g, err := NewGilbertElliott(burst, gap, 7)
+	g, err := newGilbertElliott(burst, gap, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestGilbertElliottStationaryLossRate(t *testing.T) {
 			}
 			for r := 1; r <= 2000; r++ {
 				total++
-				if !g.Deliver(r, from, to) {
+				if g.bad(r, from, to) {
 					lost++
 				}
 			}
@@ -54,7 +54,7 @@ func TestGilbertElliottStationaryLossRate(t *testing.T) {
 // coin produces.
 func TestGilbertElliottBurstiness(t *testing.T) {
 	const burst, gap = 4.0, 36.0
-	g, err := NewGilbertElliott(burst, gap, 11)
+	g, err := newGilbertElliott(burst, gap, 11)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 			}
 			cur := 0
 			for r := 1; r <= 4000; r++ {
-				if !g.Deliver(r, from, to) {
+				if g.bad(r, from, to) {
 					cur++
 				} else if cur > 0 {
 					runs++
@@ -94,9 +94,9 @@ func TestGilbertElliottBurstiness(t *testing.T) {
 // (which recomputes the memoized walk from round 1) reproduces the
 // forward pass exactly.
 func TestGilbertElliottDeterminism(t *testing.T) {
-	g1, _ := NewGilbertElliott(4, 36, 42)
-	g2, _ := NewGilbertElliott(4, 36, 42)
-	g3, _ := NewGilbertElliott(4, 36, 43)
+	g1, _ := newGilbertElliott(4, 36, 42)
+	g2, _ := newGilbertElliott(4, 36, 42)
+	g3, _ := newGilbertElliott(4, 36, 43)
 	const rounds = 500
 	forward := make([]bool, rounds+1)
 	diverged := false
@@ -106,11 +106,11 @@ func TestGilbertElliottDeterminism(t *testing.T) {
 				if to == from {
 					continue
 				}
-				a := g1.Deliver(r, from, to)
-				if a != g2.Deliver(r, from, to) {
+				a := g1.bad(r, from, to)
+				if a != g2.bad(r, from, to) {
 					t.Fatalf("equal seeds diverge at round %d link %d->%d", r, from, to)
 				}
-				if a != g3.Deliver(r, from, to) {
+				if a != g3.bad(r, from, to) {
 					diverged = true
 				}
 				if from == 0 && to == 1 {
@@ -123,7 +123,7 @@ func TestGilbertElliottDeterminism(t *testing.T) {
 		t.Error("seeds 42 and 43 produced identical loss patterns")
 	}
 	for _, r := range []int{1, 117, 499} {
-		if g1.Deliver(r, 0, 1) != forward[r] {
+		if g1.bad(r, 0, 1) != forward[r] {
 			t.Errorf("backwards query at round %d diverges from the forward pass", r)
 		}
 	}
@@ -132,18 +132,18 @@ func TestGilbertElliottDeterminism(t *testing.T) {
 // TestGEFrameLossSharesVerdictAcrossFragments pins the hook contract:
 // all fragments of one frame share the link's round verdict (so heard-
 // sets stay a pure function of seed, round, link), and the hook agrees
-// with the equivalent Policy.
+// with the chain it is built on.
 func TestGEFrameLossSharesVerdictAcrossFragments(t *testing.T) {
 	drop, err := GEFrameLoss(4, 36, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _ := NewGilbertElliott(4, 36, 9)
+	g, _ := newGilbertElliott(4, 36, 9)
 	for r := 1; r <= 300; r++ {
-		want := !g.Deliver(r, 1, 2)
+		want := g.bad(r, 1, 2)
 		for frag := 0; frag < 3; frag++ {
 			if drop(r, 1, 2, frag) != want {
-				t.Fatalf("round %d frag %d: verdict differs from the link's policy verdict", r, frag)
+				t.Fatalf("round %d frag %d: verdict differs from the link's chain state", r, frag)
 			}
 		}
 	}

@@ -25,7 +25,6 @@ type mesh struct {
 	n, m    int
 	pol     Policy
 	perfect bool // pol is Perfect: skip the per-link Deliver calls
-	instant bool // pol is Perfect or a Schedule: it never delays, Gather never sleeps
 	opts    meshOpts
 	nodes   []*meshNode
 	link    link // nil on a single-node mesh
@@ -90,8 +89,6 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 		done:    make(chan struct{}),
 	}
 	_, t.perfect = pol.(Perfect)
-	_, scheduled := pol.(Schedule)
-	t.instant = t.perfect || scheduled
 	for i := 0; i < t.m; i++ {
 		nd := &meshNode{t: t, id: i, lo: t.nodeLo(i), hi: t.nodeLo(i + 1)}
 		nd.cond.L = &nd.mu
@@ -118,18 +115,15 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 // exported transport, which embeds it.
 func (t *mesh) core() *mesh { return t }
 
-// CountClosed reports what, besides arrivals, can pace a Gather on tr —
-// what an executor must know before one goroutine steps several
-// endpoints. byCount: tr is one of this package's meshes and closes
-// rounds by count only, so a Gather never waits out a clock and nothing
-// ever notices a sender that fell silent unannounced. instant: nor can
-// the policy inject receive delay (it is Perfect or a Schedule), so only
-// arrivals pace a Gather. Both are false for a transport that is not a
-// mesh: nothing is known about it.
-func CountClosed(tr Transport) (byCount, instant bool) {
+// CountClosed reports whether only arrivals pace a Gather on tr — what an
+// executor must know before one goroutine steps several endpoints: tr is
+// one of this package's meshes and closes rounds by count only, so a
+// Gather never waits out a clock and nothing ever notices a sender that
+// fell silent unannounced. False for a transport that is not a mesh:
+// nothing is known about it.
+func CountClosed(tr Transport) bool {
 	c, ok := tr.(interface{ core() *mesh })
-	byCount = ok && c.core().opts.deadline == 0
-	return byCount, byCount && c.core().instant
+	return ok && c.core().opts.deadline == 0
 }
 
 // NodeOf reports tr's node partition: process p lives on node NodeOf(tr)[p],
@@ -214,7 +208,7 @@ func (t *mesh) Endpoint(self int) (Endpoint, error) {
 		self:  self,
 		box:   nd.boxes[self-nd.lo],
 		drops: make([]bool, nd.localN()),
-		stall: newStallDetector(t.n, t.opts.deadAfter, t.opts.counters, func(q int) {
+		stall: newStallDetector(t.n, t.opts.deadAfter, func(q int) {
 			t.markNodeDead(t.nodeOf(q))
 		}),
 	}, nil
@@ -532,49 +526,25 @@ func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 }
 
 // Gather implements Endpoint: it blocks until round r closes under the
-// mailbox's policy, feeds the senders a deadline closure gave up on to
-// the stall detector, records the realized heard-set on the meter if
-// one is attached, then applies receive-side Policy delays.
+// mailbox's policy, counts the senders a deadline closure gave up on and
+// feeds them to the stall detector, and records the realized heard-set on
+// the meter if one is attached.
 func (ep *meshEndpoint) Gather(r int, into [][]byte) ([][]byte, error) {
 	t := ep.nd.t
 	recv, missed, err := ep.box.await(r, into)
 	if err != nil {
 		return nil, err
 	}
-	ep.stall.observe(r, missed)
+	if len(missed) > 0 {
+		if c := t.opts.counters; c != nil {
+			c.Stalls.Add(int64(len(missed)))
+		}
+		ep.stall.observe(r, missed)
+	}
 	if t.opts.meter != nil {
 		t.opts.meter.Record(r, ep.self, recv)
 	}
-	if err := t.applyDelays(r, ep.self, recv); err != nil {
-		return nil, err
-	}
 	return recv, nil
-}
-
-// applyDelays sleeps for the policy's slowest delivered link of round r
-// (receive-side netem, semantically inert). A policy that never delays
-// skips the n policy calls per gather.
-func (t *mesh) applyDelays(r, self int, recv [][]byte) error {
-	if t.instant {
-		return nil
-	}
-	var maxDelay time.Duration
-	for q, payload := range recv {
-		if q == self || payload == nil {
-			continue
-		}
-		if d := t.pol.Delay(r, q, self); d > maxDelay {
-			maxDelay = d
-		}
-	}
-	if maxDelay > 0 {
-		select {
-		case <-time.After(maxDelay):
-		case <-t.done:
-			return ErrClosed
-		}
-	}
-	return nil
 }
 
 // Close implements Endpoint: endpoints share the transport's lifetime

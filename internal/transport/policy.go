@@ -1,14 +1,11 @@
 package transport
 
-import (
-	"time"
-
-	"kset/internal/rounds"
-)
+import "kset/internal/rounds"
 
 // Policy is the per-link fault injector of a transport: it decides, per
-// round and directed link, whether the payload is delivered and how much
-// receive latency the link adds. Implementations must be safe for
+// round and directed link, whether the payload is delivered, and nothing
+// else — to the round model a late message is an absent one, and a late
+// sender is runtime.StallPlan. Implementations must be safe for
 // concurrent use (every endpoint consults the policy) and deterministic
 // in (r, from, to) — determinism is what makes runs replayable.
 //
@@ -19,21 +16,13 @@ type Policy interface {
 	// from -> to is delivered. Consulted at the sending endpoint: a
 	// dropped payload never crosses the wire.
 	Deliver(r, from, to int) bool
-	// Delay returns the receive latency of the round-r message on the
-	// link from -> to. Consulted at the receiving endpoint; it must not
-	// be negative. Delays never change decisions (rounds are
-	// communication-closed), only real-time phase.
-	Delay(r, from, to int) time.Duration
 }
 
-// Perfect is the lossless, zero-latency policy.
+// Perfect is the lossless policy.
 type Perfect struct{}
 
 // Deliver implements Policy.
 func (Perfect) Deliver(r, from, to int) bool { return true }
-
-// Delay implements Policy.
-func (Perfect) Delay(r, from, to int) time.Duration { return 0 }
 
 // Schedule replays an adversary's run over a real transport: the round-r
 // message on from -> to is delivered iff the edge is in the adversary's
@@ -54,44 +43,6 @@ func NewSchedule(adv rounds.Adversary) Schedule { return Schedule{adv: adv} }
 // Deliver implements Policy.
 func (s Schedule) Deliver(r, from, to int) bool {
 	return s.adv.Graph(r).HasEdge(from, to)
-}
-
-// Delay implements Policy.
-func (s Schedule) Delay(r, from, to int) time.Duration { return 0 }
-
-// Jitter layers deterministic pseudo-random receive latency in [0, Max)
-// on top of an inner policy's drops. The latency is a pure hash of
-// (Seed, r, from, to), so a replay with the same seed reproduces the
-// same timing skew.
-type Jitter struct {
-	// Inner supplies the drop decisions (and a base delay, which the
-	// jitter adds to). Nil means Perfect.
-	Inner Policy
-	// Seed selects the jitter stream.
-	Seed int64
-	// Max bounds the added latency (exclusive); 0 disables jitter.
-	Max time.Duration
-}
-
-// Deliver implements Policy.
-func (j Jitter) Deliver(r, from, to int) bool {
-	if j.Inner == nil {
-		return true
-	}
-	return j.Inner.Deliver(r, from, to)
-}
-
-// Delay implements Policy.
-func (j Jitter) Delay(r, from, to int) time.Duration {
-	var base time.Duration
-	if j.Inner != nil {
-		base = j.Inner.Delay(r, from, to)
-	}
-	if j.Max <= 0 {
-		return base
-	}
-	h := mix64(uint64(j.Seed) ^ uint64(r)*0x9e3779b97f4a7c15 ^ uint64(from)<<32 ^ uint64(to))
-	return base + time.Duration(h%uint64(j.Max))
 }
 
 // FrameLoss returns a DropDatagram hook (see UDPOpts) that loses each

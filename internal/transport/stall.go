@@ -4,12 +4,12 @@ import "sync/atomic"
 
 // StallCounters aggregates the chaos layer's transport-health events
 // across a transport's lifetime (and, in the agreement service, across
-// all sessions sharing one counter set — they back the
-// ksetd_peer_stalls_total / ksetd_retries_total metrics).
+// all sessions sharing one counter set — Stalls backs the
+// ksetd_peer_stalls_total metric).
 type StallCounters struct {
 	// Stalls counts (round, sender) pairs a deadline closure gave up on:
 	// one increment per sender per round a receiver closed without that
-	// sender's frame.
+	// sender's frame, whether or not a stall detector is watching.
 	Stalls atomic.Int64
 	// Retries counts stream reconnect attempts (TCP mesh only).
 	Retries atomic.Int64
@@ -32,7 +32,6 @@ type StallCounters struct {
 // so the detector self-quiesces after a verdict.
 type stallDetector struct {
 	deadAfter int
-	counters  *StallCounters
 	verdict   func(sender int) // mesh-wide death verdict for sender's node
 
 	lastMiss []int // round of the most recent miss, per sender
@@ -40,30 +39,25 @@ type stallDetector struct {
 }
 
 // newStallDetector returns a detector for n senders, or nil when
-// detection is disabled (callers nil-check before observing).
-func newStallDetector(n, deadAfter int, counters *StallCounters, verdict func(sender int)) *stallDetector {
+// detection is disabled (observe on a nil detector does nothing).
+func newStallDetector(n, deadAfter int, verdict func(sender int)) *stallDetector {
 	if deadAfter <= 0 {
 		return nil
 	}
 	return &stallDetector{
 		deadAfter: deadAfter,
-		counters:  counters,
 		verdict:   verdict,
 		lastMiss:  make([]int, n),
 		streak:    make([]int, n),
 	}
 }
 
-// observe folds round r's missed-sender list (from a deadline closure;
-// nil when the round closed by count) into the streaks and fires
-// verdicts. Senders absent from the list reset lazily: a streak only
-// continues when the misses are consecutive rounds.
+// observe folds round r's missed-sender list (from a deadline closure)
+// into the streaks and fires verdicts. Senders absent from the list reset
+// lazily: a streak only continues when the misses are consecutive rounds.
 func (d *stallDetector) observe(r int, missed []int) {
-	if d == nil || len(missed) == 0 {
+	if d == nil {
 		return
-	}
-	if d.counters != nil {
-		d.counters.Stalls.Add(int64(len(missed)))
 	}
 	for _, q := range missed {
 		if d.lastMiss[q] == r-1 {

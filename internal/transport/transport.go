@@ -41,14 +41,14 @@
 // steady-state round allocates nothing and a receiver wakes exactly once
 // per round.
 //
-// All are driven by a Policy, the per-link fault injector: drops are
-// applied on the sending side (a dropped payload never crosses the wire;
-// a tombstone — a nil deposit, or a cleared bitmap bit — still closes
-// the round), delays at the receiving endpoint. Because every adversary
-// schedule from internal/adversary is a Policy (see Schedule), any
-// simulated run can be replayed over a real transport — the differential
-// harness in internal/runtime proves the replay is decision-for-decision
-// identical to sim.Execute.
+// All are driven by a Policy, the per-link fault injector: it decides
+// which links deliver, on the sending side (a dropped payload never
+// crosses the wire; a tombstone — a nil deposit, or a cleared bitmap bit —
+// still closes the round). Because every adversary schedule from
+// internal/adversary is a Policy (see Schedule), any simulated run can be
+// replayed over a real transport — the differential harness in
+// internal/runtime proves the replay is decision-for-decision identical
+// to sim.Execute.
 //
 // # Options
 //
@@ -122,9 +122,9 @@ type Endpoint interface {
 	Broadcast(r int, payload []byte) error
 	// Gather blocks until every process's round-r frame has arrived and
 	// returns the received vector: recv[q] is q's payload, or nil if the
-	// policy dropped the link q -> self in round r. Per-link delays are
-	// applied here. recv aliases into (grown as needed); the payloads
-	// are valid until the next Gather call on this endpoint.
+	// policy dropped the link q -> self in round r. recv aliases into
+	// (grown as needed); the payloads are valid until the next Gather
+	// call on this endpoint.
 	Gather(r int, into [][]byte) (recv [][]byte, err error)
 	// Close releases the endpoint; pending and future calls fail with
 	// ErrClosed.

@@ -198,6 +198,46 @@ func TestUDPRealLossIsAbsence(t *testing.T) {
 	}
 }
 
+// TestStallsCountedWithoutDetector: the Stalls counter is what a deadline
+// closure gave up on, not what a stall detector saw — with DeadAfter 0
+// (ksetd's UDP sessions) there is no detector, and a lost frame must still
+// count once per (round, sender) pair its receivers closed without.
+func TestStallsCountedWithoutDetector(t *testing.T) {
+	const n, rounds = 4, 5
+	var counters StallCounters
+	opts := UDPOpts{
+		RoundTimeout: 30 * time.Millisecond,
+		Grace:        2 * time.Millisecond,
+		Counters:     &counters,
+		// Node 0's round-3 frame to node 1 never arrives.
+		DropDatagram: func(r, from, to, frag int) bool { return r == 3 && from == 0 && to == 1 },
+	}
+	tr, err := NewUDPMeshLoopback(n, 2, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	missing := 0
+	for _, round := range driveLockstep(t, tr, rounds) {
+		for _, heardBy := range round {
+			for _, heard := range heardBy {
+				if !heard {
+					missing++
+				}
+			}
+		}
+	}
+	if missing != 4 { // p3 and p4 each closed round 3 without p1 and p2
+		t.Fatalf("%d (round, sender) pairs closed missing, want 4", missing)
+	}
+	if got := counters.Stalls.Load(); got != int64(missing) {
+		t.Errorf("Stalls = %d with DeadAfter 0, want %d", got, missing)
+	}
+	if dead := counters.Dead.Load(); dead != 0 {
+		t.Errorf("Dead = %d with no detector", dead)
+	}
+}
+
 // TestUDPMeterRecordsRealizedHeardSets runs injected Policy drops and
 // real wire loss together and requires the meter's per-round graphs to
 // equal exactly what the processes actually received — the ground truth
