@@ -25,6 +25,7 @@ import (
 	"io"
 	"log"
 	"os"
+	"strings"
 	"time"
 
 	"kset/internal/experiments"
@@ -92,36 +93,15 @@ func run(args []string, stdout io.Writer) error {
 		cfg.Workers = *workers
 	}
 
-	type step struct {
-		id  string
-		run func() (*experiments.Result, error)
-	}
-	steps := []step{
-		{"E1", experiments.E1Figure1},
-		{"E2", func() (*experiments.Result, error) { return experiments.E2RootComponents(cfg) }},
-		{"E3", func() (*experiments.Result, error) { return experiments.E3LowerBound(cfg) }},
-		{"E4", func() (*experiments.Result, error) { return experiments.E4DecisionRounds(cfg) }},
-		{"E5", func() (*experiments.Result, error) { return experiments.E5MessageComplexity(cfg) }},
-		{"E6", func() (*experiments.Result, error) { return experiments.E6Baselines(cfg) }},
-		{"E7", func() (*experiments.Result, error) { return experiments.E7Consensus(cfg) }},
-		{"E8", func() (*experiments.Result, error) { return experiments.E8Eventual(cfg) }},
-		{"E9", func() (*experiments.Result, error) { return experiments.E9Ablations(cfg) }},
-		{"E10", func() (*experiments.Result, error) { return experiments.E10GuardFlaw(cfg) }},
-		{"E11", func() (*experiments.Result, error) { return experiments.E11Convergence(cfg) }},
-		{"E12", func() (*experiments.Result, error) { return experiments.E12Mobile(cfg) }},
-		{"E13", func() (*experiments.Result, error) { return experiments.E13TInterval(cfg) }},
-		{"E14", func() (*experiments.Result, error) { return experiments.E14PartitionMerge(cfg) }},
-		{"E15", func() (*experiments.Result, error) { return experiments.E15VertexStable(cfg) }},
-		{"E16", func() (*experiments.Result, error) { return experiments.E16Scaling(cfg) }},
-		{"E20", func() (*experiments.Result, error) {
-			// Quick mode runs the n = {128, 256} rung; the full
-			// ladder to n = 1024 takes tens of minutes.
-			if *quick {
-				return experiments.E20Suite(cfg)
-			}
-			return experiments.E20LargeN(cfg)
-		}},
-		{"E23", func() (*experiments.Result, error) { return experiments.E23ApproxConvergence(cfg) }},
+	steps := experiments.Suite(cfg)
+	var ids []string
+	for i := range steps {
+		ids = append(ids, steps[i].ID)
+		// Quick mode runs the suite's n = {128, 256} rung; the full
+		// ladder to n = 1024 takes tens of minutes.
+		if steps[i].ID == "E20" && !*quick {
+			steps[i].Run = func() (*experiments.Result, error) { return experiments.E20LargeN(cfg) }
+		}
 	}
 
 	suite := jsonSuite{
@@ -135,14 +115,14 @@ func run(args []string, stdout io.Writer) error {
 	}
 	ran := 0
 	for _, s := range steps {
-		if *only != "" && s.id != *only {
+		if *only != "" && s.ID != *only {
 			continue
 		}
 		ran++
 		start := time.Now()
-		res, err := s.run()
+		res, err := s.Run()
 		if err != nil {
-			return fmt.Errorf("%s: %w", s.id, err)
+			return fmt.Errorf("%s: %w", s.ID, err)
 		}
 		secs := time.Since(start).Seconds()
 		if !*timings {
@@ -154,7 +134,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		if *asJSON {
 			rec := jsonExperiment{
-				ID:         s.id,
+				ID:         s.ID,
 				Name:       res.Name,
 				Seconds:    secs,
 				Violations: res.Violations,
@@ -178,7 +158,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout)
 	}
 	if ran == 0 {
-		return fmt.Errorf("-only %s matches no experiment (have E1..E16, E20, E23)", *only)
+		return fmt.Errorf("-only %s matches no experiment (have %s)", *only, strings.Join(ids, ", "))
 	}
 	if *asJSON {
 		enc := json.NewEncoder(stdout)

@@ -12,8 +12,7 @@
 //     on every branch.
 //   - Fuzz generates random predicate-respecting and arbitrary schedules
 //     (mutations over the adversary zoo plus unconstrained per-round
-//     digraphs) and drives them through the zero-alloc round engine via
-//     sim.StreamSweep.
+//     digraphs) and checks them on the sim.Sweep worker pool.
 //   - Shrink reduces any failing schedule to a minimal counterexample
 //     (drop rounds, drop edges, remove processes) and exports it as a
 //     replayable runfile plus a DOT trace.
@@ -126,32 +125,23 @@ func MaxRoundsFor(run *adversary.Run) int {
 }
 
 // CheckRun executes one schedule under the oracle set and returns the
-// Failure, or nil if every oracle held.
+// Failure, or nil if every oracle held. It is the one checked-execution
+// entry point: Explore, Shrink and every Fuzz cell call it.
 func CheckRun(run *adversary.Run, cfg Config) (*Failure, error) {
-	spec, obs := NewCheckedSpec(run, cfg)
-	out, err := sim.Execute(spec)
-	if err != nil {
-		return nil, err
-	}
-	return obs.Finish(out), nil
-}
-
-// NewCheckedSpec builds the sim.Spec for one oracle-checked execution of
-// run, with the per-round oracle observer installed. Callers that go
-// through sim.Execute directly (or sim.StreamSweep, which echoes the
-// observer on the streamed outcome) must pass the returned outcome to
-// Observer.Finish to run the post-run oracles and collect the verdict.
-func NewCheckedSpec(run *adversary.Run, cfg Config) (sim.Spec, *Observer) {
 	proposals := cfg.Proposals
 	if proposals == nil {
 		proposals = sim.SeqProposals(run.N())
 	}
 	obs := newObserver(run, proposals, cfg)
-	return sim.Spec{
+	out, err := sim.Execute(sim.Spec{
 		Adversary: run,
 		Proposals: proposals,
 		Params:    cfg.Opts,
 		MaxRounds: MaxRoundsFor(run),
 		Observer:  obs,
-	}, obs
+	})
+	if err != nil {
+		return nil, err
+	}
+	return obs.finish(out), nil
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // This file is the schedule fuzzer: a budgeted campaign of randomized
-// runs driven through the zero-alloc round engine by sim.StreamSweep,
-// with the oracle observer attached to every cell. Each cell's schedule
+// runs on the sim.Sweep worker pool, every cell one CheckRun through the
+// zero-alloc round engine. Each cell's schedule
 // is a pure function of (Seed, cell) via sim.CellSeed, so a campaign is
 // deterministic for every worker count and any failure can be
 // regenerated from its cell index alone.
@@ -135,26 +135,20 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 
 	report := &FuzzReport{}
 	start := time.Now()
-	err := sim.StreamSweep(sim.StreamConfig{
-		Cells:   cfg.Budget,
-		Workers: cfg.Workers,
-		Spec: func(cell int) (sim.Spec, error) {
-			run := GenRun(n, cfg.Strategy, cfg.Seed, cell)
-			spec, _ := NewCheckedSpec(run, cfg.Check)
-			return spec, nil
+	err := sim.Sweep(cfg.Budget, cfg.Workers,
+		func(cell int) (*Failure, error) {
+			return CheckRun(GenRun(n, cfg.Strategy, cfg.Seed, cell), cfg.Check)
 		},
-		OnOutcome: func(cell int, out *sim.Outcome) error {
+		func(cell int, fail *Failure) error {
 			report.Runs++
-			obs := out.Observer.(*Observer)
-			if fail := obs.Finish(out); fail != nil {
+			if fail != nil {
 				report.FailedRuns++
 				if len(report.Failures) < keep {
 					report.Failures = append(report.Failures, fail)
 				}
 			}
 			return nil
-		},
-	})
+		})
 	report.Elapsed = time.Since(start)
 	if err != nil {
 		return nil, err

@@ -11,12 +11,12 @@ import (
 	"kset/internal/skeleton"
 )
 
-// Observer evaluates the per-round oracles on the executor's observer
-// path and the whole-trace oracles in Finish. One Observer checks one
+// observer evaluates the per-round oracles on the executor's observer
+// path and the whole-trace oracles in finish. One observer checks one
 // run; it reads live process state through the zero-copy core views
 // (PTView, ApproxView) so the checked run allocates no more per round
 // than an unchecked one does in core.
-type Observer struct {
+type observer struct {
 	run       *adversary.Run
 	cfg       Config
 	proposals []int64
@@ -42,9 +42,9 @@ type decisionSnap struct {
 	round   int
 }
 
-var _ rounds.Observer = (*Observer)(nil)
+var _ rounds.Observer = (*observer)(nil)
 
-func newObserver(run *adversary.Run, proposals []int64, cfg Config) *Observer {
+func newObserver(run *adversary.Run, proposals []int64, cfg Config) *observer {
 	n := run.N()
 	propSet := make(map[int64]bool, len(proposals))
 	for _, v := range proposals {
@@ -55,7 +55,7 @@ func newObserver(run *adversary.Run, proposals []int64, cfg Config) *Observer {
 	// never drift from the algorithm.
 	probe := core.NewWithOptions(0, cfg.Opts)
 	probe.Init(0, n)
-	return &Observer{
+	return &observer{
 		run:       run,
 		cfg:       cfg,
 		proposals: proposals,
@@ -69,10 +69,7 @@ func newObserver(run *adversary.Run, proposals []int64, cfg Config) *Observer {
 	}
 }
 
-// Violations returns the oracle failures recorded so far.
-func (o *Observer) Violations() []Violation { return o.viols }
-
-func (o *Observer) record(oracle string, round, process int, format string, args ...any) {
+func (o *observer) record(oracle string, round, process int, format string, args ...any) {
 	if len(o.viols) >= maxViolations {
 		return
 	}
@@ -87,7 +84,7 @@ func (o *Observer) record(oracle string, round, process int, format string, args
 // OnRound implements rounds.Observer: it folds the round graph into the
 // oracle's own skeleton tracker and evaluates the per-round oracles on
 // every Algorithm 1 process.
-func (o *Observer) OnRound(r int, g *graph.Digraph, procs []rounds.Algorithm) {
+func (o *observer) OnRound(r int, g *graph.Digraph, procs []rounds.Algorithm) {
 	if o.cfg.InvertKBound {
 		return // the fire drill evaluates nothing but its negated verdict
 	}
@@ -115,7 +112,7 @@ func (o *Observer) OnRound(r int, g *graph.Digraph, procs []rounds.Algorithm) {
 
 // checkProcess evaluates the per-round structural oracles on one
 // process's live state.
-func (o *Observer) checkProcess(r, i int, cp *core.Process) {
+func (o *observer) checkProcess(r, i int, cp *core.Process) {
 	gp := cp.ApproxView()
 	pt := cp.PTView()
 	self := cp.Self()
@@ -182,7 +179,7 @@ func (o *Observer) checkProcess(r, i int, cp *core.Process) {
 // checkPrune verifies the line-25 invariant: every present node of Gp
 // reaches self. It runs a reverse BFS from self over the labeled graph
 // using the observer's scratch, so steady-state checks allocate nothing.
-func (o *Observer) checkPrune(r, i int, gp *graph.Labeled, self int) {
+func (o *observer) checkPrune(r, i int, gp *graph.Labeled, self int) {
 	o.seen.Clear()
 	o.stack = o.stack[:0]
 	if gp.HasNode(self) {
@@ -206,10 +203,9 @@ func (o *Observer) checkPrune(r, i int, gp *graph.Labeled, self int) {
 	})
 }
 
-// Finish evaluates the whole-trace oracles on the finished run's outcome
-// and returns the Failure, or nil if every oracle held. It must be
-// called exactly once, after the execution that used this observer.
-func (o *Observer) Finish(out *sim.Outcome) *Failure {
+// finish evaluates the whole-trace oracles on the finished run's outcome
+// and returns the Failure, or nil if every oracle held.
+func (o *observer) finish(out *sim.Outcome) *Failure {
 	if o.cfg.InvertKBound {
 		if out.AgreementHolds() {
 			o.record("inverted-k-bound", 0, -1,

@@ -15,7 +15,7 @@ import (
 // just outside the paper's eventually-stable model, generated by
 // adversary.TInterval, adversary.PartitionMerge and
 // adversary.VertexStableRoot, and driven through the streaming sweep
-// engine (sim.StreamSweep) so trial counts are bounded by time, not
+// engine (sim.Sweep) so trial counts are bounded by time, not
 // memory. Every randomized cell derives its seed via sim.CellSeed, which
 // keeps all four experiments byte-identical across worker counts.
 
@@ -38,20 +38,18 @@ func E13TInterval(cfg Config) (*Result, error) {
 		var minK, distinct stats.Running
 		last := stats.NewStream()
 		viol := 0
-		err := sim.StreamSweep(sim.StreamConfig{
-			Cells:   cfg.Trials,
-			Workers: cfg.Workers,
-			Spec: func(cell int) (sim.Spec, error) {
+		err := sim.Sweep(cfg.Trials, cfg.Workers,
+			func(cell int) (*sim.Outcome, error) {
 				adv := adversary.NewTInterval(n, T, horizon, 3,
 					sim.CellSeed(cfg.Seed+13, ti*cfg.Trials+cell))
-				return sim.Spec{
+				return sim.Execute(sim.Spec{
 					Adversary: adv,
 					Proposals: sim.SeqProposals(n),
 					Params:    core.Options{ConservativeDecide: true},
 					MaxRounds: adv.StabilizationRound() + 4*n,
-				}, nil
+				})
 			},
-			OnOutcome: func(cell int, out *sim.Outcome) error {
+			func(cell int, out *sim.Outcome) error {
 				if err := out.CheckTermination(); err != nil {
 					viol++
 					return nil
@@ -64,8 +62,7 @@ func E13TInterval(cfg Config) (*Result, error) {
 				distinct.Add(float64(d))
 				last.Add(float64(out.MaxDecisionRound()))
 				return nil
-			},
-		})
+			})
 		if err != nil {
 			return nil, err
 		}
@@ -101,18 +98,15 @@ func E14PartitionMerge(cfg Config) (*Result, error) {
 			last := stats.NewStream()
 			viol := 0
 			row++
-			err := sim.StreamSweep(sim.StreamConfig{
-				Cells:   cfg.Trials,
-				Workers: cfg.Workers,
-				Spec: func(cell int) (sim.Spec, error) {
-					adv := adversary.NewPartitionMerge(n, c, every,
-						sim.CellSeed(cfg.Seed+14, row*cfg.Trials+cell))
-					return sim.Spec{
-						Adversary: adv,
+			err := sim.Sweep(cfg.Trials, cfg.Workers,
+				func(cell int) (*sim.Outcome, error) {
+					return sim.Execute(sim.Spec{
+						Adversary: adversary.NewPartitionMerge(n, c, every,
+							sim.CellSeed(cfg.Seed+14, row*cfg.Trials+cell)),
 						Proposals: sim.SeqProposals(n),
-					}, nil
+					})
 				},
-				OnOutcome: func(cell int, out *sim.Outcome) error {
+				func(cell int, out *sim.Outcome) error {
 					if err := out.CheckTermination(); err != nil {
 						viol++
 						return nil
@@ -127,8 +121,7 @@ func E14PartitionMerge(cfg Config) (*Result, error) {
 					distinct.Add(float64(d))
 					last.Add(float64(out.MaxDecisionRound()))
 					return nil
-				},
-			})
+				})
 			if err != nil {
 				return nil, err
 			}
@@ -162,15 +155,13 @@ func E15VertexStable(cfg Config) (*Result, error) {
 			maxAge := 0
 			consensus := true
 			viol := 0
-			err := sim.StreamSweep(sim.StreamConfig{
-				Cells:   cfg.Trials,
-				Workers: cfg.Workers,
-				Spec: func(cell int) (sim.Spec, error) {
-					return vertexStableSpec(n, p,
+			err := sim.Sweep(cfg.Trials, cfg.Workers,
+				func(cell int) (e15Trial, error) {
+					return vertexStableTrial(n, p,
 						sim.CellSeed(cfg.Seed+15, (ni*2+pi)*cfg.Trials+cell))
 				},
-				OnOutcome: func(cell int, out *sim.Outcome) error {
-					m := out.Observer.(*staleMeter)
+				func(cell int, trial e15Trial) error {
+					m, out := trial.stale, trial.out
 					if m.maxAge > maxAge {
 						maxAge = m.maxAge
 					}
@@ -187,8 +178,7 @@ func E15VertexStable(cfg Config) (*Result, error) {
 						viol++
 					}
 					return nil
-				},
-			})
+				})
 			if err != nil {
 				return nil, err
 			}
@@ -242,19 +232,28 @@ func (m *staleMeter) meanPerRound() float64 {
 	return float64(m.staleTotal) / float64(m.samples)
 }
 
-// vertexStableSpec builds one E15 trial: a VertexStableRoot run with a
+// e15Trial is what one E15 cell hands its consumer: the run's outcome
+// beside the meter that observed it.
+type e15Trial struct {
+	out   *sim.Outcome
+	stale *staleMeter
+}
+
+// vertexStableTrial runs one E15 trial: a VertexStableRoot run with a
 // staleMeter observer, executed to completion over 6n rounds so staleness
 // is sampled well past the decisions.
-func vertexStableSpec(n int, p float64, seed int64) (sim.Spec, error) {
+func vertexStableTrial(n int, p float64, seed int64) (e15Trial, error) {
 	adv := adversary.NewVertexStableRoot(n, 2+n/8, p, seed)
-	return sim.Spec{
+	m := &staleMeter{base: adv.Base()}
+	out, err := sim.Execute(sim.Spec{
 		Adversary:       adv,
 		Proposals:       sim.SeqProposals(n),
 		Params:          core.Options{ConservativeDecide: true},
 		MaxRounds:       6 * n,
 		RunToCompletion: true,
-		Observer:        &staleMeter{base: adv.Base()},
-	}, nil
+		Observer:        m,
+	})
+	return e15Trial{out, m}, err
 }
 
 // E16Scaling is the large-n scaling sweep that only the streaming engine
@@ -273,18 +272,15 @@ func E16Scaling(cfg Config) (*Result, error) {
 		last := stats.NewStream()
 		var distinct, minK stats.Running
 		viol := 0
-		err := sim.StreamSweep(sim.StreamConfig{
-			Cells:   cfg.Trials,
-			Workers: cfg.Workers,
-			Spec: func(cell int) (sim.Spec, error) {
+		err := sim.Sweep(cfg.Trials, cfg.Workers,
+			func(cell int) (*sim.Outcome, error) {
 				rng := newRng(sim.CellSeed(cfg.Seed+16, ni*cfg.Trials+cell))
-				run := adversary.RandomSources(n, 1+rng.Intn(4), rng.Intn(n), 0.25, rng)
-				return sim.Spec{
-					Adversary: run,
+				return sim.Execute(sim.Spec{
+					Adversary: adversary.RandomSources(n, 1+rng.Intn(4), rng.Intn(n), 0.25, rng),
 					Proposals: sim.SeqProposals(n),
-				}, nil
+				})
 			},
-			OnOutcome: func(cell int, out *sim.Outcome) error {
+			func(cell int, out *sim.Outcome) error {
 				if err := out.CheckTermination(); err != nil {
 					viol++
 					return nil
@@ -301,8 +297,7 @@ func E16Scaling(cfg Config) (*Result, error) {
 				distinct.Add(float64(d))
 				minK.Add(float64(out.MinK))
 				return nil
-			},
-		})
+			})
 		if err != nil {
 			return nil, err
 		}

@@ -643,33 +643,49 @@ func E9Ablations(cfg Config) (*Result, error) {
 	return res, nil
 }
 
+// Experiment is one entry of the reproduction suite.
+type Experiment struct {
+	// ID is the experiment's EXPERIMENTS.md section ("E5").
+	ID string
+	// Run executes it under the Config the suite was built with.
+	Run func() (*Result, error)
+}
+
+// Suite lists the reproduction suite in order — the one list All runs
+// and cmd/ksetbench filters.
+func Suite(cfg Config) []Experiment {
+	with := func(run func(Config) (*Result, error)) func() (*Result, error) {
+		return func() (*Result, error) { return run(cfg) }
+	}
+	return []Experiment{
+		{"E1", E1Figure1},
+		{"E2", with(E2RootComponents)},
+		{"E3", with(E3LowerBound)},
+		{"E4", with(E4DecisionRounds)},
+		{"E5", with(E5MessageComplexity)},
+		{"E6", with(E6Baselines)},
+		{"E7", with(E7Consensus)},
+		{"E8", with(E8Eventual)},
+		{"E9", with(E9Ablations)},
+		{"E10", with(E10GuardFlaw)},
+		{"E11", with(E11Convergence)},
+		{"E12", with(E12Mobile)},
+		{"E13", with(E13TInterval)},
+		{"E14", with(E14PartitionMerge)},
+		{"E15", with(E15VertexStable)},
+		{"E16", with(E16Scaling)},
+		// The suite runs E20's CI rung; the full n = 1024 ladder is
+		// `ksetbench -only E20` (see e20SuiteSizes).
+		{"E20", with(E20Suite)},
+		{"E23", with(E23ApproxConvergence)},
+	}
+}
+
 // All runs the full suite in order.
 func All(cfg Config) ([]*Result, error) {
 	var out []*Result
-	steps := []func() (*Result, error){
-		E1Figure1,
-		func() (*Result, error) { return E2RootComponents(cfg) },
-		func() (*Result, error) { return E3LowerBound(cfg) },
-		func() (*Result, error) { return E4DecisionRounds(cfg) },
-		func() (*Result, error) { return E5MessageComplexity(cfg) },
-		func() (*Result, error) { return E6Baselines(cfg) },
-		func() (*Result, error) { return E7Consensus(cfg) },
-		func() (*Result, error) { return E8Eventual(cfg) },
-		func() (*Result, error) { return E9Ablations(cfg) },
-		func() (*Result, error) { return E10GuardFlaw(cfg) },
-		func() (*Result, error) { return E11Convergence(cfg) },
-		func() (*Result, error) { return E12Mobile(cfg) },
-		func() (*Result, error) { return E13TInterval(cfg) },
-		func() (*Result, error) { return E14PartitionMerge(cfg) },
-		func() (*Result, error) { return E15VertexStable(cfg) },
-		func() (*Result, error) { return E16Scaling(cfg) },
-		// The suite runs E20's CI rung; the full n = 1024 ladder is
-		// `ksetbench -only E20` (see e20SuiteSizes).
-		func() (*Result, error) { return E20Suite(cfg) },
-		func() (*Result, error) { return E23ApproxConvergence(cfg) },
-	}
-	for _, step := range steps {
-		r, err := step()
+	for _, e := range Suite(cfg) {
+		r, err := e.Run()
 		if err != nil {
 			return nil, err
 		}

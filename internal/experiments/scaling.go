@@ -61,21 +61,18 @@ func e20(cfg Config, sizes []int) (*Result, error) {
 			exact := 0
 			viol := 0
 			start := time.Now()
-			err := sim.StreamSweep(sim.StreamConfig{
-				Cells:   trials,
-				Workers: e20Workers(cfg, n),
-				Spec: func(cell int) (sim.Spec, error) {
+			err := sim.Sweep(trials, e20Workers(cfg, n),
+				func(cell int) (*sim.Outcome, error) {
 					rng := newRng(sim.CellSeed(cfg.Seed+20, (ni*8+hi)*cfg.Trials+cell))
 					// A short noisy prefix (p ≈ 2/n extra edges per round)
 					// keeps the purge and merge paths honest without
 					// changing the skeleton.
-					run := adversary.HubClusters(n, hubs, 8, 2/float64(n), rng)
-					return sim.Spec{
-						Adversary: run,
+					return sim.Execute(sim.Spec{
+						Adversary: adversary.HubClusters(n, hubs, 8, 2/float64(n), rng),
 						Proposals: sim.SeqProposals(n),
-					}, nil
+					})
 				},
-				OnOutcome: func(cell int, out *sim.Outcome) error {
+				func(cell int, out *sim.Outcome) error {
 					if err := out.CheckTermination(); err != nil {
 						viol++
 						return nil
@@ -98,8 +95,7 @@ func e20(cfg Config, sizes []int) (*Result, error) {
 					}
 					last.Add(float64(l))
 					return nil
-				},
-			})
+				})
 			if err != nil {
 				return nil, err
 			}

@@ -30,7 +30,11 @@
 // can therefore change only wall-clock phase, never decisions. That is
 // not assumed but enforced: Diff replays any schedule over a transport
 // and compares every per-process decision, decision round, and skeleton
-// measurement against sim.Execute on the same schedule and seed.
+// measurement against sim.Execute on the same schedule and seed. The
+// schedule itself is a pure read for the caller and every worker: a
+// NewRunner run generates each round's graph once, when a process first
+// reaches it; Diff and CrashReplay, which hand two executions the same
+// schedule, materialize theirs (adversary.MaterializeRun) before either.
 //
 // # Who steps a process
 //
@@ -83,10 +87,13 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"kset/internal/adversary"
 	"kset/internal/algo"
+	"kset/internal/graph"
 	"kset/internal/rounds"
 	"kset/internal/transport"
 )
@@ -111,7 +118,8 @@ const inlineBelowN = 36
 // Run owns the transport: it is closed before Run returns, on every
 // path. cfg.Adversary is read concurrently by the caller and — via the
 // transport policy — by every worker, so it must be safe for concurrent
-// Graph calls (adversary.MaterializeRun makes any adversary so).
+// Graph calls: NewRunner makes any adversary so, adversary.MaterializeRun
+// does for a caller with a transport of its own.
 func Run(cfg rounds.Config, tr transport.Transport, codec Codec) (*rounds.Result, error) {
 	return RunChaos(cfg, tr, codec, nil, nil)
 }
@@ -462,10 +470,45 @@ func (o RunnerOpts) meshNodes(n int) int {
 	return o.Nodes
 }
 
+// schedule makes a generator adversary the pure, concurrent read Run
+// needs without generating a round no process reaches: the caller and
+// every worker (through the transport policy) share one Graph call per
+// round, made on first demand. A run that stops early — a service session
+// decides in about a sixth of its MaxRounds — pays for the rounds it ran.
+type schedule struct {
+	rounds.Adversary                                 // the generator
+	mu               sync.Mutex                      // serialises it
+	graphs           []atomic.Pointer[graph.Digraph] // [r]: round r's graph, once generated
+}
+
+// onDemand wraps adv in a schedule for rounds 1..upTo; a *adversary.Run
+// is a pure read already and passes through.
+func onDemand(adv rounds.Adversary, upTo int) rounds.Adversary {
+	if run, ok := adv.(*adversary.Run); ok {
+		return run
+	}
+	return &schedule{Adversary: adv, graphs: make([]atomic.Pointer[graph.Digraph], upTo+1)}
+}
+
+// Graph implements rounds.Adversary for the rounds of the run.
+func (s *schedule) Graph(r int) *graph.Digraph {
+	if g := s.graphs[r].Load(); g != nil {
+		return g
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	g := s.graphs[r].Load()
+	if g == nil {
+		g = s.Adversary.Graph(r)
+		s.graphs[r].Store(g)
+	}
+	return g
+}
+
 // NewRunner adapts the distributed runtime to the executor signature of
 // internal/rounds, for sim.Spec.Runner: the returned function builds a
-// fresh transport whose drop policy replays cfg.Adversary (materialized
-// for concurrent access), runs cfg over it, and tears the transport
+// fresh transport whose drop policy replays cfg.Adversary (generated on
+// demand, see schedule), runs cfg over it, and tears the transport
 // down. Each call of the returned runner is an independent run, and
 // calls may overlap: the runner only reads opts.
 func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
@@ -480,7 +523,7 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 		if opts.Loss > 0 && opts.Kind != "udp" {
 			return nil, fmt.Errorf("runtime: Loss = %g is wire loss on the datagram mesh; transport kind %q has none to lose", opts.Loss, opts.Kind)
 		}
-		adv := adversary.MaterializeRun(cfg.Adversary, cfg.MaxRounds)
+		adv := onDemand(cfg.Adversary, cfg.MaxRounds)
 		cfg.Adversary = adv
 		var pol transport.Policy = transport.NewSchedule(adv)
 		if opts.Crash != nil {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"kset/internal/adversary"
 	"kset/internal/algo"
@@ -338,6 +339,60 @@ func TestMeteredInProcRunSurvivesAnnouncedDeath(t *testing.T) {
 				if got := graphs[r-1].HasEdge(p, q); got != want {
 					t.Fatalf("round %d: edge p%d->p%d metered %v, want %v", r, p+1, q+1, got, want)
 				}
+			}
+		}
+	}
+}
+
+// countedRoot counts, per round, the graphs a VertexStableRoot — a
+// generator that never stabilizes, so its MaxRounds is 12n — is asked for.
+type countedRoot struct {
+	*adversary.VertexStableRoot
+	mu    sync.Mutex
+	calls map[int]int
+}
+
+func (c *countedRoot) Graph(r int) *graph.Digraph {
+	c.mu.Lock()
+	c.calls[r]++
+	c.mu.Unlock()
+	return c.VertexStableRoot.Graph(r)
+}
+
+// TestRunnerGeneratesOnlyRoundsReached pins who makes the schedule a pure
+// read: a NewRunner run generates each round once, on first demand, for
+// the caller and every worker together — and none the run never reaches.
+func TestRunnerGeneratesOnlyRoundsReached(t *testing.T) {
+	const n = 8
+	idle := &StallPlan{From: make([]int, n), To: make([]int, n), Delay: make([]time.Duration, n)}
+	for _, tc := range []struct {
+		name       string
+		opts       RunnerOpts
+		completion bool
+	}{
+		{"stops when all decided, inline", RunnerOpts{}, false},
+		{"stops when all decided, a worker per process", RunnerOpts{Stall: idle}, false},
+		{"fixed length, pipelined", RunnerOpts{}, true},
+	} {
+		adv := &countedRoot{VertexStableRoot: adversary.NewVertexStableRoot(n, 2, 0.2, 5), calls: map[int]int{}}
+		out, err := sim.Execute(sim.Spec{
+			Adversary:       adv,
+			Proposals:       sim.SeqProposals(n),
+			RunToCompletion: tc.completion,
+			Runner:          NewRunner(tc.opts),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.completion != (out.Rounds == 12*n) {
+			t.Fatalf("%s: ran %d of %d rounds", tc.name, out.Rounds, 12*n)
+		}
+		if len(adv.calls) != out.Rounds {
+			t.Errorf("%s: generated %d rounds for a run of %d", tc.name, len(adv.calls), out.Rounds)
+		}
+		for r := 1; r <= out.Rounds; r++ {
+			if adv.calls[r] != 1 {
+				t.Errorf("%s: round %d generated %d times", tc.name, r, adv.calls[r])
 			}
 		}
 	}

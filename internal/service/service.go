@@ -240,9 +240,21 @@ func (s *Service) Submit(specs []SessionSpec) []SubmitResult {
 
 func (s *Service) submitOne(spec SessionSpec) SubmitResult {
 	s.met.submitted.Add(1)
+	// Shed before building: validate constructs the session's whole
+	// schedule, so backpressure that answers only after it protects memory
+	// and spends the CPU anyway. The send below stays the authority.
+	s.mu.Lock()
+	closed, full := s.closed, len(s.queue) == cap(s.queue)
+	s.mu.Unlock()
+	if closed {
+		return s.reject("service closed")
+	}
+	if full {
+		s.met.shed.Add(1)
+		return s.reject("queue full")
+	}
 	if err := s.validate(&spec); err != nil {
-		s.met.rejected.Add(1)
-		return SubmitResult{Error: err.Error()}
+		return s.reject(err.Error())
 	}
 	// The non-blocking enqueue happens under the same lock as the
 	// closed-check: Close sets closed under this lock before draining,
@@ -251,8 +263,7 @@ func (s *Service) submitOne(spec SessionSpec) SubmitResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		s.met.rejected.Add(1)
-		return SubmitResult{Error: "service closed"}
+		return s.reject("service closed")
 	}
 	s.nextID++
 	sess := &Session{ID: fmt.Sprintf("s-%06d", s.nextID), Status: "queued", Spec: spec}
@@ -263,10 +274,15 @@ func (s *Service) submitOne(spec SessionSpec) SubmitResult {
 	default:
 		// Backpressure: the bounded queue is full. The session was
 		// never registered, so rejected ids are not pollable.
-		s.met.rejected.Add(1)
 		s.met.shed.Add(1)
-		return SubmitResult{Error: "queue full"}
+		return s.reject("queue full")
 	}
+}
+
+// reject counts a refused submission and answers it with why.
+func (s *Service) reject(why string) SubmitResult {
+	s.met.rejected.Add(1)
+	return SubmitResult{Error: why}
 }
 
 // Get returns a snapshot of the session with the given id.

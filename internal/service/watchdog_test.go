@@ -150,8 +150,8 @@ func TestDrainFlushesCrashedInFlight(t *testing.T) {
 
 // TestLoadSheddingRetryAfter pins the overload answer: with the worker
 // parked on a wedged session and the bounded queue full, a fully-shed
-// batch gets 503 plus a Retry-After hint, and the shed submissions are
-// counted.
+// batch gets 503 plus a Retry-After hint, the shed submissions are
+// counted, and none of them is built first.
 func TestLoadSheddingRetryAfter(t *testing.T) {
 	s := New(Config{Workers: 1, Queue: 1, MaxN: wedgedN, SessionTimeout: time.Second})
 	defer s.Close()
@@ -186,6 +186,27 @@ func TestLoadSheddingRetryAfter(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("shed response missing Retry-After")
+	}
+
+	// Shedding comes before validation, which builds the session's whole
+	// schedule: a full queue turns away a spec it would have rejected, and
+	// one that is expensive to build in a fraction of its build time.
+	if r := s.Submit([]SessionSpec{{N: 4, Family: "no-such-family"}})[0]; r.Error != "queue full" {
+		t.Errorf("full queue answered an unbuildable spec %q, want \"queue full\"", r.Error)
+	}
+	costly := SessionSpec{N: 128, Family: "rooted", Noisy: 512}
+	start := time.Now()
+	r := s.Submit([]SessionSpec{costly})[0]
+	shedIn := time.Since(start)
+	if r.Error != "queue full" {
+		t.Errorf("full queue answered %+v, want \"queue full\"", r)
+	}
+	start = time.Now()
+	if err := s.validate(&costly); err != nil {
+		t.Fatal(err)
+	}
+	if build := time.Since(start); shedIn > build/4 {
+		t.Errorf("shedding a spec took %v; building it takes %v", shedIn, build)
 	}
 	var sb strings.Builder
 	s.WriteMetrics(&sb)

@@ -2,10 +2,10 @@
 // registered algorithm family (internal/algo — Algorithm 1 by default,
 // or a baseline), the skeleton tracker, the wire meter, and the outcome
 // checker into one call (Execute), and runs parameter sweeps on a worker
-// pool (StreamSweep: sharded and streaming, delivering outcomes to
-// incremental aggregators in deterministic cell order without retaining
-// per-trial records). All experiment tables in EXPERIMENTS.md are
-// produced through this package (see cmd/ksetbench).
+// pool (Sweep: whatever a cell computes — an outcome, a verdict, a score —
+// reaches the caller's incremental aggregators in deterministic cell
+// order, and no per-trial record is retained). All experiment tables in
+// EXPERIMENTS.md are produced through this package (see cmd/ksetbench).
 package sim
 
 import (
@@ -89,10 +89,6 @@ type Outcome struct {
 	// executed; nil when Spec.NewProcess overrode the algorithm.
 	// CheckAlgorithm evaluates the family's oracles against it.
 	Run *algo.Run
-	// Observer echoes Spec.Observer, so sweep consumers that attach
-	// per-run instrumentation to a spec (e.g. the E15 stale-edge meter)
-	// can read it back from the streamed outcome.
-	Observer rounds.Observer
 }
 
 // meteredAlg is the metering wrapper the executor steps in place of a
@@ -205,7 +201,7 @@ func Execute(spec Spec) (*Outcome, error) {
 	}
 	n := spec.Adversary.N()
 
-	out := &Outcome{Observer: spec.Observer}
+	out := &Outcome{}
 	tracker := skeleton.NewTracker(n, false)
 
 	factory := spec.NewProcess

@@ -109,7 +109,7 @@ func TestMeterMatchesWireFormat(t *testing.T) {
 // TestMeteredRunShowsOwnProcesses: only the executor sees the metering
 // wrapper — for every registered family, the observers of a metered run
 // get the family's own process type in every round, so their type
-// assertions (check.Observer, the E15 stale-edge meter, -trace) hold.
+// assertions (internal/check's oracles, the E15 stale-edge meter, -trace) hold.
 func TestMeteredRunShowsOwnProcesses(t *testing.T) {
 	for _, name := range algo.Names() {
 		alg := algo.MustLookup(name)
@@ -243,13 +243,8 @@ func TestSweepPreservesOrderAndParallelism(t *testing.T) {
 // sweepSpecs streams a fixed spec list, one spec per shard so that up to
 // `workers` of them execute concurrently.
 func sweepSpecs(specs []Spec, workers int, on func(cell int, out *Outcome) error) error {
-	return StreamSweep(StreamConfig{
-		Cells:     len(specs),
-		Workers:   workers,
-		shardSize: 1,
-		Spec:      func(cell int) (Spec, error) { return specs[cell], nil },
-		OnOutcome: on,
-	})
+	return sweep(len(specs), workers, 1,
+		func(cell int) (*Outcome, error) { return Execute(specs[cell]) }, on)
 }
 
 func TestSweepPropagatesError(t *testing.T) {

@@ -12,20 +12,20 @@ import (
 	"kset/internal/adversary"
 )
 
-// This file is the property battery for StreamSweep's ordering and
+// This file is the property battery for Sweep's ordering and
 // error-path determinism: for EVERY worker count, outcomes arrive in
 // strictly ascending cell order, and on failure the caller sees exactly
 // the outcomes below the lowest failing cell followed by that cell's
 // error — regardless of how worker scheduling interleaves shard
 // completion. The jittered Spec below makes high shards finish first,
-// which is exactly the schedule that broke the previous collector (it
-// stopped delivering the moment any error arrived, so the delivered
-// prefix depended on scheduling, and a high cell's error could shadow a
-// low cell's).
+// which is exactly the schedule that breaks an engine that stops
+// delivering the moment any error arrives (the first one did: the
+// delivered prefix depended on scheduling, and a high cell's error could
+// shadow a low cell's).
 
 // jitterSpec builds a valid tiny spec after a scheduling-dependent
-// sleep: later cells sleep less, so with many workers high shards land
-// in the reorder buffer before low ones.
+// sleep: later cells sleep less, so with many workers high shards are
+// done before low ones.
 func jitterSpec(cells int, rng *rand.Rand) func(cell int) (Spec, error) {
 	jitter := make([]time.Duration, cells)
 	for i := range jitter {
@@ -48,16 +48,12 @@ func TestStreamSweepStrictOrderUnderJitter(t *testing.T) {
 	for _, workers := range []int{1, 2, 3, 8, 16} {
 		rng := rand.New(rand.NewSource(int64(workers)))
 		var delivered []int
-		err := StreamSweep(StreamConfig{
-			Cells:     cells,
-			Workers:   workers,
-			shardSize: 4,
-			Spec:      jitterSpec(cells, rng),
-			OnOutcome: func(cell int, out *Outcome) error {
+		err := sweep(cells, workers, 4,
+			executing(jitterSpec(cells, rng)),
+			func(cell int, out *Outcome) error {
 				delivered = append(delivered, cell)
 				return nil
-			},
-		})
+			})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -83,11 +79,8 @@ func TestStreamSweepErrorPathDeterministic(t *testing.T) {
 		base := jitterSpec(cells, rng)
 		var delivered []int
 		var executedHigh atomic.Bool
-		err := StreamSweep(StreamConfig{
-			Cells:     cells,
-			Workers:   workers,
-			shardSize: 4,
-			Spec: func(cell int) (Spec, error) {
+		err := sweep(cells, workers, 4,
+			executing(func(cell int) (Spec, error) {
 				if cell == failCell {
 					return Spec{}, errors.New("planted failure")
 				}
@@ -95,12 +88,11 @@ func TestStreamSweepErrorPathDeterministic(t *testing.T) {
 					executedHigh.Store(true)
 				}
 				return base(cell)
-			},
-			OnOutcome: func(cell int, out *Outcome) error {
+			}),
+			func(cell int, out *Outcome) error {
 				delivered = append(delivered, cell)
 				return nil
-			},
-		})
+			})
 		if err == nil {
 			t.Fatalf("workers=%d: sweep did not fail", workers)
 		}
@@ -123,26 +115,22 @@ func TestStreamSweepErrorPathDeterministic(t *testing.T) {
 }
 
 // TestStreamSweepOnOutcomeErrorDeterministic does the same for a
-// consumer-side failure: OnOutcome runs on the collector in cell order,
+// consumer-side failure: deliver runs on the caller in cell order,
 // so its first error is always at the same cell.
 func TestStreamSweepOnOutcomeErrorDeterministic(t *testing.T) {
 	const cells, failCell = 64, 29
 	for _, workers := range []int{1, 3, 8} {
 		rng := rand.New(rand.NewSource(11))
 		var delivered []int
-		err := StreamSweep(StreamConfig{
-			Cells:     cells,
-			Workers:   workers,
-			shardSize: 5,
-			Spec:      jitterSpec(cells, rng),
-			OnOutcome: func(cell int, out *Outcome) error {
+		err := sweep(cells, workers, 5,
+			executing(jitterSpec(cells, rng)),
+			func(cell int, out *Outcome) error {
 				if cell == failCell {
 					return errors.New("consumer rejects")
 				}
 				delivered = append(delivered, cell)
 				return nil
-			},
-		})
+			})
 		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("cell %d", failCell)) {
 			t.Fatalf("workers=%d: err = %v, want a cell-%d error", workers, err, failCell)
 		}
@@ -153,18 +141,15 @@ func TestStreamSweepOnOutcomeErrorDeterministic(t *testing.T) {
 }
 
 // TestStreamSweepLowestErrorWins plants TWO failing cells; the returned
-// error must always be the lower one's, for every worker count (the
-// previous collector returned whichever arrived first).
+// error must always be the lower one's, for every worker count (not
+// whichever arrives first).
 func TestStreamSweepLowestErrorWins(t *testing.T) {
 	const cells, lowFail, highFail = 80, 21, 22
 	for _, workers := range []int{1, 2, 8} {
 		rng := rand.New(rand.NewSource(13))
 		base := jitterSpec(cells, rng)
-		err := StreamSweep(StreamConfig{
-			Cells:     cells,
-			Workers:   workers,
-			shardSize: 1, // every cell its own shard: maximal reordering freedom
-			Spec: func(cell int) (Spec, error) {
+		err := sweep(cells, workers, 1, // every cell its own shard: maximal reordering freedom
+			executing(func(cell int) (Spec, error) {
 				switch cell {
 				case lowFail:
 					time.Sleep(2 * time.Millisecond) // make the low failure finish LAST
@@ -173,11 +158,47 @@ func TestStreamSweepLowestErrorWins(t *testing.T) {
 					return Spec{}, errors.New("high failure")
 				}
 				return base(cell)
-			},
-			OnOutcome: func(cell int, out *Outcome) error { return nil },
-		})
+			}),
+			func(cell int, out *Outcome) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "low failure") {
 			t.Fatalf("workers=%d: err = %v, want the low-cell failure", workers, err)
 		}
+	}
+}
+
+// TestSweepInFlightBound pins the memory contract (DESIGN.md §5): with
+// the consumer stuck on cell 0, no more than workers+1 shards ever run —
+// the queue of futures and the one the caller holds — so retained values
+// are O(workers · shard) whatever the cell count.
+func TestSweepInFlightBound(t *testing.T) {
+	const cells, workers, shard = 400, 3, 4
+	const bound = (workers + 1) * shard
+	var ran atomic.Int32
+	full := make(chan struct{})
+	err := sweep(cells, workers, shard,
+		func(cell int) (int, error) {
+			if ran.Add(1) == bound {
+				close(full)
+			}
+			return cell, nil
+		},
+		func(cell, v int) error {
+			if cell == 0 {
+				<-full // every shard the bound admits has started its last cell
+				time.Sleep(20 * time.Millisecond)
+				if got := ran.Load(); got != bound {
+					t.Errorf("%d cells ran while deliver(0) blocked, want exactly (workers+1)·shard = %d", got, bound)
+				}
+			}
+			if v != cell {
+				t.Errorf("cell %d delivered value %d", cell, v)
+			}
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ran.Load(); got != cells {
+		t.Fatalf("%d cells ran, want %d", got, cells)
 	}
 }

@@ -17,6 +17,17 @@ func randomSources8(rng *rand.Rand) *adversary.Run {
 	return adversary.RandomSources(8, 1+rng.Intn(3), rng.Intn(8), 0.25, rng)
 }
 
+// executing turns a spec builder into a Sweep cell.
+func executing(spec func(cell int) (Spec, error)) func(cell int) (*Outcome, error) {
+	return func(cell int) (*Outcome, error) {
+		s, err := spec(cell)
+		if err != nil {
+			return nil, err
+		}
+		return Execute(s)
+	}
+}
+
 // streamDigest runs a streaming sweep over `cells` random trials drawn
 // by adv and renders the aggregated statistics as a string. Any
 // dependence of the aggregation on the worker count would change the
@@ -26,21 +37,17 @@ func streamDigest(t *testing.T, adv func(*rand.Rand) *adversary.Run, cells, work
 	rounds := stats.NewStream()
 	var distinct stats.Running
 	order := make([]int, 0, cells)
-	err := StreamSweep(StreamConfig{
-		Cells:     cells,
-		Workers:   workers,
-		shardSize: shardSize,
-		Spec: func(cell int) (Spec, error) {
+	err := sweep(cells, workers, shardSize,
+		func(cell int) (*Outcome, error) {
 			run := adv(rand.New(rand.NewSource(CellSeed(42, cell))))
-			return Spec{Adversary: run, Proposals: SeqProposals(run.N())}, nil
+			return Execute(Spec{Adversary: run, Proposals: SeqProposals(run.N())})
 		},
-		OnOutcome: func(cell int, out *Outcome) error {
+		func(cell int, out *Outcome) error {
 			order = append(order, cell)
 			rounds.Add(float64(out.MaxDecisionRound()))
 			distinct.Add(float64(len(out.DistinctDecisions())))
 			return nil
-		},
-	})
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,32 +99,24 @@ func TestStreamSweepPropagatesErrors(t *testing.T) {
 		return Spec{Adversary: adversary.Complete(3), Proposals: SeqProposals(3)}, nil
 	}
 	for _, workers := range []int{1, 4} {
-		err := StreamSweep(StreamConfig{
-			Cells:     10,
-			Workers:   workers,
-			shardSize: 2,
-			Spec:      specErr,
-			OnOutcome: func(cell int, out *Outcome) error { return nil },
-		})
+		err := sweep(10, workers, 2, executing(specErr),
+			func(cell int, out *Outcome) error { return nil })
 		if err == nil || !strings.Contains(err.Error(), "cell 3") {
 			t.Fatalf("workers=%d: err = %v", workers, err)
 		}
 	}
 
 	// Consumer errors abort too.
-	err := StreamSweep(StreamConfig{
-		Cells:   8,
-		Workers: 4,
-		Spec: func(cell int) (Spec, error) {
-			return Spec{Adversary: adversary.Complete(3), Proposals: SeqProposals(3)}, nil
+	err := Sweep(8, 4,
+		func(cell int) (*Outcome, error) {
+			return Execute(Spec{Adversary: adversary.Complete(3), Proposals: SeqProposals(3)})
 		},
-		OnOutcome: func(cell int, out *Outcome) error {
+		func(cell int, out *Outcome) error {
 			if cell == 2 {
 				return fmt.Errorf("consumer stop")
 			}
 			return nil
-		},
-	})
+		})
 	if err == nil || !strings.Contains(err.Error(), "cell 2") {
 		t.Fatalf("consumer error not propagated: %v", err)
 	}
@@ -125,20 +124,20 @@ func TestStreamSweepPropagatesErrors(t *testing.T) {
 
 func TestStreamSweepValidation(t *testing.T) {
 	ok := func(cell int, out *Outcome) error { return nil }
-	spec := func(cell int) (Spec, error) {
-		return Spec{Adversary: adversary.Complete(2), Proposals: SeqProposals(2)}, nil
+	run := func(cell int) (*Outcome, error) {
+		return Execute(Spec{Adversary: adversary.Complete(2), Proposals: SeqProposals(2)})
 	}
-	if err := StreamSweep(StreamConfig{Cells: 1, OnOutcome: ok}); err == nil {
-		t.Fatal("nil Spec accepted")
+	if err := Sweep(1, 1, nil, ok); err == nil {
+		t.Fatal("nil run accepted")
 	}
-	if err := StreamSweep(StreamConfig{Cells: 1, Spec: spec}); err == nil {
-		t.Fatal("nil OnOutcome accepted")
+	if err := Sweep(1, 1, run, nil); err == nil {
+		t.Fatal("nil deliver accepted")
 	}
-	if err := StreamSweep(StreamConfig{Cells: -1, Spec: spec, OnOutcome: ok}); err == nil {
-		t.Fatal("negative Cells accepted")
+	if err := Sweep(-1, 1, run, ok); err == nil {
+		t.Fatal("negative cells accepted")
 	}
 	// Zero cells is a valid empty sweep.
-	if err := StreamSweep(StreamConfig{Cells: 0, Spec: spec, OnOutcome: ok}); err != nil {
+	if err := Sweep(0, 1, run, ok); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // This file holds the incremental (streaming) counterparts of the batch
 // helpers in stats.go. They exist for the sharded sweep engine
-// (sim.StreamSweep): a sweep of thousands of trials feeds each outcome
+// (sim.Sweep): a sweep of thousands of trials feeds each outcome
 // into these accumulators and discards it, so no per-trial slice is ever
 // retained (DESIGN.md §5). All accumulators are deterministic functions
 // of their observation sequence — feeding the same values in the same

@@ -32,7 +32,8 @@ func (Perfect) Deliver(r, from, to int) bool { return true }
 //
 // The adversary's Graph method is called concurrently from every
 // endpoint; wrap stateful generators with adversary.MaterializeRun
-// first (adversary.Run itself is safe: its Graph is a pure read).
+// first (adversary.Run itself is safe: its Graph is a pure read;
+// runtime.NewRunner wraps its own, a round at a time).
 type Schedule struct {
 	adv rounds.Adversary
 }
