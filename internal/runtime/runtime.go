@@ -101,10 +101,10 @@ import (
 // inlineBelowN is the n from which processes that need no clock of their
 // own get a worker each anyway. Measured on the 2-core sandbox, in-proc,
 // co-located links by value (BenchmarkLiveCrossover; DESIGN.md §4 has the
-// table): inline beats one worker per process 2.9x at n = 8, 1.9x at
-// n = 16, 1.4x at n = 24, is level at n = 32 and loses from n = 36 (0.8x;
-// 0.55x at n = 64); GOMAXPROCS blocks never win.
-const inlineBelowN = 36
+// table): inline beats one worker per process 2.4x at n = 8, 1.6x at
+// n = 16, 1.14x at n = 24, and loses from n = 28 (0.95x; 0.8x at n = 32,
+// 0.54x at n = 64); GOMAXPROCS blocks never win.
+const inlineBelowN = 28
 
 // Run executes cfg over the given transport. It enforces exactly the
 // contract of rounds.RunSequential (same Config validation, same graph

@@ -157,6 +157,10 @@ type Session struct {
 	Spec   SessionSpec    `json:"spec"`
 	Result *SessionResult `json:"result,omitempty"`
 	Error  string         `json:"error,omitempty"`
+
+	// adv is the adversary validation built, handed to execute, which
+	// takes and clears it: a finished session must not pin a schedule.
+	adv rounds.Adversary
 }
 
 // SubmitResult is the per-item answer of a batch submission.
@@ -253,7 +257,8 @@ func (s *Service) submitOne(spec SessionSpec) SubmitResult {
 		s.met.shed.Add(1)
 		return s.reject("queue full")
 	}
-	if err := s.validate(&spec); err != nil {
+	adv, err := s.validate(&spec)
+	if err != nil {
 		return s.reject(err.Error())
 	}
 	// The non-blocking enqueue happens under the same lock as the
@@ -266,7 +271,7 @@ func (s *Service) submitOne(spec SessionSpec) SubmitResult {
 		return s.reject("service closed")
 	}
 	s.nextID++
-	sess := &Session{ID: fmt.Sprintf("s-%06d", s.nextID), Status: "queued", Spec: spec}
+	sess := &Session{ID: fmt.Sprintf("s-%06d", s.nextID), Status: "queued", Spec: spec, adv: adv}
 	select {
 	case s.queue <- sess:
 		s.sessions[sess.ID] = sess
@@ -328,46 +333,48 @@ const (
 	maxRoundsPerN = 32
 )
 
-func (s *Service) validate(spec *SessionSpec) error {
+// validate normalizes and checks spec and returns the adversary it
+// built on the way — the one the session then runs.
+func (s *Service) validate(spec *SessionSpec) (rounds.Adversary, error) {
 	if spec.Family == "figure1" {
 		if spec.N == 0 {
 			spec.N = 6
 		}
 		if spec.N != 6 {
-			return fmt.Errorf("family figure1 fixes n = 6, got %d", spec.N)
+			return nil, fmt.Errorf("family figure1 fixes n = 6, got %d", spec.N)
 		}
 	}
 	if spec.N < 1 || spec.N > s.cfg.MaxN {
-		return fmt.Errorf("n = %d out of range [1,%d]", spec.N, s.cfg.MaxN)
+		return nil, fmt.Errorf("n = %d out of range [1,%d]", spec.N, s.cfg.MaxN)
 	}
 	if spec.Noisy < 0 || spec.Noisy > maxNoisyPerN*spec.N {
-		return fmt.Errorf("noisy = %d out of range [0,%d] for n = %d", spec.Noisy, maxNoisyPerN*spec.N, spec.N)
+		return nil, fmt.Errorf("noisy = %d out of range [0,%d] for n = %d", spec.Noisy, maxNoisyPerN*spec.N, spec.N)
 	}
 	if spec.MaxRounds < 0 || spec.MaxRounds > maxRoundsPerN*spec.N {
-		return fmt.Errorf("max_rounds = %d out of range [0,%d] for n = %d", spec.MaxRounds, maxRoundsPerN*spec.N, spec.N)
+		return nil, fmt.Errorf("max_rounds = %d out of range [0,%d] for n = %d", spec.MaxRounds, maxRoundsPerN*spec.N, spec.N)
 	}
 	if spec.Proposals != nil && len(spec.Proposals) != spec.N {
-		return fmt.Errorf("%d proposals for n = %d", len(spec.Proposals), spec.N)
+		return nil, fmt.Errorf("%d proposals for n = %d", len(spec.Proposals), spec.N)
 	}
 	switch spec.Transport {
 	case "", "inproc", "tcp", "udp":
 	default:
-		return fmt.Errorf("unknown transport %q", spec.Transport)
+		return nil, fmt.Errorf("unknown transport %q", spec.Transport)
 	}
 	alg, err := algo.Lookup(spec.Algorithm)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	spec.Algorithm = alg.Name
 	if alg.Name != algo.Approx && (spec.Vertices != 0 || spec.Cycle) {
-		return fmt.Errorf("vertices/cycle apply only to algorithm %q", algo.Approx)
+		return nil, fmt.Errorf("vertices/cycle apply only to algorithm %q", algo.Approx)
 	}
 	if alg.Name != algo.KSet && spec.FaithfulGuard {
-		return fmt.Errorf("faithful_guard applies only to algorithm %q", algo.KSet)
+		return nil, fmt.Errorf("faithful_guard applies only to algorithm %q", algo.KSet)
 	}
 	adv, err := buildAdversary(*spec)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// A full dry resolve catches the family-specific problems (approx
 	// proposals outside the vertex range, bad graph sizes) at submission
@@ -375,9 +382,9 @@ func (s *Service) validate(spec *SessionSpec) error {
 	// session.
 	dry := sessionSimSpec(*spec, adv, nil)
 	if err := dry.Resolve(); err != nil {
-		return err
+		return nil, err
 	}
-	return nil
+	return adv, nil
 }
 
 // sessionSimSpec assembles the sim.Spec a session executes: the family
@@ -411,7 +418,8 @@ func sessionSimSpec(spec SessionSpec, adv rounds.Adversary, runner func(rounds.C
 // buildAdversary maps a session spec onto the adversary catalogue.
 func buildAdversary(spec SessionSpec) (rounds.Adversary, error) {
 	n := spec.N
-	rng := rand.New(rand.NewSource(spec.Seed))
+	// Only the two families that draw from it pay for a generator.
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(spec.Seed)) }
 	roots := spec.Roots
 	if roots <= 0 {
 		roots = 1
@@ -423,9 +431,9 @@ func buildAdversary(spec SessionSpec) (rounds.Adversary, error) {
 	case "complete":
 		return adversary.Complete(n), nil
 	case "rooted":
-		return adversary.RandomSources(n, roots, spec.Noisy, 0.25, rng), nil
+		return adversary.RandomSources(n, roots, spec.Noisy, 0.25, rng()), nil
 	case "single_source":
-		return adversary.RandomSingleSource(n, spec.Noisy, 0.2, 0.2, rng), nil
+		return adversary.RandomSingleSource(n, spec.Noisy, 0.2, 0.2, rng()), nil
 	case "lowerbound":
 		k := spec.K
 		if k == 0 {
@@ -478,7 +486,11 @@ func (s *Service) worker() {
 // "crashed" with the partial outcome the watchdog observed — so one
 // wedged session can never pin a worker forever.
 func (s *Service) execute(sess *Session) {
-	s.setStatus(sess.ID, "running")
+	s.mu.Lock()
+	sess.Status = "running"
+	adv := sess.adv
+	sess.adv = nil
+	s.mu.Unlock()
 	s.met.running.Add(1)
 	defer s.met.running.Add(-1)
 
@@ -488,7 +500,7 @@ func (s *Service) execute(sess *Session) {
 		defer timer.Stop()
 	}
 	am := s.met.algoFamily(sess.Spec.Algorithm)
-	out, err := runSession(sess.Spec, lr, &s.stall)
+	out, err := runSession(sess.Spec, adv, lr, &s.stall)
 	if err != nil {
 		if lr.killed() {
 			s.met.crashed.Add(1)
@@ -525,9 +537,10 @@ func (s *Service) execute(sess *Session) {
 	s.finish(sess, res, nil)
 }
 
-// runSession executes one spec over the runtime (sessions are real
-// distributed executions, not simulator calls — the sim package here
-// only supplies the measurement pipeline around runtime.NewRunner). lr
+// runSession executes one spec, under the adversary validation built
+// from it, over the runtime (sessions are real distributed executions,
+// not simulator calls — the sim package here only supplies the
+// measurement pipeline around runtime.NewRunner). lr
 // observes the run for the watchdog (partial outcomes, transport
 // teardown handle); counters tallies the senders a udp session's
 // deadline-closed rounds gave up on into the service's /metrics (in-proc
@@ -536,16 +549,12 @@ func (s *Service) execute(sess *Session) {
 // here, with its value and with the run torn down — is the session's
 // error, not the service's end: one bad session must not take every
 // other with it.
-func runSession(spec SessionSpec, lr *liveRun, counters *transport.StallCounters) (out *sim.Outcome, err error) {
+func runSession(spec SessionSpec, adv rounds.Adversary, lr *liveRun, counters *transport.StallCounters) (out *sim.Outcome, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			out, err = nil, fmt.Errorf("%v", v)
 		}
 	}()
-	adv, err := buildAdversary(spec)
-	if err != nil {
-		return nil, err
-	}
 	ropts := runtime.RunnerOpts{
 		Kind: spec.Transport, Algorithm: spec.Algorithm, OnTransport: lr.onTransport,
 		// Read by udp sessions only. Sessions favor fidelity over round
@@ -643,14 +652,6 @@ func (lr *liveRun) partial() *SessionResult {
 	}
 	sort.Slice(res.Distinct, func(i, j int) bool { return res.Distinct[i] < res.Distinct[j] })
 	return res
-}
-
-func (s *Service) setStatus(id, status string) {
-	s.mu.Lock()
-	if sess, ok := s.sessions[id]; ok {
-		sess.Status = status
-	}
-	s.mu.Unlock()
 }
 
 // finish records a session's terminal state and applies the retention

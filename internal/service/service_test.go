@@ -2,9 +2,14 @@ package service
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"kset/internal/graph"
+	"kset/internal/rounds"
 )
 
 // waitDone polls until the session reaches a terminal state.
@@ -263,4 +268,54 @@ func TestCloseRejectsAndDrains(t *testing.T) {
 		t.Fatal("closed service accepted a session")
 	}
 	s.Close() // idempotent
+}
+
+// countingAdversary counts the graphs a run reads from it.
+type countingAdversary struct {
+	rounds.Adversary
+	graphs atomic.Int64
+}
+
+func (a *countingAdversary) Graph(r int) *graph.Digraph {
+	a.graphs.Add(1)
+	return a.Adversary.Graph(r)
+}
+
+// TestSessionRunsTheAdversaryValidationBuilt: a session's adversary is
+// built once, by validate; execute runs that one — it used to build a
+// second — and takes it off the session, so neither the registry nor a
+// Get snapshot pins a schedule once the session has started.
+func TestSessionRunsTheAdversaryValidationBuilt(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	spec := SessionSpec{N: 4, Family: "rooted", Roots: 2, Noisy: 3, Seed: 7}
+	adv, err := s.validate(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handed := &countingAdversary{Adversary: adv}
+	sess := &Session{ID: "s-handed", Status: "queued", Spec: spec, adv: handed}
+	s.mu.Lock()
+	s.sessions[sess.ID] = sess
+	s.mu.Unlock()
+	s.execute(sess)
+	got, _ := s.Get(sess.ID)
+	if got.Status != "done" {
+		t.Fatalf("session %s: %s", got.Status, got.Error)
+	}
+	if handed.graphs.Load() == 0 {
+		t.Error("the session never read the adversary it was handed: execute built its own")
+	}
+	if got.adv != nil {
+		t.Error("a finished session still holds its adversary")
+	}
+
+	// The same through Submit: what validate returns is what is queued.
+	r := s.Submit([]SessionSpec{spec})[0]
+	if r.Error != "" {
+		t.Fatal(r.Error)
+	}
+	if done := waitDone(t, s, r.ID); done.adv != nil || !reflect.DeepEqual(done.Result, got.Result) {
+		t.Errorf("submitted twin: adv %v, result %+v; want none and %+v", done.adv, done.Result, got.Result)
+	}
 }

@@ -202,7 +202,7 @@ func TestLoadSheddingRetryAfter(t *testing.T) {
 		t.Errorf("full queue answered %+v, want \"queue full\"", r)
 	}
 	start = time.Now()
-	if err := s.validate(&costly); err != nil {
+	if _, err := s.validate(&costly); err != nil {
 		t.Fatal(err)
 	}
 	if build := time.Since(start); shedIn > build/4 {

@@ -33,11 +33,10 @@ func frameBodyLimit(snd, rcv int) int {
 }
 
 // appendFrameBody builds the round-r frame body for peer node j from
-// this node's contributions: send-side Policy drops fold into the drop
-// bitmap here, a dead local sender (nil contribution) ships as an
-// all-links tombstone, and each delivering sender's payload follows
-// once.
-func (nd *meshNode) appendFrameBody(body []byte, r, j int, bufs []*refBuf) []byte {
+// this node's posts: send-side Policy drops fold into the drop bitmap
+// here, a dead local sender (nil post) ships as an all-links tombstone,
+// and each delivering sender's payload follows once.
+func (nd *meshNode) appendFrameBody(body []byte, r, j int, bufs [][]byte) []byte {
 	t := nd.t
 	peerLo := t.nodeLo(j)
 	rcv := t.nodeLo(j+1) - peerLo
@@ -62,8 +61,8 @@ func (nd *meshNode) appendFrameBody(body []byte, r, j int, bufs []*refBuf) []byt
 			}
 		}
 		if any {
-			body = binary.AppendUvarint(body, uint64(len(bufs[si].b)))
-			body = append(body, bufs[si].b...)
+			body = binary.AppendUvarint(body, uint64(len(bufs[si])))
+			body = append(body, bufs[si]...)
 			bitmap = body[bitOff : bitOff+bitmapLen] // append may have moved it
 		}
 	}

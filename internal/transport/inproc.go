@@ -1,12 +1,11 @@
 package transport
 
 // InProc is the in-process transport: the mesh with a single node and
-// no link. Every receiver's mailbox is hosted by that node, so Broadcast
-// deposits straight into all n of them — no goroutines, no sockets, no
-// OS involvement — and rounds close by count. One pooled copy of the
-// payload is shared read-only by every receiver (tracked by a reference
-// count), so the steady-state round is allocation-free. It is the
-// transport of choice for the agreement service's sessions and the
+// no link. Broadcast is one write into that node's mailbox, which every
+// receiver reads — no goroutines, no sockets, no OS involvement — and
+// rounds close by count. The ring slot's own buffer holds the one copy
+// of the payload, so the steady-state round is allocation-free. It is
+// the transport of choice for the agreement service's sessions and the
 // reference implementation of the transport contract.
 type InProc struct{ *mesh }
 

@@ -3,209 +3,345 @@ package transport
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// window is the number of rounds a receiver keeps in flight. The round
-// loop needs at most three consecutive rounds live at once — round r-1
+// window is the number of rounds a node keeps in flight. The round loop
+// needs at most three consecutive rounds live at once — round r-1
 // (gathered, payloads still valid until the next Gather call), round r
-// (filling), and round r+1 (pipelined sends racing ahead of the
-// round barrier; bounded-lookahead caps senders at one round past
-// the lowest un-gathered round). Four slots leave one round of slack so
-// a violated contract is detected as an error instead of corrupting a
-// live slot.
+// (filling), and round r+1 (pipelined sends racing ahead of the round
+// barrier; bounded-lookahead caps senders at one round past the lowest
+// un-gathered round). Four slots leave one round of slack so a violated
+// contract is detected as an error instead of corrupting a live slot.
 const window = 4
 
-// refBuf is a pooled, reference-counted payload buffer. One broadcast
-// payload is copied into a refBuf exactly once and shared read-only by
-// every receiver it is delivered to (plus, on a multi-node mesh, the
-// writer loop that serializes it onto the wire); the last release returns it
-// to the pool. Buffers abandoned on teardown paths are deliberately not
-// recycled — the GC reclaims them — so a receiver still reading a
-// payload during Close can never see the buffer reused.
-type refBuf struct {
-	b    []byte
-	refs atomic.Int32
+// What a round slot knows about one sender.
+const (
+	slotEmpty      uint8 = iota // nothing yet: the round is waiting for it
+	slotArrived                 // payload and mask row are valid
+	slotDead                    // pre-filled by a death verdict: nil to every receiver, not missed
+	slotLost                    // a deadline closure gave up on it: nil to every receiver, and missed
+	slotLostPosted              // lost, then posted by a hosted sender: heard by itself alone, shipped by the writer
+)
+
+// roundSlot is one round of the ring: one entry per sender. The payload
+// is copied once into a buffer the slot owns; the mask row says which
+// hosted receivers the policy (or the frame bitmap) delivered it to.
+type roundSlot struct {
+	tag    int      // the round this slot serves; 0 = never used
+	count  int      // senders no longer waited for; n = the round is closed
+	posted int      // hosted senders whose payload the writer can ship
+	state  []uint8  // per sender
+	buf    [][]byte // per sender, non-nil once arrived
+	mask   []uint64 // per sender `words` words: bit qi = delivered to hosted receiver qi
 }
 
-var bufPool = sync.Pool{New: func() any { return new(refBuf) }}
-
-// newRefBuf copies payload into a pooled buffer with the given initial
-// reference count.
-func newRefBuf(payload []byte, refs int32) *refBuf {
-	rb := bufPool.Get().(*refBuf)
-	rb.b = append(rb.b[:0], payload...)
-	rb.refs.Store(refs)
-	return rb
+// cursor is all a hosted receiver keeps: where it is in the ring and
+// what it parks on.
+type cursor struct {
+	entered  int           // round of its latest Gather call; payloads of earlier rounds are no longer read
+	awaiting int           // round a parked await is blocked on (0 = none)
+	ready    chan struct{} // pulsed when the awaited round closes or the mailbox fails or closes
+	timer    *time.Timer   // round-closure timer; nil without a deadline
+	missed   []int         // senders the last closure gave up on (scratch)
 }
 
-// release drops one reference; the last one returns the buffer to the
-// pool.
-func (rb *refBuf) release() {
-	if rb.refs.Add(-1) == 0 {
-		bufPool.Put(rb)
-	}
-}
-
-// slot is one sender's round-r delivery at one receiver: a payload view
-// (nil for a drop tombstone — the link was cut but the round still
-// closes) plus the backing buffer to release when the round is recycled.
-type slot struct {
-	payload []byte
-	buf     *refBuf
-	present bool
-}
-
-// mailbox is a receiver's round buffer: a fixed ring of `window` round
-// slots, each holding one delivery per sender. Senders (or a link's
-// reader loop) deposit without ever blocking, and the receiving process
-// parks in await until its round closes. How a round closes — and what a
-// deposit the ring cannot take means — is one policy, derived from the
-// mailbox's deadline:
+// mailbox is a mesh node's round buffer: a ring of `window` rounds, each
+// one slot per sender, read by every receiver the node hosts through its
+// own column of the round's delivery mask. A sender (or a link's reader
+// loop, for a whole frame) writes under one lock without ever blocking;
+// a receiving process parks in await until the node's round closes, and
+// the node's writer loop reads the hosted senders' slots out of the same
+// ring. A round closes once, for the node. How — and what a deposit the
+// ring cannot take means — is one policy, derived from the deadline:
 //
-//	deadline  a round closes               duplicate / out-of-window deposit
+//	deadline  a round closes               unplaceable deposit
 //	0         by count: all n senders      protocol violation: fails the
 //	          deposited or declared dead   mailbox (the link is reliable, so
 //	                                       the frame cannot be explained)
-//	> 0       by count, or deadline then   late or replayed datagram: ignored,
-//	          grace windows until one      its buffer reference released
-//	          passes with no new arrival
+//	> 0       by count, or sealed by the   late or replayed datagram:
+//	          first hosted receiver whose  ignored
+//	          deadline, then a grace
+//	          window, pass with no arrival
 //
-// Under a deadline, absence is loss: senders still missing at closure
-// are recorded as nil payloads — to the process above, real loss is
-// indistinguishable from an injected-drop tombstone — and reported to
-// the caller for its stall detector. Injected drops (Policy tombstones
-// carried in the frame bitmap) still arrive as explicit nil deposits,
-// so a round whose losses are all injected closes immediately; the
-// deadline only pays for frames the network genuinely lost.
+// A deposit is placeable iff 1 <= r <= asked+2 (bounded lookahead: no
+// sender is more than one round past the lowest un-gathered round), its
+// ring slot has not moved past r, and the sender's entry is empty.
 //
-// Wake-ups use a 1-buffered pulse channel so a deadline await can select
-// between arrivals and its round timer without polling. Deposits pulse
-// only when they complete the awaited round: a partial arrival changes
-// nothing a parked await could act on (the deadline+grace rule samples
-// progress at timer fires, not at arrivals), and the skipped wake-park
-// cycles are a measurable share of a fast round's budget. A count-only
-// await never touches the timer — arming and stopping it every round
-// costs 30-50% of an in-process round.
+// Under a deadline, absence is loss: the seal marks the senders still
+// missing lost, every hosted receiver reads them as nil — to the process
+// above, real loss is indistinguishable from an injected drop — and
+// reports the same missed list to its stall detector. Injected drops are
+// cleared mask bits and dead senders are pre-filled, so a round whose
+// losses are all injected closes by count; the deadline only pays for
+// frames the network genuinely lost.
+//
+// The ring recycles by round tag: whoever first touches round r turns
+// slot r%window over from an earlier round. The slot's buffers are
+// reused only if every hosted receiver has called Gather past that
+// round; otherwise they are left to the GC, so a receiver that stopped
+// gathering neither wedges the others nor sees a view overwritten.
+//
+// Wake-ups use 1-buffered pulse channels so a deadline await can select
+// between closure and its round timer without polling. Only closure
+// pulses: a partial arrival changes nothing a parked await could act on
+// (the deadline+grace rule samples progress at timer fires). A
+// count-only await never touches a timer — arming and stopping one every
+// round costs 30-50% of an in-process round.
 type mailbox struct {
 	mu sync.Mutex
-	n  int
+	n  int // senders: every process of the mesh
+
+	lo, hosted int // hosted receivers [lo, lo+hosted)
+	words      int // mask words per sender
 
 	deadline, grace time.Duration // closure policy; deadline 0 = by count only
 
-	gathered int // highest round already handed to the process
-	released int // highest round whose buffers were recycled
-	awaiting int // round a parked await is blocked on (0 = none)
-	count    [window]int
-	slots    [window][]slot
-	dead     []int // per sender: first dead round (0 = alive), lazily allocated
-	missed   []int // senders the last deadline closure gave up on (scratch)
+	asked int // highest round any hosted receiver has called Gather for
+	ring  [window]roundSlot
+	recv  []cursor
+	dead  []int    // per sender: first dead round (0 = alive), lazily allocated
+	row   []uint64 // mask-row scratch, for whoever holds mu
 
-	ready chan struct{} // pulsed when the awaited round completes or the state changes
-	timer *time.Timer   // round-closure timer, owned by the awaiting process; nil without a deadline
+	writing bool          // a writer loop ships the hosted senders' slots
+	shipped int           // highest round the writer is done with
+	wready  chan struct{} // pulsed when the writer's round may be complete
 
 	err    error
 	closed bool
 }
 
-func newMailbox(n int, deadline, grace time.Duration) *mailbox {
-	b := &mailbox{n: n, deadline: deadline, grace: grace, ready: make(chan struct{}, 1)}
-	if deadline > 0 {
-		b.timer = time.NewTimer(time.Hour)
-		b.timer.Stop()
+func newMailbox(n, lo, hosted int, deadline, grace time.Duration) *mailbox {
+	words := (hosted + 63) / 64
+	b := &mailbox{
+		n: n, lo: lo, hosted: hosted, words: words,
+		deadline: deadline, grace: grace,
+		recv:   make([]cursor, hosted),
+		row:    make([]uint64, words),
+		wready: make(chan struct{}, 1),
 	}
-	for i := range b.slots {
-		b.slots[i] = make([]slot, n)
+	for i := range b.ring {
+		b.ring[i] = roundSlot{state: make([]uint8, n), buf: make([][]byte, n), mask: make([]uint64, n*b.words)}
+	}
+	for i := range b.recv {
+		c := &b.recv[i]
+		c.ready = make(chan struct{}, 1)
+		if deadline > 0 {
+			c.timer = time.NewTimer(time.Hour)
+			c.timer.Stop()
+		}
 	}
 	return b
 }
 
-// pulseLocked nudges a parked await; a pulse already pending is enough.
-func (b *mailbox) pulseLocked() {
+// pulse nudges a parked goroutine; a pulse already pending is enough.
+func pulse(ch chan struct{}) {
 	select {
-	case b.ready <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
 
-// deposit delivers sender from's round-r frame (payload nil = drop
-// tombstone). It never blocks; buf, when non-nil, must already carry
-// this receiver's reference, which is released here if the deposit is
-// ignored. A frame from a declared-dead sender (its slot was pre-filled
-// by markDead) is in-flight bytes racing the death verdict: dropped
-// under either policy, never a violation.
-func (b *mailbox) deposit(from, r int, payload []byte, buf *refBuf) {
+// wakeLocked pulses the receivers parked on round r; r = 0 pulses every
+// parked receiver and the writer.
+func (b *mailbox) wakeLocked(r int) {
+	for i := range b.recv {
+		if c := &b.recv[i]; c.awaiting != 0 && (c.awaiting == r || r == 0) {
+			pulse(c.ready)
+		}
+	}
+	if r == 0 {
+		pulse(b.wready)
+	}
+}
+
+func (b *mailbox) hosts(p int) bool { return uint(p-b.lo) < uint(b.hosted) }
+
+// setBit sets hosted receiver qi's bit in a mask row.
+func setBit(row []uint64, qi int) { row[qi>>6] |= 1 << (qi & 63) }
+
+// deadAt reports whether sender q is declared dead for round r.
+func (b *mailbox) deadAt(q, r int) bool {
+	return b.dead != nil && b.dead[q] != 0 && r >= b.dead[q]
+}
+
+// turnLocked returns the ring slot serving round r, turning it over if r
+// is the first to touch it: the earlier round's entries are cleared and
+// the dead senders' pre-filled — death is permanent. nil when the slot
+// already serves a later round, or when turning it over would recycle a
+// round the writer has not shipped, which fails the mailbox.
+func (b *mailbox) turnLocked(r int) *roundSlot {
+	s := &b.ring[r%window]
+	if s.tag == r {
+		return s
+	}
+	if s.tag > r {
+		return nil
+	}
+	if b.writing && s.tag > b.shipped {
+		b.failLocked(fmt.Errorf("transport: node of p%d: round %d overran the writer window (round %d not shipped)",
+			b.lo+1, r, s.tag))
+		return nil
+	}
+	for i := range b.recv {
+		if b.recv[i].entered <= s.tag {
+			clear(s.buf) // someone may still read the old views: leave them to the GC
+			break
+		}
+	}
+	clear(s.state)
+	s.tag, s.count, s.posted = r, 0, 0
+	for q, from := range b.dead {
+		if from != 0 && r >= from {
+			s.state[q] = slotDead
+			s.count++
+		}
+	}
+	return s
+}
+
+// openLocked reports whether round slot s (nil = recycled or failed) is
+// still waiting for senders on a live mailbox.
+func (b *mailbox) openLocked(s *roundSlot) bool {
+	return s != nil && s.count < b.n && b.err == nil && !b.closed
+}
+
+// deposit places sender from's round-r frame: payload for the hosted
+// receivers whose bit is set in row, a drop tombstone for the rest. It
+// never blocks; a deposit that fails the mailbox surfaces at the next
+// await.
+func (b *mailbox) deposit(from, r int, payload []byte, row []uint64) {
 	b.mu.Lock()
-	if b.closed || b.err != nil {
-		// Teardown: abandon the buffer to the GC (see close).
-		b.mu.Unlock()
-		return
-	}
-	fromDead := b.dead != nil && b.dead[from] != 0 && r >= b.dead[from]
-	outside := r <= b.released || r > b.released+window
-	if fromDead || outside || b.slots[r%window][from].present {
-		if !fromDead && b.deadline == 0 {
-			if outside {
-				b.failLocked(fmt.Errorf("transport: round-%d frame from p%d outside the receive window (%d, %d]",
-					r, from+1, b.released, b.released+window))
-			} else {
-				b.failLocked(fmt.Errorf("transport: duplicate round-%d frame from p%d", r, from+1))
-			}
-			b.mu.Unlock()
-			return
-		}
-		b.mu.Unlock()
-		if buf != nil {
-			buf.release()
-		}
-		return
-	}
-	// Field writes, not a slot literal: the composite assignment compiles
-	// to a temporary plus a copy and costs a tenth of an in-process round.
-	s := &b.slots[r%window][from]
-	s.payload, s.buf, s.present = payload, buf, true
-	b.count[r%window]++
-	if r == b.awaiting && b.count[r%window] == b.n {
-		b.pulseLocked()
-	}
+	b.depositLocked(from, r, payload, row)
 	b.mu.Unlock()
 }
 
-// await blocks until round r closes under the mailbox's policy and fills
-// `into` with the payload views (nil entries for drops, injected or
-// real). Rounds must be awaited in order; round r-1's buffers are
-// recycled on entry (the caller's validity contract: payloads live until
-// the next Gather). The second result lists the senders a deadline
-// closure gave up on (nil when the round closed by count); it is valid
-// only until the next await call.
-func (b *mailbox) await(r int, into [][]byte) ([][]byte, []int, error) {
+// depositLocked is deposit under b.mu. A frame from a declared-dead
+// sender is in-flight bytes racing the death verdict: dropped under
+// either policy, never a violation.
+func (b *mailbox) depositLocked(from, r int, payload []byte, row []uint64) {
+	if b.closed || b.err != nil || b.deadAt(from, r) {
+		return
+	}
+	var s *roundSlot
+	if r >= 1 && r <= b.asked+2 {
+		s = b.turnLocked(r)
+	}
+	switch {
+	case s != nil && s.state[from] == slotEmpty:
+		s.state[from] = slotArrived
+		if s.count++; s.count == b.n {
+			b.wakeLocked(r)
+		}
+	case s != nil && s.state[from] == slotLost && b.hosts(from):
+		// The node sealed the round before this hosted sender posted it:
+		// only the sender still hears itself (the model requires the
+		// self-loop), and so do its peers on other nodes.
+		s.state[from] = slotLostPosted
+		clear(b.row)
+		setBit(b.row, from-b.lo)
+		row = b.row
+	case b.deadline > 0 || b.err != nil:
+		return // a late or replayed datagram, or turnLocked failed the mailbox
+	case s == nil:
+		b.failLocked(fmt.Errorf("transport: round-%d frame from p%d outside the receive window [1, %d]",
+			r, from+1, b.asked+2))
+		return
+	default:
+		b.failLocked(fmt.Errorf("transport: duplicate round-%d frame from p%d", r, from+1))
+		return
+	}
+	copy(s.mask[from*b.words:], row)
+	// A kept payload is non-nil whatever its length: nil means "not
+	// delivered" to Gather's caller and "dead sender" to the writer.
+	if s.buf[from] = append(s.buf[from][:0], payload...); s.buf[from] == nil {
+		s.buf[from] = []byte{}
+	}
+	if b.hosts(from) {
+		// The writer wakes when the hosted row is complete.
+		if s.posted++; b.writing && s.posted >= b.writerTargetLocked(r) {
+			pulse(b.wready)
+		}
+	}
+}
+
+// writerTargetLocked is the number of round-r posts the writer loop must
+// wait for: the hosted senders not declared dead for r.
+func (b *mailbox) writerTargetLocked(r int) int {
+	target := b.hosted
+	for q := b.lo; b.dead != nil && q < b.lo+b.hosted; q++ {
+		if b.deadAt(q, r) {
+			target--
+		}
+	}
+	return target
+}
+
+// awaitPosted parks the node's writer until every live hosted sender has
+// posted round r, then fills bufs with their payloads (nil for a dead
+// sender: it ships as an all-links tombstone). The views stay valid
+// until the next call, which tells the ring round r-1 is shipped. false
+// means nothing is left to ship, ever — the mailbox is closed or failed,
+// or every hosted sender is dead, their slots pre-filled mesh-wide by
+// the verdict — and the writer stops guarding the ring.
+func (b *mailbox) awaitPosted(r int, bufs [][]byte) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.shipped = r - 1
+	for {
+		target := b.writerTargetLocked(r)
+		if b.closed || b.err != nil || target == 0 {
+			b.writing = false
+			return false
+		}
+		if s := &b.ring[r%window]; s.tag == r && s.posted >= target {
+			for i := range bufs {
+				bufs[i] = nil
+				if st := s.state[b.lo+i]; st == slotArrived || st == slotLostPosted {
+					bufs[i] = s.buf[b.lo+i]
+				}
+			}
+			return true
+		}
+		b.mu.Unlock()
+		<-b.wready
+		b.mu.Lock()
+	}
+}
+
+// await blocks hosted receiver qi until round r closes under the
+// mailbox's policy and fills `into` with its column of the round: the
+// payload views, nil for drops, injected or real. Rounds must be awaited
+// in order; the views are valid until the receiver's next await. The
+// second result lists the senders a deadline closure gave up on (nil
+// when the round closed by count), valid as long as the views. A
+// receiver that asks for a round the ring has already recycled has
+// missed all of it: a violation by count, an all-missed round under a
+// deadline.
+func (b *mailbox) await(qi, r int, into [][]byte) ([][]byte, []int, error) {
 	if cap(into) < b.n {
 		into = make([][]byte, b.n)
 	}
 	into = into[:b.n]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if r != b.gathered+1 {
-		err := fmt.Errorf("transport: Gather(%d) after round %d (rounds must be gathered in order)", r, b.gathered)
-		b.failLocked(err)
-		return nil, nil, err
-	}
-	b.releaseUpToLocked(r - 1)
-	b.missed = b.missed[:0]
-	idx := r % window
-	if b.openLocked(idx) {
-		b.awaiting = r
-		if b.deadline == 0 {
-			for b.openLocked(idx) {
-				b.mu.Unlock()
-				<-b.ready
-				b.mu.Lock()
-			}
-		} else {
-			b.awaitDeadlineLocked(idx)
+	c := &b.recv[qi]
+	var s *roundSlot
+	switch {
+	case b.err != nil || b.closed:
+	case r != c.entered+1:
+		b.failLocked(fmt.Errorf("transport: Gather(%d) after round %d (rounds must be gathered in order)", r, c.entered))
+	default:
+		c.entered = r
+		b.asked = max(b.asked, r)
+		if s = b.turnLocked(r); b.openLocked(s) {
+			c.awaiting = r
+			s = b.parkLocked(c, r)
+			c.awaiting = 0
 		}
-		b.awaiting = 0
+		if s == nil && b.deadline == 0 {
+			b.failLocked(fmt.Errorf("transport: Gather(%d) after the ring moved on to round %d", r, b.ring[r%window].tag))
+		}
 	}
 	if b.err != nil {
 		return nil, nil, b.err
@@ -213,127 +349,109 @@ func (b *mailbox) await(r int, into [][]byte) ([][]byte, []int, error) {
 	if b.closed {
 		return nil, nil, ErrClosed
 	}
-	b.gathered = r
-	for q, s := range b.slots[idx] {
-		into[q] = s.payload
+	c.missed = c.missed[:0]
+	w, bit := qi>>6, uint64(1)<<(qi&63)
+	for q := range into {
+		st := slotLost // of a recycled round, all is missed
+		if s != nil {
+			st = s.state[q]
+		} else if b.deadAt(q, r) {
+			st = slotDead
+		}
+		var heard []byte
+		switch {
+		case (st == slotArrived || st == slotLostPosted) && s.mask[q*b.words+w]&bit != 0:
+			heard = s.buf[q]
+		case st >= slotLost:
+			c.missed = append(c.missed, q)
+		}
+		into[q] = heard
 	}
-	missed := b.missed
-	if len(missed) == 0 {
-		missed = nil
+	if len(c.missed) == 0 {
+		return into, nil, nil
 	}
-	return into, missed, nil
+	return into, c.missed, nil
 }
 
-// openLocked reports whether the round in ring slot idx is still
-// waiting for senders on a live mailbox.
-func (b *mailbox) openLocked(idx int) bool {
-	return b.count[idx] < b.n && b.err == nil && !b.closed
-}
-
-// awaitDeadlineLocked parks until the round in slot idx completes or the
-// deadline+grace rule seals it: once the deadline fires, the round gets
-// one grace window per burst of new arrivals, and closes the first time
-// a grace window passes with no progress. Every sender still missing
-// becomes a nil payload and is recorded in b.missed for the stall
-// detector: an injected drop arrives as an explicit tombstone and a dead
-// sender's slot is pre-filled, so a missed entry means the network (or a
-// crashed peer) went silent.
-func (b *mailbox) awaitDeadlineLocked(idx int) {
-	b.timer.Reset(b.deadline)
-	inGrace := false
-	seen := b.count[idx]
-	for b.openLocked(idx) {
-		b.mu.Unlock()
-		select {
-		case <-b.ready:
-			b.mu.Lock()
-		case <-b.timer.C:
-			b.mu.Lock()
-			if !b.openLocked(idx) {
-				continue
-			}
-			if inGrace && b.count[idx] == seen {
-				ss := b.slots[idx]
-				for i := range ss {
-					if !ss[i].present {
-						ss[i] = slot{present: true}
-						b.missed = append(b.missed, i)
+// parkLocked parks receiver c until round r is no longer open and
+// returns its slot (nil if the ring recycled it meanwhile). Under a
+// deadline, once the deadline fires the round gets one grace window per
+// burst of new arrivals, and the first receiver to see a grace window
+// pass with no progress seals it for the node.
+func (b *mailbox) parkLocked(c *cursor, r int) *roundSlot {
+	if c.timer != nil {
+		c.timer.Reset(b.deadline)
+		defer c.timer.Stop()
+	}
+	fired, inGrace, seen := false, false, 0
+	for {
+		s := b.turnLocked(r)
+		if !b.openLocked(s) {
+			return s
+		}
+		if fired {
+			if inGrace && s.count == seen {
+				for q, st := range s.state {
+					if st == slotEmpty {
+						s.state[q] = slotLost
 					}
 				}
-				b.count[idx] = b.n
-				continue
+				s.count = b.n
+				b.wakeLocked(r)
+				return s
 			}
-			inGrace = true
-			seen = b.count[idx]
-			b.timer.Reset(b.grace)
+			inGrace, seen = true, s.count
+			c.timer.Reset(b.grace)
 		}
+		b.mu.Unlock()
+		if c.timer == nil {
+			<-c.ready
+		} else {
+			select {
+			case <-c.ready:
+				fired = false
+			case <-c.timer.C:
+				fired = true
+			}
+		}
+		b.mu.Lock()
 	}
-	b.timer.Stop()
 }
 
 // markDead declares sender `from` dead from round fromRound onward
-// (fromRound <= 1 means from the beginning): its missing deliveries for
-// every affected in-window round are pre-filled as nil payloads so the
-// rounds close by count instead of wedging (count-only) or burning the
-// deadline, future rounds are pre-filled as their slots recycle, and any
-// frame from it still in flight is silently dropped. Absence is
-// converted to an explicit, permanent tombstone the moment the death
-// verdict lands.
+// (fromRound <= 1 means from the beginning): its missing entries for
+// every affected round in the ring are pre-filled so the rounds close by
+// count instead of wedging (count-only) or burning the deadline, later
+// rounds are pre-filled as their slots turn over, any frame from it
+// still in flight is silently dropped, and the writer stops waiting for
+// it. Absence is converted to an explicit, permanent tombstone the
+// moment the death verdict lands.
 func (b *mailbox) markDead(from, fromRound int) {
 	if fromRound < 1 {
 		fromRound = 1
 	}
 	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.closed || b.err != nil || (b.dead != nil && b.dead[from] != 0 && b.dead[from] <= fromRound) {
-		b.mu.Unlock()
 		return
 	}
 	if b.dead == nil {
 		b.dead = make([]int, b.n)
 	}
 	b.dead[from] = fromRound
-	for rr := b.released + 1; rr <= b.released+window; rr++ {
-		if rr < fromRound {
-			continue
-		}
-		if s := &b.slots[rr%window][from]; !s.present {
-			s.present = true
-			b.count[rr%window]++
-		}
-	}
-	b.pulseLocked()
-	b.mu.Unlock()
-}
-
-// releaseUpToLocked recycles every round up to and including r. A
-// recycled slot next serves round rr+window, so dead senders' entries
-// are pre-filled here — death is permanent.
-func (b *mailbox) releaseUpToLocked(r int) {
-	for rr := b.released + 1; rr <= r; rr++ {
-		ss := b.slots[rr%window]
-		for i := range ss {
-			if ss[i].buf != nil {
-				ss[i].buf.release()
-			}
-			ss[i] = slot{}
-		}
-		b.count[rr%window] = 0
-		if b.dead != nil {
-			for i := range ss {
-				if b.dead[i] != 0 && rr+window >= b.dead[i] {
-					ss[i].present = true
-					b.count[rr%window]++
-				}
+	for i := range b.ring {
+		if s := &b.ring[i]; s.tag >= fromRound && s.state[from] == slotEmpty {
+			s.state[from] = slotDead
+			if s.count++; s.count == b.n {
+				b.wakeLocked(s.tag)
 			}
 		}
 	}
-	if r > b.released {
-		b.released = r
-	}
+	pulse(b.wready)
 }
 
-// fail poisons the mailbox: the pending and all future awaits return
-// err. Used by the mesh to surface link failures.
+// fail poisons the mailbox: pending and future awaits return err. Used
+// by the mesh to surface link failures.
 func (b *mailbox) fail(err error) {
 	b.mu.Lock()
 	b.failLocked(err)
@@ -343,18 +461,17 @@ func (b *mailbox) fail(err error) {
 func (b *mailbox) failLocked(err error) {
 	if b.err == nil && !b.closed {
 		b.err = err
-		b.pulseLocked()
+		b.wakeLocked(0)
 	}
 }
 
-// close wakes any parked await with ErrClosed. In-flight buffers are
-// dropped on the floor for the GC — recycling them here could hand a
-// buffer a receiver is still reading back to a concurrent sender.
+// close wakes every parked await with ErrClosed, and the writer. Slot
+// buffers are left to the GC: a receiver may still be reading one.
 func (b *mailbox) close() {
 	b.mu.Lock()
 	if !b.closed {
 		b.closed = true
-		b.pulseLocked()
+		b.wakeLocked(0)
 	}
 	b.mu.Unlock()
 }

@@ -9,13 +9,13 @@ import (
 // mesh is the round-mesh core every transport in this package is built
 // on: it owns everything about closing a round that is not a socket.
 // Processes are partitioned contiguously across m mesh nodes. Each node
-// hosts its processes' mailboxes; co-hosted delivery is a direct deposit
-// and never leaves memory. For the other nodes, each node runs one
-// writer event loop that waits for every live hosted sender's round-r
-// contribution, coalesces them into one frame body per peer node
-// (frame.go), and hands the bodies to the link; bodies the link receives
-// are fanned back out into the hosted mailboxes. Goroutines, frames and
-// link operations per round scale with nodes, not with processes.
+// has one mailbox, the round ring its hosted processes all read;
+// co-hosted delivery is one write into it and never leaves memory. For
+// the other nodes, each node runs one writer event loop that waits for
+// every live hosted sender's round-r slot, coalesces them into one frame
+// body per peer node (frame.go), and hands the bodies to the link; a
+// body the link receives goes into the node's ring under one lock.
+// Goroutines, frames and link operations per round scale with nodes.
 //
 // The three exported transports are this core under three links: InProc
 // is the single-node mesh, which needs no link at all; TCPMesh carries
@@ -67,7 +67,7 @@ type link interface {
 }
 
 // newMesh validates the shape shared by every constructor and builds the
-// nodes and mailboxes. On a multi-node mesh the caller then sets link
+// nodes and their mailboxes. On a multi-node mesh the caller then sets link
 // (before opening any socket, so that Close releases a half-built link)
 // and, once the link can send and receive, calls startWriters.
 func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
@@ -91,16 +91,8 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 	_, t.perfect = pol.(Perfect)
 	for i := 0; i < t.m; i++ {
 		nd := &meshNode{t: t, id: i, lo: t.nodeLo(i), hi: t.nodeLo(i + 1)}
-		nd.cond.L = &nd.mu
-		nd.boxes = make([]*mailbox, nd.localN())
-		for j := range nd.boxes {
-			nd.boxes[j] = newMailbox(n, opts.deadline, opts.grace)
-		}
-		if t.m > 1 {
-			for r := range nd.pending {
-				nd.pending[r] = make([]*refBuf, nd.localN())
-			}
-		}
+		nd.box = newMailbox(n, nd.lo, nd.localN(), opts.deadline, opts.grace)
+		nd.box.writing = t.m > 1
 		t.nodes = append(t.nodes, nd)
 	}
 	if opts.meter != nil {
@@ -203,23 +195,26 @@ func (t *mesh) Endpoint(self int) (Endpoint, error) {
 	}
 	t.claimed[self] = true
 	nd := t.nodes[t.nodeOf(self)]
-	return &meshEndpoint{
-		nd:    nd,
-		self:  self,
-		box:   nd.boxes[self-nd.lo],
-		drops: make([]bool, nd.localN()),
+	ep := &meshEndpoint{
+		nd:   nd,
+		self: self,
+		row:  make([]uint64, nd.box.words),
 		stall: newStallDetector(t.n, t.opts.deadAfter, func(q int) {
 			t.markNodeDead(t.nodeOf(q))
 		}),
-	}, nil
+	}
+	for i := 0; i < nd.localN(); i++ {
+		setBit(ep.row, i) // what a Perfect policy delivers; any other rewrites it per round
+	}
+	return ep, nil
 }
 
 // MarkDead implements DeadMarker: process p's missing deliveries from
-// round fromRound onward become permanent nil tombstones at every
-// hosted mailbox of every node — count-closed rounds stop wedging on it,
+// round fromRound onward become permanent nil tombstones in every
+// node's mailbox — count-closed rounds stop wedging on it,
 // deadline-closed rounds stop waiting out its silence — and p's own
-// node's writer stops waiting for its contributions (its frame slots
-// ship as drop tombstones). This single call patches the whole mesh
+// node's writer stops waiting for its slots (they ship as drop
+// tombstones). This single call patches the whole mesh
 // because a loopback mesh is one object; on a real multi-host deployment
 // each host applies the same verdict to its local view when its own
 // detector fires.
@@ -233,12 +228,8 @@ func (t *mesh) MarkDead(p, fromRound int) {
 		return
 	}
 	for _, nd := range t.nodes {
-		for _, b := range nd.boxes {
-			b.markDead(p, fromRound)
-		}
+		nd.box.markDead(p, fromRound)
 	}
-	nd := t.nodes[t.nodeOf(p)]
-	nd.markDeadLocal(p-nd.lo, fromRound)
 }
 
 // markNodeDead is the terminal verdict of a stall detector or of a link
@@ -281,12 +272,7 @@ func (t *mesh) Close() error {
 		t.link.close()
 	}
 	for _, nd := range t.nodes {
-		nd.mu.Lock()
-		nd.cond.Broadcast() // writer loop re-checks t.done and exits
-		nd.mu.Unlock()
-		for _, b := range nd.boxes {
-			b.close()
-		}
+		nd.box.close() // parked Gathers and the writer loop wake and exit
 	}
 	return nil
 }
@@ -301,106 +287,28 @@ func closed(done <-chan struct{}) bool {
 	}
 }
 
-// meshNode is one event-loop domain of the mesh: the processes it
-// hosts, their receive mailboxes, and the outbound round-aggregation
-// state its writer loop consumes.
+// meshNode is one event-loop domain of the mesh: the processes it hosts
+// and the mailbox they share, which is also the outbound round state its
+// writer loop consumes.
 type meshNode struct {
 	t      *mesh
 	id     int
 	lo, hi int // hosted processes [lo, hi)
-	boxes  []*mailbox
-
-	mu       sync.Mutex
-	cond     sync.Cond
-	pending  [window][]*refBuf // [r%window][local sender] round contributions
-	pcount   [window]int
-	deadFrom []int // per local sender: first dead round (0 = alive), lazily allocated
+	box    *mailbox
 }
 
 func (nd *meshNode) localN() int { return nd.hi - nd.lo }
 
-// liveTargetLocked is the number of round-r contributions the writer
-// loop must wait for: the hosted senders not yet declared dead for r.
-func (nd *meshNode) liveTargetLocked(r int) int {
-	target := nd.localN()
-	for _, f := range nd.deadFrom {
-		if f != 0 && f <= r {
-			target--
-		}
-	}
-	return target
-}
-
-// markDeadLocal records a hosted sender's death for the writer loop: the
-// writer stops waiting for its contributions from fromRound onward and
-// ships its frame slots as drop tombstones.
-func (nd *meshNode) markDeadLocal(local, fromRound int) {
-	if fromRound < 1 {
-		fromRound = 1
-	}
-	nd.mu.Lock()
-	if nd.deadFrom == nil {
-		nd.deadFrom = make([]int, nd.localN())
-	}
-	if nd.deadFrom[local] == 0 || nd.deadFrom[local] > fromRound {
-		nd.deadFrom[local] = fromRound
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
-}
-
-// contribute hands a local sender's round-r payload to the writer loop.
-func (nd *meshNode) contribute(local, r int, rb *refBuf) error {
-	nd.mu.Lock()
-	if nd.pending[r%window][local] != nil {
-		nd.mu.Unlock()
-		return fmt.Errorf("transport: p%d round %d overran the writer window", nd.lo+local+1, r)
-	}
-	nd.pending[r%window][local] = rb
-	nd.pcount[r%window]++
-	if nd.pcount[r%window] >= nd.liveTargetLocked(r) {
-		nd.cond.Broadcast()
-	}
-	nd.mu.Unlock()
-	return nil
-}
-
 // writeLoop is the node's single outbound event loop: for each round in
-// order, once every live hosted process has contributed its payload, it
+// order, once every live hosted process has posted its payload, it
 // coalesces them into one frame body per peer node and hands each to
-// the link, then flushes the round. A dead local sender's contribution
-// is never waited for.
+// the link, then flushes the round. A dead local sender's post is never
+// waited for.
 func (nd *meshNode) writeLoop() {
 	t := nd.t
-	bufs := make([]*refBuf, nd.localN())
+	bufs := make([][]byte, nd.localN())
 	var body []byte
-	for r := 1; ; r++ {
-		nd.mu.Lock()
-		for {
-			target := nd.liveTargetLocked(r)
-			if target == 0 {
-				// The whole node is dead. Its receivers' slots are already
-				// pre-filled mesh-wide by the death verdict; nothing left
-				// to ship, ever.
-				nd.mu.Unlock()
-				return
-			}
-			if nd.pcount[r%window] >= target || closed(t.done) {
-				break
-			}
-			nd.cond.Wait()
-		}
-		if closed(t.done) {
-			nd.mu.Unlock()
-			return
-		}
-		copy(bufs, nd.pending[r%window])
-		for i := range nd.pending[r%window] {
-			nd.pending[r%window][i] = nil
-		}
-		nd.pcount[r%window] = 0
-		nd.mu.Unlock()
-
+	for r := 1; nd.box.awaitPosted(r, bufs); r++ {
 		var err error
 		for j := 0; j < t.m && err == nil && !closed(t.done); j++ {
 			if j == nd.id {
@@ -411,11 +319,6 @@ func (nd *meshNode) writeLoop() {
 		}
 		if err == nil {
 			err = t.link.flush(nd.id)
-		}
-		for _, rb := range bufs {
-			if rb != nil {
-				rb.release()
-			}
 		}
 		if closed(t.done) {
 			return
@@ -429,30 +332,27 @@ func (nd *meshNode) writeLoop() {
 	}
 }
 
-// deliver fans a round frame body received from peer node out to the
-// hosted mailboxes: each sender's payload (shared, reference-counted) or
-// drop tombstone goes straight into every local receiver's round slot.
-// A body that fails validation mid-walk stops there — the deposits
-// already made stand — and the error is the link's to interpret (a
-// corrupt stream is a failure, a corrupt datagram is loss).
+// deliver writes a round frame body received from peer node into the
+// node's mailbox under one lock: each sender's payload once, its bitmap
+// row as the delivery mask over the hosted receivers. A body that fails
+// validation mid-walk stops there — the deposits already made stand —
+// and the error is the link's to interpret (a corrupt stream is a
+// failure, a corrupt datagram is loss).
 func (nd *meshNode) deliver(peer, round int, body []byte) error {
-	t := nd.t
+	t, b := nd.t, nd.box
 	peerLo := t.nodeLo(peer)
 	snd := t.nodeLo(peer+1) - peerLo
 	rcv := nd.localN()
-	return decodeFrameBody(body, snd, rcv, func(si, delivered int, payload, bitmap []byte) {
-		var rb *refBuf
-		if delivered > 0 {
-			rb = newRefBuf(payload, int32(delivered))
-		}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return decodeFrameBody(body, snd, rcv, func(si, _ int, payload, bitmap []byte) {
+		clear(b.row)
 		for qi := 0; qi < rcv; qi++ {
-			bit := si*rcv + qi
-			if rb != nil && bitmap[bit>>3]&(1<<(bit&7)) != 0 {
-				nd.boxes[qi].deposit(peerLo+si, round, rb.b, rb)
-			} else {
-				nd.boxes[qi].deposit(peerLo+si, round, nil, nil)
+			if bit := si*rcv + qi; bitmap[bit>>3]&(1<<(bit&7)) != 0 {
+				setBit(b.row, qi)
 			}
 		}
+		b.depositLocked(peerLo+si, round, payload, b.row)
 	})
 }
 
@@ -463,17 +363,14 @@ func (nd *meshNode) failLocal(err error) {
 	if closed(nd.t.done) {
 		return
 	}
-	for _, b := range nd.boxes {
-		b.fail(err)
-	}
+	nd.box.fail(err)
 }
 
 // meshEndpoint is process self's port onto a mesh.
 type meshEndpoint struct {
 	nd    *meshNode
 	self  int
-	box   *mailbox
-	drops []bool         // per-broadcast local drop decisions, reused across rounds
+	row   []uint64       // this round's delivery mask over the node's hosted receivers
 	stall *stallDetector // nil unless deadAfter > 0
 }
 
@@ -483,12 +380,12 @@ func (ep *meshEndpoint) Self() int { return ep.self }
 // N implements Endpoint.
 func (ep *meshEndpoint) N() int { return ep.nd.t.n }
 
-// Broadcast implements Endpoint. The payload is copied once into a
-// pooled buffer shared (read-only) by every co-hosted receiver it is
-// delivered to — a direct deposit, no link involved; locally dropped
-// links get a tombstone deposit so the receivers' rounds still close.
-// On a multi-node mesh one extra reference goes to the node's writer
-// loop, which makes the drop decisions for remote links when it builds
+// Broadcast implements Endpoint: the policy's answers for the co-hosted
+// links become this sender's mask row, and payload and row go into the
+// node's mailbox in one write — no link involved; a locally dropped link
+// is a cleared bit, so the receivers' round still closes. On a
+// multi-node mesh the node's writer loop reads the payload out of the
+// same slot and makes the drop decisions for remote links when it builds
 // the frame bitmaps.
 func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 	if len(payload) > MaxPayload {
@@ -499,29 +396,16 @@ func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 	if closed(t.done) {
 		return ErrClosed
 	}
-	refs := int32(0)
-	for i := range ep.drops {
-		to := nd.lo + i
-		drop := to != ep.self && !t.pol.Deliver(r, ep.self, to)
-		ep.drops[i] = drop
-		if !drop {
-			refs++
+	if !t.perfect {
+		clear(ep.row)
+		for i := 0; i < nd.localN(); i++ {
+			// Self-delivery is unconditional.
+			if to := nd.lo + i; to == ep.self || t.pol.Deliver(r, ep.self, to) {
+				setBit(ep.row, i)
+			}
 		}
 	}
-	if t.m > 1 {
-		refs++ // the writer loop's reference
-	}
-	rb := newRefBuf(payload, refs) // >= 1: self-delivery is unconditional
-	for i, drop := range ep.drops {
-		if drop {
-			nd.boxes[i].deposit(ep.self, r, nil, nil)
-		} else {
-			nd.boxes[i].deposit(ep.self, r, rb.b, rb)
-		}
-	}
-	if t.m > 1 {
-		return nd.contribute(ep.self-nd.lo, r, rb)
-	}
+	nd.box.deposit(ep.self, r, payload, ep.row)
 	return nil
 }
 
@@ -531,7 +415,7 @@ func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 // the meter if one is attached.
 func (ep *meshEndpoint) Gather(r int, into [][]byte) ([][]byte, error) {
 	t := ep.nd.t
-	recv, missed, err := ep.box.await(r, into)
+	recv, missed, err := ep.nd.box.await(ep.self-ep.nd.lo, r, into)
 	if err != nil {
 		return nil, err
 	}

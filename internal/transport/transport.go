@@ -5,18 +5,19 @@
 //
 // Closing a round with a heard-set is one job, so it is implemented
 // once: the unexported mesh core (mesh.go) partitions the processes onto
-// nodes, hosts one mailbox per receiver (mailbox.go), delivers between
-// co-hosted processes by direct deposit, and coalesces everything a node
-// sends a peer node in a round into one frame body (frame.go: a drop
-// bitmap over the sender x receiver link matrix, then each delivering
-// sender's payload once). A link — the package's one internal seam —
-// only moves finished frame bodies between nodes. The three exported
-// transports are the core under three links:
+// nodes, gives each node one mailbox (mailbox.go) — a ring of rounds, one
+// slot per sender, written once per sender and read by every hosted
+// receiver through its column of the round's delivery mask — and
+// coalesces everything a node sends a peer node in a round into one
+// frame body (frame.go: a drop bitmap over the sender x receiver link
+// matrix, then each delivering sender's payload once). A link — the
+// package's one internal seam — only moves finished frame bodies between
+// nodes. The three exported transports are the core under three links:
 //
-//   - InProc — the single-node mesh. With every mailbox on one node
-//     there is nothing to move and no link: zero goroutines, zero OS
-//     involvement; the transport used by the agreement service
-//     (internal/service) for its sessions.
+//   - InProc — the single-node mesh. With one mailbox there is nothing
+//     to move and no link: zero goroutines, zero OS involvement; the
+//     transport used by the agreement service (internal/service) for its
+//     sessions.
 //   - TCPMesh — the stream link (tcp.go): one duplex TCP stream per node
 //     pair (loopback or a LAN), each round's frame length-prefixed and
 //     written with one writev, one reader goroutine per stream end. In
@@ -31,20 +32,20 @@
 //     tolerates arbitrary loss given a stable skeleton, so nothing is
 //     retransmitted.
 //
-// How a round closes is the mailbox's policy, derived from its deadline:
-// with none (InProc, TCPMesh) a round closes by count — every sender
-// deposited or was declared dead — and an unplaceable frame is a
-// protocol violation; with one (UDPMesh, TCPMesh in chaos mode) a round
-// closes by count or by deadline plus grace, senders still missing
-// become nil deliveries, and late or duplicate frames are ignored.
-// Payloads travel in pooled reference-counted buffers, so the
-// steady-state round allocates nothing and a receiver wakes exactly once
-// per round.
+// How a round closes is the mailbox's policy, derived from its deadline,
+// and it closes once, for the node: with no deadline (InProc, TCPMesh)
+// by count — every sender deposited or was declared dead — and an
+// unplaceable frame is a protocol violation; with one (UDPMesh, TCPMesh
+// in chaos mode) by count or by deadline plus grace, senders still
+// missing become nil deliveries, and late or duplicate frames are
+// ignored. A payload is copied once into a buffer its ring slot owns
+// and reuses, so the steady-state round allocates nothing and a
+// receiver wakes exactly once per round.
 //
 // All are driven by a Policy, the per-link fault injector: it decides
 // which links deliver, on the sending side (a dropped payload never
-// crosses the wire; a tombstone — a nil deposit, or a cleared bitmap bit —
-// still closes the round). Because every adversary schedule from
+// crosses the wire; a tombstone — a cleared mask or bitmap bit — still
+// closes the round). Because every adversary schedule from
 // internal/adversary is a Policy (see Schedule), any simulated run can be
 // replayed over a real transport — the differential harness in
 // internal/runtime proves the replay is decision-for-decision identical
@@ -88,7 +89,7 @@
 //  3. Bounded lookahead: a sender is never more than a constant number of
 //     rounds ahead of any receiver (the runtime's pipelined control
 //     barrier bounds it at one round past the lowest un-gathered round),
-//     so per-receiver buffering is O(1) — a fixed `window`-slot ring.
+//     so per-node buffering is O(1) rounds — a fixed `window`-slot ring.
 //  4. Self-delivery: a process always receives its own round-r payload
 //     (the model requires all self-loops); Policy is never consulted for
 //     the self link.

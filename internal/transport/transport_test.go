@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"kset/internal/adversary"
+	"kset/internal/graph"
 )
 
 // payloadFor is the test payload of process p in round r: enough bytes
@@ -216,6 +217,59 @@ func TestScheduleDropsMatchHeardSets(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEmptyPayloadIsDelivered: Gather reads nil as "the link did not
+// deliver", so a delivered payload must be non-nil whatever its length —
+// on the in-memory path and out of a decoded frame — and nil exactly on
+// the links the policy drops. (A pooled buffer that had never carried
+// bytes used to turn a delivered empty payload into nil.)
+func TestEmptyPayloadIsDelivered(t *testing.T) {
+	const n, rounds = 4, 2 * window
+	cut := graph.CompleteDigraph(n)
+	cut.RemoveEdge(0, 1) // inside node 0 of the 2-node mesh
+	cut.RemoveEdge(3, 0) // across its nodes
+	policies := map[string]Policy{"perfect": Perfect{}, "schedule": NewSchedule(adversary.Static(cut))}
+	meshes := map[string]func(Policy) (Transport, error){
+		"inproc":     func(pol Policy) (Transport, error) { return NewInProc(n, pol), nil },
+		"tcp-nodes2": func(pol Policy) (Transport, error) { return NewTCPMeshLoopbackOpts(n, 2, pol, TCPOpts{}) },
+	}
+	for mesh, mk := range meshes {
+		for name, pol := range policies {
+			t.Run(mesh+"/"+name, func(t *testing.T) {
+				tr, err := mk(pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				eps := make([]Endpoint, n)
+				for i := range eps {
+					if eps[i], err = tr.Endpoint(i); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for r := 1; r <= rounds; r++ {
+					for _, ep := range eps {
+						if err := ep.Broadcast(r, []byte{}); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for q, ep := range eps {
+						recv, err := ep.Gather(r, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for p, payload := range recv {
+							delivered := p == q || pol.Deliver(r, p, q)
+							if (payload != nil) != delivered || len(payload) != 0 {
+								t.Fatalf("round %d, link p%d -> p%d: got %v, delivered = %v", r, p+1, q+1, payload, delivered)
+							}
+						}
+					}
+				}
+			})
+		}
 	}
 }
 
