@@ -269,26 +269,35 @@ func BenchmarkMinK(b *testing.B) {
 // the full vector — with no algorithm or codec cost. One op is one
 // round across all n endpoints (goroutines pace each other through
 // round closure, so ns/op is the transport's round latency). The
-// benchdiff gate watches these alongside the BenchmarkHot family.
+// benchdiff gate watches these alongside the BenchmarkHot family. The
+// rows without a policy run the lossless one; the /schedule rows replay
+// a materialized RandomSingleSource run, the policy every live run has.
 func BenchmarkTransportRound(b *testing.B) {
+	sched := func(n int) transport.Policy {
+		return transport.NewSchedule(adversary.RandomSingleSource(n, n/4, 0.1, 0.3, rand.New(rand.NewSource(17))))
+	}
 	kinds := []struct {
 		name string
 		ns   []int
 		make func(n int) (transport.Transport, error)
 	}{
 		{"inproc", []int{8, 32}, func(n int) (transport.Transport, error) { return transport.NewInProc(n, nil), nil }},
-		// The fully distributed mesh runs only at n=8 here: at n=32 its
-		// ~1000 in-flight buffers per round make pool-eviction alloc
-		// counts GC-timing-dependent, which the benchdiff gate cannot
-		// tolerate (E19 covers that shape's throughput instead).
+		{"inproc/schedule", []int{32}, func(n int) (transport.Transport, error) { return transport.NewInProc(n, sched(n)), nil }},
+		// The fully distributed mesh runs only at n=8 here: at n=32 it is
+		// 32 nodes and ~1000 streams, a set-up and a round that would
+		// dominate the gate's run time (E19 covers that shape's
+		// throughput instead).
 		{"tcp", []int{8}, func(n int) (transport.Transport, error) {
 			return transport.NewTCPMeshLoopbackOpts(n, n, nil, transport.TCPOpts{})
 		}},
 		{"tcpnodes2", []int{8, 32}, func(n int) (transport.Transport, error) {
 			return transport.NewTCPMeshLoopbackOpts(n, 2, nil, transport.TCPOpts{})
 		}},
+		{"tcpnodes2/schedule", []int{32}, func(n int) (transport.Transport, error) {
+			return transport.NewTCPMeshLoopbackOpts(n, 2, sched(n), transport.TCPOpts{})
+		}},
 		// The UDP rows mirror the TCP ones (same n=8 restriction on the
-		// fully distributed shape, for the same pool-eviction reason).
+		// fully distributed shape, for the same reason).
 		// Default options: on a quiet loopback nothing is lost, so the
 		// round deadline never fires and ns/op measures the datagram
 		// batch path, not absence closure.

@@ -7,8 +7,8 @@ import (
 
 // MaterializeRun snapshots an arbitrary adversary into an eventually-
 // constant Run covering at least rounds 1..upTo. The distributed runtime
-// needs this in two ways: a transport's Schedule policy queries the
-// round graph once per link per round from n concurrent endpoints, so
+// needs this in two ways: a transport's Schedule policy reads the
+// round graph once per sender per round from n concurrent endpoints, so
 // the schedule must be a pure read (generator adversaries like Churn
 // rebuild an O(n²) graph on every Graph call and are not documented as
 // concurrency-safe); and the differential harness must feed the

@@ -153,6 +153,14 @@ func (g *Digraph) OutNeighbors(v int) NodeSet {
 	return g.out[v].Clone()
 }
 
+// OutRow returns the out-neighborhood of v itself, not a copy: a
+// read-only view, valid until g is next mutated, for a caller that copies
+// one row per round without allocating.
+func (g *Digraph) OutRow(v int) NodeSet {
+	g.check(v)
+	return g.out[v]
+}
+
 // InNeighbors returns a copy of the in-neighborhood of v. For a round graph
 // G^r this is exactly the set of processes v hears from in round r.
 func (g *Digraph) InNeighbors(v int) NodeSet {

@@ -91,12 +91,11 @@ func (s *NodeSet) Remove(v int) {
 	s.words[v/wordBits] &^= 1 << (v % wordBits)
 }
 
-// Has reports whether v is in the set.
+// Has reports whether v is in the set. A negative v wraps to a word
+// index past the end, so one unsigned compare covers both range checks.
 func (s NodeSet) Has(v int) bool {
-	if v < 0 || v/wordBits >= len(s.words) {
-		return false
-	}
-	return s.words[v/wordBits]&(1<<(v%wordBits)) != 0
+	w := uint(v) / wordBits
+	return w < uint(len(s.words)) && s.words[w]&(1<<(uint(v)%wordBits)) != 0
 }
 
 // Len returns the number of nodes in the set.

@@ -197,7 +197,9 @@ func TestDroppedLocalLinkStaysDropped(t *testing.T) {
 				}
 				for r := 1; r <= last; r++ {
 					for q := 0; q < n; q++ {
-						want := tc.adv.Graph(r).HasEdge(q, p) && (q == p || tc.plan.Sends(r, q, p))
+						sent := graph.FullNodeSet(n)
+						tc.plan.cut(r, q, sent)
+						want := tc.adv.Graph(r).HasEdge(q, p) && (q == p || sent.Has(p))
 						if !want {
 							dropped++
 						}

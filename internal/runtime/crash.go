@@ -108,28 +108,22 @@ func (p *CrashPlan) Crashes() int {
 	return c
 }
 
-// Sends reports whether process from's round-r broadcast reaches `to`
-// under the plan (the crash cut alone — the run's schedule composes on
-// top). Everything before the crash round is untouched; everything
-// after it is gone; the crash round itself depends on the site.
-func (p *CrashPlan) Sends(r, from, to int) bool {
+// cut restricts row, the receivers of process from's round-r broadcast,
+// to those the plan lets it reach (the crash cut alone — the run's
+// schedule composes under it). Every round before the crash round is
+// untouched and every round after it is empty; in the crash round
+// itself before-send empties the row, mid-send intersects it with
+// Partial[from], and after-send leaves it whole.
+func (p *CrashPlan) cut(r, from int, row graph.NodeSet) {
 	if p == nil {
-		return true
+		return
 	}
-	cr := p.Round[from]
-	if cr == 0 || r < cr {
-		return true
-	}
-	if r > cr {
-		return false
-	}
-	switch p.Site[from] {
-	case CrashBeforeSend:
-		return false
-	case CrashMidSend:
-		return p.Partial[from].Has(to)
-	default:
-		return true
+	switch cr := p.Round[from]; {
+	case cr == 0 || r < cr:
+	case r > cr || p.Site[from] == CrashBeforeSend:
+		row.Clear()
+	case p.Site[from] == CrashMidSend:
+		row.IntersectWith(p.Partial[from])
 	}
 }
 
@@ -163,16 +157,17 @@ func (p *CrashPlan) survivorsDecided(procs []rounds.Algorithm) bool {
 }
 
 // crashCut composes a crash plan's send cut under an inner policy: a
-// delivery happens iff the plan lets the sender make it AND the inner
-// policy (the run's schedule) delivers it.
+// delivery happens iff the inner policy (the run's schedule) makes it
+// AND the plan lets the sender make it.
 type crashCut struct {
 	inner transport.Policy
 	plan  *CrashPlan
 }
 
 // Deliver implements transport.Policy.
-func (c crashCut) Deliver(r, from, to int) bool {
-	return c.plan.Sends(r, from, to) && c.inner.Deliver(r, from, to)
+func (c crashCut) Deliver(r, from int, to graph.NodeSet) {
+	c.inner.Deliver(r, from, to)
+	c.plan.cut(r, from, to)
 }
 
 // StallPlan delays processes' broadcasts without killing them: process

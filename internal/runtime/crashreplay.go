@@ -124,25 +124,23 @@ func CrashReplay(spec sim.Spec, opts RunnerOpts) (*CrashReplayReport, error) {
 	// in the model and on every transport, so its absence is an error,
 	// not a lost link.
 	lost := 0
+	sent := graph.NewNodeSet(n) // the receivers the schedule and the cut leave a sender
 	for r := 1; r <= liveOut.Rounds; r++ {
 		g, want := realized[r-1], sched.Graph(r)
-		for q := 0; q < n; q++ {
-			gathering := plan == nil || plan.Round[q] == 0 || r < plan.Round[q]
-			if gathering && !g.HasEdge(q, q) {
-				return nil, fmt.Errorf("runtime: round %d: p%d gathered without hearing itself", r, q+1)
-			}
-			for p := 0; p < n; p++ {
-				if !gathering {
-					if g.HasEdge(p, q) {
-						return nil, fmt.Errorf("runtime: round %d: dead p%d recorded a delivery from p%d", r, q+1, p+1)
-					}
-					continue
-				}
-				s := (want.HasEdge(p, q) || p == q) && plan.Sends(r, p, q)
+		for p := 0; p < n; p++ {
+			sent.CopyFrom(want.OutRow(p))
+			sent.Add(p)
+			plan.cut(r, p, sent)
+			for q := 0; q < n; q++ {
+				gathering := plan == nil || plan.Round[q] == 0 || r < plan.Round[q]
 				switch got := g.HasEdge(p, q); {
-				case got && !s:
+				case gathering && p == q && !got:
+					return nil, fmt.Errorf("runtime: round %d: p%d gathered without hearing itself", r, q+1)
+				case !gathering && got:
+					return nil, fmt.Errorf("runtime: round %d: dead p%d recorded a delivery from p%d", r, q+1, p+1)
+				case gathering && got && !sent.Has(q):
 					return nil, fmt.Errorf("runtime: round %d: wire delivered p%d->p%d through a cut link", r, p+1, q+1)
-				case s && !got:
+				case gathering && !got && sent.Has(q):
 					lost++
 				}
 			}

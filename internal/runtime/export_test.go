@@ -11,7 +11,8 @@ const InlineBelowN = inlineBelowN
 // RunWorkers is Run at an explicit worker count: the exported functions
 // only compute that count and ask the transport for its node partition.
 func RunWorkers(cfg rounds.Config, tr transport.Transport, codec Codec, workers int) (*rounds.Result, error) {
-	return runWith(cfg, tr, codec, workers, transport.NodeOf(tr))
+	node, _ := transport.Partition(tr)
+	return runWith(cfg, tr, codec, workers, node)
 }
 
 // RunWorkersByBytes is RunWorkers with the node partition withheld, as

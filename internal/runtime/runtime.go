@@ -1,8 +1,9 @@
 // Package runtime executes the round model as a real distributed system:
 // every process runs its algorithm end-to-end, whether a link delivers is
 // decided by a pluggable transport (internal/transport), whose policy
-// injects the per-link drops instead of a lock-step delivery loop,
-// and what a delivered link carries depends on where it leads (below). It
+// answers each sender's round with its row of receivers instead of a
+// lock-step delivery loop, and what a delivered link carries depends on
+// where it leads (below). It
 // is the second, independent implementation of the executor contract in
 // internal/rounds — the differential harness in this package (Diff)
 // proves it decision-for-decision identical to the simulator, in the same
@@ -13,7 +14,7 @@
 //
 // A link between two processes on different mesh nodes carries encoded
 // bytes, decoded once per receiving node (decodeShare). A link inside one
-// node (transport.NodeOf; every link of an in-proc run) never leaves
+// node (transport.Partition; every link of an in-proc run) never leaves
 // memory, so once Gather reports it delivered the receiver takes the
 // sender's Send(r) value itself, as in the lockstep executor — kept in a
 // two-slot table, valid by the lifetime rule of rounds.Algorithm.Send and
@@ -50,7 +51,7 @@
 // needs a clock of its own, and then n, one process per worker. That is
 // when the transport closes rounds by deadline (sequential Gathers would
 // serialise deadline + grace) or is not one of internal/transport's
-// meshes (transport.CountClosed answers these two), a crash or stall plan
+// meshes (transport.Partition answers these two), a crash or stall plan
 // is present (a stall's sleep would delay a whole block), or n >=
 // inlineBelowN on more than one core, where a round is big enough to
 // split; the policy is no part of the rule. Inside a block every round-r
@@ -157,7 +158,7 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 		// deep, on the first message of any other family.
 		return nil, errors.New("runtime: nil codec")
 	}
-	byCount := transport.CountClosed(tr)
+	node, byCount := transport.Partition(tr)
 	if byCount && plan.Crashes() > 0 && !plan.Notify {
 		return nil, errors.New("runtime: silent crash plan on a transport that closes rounds by count only: nothing would notice the dead (set CrashPlan.Notify, or give the mesh a round deadline)")
 	}
@@ -165,7 +166,7 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 	if byCount && plan == nil && stall == nil && (n < inlineBelowN || goruntime.GOMAXPROCS(0) == 1) {
 		workers = 1
 	}
-	return runLive(cfg, n, workers, transport.NodeOf(tr), tr, codec, plan, stall)
+	return runLive(cfg, n, workers, node, tr, codec, plan, stall)
 }
 
 // runLive is RunChaos at a given worker count and node partition (nil:

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -136,6 +137,117 @@ func TestRunRejectsInvalidGraph(t *testing.T) {
 	_, err := Run(cfg, transport.NewInProc(n, nil), rawCodec{})
 	if err == nil || !strings.Contains(err.Error(), "self-loop") {
 		t.Fatalf("Run with a self-loop-free round graph returned %v, want structural error", err)
+	}
+}
+
+// malformedAdversary is complete in every round but bad, whose graph is
+// nil or, when narrow, over a universe one process short.
+type malformedAdversary struct {
+	n, bad int
+	narrow bool
+}
+
+func (a malformedAdversary) N() int { return a.n }
+func (a malformedAdversary) Graph(r int) *graph.Digraph {
+	switch {
+	case r != a.bad:
+		return graph.CompleteDigraph(a.n)
+	case a.narrow:
+		return graph.CompleteDigraph(a.n - 1)
+	}
+	return nil
+}
+
+// TestMalformedGraphEndsRunLikeSequential: a live run asks its policy
+// about round r+1 before it checks round r+1's graph whenever it
+// pipelines, and about round 1 before any check. A nil or wrongly sized
+// graph must still end the run with RunSequential's error, after the same
+// observer calls, at every worker count, pipelined or not.
+func TestMalformedGraphEndsRunLikeSequential(t *testing.T) {
+	const n = 3
+	for _, adv := range []malformedAdversary{{n: n, bad: 1}, {n: n, bad: 2}, {n: n, bad: 2, narrow: true}} {
+		for _, pipelined := range []bool{true, false} {
+			for _, workers := range []int{1, n} {
+				config := func(observed *[]int) rounds.Config {
+					cfg := rounds.Config{
+						Adversary:  adv,
+						NewProcess: func(int) rounds.Algorithm { return &countingAlg{} },
+						MaxRounds:  5,
+						Observer: rounds.ObserverFunc(func(r int, _ *graph.Digraph, _ []rounds.Algorithm) {
+							*observed = append(*observed, r)
+						}),
+					}
+					if !pipelined {
+						cfg.StopWhen = func(int, []rounds.Algorithm) bool { return false }
+					}
+					return cfg
+				}
+				var wantSeen, gotSeen []int
+				_, want := rounds.RunSequential(config(&wantSeen))
+				var got error
+				if v := caught(func() {
+					_, got = RunWorkers(config(&gotSeen), transport.NewInProc(n, transport.NewSchedule(adv)), rawCodec{}, workers)
+				}); v != nil {
+					t.Fatalf("%+v pipelined=%v workers=%d: run panicked: %v", adv, pipelined, workers, v)
+				}
+				if want == nil || got == nil || got.Error() != want.Error() || !slices.Equal(gotSeen, wantSeen) {
+					t.Errorf("%+v pipelined=%v workers=%d: live %v after observing %v; sequential %v after %v",
+						adv, pipelined, workers, got, gotSeen, want, wantSeen)
+				}
+			}
+		}
+	}
+}
+
+// askedPolicy counts the questions a transport asks its policy, per
+// (round, sender).
+type askedPolicy struct {
+	transport.Policy
+	mu    *sync.Mutex
+	asked map[[2]int]int
+}
+
+func (p askedPolicy) Deliver(r, from int, to graph.NodeSet) {
+	p.mu.Lock()
+	p.asked[[2]int{r, from}]++
+	p.mu.Unlock()
+	p.Policy.Deliver(r, from, to)
+}
+
+// TestCrashedSenderAsksNothing: the policy is asked once per sender and
+// round that really broadcasts — never for a process past its crash,
+// nor for its crash round when it dies before sending.
+func TestCrashedSenderAsksNothing(t *testing.T) {
+	const n, maxRounds = 4, 6
+	partial := make([]graph.NodeSet, n)
+	partial[2] = graph.NodeSetOf(0)
+	plan := &CrashPlan{
+		Round:   []int{0, 3, 2, 0},
+		Site:    []CrashSite{0, CrashBeforeSend, CrashMidSend, 0},
+		Partial: partial,
+		Notify:  true,
+	}
+	adv := adversary.Complete(n)
+	pol := askedPolicy{crashCut{transport.NewSchedule(adv), plan}, new(sync.Mutex), map[[2]int]int{}}
+	cfg := rounds.Config{
+		Adversary:  adv,
+		NewProcess: func(int) rounds.Algorithm { return &countingAlg{} },
+		MaxRounds:  maxRounds,
+	}
+	if _, err := RunChaos(cfg, transport.NewInProc(n, pol), rawCodec{}, plan, nil); err != nil {
+		t.Fatal(err)
+	}
+	for r := 1; r <= maxRounds; r++ {
+		for p := 0; p < n; p++ {
+			cr := plan.Round[p]
+			want := 0
+			if cr == 0 || r < cr || (r == cr && plan.Site[p] != CrashBeforeSend) {
+				want = 1
+			}
+			if got := pol.asked[[2]int{r, p}]; got != want {
+				t.Errorf("round %d: asked %d times about p%d, want %d", r, got, p+1, want)
+			}
+		}
 	}
 }
 

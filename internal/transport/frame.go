@@ -3,6 +3,8 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
+
+	"kset/internal/graph"
 )
 
 // This file is the codec of the coalesced round frame: the one message a
@@ -32,11 +34,11 @@ func frameBodyLimit(snd, rcv int) int {
 	return (snd*rcv+7)/8 + snd*(binary.MaxVarintLen64+MaxPayload)
 }
 
-// appendFrameBody builds the round-r frame body for peer node j from
-// this node's posts: send-side Policy drops fold into the drop bitmap
-// here, a dead local sender (nil post) ships as an all-links tombstone,
-// and each delivering sender's payload follows once.
-func (nd *meshNode) appendFrameBody(body []byte, r, j int, bufs [][]byte) []byte {
+// appendFrameBody builds this node's round frame body for peer node j
+// from its posts: sender si's bitmap row is its delivery row cut to the
+// peer's receivers, a dead local sender (nil post) ships as an
+// all-links tombstone, and each delivering sender's payload follows once.
+func (nd *meshNode) appendFrameBody(body []byte, j int, bufs [][]byte, rows []graph.NodeSet) []byte {
 	t := nd.t
 	peerLo := t.nodeLo(j)
 	rcv := t.nodeLo(j+1) - peerLo
@@ -54,7 +56,7 @@ func (nd *meshNode) appendFrameBody(body []byte, r, j int, bufs [][]byte) []byte
 		}
 		any := false
 		for qi := 0; qi < rcv; qi++ {
-			if t.perfect || t.pol.Deliver(r, nd.lo+si, peerLo+qi) {
+			if rows[si].Has(peerLo + qi) {
 				bit := si*rcv + qi
 				bitmap[bit>>3] |= 1 << (bit & 7)
 				any = true

@@ -10,7 +10,7 @@ package transport
 type InProc struct{ *mesh }
 
 // NewInProc returns an in-process transport for n processes under the
-// given policy (nil means Perfect).
+// given policy (nil: every link delivers).
 func NewInProc(n int, pol Policy) *InProc {
 	core, err := newMesh(n, 1, pol, meshOpts{})
 	if err != nil {

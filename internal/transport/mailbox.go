@@ -3,7 +3,10 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
+
+	"kset/internal/graph"
 )
 
 // window is the number of rounds a node keeps in flight. The round loop
@@ -18,22 +21,22 @@ const window = 4
 // What a round slot knows about one sender.
 const (
 	slotEmpty      uint8 = iota // nothing yet: the round is waiting for it
-	slotArrived                 // payload and mask row are valid
+	slotArrived                 // payload and delivery row are valid
 	slotDead                    // pre-filled by a death verdict: nil to every receiver, not missed
 	slotLost                    // a deadline closure gave up on it: nil to every receiver, and missed
-	slotLostPosted              // lost, then posted by a hosted sender: heard by itself alone, shipped by the writer
+	slotLostPosted              // lost, then posted by a hosted sender: heard by itself alone on its node, shipped by the writer with its row
 )
 
 // roundSlot is one round of the ring: one entry per sender. The payload
-// is copied once into a buffer the slot owns; the mask row says which
-// hosted receivers the policy (or the frame bitmap) delivered it to.
+// is copied once into a buffer the slot owns; the sender's row says which
+// processes the policy (or the frame bitmap) delivered it to.
 type roundSlot struct {
-	tag    int      // the round this slot serves; 0 = never used
-	count  int      // senders no longer waited for; n = the round is closed
-	posted int      // hosted senders whose payload the writer can ship
-	state  []uint8  // per sender
-	buf    [][]byte // per sender, non-nil once arrived
-	mask   []uint64 // per sender `words` words: bit qi = delivered to hosted receiver qi
+	tag    int             // the round this slot serves; 0 = never used
+	count  int             // senders no longer waited for; n = the round is closed
+	posted int             // hosted senders whose payload the writer can ship
+	state  []uint8         // per sender
+	buf    [][]byte        // per sender, non-nil once arrived
+	row    []graph.NodeSet // per sender, over all n processes: who it is delivered to
 }
 
 // cursor is all a hosted receiver keeps: where it is in the ring and
@@ -48,7 +51,7 @@ type cursor struct {
 
 // mailbox is a mesh node's round buffer: a ring of `window` rounds, each
 // one slot per sender, read by every receiver the node hosts through its
-// own column of the round's delivery mask. A sender (or a link's reader
+// own bit of each sender's delivery row. A sender (or a link's reader
 // loop, for a whole frame) writes under one lock without ever blocking;
 // a receiving process parks in await until the node's round closes, and
 // the node's writer loop reads the hosted senders' slots out of the same
@@ -72,7 +75,7 @@ type cursor struct {
 // missing lost, every hosted receiver reads them as nil — to the process
 // above, real loss is indistinguishable from an injected drop — and
 // reports the same missed list to its stall detector. Injected drops are
-// cleared mask bits and dead senders are pre-filled, so a round whose
+// cleared row bits and dead senders are pre-filled, so a round whose
 // losses are all injected closes by count; the deadline only pays for
 // frames the network genuinely lost.
 //
@@ -93,15 +96,14 @@ type mailbox struct {
 	n  int // senders: every process of the mesh
 
 	lo, hosted int // hosted receivers [lo, lo+hosted)
-	words      int // mask words per sender
 
 	deadline, grace time.Duration // closure policy; deadline 0 = by count only
 
-	asked int // highest round any hosted receiver has called Gather for
+	asked atomic.Int64 // highest round any hosted receiver has called Gather for; written under mu
 	ring  [window]roundSlot
 	recv  []cursor
-	dead  []int    // per sender: first dead round (0 = alive), lazily allocated
-	row   []uint64 // mask-row scratch, for whoever holds mu
+	dead  []int         // per sender: first dead round (0 = alive), lazily allocated
+	row   graph.NodeSet // delivery-row scratch, for whoever holds mu
 
 	writing bool          // a writer loop ships the hosted senders' slots
 	shipped int           // highest round the writer is done with
@@ -112,16 +114,19 @@ type mailbox struct {
 }
 
 func newMailbox(n, lo, hosted int, deadline, grace time.Duration) *mailbox {
-	words := (hosted + 63) / 64
 	b := &mailbox{
-		n: n, lo: lo, hosted: hosted, words: words,
+		n: n, lo: lo, hosted: hosted,
 		deadline: deadline, grace: grace,
 		recv:   make([]cursor, hosted),
-		row:    make([]uint64, words),
+		row:    graph.NewNodeSet(n),
 		wready: make(chan struct{}, 1),
 	}
 	for i := range b.ring {
-		b.ring[i] = roundSlot{state: make([]uint8, n), buf: make([][]byte, n), mask: make([]uint64, n*b.words)}
+		s := roundSlot{state: make([]uint8, n), buf: make([][]byte, n), row: make([]graph.NodeSet, n)}
+		for q := range s.row {
+			s.row[q] = graph.NewNodeSet(n)
+		}
+		b.ring[i] = s
 	}
 	for i := range b.recv {
 		c := &b.recv[i]
@@ -157,8 +162,10 @@ func (b *mailbox) wakeLocked(r int) {
 
 func (b *mailbox) hosts(p int) bool { return uint(p-b.lo) < uint(b.hosted) }
 
-// setBit sets hosted receiver qi's bit in a mask row.
-func setBit(row []uint64, qi int) { row[qi>>6] |= 1 << (qi & 63) }
+// newest is the latest round a deposit may carry, asked+2. It needs no
+// lock: a datagram reader asks it before a frame may claim reassembly
+// state.
+func (b *mailbox) newest() int { return int(b.asked.Load()) + 2 }
 
 // deadAt reports whether sender q is declared dead for round r.
 func (b *mailbox) deadAt(q, r int) bool {
@@ -207,10 +214,9 @@ func (b *mailbox) openLocked(s *roundSlot) bool {
 }
 
 // deposit places sender from's round-r frame: payload for the hosted
-// receivers whose bit is set in row, a drop tombstone for the rest. It
-// never blocks; a deposit that fails the mailbox surfaces at the next
-// await.
-func (b *mailbox) deposit(from, r int, payload []byte, row []uint64) {
+// receivers in row, a drop tombstone for the rest. It never blocks; a
+// deposit that fails the mailbox surfaces at the next await.
+func (b *mailbox) deposit(from, r int, payload []byte, row graph.NodeSet) {
 	b.mu.Lock()
 	b.depositLocked(from, r, payload, row)
 	b.mu.Unlock()
@@ -219,12 +225,12 @@ func (b *mailbox) deposit(from, r int, payload []byte, row []uint64) {
 // depositLocked is deposit under b.mu. A frame from a declared-dead
 // sender is in-flight bytes racing the death verdict: dropped under
 // either policy, never a violation.
-func (b *mailbox) depositLocked(from, r int, payload []byte, row []uint64) {
+func (b *mailbox) depositLocked(from, r int, payload []byte, row graph.NodeSet) {
 	if b.closed || b.err != nil || b.deadAt(from, r) {
 		return
 	}
 	var s *roundSlot
-	if r >= 1 && r <= b.asked+2 {
+	if r >= 1 && r <= b.newest() {
 		s = b.turnLocked(r)
 	}
 	switch {
@@ -235,23 +241,21 @@ func (b *mailbox) depositLocked(from, r int, payload []byte, row []uint64) {
 		}
 	case s != nil && s.state[from] == slotLost && b.hosts(from):
 		// The node sealed the round before this hosted sender posted it:
-		// only the sender still hears itself (the model requires the
-		// self-loop), and so do its peers on other nodes.
+		// of its node only the sender still hears itself (the model
+		// requires the self-loop, see await); the writer ships its row to
+		// the other nodes.
 		s.state[from] = slotLostPosted
-		clear(b.row)
-		setBit(b.row, from-b.lo)
-		row = b.row
 	case b.deadline > 0 || b.err != nil:
 		return // a late or replayed datagram, or turnLocked failed the mailbox
 	case s == nil:
 		b.failLocked(fmt.Errorf("transport: round-%d frame from p%d outside the receive window [1, %d]",
-			r, from+1, b.asked+2))
+			r, from+1, b.newest()))
 		return
 	default:
 		b.failLocked(fmt.Errorf("transport: duplicate round-%d frame from p%d", r, from+1))
 		return
 	}
-	copy(s.mask[from*b.words:], row)
+	s.row[from].CopyFrom(row)
 	// A kept payload is non-nil whatever its length: nil means "not
 	// delivered" to Gather's caller and "dead sender" to the writer.
 	if s.buf[from] = append(s.buf[from][:0], payload...); s.buf[from] == nil {
@@ -279,12 +283,13 @@ func (b *mailbox) writerTargetLocked(r int) int {
 
 // awaitPosted parks the node's writer until every live hosted sender has
 // posted round r, then fills bufs with their payloads (nil for a dead
-// sender: it ships as an all-links tombstone). The views stay valid
-// until the next call, which tells the ring round r-1 is shipped. false
-// means nothing is left to ship, ever — the mailbox is closed or failed,
-// or every hosted sender is dead, their slots pre-filled mesh-wide by
-// the verdict — and the writer stops guarding the ring.
-func (b *mailbox) awaitPosted(r int, bufs [][]byte) bool {
+// sender: it ships as an all-links tombstone) and rows with their
+// delivery rows. The views stay valid until the next call, which tells
+// the ring round r-1 is shipped. false means nothing is left to ship,
+// ever — the mailbox is closed or failed, or every hosted sender is
+// dead, their slots pre-filled mesh-wide by the verdict — and the writer
+// stops guarding the ring.
+func (b *mailbox) awaitPosted(r int, bufs [][]byte, rows []graph.NodeSet) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.shipped = r - 1
@@ -298,7 +303,7 @@ func (b *mailbox) awaitPosted(r int, bufs [][]byte) bool {
 			for i := range bufs {
 				bufs[i] = nil
 				if st := s.state[b.lo+i]; st == slotArrived || st == slotLostPosted {
-					bufs[i] = s.buf[b.lo+i]
+					bufs[i], rows[i] = s.buf[b.lo+i], s.row[b.lo+i]
 				}
 			}
 			return true
@@ -310,12 +315,12 @@ func (b *mailbox) awaitPosted(r int, bufs [][]byte) bool {
 }
 
 // await blocks hosted receiver qi until round r closes under the
-// mailbox's policy and fills `into` with its column of the round: the
-// payload views, nil for drops, injected or real. Rounds must be awaited
-// in order; the views are valid until the receiver's next await. The
-// second result lists the senders a deadline closure gave up on (nil
-// when the round closed by count), valid as long as the views. A
-// receiver that asks for a round the ring has already recycled has
+// mailbox's policy and fills `into` with its bit of every sender's row:
+// the payload views, nil for drops, injected or real. Rounds must be
+// awaited in order; the views are valid until the receiver's next
+// await. The second result lists the senders a deadline closure gave up
+// on (nil when the round closed by count), valid as long as the views.
+// A receiver that asks for a round the ring has already recycled has
 // missed all of it: a violation by count, an all-missed round under a
 // deadline.
 func (b *mailbox) await(qi, r int, into [][]byte) ([][]byte, []int, error) {
@@ -333,7 +338,9 @@ func (b *mailbox) await(qi, r int, into [][]byte) ([][]byte, []int, error) {
 		b.failLocked(fmt.Errorf("transport: Gather(%d) after round %d (rounds must be gathered in order)", r, c.entered))
 	default:
 		c.entered = r
-		b.asked = max(b.asked, r)
+		if int64(r) > b.asked.Load() {
+			b.asked.Store(int64(r)) // once per round, not per receiver: a store is a fence
+		}
 		if s = b.turnLocked(r); b.openLocked(s) {
 			c.awaiting = r
 			s = b.parkLocked(c, r)
@@ -350,7 +357,7 @@ func (b *mailbox) await(qi, r int, into [][]byte) ([][]byte, []int, error) {
 		return nil, nil, ErrClosed
 	}
 	c.missed = c.missed[:0]
-	w, bit := qi>>6, uint64(1)<<(qi&63)
+	self := b.lo + qi
 	for q := range into {
 		st := slotLost // of a recycled round, all is missed
 		if s != nil {
@@ -360,7 +367,7 @@ func (b *mailbox) await(qi, r int, into [][]byte) ([][]byte, []int, error) {
 		}
 		var heard []byte
 		switch {
-		case (st == slotArrived || st == slotLostPosted) && s.mask[q*b.words+w]&bit != 0:
+		case st == slotArrived && s.row[q].Has(self), st == slotLostPosted && q == self:
 			heard = s.buf[q]
 		case st >= slotLost:
 			c.missed = append(c.missed, q)

@@ -16,9 +16,9 @@ import (
 // a deadline burn.
 const noDeadline = time.Hour
 
-// toAll is the mask row that delivers to the one receiver the scenarios'
+// toAll is the delivery row that reaches the one receiver the scenarios'
 // mailboxes host (process 0).
-var toAll = []uint64{1}
+var toAll = graph.NodeSetOf(0)
 
 // closurePolicies returns a mailbox hosting one receiver under its two
 // closure policies:
@@ -240,18 +240,18 @@ func TestUnplaceableDepositFollowsClosurePolicy(t *testing.T) {
 // The scenarios below are the obligations a mailbox takes on by serving
 // a whole node: several hosted receivers read one ring.
 
-// noSelfLoops is a Schedule that would also cut every self link, were it
-// asked.
+// noSelfLoops is a Schedule that also cuts every self link.
 type noSelfLoops struct{ Schedule }
 
-func (p noSelfLoops) Deliver(r, from, to int) bool {
-	return from != to && p.Schedule.Deliver(r, from, to)
+func (p noSelfLoops) Deliver(r, from int, to graph.NodeSet) {
+	p.Schedule.Deliver(r, from, to)
+	to.Remove(from)
 }
 
 // TestHostedReceiversReadTheirOwnColumn: three co-hosted processes under
 // a Schedule with one local link cut. One write per sender serves all
-// three receivers; each must see exactly its own column of the round,
-// and itself whatever the policy would say.
+// three receivers; each must see exactly its own column of the round —
+// its bit of every sender's row — and itself whatever the policy says.
 func TestHostedReceiversReadTheirOwnColumn(t *testing.T) {
 	const n = 3
 	g := graph.CompleteDigraph(n)
@@ -277,7 +277,7 @@ func TestHostedReceiversReadTheirOwnColumn(t *testing.T) {
 // nor a forged far-future one disturbs it.
 func TestSealedRoundIsSharedByHostedReceivers(t *testing.T) {
 	b := newMailbox(3, 0, 2, 20*time.Millisecond, 5*time.Millisecond)
-	both := []uint64{0b11}
+	both := graph.NodeSetOf(0, 1)
 	b.deposit(0, 1, []byte("a"), both)
 	b.deposit(1, 1, []byte("b"), both)
 	b.deposit(2, 1<<40, []byte("forged"), both)
@@ -364,7 +364,7 @@ func TestStalledHostedSenderStillReachesPeerNode(t *testing.T) {
 // resumes, the ring has long recycled the round it asks for: all of it
 // is missed under a deadline, a protocol violation by count.
 func TestStoppedReceiverNeitherWedgesNorIsOverwritten(t *testing.T) {
-	both := []uint64{0b11}
+	both := graph.NodeSetOf(0, 1)
 	policies := map[string]*mailbox{
 		"round": newMailbox(2, 0, 2, 0, 0),
 		"lossy": newMailbox(2, 0, 2, 2*time.Millisecond, time.Millisecond),
@@ -417,7 +417,7 @@ func TestStoppedReceiverNeitherWedgesNorIsOverwritten(t *testing.T) {
 // the post that would turn over its unshipped round fails the node; and
 // a wholly dead node's writer exits and stops guarding.
 func TestRingIsTheWritersWindow(t *testing.T) {
-	both := []uint64{0b11}
+	both := graph.NodeSetOf(0, 1)
 	round := func(b *mailbox, r int) error {
 		for q := 0; q < 2; q++ {
 			b.deposit(q, r, []byte{byte(r)}, both)
@@ -431,13 +431,13 @@ func TestRingIsTheWritersWindow(t *testing.T) {
 	}
 	b := newMailbox(2, 0, 2, 0, 0)
 	b.writing = true
-	bufs := make([][]byte, 2)
+	bufs, rows := make([][]byte, 2), make([]graph.NodeSet, 2)
 	r := 1
 	for ; r <= 3*window; r++ {
 		if err := round(b, r); err != nil {
 			t.Fatalf("round %d with the writer keeping up: %v", r, err)
 		}
-		if !b.awaitPosted(r, bufs) || !bytes.Equal(bufs[0], []byte{byte(r)}) || !bytes.Equal(bufs[1], []byte{byte(r)}) {
+		if !b.awaitPosted(r, bufs, rows) || !bytes.Equal(bufs[0], []byte{byte(r)}) || !bytes.Equal(bufs[1], []byte{byte(r)}) {
 			t.Fatalf("writer read %v for round %d", bufs, r)
 		}
 	}
@@ -457,7 +457,7 @@ func TestRingIsTheWritersWindow(t *testing.T) {
 	gone.writing = true
 	gone.markDead(0, 1)
 	gone.markDead(1, 1)
-	if gone.awaitPosted(1, bufs) || gone.writing {
+	if gone.awaitPosted(1, bufs, rows) || gone.writing {
 		t.Fatal("writer of a wholly dead node keeps waiting, or keeps guarding the ring")
 	}
 }

@@ -4,17 +4,21 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"kset/internal/graph"
 )
 
 // mesh is the round-mesh core every transport in this package is built
 // on: it owns everything about closing a round that is not a socket.
 // Processes are partitioned contiguously across m mesh nodes. Each node
-// has one mailbox, the round ring its hosted processes all read;
-// co-hosted delivery is one write into it and never leaves memory. For
-// the other nodes, each node runs one writer event loop that waits for
-// every live hosted sender's round-r slot, coalesces them into one frame
-// body per peer node (frame.go), and hands the bodies to the link; a
-// body the link receives goes into the node's ring under one lock.
+// has one mailbox, the round ring its hosted processes all read; a
+// sender's payload and its delivery row — the policy's one answer for
+// its round — are one write into it, so co-hosted delivery never leaves
+// memory. For the other nodes, each node runs one writer event loop that
+// waits for every live hosted sender's round-r slot, cuts each peer
+// node's frame bitmap out of the same rows and coalesces one frame body
+// per peer node (frame.go), and hands the bodies to the link; a body the
+// link receives goes into the node's ring under one lock.
 // Goroutines, frames and link operations per round scale with nodes.
 //
 // The three exported transports are this core under three links: InProc
@@ -22,13 +26,12 @@ import (
 // bodies over one duplex stream per node pair; UDPMesh over one
 // datagram socket per node.
 type mesh struct {
-	n, m    int
-	pol     Policy
-	perfect bool // pol is Perfect: skip the per-link Deliver calls
-	opts    meshOpts
-	nodes   []*meshNode
-	link    link // nil on a single-node mesh
-	done    chan struct{}
+	n, m  int
+	pol   Policy
+	opts  meshOpts
+	nodes []*meshNode
+	link  link // nil on a single-node mesh
+	done  chan struct{}
 
 	mu        sync.Mutex
 	claimed   []bool
@@ -78,7 +81,7 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 		return nil, fmt.Errorf("transport: nodes = %d, need 1 <= nodes <= n = %d", nodes, n)
 	}
 	if pol == nil {
-		pol = Perfect{}
+		pol = perfect{graph.FullNodeSet(n)}
 	}
 	t := &mesh{
 		n:       n,
@@ -88,7 +91,6 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 		claimed: make([]bool, n),
 		done:    make(chan struct{}),
 	}
-	_, t.perfect = pol.(Perfect)
 	for i := 0; i < t.m; i++ {
 		nd := &meshNode{t: t, id: i, lo: t.nodeLo(i), hi: t.nodeLo(i + 1)}
 		nd.box = newMailbox(n, nd.lo, nd.localN(), opts.deadline, opts.grace)
@@ -103,37 +105,30 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 	return t, nil
 }
 
-// core is how Metered, CountClosed and NodeOf reach the mesh inside an
-// exported transport, which embeds it.
+// core is how Metered and Partition reach the mesh inside an exported
+// transport, which embeds it.
 func (t *mesh) core() *mesh { return t }
 
-// CountClosed reports whether only arrivals pace a Gather on tr — what an
-// executor must know before one goroutine steps several endpoints: tr is
-// one of this package's meshes and closes rounds by count only, so a
-// Gather never waits out a clock and nothing ever notices a sender that
-// fell silent unannounced. False for a transport that is not a mesh:
-// nothing is known about it.
-func CountClosed(tr Transport) bool {
-	c, ok := tr.(interface{ core() *mesh })
-	return ok && c.core().opts.deadline == 0
-}
-
-// NodeOf reports tr's node partition: process p lives on node NodeOf(tr)[p],
-// and a link between two processes of one node never leaves memory, so an
-// executor may hand its receiver the message itself once Gather says the
-// link delivered. nil for a transport that is not a mesh: nothing is known.
-func NodeOf(tr Transport) []int {
+// Partition reports what an executor may know about tr. node[p] is the
+// mesh node hosting process p: a link between two processes of one node
+// never leaves memory, so an executor may hand its receiver the message
+// itself once Gather says the link delivered. byCount is whether only
+// arrivals pace a Gather — the mesh closes rounds by count, so a Gather
+// never waits out a clock and nothing ever notices a sender that fell
+// silent unannounced — which an executor must know before one goroutine
+// steps several endpoints. For a transport that is not one of this
+// package's meshes nothing is known: nil and false.
+func Partition(tr Transport) (node []int, byCount bool) {
 	c, ok := tr.(interface{ core() *mesh })
 	if !ok {
-		return nil
+		return nil, false
 	}
-	nodes := make([]int, c.core().n)
-	for _, nd := range c.core().nodes {
-		for p := nd.lo; p < nd.hi; p++ {
-			nodes[p] = nd.id
-		}
+	t := c.core()
+	node = make([]int, t.n)
+	for p := range node {
+		node[p] = t.nodeOf(p)
 	}
-	return nodes
+	return node, t.opts.deadline == 0
 }
 
 // setMeter installs the heard meter Gather records on. Endpoints read it
@@ -165,17 +160,9 @@ func (t *mesh) startWriters() {
 // nodeLo(i+1))).
 func (t *mesh) nodeLo(i int) int { return i * t.n / t.m }
 
-// nodeOf returns the node hosting process p.
-func (t *mesh) nodeOf(p int) int {
-	// Inverse of nodeLo's balanced split; the scan is O(m) but only runs
-	// at Endpoint claim time and on death verdicts.
-	for i := 0; i < t.m; i++ {
-		if p >= t.nodeLo(i) && p < t.nodeLo(i+1) {
-			return i
-		}
-	}
-	return -1
-}
+// nodeOf returns the node hosting process p, the inverse of nodeLo: the
+// last i with i*n/m <= p.
+func (t *mesh) nodeOf(p int) int { return ((p+1)*t.m - 1) / t.n }
 
 // N implements Transport.
 func (t *mesh) N() int { return t.n }
@@ -195,18 +182,14 @@ func (t *mesh) Endpoint(self int) (Endpoint, error) {
 	}
 	t.claimed[self] = true
 	nd := t.nodes[t.nodeOf(self)]
-	ep := &meshEndpoint{
+	return &meshEndpoint{
 		nd:   nd,
 		self: self,
-		row:  make([]uint64, nd.box.words),
+		row:  graph.NewNodeSet(t.n),
 		stall: newStallDetector(t.n, t.opts.deadAfter, func(q int) {
 			t.markNodeDead(t.nodeOf(q))
 		}),
-	}
-	for i := 0; i < nd.localN(); i++ {
-		setBit(ep.row, i) // what a Perfect policy delivers; any other rewrites it per round
-	}
-	return ep, nil
+	}, nil
 }
 
 // MarkDead implements DeadMarker: process p's missing deliveries from
@@ -307,14 +290,15 @@ func (nd *meshNode) localN() int { return nd.hi - nd.lo }
 func (nd *meshNode) writeLoop() {
 	t := nd.t
 	bufs := make([][]byte, nd.localN())
+	rows := make([]graph.NodeSet, nd.localN())
 	var body []byte
-	for r := 1; nd.box.awaitPosted(r, bufs); r++ {
+	for r := 1; nd.box.awaitPosted(r, bufs, rows); r++ {
 		var err error
 		for j := 0; j < t.m && err == nil && !closed(t.done); j++ {
 			if j == nd.id {
 				continue
 			}
-			body = nd.appendFrameBody(body[:0], r, j, bufs)
+			body = nd.appendFrameBody(body[:0], j, bufs, rows)
 			err = t.link.send(nd.id, j, r, body)
 		}
 		if err == nil {
@@ -334,7 +318,7 @@ func (nd *meshNode) writeLoop() {
 
 // deliver writes a round frame body received from peer node into the
 // node's mailbox under one lock: each sender's payload once, its bitmap
-// row as the delivery mask over the hosted receivers. A body that fails
+// row as its delivery row over the hosted receivers. A body that fails
 // validation mid-walk stops there — the deposits already made stand —
 // and the error is the link's to interpret (a corrupt stream is a
 // failure, a corrupt datagram is loss).
@@ -346,10 +330,10 @@ func (nd *meshNode) deliver(peer, round int, body []byte) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return decodeFrameBody(body, snd, rcv, func(si, _ int, payload, bitmap []byte) {
-		clear(b.row)
+		b.row.Clear()
 		for qi := 0; qi < rcv; qi++ {
 			if bit := si*rcv + qi; bitmap[bit>>3]&(1<<(bit&7)) != 0 {
-				setBit(b.row, qi)
+				b.row.Add(nd.lo + qi)
 			}
 		}
 		b.depositLocked(peerLo+si, round, payload, b.row)
@@ -370,7 +354,7 @@ func (nd *meshNode) failLocal(err error) {
 type meshEndpoint struct {
 	nd    *meshNode
 	self  int
-	row   []uint64       // this round's delivery mask over the node's hosted receivers
+	row   graph.NodeSet  // this round's delivery row, filled by the policy
 	stall *stallDetector // nil unless deadAfter > 0
 }
 
@@ -380,13 +364,12 @@ func (ep *meshEndpoint) Self() int { return ep.self }
 // N implements Endpoint.
 func (ep *meshEndpoint) N() int { return ep.nd.t.n }
 
-// Broadcast implements Endpoint: the policy's answers for the co-hosted
-// links become this sender's mask row, and payload and row go into the
-// node's mailbox in one write — no link involved; a locally dropped link
+// Broadcast implements Endpoint: the policy answers once for the sender's
+// round — its row of receivers, plus itself — and payload and row go
+// into the node's mailbox in one write, no link involved; a dropped link
 // is a cleared bit, so the receivers' round still closes. On a
-// multi-node mesh the node's writer loop reads the payload out of the
-// same slot and makes the drop decisions for remote links when it builds
-// the frame bitmaps.
+// multi-node mesh the node's writer loop reads payload and row out of
+// the same slot and cuts each peer node's frame bitmap out of the row.
 func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("transport: payload %d bytes exceeds MaxPayload %d", len(payload), MaxPayload)
@@ -396,15 +379,9 @@ func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 	if closed(t.done) {
 		return ErrClosed
 	}
-	if !t.perfect {
-		clear(ep.row)
-		for i := 0; i < nd.localN(); i++ {
-			// Self-delivery is unconditional.
-			if to := nd.lo + i; to == ep.self || t.pol.Deliver(r, ep.self, to) {
-				setBit(ep.row, i)
-			}
-		}
-	}
+	ep.row.Clear()
+	t.pol.Deliver(r, ep.self, ep.row)
+	ep.row.Add(ep.self) // self-delivery is the mesh's rule, never the policy's
 	nd.box.deposit(ep.self, r, payload, ep.row)
 	return nil
 }

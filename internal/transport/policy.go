@@ -1,34 +1,36 @@
 package transport
 
-import "kset/internal/rounds"
+import (
+	"kset/internal/graph"
+	"kset/internal/rounds"
+)
 
-// Policy is the per-link fault injector of a transport: it decides, per
-// round and directed link, whether the payload is delivered, and nothing
-// else — to the round model a late message is an absent one, and a late
-// sender is runtime.StallPlan. Implementations must be safe for
-// concurrent use (every endpoint consults the policy) and deterministic
-// in (r, from, to) — determinism is what makes runs replayable.
+// Policy decides which links deliver, and nothing else — to the round
+// model a late message is an absent one, and a late sender is
+// runtime.StallPlan. It answers a row: the receivers of one sender's
+// round-r message, asked once per sender and round at the sending
+// endpoint, so a dropped payload never crosses the wire. Implementations
+// must be safe for concurrent use (every endpoint asks, each with a row
+// of its own) and deterministic in (r, from) — determinism is what makes
+// runs replayable.
 //
-// The self link (from == to) is never submitted to a Policy: the round
-// model requires every process to hear itself.
+// Whether a process hears itself is never the policy's to decide: the
+// round model requires every self-loop, and the mesh adds it.
 type Policy interface {
-	// Deliver reports whether the round-r message on the link
-	// from -> to is delivered. Consulted at the sending endpoint: a
-	// dropped payload never crosses the wire.
-	Deliver(r, from, to int) bool
+	// Deliver adds to `to` — an empty set over the n processes, owned by
+	// the caller — every receiver of from's round-r message.
+	Deliver(r, from int, to graph.NodeSet)
 }
 
-// Perfect is the lossless policy.
-type Perfect struct{}
+// perfect is the lossless policy a nil Policy stands for.
+type perfect struct{ all graph.NodeSet }
 
-// Deliver implements Policy.
-func (Perfect) Deliver(r, from, to int) bool { return true }
+func (p perfect) Deliver(_, _ int, to graph.NodeSet) { to.UnionWith(p.all) }
 
 // Schedule replays an adversary's run over a real transport: the round-r
-// message on from -> to is delivered iff the edge is in the adversary's
-// round-r communication graph. This is how every schedule in
-// internal/adversary — and every counterexample runfile — becomes a
-// transport fault schedule.
+// message of from reaches exactly its out-row in the adversary's round-r
+// communication graph. This is how every schedule in internal/adversary —
+// and every counterexample runfile — becomes a transport fault schedule.
 //
 // The adversary's Graph method is called concurrently from every
 // endpoint; wrap stateful generators with adversary.MaterializeRun
@@ -41,9 +43,13 @@ type Schedule struct {
 // NewSchedule returns the drop policy replaying adv.
 func NewSchedule(adv rounds.Adversary) Schedule { return Schedule{adv: adv} }
 
-// Deliver implements Policy.
-func (s Schedule) Deliver(r, from, to int) bool {
-	return s.adv.Graph(r).HasEdge(from, to)
+// Deliver implements Policy. A malformed round graph — nil, or over
+// another universe — delivers nothing: a live run asks the policy ahead
+// of its own graph check (rounds.CheckGraph), which reports the graph.
+func (s Schedule) Deliver(r, from int, to graph.NodeSet) {
+	if g := s.adv.Graph(r); g != nil && g.N() == s.adv.N() && from < g.N() {
+		to.UnionWith(g.OutRow(from))
+	}
 }
 
 // FrameLoss returns a DropDatagram hook (see UDPOpts) that loses each

@@ -7,7 +7,7 @@
 // once: the unexported mesh core (mesh.go) partitions the processes onto
 // nodes, gives each node one mailbox (mailbox.go) — a ring of rounds, one
 // slot per sender, written once per sender and read by every hosted
-// receiver through its column of the round's delivery mask — and
+// receiver through its bit of the sender's delivery row — and
 // coalesces everything a node sends a peer node in a round into one
 // frame body (frame.go: a drop bitmap over the sender x receiver link
 // matrix, then each delivering sender's payload once). A link — the
@@ -42,10 +42,11 @@
 // and reuses, so the steady-state round allocates nothing and a
 // receiver wakes exactly once per round.
 //
-// All are driven by a Policy, the per-link fault injector: it decides
-// which links deliver, on the sending side (a dropped payload never
-// crosses the wire; a tombstone — a cleared mask or bitmap bit — still
-// closes the round). Because every adversary schedule from
+// All are driven by a Policy: once per sender and round, at the sending
+// endpoint, it answers with the row of processes that receive the
+// message (a dropped payload never crosses the wire; a tombstone — a
+// cleared row or bitmap bit — still closes the round). Because every
+// adversary schedule from
 // internal/adversary is a Policy (see Schedule), any simulated run can be
 // replayed over a real transport — the differential harness in
 // internal/runtime proves the replay is decision-for-decision identical
@@ -91,8 +92,7 @@
 //     barrier bounds it at one round past the lowest un-gathered round),
 //     so per-node buffering is O(1) rounds — a fixed `window`-slot ring.
 //  4. Self-delivery: a process always receives its own round-r payload
-//     (the model requires all self-loops); Policy is never consulted for
-//     the self link.
+//     (the model requires all self-loops), whatever the Policy's row.
 package transport
 
 import (
@@ -119,7 +119,8 @@ type Endpoint interface {
 	// Broadcast sends this process's round-r payload to every process,
 	// itself included. The payload is copied (or written to the wire)
 	// before Broadcast returns; the caller may reuse the buffer.
-	// Per-link drops are applied here, by the configured Policy.
+	// Drops are applied here: the configured Policy answers once with
+	// the round's receivers.
 	Broadcast(r int, payload []byte) error
 	// Gather blocks until every process's round-r frame has arrived and
 	// returns the received vector: recv[q] is q's payload, or nil if the

@@ -179,7 +179,8 @@ func TestScheduleDropsMatchHeardSets(t *testing.T) {
 				n := 2 + rng.Intn(5)
 				run := adversary.RandomRun(n, 3+rng.Intn(4), rng)
 				rounds := run.PrefixLen() + 3
-				tr, err := kind.make(n, NewSchedule(run))
+				pol := NewSchedule(run)
+				tr, err := kind.make(n, pol)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -194,10 +195,10 @@ func TestScheduleDropsMatchHeardSets(t *testing.T) {
 				node := func(p int) int { return ((p+1)*m - 1) / n }
 				sameNode := func(p, q int) bool { return node(p) == node(q) }
 				for r := 1; r <= rounds; r++ {
-					g := run.Graph(r)
+					rows := policyRows(pol, r, n)
 					for q := 0; q < n; q++ {
 						for p := 0; p < n; p++ {
-							sched := g.HasEdge(p, q) || p == q
+							sched := rows[p].Has(q) || p == q
 							got := heard[r-1][q][p]
 							if got && !sched {
 								t.Fatalf("seed %d n %d round %d: p%d heard p%d through a dropped link",
@@ -230,7 +231,7 @@ func TestEmptyPayloadIsDelivered(t *testing.T) {
 	cut := graph.CompleteDigraph(n)
 	cut.RemoveEdge(0, 1) // inside node 0 of the 2-node mesh
 	cut.RemoveEdge(3, 0) // across its nodes
-	policies := map[string]Policy{"perfect": Perfect{}, "schedule": NewSchedule(adversary.Static(cut))}
+	policies := map[string]Policy{"perfect": nil, "schedule": NewSchedule(adversary.Static(cut))}
 	meshes := map[string]func(Policy) (Transport, error){
 		"inproc":     func(pol Policy) (Transport, error) { return NewInProc(n, pol), nil },
 		"tcp-nodes2": func(pol Policy) (Transport, error) { return NewTCPMeshLoopbackOpts(n, 2, pol, TCPOpts{}) },
@@ -250,6 +251,7 @@ func TestEmptyPayloadIsDelivered(t *testing.T) {
 					}
 				}
 				for r := 1; r <= rounds; r++ {
+					rows := policyRows(pol, r, n)
 					for _, ep := range eps {
 						if err := ep.Broadcast(r, []byte{}); err != nil {
 							t.Fatal(err)
@@ -261,7 +263,7 @@ func TestEmptyPayloadIsDelivered(t *testing.T) {
 							t.Fatal(err)
 						}
 						for p, payload := range recv {
-							delivered := p == q || pol.Deliver(r, p, q)
+							delivered := p == q || rows[p].Has(q)
 							if (payload != nil) != delivered || len(payload) != 0 {
 								t.Fatalf("round %d, link p%d -> p%d: got %v, delivered = %v", r, p+1, q+1, payload, delivered)
 							}
@@ -270,6 +272,81 @@ func TestEmptyPayloadIsDelivered(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// policyRows is round r of pol in row form: rows[p] is pol's answer for
+// p's round-r message, the lossless one for a nil pol.
+func policyRows(pol Policy, r, n int) []graph.NodeSet {
+	rows := make([]graph.NodeSet, n)
+	for p := range rows {
+		if pol == nil {
+			rows[p] = graph.FullNodeSet(n)
+			continue
+		}
+		rows[p] = graph.NewNodeSet(n)
+		pol.Deliver(r, p, rows[p])
+	}
+	return rows
+}
+
+// countingPolicy is a Schedule that counts the questions it is asked, per
+// (round, sender).
+type countingPolicy struct {
+	Schedule
+	mu    *sync.Mutex
+	calls map[[2]int]int
+}
+
+func newCountingPolicy(pol Schedule) countingPolicy {
+	return countingPolicy{Schedule: pol, mu: new(sync.Mutex), calls: map[[2]int]int{}}
+}
+
+func (p countingPolicy) Deliver(r, from int, to graph.NodeSet) {
+	p.mu.Lock()
+	p.calls[[2]int{r, from}]++
+	p.mu.Unlock()
+	p.Schedule.Deliver(r, from, to)
+}
+
+// TestPolicyIsAskedOncePerSenderAndRound: who hears a sender's round-r
+// message is decided once, at its Broadcast. Its co-hosted receivers and
+// its node's writer read that one row, so a round costs n questions
+// whatever the mesh's shape — never one per link, never one from a
+// writer loop.
+func TestPolicyIsAskedOncePerSenderAndRound(t *testing.T) {
+	const n, rounds = 6, 2 * window
+	g := graph.CompleteDigraph(n)
+	g.RemoveEdge(0, 1)
+	g.RemoveEdge(5, 0)
+	meshes := map[string]func(Policy) (Transport, error){
+		"inproc":     func(pol Policy) (Transport, error) { return NewInProc(n, pol), nil },
+		"tcp-nodes2": func(pol Policy) (Transport, error) { return NewTCPMeshLoopbackOpts(n, 2, pol, TCPOpts{}) },
+		"tcp":        func(pol Policy) (Transport, error) { return NewTCPMeshLoopbackOpts(n, n, pol, TCPOpts{}) },
+		"udp-nodes2": func(pol Policy) (Transport, error) { return NewUDPMeshLoopback(n, 2, pol, udpTestOpts()) },
+	}
+	for name, mk := range meshes {
+		t.Run(name, func(t *testing.T) {
+			pol := newCountingPolicy(NewSchedule(adversary.Static(g)))
+			tr, err := mk(pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			driveLockstep(t, tr, rounds)
+			pol.mu.Lock()
+			defer pol.mu.Unlock()
+			for r := 1; r <= rounds; r++ {
+				for from := 0; from < n; from++ {
+					if got := pol.calls[[2]int{r, from}]; got != 1 {
+						t.Errorf("round %d: asked %d times about p%d's message, want once", r, got, from+1)
+					}
+				}
+			}
+			if len(pol.calls) != rounds*n {
+				t.Errorf("asked about %d (round, sender) pairs, want %d", len(pol.calls), rounds*n)
+			}
+		})
 	}
 }
 

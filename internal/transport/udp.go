@@ -249,7 +249,7 @@ func (un *udpNode) handleDatagram(pkt []byte, from netip.AddrPort) {
 		un.badDgrams++
 		return
 	}
-	body, ok := un.reasm[hdr.from].place(hdr, frag)
+	body, ok := un.reasm[hdr.from].place(hdr, frag, un.nd.box.newest())
 	if !ok {
 		if body == nil {
 			un.badDgrams++
@@ -300,9 +300,12 @@ func newUDPReasm(peer, snd, rcv, chunk int) *udpReasm {
 // place copies one fragment into its round slot. It returns (body,
 // true) exactly once per round, when the last fragment lands. A nil
 // body with ok == false means the datagram was rejected as invalid (as
-// opposed to merely not completing a frame yet).
-func (ra *udpReasm) place(hdr udpHeader, frag []byte) ([]byte, bool) {
-	if hdr.fragCount > ra.maxFrags {
+// opposed to merely not completing a frame yet). A round past newest —
+// the latest the node's mailbox could place — is invalid: were it to
+// claim its slot, one forged header would make every later round of the
+// same residue stale.
+func (ra *udpReasm) place(hdr udpHeader, frag []byte, newest int) ([]byte, bool) {
+	if hdr.fragCount > ra.maxFrags || hdr.round > newest {
 		return nil, false
 	}
 	final := hdr.fragIdx == hdr.fragCount-1

@@ -64,7 +64,7 @@ func FuzzDecodeUDPFrame(f *testing.F) {
 			}
 			const chunk = 64
 			ra := newUDPReasm(0, snd, rcv, chunk)
-			if body, ok := ra.place(hdr, frag); ok && body != nil {
+			if body, ok := ra.place(hdr, frag, hdr.round); ok && body != nil {
 				if hdr.fragCount > ra.maxFrags {
 					t.Fatalf("reassembler completed a frame with fragCount %d beyond limit %d",
 						hdr.fragCount, ra.maxFrags)

@@ -283,44 +283,83 @@ func TestUDPMeterRecordsRealizedHeardSets(t *testing.T) {
 // rejected without completing a frame or growing state beyond the
 // transport-derived bound.
 func TestUDPReasmHardening(t *testing.T) {
-	const chunk = 64
+	const chunk, open = 64, 1<<31 - 1 // open: the mailbox would place any round
 	ra := newUDPReasm(1, 2, 3, chunk)
 	full := make([]byte, chunk)
 
-	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: ra.maxFrags + 1}, full); ok {
+	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: ra.maxFrags + 1}, full, open); ok {
 		t.Fatal("fragCount beyond the frame limit was accepted")
 	}
-	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 2}, full[:10]); ok {
+	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 2}, full[:10], open); ok {
 		t.Fatal("short non-final fragment was accepted")
 	}
-	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 1, fragCount: 2}, nil); ok {
+	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 1, fragCount: 2}, nil, open); ok {
 		t.Fatal("empty final fragment was accepted")
 	}
 
 	// Legitimate two-fragment frame, arriving out of order.
-	if body, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 1, fragCount: 2}, full[:10]); !ok || body != nil {
+	if body, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 1, fragCount: 2}, full[:10], open); !ok || body != nil {
 		t.Fatalf("first fragment: body %v ok %v, want nil true", body, ok)
 	}
 	// Mid-reassembly inconsistencies.
-	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 3}, full); ok {
+	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 3}, full, open); ok {
 		t.Fatal("fragCount flip mid-round was accepted")
 	}
-	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 1, fragCount: 2}, full[:10]); ok {
+	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 1, fragCount: 2}, full[:10], open); ok {
 		t.Fatal("duplicate fragment was accepted")
 	}
-	body, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 2}, full)
+	body, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 2}, full, open)
 	if !ok || len(body) != chunk+10 {
 		t.Fatalf("completed frame: %d bytes ok %v, want %d true", len(body), ok, chunk+10)
 	}
 	// The completed round rejects replays; older rounds are stale once
 	// the ring has moved on.
-	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 2}, full); ok {
+	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 2}, full, open); ok {
 		t.Fatal("replayed fragment of a completed round was accepted")
 	}
-	if _, ok := ra.place(udpHeader{from: 1, round: 1 + window, fragIdx: 0, fragCount: 1}, full[:5]); !ok {
+	if _, ok := ra.place(udpHeader{from: 1, round: 1 + window, fragIdx: 0, fragCount: 1}, full[:5], open); !ok {
 		t.Fatal("new round reusing the ring slot was rejected")
 	}
-	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 2}, full); ok {
+	if _, ok := ra.place(udpHeader{from: 1, round: 1, fragIdx: 0, fragCount: 2}, full, open); ok {
 		t.Fatal("stale round was accepted after the slot moved on")
+	}
+
+	// A round the node's mailbox could not place claims no slot: the
+	// later rounds of its residue stay placeable.
+	ra = newUDPReasm(1, 2, 3, chunk)
+	if _, ok := ra.place(udpHeader{from: 1, round: 1<<31 - 1, fragIdx: 0, fragCount: 1}, full[:5], 2); ok {
+		t.Fatal("a round past the mailbox's window was accepted")
+	}
+	for _, r := range []int{3, 7} {
+		if body, ok := ra.place(udpHeader{from: 1, round: r, fragIdx: 0, fragCount: 1}, full[:5], r); !ok || len(body) != 5 {
+			t.Fatalf("round %d after a far-future one: %d bytes ok %v, want 5 true", r, len(body), ok)
+		}
+	}
+}
+
+// TestForgedRoundStallsNothing: one datagram from the peer node's own
+// socket whose header names a far-future round — 2^31-1, which shares
+// round 3's reassembly slot — must cost no round anything. Were it to
+// claim that slot, every later round of the residue would read as stale
+// and close by deadline without the peer.
+func TestForgedRoundStallsNothing(t *testing.T) {
+	var counters StallCounters
+	tr, err := NewUDPMeshLoopback(2, 2, nil, UDPOpts{
+		RoundTimeout: 30 * time.Millisecond,
+		Grace:        2 * time.Millisecond,
+		Counters:     &counters,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	forged := appendUDPHeader(nil, udpHeader{from: 1, round: 1<<31 - 1, fragIdx: 0, fragCount: 1})
+	forged = append(forged, 0) // a 1x1 frame body: one bitmap byte, a tombstone
+	if _, err := tr.dl.nodes[1].conn.WriteToUDPAddrPort(forged, tr.dl.addrs[0]); err != nil {
+		t.Fatal(err)
+	}
+	driveLockstep(t, tr, 4*window)
+	if got := counters.Stalls.Load(); got != 0 {
+		t.Fatalf("Stalls = %d after one forged datagram, want 0", got)
 	}
 }
