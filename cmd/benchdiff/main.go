@@ -37,11 +37,14 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
+
+	"kset/internal/stats"
 )
 
 func main() {
@@ -114,16 +117,16 @@ func run(args []string, stdout io.Writer) error {
 		defer f.Close()
 		in = f
 	}
-	stats, err := parseBench(in)
+	measured, err := parseBench(in)
 	if err != nil {
 		return err
 	}
-	if len(stats) == 0 {
+	if len(measured) == 0 {
 		return fmt.Errorf("no benchmark lines in input")
 	}
 
 	if *record {
-		base := Baseline{Note: *note, Benchmarks: stats}
+		base := Baseline{Note: *note, Benchmarks: measured}
 		raw, err := json.MarshalIndent(base, "", "  ")
 		if err != nil {
 			return err
@@ -136,7 +139,7 @@ func run(args []string, stdout io.Writer) error {
 		if err := os.WriteFile(*out, raw, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "recorded %d benchmarks to %s\n", len(stats), *out)
+		fmt.Fprintf(stdout, "recorded %d benchmarks to %s\n", len(measured), *out)
 		return nil
 	}
 
@@ -148,7 +151,7 @@ func run(args []string, stdout io.Writer) error {
 	if err := json.Unmarshal(raw, &base); err != nil {
 		return fmt.Errorf("parse baseline %s: %w", *compare, err)
 	}
-	cmp := diff(base, stats, *tolerance)
+	cmp := diff(base, measured, *tolerance)
 	printComparison(stdout, cmp)
 	if *report != "" {
 		rep, err := json.MarshalIndent(cmp, "", "  ")
@@ -172,9 +175,7 @@ func run(args []string, stdout io.Writer) error {
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op)?(?:\s+([0-9.]+) allocs/op)?`)
 
 type samples struct {
-	ns     []float64
-	bytes  []int64
-	allocs []int64
+	ns, bytes, allocs []float64
 }
 
 // parseBench aggregates repeated samples (-count N) per benchmark name
@@ -207,38 +208,22 @@ func parseBench(r io.Reader) (map[string]BenchStat, error) {
 	out := map[string]BenchStat{}
 	for name, s := range acc {
 		out[name] = BenchStat{
-			NsPerOp:     medianF(s.ns),
-			BytesPerOp:  medianI(s.bytes),
-			AllocsPerOp: medianI(s.allocs),
+			NsPerOp:     stats.Median(s.ns),
+			BytesPerOp:  int64(math.Round(stats.Median(s.bytes))),
+			AllocsPerOp: int64(math.Round(stats.Median(s.allocs))),
 			Samples:     len(s.ns),
 		}
 	}
 	return out, nil
 }
 
-func parseCount(s string) int64 {
-	if s == "" {
-		return 0
-	}
+// parseCount reads an optional B/op or allocs/op column; 0 if absent.
+func parseCount(s string) float64 {
 	v, err := strconv.ParseFloat(s, 64)
 	if err != nil {
 		return 0
 	}
-	return int64(v)
-}
-
-func medianF(v []float64) float64 {
-	sort.Float64s(v)
-	n := len(v)
-	if n%2 == 1 {
-		return v[n/2]
-	}
-	return (v[n/2-1] + v[n/2]) / 2
-}
-
-func medianI(v []int64) int64 {
-	sort.Slice(v, func(i, j int) bool { return v[i] < v[j] })
-	return v[len(v)/2]
+	return v
 }
 
 // diff applies the gate rules.

@@ -10,8 +10,8 @@
 // tables; CI records a smoke run of it as an artifact.
 //
 // Every experiment is deterministic given -trials and -seed, for any
-// -workers value (the streaming sweep engine delivers outcomes to the
-// aggregators in cell order regardless of scheduling); pass
+// -workers value (the sweep engine delivers outcomes in cell order
+// regardless of scheduling); pass
 // -timings=false to also zero the per-experiment seconds and blank the
 // wall-clock table columns (E20's ms/trial), making the -json document
 // byte-identical across runs and worker counts.

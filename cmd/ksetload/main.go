@@ -53,7 +53,6 @@ import (
 	"os"
 	"regexp"
 	"runtime/pprof"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -63,6 +62,7 @@ import (
 	"kset/internal/runtime"
 	"kset/internal/service"
 	"kset/internal/sim"
+	"kset/internal/stats"
 	ktransport "kset/internal/transport"
 )
 
@@ -302,7 +302,8 @@ func pollDone(addr, id string, deadline time.Time) (service.Session, error) {
 		if err != nil {
 			return service.Session{}, err
 		}
-		if sess.Status == "done" || sess.Status == "failed" {
+		switch sess.Status {
+		case "done", "failed", "crashed":
 			return sess, nil
 		}
 		if time.Now().After(deadline) {
@@ -433,8 +434,7 @@ func runRuntime(stdout io.Writer, p runtimeParams) error {
 		}
 		secs = append(secs, time.Since(start).Seconds())
 	}
-	sort.Float64s(secs)
-	med := secs[len(secs)/2]
+	med := stats.Median(secs)
 	sum := runtimeSummary{
 		Transport:    p.transport,
 		N:            p.n,
@@ -463,14 +463,52 @@ func runRuntime(stdout io.Writer, p runtimeParams) error {
 }
 
 // chaosRow is one crash count's measurement in the -mode chaos sweep.
+// The trials of a row run different seeds and stop at different rounds,
+// so the rate is taken per trial before the median: RoundsPerSec is not
+// Rounds / Seconds.
 type chaosRow struct {
-	Crashes      int     `json:"crashes"`
-	Rounds       int     `json:"rounds"`
-	Seconds      float64 `json:"seconds_median"`
+	Crashes int `json:"crashes"`
+	// Rounds is the mean number of rounds a trial's live run executed
+	// (truncated to an integer).
+	Rounds int `json:"rounds"`
+	// Seconds is the median wall time of a trial (live run plus replay
+	// verification).
+	Seconds float64 `json:"seconds_median"`
+	// RoundsPerSec is the median over trials of that trial's live rounds
+	// divided by its wall time.
 	RoundsPerSec float64 `json:"rounds_per_sec"`
-	LostLinks    int     `json:"lost_links"`
-	Distinct     int     `json:"distinct"`
-	MinK         int     `json:"min_k"`
+	// LostLinks sums the trials' lost links.
+	LostLinks int `json:"lost_links"`
+	// Distinct and MinK are the last trial's.
+	Distinct int `json:"distinct"`
+	MinK     int `json:"min_k"`
+}
+
+// chaosTrial is one chaos scenario's measurement.
+type chaosTrial struct {
+	rounds  int     // rounds the live run executed
+	seconds float64 // wall time of the live run and its replay
+	lost    int     // scheduled deliveries the wire lost
+}
+
+// newChaosRow summarizes one crash count's trials (at least one).
+func newChaosRow(crashes int, trials []chaosTrial) chaosRow {
+	rounds, lost := 0, 0
+	secs := make([]float64, len(trials))
+	rates := make([]float64, len(trials))
+	for i, t := range trials {
+		rounds += t.rounds
+		lost += t.lost
+		secs[i] = t.seconds
+		rates[i] = float64(t.rounds) / t.seconds
+	}
+	return chaosRow{
+		Crashes:      crashes,
+		Rounds:       rounds / len(trials),
+		Seconds:      stats.Median(secs),
+		RoundsPerSec: stats.Median(rates),
+		LostLinks:    lost,
+	}
 }
 
 // chaosSummary is the -json output of chaos mode.
@@ -497,8 +535,9 @@ type chaosParams struct {
 // for each crash count 0..crashes it runs `trials` seeded chaos
 // scenarios over the chosen transport, requires every live run to
 // verify bit-for-bit against its lockstep replay (internal/chaos), and
-// reports the median round throughput per row. -min-frac turns the
-// degradation curve into a pass/fail check against the 0-crash row.
+// reports the median of the trials' round throughputs per row. -min-frac
+// turns the degradation curve into a pass/fail check against the 0-crash
+// row.
 func runChaos(stdout io.Writer, p chaosParams) error {
 	if p.n < 2 || p.trials < 1 {
 		return fmt.Errorf("need -n >= 2 and positive -trials")
@@ -513,10 +552,8 @@ func runChaos(stdout io.Writer, p chaosParams) error {
 	}
 	sum := chaosSummary{Transport: p.transport, N: p.n, Trials: p.trials, MinFrac: p.minFrac}
 	for c := 0; c <= p.crashes; c++ {
-		var secs []float64
+		var trials []chaosTrial
 		var last *runtime.CrashReplayReport
-		rounds := 0
-		lost := 0
 		for trial := 0; trial < p.trials; trial++ {
 			cfg := chaos.BatteryConfig{
 				Name:    fmt.Sprintf("%s-n%d-c%d-t%d", p.transport, p.n, c, trial),
@@ -534,25 +571,14 @@ func runChaos(stdout io.Writer, p chaosParams) error {
 				return fmt.Errorf("chaos %s: %d distinct decisions exceed realized MinK %d",
 					cfg.Name, rep.Distinct, rep.Replay.MinK)
 			}
-			secs = append(secs, time.Since(start).Seconds())
-			rounds += rep.Live.Rounds
-			lost += rep.LostLinks
+			trials = append(trials, chaosTrial{rep.Live.Rounds, time.Since(start).Seconds(), rep.LostLinks})
 			last = rep
 		}
-		sort.Float64s(secs)
-		med := secs[len(secs)/2]
-		row := chaosRow{
-			Crashes:      c,
-			Rounds:       rounds / p.trials,
-			Seconds:      med,
-			RoundsPerSec: float64(rounds/p.trials) / med,
-			LostLinks:    lost,
-			Distinct:     last.Distinct,
-			MinK:         last.Replay.MinK,
-		}
+		row := newChaosRow(c, trials)
+		row.Distinct, row.MinK = last.Distinct, last.Replay.MinK
 		sum.Rows = append(sum.Rows, row)
 		if !p.asJSON {
-			fmt.Fprintf(stdout, "chaos %s: n=%d crashes=%d median %.3fs (%d rounds, %.0f rounds/sec, %d lost links) replay OK\n",
+			fmt.Fprintf(stdout, "chaos %s: n=%d crashes=%d median %.3fs/trial (mean %d rounds, median %.0f rounds/sec, %d lost links) replay OK\n",
 				p.transport, p.n, c, row.Seconds, row.Rounds, row.RoundsPerSec, row.LostLinks)
 		}
 	}

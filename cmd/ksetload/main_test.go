@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"kset/internal/service"
 )
@@ -70,5 +72,51 @@ func TestServiceModeReportsUnhealthy(t *testing.T) {
 		"-sessions", "1", "-wait", "200ms"}, &out)
 	if err == nil || !strings.Contains(err.Error(), "not healthy") {
 		t.Fatalf("unreachable service: err = %v", err)
+	}
+}
+
+// TestServiceModeFailsFastOnCrashedSession: a session the watchdog
+// declared crashed is terminal, so the run reports its error at once
+// instead of polling it until -timeout.
+func TestServiceModeFailsFastOnCrashedSession(t *testing.T) {
+	const watchdog = "watchdog: session exceeded 2s deadline"
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {})
+	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusAccepted)
+		json.NewEncoder(w).Encode(service.BatchResponse{Results: []service.SubmitResult{{ID: "s1"}}, Accepted: 1})
+	})
+	mux.HandleFunc("GET /v1/sessions/s1", func(w http.ResponseWriter, r *http.Request) {
+		json.NewEncoder(w).Encode(service.Session{ID: "s1", Status: "crashed", Error: watchdog})
+	})
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	start := time.Now()
+	err := run([]string{"-mode", "service", "-addr", srv.URL, "-sessions", "1", "-timeout", "5s"}, &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "crashed: "+watchdog) {
+		t.Fatalf("err = %v, want the session's watchdog error", err)
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("crashed session reported after %v, want well inside the 5s timeout", d)
+	}
+}
+
+// TestChaosRowTakesMedianOfPerTrialRates: the rate is each trial's own
+// rounds over its own wall time, then the median; seconds is the median
+// wall time and rounds the truncated mean.
+func TestChaosRowTakesMedianOfPerTrialRates(t *testing.T) {
+	row := newChaosRow(2, []chaosTrial{
+		{rounds: 10, seconds: 0.001, lost: 1}, // 10000 rounds/sec
+		{rounds: 40, seconds: 0.002, lost: 0}, // 20000
+		{rounds: 16, seconds: 0.004, lost: 2}, // 4000
+	})
+	want := chaosRow{Crashes: 2, Rounds: 22, Seconds: 0.002, RoundsPerSec: 10000, LostLinks: 3}
+	if row != want {
+		t.Fatalf("row = %+v, want %+v", row, want)
+	}
+	even := newChaosRow(0, []chaosTrial{{rounds: 10, seconds: 0.001}, {rounds: 30, seconds: 0.001}})
+	if even.RoundsPerSec != 20000 || even.Rounds != 20 || even.Seconds != 0.001 {
+		t.Fatalf("even row = %+v, want the two rates' midpoint 20000", even)
 	}
 }

@@ -14,10 +14,11 @@ import (
 // This file holds the dynamic-network adversary suite E13-E16: regimes
 // just outside the paper's eventually-stable model, generated by
 // adversary.TInterval, adversary.PartitionMerge and
-// adversary.VertexStableRoot, and driven through the streaming sweep
-// engine (sim.Sweep) so trial counts are bounded by time, not
-// memory. Every randomized cell derives its seed via sim.CellSeed, which
-// keeps all four experiments byte-identical across worker counts.
+// adversary.VertexStableRoot, and driven through the sweep engine
+// (sim.Sweep), which delivers each trial in cell order; a row keeps one
+// number per trial and its cells are exact summaries of those numbers.
+// Every randomized cell derives its seed via sim.CellSeed, which keeps
+// all four experiments byte-identical across worker counts.
 
 // E13TInterval measures decision quality against interval stability: a
 // T-interval adversary redraws a rooted skeleton every T rounds until a
@@ -35,8 +36,7 @@ func E13TInterval(cfg Config) (*Result, error) {
 	table := sim.NewTable(fmt.Sprintf("E13: decisions vs epoch length T (n=%d, horizon=%d)", n, horizon),
 		"T", "trials", "mean MinK", "mean distinct", "max distinct", "mean last decision", "violations")
 	for ti, T := range []int{1, 2, 4, 8, 16, 32} {
-		var minK, distinct stats.Running
-		last := stats.NewStream()
+		var minK, distinct, last []float64
 		viol := 0
 		err := sim.Sweep(cfg.Trials, cfg.Workers,
 			func(cell int) (*sim.Outcome, error) {
@@ -58,17 +58,17 @@ func E13TInterval(cfg Config) (*Result, error) {
 				if d > out.MinK {
 					viol++
 				}
-				minK.Add(float64(out.MinK))
-				distinct.Add(float64(d))
-				last.Add(float64(out.MaxDecisionRound()))
+				minK = append(minK, float64(out.MinK))
+				distinct = append(distinct, float64(d))
+				last = append(last, float64(out.MaxDecisionRound()))
 				return nil
 			})
 		if err != nil {
 			return nil, err
 		}
 		res.Violations += viol
-		table.AddRow(T, cfg.Trials, minK.Mean(), distinct.Mean(), int(distinct.Max()),
-			last.Summary().Mean, viol)
+		table.AddRow(T, cfg.Trials, stats.Mean(minK), stats.Mean(distinct), int(stats.Max(distinct)),
+			stats.Mean(last), viol)
 	}
 	res.Table = table
 	res.note("small T shreds the skeleton intersection: MinK climbs toward n and decision diversity follows")
@@ -94,8 +94,7 @@ func E14PartitionMerge(cfg Config) (*Result, error) {
 	row := 0
 	for _, c := range []int{2, 3, 4, 6, 8} {
 		for _, every := range []int{2, n / 2, n} {
-			var distinct stats.Running
-			last := stats.NewStream()
+			var distinct, last []float64
 			viol := 0
 			row++
 			err := sim.Sweep(cfg.Trials, cfg.Workers,
@@ -118,16 +117,16 @@ func E14PartitionMerge(cfg Config) (*Result, error) {
 					if d != c {
 						viol++ // the bound is tight: exactly c values
 					}
-					distinct.Add(float64(d))
-					last.Add(float64(out.MaxDecisionRound()))
+					distinct = append(distinct, float64(d))
+					last = append(last, float64(out.MaxDecisionRound()))
 					return nil
 				})
 			if err != nil {
 				return nil, err
 			}
 			res.Violations += viol
-			table.AddRow(c, every, cfg.Trials, distinct.Mean(), int(distinct.Max()), c,
-				last.Summary().Mean, viol)
+			table.AddRow(c, every, cfg.Trials, stats.Mean(distinct), int(stats.Max(distinct)), c,
+				stats.Mean(last), viol)
 		}
 	}
 	res.Table = table
@@ -151,7 +150,7 @@ func E15VertexStable(cfg Config) (*Result, error) {
 		"n", "periphery p", "trials", "mean stale edges/round", "max stale age", "bound n-1", "consensus", "violations")
 	for ni, n := range []int{8, 16} {
 		for pi, p := range []float64{0.1, 0.3} {
-			var staleCount stats.Running
+			var staleCount []float64
 			maxAge := 0
 			consensus := true
 			viol := 0
@@ -168,7 +167,7 @@ func E15VertexStable(cfg Config) (*Result, error) {
 					if m.maxAge > n-1 {
 						viol++
 					}
-					staleCount.Add(m.meanPerRound())
+					staleCount = append(staleCount, m.meanPerRound())
 					if err := out.CheckTermination(); err != nil {
 						viol++
 						return nil
@@ -183,7 +182,7 @@ func E15VertexStable(cfg Config) (*Result, error) {
 				return nil, err
 			}
 			res.Violations += viol
-			table.AddRow(n, p, cfg.Trials, staleCount.Mean(), maxAge, n-1,
+			table.AddRow(n, p, cfg.Trials, stats.Mean(staleCount), maxAge, n-1,
 				consensus, viol)
 		}
 	}
@@ -256,30 +255,19 @@ func vertexStableTrial(n int, p float64, seed int64) (e15Trial, error) {
 	return e15Trial{out, m}, err
 }
 
-// E16Scaling is the large-n scaling sweep that only the streaming engine
-// makes feasible: cfg.Trials random Psrcs runs per n up to n = 64,
-// aggregated by incremental statistics — no per-trial outcome slice is
-// ever materialized, so the sweep's memory footprint is O(workers ·
-// shard), independent of the trial count. Each trial is checked against
-// the Lemma 11 termination bound r_ST + 2n - 1 and the Theorem 1 bound
-// distinct <= MinK, extending E4's validation to sizes its buffered
-// sweep made expensive.
+// E16Scaling is the large-n scaling sweep: cfg.Trials random Psrcs runs
+// per n up to n = 64. Each trial is checked against the Lemma 11
+// termination bound r_ST + 2n - 1 and the Theorem 1 bound distinct <=
+// MinK, extending E4's validation to larger sizes; the latency columns
+// are exact quantiles of the trials' last decision rounds.
 func E16Scaling(cfg Config) (*Result, error) {
 	res := &Result{Name: "E16 large-n scaling (streaming sweep)"}
-	table := sim.NewTable("E16: decision latency at scale (random Psrcs runs, streamed aggregation)",
+	table := sim.NewTable("E16: decision latency at scale (random Psrcs runs, exact quantiles)",
 		"n", "trials", "mean last", "p50", "p95", "max last", "mean distinct", "mean MinK", "violations")
 	for ni, n := range []int{16, 32, 64} {
-		last := stats.NewStream()
-		var distinct, minK stats.Running
+		var last, distinct, minK []float64
 		viol := 0
-		err := sim.Sweep(cfg.Trials, cfg.Workers,
-			func(cell int) (*sim.Outcome, error) {
-				rng := newRng(sim.CellSeed(cfg.Seed+16, ni*cfg.Trials+cell))
-				return sim.Execute(sim.Spec{
-					Adversary: adversary.RandomSources(n, 1+rng.Intn(4), rng.Intn(n), 0.25, rng),
-					Proposals: sim.SeqProposals(n),
-				})
-			},
+		err := sim.Sweep(cfg.Trials, cfg.Workers, e16Cell(cfg, ni, n),
 			func(cell int, out *sim.Outcome) error {
 				if err := out.CheckTermination(); err != nil {
 					viol++
@@ -293,21 +281,33 @@ func E16Scaling(cfg Config) (*Result, error) {
 				if d > out.MinK {
 					viol++
 				}
-				last.Add(float64(l))
-				distinct.Add(float64(d))
-				minK.Add(float64(out.MinK))
+				last = append(last, float64(l))
+				distinct = append(distinct, float64(d))
+				minK = append(minK, float64(out.MinK))
 				return nil
 			})
 		if err != nil {
 			return nil, err
 		}
 		res.Violations += viol
-		s := last.Summary()
+		s := stats.Summarize(last)
 		table.AddRow(n, cfg.Trials, s.Mean, s.P50, s.P95, int(s.Max),
-			distinct.Mean(), minK.Mean(), viol)
+			stats.Mean(distinct), stats.Mean(minK), viol)
 	}
 	res.Table = table
-	res.note("streamed aggregation: outcomes were consumed incrementally, no per-trial slice retained")
+	res.note("p50 and p95 are exact quantiles of the trials' last decision rounds")
 	res.note("Lemma 11 (r_ST + 2n - 1) and Theorem 1 (distinct <= MinK) held at every n")
 	return res, nil
+}
+
+// e16Cell returns the trial of E16's row ni (size n): a random Psrcs run
+// with 1-4 root sources behind a noisy prefix, seeded by its cell.
+func e16Cell(cfg Config, ni, n int) func(cell int) (*sim.Outcome, error) {
+	return func(cell int) (*sim.Outcome, error) {
+		rng := newRng(sim.CellSeed(cfg.Seed+16, ni*cfg.Trials+cell))
+		return sim.Execute(sim.Spec{
+			Adversary: adversary.RandomSources(n, 1+rng.Intn(4), rng.Intn(n), 0.25, rng),
+			Proposals: sim.SeqProposals(n),
+		})
+	}
 }

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"strconv"
 	"strings"
 	"testing"
+
+	"kset/internal/stats"
 )
 
 // The quick configuration keeps the full suite affordable in go test;
@@ -240,9 +244,32 @@ func TestE16Scaling(t *testing.T) {
 	if res.Table.NumRows() != 3 {
 		t.Fatalf("rows = %d", res.Table.NumRows())
 	}
+	// The latency quantiles are exact: recompute each row's last
+	// decision rounds and compare the printed p50/p95 cells.
+	for ni, row := range res.Table.Rows() {
+		n, err := strconv.Atoi(row[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var last []float64
+		for cell := 0; cell < cfg.Trials; cell++ {
+			out, err := e16Cell(cfg, ni, n)(cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			last = append(last, float64(out.MaxDecisionRound()))
+		}
+		p50, p95 := stats.Percentile(last, 50), stats.Percentile(last, 95)
+		if want := []string{fmt.Sprintf("%.2f", p50), fmt.Sprintf("%.2f", p95)}; row[3] != want[0] || row[4] != want[1] {
+			t.Errorf("n=%d: p50, p95 cells = %s, %s; want %v", n, row[3], row[4], want)
+		}
+		if lo, hi := parseFloat(t, row[3]), parseFloat(t, row[4]); lo > hi {
+			t.Errorf("n=%d: p50 cell %v > p95 cell %v", n, lo, hi)
+		}
+	}
 }
 
-// TestDynamicSuiteWorkerIndependent pins the streaming determinism
+// TestDynamicSuiteWorkerIndependent pins the sweep determinism
 // contract at the experiment level: the rendered tables of E13-E16 must
 // be byte-identical for 1 and 8 sweep workers.
 func TestDynamicSuiteWorkerIndependent(t *testing.T) {
@@ -270,4 +297,13 @@ func TestDynamicSuiteWorkerIndependent(t *testing.T) {
 				13+i, a.Table.Render(), b.Table.Render())
 		}
 	}
+}
+
+func parseFloat(t *testing.T, cell string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

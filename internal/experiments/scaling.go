@@ -52,12 +52,12 @@ func e20Workers(cfg Config, n int) int {
 // and the nightly lane the n = 512 rung in isolation.
 func e20(cfg Config, sizes []int) (*Result, error) {
 	res := &Result{Name: "E20 multi-word scaling (hub-cluster skeletons)"}
-	table := sim.NewTable("E20: Algorithm 1 beyond one word (hub-cluster runs, streamed aggregation)",
+	table := sim.NewTable("E20: Algorithm 1 beyond one word (hub-cluster runs, exact quantiles)",
 		"n", "hubs", "trials", "mean last", "p95 last", "max last", "MinK=hubs", "ms/trial", "violations")
 	for ni, n := range sizes {
 		for hi, hubs := range e20Hubs(n) {
 			trials := e20Trials(cfg, n)
-			last := stats.NewStream()
+			var last []float64
 			exact := 0
 			viol := 0
 			start := time.Now()
@@ -93,7 +93,7 @@ func e20(cfg Config, sizes []int) (*Result, error) {
 					} else {
 						viol++
 					}
-					last.Add(float64(l))
+					last = append(last, float64(l))
 					return nil
 				})
 			if err != nil {
@@ -101,7 +101,7 @@ func e20(cfg Config, sizes []int) (*Result, error) {
 			}
 			res.Violations += viol
 			perTrial := float64(time.Since(start).Milliseconds()) / float64(trials)
-			s := last.Summary()
+			s := stats.Summarize(last)
 			table.AddRow(n, hubs, trials, s.Mean, s.P95, int(s.Max),
 				exact, perTrial, viol)
 		}

@@ -92,7 +92,7 @@ func (s *Service) WriteMetrics(w io.Writer) {
 	counter("ksetd_sessions_completed_total", "Sessions finished successfully.", s.met.completed.Load())
 	counter("ksetd_sessions_failed_total", "Sessions that ended in an execution error.", s.met.failed.Load())
 	counter("ksetd_sessions_crashed_total", "Sessions the watchdog declared crashed (partial results flushed).", s.met.crashed.Load())
-	counter("ksetd_peer_stalls_total", "Rounds a session transport closed by deadline with senders missing.", s.stall.Stalls.Load())
+	counter("ksetd_peer_stalls_total", "Senders a session transport's deadline-closed rounds gave up on, one per (receiving process, missing sender, round).", s.stall.Stalls.Load())
 	counter("ksetd_rounds_total", "Algorithm rounds executed across all sessions.", s.met.roundsTotal.Load())
 	counter("ksetd_decisions_total", "Distinct decision values across all sessions.", s.met.decisionsTotal.Load())
 	counter("ksetd_kbound_violations_total", "Sessions whose decisions exceeded the MinK bound (possible only with faithful_guard).", s.met.kboundViolations.Load())

@@ -3,8 +3,7 @@
 // or a baseline), the skeleton tracker, the wire meter, and the outcome
 // checker into one call (Execute), and runs parameter sweeps on a worker
 // pool (Sweep: whatever a cell computes — an outcome, a verdict, a score —
-// reaches the caller's incremental aggregators in deterministic cell
-// order, and no per-trial record is retained). All experiment tables in
+// reaches the caller in deterministic cell order). All experiment tables in
 // EXPERIMENTS.md are produced through this package (see cmd/ksetbench).
 package sim
 

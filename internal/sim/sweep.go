@@ -36,9 +36,10 @@ type future[T any] struct {
 // calling goroutine, exactly once, in strictly ascending cell order for
 // every worker count. run must be a pure function of cell — derive any
 // randomness from CellSeed(baseSeed, cell), never from shared mutable
-// state — so that what incremental aggregators (stats.Running, Stream)
-// fold from the deliveries is byte-identical for workers = 1 and 64;
-// deliver must not retain the value, or the sweep holds O(cells) of them.
+// state — so that what deliver keeps is byte-identical for workers = 1
+// and 64. deliver should keep what it reads of a value, not the value
+// (an experiment row keeps one number per trial), or the sweep holds
+// O(cells) of them.
 //
 // The first error — from run or deliver — aborts the sweep and is
 // returned wrapped with its cell index. Errors are deterministic like

@@ -28,14 +28,13 @@ func executing(spec func(cell int) (Spec, error)) func(cell int) (*Outcome, erro
 	}
 }
 
-// streamDigest runs a streaming sweep over `cells` random trials drawn
-// by adv and renders the aggregated statistics as a string. Any
-// dependence of the aggregation on the worker count would change the
+// sweepDigest runs a sweep over `cells` random trials drawn by adv and
+// renders the summaries of the delivered values as a string. Any
+// dependence of the deliveries on the worker count would change the
 // digest.
-func streamDigest(t *testing.T, adv func(*rand.Rand) *adversary.Run, cells, workers, shardSize int) string {
+func sweepDigest(t *testing.T, adv func(*rand.Rand) *adversary.Run, cells, workers, shardSize int) string {
 	t.Helper()
-	rounds := stats.NewStream()
-	var distinct stats.Running
+	var rounds, distinct []float64
 	order := make([]int, 0, cells)
 	err := sweep(cells, workers, shardSize,
 		func(cell int) (*Outcome, error) {
@@ -44,8 +43,8 @@ func streamDigest(t *testing.T, adv func(*rand.Rand) *adversary.Run, cells, work
 		},
 		func(cell int, out *Outcome) error {
 			order = append(order, cell)
-			rounds.Add(float64(out.MaxDecisionRound()))
-			distinct.Add(float64(len(out.DistinctDecisions())))
+			rounds = append(rounds, float64(out.MaxDecisionRound()))
+			distinct = append(distinct, float64(len(out.DistinctDecisions())))
 			return nil
 		})
 	if err != nil {
@@ -56,15 +55,15 @@ func streamDigest(t *testing.T, adv func(*rand.Rand) *adversary.Run, cells, work
 			t.Fatalf("workers=%d: outcome %d delivered at position %d", workers, c, i)
 		}
 	}
-	return fmt.Sprintf("%v | distinct mean=%v max=%v", rounds.Summary(), distinct.Mean(), distinct.Max())
+	return fmt.Sprintf("%v | distinct mean=%v max=%v", stats.Summarize(rounds), stats.Mean(distinct), stats.Max(distinct))
 }
 
-func TestStreamSweepByteStableAcrossWorkers(t *testing.T) {
+func TestSweepByteStableAcrossWorkers(t *testing.T) {
 	const cells = 60
-	want := streamDigest(t, randomSources8, cells, 1, 4)
+	want := sweepDigest(t, randomSources8, cells, 1, 4)
 	for _, workers := range []int{4, 8} {
 		for _, shard := range []int{1, 4, 16} {
-			if got := streamDigest(t, randomSources8, cells, workers, shard); got != want {
+			if got := sweepDigest(t, randomSources8, cells, workers, shard); got != want {
 				t.Fatalf("workers=%d shard=%d digest\n  %s\nwant (workers=1)\n  %s",
 					workers, shard, got, want)
 			}
@@ -72,26 +71,26 @@ func TestStreamSweepByteStableAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStreamSweepByteStableAcrossCores is the same pin one size above the
+// TestSweepByteStableAcrossCores is the same pin one size above the
 // crossover (n >= 128) from which rounds.RunSequential shards each
 // trial's transitions over GOMAXPROCS workers: the table must not depend
 // on the core count either, alone or under a parallel sweep.
-func TestStreamSweepByteStableAcrossCores(t *testing.T) {
+func TestSweepByteStableAcrossCores(t *testing.T) {
 	const n, cells = 130, 6
 	hubs := func(rng *rand.Rand) *adversary.Run {
 		return adversary.HubClusters(n, 1+rng.Intn(3), 4, 2/float64(n), rng)
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	want := streamDigest(t, hubs, cells, 1, 1)
+	want := sweepDigest(t, hubs, cells, 1, 1)
 	runtime.GOMAXPROCS(2)
 	for _, workers := range []int{1, 4} {
-		if got := streamDigest(t, hubs, cells, workers, 2); got != want {
+		if got := sweepDigest(t, hubs, cells, workers, 2); got != want {
 			t.Fatalf("GOMAXPROCS=2 workers=%d digest\n  %s\nwant (GOMAXPROCS=1, workers=1)\n  %s", workers, got, want)
 		}
 	}
 }
 
-func TestStreamSweepPropagatesErrors(t *testing.T) {
+func TestSweepPropagatesRunAndDeliverErrors(t *testing.T) {
 	specErr := func(cell int) (Spec, error) {
 		if cell == 3 {
 			return Spec{}, fmt.Errorf("boom")
@@ -122,7 +121,7 @@ func TestStreamSweepPropagatesErrors(t *testing.T) {
 	}
 }
 
-func TestStreamSweepValidation(t *testing.T) {
+func TestSweepValidation(t *testing.T) {
 	ok := func(cell int, out *Outcome) error { return nil }
 	run := func(cell int) (*Outcome, error) {
 		return Execute(Spec{Adversary: adversary.Complete(2), Proposals: SeqProposals(2)})

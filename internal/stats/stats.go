@@ -79,8 +79,8 @@ func Percentile(xs []float64, p float64) float64 {
 	hi := int(math.Ceil(rank))
 	// Equal closest ranks (including ties in the data) take the value
 	// directly: interpolating a*(1-f) + a*f can differ from a in the
-	// last bit, which matters to consumers comparing streamed and batch
-	// summaries for byte-identical tables.
+	// last bit, and a quantile of a sample that holds one value must be
+	// that value.
 	if lo == hi || sorted[lo] == sorted[hi] {
 		return sorted[lo]
 	}

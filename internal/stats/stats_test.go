@@ -54,6 +54,11 @@ func TestPercentile(t *testing.T) {
 	if !almost(Percentile([]float64{9}, 75), 9) {
 		t.Fatal("singleton wrong")
 	}
+	// Equal closest ranks return the value itself: at rank 0.3 between
+	// two 0.1s, 0.1*0.7 + 0.1*0.3 would read 0.09999999999999999.
+	if got := Percentile([]float64{0.1, 0.1}, 30); got != 0.1 {
+		t.Fatalf("tie: Percentile = %v, want exactly 0.1", got)
+	}
 }
 
 func TestPercentileDoesNotMutate(t *testing.T) {

@@ -7,9 +7,10 @@ import "sync/atomic"
 // all sessions sharing one counter set — Stalls backs the
 // ksetd_peer_stalls_total metric).
 type StallCounters struct {
-	// Stalls counts (round, sender) pairs a deadline closure gave up on:
-	// one increment per sender per round a receiver closed without that
-	// sender's frame, whether or not a stall detector is watching.
+	// Stalls counts the senders deadline closures gave up on, one per
+	// (receiving process, missing sender, round): a receiver that closed
+	// a round without a sender's frame adds one, whether or not a stall
+	// detector is watching.
 	Stalls atomic.Int64
 	// Retries counts stream reconnect attempts (TCP mesh only).
 	Retries atomic.Int64
