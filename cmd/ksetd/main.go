@@ -85,6 +85,17 @@ func run(ctx context.Context, args []string, stdout io.Writer) error {
 	if fs.NArg() != 0 {
 		return fmt.Errorf("unexpected arguments: %v", fs.Args())
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"workers", *workers}, {"queue", *queue}, {"maxn", *maxn}, {"retain", *retain}} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s = %d, need >= 1", f.name, f.v)
+		}
+	}
+	if *sessionTimeout < 0 {
+		return fmt.Errorf("-session-timeout = %v, need >= 0 (0 disables)", *sessionTimeout)
+	}
 
 	svc := service.New(service.Config{
 		Workers: *workers,

@@ -38,6 +38,19 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"positional"}, &out); err == nil {
 		t.Fatal("positional argument accepted")
 	}
+	// A value the service would silently replace by its default is
+	// rejected before listening. The context is already canceled, so a
+	// run that accepted the flag returns nil at once instead of serving.
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, flag := range [][]string{
+		{"-workers", "0"}, {"-queue", "0"}, {"-maxn", "0"}, {"-retain", "0"},
+		{"-workers", "-3"}, {"-session-timeout", "-1s"},
+	} {
+		if err := run(canceled, append([]string{"-addr", "127.0.0.1:0"}, flag...), &out); err == nil {
+			t.Errorf("%s %s accepted", flag[0], flag[1])
+		}
+	}
 }
 
 var listenLine = regexp.MustCompile(`ksetd listening on ([0-9.:]+)`)

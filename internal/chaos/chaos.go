@@ -140,7 +140,7 @@ func Run(cfg BatteryConfig, artifactDir string) (*runtime.CrashReplayReport, err
 		// notice); the socket meshes must detect theirs by stall.
 		Crash: RandomCrashPlan(n, cfg.Crashes, maxCrashRound, cfg.Seed, cfg.Kind == "inproc"),
 		// Each socket mesh reads its own timing; in-proc reads neither.
-		TCP: transport.TCPOpts{RoundTimeout: 25 * time.Millisecond, DeadAfter: 4, MaxReconnect: 2},
+		TCP: transport.TCPOpts{RoundTimeout: 25 * time.Millisecond, DeadAfter: 4},
 		UDP: transport.UDPOpts{RoundTimeout: 15 * time.Millisecond, Grace: 2 * time.Millisecond, DeadAfter: 4},
 	}
 	rep, err := runtime.CrashReplay(spec, opts)

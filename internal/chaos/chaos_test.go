@@ -152,7 +152,6 @@ func TestSilentCrashDetectedByStall(t *testing.T) {
 				TCP: transport.TCPOpts{
 					RoundTimeout: 25 * time.Millisecond,
 					DeadAfter:    3,
-					MaxReconnect: 2,
 					Counters:     &counters,
 				},
 				UDP: transport.UDPOpts{
@@ -251,6 +250,54 @@ func TestStallPlanRecoversWithoutVerdict(t *testing.T) {
 		if !rep.Live.Decided[i] {
 			t.Errorf("p%d never decided after the stall cleared", i+1)
 		}
+	}
+}
+
+// TestStallVerdictSparesItsSuspect delays p2 past DeadAfter deadlines:
+// a false-positive death verdict on a slow-but-alive process. The
+// verdict is the others' view of p2; p2 itself must keep hearing its own
+// messages (Algorithm 1 requires every self-loop), so the run finishes,
+// replays bit-for-bit, and every process — p2 included — decides within
+// the k-bound.
+func TestStallVerdictSparesItsSuspect(t *testing.T) {
+	for _, kind := range []string{"udp", "tcp"} {
+		t.Run(kind, func(t *testing.T) {
+			t.Parallel()
+			const n = 4
+			var counters transport.StallCounters
+			stall := &runtime.StallPlan{
+				From:  make([]int, n),
+				To:    make([]int, n),
+				Delay: make([]time.Duration, n),
+			}
+			stall.From[1], stall.To[1], stall.Delay[1] = 2, 5, 60*time.Millisecond
+			spec := sim.Spec{
+				Adversary: adversary.Complete(n),
+				Proposals: sim.SeqProposals(n),
+				Params:    core.Options{ConservativeDecide: true},
+				MaxRounds: 3*n + 10,
+			}
+			rep, err := runtime.CrashReplay(spec, runtime.RunnerOpts{
+				Kind:  kind,
+				Stall: stall,
+				TCP:   transport.TCPOpts{RoundTimeout: 10 * time.Millisecond, DeadAfter: 2, Counters: &counters},
+				UDP:   transport.UDPOpts{RoundTimeout: 10 * time.Millisecond, DeadAfter: 2, Counters: &counters},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if counters.Dead.Load() == 0 {
+				t.Error("a 60ms stall against a 10ms deadline drew no death verdict")
+			}
+			for i := 0; i < n; i++ {
+				if !rep.Live.Decided[i] {
+					t.Errorf("p%d never decided", i+1)
+				}
+			}
+			if !rep.KBound {
+				t.Errorf("%d distinct decisions exceed realized MinK %d", rep.Distinct, rep.Replay.MinK)
+			}
+		})
 	}
 }
 

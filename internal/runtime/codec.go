@@ -35,8 +35,8 @@ type (
 // barrier orders every round-r Transition before any round-r+1 Decode
 // can overwrite the scratch the value lives in. Stale keys cannot alias
 // — a recycled payload buffer re-enters the cache under its new round,
-// and the refcount on the shared buffer keeps it pinned while any
-// co-located receiver is still in the round.
+// and the node's mailbox reuses a ring slot's buffer only once every
+// receiver it hosts has gathered past that round.
 type decodeShare struct {
 	slots []shareSlot // per sender
 }
@@ -69,8 +69,9 @@ func (s *decodeShare) decode(dec Decoder, from, r int, payload []byte) (any, err
 		sl.entries = make(map[*byte]shareEntry, 4)
 	}
 	if len(sl.entries) > 64 {
-		// Pool churn can mint fresh backing arrays; drop dead rounds so
-		// the map tracks only the live buffer set.
+		// A ring slot whose buffers a lagging receiver still pinned
+		// gets fresh ones; drop dead rounds so the map tracks only the
+		// live buffer set.
 		for k, e := range sl.entries {
 			if e.round != r {
 				delete(sl.entries, k)

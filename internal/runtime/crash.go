@@ -176,7 +176,8 @@ func (c crashCut) Deliver(r, from int, to graph.NodeSet) {
 // stall machinery — deadline closures, grace extensions, miss streaks
 // that end before the verdict — and, when Delay ≥ RoundTimeout ×
 // DeadAfter, for a false-positive death verdict on a slow-but-alive
-// peer, which the chaos battery exercises deliberately.
+// peer: the others stop hearing it, it keeps hearing itself
+// (internal/chaos TestStallVerdictSparesItsSuspect).
 type StallPlan struct {
 	From, To []int
 	Delay    []time.Duration

@@ -451,8 +451,8 @@ type RunnerOpts struct {
 	// streaks that end in recovery rather than a death verdict.
 	Stall *StallPlan
 	// TCP tunes the stream mesh when Kind is "tcp" (chaos knobs: deadline
-	// closure, stall detection, reconnect). The zero value is the classic
-	// reliable mesh.
+	// closure, stall detection; a broken stream is then a lost link). The
+	// zero value is the classic reliable mesh.
 	TCP transport.TCPOpts
 	// Meter, when non-nil, records the realized heard-set of every
 	// gather on any transport kind (overriding UDP.Meter).

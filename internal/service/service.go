@@ -110,7 +110,7 @@ type SessionSpec struct {
 	// guard may exceed the k-bound). Algorithm kset only.
 	FaithfulGuard bool `json:"faithful_guard,omitempty"`
 	// Transport selects the session's wire layer: "inproc" (default),
-	// "tcp" (loopback sockets; costs n listeners + n² streams), or
+	// "tcp" (loopback sockets; costs n(n-1) stream ends, so n <= 32), or
 	// "udp" (best-effort datagrams; the session runs with a generous
 	// round deadline so a quiet loopback loses nothing, but any real
 	// loss is tolerated by the algorithm, not retransmitted).
@@ -327,10 +327,14 @@ func (s *Service) List(status string, limit int) []Session {
 // holds a worker for max_rounds rounds, so both are checked before any
 // adversary is built. 4n is the longest horizon a family picks for itself
 // (tinterval); 32n is over twice the largest automatic round bound (12n,
-// or a 4n prefix + 2n + 5).
+// or a 4n prefix + 2n + 5). A tcp session builds n(n-1) stream ends, each
+// with a reader goroutine and a 64 KiB read buffer: measured on loopback,
+// one mesh holds 15 MB of heap at n = 16 and 63 MB at n = 32, and takes
+// n(n-1) descriptors. maxTCPN caps that; udp and in-proc go to MaxN.
 const (
 	maxNoisyPerN  = 4
 	maxRoundsPerN = 32
+	maxTCPN       = 32
 )
 
 // validate normalizes and checks spec and returns the adversary it
@@ -357,7 +361,11 @@ func (s *Service) validate(spec *SessionSpec) (rounds.Adversary, error) {
 		return nil, fmt.Errorf("%d proposals for n = %d", len(spec.Proposals), spec.N)
 	}
 	switch spec.Transport {
-	case "", "inproc", "tcp", "udp":
+	case "", "inproc", "udp":
+	case "tcp":
+		if spec.N > maxTCPN {
+			return nil, fmt.Errorf("n = %d out of range [1,%d] for transport tcp", spec.N, maxTCPN)
+		}
 	default:
 		return nil, fmt.Errorf("unknown transport %q", spec.Transport)
 	}

@@ -36,6 +36,7 @@ func TestSubmitValidation(t *testing.T) {
 	res := s.Submit([]SessionSpec{
 		{N: 4, Family: "rooted", Seed: 1},
 		{N: 1, Family: "lowerbound"}, // k defaults to n/2, which must not be 0
+		{N: 16, Family: "rooted", Seed: 2, Transport: "tcp"},
 		{N: 0, Family: "rooted"},
 		{N: 4, Family: "no-such-family"},
 		{N: 4, Family: "rooted", Proposals: []int64{1, 2}},
@@ -48,8 +49,9 @@ func TestSubmitValidation(t *testing.T) {
 		{N: 128, Family: "rooted", Noisy: 4*128 + 1},
 		{N: 4, Family: "rooted", MaxRounds: -1},
 		{N: 4, Family: "rooted", MaxRounds: 32*4 + 1},
+		{N: 33, Family: "rooted", Transport: "tcp"},
 	})
-	const valid = 2
+	const valid = 3
 	for i, r := range res {
 		switch {
 		case i < valid && (r.Error != "" || r.ID == ""):

@@ -43,7 +43,7 @@ func jitterSpec(cells int, rng *rand.Rand) func(cell int) (Spec, error) {
 	}
 }
 
-func TestStreamSweepStrictOrderUnderJitter(t *testing.T) {
+func TestSweepStrictOrderUnderJitter(t *testing.T) {
 	const cells = 120
 	for _, workers := range []int{1, 2, 3, 8, 16} {
 		rng := rand.New(rand.NewSource(int64(workers)))
@@ -68,11 +68,11 @@ func TestStreamSweepStrictOrderUnderJitter(t *testing.T) {
 	}
 }
 
-// TestStreamSweepErrorPathDeterministic pins the repaired contract: a
+// TestSweepErrorPathDeterministic pins the repaired contract: a
 // failing Spec at a fixed cell yields, for every worker count, exactly
 // the outcomes 0..failCell-1 in order and an error naming that cell —
 // even though higher shards (dispatched concurrently) already finished.
-func TestStreamSweepErrorPathDeterministic(t *testing.T) {
+func TestSweepErrorPathDeterministic(t *testing.T) {
 	const cells, failCell = 96, 37
 	for _, workers := range []int{1, 2, 4, 8} {
 		rng := rand.New(rand.NewSource(7))
@@ -114,10 +114,10 @@ func TestStreamSweepErrorPathDeterministic(t *testing.T) {
 	}
 }
 
-// TestStreamSweepOnOutcomeErrorDeterministic does the same for a
+// TestSweepDeliverErrorDeterministic does the same for a
 // consumer-side failure: deliver runs on the caller in cell order,
 // so its first error is always at the same cell.
-func TestStreamSweepOnOutcomeErrorDeterministic(t *testing.T) {
+func TestSweepDeliverErrorDeterministic(t *testing.T) {
 	const cells, failCell = 64, 29
 	for _, workers := range []int{1, 3, 8} {
 		rng := rand.New(rand.NewSource(11))
@@ -140,10 +140,10 @@ func TestStreamSweepOnOutcomeErrorDeterministic(t *testing.T) {
 	}
 }
 
-// TestStreamSweepLowestErrorWins plants TWO failing cells; the returned
+// TestSweepLowestErrorWins plants TWO failing cells; the returned
 // error must always be the lower one's, for every worker count (not
 // whichever arrives first).
-func TestStreamSweepLowestErrorWins(t *testing.T) {
+func TestSweepLowestErrorWins(t *testing.T) {
 	const cells, lowFail, highFail = 80, 21, 22
 	for _, workers := range []int{1, 2, 8} {
 		rng := rand.New(rand.NewSource(13))

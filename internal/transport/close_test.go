@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -48,8 +49,7 @@ func TestInProcCloseLeaksNoGoroutines(t *testing.T) {
 
 // TestTCPCloseLeaksNoGoroutines drives a full mesh (one node per
 // process and a grouped 2-node mesh) through several rounds and
-// requires every writer loop, reader loop, and accept helper to unwind
-// on Close.
+// requires every writer loop and reader loop to unwind on Close.
 func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 	for _, nodes := range []int{4, 2} {
 		leakCheck(t, func() {
@@ -67,7 +67,8 @@ func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 
 // TestTCPCloseWithoutTrafficLeaksNoGoroutines closes a freshly built
 // mesh whose streams never carried a frame: reader loops are parked in
-// Read and writer loops in their cond wait, and Close must unwind both.
+// Read and writer loops in their mailbox's wait for round 1's posts, and
+// Close must unwind both.
 func TestTCPCloseWithoutTrafficLeaksNoGoroutines(t *testing.T) {
 	leakCheck(t, func() {
 		tr, err := NewTCPMeshLoopbackOpts(6, 3, nil, TCPOpts{})
@@ -78,6 +79,82 @@ func TestTCPCloseWithoutTrafficLeaksNoGoroutines(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestTCPMeshRunsOnlyItsLoops: a node accepts its streams during set-up
+// and its listener closes when set-up ends, so a live m-node mesh runs
+// exactly its m writer loops and m(m-1) reader loops, nothing else.
+func TestTCPMeshRunsOnlyItsLoops(t *testing.T) {
+	for _, m := range []int{2, 4} {
+		leakCheck(t, func() {
+			tr, err := NewTCPMeshLoopbackOpts(4, m, nil, TCPOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			want := m + m*(m-1)
+			for deadline := time.Now().Add(5 * time.Second); ; {
+				got := meshGoroutines()
+				if got == want {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("m = %d: %d goroutines started by the transport, want %d", m, got, want)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// meshGoroutines counts the live goroutines this package started.
+func meshGoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return bytes.Count(buf[:n], []byte("created by kset/internal/transport."))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestTCPLostLinkStaysOneLink breaks the node 0 - node 1 stream of a
+// 3-node chaos-mode mesh by hand right after set-up. The loss is one
+// missing link in both directions and nothing more: every process still
+// hears itself, node 2 hears everyone over its intact streams, and since
+// each end of the broken stream declares the other dead for itself, its
+// rounds close by count — no deadline is ever spent.
+func TestTCPLostLinkStaysOneLink(t *testing.T) {
+	var c StallCounters
+	leakCheck(t, func() {
+		tr, err := NewTCPMeshLoopbackOpts(3, 3, nil, TCPOpts{RoundTimeout: 50 * time.Millisecond, Counters: &c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn := tr.sl.nodes[0]
+		sn.mu.Lock()
+		sn.conns[1].Close()
+		sn.mu.Unlock()
+		heard := driveRun(t, tr, 4)
+		for r, row := range heard {
+			for q := range row {
+				for p, got := range row[q] {
+					if want := p == q || p+q != 1; got != want { // p+q == 1: the lost link
+						t.Errorf("round %d: p%d heard p%d = %v, want %v", r+1, q+1, p+1, got, want)
+					}
+				}
+			}
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := c.Stalls.Load(); got != 0 {
+		t.Errorf("%d deadline misses: a lost link's rounds must close by count", got)
+	}
+	if got := c.Dead.Load(); got != 2 {
+		t.Errorf("%d processes declared dead, want 2: each end rules on its peer", got)
+	}
 }
 
 // TestUDPCloseLeaksNoGoroutines drives UDP meshes (fully distributed
@@ -100,8 +177,8 @@ func TestUDPCloseLeaksNoGoroutines(t *testing.T) {
 
 // TestUDPCloseWithoutTrafficLeaksNoGoroutines closes a freshly built
 // mesh whose sockets never carried a datagram: readers are parked on
-// the netpoller and writer loops in their cond wait, and Close must
-// unwind both.
+// the netpoller and writer loops in their mailbox's wait for round 1's
+// posts, and Close must unwind both.
 func TestUDPCloseWithoutTrafficLeaksNoGoroutines(t *testing.T) {
 	leakCheck(t, func() {
 		tr, err := NewUDPMeshLoopback(6, 3, nil, udpTestOpts())
@@ -251,7 +328,6 @@ func TestCloseWithKilledPeerLeaksNoGoroutines(t *testing.T) {
 			tr, err := NewTCPMeshLoopbackOpts(n, n, nil, TCPOpts{
 				RoundTimeout: 100 * time.Millisecond,
 				DeadAfter:    2,
-				MaxReconnect: 3,
 				Counters:     &c,
 			})
 			if err != nil {
@@ -290,35 +366,6 @@ func TestCloseWithKilledPeerLeaksNoGoroutines(t *testing.T) {
 		}
 		if c.Dead.Load() == 0 {
 			t.Error("stall detector never issued the death verdict")
-		}
-	})
-}
-
-// TestTCPCloseDuringReconnectLeaksNoGoroutines breaks an inter-node
-// stream mid-run so both recovery goroutines spawn — the dialer side
-// parks in its first backoff sleep (deliberately huge), the accept side
-// in its replacement budget — and then closes the transport. Both must
-// unwind via the transport's done channel, not their timers.
-func TestTCPCloseDuringReconnectLeaksNoGoroutines(t *testing.T) {
-	leakCheck(t, func() {
-		tr, err := NewTCPMeshLoopbackOpts(4, 2, nil, TCPOpts{
-			RoundTimeout:  time.Minute, // rounds close by count; only the break matters
-			MaxReconnect:  64,
-			reconnectBase: 2 * time.Second, // first redial parks well past the Close below
-			reconnectMax:  10 * time.Second,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveRun(t, tr, 2)
-		sn := tr.sl.nodes[0]
-		sn.mu.Lock()
-		stream := sn.conns[1]
-		sn.mu.Unlock()
-		stream.Close() // both reader loops fail: node 0 redials, node 1 awaits
-		time.Sleep(50 * time.Millisecond)
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
 		}
 	})
 }

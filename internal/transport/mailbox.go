@@ -287,7 +287,7 @@ func (b *mailbox) writerTargetLocked(r int) int {
 // delivery rows. The views stay valid until the next call, which tells
 // the ring round r-1 is shipped. false means nothing is left to ship,
 // ever — the mailbox is closed or failed, or every hosted sender is
-// dead, their slots pre-filled mesh-wide by the verdict — and the writer
+// dead, their slots pre-filled by an announced crash — and the writer
 // stops guarding the ring.
 func (b *mailbox) awaitPosted(r int, bufs [][]byte, rows []graph.NodeSet) bool {
 	b.mu.Lock()

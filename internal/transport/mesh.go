@@ -53,10 +53,10 @@ type meshOpts struct {
 // send once per peer node per round from the sending node's writer loop,
 // then flush; the link hands every body it receives to the receiving
 // node's deliver. Loss is the link's to absorb (a datagram the kernel
-// refused, a stream that is down but may come back): send and flush
+// refused, a frame on a stream lost in chaos mode): send and flush
 // return an error only when the node is cut off for good, and the core
-// then fails the node's processes. A link that gives up on a peer
-// reports it through mesh.markNodeDead.
+// then fails the node's processes. A link that loses a peer node rules
+// on it for the node at its own end alone, through meshNode.forget.
 type link interface {
 	// send ships node from's round-r frame body to node to. body is valid
 	// only during the call.
@@ -215,10 +215,12 @@ func (t *mesh) MarkDead(p, fromRound int) {
 	}
 }
 
-// markNodeDead is the terminal verdict of a stall detector or of a link
-// that gave up on a peer (an exhausted reconnect budget): every process
-// hosted by the peer node is declared dead from the beginning — an OS
-// process dying takes every co-located participant with it. Idempotent.
+// markNodeDead is a stall detector's terminal verdict on node peer: every
+// process it hosts is declared dead from the beginning — an OS process
+// dying takes every co-located participant with it — in every mailbox
+// but the suspect's own. A verdict is what the rest of the mesh concludes
+// about a silent node; a slow-but-alive suspect keeps hearing itself
+// (contract 4). Idempotent.
 func (t *mesh) markNodeDead(peer int) {
 	t.mu.Lock()
 	if t.closed || (t.deadNodes != nil && t.deadNodes[peer]) {
@@ -230,12 +232,18 @@ func (t *mesh) markNodeDead(peer int) {
 	}
 	t.deadNodes[peer] = true
 	t.mu.Unlock()
-	lo, hi := t.nodeLo(peer), t.nodeLo(peer+1)
-	if c := t.opts.counters; c != nil {
-		c.Dead.Add(int64(hi - lo))
+	t.countDead(peer)
+	for _, nd := range t.nodes {
+		if nd.id != peer {
+			nd.forget(peer)
+		}
 	}
-	for p := lo; p < hi; p++ {
-		t.MarkDead(p, 1)
+}
+
+// countDead counts one verdict on node peer's processes.
+func (t *mesh) countDead(peer int) {
+	if c := t.opts.counters; c != nil {
+		c.Dead.Add(int64(t.nodeLo(peer+1) - t.nodeLo(peer)))
 	}
 }
 
@@ -281,6 +289,14 @@ type meshNode struct {
 }
 
 func (nd *meshNode) localN() int { return nd.hi - nd.lo }
+
+// forget declares every process node peer hosts dead, from the
+// beginning, in nd's mailbox alone.
+func (nd *meshNode) forget(peer int) {
+	for p := nd.t.nodeLo(peer); p < nd.t.nodeLo(peer+1); p++ {
+		nd.box.markDead(p, 1)
+	}
+}
 
 // writeLoop is the node's single outbound event loop: for each round in
 // order, once every live hosted process has posted its payload, it

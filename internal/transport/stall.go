@@ -12,10 +12,10 @@ type StallCounters struct {
 	// a round without a sender's frame adds one, whether or not a stall
 	// detector is watching.
 	Stalls atomic.Int64
-	// Retries counts stream reconnect attempts (TCP mesh only).
-	Retries atomic.Int64
-	// Dead counts terminal death verdicts (processes declared dead by a
-	// stall detector or a reconnect budget running out).
+	// Dead counts the processes terminal death verdicts declared dead:
+	// a stall verdict counts its suspect node's processes once, and a
+	// lost TCP link counts the peer node's processes at each end that
+	// rules on it.
 	Dead atomic.Int64
 }
 
@@ -23,8 +23,8 @@ type StallCounters struct {
 // liveness: it folds the missed-sender lists of deadline-closed rounds
 // into per-sender consecutive-miss streaks and escalates a streak of
 // DeadAfter to a terminal death verdict. State is endpoint-local (no
-// locking — Gather is single-goroutine); verdicts go through the
-// transport's DeadMarker, which is idempotent and mesh-wide.
+// locking — Gather is single-goroutine); a verdict goes to the mesh,
+// which applies it once, in every node's mailbox but the suspect's.
 //
 // The streak rule distinguishes a stall from a loss burst only by
 // length: DeadAfter consecutive misses. Injected Policy drops never
@@ -33,7 +33,7 @@ type StallCounters struct {
 // so the detector self-quiesces after a verdict.
 type stallDetector struct {
 	deadAfter int
-	verdict   func(sender int) // mesh-wide death verdict for sender's node
+	verdict   func(sender int) // death verdict on sender's node
 
 	lastMiss []int // round of the most recent miss, per sender
 	streak   []int // consecutive-miss streak ending at lastMiss, per sender

@@ -21,8 +21,8 @@
 //   - TCPMesh — the stream link (tcp.go): one duplex TCP stream per node
 //     pair (loopback or a LAN), each round's frame length-prefixed and
 //     written with one writev, one reader goroutine per stream end. In
-//     chaos mode (TCPOpts.RoundTimeout > 0) broken streams are redialed
-//     and their frames are loss.
+//     chaos mode (TCPOpts.RoundTimeout > 0) a broken stream is one lost
+//     link: each end stops hearing the other, nothing else changes.
 //   - UDPMesh — the datagram link (udp.go): frame bodies packed into
 //     MTU-sized datagrams (fragmenting large frames across numbered
 //     datagrams), batched through sendmmsg/recvmmsg on Linux. A datagram
@@ -62,14 +62,13 @@
 //	Grace         0 = 300µs                    0 = RoundTimeout/8, at least 100µs
 //	DeadAfter     0 = no stall detector        0 = no stall detector
 //	Counters      nil = events not counted     nil = events not counted
-//	MaxReconnect  -                            0 = a broken stream is terminal at once
 //	SocketBuffer  0 = 1MiB                     -
 //	Meter         nil = heard-sets not kept    - (Metered attaches one to any mesh)
 //	DropDatagram  nil = no simulated loss      -
 //
-// On the stream link Grace, DeadAfter and MaxReconnect only act in chaos
-// mode (RoundTimeout > 0): a count-closed mesh has no deadline to extend,
-// no deadline-closed round to count, and fails on a broken stream. With
+// On the stream link Grace and DeadAfter only act in chaos mode
+// (RoundTimeout > 0): a count-closed mesh has no deadline to extend, no
+// deadline-closed round to count, and fails on a broken stream. With
 // DeadAfter 0 silence costs a deadline every round but is never terminal,
 // the right setting when loss is expected to be transient. Datagrams are
 // 1400 bytes.
@@ -154,11 +153,13 @@ type Transport interface {
 // frame from p still in flight is discarded. The verdict is terminal:
 // there is no MarkAlive.
 //
-// Two callers exist: the runtime's crash injector (a planned crash
-// announces itself, round-exactly, the way a real crashed OS process is
-// announced by its supervisor) and the transports' own stall detectors
-// (an unannounced crash is inferred from consecutive deadline-closed
-// rounds; see DeadAfter in the option table above).
+// Its caller is the runtime's crash injector: a planned crash announces
+// itself, round-exactly, the way a real crashed OS process is announced
+// by its supervisor, and the verdict reaches every mailbox. A mesh rules
+// on silence itself, more narrowly: a stall detector's verdict (DeadAfter
+// consecutive deadline-closed rounds) reaches every node but the
+// suspect's, which keeps hearing itself, and a TCP stream lost in chaos
+// mode reaches only its two ends, each ruling on the other.
 type DeadMarker interface {
 	MarkDead(p, fromRound int)
 }
