@@ -26,12 +26,12 @@ import (
 	"kset/internal/transport"
 )
 
-// RandomCrashPlan builds a seeded plan killing `crashes` distinct
+// randomCrashPlan builds a seeded plan killing `crashes` distinct
 // processes at rounds in [2, maxRound], sites cycling through
 // before/mid/after-send with seeded partial sets for the mid-send
 // victims. Victims are chosen uniformly; crashes is clamped to n-1 (the
 // harness always keeps a survivor).
-func RandomCrashPlan(n, crashes, maxRound int, seed int64, notify bool) *runtime.CrashPlan {
+func randomCrashPlan(n, crashes, maxRound int, seed int64, notify bool) *runtime.CrashPlan {
 	if crashes > n-1 {
 		crashes = n - 1
 	}
@@ -52,24 +52,6 @@ func RandomCrashPlan(n, crashes, maxRound int, seed int64, notify bool) *runtime
 		if plan.Site[v] == runtime.CrashMidSend {
 			plan.Partial[v] = randomSubset(n, rng)
 		}
-	}
-	return plan
-}
-
-// SiteCrashPlan builds a single-victim plan: process victim dies in
-// round r at the given site, reaching exactly the receivers in partial
-// when the site is mid-send.
-func SiteCrashPlan(n, victim, r int, site runtime.CrashSite, notify bool, partial ...int) *runtime.CrashPlan {
-	plan := &runtime.CrashPlan{
-		Round:   make([]int, n),
-		Site:    make([]runtime.CrashSite, n),
-		Partial: make([]graph.NodeSet, n),
-		Notify:  notify,
-	}
-	plan.Round[victim] = r
-	plan.Site[victim] = site
-	if site == runtime.CrashMidSend {
-		plan.Partial[victim] = graph.NodeSetOf(partial...)
 	}
 	return plan
 }
@@ -96,55 +78,35 @@ type BatteryConfig struct {
 	Seed    int64
 }
 
-// BatteryConfigs enumerates the acceptance battery: every transport ×
-// n ∈ {8, 16}, two crashes each, sites cycling through all three crash
-// sites per plan (RandomCrashPlan assigns before/mid/after in victim
-// order). In-proc runs announced crashes (the transport has no deadline
-// machinery); the socket meshes run silent crashes and must detect them
-// by stall.
-func BatteryConfigs() []BatteryConfig {
-	var cfgs []BatteryConfig
-	for _, kind := range []string{"inproc", "tcp", "udp"} {
-		for _, n := range []int{8, 16} {
-			for seed := int64(1); seed <= 3; seed++ {
-				cfgs = append(cfgs, BatteryConfig{
-					Name:    fmt.Sprintf("%s-n%d-s%d", kind, n, seed),
-					Kind:    kind,
-					N:       n,
-					Crashes: 2,
-					Seed:    seed,
-				})
-			}
-		}
-	}
-	return cfgs
-}
-
 // Run executes one battery config: a seeded adversary schedule, a
 // seeded crash plan, a live run over the config's transport, and the
 // replay verification. artifactDir, when non-empty, receives a .ksr of
 // the realized graphs if the replay diverges.
 func Run(cfg BatteryConfig, artifactDir string) (*runtime.CrashReplayReport, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := cfg.N
-	spec := sim.Spec{
+	opts := runtime.RunnerOpts{
+		Kind: cfg.Kind,
+		// In-proc crashes are announced (MarkDead is the supervisor's
+		// notice); the socket meshes must detect theirs by stall.
+		Crash: randomCrashPlan(n, cfg.Crashes, n/2+2, cfg.Seed, cfg.Kind == "inproc"),
+		// Each socket mesh reads its own timing; in-proc reads neither.
+		TCP: transport.TCPOpts{RoundTimeout: 25 * time.Millisecond, DeadAfter: 4},
+		UDP: transport.UDPOpts{RoundTimeout: 15 * time.Millisecond, Grace: 2 * time.Millisecond, DeadAfter: 4},
+	}
+	rep, err := runtime.CrashReplay(batterySpec(n, cfg.Seed), opts)
+	return rep, fileDivergence(artifactDir, rep, err)
+}
+
+// batterySpec is the seeded schedule a battery run of n processes
+// replays: one or two stable sources among noisy links.
+func batterySpec(n int, seed int64) sim.Spec {
+	rng := rand.New(rand.NewSource(seed))
+	return sim.Spec{
 		Adversary: adversary.RandomSources(n, 1+rng.Intn(2), n/2, 0.3, rng),
 		Proposals: sim.SeqProposals(n),
 		Params:    core.Options{ConservativeDecide: true},
 		MaxRounds: 4*n + 20,
 	}
-	maxCrashRound := n/2 + 2
-	opts := runtime.RunnerOpts{
-		Kind: cfg.Kind,
-		// In-proc crashes are announced (MarkDead is the supervisor's
-		// notice); the socket meshes must detect theirs by stall.
-		Crash: RandomCrashPlan(n, cfg.Crashes, maxCrashRound, cfg.Seed, cfg.Kind == "inproc"),
-		// Each socket mesh reads its own timing; in-proc reads neither.
-		TCP: transport.TCPOpts{RoundTimeout: 25 * time.Millisecond, DeadAfter: 4},
-		UDP: transport.UDPOpts{RoundTimeout: 15 * time.Millisecond, Grace: 2 * time.Millisecond, DeadAfter: 4},
-	}
-	rep, err := runtime.CrashReplay(spec, opts)
-	return rep, fileDivergence(artifactDir, rep, err)
 }
 
 // fileDivergence keeps what a diverging runtime.CrashReplay returned: the

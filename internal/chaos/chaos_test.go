@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 
 	"kset/internal/adversary"
 	"kset/internal/core"
+	"kset/internal/graph"
 	"kset/internal/runfile"
 	"kset/internal/runtime"
 	"kset/internal/sim"
@@ -28,7 +30,7 @@ func TestCrashReplayBattery(t *testing.T) {
 	if artifactDir == "" {
 		artifactDir = t.TempDir()
 	}
-	for _, cfg := range BatteryConfigs() {
+	for _, cfg := range batteryConfigs() {
 		cfg := cfg
 		if testing.Short() && cfg.N > 8 {
 			continue
@@ -67,7 +69,7 @@ func TestCrashSitesExactHeardSets(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			victim := 2
-			plan := SiteCrashPlan(n, victim, crashRound, tc.site, true, tc.partial...)
+			plan := siteCrashPlan(n, victim, crashRound, tc.site, true, tc.partial...)
 			spec := sim.Spec{
 				Adversary: adversary.Complete(n),
 				Proposals: sim.SeqProposals(n),
@@ -139,7 +141,7 @@ func TestSilentCrashDetectedByStall(t *testing.T) {
 			t.Parallel()
 			const n = 5
 			var counters transport.StallCounters
-			plan := SiteCrashPlan(n, 1, 3, runtime.CrashAfterSend, false)
+			plan := siteCrashPlan(n, 1, 3, runtime.CrashAfterSend, false)
 			spec := sim.Spec{
 				Adversary: adversary.Complete(n),
 				Proposals: sim.SeqProposals(n),
@@ -194,7 +196,7 @@ func TestSilentCrashOnCountClosedMeshRejected(t *testing.T) {
 		}
 		failed := make(chan error, 1)
 		go func() {
-			_, err := runtime.CrashReplay(spec, runtime.RunnerOpts{Kind: kind, Crash: SiteCrashPlan(n, 1, 2, runtime.CrashBeforeSend, false)})
+			_, err := runtime.CrashReplay(spec, runtime.RunnerOpts{Kind: kind, Crash: siteCrashPlan(n, 1, 2, runtime.CrashBeforeSend, false)})
 			failed <- err
 		}()
 		select {
@@ -301,6 +303,121 @@ func TestStallVerdictSparesItsSuspect(t *testing.T) {
 	}
 }
 
+// TestStallVerdictStaysWithItsNode drops every datagram of one link —
+// node 1 to node 0 on a fully distributed UDP mesh — in rounds 2–4,
+// long enough for node 0's stall detector (DeadAfter 2) to forget its
+// peer. The verdict is node 0's alone: the nodes that lost nothing keep
+// hearing the suspect, and the realized run stays the one-link loss it
+// is. A verdict written into every mailbox would silence the suspect to
+// all of them.
+func TestStallVerdictStaysWithItsNode(t *testing.T) {
+	const rounds = 12
+	star := graph.NewFullDigraph(4)
+	for q := 0; q < 4; q++ {
+		star.AddEdge(0, q)
+	}
+	star.AddSelfLoops()
+	for _, tc := range []struct {
+		name      string
+		adv       *adversary.Run
+		from, to  int // the node pair whose link drops out
+		rootComps int // of the realized skeleton
+	}{
+		{"complete", adversary.Complete(3), 1, 0, 1},
+		{"star", adversary.Static(star), 0, 1, 2}, // the source, and the node that forgot it
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			n := tc.adv.N()
+			var counters transport.StallCounters
+			rep, err := runtime.CrashReplay(sim.Spec{
+				Adversary:       tc.adv,
+				Proposals:       sim.SeqProposals(n),
+				Params:          core.Options{ConservativeDecide: true},
+				MaxRounds:       rounds,
+				RunToCompletion: true,
+			}, runtime.RunnerOpts{
+				Kind: "udp",
+				UDP: transport.UDPOpts{
+					RoundTimeout: 10 * time.Millisecond,
+					DeadAfter:    2,
+					Counters:     &counters,
+					DropDatagram: func(r, from, to, _ int) bool {
+						return from == tc.from && to == tc.to && r >= 2 && r <= 4
+					},
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rep.Realized) != rounds {
+				t.Fatalf("run ended after %d rounds, want %d", len(rep.Realized), rounds)
+			}
+			for r, g := range rep.Realized {
+				for p := 0; p < n; p++ {
+					for q := 0; q < n; q++ {
+						want := tc.adv.Graph(r+1).HasEdge(p, q)
+						if p == tc.from && q == tc.to && r+1 >= 2 {
+							want = false // dropped, then forgotten by q's node
+						}
+						if got := g.HasEdge(p, q); got != want {
+							t.Errorf("round %d: p%d heard p%d = %v, want %v", r+1, q+1, p+1, got, want)
+						}
+					}
+				}
+			}
+			if got := counters.Stalls.Load(); got != 2 {
+				t.Errorf("Stalls = %d, want 2: the suspect missed at one receiver in rounds 2 and 3", got)
+			}
+			if got := counters.Dead.Load(); got != 1 {
+				t.Errorf("Dead = %d, want 1: one node forgot one peer", got)
+			}
+			if got := rep.Replay.RootComps; got != tc.rootComps {
+				t.Errorf("realized skeleton has %d root components, want %d", got, tc.rootComps)
+			}
+		})
+	}
+}
+
+// TestAnnouncedCrashOverSockets runs announced crashes (CrashPlan.Notify:
+// the supervisor's MarkDead, the one verdict that reaches every node)
+// over the socket meshes, fully distributed and grouped, to decision and
+// to completion. A crashed process's node then has every hosted sender
+// dead, and its writer stops; the survivors' rounds must still close and
+// the run replay bit-for-bit.
+func TestAnnouncedCrashOverSockets(t *testing.T) {
+	const n, crashes = 8, 3 // three victims: all three crash sites
+	for _, kind := range []string{"tcp", "udp"} {
+		for _, nodes := range []int{0, 2} {
+			for seed := int64(1); seed <= 3; seed++ {
+				for _, complete := range []bool{false, true} {
+					name := fmt.Sprintf("%s-nodes%d-s%d-complete=%v", kind, nodes, seed, complete)
+					t.Run(name, func(t *testing.T) {
+						t.Parallel()
+						spec := batterySpec(n, seed)
+						spec.RunToCompletion = complete
+						rep, err := runtime.CrashReplay(spec, runtime.RunnerOpts{
+							Kind:  kind,
+							Nodes: nodes,
+							Crash: randomCrashPlan(n, crashes, n/2+2, seed, true),
+							UDP:   runtime.QuietLoopbackUDP(),
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if rep.Crashed != crashes {
+							t.Errorf("plan killed %d processes, want %d", rep.Crashed, crashes)
+						}
+						if !rep.KBound {
+							t.Errorf("%d distinct decisions exceed realized MinK %d", rep.Distinct, rep.Replay.MinK)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
 // TestDivergenceLeavesRunfile plants a divergence: a real replay's report
 // (its Realized graphs) handed to fileDivergence beside an error, as
 // CrashReplay returns them when live run and replay disagree. The error
@@ -308,7 +425,7 @@ func TestStallVerdictSparesItsSuspect(t *testing.T) {
 // exactly the realized run; every other result passes through untouched
 // and files nothing.
 func TestDivergenceLeavesRunfile(t *testing.T) {
-	cfg := BatteryConfigs()[0]
+	cfg := batteryConfigs()[0]
 	rep, err := Run(cfg, "")
 	if err != nil {
 		t.Fatal(err)
@@ -348,4 +465,46 @@ func TestDivergenceLeavesRunfile(t *testing.T) {
 			t.Fatalf("round %d of the runfile is %v, realized %v", r+1, got, want)
 		}
 	}
+}
+
+// batteryConfigs enumerates the acceptance battery: every transport ×
+// n ∈ {8, 16}, two crashes each, sites cycling through all three crash
+// sites per plan (randomCrashPlan assigns before/mid/after in victim
+// order). In-proc runs announced crashes (the transport has no deadline
+// machinery); the socket meshes run silent crashes and must detect them
+// by stall.
+func batteryConfigs() []BatteryConfig {
+	var cfgs []BatteryConfig
+	for _, kind := range []string{"inproc", "tcp", "udp"} {
+		for _, n := range []int{8, 16} {
+			for seed := int64(1); seed <= 3; seed++ {
+				cfgs = append(cfgs, BatteryConfig{
+					Name:    fmt.Sprintf("%s-n%d-s%d", kind, n, seed),
+					Kind:    kind,
+					N:       n,
+					Crashes: 2,
+					Seed:    seed,
+				})
+			}
+		}
+	}
+	return cfgs
+}
+
+// siteCrashPlan builds a single-victim plan: process victim dies in
+// round r at the given site, reaching exactly the receivers in partial
+// when the site is mid-send.
+func siteCrashPlan(n, victim, r int, site runtime.CrashSite, notify bool, partial ...int) *runtime.CrashPlan {
+	plan := &runtime.CrashPlan{
+		Round:   make([]int, n),
+		Site:    make([]runtime.CrashSite, n),
+		Partial: make([]graph.NodeSet, n),
+		Notify:  notify,
+	}
+	plan.Round[victim] = r
+	plan.Site[victim] = site
+	if site == runtime.CrashMidSend {
+		plan.Partial[victim] = graph.NodeSetOf(partial...)
+	}
+	return plan
 }

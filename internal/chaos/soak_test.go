@@ -2,15 +2,11 @@ package chaos
 
 import (
 	"fmt"
-	"math/rand"
 	"os"
 	"testing"
 	"time"
 
-	"kset/internal/adversary"
-	"kset/internal/core"
 	"kset/internal/runtime"
-	"kset/internal/sim"
 	"kset/internal/transport"
 )
 
@@ -60,16 +56,9 @@ func TestChaosNightlySoak(t *testing.T) {
 		t.Run(fmt.Sprintf("udp-loss-crash-s%d", seed), func(t *testing.T) {
 			t.Parallel()
 			const n = 8
-			rng := rand.New(rand.NewSource(seed))
-			spec := sim.Spec{
-				Adversary: adversary.RandomSources(n, 1+rng.Intn(2), n/2, 0.3, rng),
-				Proposals: sim.SeqProposals(n),
-				Params:    core.Options{ConservativeDecide: true},
-				MaxRounds: 4*n + 20,
-			}
-			rep, err := runtime.CrashReplay(spec, runtime.RunnerOpts{
+			rep, err := runtime.CrashReplay(batterySpec(n, seed), runtime.RunnerOpts{
 				Kind:  "udp",
-				Crash: RandomCrashPlan(n, 2, n/2+2, seed, false),
+				Crash: randomCrashPlan(n, 2, n/2+2, seed, false),
 				UDP: transport.UDPOpts{
 					RoundTimeout: 15 * time.Millisecond,
 					Grace:        2 * time.Millisecond,

@@ -60,10 +60,11 @@ func (s CrashSite) String() string {
 // closes rounds by count only (in-proc, TCP without a round deadline)
 // and so never notices silence: RunChaos rejects a silent plan there.
 // Silent (false) leaves detection to the transport's stall layer:
-// receivers burn deadlines until the stall detector's verdict. Silent
-// crashes assume one process per node on the socket meshes — a silent
-// co-located process would wedge its node's shared writer, which is
-// faithful to what an OS process crash does to everything inside it.
+// each node burns deadlines until its stall detector forgets the
+// victim's node. Silent crashes assume one process per node on the
+// socket meshes — a silent co-located process would wedge its node's
+// shared writer, which is faithful to what an OS process crash does to
+// everything inside it.
 type CrashPlan struct {
 	Round   []int
 	Site    []CrashSite

@@ -459,7 +459,7 @@ type RunnerOpts struct {
 	Meter *transport.HeardMeter
 	// OnTransport, when non-nil, is called with each run's transport
 	// right after construction — the hook the agreement service uses to
-	// get a DeadMarker handle for watchdog verdicts.
+	// Close a wedged session's transport.
 	OnTransport func(transport.Transport)
 }
 

@@ -73,8 +73,8 @@ type cursor struct {
 //
 // Under a deadline, absence is loss: the seal marks the senders still
 // missing lost, every hosted receiver reads them as nil — to the process
-// above, real loss is indistinguishable from an injected drop — and
-// reports the same missed list to its stall detector. Injected drops are
+// above, real loss is indistinguishable from an injected drop — and the
+// node's stall detector is fed the sealed round once. Injected drops are
 // cleared row bits and dead senders are pre-filled, so a round whose
 // losses are all injected closes by count; the deadline only pays for
 // frames the network genuinely lost.
@@ -104,6 +104,8 @@ type mailbox struct {
 	recv  []cursor
 	dead  []int         // per sender: first dead round (0 = alive), lazily allocated
 	row   graph.NodeSet // delivery-row scratch, for whoever holds mu
+
+	node *meshNode // whose stall detector a deadline seal feeds; nil = none
 
 	writing bool          // a writer loop ships the hosted senders' slots
 	shipped int           // highest round the writer is done with
@@ -405,6 +407,9 @@ func (b *mailbox) parkLocked(c *cursor, r int) *roundSlot {
 				}
 				s.count = b.n
 				b.wakeLocked(r)
+				if b.node != nil {
+					b.node.sealedLocked(r, s.state)
+				}
 				return s
 			}
 			inGrace, seen = true, s.count
@@ -434,11 +439,13 @@ func (b *mailbox) parkLocked(c *cursor, r int) *roundSlot {
 // it. Absence is converted to an explicit, permanent tombstone the
 // moment the death verdict lands.
 func (b *mailbox) markDead(from, fromRound int) {
-	if fromRound < 1 {
-		fromRound = 1
-	}
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	b.markDeadLocked(from, fromRound)
+	b.mu.Unlock()
+}
+
+func (b *mailbox) markDeadLocked(from, fromRound int) {
+	fromRound = max(fromRound, 1)
 	if b.closed || b.err != nil || (b.dead != nil && b.dead[from] != 0 && b.dead[from] <= fromRound) {
 		return
 	}

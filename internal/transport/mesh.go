@@ -33,10 +33,9 @@ type mesh struct {
 	link  link // nil on a single-node mesh
 	done  chan struct{}
 
-	mu        sync.Mutex
-	claimed   []bool
-	closed    bool
-	deadNodes []bool
+	mu      sync.Mutex
+	claimed []bool
+	closed  bool
 }
 
 // meshOpts is what the exported option structs reduce to at the core.
@@ -44,7 +43,7 @@ type meshOpts struct {
 	// deadline and grace are the mailboxes' closure policy (see mailbox):
 	// deadline 0 closes rounds by count only.
 	deadline, grace time.Duration
-	deadAfter       int            // stall-detector verdict threshold; 0 = no detector
+	deadAfter       int            // consecutive sealed-round misses that forget a peer node; 0 = never
 	counters        *StallCounters // may be nil
 	meter           *HeardMeter    // may be nil
 }
@@ -92,9 +91,10 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 		done:    make(chan struct{}),
 	}
 	for i := 0; i < t.m; i++ {
-		nd := &meshNode{t: t, id: i, lo: t.nodeLo(i), hi: t.nodeLo(i + 1)}
+		nd := &meshNode{t: t, id: i, lo: t.nodeLo(i), hi: t.nodeLo(i + 1), peers: make([]peerWatch, t.m)}
 		nd.box = newMailbox(n, nd.lo, nd.localN(), opts.deadline, opts.grace)
 		nd.box.writing = t.m > 1
+		nd.box.node = nd
 		t.nodes = append(t.nodes, nd)
 	}
 	if opts.meter != nil {
@@ -181,15 +181,7 @@ func (t *mesh) Endpoint(self int) (Endpoint, error) {
 		return nil, fmt.Errorf("transport: endpoint %d already claimed", self)
 	}
 	t.claimed[self] = true
-	nd := t.nodes[t.nodeOf(self)]
-	return &meshEndpoint{
-		nd:   nd,
-		self: self,
-		row:  graph.NewNodeSet(t.n),
-		stall: newStallDetector(t.n, t.opts.deadAfter, func(q int) {
-			t.markNodeDead(t.nodeOf(q))
-		}),
-	}, nil
+	return &meshEndpoint{nd: t.nodes[t.nodeOf(self)], self: self, row: graph.NewNodeSet(t.n)}, nil
 }
 
 // MarkDead implements DeadMarker: process p's missing deliveries from
@@ -197,10 +189,11 @@ func (t *mesh) Endpoint(self int) (Endpoint, error) {
 // node's mailbox — count-closed rounds stop wedging on it,
 // deadline-closed rounds stop waiting out its silence — and p's own
 // node's writer stops waiting for its slots (they ship as drop
-// tombstones). This single call patches the whole mesh
-// because a loopback mesh is one object; on a real multi-host deployment
-// each host applies the same verdict to its local view when its own
-// detector fires.
+// tombstones). An announced crash is a supervisor's notice, so it is
+// the one verdict that reaches every node: a node whose processes have
+// all crashed has no receiver that gathers, and its ring takes no
+// round past asked+2, so it cannot pace tombstone frames of its own.
+// What a node concludes from silence stays in its own mailbox (forget).
 //
 // On the in-process mesh an announced verdict is the only way a run
 // survives a crashed process — which is also the only way an in-proc
@@ -212,38 +205,6 @@ func (t *mesh) MarkDead(p, fromRound int) {
 	}
 	for _, nd := range t.nodes {
 		nd.box.markDead(p, fromRound)
-	}
-}
-
-// markNodeDead is a stall detector's terminal verdict on node peer: every
-// process it hosts is declared dead from the beginning — an OS process
-// dying takes every co-located participant with it — in every mailbox
-// but the suspect's own. A verdict is what the rest of the mesh concludes
-// about a silent node; a slow-but-alive suspect keeps hearing itself
-// (contract 4). Idempotent.
-func (t *mesh) markNodeDead(peer int) {
-	t.mu.Lock()
-	if t.closed || (t.deadNodes != nil && t.deadNodes[peer]) {
-		t.mu.Unlock()
-		return
-	}
-	if t.deadNodes == nil {
-		t.deadNodes = make([]bool, t.m)
-	}
-	t.deadNodes[peer] = true
-	t.mu.Unlock()
-	t.countDead(peer)
-	for _, nd := range t.nodes {
-		if nd.id != peer {
-			nd.forget(peer)
-		}
-	}
-}
-
-// countDead counts one verdict on node peer's processes.
-func (t *mesh) countDead(peer int) {
-	if c := t.opts.counters; c != nil {
-		c.Dead.Add(int64(t.nodeLo(peer+1) - t.nodeLo(peer)))
 	}
 }
 
@@ -286,15 +247,33 @@ type meshNode struct {
 	id     int
 	lo, hi int // hosted processes [lo, hi)
 	box    *mailbox
+	peers  []peerWatch // per node, under box.mu
 }
 
 func (nd *meshNode) localN() int { return nd.hi - nd.lo }
 
-// forget declares every process node peer hosts dead, from the
-// beginning, in nd's mailbox alone.
+// forget is the one place a node stops waiting for a peer node, for a
+// stall verdict or a lost link alike: every process peer hosts is
+// declared dead, from the beginning, in nd's mailbox alone, and counted
+// in StallCounters.Dead. Once per peer, and never while the mesh closes.
 func (nd *meshNode) forget(peer int) {
-	for p := nd.t.nodeLo(peer); p < nd.t.nodeLo(peer+1); p++ {
-		nd.box.markDead(p, 1)
+	nd.box.mu.Lock()
+	nd.forgetLocked(peer)
+	nd.box.mu.Unlock()
+}
+
+func (nd *meshNode) forgetLocked(peer int) {
+	t := nd.t
+	if nd.peers[peer].forgotten || closed(t.done) {
+		return
+	}
+	nd.peers[peer].forgotten = true
+	lo, hi := t.nodeLo(peer), t.nodeLo(peer+1)
+	for p := lo; p < hi; p++ {
+		nd.box.markDeadLocked(p, 1)
+	}
+	if c := t.opts.counters; c != nil {
+		c.Dead.Add(int64(hi - lo))
 	}
 }
 
@@ -368,10 +347,9 @@ func (nd *meshNode) failLocal(err error) {
 
 // meshEndpoint is process self's port onto a mesh.
 type meshEndpoint struct {
-	nd    *meshNode
-	self  int
-	row   graph.NodeSet  // this round's delivery row, filled by the policy
-	stall *stallDetector // nil unless deadAfter > 0
+	nd   *meshNode
+	self int
+	row  graph.NodeSet // this round's delivery row, filled by the policy
 }
 
 // Self implements Endpoint.
@@ -403,20 +381,16 @@ func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 }
 
 // Gather implements Endpoint: it blocks until round r closes under the
-// mailbox's policy, counts the senders a deadline closure gave up on and
-// feeds them to the stall detector, and records the realized heard-set on
-// the meter if one is attached.
+// mailbox's policy, counts the senders a deadline closure gave up on,
+// and records the realized heard-set on the meter if one is attached.
 func (ep *meshEndpoint) Gather(r int, into [][]byte) ([][]byte, error) {
 	t := ep.nd.t
 	recv, missed, err := ep.nd.box.await(ep.self-ep.nd.lo, r, into)
 	if err != nil {
 		return nil, err
 	}
-	if len(missed) > 0 {
-		if c := t.opts.counters; c != nil {
-			c.Stalls.Add(int64(len(missed)))
-		}
-		ep.stall.observe(r, missed)
+	if c := t.opts.counters; c != nil && len(missed) > 0 {
+		c.Stalls.Add(int64(len(missed)))
 	}
 	if t.opts.meter != nil {
 		t.opts.meter.Record(r, ep.self, recv)

@@ -12,63 +12,50 @@ type StallCounters struct {
 	// a round without a sender's frame adds one, whether or not a stall
 	// detector is watching.
 	Stalls atomic.Int64
-	// Dead counts the processes terminal death verdicts declared dead:
-	// a stall verdict counts its suspect node's processes once, and a
-	// lost TCP link counts the peer node's processes at each end that
-	// rules on it.
+	// Dead counts the processes nodes stopped waiting for: when a node
+	// forgets a peer node — its stall verdict or a lost TCP link — the
+	// peer's processes count once for that node, whichever comes first.
 	Dead atomic.Int64
 }
 
-// stallDetector is one receiving endpoint's view of its senders'
-// liveness: it folds the missed-sender lists of deadline-closed rounds
-// into per-sender consecutive-miss streaks and escalates a streak of
-// DeadAfter to a terminal death verdict. State is endpoint-local (no
-// locking — Gather is single-goroutine); a verdict goes to the mesh,
-// which applies it once, in every node's mailbox but the suspect's.
-//
-// The streak rule distinguishes a stall from a loss burst only by
-// length: DeadAfter consecutive misses. Injected Policy drops never
-// count (they arrive as explicit tombstones), and a sender already
-// declared dead stops being reported missed (its slots are pre-filled),
-// so the detector self-quiesces after a verdict.
-type stallDetector struct {
-	deadAfter int
-	verdict   func(sender int) // death verdict on sender's node
-
-	lastMiss []int // round of the most recent miss, per sender
-	streak   []int // consecutive-miss streak ending at lastMiss, per sender
+// peerWatch is what a mesh node keeps on one peer node: the stall
+// detector's consecutive-miss streak, and whether the node has
+// forgotten the peer.
+type peerWatch struct {
+	lastMiss  int // round of the most recent miss
+	streak    int // consecutive misses ending at lastMiss
+	forgotten bool
 }
 
-// newStallDetector returns a detector for n senders, or nil when
-// detection is disabled (observe on a nil detector does nothing).
-func newStallDetector(n, deadAfter int, verdict func(sender int)) *stallDetector {
+// sealedLocked is the node's stall detector, one per node: a peer
+// node's frame arrives whole or not at all, and every hosted receiver
+// of a sealed round sees the same arrivals. The receiver that seals
+// round r by deadline feeds it the round's sender states under box.mu;
+// a peer node with a sender the seal gave up on missed the round, and
+// its DeadAfter-th consecutive miss forgets it. The streak rule tells a
+// stall from a loss burst only by length. Injected drops and dead
+// senders never count (their rounds close by count), a node never rules
+// on its own processes, and a forgotten peer is never missed again: its
+// slots are pre-filled.
+func (nd *meshNode) sealedLocked(r int, state []uint8) {
+	deadAfter := nd.t.opts.deadAfter
 	if deadAfter <= 0 {
-		return nil
-	}
-	return &stallDetector{
-		deadAfter: deadAfter,
-		verdict:   verdict,
-		lastMiss:  make([]int, n),
-		streak:    make([]int, n),
-	}
-}
-
-// observe folds round r's missed-sender list (from a deadline closure)
-// into the streaks and fires verdicts. Senders absent from the list reset
-// lazily: a streak only continues when the misses are consecutive rounds.
-func (d *stallDetector) observe(r int, missed []int) {
-	if d == nil {
 		return
 	}
-	for _, q := range missed {
-		if d.lastMiss[q] == r-1 {
-			d.streak[q]++
-		} else {
-			d.streak[q] = 1
+	for q, st := range state {
+		j := nd.t.nodeOf(q)
+		w := &nd.peers[j]
+		if st != slotLost || j == nd.id || w.lastMiss == r {
+			continue
 		}
-		d.lastMiss[q] = r
-		if d.streak[q] == d.deadAfter {
-			d.verdict(q)
+		if w.lastMiss == r-1 {
+			w.streak++
+		} else {
+			w.streak = 1
+		}
+		w.lastMiss = r
+		if w.streak == deadAfter {
+			nd.forgetLocked(j)
 		}
 	}
 }

@@ -42,11 +42,11 @@ type TCPMesh struct {
 // differential suites, and a wedge under a crashed peer. RoundTimeout > 0
 // enables chaos mode, which keeps a dead peer inside the round model:
 // receive mailboxes switch to the deadline+grace closure the UDP mesh
-// uses (a dead peer costs a deadline, not the run), the stall detector
-// turns consecutive silence into a terminal death verdict (DeadAfter),
-// and a broken stream is one lost link — each end declares the other's
-// processes dead for itself alone. What each zero value means is in the
-// package comment's option table.
+// uses (a dead peer costs a deadline, not the run), and a node forgets
+// a peer node for itself alone — after DeadAfter consecutive silent
+// rounds, or when their stream breaks: a broken stream is one lost
+// link, each end declaring the other's processes dead. What each zero
+// value means is in the package comment's option table.
 type TCPOpts struct {
 	// RoundTimeout is the receiver's per-round closure deadline: a Gather
 	// waits at most RoundTimeout (plus Grace extensions while frames are
@@ -268,10 +268,7 @@ func (l *streamLink) lose(sn *streamNode, peer int, c net.Conn) {
 		return
 	}
 	c.Close()
-	if !closed(l.t.done) {
-		l.t.countDead(peer)
-		sn.nd.forget(peer)
-	}
+	sn.nd.forget(peer)
 }
 
 // oneByteReader adapts a net.Conn for ReadUvarint without buffering —

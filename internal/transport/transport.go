@@ -60,13 +60,16 @@
 //	field         datagram link (UDPOpts)      stream link (TCPOpts)
 //	RoundTimeout  0 = 2ms                      0 = none: rounds close by count
 //	Grace         0 = 300µs                    0 = RoundTimeout/8, at least 100µs
-//	DeadAfter     0 = no stall detector        0 = no stall detector
+//	DeadAfter     0 = never forget a peer      0 = never forget a peer
 //	Counters      nil = events not counted     nil = events not counted
 //	SocketBuffer  0 = 1MiB                     -
 //	Meter         nil = heard-sets not kept    - (Metered attaches one to any mesh)
 //	DropDatagram  nil = no simulated loss      -
 //
-// On the stream link Grace and DeadAfter only act in chaos mode
+// DeadAfter d > 0 is each node's stall detector: a node whose rounds a
+// deadline sealed without peer node j d times in a row forgets j — it
+// declares j's processes dead in its own mailbox and nowhere else. On
+// the stream link Grace and DeadAfter only act in chaos mode
 // (RoundTimeout > 0): a count-closed mesh has no deadline to extend, no
 // deadline-closed round to count, and fails on a broken stream. With
 // DeadAfter 0 silence costs a deadline every round but is never terminal,
@@ -155,11 +158,10 @@ type Transport interface {
 //
 // Its caller is the runtime's crash injector: a planned crash announces
 // itself, round-exactly, the way a real crashed OS process is announced
-// by its supervisor, and the verdict reaches every mailbox. A mesh rules
-// on silence itself, more narrowly: a stall detector's verdict (DeadAfter
-// consecutive deadline-closed rounds) reaches every node but the
-// suspect's, which keeps hearing itself, and a TCP stream lost in chaos
-// mode reaches only its two ends, each ruling on the other.
+// by its supervisor, and the verdict reaches every mailbox. A mesh node
+// rules on silence itself, and only for itself: its stall detector
+// (DeadAfter) and a TCP stream lost in chaos mode make it forget the
+// peer node in its own mailbox; no other node's view changes.
 type DeadMarker interface {
 	MarkDead(p, fromRound int)
 }

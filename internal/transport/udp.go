@@ -59,11 +59,11 @@ type UDPOpts struct {
 	// tests can exercise the deadline closure path deterministically.
 	DropDatagram func(r, from, to, frag int) bool
 
-	// DeadAfter enables the stall detector: a sender missing from this
-	// many consecutive deadline-closed rounds at one receiver is declared
-	// dead — its whole node, since an OS process dying takes every
-	// co-located participant with it — and its absences stop costing the
-	// deadline.
+	// DeadAfter enables the stall detector: a node whose rounds a
+	// deadline sealed without a peer node this many times in a row
+	// declares the peer's processes dead — its whole node, since an OS
+	// process dying takes every co-located participant with it — in its
+	// own mailbox alone, and their absences stop costing it the deadline.
 	DeadAfter int
 
 	// Counters, when non-nil, receives stall and death events.
