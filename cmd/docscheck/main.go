@@ -1,11 +1,13 @@
 // Command docscheck is the CI documentation-and-contract gate: it fails
 // (exit 1) when any Go package under internal/ lacks a godoc package
 // comment, when a registered algorithm family declares a codec fuzz
-// target that does not exist, or when a fuzz target is not run by CI's
-// fuzz smoke. The reproduction's packages double as the map of the
-// paper's structure (see DESIGN.md §1), so an uncommented package is a
-// hole in that map — and a fuzz target nobody runs is hostile input
-// nobody is hardening against.
+// target that does not exist, when a fuzz target is not run by CI's
+// fuzz smoke, or when an exported name has no user outside its own
+// package. The reproduction's packages double as the map of the paper's
+// structure (see DESIGN.md §1), so an uncommented package is a hole in
+// that map, a fuzz target nobody runs is hostile input nobody is
+// hardening against, and an exported name nobody else uses claims a seam
+// that does not exist.
 //
 // Usage:
 //
@@ -17,15 +19,15 @@
 // declared "dir:FuzzName" to a func FuzzName(f *testing.F) in that
 // directory's _test.go files. Every such func under dir must also be
 // matched by a `go test ... -fuzz Pattern ... ./dir` line of
-// .github/workflows/ci.yml, read from the working directory.
+// .github/workflows/ci.yml, read from the working directory. The surface
+// gate (surface.go) reads every module below the working directory, the
+// module root, for uses of the exported names declared under dir; a main
+// package exports nothing, so under cmd it counts no names.
 package main
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
 	"os"
 	"path"
 	"path/filepath"
@@ -41,70 +43,81 @@ func main() {
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
-	missing, targets, err := scan(root)
+	dir := filepath.ToSlash(filepath.Clean(root))
+	t, err := loadTree(".")
+	if err == nil {
+		err = t.checkAll()
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 		os.Exit(2)
 	}
-	if len(missing) > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: packages missing a package comment:\n")
-		for _, p := range missing {
-			fmt.Fprintf(os.Stderr, "  %s\n", p)
-		}
-		os.Exit(1)
-	}
+	fail("packages missing a package comment", t.uncommented(dir))
 	var broken []string
 	for _, name := range algo.Names() {
-		if problem := checkFuzzTarget(name, algo.MustLookup(name).FuzzTarget); problem != "" {
+		if problem := checkFuzzTarget(t, name, algo.MustLookup(name).FuzzTarget); problem != "" {
 			broken = append(broken, problem)
 		}
 	}
-	if len(broken) > 0 {
-		fmt.Fprintf(os.Stderr, "docscheck: algorithm families with broken fuzz targets:\n")
-		for _, p := range broken {
-			fmt.Fprintf(os.Stderr, "  %s\n", p)
-		}
-		os.Exit(1)
-	}
+	fail("algorithm families with broken fuzz targets", broken)
+	targets := t.fuzzTargets(dir)
 	if len(targets) > 0 {
 		ci, err := os.ReadFile(ciWorkflow)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "docscheck: %v\n", err)
 			os.Exit(2)
 		}
-		if unrun := checkFuzzSmoke(targets, string(ci)); len(unrun) > 0 {
-			fmt.Fprintf(os.Stderr, "docscheck: fuzz targets %s does not run:\n", ciWorkflow)
-			for _, p := range unrun {
-				fmt.Fprintf(os.Stderr, "  %s\n", p)
-			}
-			os.Exit(1)
-		}
+		fail("fuzz targets "+ciWorkflow+" does not run", checkFuzzSmoke(targets, string(ci)))
 	}
-	fmt.Printf("docscheck: all packages under %s have package comments; all %d registered algorithm fuzz targets exist; CI fuzzes all %d targets under it\n",
-		root, len(algo.Names()), len(targets))
+	names, unused := t.surface(dir)
+	fail("exported names with no user outside their package (unexport or delete them)", unused)
+	fmt.Printf("docscheck: all packages under %s have package comments; all %d registered algorithm fuzz targets exist; CI fuzzes all %d targets under it; all %d exported names under it have a user outside their package\n",
+		root, len(algo.Names()), len(targets), names)
 }
 
-// scan walks root: the directories whose non-test Go files carry no
-// package comment, and every fuzz target below it as "dir:FuzzName".
-func scan(root string) (missing, targets []string, err error) {
-	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
-		if err != nil || !d.IsDir() {
-			return err
+// fail reports problems under title and exits 1, unless there are none.
+func fail(title string, problems []string) {
+	if len(problems) == 0 {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "docscheck: %s:\n", title)
+	for _, p := range problems {
+		fmt.Fprintf(os.Stderr, "  %s\n", p)
+	}
+	os.Exit(1)
+}
+
+// uncommented returns the packages under dir none of whose non-test files
+// carries a package comment.
+func (t *tree) uncommented(dir string) (missing []string) {
+	for _, p := range t.pkgs {
+		if under(p.dir, dir) && len(p.files) > 0 &&
+			!slices.ContainsFunc(p.files, func(f *ast.File) bool { return strings.TrimSpace(f.Doc.Text()) != "" }) {
+			missing = append(missing, p.dir)
 		}
-		ok, checked, err := packageHasComment(dir)
-		if err != nil {
-			return fmt.Errorf("%s: %w", dir, err)
+	}
+	slices.Sort(missing)
+	return missing
+}
+
+// fuzzTargets returns every func FuzzX(f *testing.F) in the test files of
+// the packages under dir, as "dir:FuzzX", sorted.
+func (t *tree) fuzzTargets(dir string) (targets []string) {
+	for _, p := range t.pkgs {
+		if !under(p.dir, dir) {
+			continue
 		}
-		if checked && !ok {
-			missing = append(missing, dir)
+		for _, f := range append(slices.Clip(p.tests), p.xtest...) {
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
+					strings.HasPrefix(fn.Name.Name, "Fuzz") && len(fn.Type.Params.List) == 1 {
+					targets = append(targets, p.dir+":"+fn.Name.Name)
+				}
+			}
 		}
-		names, err := fuzzTargets(dir)
-		for _, name := range names {
-			targets = append(targets, filepath.ToSlash(dir)+":"+name)
-		}
-		return err
-	})
-	return missing, targets, err
+	}
+	slices.Sort(targets)
+	return targets
 }
 
 // ciWorkflow is the workflow whose fuzz smoke must run every fuzz target.
@@ -135,73 +148,15 @@ func checkFuzzSmoke(targets []string, ci string) []string {
 	return unrun
 }
 
-// checkFuzzTarget resolves one family's "dir:FuzzName" declaration and
-// returns a human-readable problem, or "" when the target exists.
-func checkFuzzTarget(family, target string) string {
+// checkFuzzTarget resolves one family's "dir:FuzzName" declaration in t
+// and returns a human-readable problem, or "" when the target exists.
+func checkFuzzTarget(t *tree, family, target string) string {
 	dir, fuzzName, ok := strings.Cut(target, ":")
 	if !ok || dir == "" || fuzzName == "" {
 		return fmt.Sprintf("%s: malformed fuzz target %q (want dir:FuzzName)", family, target)
 	}
-	names, err := fuzzTargets(dir)
-	if err != nil {
-		return fmt.Sprintf("%s: fuzz target dir %s: %v", family, dir, err)
-	}
-	if slices.Contains(names, fuzzName) {
+	if slices.Contains(t.fuzzTargets(dir), dir+":"+fuzzName) {
 		return ""
 	}
 	return fmt.Sprintf("%s: fuzz target %s not found: no func %s in %s/*_test.go", family, target, fuzzName, dir)
-}
-
-// fuzzTargets returns the names of the funcs FuzzX(f *testing.F) in dir's
-// _test.go files.
-func fuzzTargets(dir string) ([]string, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, 0)
-		if err != nil {
-			return nil, fmt.Errorf("parse %s: %w", filepath.Join(dir, name), err)
-		}
-		for _, decl := range f.Decls {
-			if fn, ok := decl.(*ast.FuncDecl); ok && fn.Recv == nil &&
-				strings.HasPrefix(fn.Name.Name, "Fuzz") && len(fn.Type.Params.List) == 1 {
-				names = append(names, fn.Name.Name)
-			}
-		}
-	}
-	return names, nil
-}
-
-// packageHasComment parses the non-test .go files of dir and reports
-// whether any carries a package doc comment. checked is false when the
-// directory contains no non-test Go files.
-func packageHasComment(dir string) (ok, checked bool, err error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false, false, err
-	}
-	fset := token.NewFileSet()
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		checked = true
-		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.PackageClauseOnly)
-		if err != nil {
-			return false, checked, err
-		}
-		if f.Doc != nil && strings.TrimSpace(f.Doc.Text()) != "" {
-			return true, true, nil
-		}
-	}
-	return false, checked, nil
 }

@@ -9,12 +9,17 @@ import (
 )
 
 func TestCheckFuzzTarget(t *testing.T) {
-	dir := t.TempDir()
-	src := "package p\n\nimport \"testing\"\n\nfunc FuzzThing(f *testing.F) {}\n"
-	if err := os.WriteFile(filepath.Join(dir, "thing_test.go"), []byte(src), 0o644); err != nil {
+	root := t.TempDir()
+	writeTree(t, root, map[string]string{
+		"go.mod":          "module m\n",
+		"p/thing_test.go": "package p\n\nimport \"testing\"\n\nfunc FuzzThing(f *testing.F) {}\n",
+	})
+	tr, err := loadTree(root)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if p := checkFuzzTarget("fam", dir+":FuzzThing"); p != "" {
+	dir := filepath.ToSlash(filepath.Join(root, "p"))
+	if p := checkFuzzTarget(tr, "fam", dir+":FuzzThing"); p != "" {
 		t.Errorf("existing target flagged: %s", p)
 	}
 	for _, tc := range []struct{ target, want string }{
@@ -22,7 +27,7 @@ func TestCheckFuzzTarget(t *testing.T) {
 		{"no-such-dir:FuzzThing", "no-such-dir"},
 		{"malformed", "malformed"},
 	} {
-		if p := checkFuzzTarget("fam", tc.target); !strings.Contains(p, tc.want) {
+		if p := checkFuzzTarget(tr, "fam", tc.target); !strings.Contains(p, tc.want) {
 			t.Errorf("target %q: problem %q does not mention %q", tc.target, p, tc.want)
 		}
 	}
@@ -35,11 +40,15 @@ func TestRegisteredFuzzTargetsExist(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer os.Chdir("cmd/docscheck")
+	tr, err := loadTree(".")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct{ family, target string }{
 		{"kset", "internal/wire:FuzzDecode"},
 		{"approx", "internal/approx:FuzzDecode"},
 	} {
-		if p := checkFuzzTarget(tc.family, tc.target); p != "" {
+		if p := checkFuzzTarget(tr, tc.family, tc.target); p != "" {
 			t.Errorf("%s", p)
 		}
 	}
@@ -78,10 +87,11 @@ func TestEveryFuzzTargetIsSmoked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, targets, err := scan("internal")
+	tr, err := loadTree(".")
 	if err != nil {
 		t.Fatal(err)
 	}
+	targets := tr.fuzzTargets("internal")
 	if !slices.Contains(targets, "internal/service:FuzzSubmit") {
 		t.Fatalf("targets %v miss FuzzSubmit: the walk finds nothing", targets)
 	}

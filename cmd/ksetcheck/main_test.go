@@ -119,6 +119,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-oracle", "nope"},
 		{"-mode", "exhaustive", "-n", "9"},
 		{"-mode", "fuzz", "-budget", "0"},
+		{"-mode", "fuzz", "-budget", "10", "-strategy", "bogus"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil || err == errViolations {

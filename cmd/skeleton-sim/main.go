@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"math/rand"
 	"os"
 
@@ -77,6 +78,25 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	// The range of every flag an adversary reads: a value outside it is an
+	// error here, not a panic in the adversary's constructor.
+	unbounded := math.MaxInt
+	for _, b := range append([]bound{{"n", *n, 1, unbounded}}, map[string][]bound{
+		"lowerbound":   {{"k", *k, 2, *n - 1}},
+		"random":       {{"roots", *roots, 1, *n}, {"noise", *noise, 0, unbounded}},
+		"singlesource": {{"noise", *noise, 0, unbounded}},
+		"churn":        {{"roots", *roots, 1, *n}},
+		"partition":    {{"blocks", *blocks, 1, *n}},
+		"eventual":     {{"prefix", *prefix, 0, unbounded}},
+		"crash":        {{"crashes", *crashes, 0, *n}},
+	}[*advName]...) {
+		if b.v < b.lo || b.v > b.hi {
+			if b.hi == unbounded {
+				return fmt.Errorf("-%s must be >= %d, got %d", b.flag, b.lo, b.v)
+			}
+			return fmt.Errorf("-%s must be in [%d, %d] at -n %d, got %d", b.flag, b.lo, b.hi, *n, b.v)
+		}
+	}
 	rng := rand.New(rand.NewSource(*seed))
 	var adv rounds.Adversary
 	if *replay != "" {
@@ -197,4 +217,10 @@ func run(args []string, stdout io.Writer) error {
 			len(out.DistinctDecisions()), out.MinK)
 	}
 	return nil
+}
+
+// bound is the valid range [lo, hi] of one integer flag and its value v.
+type bound struct {
+	flag      string
+	v, lo, hi int
 }

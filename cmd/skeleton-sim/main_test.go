@@ -102,3 +102,32 @@ func TestTraceFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestOutOfRangeFlagsAreErrors: a flag value the chosen adversary cannot
+// take is an error naming the flag and its valid range, never a panic.
+func TestOutOfRangeFlagsAreErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "-1"}, "-n must be >= 1"},
+		{[]string{"-adversary", "complete", "-n", "0"}, "-n must be >= 1"},
+		{[]string{"-adversary", "lowerbound", "-n", "4", "-k", "0"}, "-k must be in [2, 3] at -n 4"},
+		{[]string{"-adversary", "lowerbound", "-n", "4", "-k", "9"}, "-k must be in [2, 3] at -n 4"},
+		{[]string{"-adversary", "random", "-n", "4", "-roots", "0"}, "-roots must be in [1, 4] at -n 4"},
+		{[]string{"-adversary", "random", "-n", "4", "-roots", "9"}, "-roots must be in [1, 4] at -n 4"},
+		{[]string{"-adversary", "random", "-n", "4", "-noise", "-1"}, "-noise must be >= 0"},
+		{[]string{"-adversary", "singlesource", "-n", "4", "-noise", "-1"}, "-noise must be >= 0"},
+		{[]string{"-adversary", "churn", "-n", "4", "-roots", "0"}, "-roots must be in [1, 4] at -n 4"},
+		{[]string{"-adversary", "partition", "-n", "4", "-blocks", "0"}, "-blocks must be in [1, 4] at -n 4"},
+		{[]string{"-adversary", "partition", "-n", "4", "-blocks", "9"}, "-blocks must be in [1, 4] at -n 4"},
+		{[]string{"-adversary", "crash", "-n", "4", "-crashes", "9"}, "-crashes must be in [0, 4] at -n 4"},
+		{[]string{"-adversary", "eventual", "-n", "3", "-prefix", "-2"}, "-prefix must be >= 0"},
+	} {
+		var out bytes.Buffer
+		err := run(tc.args, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}

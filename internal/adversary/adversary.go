@@ -124,14 +124,14 @@ func Eventual(base *Run, isolated int) *Run {
 	return NewRun(prefix, base.stable)
 }
 
-// WithNoise returns a run that behaves like base but with extra random
+// withNoise returns a run that behaves like base but with extra random
 // edges added during the first `noisy` rounds: each absent ordered pair
 // appears independently with probability p in each noisy round. The
 // stable skeleton is unchanged (noise only adds edges, and only in a
 // finite prefix), so every communication predicate of the base run is
 // preserved while early approximation graphs see garbage — exactly the
 // regime Figure 1's purge mechanism (line 24) exists for.
-func WithNoise(base *Run, noisy int, p float64, rng *rand.Rand) *Run {
+func withNoise(base *Run, noisy int, p float64, rng *rand.Rand) *Run {
 	if noisy < 0 {
 		panic("adversary: negative noise prefix")
 	}
@@ -158,14 +158,14 @@ func WithNoise(base *Run, noisy int, p float64, rng *rand.Rand) *Run {
 // k >= its MinK >= roots), preceded by `noisy` rounds of additive noise.
 func RandomSources(n, roots, noisy int, p float64, rng *rand.Rand) *Run {
 	skel := graph.RandomRootedSkeleton(n, roots, rng)
-	return WithNoise(Static(skel), noisy, p, rng)
+	return withNoise(Static(skel), noisy, p, rng)
 }
 
 // HubClusters returns a run whose stable skeleton is a hub-cluster
 // graph: processes 0..hubs-1 are hubs forming a clique (every hub hears
 // every hub), and the remaining n-hubs members are dealt round-robin
 // into one group per hub; each member hears itself, its hub, and its
-// ring-predecessor within the group. A noisy prefix (as in WithNoise)
+// ring-predecessor within the group. A noisy prefix (as in withNoise)
 // is layered on top.
 //
 // The shape is built for large-n scaling sweeps (experiment E20): the
@@ -201,7 +201,7 @@ func HubClusters(n, hubs, noisy int, p float64, rng *rand.Rand) *Run {
 		}
 		skel.AddEdge(pred, m)
 	}
-	return WithNoise(Static(skel), noisy, p, rng)
+	return withNoise(Static(skel), noisy, p, rng)
 }
 
 // RandomSingleSource returns a run whose stable skeleton contains a
@@ -225,5 +225,5 @@ func RandomSingleSource(n, noisy int, extra, p float64, rng *rand.Rand) *Run {
 			}
 		}
 	}
-	return WithNoise(Static(skel), noisy, p, rng)
+	return withNoise(Static(skel), noisy, p, rng)
 }

@@ -181,7 +181,7 @@ func TestCrashGraphSemantics(t *testing.T) {
 }
 
 func TestCrashPartialDelivery(t *testing.T) {
-	sched := NewCrashSchedule(4).CrashPartial(0, 1, graph.NodeSetOf(2))
+	sched := NewCrashSchedule(4).crashPartial(0, 1, graph.NodeSetOf(2))
 	run := Crashes(4, sched)
 	r1 := run.Graph(1)
 	if !r1.HasEdge(0, 2) {
@@ -264,7 +264,7 @@ func TestWithNoisePreservesSkeleton(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 30; trial++ {
 		base := RandomSources(8, 1+rng.Intn(4), 0, 0, rng)
-		noisy := WithNoise(base, 6, 0.4, rng)
+		noisy := withNoise(base, 6, 0.4, rng)
 		if !noisy.StableSkeleton().Equal(base.StableSkeleton()) {
 			t.Fatal("noise changed the stable skeleton")
 		}

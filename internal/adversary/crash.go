@@ -10,7 +10,7 @@ import (
 
 // CrashSchedule assigns crash rounds to processes: Rounds[p] = r > 0
 // means p crashes in round r (its round-r message reaches only the
-// survivors listed in Partial[p], if any, and from round r+1 on nobody
+// survivors listed in partial[p], if any, and from round r+1 on nobody
 // hears p again except p itself). Rounds[p] = 0 means p never crashes.
 //
 // This is the paper's crash modelling (Section II): a crashed process is
@@ -18,28 +18,28 @@ import (
 // after the crash — it keeps taking steps and must still decide.
 type CrashSchedule struct {
 	Rounds  []int
-	Partial []graph.NodeSet // receivers of the crash-round message; nil = nobody
+	partial []graph.NodeSet // receivers of the crash-round message; nil = nobody
 }
 
 // NewCrashSchedule returns a schedule for n processes with no crashes.
 func NewCrashSchedule(n int) *CrashSchedule {
-	return &CrashSchedule{Rounds: make([]int, n), Partial: make([]graph.NodeSet, n)}
+	return &CrashSchedule{Rounds: make([]int, n), partial: make([]graph.NodeSet, n)}
 }
 
 // Crash marks process p as crashing in round r with no crash-round
 // deliveries.
 func (s *CrashSchedule) Crash(p, r int) *CrashSchedule {
 	s.Rounds[p] = r
-	s.Partial[p] = graph.NodeSet{}
+	s.partial[p] = graph.NodeSet{}
 	return s
 }
 
-// CrashPartial marks process p as crashing in round r with its round-r
+// crashPartial marks process p as crashing in round r with its round-r
 // message still delivered to the given receivers (modelling a crash
 // mid-broadcast).
-func (s *CrashSchedule) CrashPartial(p, r int, receivers graph.NodeSet) *CrashSchedule {
+func (s *CrashSchedule) crashPartial(p, r int, receivers graph.NodeSet) *CrashSchedule {
 	s.Rounds[p] = r
-	s.Partial[p] = receivers
+	s.partial[p] = receivers
 	return s
 }
 
@@ -92,7 +92,7 @@ func crashGraph(n int, sched *CrashSchedule, r int) *graph.Digraph {
 			if v == p {
 				continue // self-loop survives: p keeps hearing itself
 			}
-			if r == cr && sched.Partial[p].Has(v) {
+			if r == cr && sched.partial[p].Has(v) {
 				continue // crash-round partial delivery
 			}
 			g.RemoveEdge(p, v)
@@ -122,7 +122,7 @@ func RandomCrashes(n, f, maxRound int, rng *rand.Rand) (*Run, *CrashSchedule) {
 				recv.Add(v)
 			}
 		}
-		sched.CrashPartial(p, r, recv)
+		sched.crashPartial(p, r, recv)
 	}
 	return Crashes(n, sched), sched
 }

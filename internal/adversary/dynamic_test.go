@@ -54,7 +54,7 @@ func TestTIntervalEpochsAndStabilization(t *testing.T) {
 	a := NewTInterval(8, 4, 10, 2, 1)
 	// Rounds 1-4 epoch 0, 5-8 epoch 1, 9-10 epoch 2, frozen afterwards.
 	for r, want := range map[int]int{1: 0, 4: 0, 5: 1, 8: 1, 9: 2, 10: 2, 11: 2, 100: 2} {
-		if got := a.Epoch(r); got != want {
+		if got := a.epoch(r); got != want {
 			t.Fatalf("Epoch(%d) = %d, want %d", r, got, want)
 		}
 	}
@@ -102,8 +102,8 @@ func TestPartitionMergeSchedule(t *testing.T) {
 	// 4 groups halve twice: stage 0 rounds 1-5 (4 comps), stage 1 rounds
 	// 6-10 (2 comps), stage 2 from round 11 (1 comp).
 	for r, want := range map[int]int{1: 4, 5: 4, 6: 2, 10: 2, 11: 1, 99: 1} {
-		if got := a.Components(r); got != want {
-			t.Fatalf("Components(%d) = %d, want %d", r, got, want)
+		if got := len(graph.RootComponents(a.Graph(r))); got != want {
+			t.Fatalf("round %d: %d components, want %d", r, got, want)
 		}
 	}
 	if got := a.StabilizationRound(); got != 11 {

@@ -100,24 +100,16 @@ func (m *Mobile) silentSet(r int) graph.NodeSet {
 	return set
 }
 
-// Settles reports whether the silent set eventually freezes.
-func (m *Mobile) Settles() bool { return m.settleRound > 0 }
+// settles reports whether the silent set eventually freezes.
+func (m *Mobile) settles() bool { return m.settleRound > 0 }
 
 // Settled returns the adversary wrapped with a rounds.Stabilizer
 // implementation; it panics if the silence never settles.
 func (m *Mobile) Settled() *SettledMobile {
-	if !m.Settles() {
+	if !m.settles() {
 		panic("adversary: Settled on a non-settling mobile adversary")
 	}
 	return &SettledMobile{Mobile: m}
-}
-
-// SilentAt returns the silent set of round r (for tests and experiments).
-func (m *Mobile) SilentAt(r int) graph.NodeSet {
-	if m.settleRound > 0 && r >= m.settleRound {
-		return m.settledSet.Clone()
-	}
-	return m.silentSet(r)
 }
 
 // SettledMobile is a settling mobile adversary with its stabilization

@@ -26,7 +26,7 @@ func TestMobileSilencesExactlyF(t *testing.T) {
 		if silent != 2 {
 			t.Fatalf("round %d: %d silent, want 2", r, silent)
 		}
-		if !g.HasEdge(m.SilentAt(r).Min(), m.SilentAt(r).Min()) {
+		if !g.HasEdge(m.silentAt(r).Min(), m.silentAt(r).Min()) {
 			t.Fatal("silent process lost its self-loop")
 		}
 	}
@@ -43,10 +43,10 @@ func TestMobileDeterministicPerRound(t *testing.T) {
 
 func TestMobileSilenceMoves(t *testing.T) {
 	m := NewMobile(8, 2, 0, 3)
-	first := m.SilentAt(1)
+	first := m.silentAt(1)
 	moved := false
 	for r := 2; r <= 12; r++ {
-		if !m.SilentAt(r).Equal(first) {
+		if !m.silentAt(r).Equal(first) {
 			moved = true
 		}
 	}
@@ -99,7 +99,7 @@ func TestMobileSettledNeverSilencedKernel(t *testing.T) {
 	m := NewMobile(7, 2, 4, 17).Settled()
 	everSilent := graph.NewNodeSet(7)
 	for r := 1; r <= 4; r++ {
-		everSilent.UnionWith(m.SilentAt(r))
+		everSilent.UnionWith(m.silentAt(r))
 	}
 	skel := m.StableSkeleton()
 	for v := 0; v < 7; v++ {
@@ -131,7 +131,7 @@ func TestMobileRoundRobinSweeps(t *testing.T) {
 	m := NewMobileRoundRobin(n, f, 0, 0)
 	covered := graph.NewNodeSet(n)
 	for r := 1; r <= (n+f-1)/f; r++ {
-		s := m.SilentAt(r)
+		s := m.silentAt(r)
 		if s.Len() != f {
 			t.Fatalf("round %d silences %d, want %d", r, s.Len(), f)
 		}
@@ -141,17 +141,25 @@ func TestMobileRoundRobinSweeps(t *testing.T) {
 		t.Fatalf("round-robin did not sweep everyone: %v", covered)
 	}
 	// Deterministic: same round, same set.
-	if !m.SilentAt(3).Equal(m.SilentAt(3)) {
+	if !m.silentAt(3).Equal(m.silentAt(3)) {
 		t.Fatal("round-robin not deterministic")
 	}
 }
 
 func TestMobileRoundRobinSettles(t *testing.T) {
 	m := NewMobileRoundRobin(6, 1, 4, 0).Settled()
-	want := m.SilentAt(4)
+	want := m.silentAt(4)
 	for r := 4; r <= 10; r++ {
-		if !m.SilentAt(r).Equal(want) {
+		if !m.silentAt(r).Equal(want) {
 			t.Fatalf("silent set changed after settling (round %d)", r)
 		}
 	}
+}
+
+// silentAt returns the silent set of round r (for tests and experiments).
+func (m *Mobile) silentAt(r int) graph.NodeSet {
+	if m.settleRound > 0 && r >= m.settleRound {
+		return m.settledSet.Clone()
+	}
+	return m.silentSet(r)
 }

@@ -71,13 +71,6 @@ func (a *PartitionMerge) stage(r int) int {
 	return s
 }
 
-// Components returns the number of connected components of round r's
-// graph: ceil(c / 2^stage).
-func (a *PartitionMerge) Components(r int) int {
-	s := a.stage(r)
-	return (a.c + 1<<s - 1) >> s
-}
-
 // component returns the component id of node v at merge stage s: initial
 // groups g and g' have merged exactly when g >> s == g' >> s.
 func (a *PartitionMerge) component(v, s int) int { return a.member[v] >> s }

@@ -67,9 +67,9 @@ func NewTInterval(n, T, horizon, maxRoots int, seed int64) *TInterval {
 // N implements rounds.Adversary.
 func (a *TInterval) N() int { return a.n }
 
-// Epoch returns the epoch index (0-based) that round r's graph is drawn
+// epoch returns the epoch index (0-based) that round r's graph is drawn
 // from; rounds past the horizon stay in the final epoch.
-func (a *TInterval) Epoch(r int) int {
+func (a *TInterval) epoch(r int) int {
 	if r < 1 {
 		panic(fmt.Sprintf("adversary: round %d < 1", r))
 	}
@@ -88,11 +88,11 @@ func (a *TInterval) epochGraph(e int) *graph.Digraph {
 }
 
 // Graph implements rounds.Adversary.
-func (a *TInterval) Graph(r int) *graph.Digraph { return a.epochGraph(a.Epoch(r)) }
+func (a *TInterval) Graph(r int) *graph.Digraph { return a.epochGraph(a.epoch(r)) }
 
 // StabilizationRound implements rounds.Stabilizer: the first round of the
 // final epoch, from which the graph sequence is constant.
-func (a *TInterval) StabilizationRound() int { return a.Epoch(a.horizon)*a.t + 1 }
+func (a *TInterval) StabilizationRound() int { return a.epoch(a.horizon)*a.t + 1 }
 
 // StableSkeleton returns G^∩∞ of this run: the intersection of every
 // epoch's graph. For small T (many epochs) it degrades toward the
@@ -100,7 +100,7 @@ func (a *TInterval) StabilizationRound() int { return a.Epoch(a.horizon)*a.t + 1
 // decision values Theorem 1 permits — upward in experiment E13.
 func (a *TInterval) StableSkeleton() *graph.Digraph {
 	skel := a.epochGraph(0)
-	for e := 1; e <= a.Epoch(a.horizon); e++ {
+	for e := 1; e <= a.epoch(a.horizon); e++ {
 		skel.IntersectWith(a.epochGraph(e))
 	}
 	return skel

@@ -12,7 +12,7 @@
 // the default everywhere a name is omitted) and "approx" (approximate
 // agreement on path/cycle graphs, internal/approx). Registering a third
 // is additive: implement rounds.Algorithm + rounds.Decider, a Codec,
-// and the oracle hook, then MustRegister it — see DESIGN.md §9.
+// and the oracle hook, then Register it — see DESIGN.md §9.
 //
 // Register validates every entry up front: structural checks plus a
 // smoke run of the factory and a codec round-trip on a real message
@@ -191,8 +191,8 @@ func Register(a *Algorithm) error {
 	return nil
 }
 
-// MustRegister is Register, panicking on error (built-in init paths).
-func MustRegister(a *Algorithm) {
+// mustRegister is Register, panicking on error (built-in init paths).
+func mustRegister(a *Algorithm) {
 	if err := Register(a); err != nil {
 		panic(err)
 	}

@@ -62,7 +62,7 @@ func approxOpts(params any) (approx.Options, error) {
 }
 
 func init() {
-	MustRegister(&Algorithm{
+	mustRegister(&Algorithm{
 		Name:  Approx,
 		Codec: approxCodec{},
 		Prepare: func(run *Run) error {

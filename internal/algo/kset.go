@@ -12,12 +12,12 @@ import (
 // stable skeleton graphs) — the stack's default family.
 const KSet = "kset"
 
-// KSetCodec carries Algorithm 1 messages in the canonical internal/wire
+// ksetCodec carries Algorithm 1 messages in the canonical internal/wire
 // encoding — the same bytes the E5 bit-complexity experiment meters.
-type KSetCodec struct{}
+type ksetCodec struct{}
 
 // Encode implements Codec; msg is what core.Process.Send returns.
-func (KSetCodec) Encode(dst []byte, msg any) ([]byte, error) {
+func (ksetCodec) Encode(dst []byte, msg any) ([]byte, error) {
 	m, ok := msg.(*core.Message)
 	if !ok {
 		return nil, fmt.Errorf("algo: kset codec cannot encode %T", msg)
@@ -26,7 +26,7 @@ func (KSetCodec) Encode(dst []byte, msg any) ([]byte, error) {
 }
 
 // NewDecoder implements Codec.
-func (KSetCodec) NewDecoder(n int) Decoder {
+func (ksetCodec) NewDecoder(n int) Decoder {
 	return &ksetDecoder{msgs: make([]core.Message, n)}
 }
 
@@ -63,9 +63,9 @@ func ksetOpts(params any) (core.Options, error) {
 }
 
 func init() {
-	MustRegister(&Algorithm{
+	mustRegister(&Algorithm{
 		Name:  KSet,
-		Codec: KSetCodec{},
+		Codec: ksetCodec{},
 		Prepare: func(run *Run) error {
 			opts, err := ksetOpts(run.Params)
 			if err != nil {

@@ -11,7 +11,7 @@
 // # Algorithm
 //
 // Each process keeps a position x on the target graph in fixed-point
-// arithmetic (Scale fractional resolution) and runs phase-based
+// arithmetic (scale fractional resolution) and runs phase-based
 // amortized midpoint: rounds are grouped into phases of
 // PhaseLen(n) = max(n-1, 1) rounds; during a phase each process floods
 // an interval [lo, hi] — seeded with its own position at the phase
@@ -28,7 +28,7 @@
 // Nowak ("Approximate Consensus in Highly Dynamic Networks"), so any
 // two phase-end intervals share a common point and the global value
 // range at least halves per phase (up to one unit of fixed-point
-// rounding). PhasesFor(V) phases after stabilization shrink the range
+// rounding). phasesFor(V) phases after stabilization shrink the range
 // below half a vertex, so rounding to the nearest vertex lands every
 // process on one of two adjacent vertices. Midpoints never leave the
 // hull of the values heard, so validity holds unconditionally — even
@@ -66,18 +66,18 @@ const (
 	Cycle Shape = "cycle"
 )
 
-// FracBits is the fixed-point resolution: positions are vertex indices
-// scaled by Scale. Phase midpoints lose at most one unit per phase to
-// flooring, a drift of PhasesFor(V) ≪ Scale/2 over any run, so the
+// fracBits is the fixed-point resolution: positions are vertex indices
+// scaled by scale. Phase midpoints lose at most one unit per phase to
+// flooring, a drift of phasesFor(V) ≪ scale/2 over any run, so the
 // final round-to-nearest-vertex step is unaffected.
-const FracBits = 24
+const fracBits = 24
 
-// Scale is 1 << FracBits.
-const Scale = 1 << FracBits
+// scale is 1 << fracBits.
+const scale = 1 << fracBits
 
-// MaxVertices bounds the target graph so that every intermediate sum
+// maxVertices bounds the target graph so that every intermediate sum
 // (2·position ± cycle length, scaled) stays far inside int64.
-const MaxVertices = 1 << 16
+const maxVertices = 1 << 16
 
 // Graph names one target graph.
 type Graph struct {
@@ -109,16 +109,16 @@ func PhaseLen(n int) int {
 	return n - 1
 }
 
-// PhasesFor returns how many fully-stabilized phases guarantee the
-// global range is below half a vertex: the range starts at most V·Scale
+// phasesFor returns how many fully-stabilized phases guarantee the
+// global range is below half a vertex: the range starts at most V·scale
 // and at least halves per phase, so ceil(log2(2V)) phases suffice, plus
 // one phase of margin absorbing fixed-point rounding drift.
-func PhasesFor(v int) int {
+func phasesFor(v int) int {
 	return bits.Len(uint(2*v)) + 1
 }
 
 // DecideRoundFor returns the earliest phase-aligned decide round with
-// PhasesFor(v) full phases after round stab (the first round from which
+// phasesFor(v) full phases after round stab (the first round from which
 // the communication graphs no longer change).
 func DecideRoundFor(n, v, stab int) int {
 	l := PhaseLen(n)
@@ -131,7 +131,7 @@ func DecideRoundFor(n, v, stab int) int {
 	if stab == 1 {
 		p0 = 1
 	}
-	return (p0 - 1 + PhasesFor(v)) * l
+	return (p0 - 1 + phasesFor(v)) * l
 }
 
 // Normalize fills defaults (path graph on n+1 vertices, the
@@ -155,8 +155,8 @@ func (o *Options) Normalize(n int, proposals []int64, stab int, stabilizes bool)
 	if o.Graph.V == 0 {
 		o.Graph.V = n + 1
 	}
-	if o.Graph.V < 1 || o.Graph.V > MaxVertices {
-		return fmt.Errorf("approx: %d vertices out of range [1,%d]", o.Graph.V, MaxVertices)
+	if o.Graph.V < 1 || o.Graph.V > maxVertices {
+		return fmt.Errorf("approx: %d vertices out of range [1,%d]", o.Graph.V, maxVertices)
 	}
 	if o.Graph.Shape == Cycle && o.Graph.V < 3 {
 		return fmt.Errorf("approx: cycle needs >= 3 vertices, got %d", o.Graph.V)
@@ -179,11 +179,11 @@ func (o *Options) Normalize(n int, proposals []int64, stab int, stabilizes bool)
 }
 
 // Message is one process's per-round broadcast: the interval it has
-// accumulated this phase (positions scaled by Scale; on cycles, in the
+// accumulated this phase (positions scaled by scale; on cycles, in the
 // sender's own lift of the universal cover) and whether it has decided.
 type Message struct {
-	Lo, Hi  int64
-	Decided bool
+	lo, hi  int64
+	decided bool
 }
 
 // Process runs the algorithm for one process. Create with NewFactory.
@@ -223,16 +223,16 @@ func (p *Process) Init(self, n int) {
 	p.self, p.n = self, n
 	p.phaseLen = PhaseLen(n)
 	if p.opts.Graph.Shape == Cycle {
-		p.period = int64(p.opts.Graph.V) * Scale
+		p.period = int64(p.opts.Graph.V) * scale
 	}
-	p.x = p.proposal * Scale
+	p.x = p.proposal * scale
 	p.lo, p.hi = p.x, p.x
 }
 
 // Send implements rounds.Algorithm: broadcast the current interval.
 func (p *Process) Send(r int) any {
 	m := &p.out[r&1]
-	m.Lo, m.Hi, m.Decided = p.lo, p.hi, p.decided
+	m.lo, m.hi, m.decided = p.lo, p.hi, p.decided
 	return m
 }
 
@@ -246,7 +246,7 @@ func (p *Process) Transition(r int, recv []any) {
 			continue
 		}
 		m := raw.(*Message)
-		lo, hi := m.Lo, m.Hi
+		lo, hi := m.lo, m.hi
 		if p.period != 0 {
 			lo, hi = p.lift(lo, hi)
 		}
@@ -286,7 +286,7 @@ func (p *Process) lift(lo, hi int64) (int64, int64) {
 
 // vertexOf rounds a scaled position to its nearest vertex.
 func (p *Process) vertexOf(x int64) int64 {
-	v := floorDiv(x+Scale/2, Scale)
+	v := floorDiv(x+scale/2, scale)
 	if p.period != 0 {
 		v = floorMod(v, int64(p.opts.Graph.V))
 	}

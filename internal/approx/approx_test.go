@@ -25,7 +25,7 @@ func TestDecideRoundFor(t *testing.T) {
 				}
 				// PhasesFor(v) whole phases lie at or after the stabilization
 				// round: the first of those phases starts no earlier than stab.
-				firstStable := d - PhasesFor(v)*l + 1
+				firstStable := d - phasesFor(v)*l + 1
 				if s := stab; s >= 1 && firstStable < s {
 					t.Fatalf("DecideRoundFor(%d,%d,%d) = %d leaves phase start %d before stabilization",
 						n, v, stab, d, firstStable)
@@ -33,7 +33,7 @@ func TestDecideRoundFor(t *testing.T) {
 			}
 		}
 	}
-	if d := DecideRoundFor(6, 7, 1); d != PhasesFor(7)*5 {
+	if d := DecideRoundFor(6, 7, 1); d != phasesFor(7)*5 {
 		t.Errorf("stab=1 should need exactly PhasesFor(v) phases, got round %d", d)
 	}
 }
@@ -63,7 +63,7 @@ func TestNormalizeRejects(t *testing.T) {
 	}{
 		{"bad shape", Options{Graph: Graph{Shape: "torus"}}, 4, nil},
 		{"zero processes", Options{}, 0, nil},
-		{"too many vertices", Options{Graph: Graph{V: MaxVertices + 1}}, 4, nil},
+		{"too many vertices", Options{Graph: Graph{V: maxVertices + 1}}, 4, nil},
 		{"tiny cycle", Options{Graph: Graph{Shape: Cycle, V: 2}}, 4, nil},
 		{"proposal below range", Options{}, 3, []int64{-1, 0, 1}},
 		{"proposal above range", Options{Graph: Graph{V: 4}}, 3, []int64{0, 1, 4}},
@@ -119,29 +119,29 @@ func TestSpan(t *testing.T) {
 func TestWireRoundTrip(t *testing.T) {
 	msgs := []Message{
 		{},
-		{Lo: 0, Hi: 0, Decided: true},
-		{Lo: -3 * Scale, Hi: 5 * Scale},
-		{Lo: 12345678, Hi: 12345678},
-		{Lo: -maxAbs, Hi: 0},
-		{Lo: 0, Hi: maxAbs},
+		{lo: 0, hi: 0, decided: true},
+		{lo: -3 * scale, hi: 5 * scale},
+		{lo: 12345678, hi: 12345678},
+		{lo: -maxAbs, hi: 0},
+		{lo: 0, hi: maxAbs},
 	}
 	for _, m := range msgs {
-		enc := Encode(m)
-		got, err := Decode(enc)
-		if err != nil {
-			t.Fatalf("Decode(%+v): %v", m, err)
+		enc := AppendEncode(nil, m)
+		var got Message
+		if err := DecodeInto(enc, &got); err != nil {
+			t.Fatalf("DecodeInto(%+v): %v", m, err)
 		}
 		if got != m {
 			t.Fatalf("round trip changed %+v into %+v", m, got)
 		}
-		if re := Encode(got); !bytes.Equal(enc, re) {
+		if re := AppendEncode(nil, got); !bytes.Equal(enc, re) {
 			t.Fatalf("re-encode of %+v not canonical: %x vs %x", m, enc, re)
 		}
 	}
 }
 
 func TestDecodeRejectsHostileInput(t *testing.T) {
-	good := Encode(Message{Lo: Scale, Hi: 2 * Scale})
+	good := AppendEncode(nil, Message{lo: scale, hi: 2 * scale})
 	bad := [][]byte{
 		nil,
 		{},
@@ -149,8 +149,8 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 		{0},             // missing varints
 		{0, 0x80},       // truncated varint
 		append(good, 0), // trailing byte
-		Encode(Message{Lo: maxAbs + 1, Hi: maxAbs + 1}), // position out of range
-		Encode(Message{Lo: 0, Hi: maxAbs + 1}),          // width out of range
+		AppendEncode(nil, Message{lo: maxAbs + 1, hi: maxAbs + 1}), // position out of range
+		AppendEncode(nil, Message{lo: 0, hi: maxAbs + 1}),          // width out of range
 	}
 	var m Message
 	for i, buf := range bad {
@@ -161,7 +161,7 @@ func TestDecodeRejectsHostileInput(t *testing.T) {
 }
 
 func TestCodecSteadyStateAllocs(t *testing.T) {
-	m := Message{Lo: -2 * Scale, Hi: 3 * Scale, Decided: true}
+	m := Message{lo: -2 * scale, hi: 3 * scale, decided: true}
 	buf := make([]byte, 0, 64)
 	var out Message
 	allocs := testing.AllocsPerRun(200, func() {

@@ -12,20 +12,20 @@ import (
 // self-test and decode caches rely on.
 func FuzzDecode(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(Encode(Message{}))
-	f.Add(Encode(Message{Lo: -3 * Scale, Hi: 5 * Scale, Decided: true}))
-	f.Add(Encode(Message{Lo: maxAbs, Hi: maxAbs}))
-	f.Add(Encode(Message{Lo: -maxAbs, Hi: 0}))
+	f.Add(AppendEncode(nil, Message{}))
+	f.Add(AppendEncode(nil, Message{lo: -3 * scale, hi: 5 * scale, decided: true}))
+	f.Add(AppendEncode(nil, Message{lo: maxAbs, hi: maxAbs}))
+	f.Add(AppendEncode(nil, Message{lo: -maxAbs, hi: 0}))
 	f.Add([]byte{0, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Message
 		if err := DecodeInto(data, &m); err != nil {
 			return
 		}
-		if m.Hi < m.Lo {
+		if m.hi < m.lo {
 			t.Fatalf("decoded inverted interval %+v from %x", m, data)
 		}
-		if re := Encode(m); !bytes.Equal(re, data) {
+		if re := AppendEncode(nil, m); !bytes.Equal(re, data) {
 			t.Fatalf("accepted non-canonical encoding %x of %+v (canonical %x)", data, m, re)
 		}
 	})

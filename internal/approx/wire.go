@@ -16,26 +16,23 @@ import (
 // (the fuzz target pins this).
 
 // maxAbs bounds |Lo| and the interval width on the wire. Honest values
-// stay within a few cycle lengths of [0, MaxVertices·Scale); one spare
+// stay within a few cycle lengths of [0, maxVertices·scale); one spare
 // factor of 2^4 leaves room without admitting values whose sums could
 // overflow int64 in Transition.
-const maxAbs = int64(MaxVertices) * Scale << 4
+const maxAbs = int64(maxVertices) * scale << 4
 
 // AppendEncode appends m's wire form to dst and returns the extended
 // slice.
 func AppendEncode(dst []byte, m Message) []byte {
 	flag := byte(0)
-	if m.Decided {
+	if m.decided {
 		flag = 1
 	}
 	dst = append(dst, flag)
-	dst = binary.AppendVarint(dst, m.Lo)
-	dst = binary.AppendUvarint(dst, uint64(m.Hi-m.Lo))
+	dst = binary.AppendVarint(dst, m.lo)
+	dst = binary.AppendUvarint(dst, uint64(m.hi-m.lo))
 	return dst
 }
-
-// Encode returns m's wire form.
-func Encode(m Message) []byte { return AppendEncode(nil, m) }
 
 // DecodeInto parses buf into m. Like wire.DecodeInto it validates in
 // integer space wide enough that no hostile input can overflow: the
@@ -47,9 +44,9 @@ func DecodeInto(buf []byte, m *Message) error {
 	}
 	switch buf[0] {
 	case 0:
-		m.Decided = false
+		m.decided = false
 	case 1:
-		m.Decided = true
+		m.decided = true
 	default:
 		return fmt.Errorf("approx: unknown flag byte %d", buf[0])
 	}
@@ -73,8 +70,8 @@ func DecodeInto(buf []byte, m *Message) error {
 	if width > uint64(maxAbs) {
 		return fmt.Errorf("approx: interval width %d out of range", width)
 	}
-	m.Lo = lo
-	m.Hi = lo + int64(width)
+	m.lo = lo
+	m.hi = lo + int64(width)
 	return nil
 }
 
@@ -85,10 +82,3 @@ func DecodeInto(buf []byte, m *Message) error {
 // re-encode is byte-identical for every accepted payload (FuzzDecode
 // pins this).
 func minimal(buf []byte, k int) bool { return k == 1 || buf[k-1] != 0 }
-
-// Decode parses buf into a fresh Message.
-func Decode(buf []byte) (Message, error) {
-	var m Message
-	err := DecodeInto(buf, &m)
-	return m, err
-}

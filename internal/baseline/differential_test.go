@@ -149,7 +149,7 @@ func TestDifferentialConsensusRegime(t *testing.T) {
 				res := familyResult{
 					sched:    sched,
 					alg1:     execute(nil), // Algorithm 1 with the options above
-					floodSet: execute(NewFloodSetFactory(sim.SeqProposals(n), f)),
+					floodSet: execute(NewFloodMinFactory(sim.SeqProposals(n), f, 1)),
 					otr:      execute(NewOneThirdRuleFactory(sim.SeqProposals(n))),
 				}
 				func() {

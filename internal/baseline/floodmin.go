@@ -9,7 +9,7 @@
 //     allowed by Psrcs(k): the experiments show it violating k-agreement on
 //     runs where Algorithm 1 stays safe.
 //
-//   - FloodSet — the f+1-round consensus variant (k = 1).
+//   - FloodSet — the f+1-round consensus variant: FloodMin with k = 1.
 //
 // Both implement rounds.Algorithm and rounds.Decider, so they run under
 // the exact same executors and adversaries as Algorithm 1.
@@ -21,10 +21,10 @@ import (
 	"kset/internal/rounds"
 )
 
-// FloodMin is one process of the FloodMin algorithm. Unlike Algorithm 1
+// floodMin is one process of the FloodMin algorithm. Unlike Algorithm 1
 // it must know the failure budget f and the target k in advance: it
 // decides unconditionally at the end of round ⌊f/k⌋ + 1.
-type FloodMin struct {
+type floodMin struct {
 	proposal int64
 	f, k     int
 
@@ -35,31 +35,31 @@ type FloodMin struct {
 	rounds      int
 }
 
-var _ rounds.Algorithm = (*FloodMin)(nil)
-var _ rounds.Decider = (*FloodMin)(nil)
+var _ rounds.Algorithm = (*floodMin)(nil)
+var _ rounds.Decider = (*floodMin)(nil)
 
-// NewFloodMin returns a FloodMin process proposing the given value,
+// newFloodMin returns a FloodMin process proposing the given value,
 // tolerating f crashes, and solving k-set agreement.
-func NewFloodMin(proposal int64, f, k int) *FloodMin {
+func newFloodMin(proposal int64, f, k int) *floodMin {
 	if f < 0 || k < 1 {
 		panic(fmt.Sprintf("baseline: invalid FloodMin parameters f=%d k=%d", f, k))
 	}
-	return &FloodMin{proposal: proposal, f: f, k: k}
+	return &floodMin{proposal: proposal, f: f, k: k}
 }
 
 // NewFloodMinFactory adapts a proposal vector to the executor factory.
 func NewFloodMinFactory(proposals []int64, f, k int) func(self int) rounds.Algorithm {
 	return func(self int) rounds.Algorithm {
-		return NewFloodMin(proposals[self], f, k)
+		return newFloodMin(proposals[self], f, k)
 	}
 }
 
 // Rounds returns the number of rounds FloodMin runs before deciding:
 // ⌊f/k⌋ + 1.
-func (fm *FloodMin) Rounds() int { return fm.f/fm.k + 1 }
+func (fm *floodMin) Rounds() int { return fm.f/fm.k + 1 }
 
 // Init implements rounds.Algorithm.
-func (fm *FloodMin) Init(self, n int) {
+func (fm *floodMin) Init(self, n int) {
 	fm.self = self
 	fm.n = n
 	fm.min = fm.proposal
@@ -69,10 +69,10 @@ func (fm *FloodMin) Init(self, n int) {
 // Send implements rounds.Algorithm: broadcast the smallest value seen.
 // After deciding, FloodMin keeps gossiping its decision (harmless, and it
 // keeps the executor uniform).
-func (fm *FloodMin) Send(r int) any { return fm.min }
+func (fm *floodMin) Send(r int) any { return fm.min }
 
 // Transition implements rounds.Algorithm.
-func (fm *FloodMin) Transition(r int, recv []any) {
+func (fm *floodMin) Transition(r int, recv []any) {
 	for _, msg := range recv {
 		if msg == nil {
 			continue
@@ -88,33 +88,15 @@ func (fm *FloodMin) Transition(r int, recv []any) {
 }
 
 // Proposal implements rounds.Decider.
-func (fm *FloodMin) Proposal() int64 { return fm.proposal }
+func (fm *floodMin) Proposal() int64 { return fm.proposal }
 
 // Decided implements rounds.Decider.
-func (fm *FloodMin) Decided() bool { return fm.decided }
+func (fm *floodMin) Decided() bool { return fm.decided }
 
 // Decision implements rounds.Decider.
-func (fm *FloodMin) Decision() (int64, int) {
+func (fm *floodMin) Decision() (int64, int) {
 	if !fm.decided {
 		panic("baseline: FloodMin.Decision before deciding")
 	}
 	return fm.min, fm.decideRound
-}
-
-// FloodSet is the f+1-round consensus algorithm: FloodMin with k = 1.
-type FloodSet struct {
-	FloodMin
-}
-
-// NewFloodSet returns a FloodSet process proposing the given value and
-// tolerating f crashes.
-func NewFloodSet(proposal int64, f int) *FloodSet {
-	return &FloodSet{FloodMin: *NewFloodMin(proposal, f, 1)}
-}
-
-// NewFloodSetFactory adapts a proposal vector to the executor factory.
-func NewFloodSetFactory(proposals []int64, f int) func(self int) rounds.Algorithm {
-	return func(self int) rounds.Algorithm {
-		return NewFloodSet(proposals[self], f)
-	}
 }

@@ -43,7 +43,7 @@ func TestFloodMinRoundsFormula(t *testing.T) {
 		{3, 2, 2}, {4, 2, 3}, {5, 3, 2}, {6, 3, 3},
 	}
 	for _, c := range cases {
-		fm := NewFloodMin(0, c.f, c.k)
+		fm := newFloodMin(0, c.f, c.k)
 		if got := fm.Rounds(); got != c.want {
 			t.Errorf("Rounds(f=%d,k=%d) = %d, want %d", c.f, c.k, got, c.want)
 		}
@@ -74,7 +74,7 @@ func TestFloodMinToleratesCrashes(t *testing.T) {
 		n := 3 + rng.Intn(6)
 		f := rng.Intn(n)
 		k := 1 + rng.Intn(3)
-		adv, sched := adversary.RandomCrashes(n, f, NewFloodMin(0, f, k).Rounds(), rng)
+		adv, sched := adversary.RandomCrashes(n, f, newFloodMin(0, f, k).Rounds(), rng)
 		oc := runFloodMin(t, adv, f, k, 20)
 		if err := oc.CheckTermination(); err != nil {
 			t.Fatalf("n=%d f=%d k=%d: %v", n, f, k, err)
@@ -98,7 +98,7 @@ func TestFloodSetConsensusUnderCrashes(t *testing.T) {
 		adv, sched := adversary.RandomCrashes(n, f, f+1, rng)
 		res, err := rounds.RunSequential(rounds.Config{
 			Adversary:  adv,
-			NewProcess: NewFloodSetFactory(seqProposals(n), f),
+			NewProcess: NewFloodMinFactory(seqProposals(n), f, 1),
 			MaxRounds:  f + 3,
 			StopWhen:   rounds.AllDecided,
 		})
@@ -217,7 +217,7 @@ func TestFloodMinUnsafeUnderPsrcsRuns(t *testing.T) {
 }
 
 func TestFloodMinIrrevocable(t *testing.T) {
-	fm := NewFloodMin(5, 0, 1)
+	fm := newFloodMin(5, 0, 1)
 	fm.Init(0, 2)
 	recv := []any{int64(5), int64(9)}
 	fm.Transition(1, recv)
@@ -237,9 +237,9 @@ func TestFloodMinIrrevocable(t *testing.T) {
 
 func TestFloodMinValidation(t *testing.T) {
 	for _, fn := range []func(){
-		func() { NewFloodMin(0, -1, 1) },
-		func() { NewFloodMin(0, 0, 0) },
-		func() { fm := NewFloodMin(0, 0, 1); fm.Decision() },
+		func() { newFloodMin(0, -1, 1) },
+		func() { newFloodMin(0, 0, 0) },
+		func() { fm := newFloodMin(0, 0, 1); fm.Decision() },
 	} {
 		func() {
 			defer func() {
@@ -253,7 +253,7 @@ func TestFloodMinValidation(t *testing.T) {
 }
 
 func TestFloodMinProposal(t *testing.T) {
-	fm := NewFloodMin(77, 1, 2)
+	fm := newFloodMin(77, 1, 2)
 	fm.Init(0, 3)
 	if fm.Proposal() != 77 {
 		t.Fatal("Proposal wrong")

@@ -7,7 +7,8 @@ import (
 	"kset/internal/rounds"
 )
 
-// OneThirdRule is the canonical consensus algorithm of the Heard-Of model
+// oneThirdRule is one process of OneThirdRule, the canonical consensus
+// algorithm of the Heard-Of model
 // (Charron-Bost & Schiper, "The Heard-Of model", Distributed Computing
 // 22(1), 2009) — the framework the paper's round structure builds on.
 // Per round, every process broadcasts its estimate and then:
@@ -22,7 +23,7 @@ import (
 // skeletons, heard-of sets can stay below the 2n/3 threshold forever, so
 // OneThirdRule simply never terminates where Algorithm 1 does — the
 // second axis (besides FloodMin's unsafety) of the E6 comparison.
-type OneThirdRule struct {
+type oneThirdRule struct {
 	proposal int64
 
 	self, n     int
@@ -32,33 +33,33 @@ type OneThirdRule struct {
 	decideRound int
 }
 
-var _ rounds.Algorithm = (*OneThirdRule)(nil)
-var _ rounds.Decider = (*OneThirdRule)(nil)
+var _ rounds.Algorithm = (*oneThirdRule)(nil)
+var _ rounds.Decider = (*oneThirdRule)(nil)
 
-// NewOneThirdRule returns a process proposing the given value.
-func NewOneThirdRule(proposal int64) *OneThirdRule {
-	return &OneThirdRule{proposal: proposal}
+// newOneThirdRule returns a process proposing the given value.
+func newOneThirdRule(proposal int64) *oneThirdRule {
+	return &oneThirdRule{proposal: proposal}
 }
 
 // NewOneThirdRuleFactory adapts a proposal vector to the executor factory.
 func NewOneThirdRuleFactory(proposals []int64) func(self int) rounds.Algorithm {
 	return func(self int) rounds.Algorithm {
-		return NewOneThirdRule(proposals[self])
+		return newOneThirdRule(proposals[self])
 	}
 }
 
 // Init implements rounds.Algorithm.
-func (o *OneThirdRule) Init(self, n int) {
+func (o *oneThirdRule) Init(self, n int) {
 	o.self = self
 	o.n = n
 	o.x = o.proposal
 }
 
 // Send implements rounds.Algorithm.
-func (o *OneThirdRule) Send(r int) any { return o.x }
+func (o *oneThirdRule) Send(r int) any { return o.x }
 
 // Transition implements rounds.Algorithm.
-func (o *OneThirdRule) Transition(r int, recv []any) {
+func (o *oneThirdRule) Transition(r int, recv []any) {
 	counts := map[int64]int{}
 	heard := 0
 	for _, m := range recv {
@@ -95,18 +96,15 @@ func (o *OneThirdRule) Transition(r int, recv []any) {
 }
 
 // Proposal implements rounds.Decider.
-func (o *OneThirdRule) Proposal() int64 { return o.proposal }
+func (o *oneThirdRule) Proposal() int64 { return o.proposal }
 
 // Decided implements rounds.Decider.
-func (o *OneThirdRule) Decided() bool { return o.decided }
+func (o *oneThirdRule) Decided() bool { return o.decided }
 
 // Decision implements rounds.Decider.
-func (o *OneThirdRule) Decision() (int64, int) {
+func (o *oneThirdRule) Decision() (int64, int) {
 	if !o.decided {
 		panic(fmt.Sprintf("baseline: OneThirdRule p%d undecided", o.self+1))
 	}
 	return o.decideVal, o.decideRound
 }
-
-// Estimate returns the current estimate (for tests).
-func (o *OneThirdRule) Estimate() int64 { return o.x }

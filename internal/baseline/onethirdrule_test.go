@@ -100,30 +100,30 @@ func TestOneThirdRuleStallsOnSparsePsrcsRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, p := range res.Procs {
-		if p.(*OneThirdRule).Decided() {
+		if p.(*oneThirdRule).Decided() {
 			t.Fatalf("p%d decided despite sub-threshold heard-of sets", i+1)
 		}
 	}
 }
 
 func TestOneThirdRuleKeepsEstimateBelowThreshold(t *testing.T) {
-	o := NewOneThirdRule(9)
+	o := newOneThirdRule(9)
 	o.Init(0, 6)
 	// Hears only 2 of 6 (<= 2n/3 = 4): estimate unchanged.
 	recv := make([]any, 6)
 	recv[0] = int64(9)
 	recv[1] = int64(1)
 	o.Transition(1, recv)
-	if o.Estimate() != 9 {
-		t.Fatalf("estimate changed to %d below threshold", o.Estimate())
+	if o.x != 9 {
+		t.Fatalf("estimate changed to %d below threshold", o.x)
 	}
 	// Hears 5 of 6 with majority value 1: adopts it.
 	for i := 0; i < 5; i++ {
 		recv[i] = int64(1)
 	}
 	o.Transition(2, recv)
-	if o.Estimate() != 1 {
-		t.Fatalf("estimate = %d, want 1", o.Estimate())
+	if o.x != 1 {
+		t.Fatalf("estimate = %d, want 1", o.x)
 	}
 	if !o.Decided() {
 		t.Fatal("5 equal values of 6 exceed 2n/3: should decide")
@@ -134,7 +134,7 @@ func TestOneThirdRuleKeepsEstimateBelowThreshold(t *testing.T) {
 }
 
 func TestOneThirdRuleDecisionPanicsUndecided(t *testing.T) {
-	o := NewOneThirdRule(1)
+	o := newOneThirdRule(1)
 	o.Init(0, 3)
 	defer func() {
 		if recover() == nil {
@@ -146,11 +146,11 @@ func TestOneThirdRuleDecisionPanicsUndecided(t *testing.T) {
 
 func TestOneThirdRuleTieBreakDeterministic(t *testing.T) {
 	// Two values with equal counts above threshold: smallest wins.
-	o := NewOneThirdRule(5)
+	o := newOneThirdRule(5)
 	o.Init(0, 4)
 	recv := []any{int64(3), int64(3), int64(2), int64(2)}
 	o.Transition(1, recv)
-	if o.Estimate() != 2 {
-		t.Fatalf("tie-break picked %d, want 2", o.Estimate())
+	if o.x != 2 {
+		t.Fatalf("tie-break picked %d, want 2", o.x)
 	}
 }

@@ -37,8 +37,8 @@ import (
 	"kset/internal/trace"
 )
 
-// Violation is one oracle failure observed during a checked run.
-type Violation struct {
+// violation is one oracle failure observed during a checked run.
+type violation struct {
 	// Oracle names the violated invariant (e.g. "k-bound", "purge").
 	Oracle string
 	// Round is the round in which the violation was observed; 0 for
@@ -51,7 +51,7 @@ type Violation struct {
 	Detail string
 }
 
-func (v Violation) String() string {
+func (v violation) String() string {
 	loc := "post-run"
 	if v.Round > 0 {
 		loc = fmt.Sprintf("round %d", v.Round)
@@ -92,21 +92,21 @@ type Failure struct {
 	Run *adversary.Run
 	// Proposals are the initial values used (the canonical 1..n vector).
 	Proposals []int64
-	// Violations are the recorded oracle failures, in observation order.
-	Violations []Violation
+	// violations are the recorded oracle failures, in observation order.
+	violations []violation
 	// Outcome is the decision summary of the failing run.
 	Outcome *trace.Outcome
-	// MinK and Skeleton describe the realized stable skeleton.
-	MinK     int
-	Skeleton *graph.Digraph
+	// minK and skeleton describe the realized stable skeleton.
+	minK     int
+	skeleton *graph.Digraph
 }
 
 // String renders a compact report of the failure.
 func (f *Failure) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%d oracle violation(s) on a run of %d processes (%d prefix rounds, MinK=%d):\n",
-		len(f.Violations), f.Run.N(), f.Run.PrefixLen(), f.MinK)
-	for _, v := range f.Violations {
+		len(f.violations), f.Run.N(), f.Run.PrefixLen(), f.minK)
+	for _, v := range f.violations {
 		fmt.Fprintf(&b, "  %s\n", v)
 	}
 	if f.Outcome != nil {
@@ -115,12 +115,12 @@ func (f *Failure) String() string {
 	return b.String()
 }
 
-// MaxRoundsFor returns the round bound a checked run executes under:
+// maxRoundsFor returns the round bound a checked run executes under:
 // stabilization + 3n + 5. Lemma 11 bounds termination by r_ST + 2n - 1
 // under the published guard; the conservative guard delays the
 // connectivity floor to 2n-1 and the decide wave by up to n-1 more
 // rounds, so 3n with margin covers both.
-func MaxRoundsFor(run *adversary.Run) int {
+func maxRoundsFor(run *adversary.Run) int {
 	return run.StabilizationRound() + 3*run.N() + 5
 }
 
@@ -137,7 +137,7 @@ func CheckRun(run *adversary.Run, cfg Config) (*Failure, error) {
 		Adversary: run,
 		Proposals: proposals,
 		Params:    cfg.Opts,
-		MaxRounds: MaxRoundsFor(run),
+		MaxRounds: maxRoundsFor(run),
 		Observer:  obs,
 	})
 	if err != nil {

@@ -53,7 +53,7 @@ func TestCheckRunFindsE10Flaw(t *testing.T) {
 		t.Fatal("paper-faithful guard passed all oracles on the E10 witness")
 	}
 	found := false
-	for _, v := range fail.Violations {
+	for _, v := range fail.violations {
 		if v.Oracle == "k-bound" {
 			found = true
 		}
@@ -72,7 +72,7 @@ func TestInvertedOracleShrinksToTrivialRun(t *testing.T) {
 		Opts:         core.Options{ConservativeDecide: true},
 		InvertKBound: true,
 	}
-	run := GenRun(4, StrategyArbitrary, 7, 0)
+	run := genRun(4, strategyArbitrary, 7, 0)
 	fail, err := CheckRun(run, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -109,8 +109,8 @@ func TestInvertedOracleShrinksToTrivialRun(t *testing.T) {
 	if again == nil {
 		t.Fatal("replayed counterexample no longer violates")
 	}
-	if again.Violations[0].Oracle != "inverted-k-bound" {
-		t.Fatalf("replayed violation = %v", again.Violations[0])
+	if again.violations[0].Oracle != "inverted-k-bound" {
+		t.Fatalf("replayed violation = %v", again.violations[0])
 	}
 }
 
@@ -141,7 +141,7 @@ func TestShrinkPreservesOracleClass(t *testing.T) {
 		t.Fatal("shrink lost the counterexample")
 	}
 	found := false
-	for _, v := range res.Failure.Violations {
+	for _, v := range res.Failure.violations {
 		if v.Oracle == res.Oracle {
 			found = true
 		}

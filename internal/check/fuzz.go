@@ -3,6 +3,7 @@ package check
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"kset/internal/adversary"
@@ -20,27 +21,27 @@ import (
 type Strategy string
 
 const (
-	// StrategyMixed draws one of the other strategies per cell.
-	StrategyMixed Strategy = "mixed"
-	// StrategyArbitrary generates entirely unconstrained per-round
+	// strategyMixed draws one of the other strategies per cell.
+	strategyMixed Strategy = "mixed"
+	// strategyArbitrary generates entirely unconstrained per-round
 	// digraphs (adversary.RandomRun): the chaos regime outside every
 	// named predicate family.
-	StrategyArbitrary Strategy = "arbitrary"
-	// StrategyRooted generates rooted-skeleton runs with 1..n root
+	strategyArbitrary Strategy = "arbitrary"
+	// strategyRooted generates rooted-skeleton runs with 1..n root
 	// components plus additive noise (adversary.RandomSources), i.e.
 	// schedules constrained to Psrcs(k) for k = #roots..n.
-	StrategyRooted Strategy = "rooted"
-	// StrategySingleSource generates Psrcs(1) runs with a universal
+	strategyRooted Strategy = "rooted"
+	// strategySingleSource generates Psrcs(1) runs with a universal
 	// 2-source (adversary.RandomSingleSource): the consensus regime.
-	StrategySingleSource Strategy = "singlesource"
-	// StrategyMutate draws a base run from the adversary zoo (partition,
+	strategySingleSource Strategy = "singlesource"
+	// strategyMutate draws a base run from the adversary zoo (partition,
 	// crashes, lower bound, eventual) and applies random edge flips
 	// (adversary.Mutate).
-	StrategyMutate Strategy = "mutate"
+	strategyMutate Strategy = "mutate"
 )
 
-// Strategies lists every concrete (non-mixed) strategy.
-var Strategies = []Strategy{StrategyArbitrary, StrategyRooted, StrategySingleSource, StrategyMutate}
+// strategies lists every concrete (non-mixed) strategy.
+var strategies = []Strategy{strategyArbitrary, strategyRooted, strategySingleSource, strategyMutate}
 
 // FuzzConfig describes one fuzzing campaign.
 type FuzzConfig struct {
@@ -52,7 +53,8 @@ type FuzzConfig struct {
 	Seed int64
 	// Workers bounds sweep parallelism; <= 1 is one core.
 	Workers int
-	// Strategy selects the schedule generator; "" means mixed.
+	// Strategy selects the schedule generator: mixed, arbitrary, rooted,
+	// singlesource or mutate; "" means mixed.
 	Strategy Strategy
 	// Check configures the per-run oracle evaluation.
 	Check Config
@@ -80,24 +82,24 @@ func (r *FuzzReport) RunsPerSec() float64 {
 	return float64(r.Runs) / r.Elapsed.Seconds()
 }
 
-// GenRun builds the fuzzed schedule of one campaign cell: a pure
-// function of (n, strategy, seed, cell), exported so that a failure
-// reported by cell index can be regenerated independently of the sweep.
-func GenRun(n int, strategy Strategy, seed int64, cell int) *adversary.Run {
+// genRun builds the fuzzed schedule of one campaign cell: a pure
+// function of (n, strategy, seed, cell), so that a failure reported by
+// cell index can be regenerated independently of the sweep.
+func genRun(n int, strategy Strategy, seed int64, cell int) *adversary.Run {
 	rng := rand.New(rand.NewSource(sim.CellSeed(seed, cell)))
 	st := strategy
-	if st == StrategyMixed || st == "" {
-		st = Strategies[rng.Intn(len(Strategies))]
+	if st == strategyMixed || st == "" {
+		st = strategies[rng.Intn(len(strategies))]
 	}
 	switch st {
-	case StrategyArbitrary:
+	case strategyArbitrary:
 		return adversary.RandomRun(n, rng.Intn(2*n+1), rng)
-	case StrategyRooted:
+	case strategyRooted:
 		roots := 1 + rng.Intn(n)
 		return adversary.RandomSources(n, roots, rng.Intn(n+1), 0.3, rng)
-	case StrategySingleSource:
+	case strategySingleSource:
 		return adversary.RandomSingleSource(n, rng.Intn(n+1), 0.2, 0.3, rng)
-	case StrategyMutate:
+	case strategyMutate:
 		var base *adversary.Run
 		switch pick := rng.Intn(4); {
 		case pick == 0:
@@ -115,8 +117,10 @@ func GenRun(n int, strategy Strategy, seed int64, cell int) *adversary.Run {
 	}
 }
 
-// Fuzz runs one campaign. The first execution error aborts it; oracle
-// violations do not (they are collected into the report).
+// Fuzz runs one campaign. A config it cannot run (n < 1, budget < 1, a
+// strategy it does not know) is an error before any cell runs. The first
+// execution error aborts it; oracle violations do not (they are
+// collected into the report).
 func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 	n := cfg.N
 	if n == 0 {
@@ -128,6 +132,9 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 	if cfg.Budget < 1 {
 		return nil, fmt.Errorf("check: Fuzz needs budget >= 1, got %d", cfg.Budget)
 	}
+	if st := cfg.Strategy; st != "" && st != strategyMixed && !slices.Contains(strategies, st) {
+		return nil, fmt.Errorf("check: unknown strategy %q: want %s or one of %v", st, strategyMixed, strategies)
+	}
 	keep := cfg.KeepFailures
 	if keep <= 0 {
 		keep = 1
@@ -137,7 +144,7 @@ func Fuzz(cfg FuzzConfig) (*FuzzReport, error) {
 	start := time.Now()
 	err := sim.Sweep(cfg.Budget, cfg.Workers,
 		func(cell int) (*Failure, error) {
-			return CheckRun(GenRun(n, cfg.Strategy, cfg.Seed, cell), cfg.Check)
+			return CheckRun(genRun(n, cfg.Strategy, cfg.Seed, cell), cfg.Check)
 		},
 		func(cell int, fail *Failure) error {
 			report.Runs++

@@ -1,6 +1,7 @@
 package check
 
 import (
+	"strings"
 	"testing"
 
 	"kset/internal/core"
@@ -22,6 +23,25 @@ func TestFuzzCleanCampaign(t *testing.T) {
 	}
 	if rep.FailedRuns != 0 {
 		t.Fatalf("%d failing runs, first:\n%s", rep.FailedRuns, rep.Failures[0])
+	}
+}
+
+// TestFuzzRejectsUnknownStrategy: a misspelled strategy is an error that
+// lists the valid names, returned before any cell runs.
+func TestFuzzRejectsUnknownStrategy(t *testing.T) {
+	_, err := Fuzz(FuzzConfig{N: 4, Budget: 10, Strategy: "bogus"})
+	if err == nil {
+		t.Fatal("unknown strategy accepted")
+	}
+	for _, want := range []string{`"bogus"`, "mixed", "arbitrary", "rooted", "singlesource", "mutate"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
+	}
+	for _, st := range []Strategy{"", strategyMixed, strategyArbitrary, strategyRooted, strategySingleSource, strategyMutate} {
+		if _, err := Fuzz(FuzzConfig{N: 3, Budget: 1, Strategy: st, Check: conservative()}); err != nil {
+			t.Errorf("strategy %q: %v", st, err)
+		}
 	}
 }
 
@@ -102,8 +122,8 @@ func TestFuzzFindsPlantedFlaw(t *testing.T) {
 // (seed, cell).
 func TestGenRunDeterministic(t *testing.T) {
 	for cell := 0; cell < 50; cell++ {
-		a := GenRun(4, StrategyMixed, 9, cell)
-		b := GenRun(4, StrategyMixed, 9, cell)
+		a := genRun(4, strategyMixed, 9, cell)
+		b := genRun(4, strategyMixed, 9, cell)
 		if a.N() != b.N() || a.PrefixLen() != b.PrefixLen() || !a.Base().Equal(b.Base()) {
 			t.Fatalf("cell %d: schedules differ across regenerations", cell)
 		}

@@ -25,7 +25,7 @@ type observer struct {
 	stab      int
 	stable    *graph.Digraph // exact G^∩∞ of the run
 	floor     int            // line-28 decision floor under cfg.Opts
-	viols     []Violation
+	viols     []violation
 
 	prev []decisionSnap
 
@@ -73,7 +73,7 @@ func (o *observer) record(oracle string, round, process int, format string, args
 	if len(o.viols) >= maxViolations {
 		return
 	}
-	o.viols = append(o.viols, Violation{
+	o.viols = append(o.viols, violation{
 		Oracle:  oracle,
 		Round:   round,
 		Process: process,
@@ -230,9 +230,9 @@ func (o *observer) finish(out *sim.Outcome) *Failure {
 	return &Failure{
 		Run:        o.run,
 		Proposals:  o.proposals,
-		Violations: o.viols,
+		violations: o.viols,
 		Outcome:    &oc,
-		MinK:       out.MinK,
-		Skeleton:   out.Skeleton,
+		minK:       out.MinK,
+		skeleton:   out.Skeleton,
 	}
 }

@@ -33,8 +33,8 @@ func WriteCounterexample(dir, name string, f *Failure) ([]string, error) {
 	for r := 1; r <= f.Run.StabilizationRound(); r++ {
 		dot.WriteString(graph.DOT(f.Run.Graph(r), fmt.Sprintf("round_%d", r), true))
 	}
-	if f.Skeleton != nil {
-		dot.WriteString(graph.DOT(f.Skeleton, "stable_skeleton", true))
+	if f.skeleton != nil {
+		dot.WriteString(graph.DOT(f.skeleton, "stable_skeleton", true))
 	}
 	dotPath := filepath.Join(dir, name+".dot")
 	if err := os.WriteFile(dotPath, []byte(dot.String()), 0o644); err != nil {
@@ -43,9 +43,9 @@ func WriteCounterexample(dir, name string, f *Failure) ([]string, error) {
 
 	var txt strings.Builder
 	txt.WriteString(f.String())
-	if f.Skeleton != nil {
+	if f.skeleton != nil {
 		txt.WriteString("stable skeleton:\n")
-		txt.WriteString(graph.ASCII(f.Skeleton))
+		txt.WriteString(graph.ASCII(f.skeleton))
 	}
 	fmt.Fprintf(&txt, "replay: go run ./cmd/skeleton-sim -replay %s\n", ksr)
 	txtPath := filepath.Join(dir, name+".txt")

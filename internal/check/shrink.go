@@ -31,14 +31,14 @@ type ShrinkResult struct {
 // reproduced (e.g. the budget is 0) — Shrink never loses a
 // counterexample, it only tightens one.
 func Shrink(f *Failure, cfg Config, maxExecutions int) (*ShrinkResult, error) {
-	if len(f.Violations) == 0 {
+	if len(f.violations) == 0 {
 		return &ShrinkResult{Failure: f}, nil
 	}
 	budget := maxExecutions
 	if budget <= 0 {
 		budget = 10000
 	}
-	s := &shrinker{cfg: cfg, oracle: f.Violations[0].Oracle, budget: budget}
+	s := &shrinker{cfg: cfg, oracle: f.violations[0].Oracle, budget: budget}
 
 	cur := f
 	for {
@@ -79,7 +79,7 @@ func (s *shrinker) try(run *adversary.Run) (*Failure, error) {
 	if err != nil || fail == nil {
 		return nil, err
 	}
-	for _, v := range fail.Violations {
+	for _, v := range fail.violations {
 		if v.Oracle == s.oracle {
 			return fail, nil
 		}

@@ -170,7 +170,7 @@ func TestSingleProcess(t *testing.T) {
 	if v != 42 || r != 1 {
 		t.Fatalf("decision (%d, %d), want (42, 1)", v, r)
 	}
-	if h.procs[0].DecidedVia() != ViaConnectivity {
+	if h.procs[0].DecidedVia() != viaConnectivity {
 		t.Fatal("single process should decide via connectivity")
 	}
 }
@@ -243,7 +243,7 @@ func TestDecideMessagesDominate(t *testing.T) {
 		p, round int
 	}{{1, 4}, {2, 5}} {
 		v, r := h.procs[tc.p].Decision()
-		if v != 7 || r != tc.round || h.procs[tc.p].DecidedVia() != ViaMessage {
+		if v != 7 || r != tc.round || h.procs[tc.p].DecidedVia() != viaMessage {
 			t.Fatalf("p%d decided (%d, %d, %v), want (7, %d, message)",
 				tc.p+1, v, r, h.procs[tc.p].DecidedVia(), tc.round)
 		}
@@ -338,8 +338,8 @@ func TestMessageKindString(t *testing.T) {
 	if Prop.String() != "prop" || Decide.String() != "decide" {
 		t.Fatal("Kind strings wrong")
 	}
-	if ViaNone.String() != "none" || ViaConnectivity.String() != "connectivity" ||
-		ViaMessage.String() != "message" {
+	if viaNone.String() != "none" || viaConnectivity.String() != "connectivity" ||
+		viaMessage.String() != "message" {
 		t.Fatal("Via strings wrong")
 	}
 }
@@ -356,7 +356,7 @@ func TestAdoptSmallestDecideValue(t *testing.T) {
 	// p1 decides 30, p2 decides 20 (both at round 3); p3's own estimate
 	// is min(30,20,10)=10 but it must adopt a decide value: 20.
 	v, r := h.procs[2].Decision()
-	if v != 20 || r != 4 || h.procs[2].DecidedVia() != ViaMessage {
+	if v != 20 || r != 4 || h.procs[2].DecidedVia() != viaMessage {
 		t.Fatalf("p3 decided (%d, %d, %v), want (20, 4, message)",
 			v, r, h.procs[2].DecidedVia())
 	}

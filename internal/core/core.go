@@ -64,21 +64,21 @@ type Message struct {
 type Via uint8
 
 const (
-	// ViaNone means the process has not decided.
-	ViaNone Via = iota
-	// ViaConnectivity is a line-29 decision: the approximation graph
+	// viaNone means the process has not decided.
+	viaNone Via = iota
+	// viaConnectivity is a line-29 decision: the approximation graph
 	// became strongly connected in a round r >= n.
-	ViaConnectivity
-	// ViaMessage is a line-12 decision: a timely neighbor's decide
+	viaConnectivity
+	// viaMessage is a line-12 decision: a timely neighbor's decide
 	// message was adopted.
-	ViaMessage
+	viaMessage
 )
 
 func (v Via) String() string {
 	switch v {
-	case ViaConnectivity:
+	case viaConnectivity:
 		return "connectivity"
-	case ViaMessage:
+	case viaMessage:
 		return "message"
 	default:
 		return "none"
@@ -178,7 +178,7 @@ func (p *Process) Init(self, n int) {
 	p.reach = graph.ReachScratch{}
 	p.msgs = [2]Message{}
 	p.decided = false
-	p.via = ViaNone
+	p.via = viaNone
 }
 
 // Send implements rounds.Algorithm (lines 5-8). It returns a *Message
@@ -237,7 +237,7 @@ func (p *Process) Transition(r int, recv []any) {
 		if adopted {
 			p.x = best
 			p.decided = true
-			p.via = ViaMessage
+			p.via = viaMessage
 			p.decideR = r
 		}
 	}
@@ -280,7 +280,7 @@ func (p *Process) Transition(r int, recv []any) {
 		}
 		if r >= floor && p.g.StronglyConnectedInto(&p.reach) {
 			p.decided = true // lines 29-30
-			p.via = ViaConnectivity
+			p.via = viaConnectivity
 			p.decideR = r
 		}
 	}

@@ -115,8 +115,8 @@ func TestFigure1Decisions(t *testing.T) {
 	// (p2 1->p3) edge in its approximation; in round 7 it adopts the
 	// decide message of p4 (its timely neighbor, decided in round 6)
 	// before the now-unblocked connectivity rule could fire.
-	wantVia := []Via{ViaConnectivity, ViaConnectivity, ViaConnectivity,
-		ViaConnectivity, ViaMessage, ViaMessage}
+	wantVia := []Via{viaConnectivity, viaConnectivity, viaConnectivity,
+		viaConnectivity, viaMessage, viaMessage}
 	// p1..p4 decide at round 6 (n=6, graphs connected from the start);
 	// p6 hears p5's decide message in round 8.
 	wantRound := []int{6, 6, 6, 6, 7, 8}

@@ -150,7 +150,7 @@ func checkEstimateMonotone(t *testing.T, h *runHistory) {
 	t.Helper()
 	for p := 0; p < h.n; p++ {
 		for r := 2; r <= h.rounds; r++ {
-			adoptedNow := h.via[r-1][p] == ViaMessage &&
+			adoptedNow := h.via[r-1][p] == viaMessage &&
 				h.decided[r-1][p] && !h.decided[r-2][p]
 			if h.est[r-1][p] > h.est[r-2][p] && !adoptedNow {
 				t.Fatalf("p%d estimate rose from %d to %d at round %d",

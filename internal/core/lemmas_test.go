@@ -226,7 +226,7 @@ func TestLemma12(t *testing.T) {
 			return
 		}
 		for p := 0; p < h.n; p++ {
-			if h.procs[p].DecidedVia() == ViaMessage {
+			if h.procs[p].DecidedVia() == viaMessage {
 				continue
 			}
 			final := h.est[h.rounds-1][p]

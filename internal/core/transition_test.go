@@ -93,7 +93,7 @@ func TestTransitionLines10to13DecideAdoption(t *testing.T) {
 	// Decide message from a timely neighbor: adopt immediately.
 	recv := []any{p.Send(1), decideMsg(3, 33), msg(3, 70)}
 	p.Transition(1, recv)
-	if !p.Decided() || p.DecidedVia() != ViaMessage {
+	if !p.Decided() || p.DecidedVia() != viaMessage {
 		t.Fatal("decide message from timely neighbor not adopted")
 	}
 	if v, r := p.Decision(); v != 33 || r != 1 {

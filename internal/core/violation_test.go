@@ -40,7 +40,7 @@ func TestLemma15CounterexamplePaperGuard(t *testing.T) {
 	h := run(t, adv, props, 20, Options{})
 	for p := 0; p <= 2; p++ {
 		v, r := h.procs[p].Decision()
-		if v != 1 || r != 4 || h.procs[p].DecidedVia() != ViaConnectivity {
+		if v != 1 || r != 4 || h.procs[p].DecidedVia() != viaConnectivity {
 			t.Fatalf("p%d decided (%d, %d, %v), want (1, 4, connectivity)",
 				p+1, v, r, h.procs[p].DecidedVia())
 		}
@@ -71,12 +71,12 @@ func TestLemma15RepairConservativeGuard(t *testing.T) {
 	if len(vals) != 1 || !vals[4] {
 		t.Fatalf("repaired run decided %v, want consensus on 4", vals)
 	}
-	if v, r := h.procs[3].Decision(); v != 4 || r != 7 || h.procs[3].DecidedVia() != ViaConnectivity {
+	if v, r := h.procs[3].Decision(); v != 4 || r != 7 || h.procs[3].DecidedVia() != viaConnectivity {
 		t.Fatalf("p4 decided (%d, %d), want (4, 7) via connectivity", v, r)
 	}
 	for p := 0; p <= 2; p++ {
 		v, r := h.procs[p].Decision()
-		if v != 4 || r != 8 || h.procs[p].DecidedVia() != ViaMessage {
+		if v != 4 || r != 8 || h.procs[p].DecidedVia() != viaMessage {
 			t.Fatalf("p%d decided (%d, %d, %v), want (4, 8, message)",
 				p+1, v, r, h.procs[p].DecidedVia())
 		}

@@ -10,7 +10,7 @@ import (
 	"kset/internal/stats"
 )
 
-// E23ApproxConvergence measures the second registered algorithm family:
+// e23ApproxConvergence measures the second registered algorithm family:
 // graph approximate agreement on paths and cycles, executed through the
 // same sim pipeline as every kset experiment. Each table cell runs
 // cfg.Trials randomized stabilizing single-rooted schedules (the regime
@@ -18,7 +18,7 @@ import (
 // (termination at exactly DecideRound, hull/arc validity, pairwise
 // adjacency), and reports the realized decide round against the
 // amortized phase bound plus how tightly decisions cluster.
-func E23ApproxConvergence(cfg Config) (*Result, error) {
+func e23ApproxConvergence(cfg Config) (*Result, error) {
 	res := &Result{Name: "E23 graph approximate agreement (path and cycle convergence)"}
 	table := sim.NewTable("E23: approx decisions within distance 1 after the amortized phase schedule",
 		"graph", "n", "trials", "decide round", "mean spread", "max spread", "violations")

@@ -10,7 +10,7 @@ import (
 	"kset/internal/stats"
 )
 
-// E11Convergence quantifies how fast the local approximations converge
+// e11Convergence quantifies how fast the local approximations converge
 // after the run stabilizes. Lemma 11 proves that a root-component member
 // p has G^(r_ST+n-1)_p equal to its component; more generally, once the
 // purge has flushed all pre-stabilization information, the *shape* (nodes
@@ -22,7 +22,7 @@ import (
 // reported as mean and max over processes and runs, against the paper's
 // n−1 reference for root members (and ≤ 2n for everyone, the purge
 // window plus propagation).
-func E11Convergence(cfg Config) (*Result, error) {
+func e11Convergence(cfg Config) (*Result, error) {
 	res := &Result{Name: "E11 approximation convergence lag after stabilization"}
 	table := sim.NewTable("E11: rounds until the local view shape stops changing (lag after r_ST)",
 		"n", "noise prefix", "trials", "mean lag", "p95 lag", "max lag", "bound 2n", "violations")

@@ -20,7 +20,7 @@ import (
 // Every randomized cell derives its seed via sim.CellSeed, which keeps
 // all four experiments byte-identical across worker counts.
 
-// E13TInterval measures decision quality against interval stability: a
+// e13TInterval measures decision quality against interval stability: a
 // T-interval adversary redraws a rooted skeleton every T rounds until a
 // 2n-round horizon. The stable skeleton is the intersection of all
 // epochs, so small T shreds it, MinK (Theorem 1's bound) climbs toward
@@ -29,7 +29,7 @@ import (
 // usual Psrcs behavior returns. Decisions are checked against MinK under
 // the repaired guard (DESIGN.md §2), which is sound for late-stabilizing
 // runs like these.
-func E13TInterval(cfg Config) (*Result, error) {
+func e13TInterval(cfg Config) (*Result, error) {
 	res := &Result{Name: "E13 T-interval stability (decision quality vs T)"}
 	n := 16
 	horizon := 2 * n
@@ -76,7 +76,7 @@ func E13TInterval(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// E14PartitionMerge runs the partition-driven regime: c disjoint cliques
+// e14PartitionMerge runs the partition-driven regime: c disjoint cliques
 // re-merge pairwise every `every` rounds. The stable skeleton is the
 // initial partition, so MinK = c exactly, and the k >= c bound is the
 // partition analogue of Theorem 2's lower bound. The bound is tight and
@@ -86,7 +86,7 @@ func E13TInterval(cfg Config) (*Result, error) {
 // re-merge), so every run decides exactly c values — each component its
 // own clique minimum. The experiment asserts that tightness per trial
 // and records the decision round across cadences.
-func E14PartitionMerge(cfg Config) (*Result, error) {
+func e14PartitionMerge(cfg Config) (*Result, error) {
 	res := &Result{Name: "E14 partition/merge (k >= c bound vs merge cadence)"}
 	n := 24
 	table := sim.NewTable(fmt.Sprintf("E14: decisions and latency vs partition count c (n=%d)", n),
@@ -135,7 +135,7 @@ func E14PartitionMerge(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// E15VertexStable measures stale-edge lifetime under vertex-stable
+// e15VertexStable measures stale-edge lifetime under vertex-stable
 // roots: the root clique is perpetual, the periphery is rewired every
 // round forever, so approximation graphs permanently carry transient
 // edges that the line-24 purge must keep flushing. Lemma 4's purge
@@ -144,7 +144,7 @@ func E14PartitionMerge(cfg Config) (*Result, error) {
 // verifies that age bound over every process, round, and trial, and —
 // because the perpetual apex makes the run Psrcs(1) — asserts consensus
 // under the repaired guard.
-func E15VertexStable(cfg Config) (*Result, error) {
+func e15VertexStable(cfg Config) (*Result, error) {
 	res := &Result{Name: "E15 vertex-stable root (stale-edge lifetime)"}
 	table := sim.NewTable("E15: transient-edge ages in approximation graphs",
 		"n", "periphery p", "trials", "mean stale edges/round", "max stale age", "bound n-1", "consensus", "violations")
@@ -255,12 +255,12 @@ func vertexStableTrial(n int, p float64, seed int64) (e15Trial, error) {
 	return e15Trial{out, m}, err
 }
 
-// E16Scaling is the large-n scaling sweep: cfg.Trials random Psrcs runs
+// e16Scaling is the large-n scaling sweep: cfg.Trials random Psrcs runs
 // per n up to n = 64. Each trial is checked against the Lemma 11
 // termination bound r_ST + 2n - 1 and the Theorem 1 bound distinct <=
 // MinK, extending E4's validation to larger sizes; the latency columns
 // are exact quantiles of the trials' last decision rounds.
-func E16Scaling(cfg Config) (*Result, error) {
+func e16Scaling(cfg Config) (*Result, error) {
 	res := &Result{Name: "E16 large-n scaling (streaming sweep)"}
 	table := sim.NewTable("E16: decision latency at scale (random Psrcs runs, exact quantiles)",
 		"n", "trials", "mean last", "p50", "p95", "max last", "mean distinct", "mean MinK", "violations")

@@ -51,10 +51,10 @@ func (r *Result) note(format string, args ...any) {
 	r.Notes = append(r.Notes, fmt.Sprintf(format, args...))
 }
 
-// E1Figure1 reproduces Figure 1: p6's approximation graphs G¹p6..G⁶p6
+// e1Figure1 reproduces Figure 1: p6's approximation graphs G¹p6..G⁶p6
 // label-for-label, with the documented stale-edge deviation in rounds 5-6
 // (see DESIGN.md §3).
-func E1Figure1() (*Result, error) {
+func e1Figure1() (*Result, error) {
 	res := &Result{Name: "E1 Figure 1 (approximation of the stable skeleton)"}
 	run := adversary.Figure1()
 
@@ -142,10 +142,10 @@ func rootsString(skel *graph.Digraph) string {
 	return s
 }
 
-// E2RootComponents validates Theorem 1 statistically: over random stable
+// e2RootComponents validates Theorem 1 statistically: over random stable
 // skeletons, the number of root components never exceeds MinK (the
 // smallest k with Psrcs(k)).
-func E2RootComponents(cfg Config) (*Result, error) {
+func e2RootComponents(cfg Config) (*Result, error) {
 	res := &Result{Name: "E2 Theorem 1 (#root components <= k for Psrcs(k) runs)"}
 	table := sim.NewTable("E2: root components vs MinK over random skeletons",
 		"n", "trials", "mean roots", "mean MinK", "max roots", "violations")
@@ -176,10 +176,10 @@ func E2RootComponents(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// E3LowerBound validates Theorem 2's tightness: Algorithm 1 on the
+// e3LowerBound validates Theorem 2's tightness: Algorithm 1 on the
 // lower-bound run decides exactly k distinct values, so Psrcs(k) cannot
 // solve (k-1)-set agreement.
-func E3LowerBound(cfg Config) (*Result, error) {
+func e3LowerBound(cfg Config) (*Result, error) {
 	res := &Result{Name: "E3 Theorem 2 (lower bound: exactly k values under Psrcs(k))"}
 	table := sim.NewTable("E3: distinct decisions on the Theorem 2 run",
 		"n", "k", "distinct", "k-agreement", "(k-1)-agreement")
@@ -214,9 +214,9 @@ func E3LowerBound(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// E4DecisionRounds validates Lemma 11's termination bound: every process
+// e4DecisionRounds validates Lemma 11's termination bound: every process
 // decides by r_ST + 2n - 1.
-func E4DecisionRounds(cfg Config) (*Result, error) {
+func e4DecisionRounds(cfg Config) (*Result, error) {
 	res := &Result{Name: "E4 Lemma 11 (termination by r_ST + 2n - 1)"}
 	table := sim.NewTable("E4: decision rounds vs the Lemma 11 bound",
 		"n", "noise prefix", "trials", "mean last decision", "max last decision", "bound", "violations")
@@ -260,9 +260,9 @@ func E4DecisionRounds(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// E5MessageComplexity measures encoded message sizes against the paper's
+// e5MessageComplexity measures encoded message sizes against the paper's
 // "polynomial in n" bit-complexity claim (Section V).
-func E5MessageComplexity(cfg Config) (*Result, error) {
+func e5MessageComplexity(cfg Config) (*Result, error) {
 	res := &Result{Name: "E5 message bit complexity (polynomial in n)"}
 	table := sim.NewTable("E5: wire size of (tag, x, G) messages",
 		"n", "avg bytes", "max bytes", "n^2 reference", "max/n^2")
@@ -294,11 +294,11 @@ func E5MessageComplexity(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// E6Baselines compares Algorithm 1 with FloodMin/FloodSet: both safe
+// e6Baselines compares Algorithm 1 with FloodMin/FloodSet: both safe
 // under crashes (survivor semantics); only Algorithm 1 stays safe on
 // Psrcs(k) runs with perpetual message loss, and only Algorithm 1 covers
 // crashed-but-internally-correct processes.
-func E6Baselines(cfg Config) (*Result, error) {
+func e6Baselines(cfg Config) (*Result, error) {
 	res := &Result{Name: "E6 Algorithm 1 vs FloodMin/FloodSet"}
 	table := sim.NewTable("E6: distinct decisions per scenario",
 		"scenario", "algorithm", "distinct", "guarantee", "verdict")
@@ -401,7 +401,7 @@ func verdict(ok bool) string {
 	return "VIOLATES"
 }
 
-// E7Consensus probes the Section V remark that the algorithm "actually
+// e7Consensus probes the Section V remark that the algorithm "actually
 // solves consensus in sufficiently well-behaved runs". The precise
 // well-behavedness condition is MinK = 1 (Psrcs(1): every pair of
 // processes shares a perpetual source); there consensus is guaranteed and
@@ -409,7 +409,7 @@ func verdict(ok bool) string {
 // still exceed 1, and noisy prefixes realize multi-value single-root
 // runs; those are reported observationally (and checked against the
 // theorem bound distinct <= MinK).
-func E7Consensus(cfg Config) (*Result, error) {
+func e7Consensus(cfg Config) (*Result, error) {
 	res := &Result{Name: "E7 consensus in well-behaved runs"}
 	table := sim.NewTable("E7: consensus on Psrcs(1) runs (universal 2-source)",
 		"n", "trials", "published guard: consensus rate", "repaired guard: consensus", "single-root runs: consensus rate")
@@ -469,14 +469,14 @@ func E7Consensus(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// E10GuardFlaw isolates the reproduction's main negative finding: the
+// e10GuardFlaw isolates the reproduction's main negative finding: the
 // published line-28 guard (r >= n) violates k-agreement on runs whose
 // skeleton stabilizes after round 1, because approximations in rounds
 // [n, r_ST+n-2] can be strongly connected through stale pre-stabilization
 // edges. The deterministic 4-process witness satisfies Psrcs(1) yet
 // decides two values; raising the guard to r >= 2n-1 repairs it (and
 // makes the paper's own Lemma 15 proof sound). See DESIGN.md §2.
-func E10GuardFlaw(cfg Config) (*Result, error) {
+func e10GuardFlaw(cfg Config) (*Result, error) {
 	res := &Result{Name: "E10 line-28 guard flaw and repair"}
 	table := sim.NewTable("E10: the Lemma 15 counterexample and the repaired guard",
 		"run", "guard", "decisions", "MinK", "k-agreement")
@@ -547,13 +547,13 @@ func E10GuardFlaw(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// E8Eventual demonstrates the Section III argument that ♦Psrcs(k) is too
+// e8Eventual demonstrates the Section III argument that ♦Psrcs(k) is too
 // weak, and why Psrcs(k) must be perpetual: a single round of total
 // isolation permanently empties every timely neighborhood (PT sets only
 // shrink), so every approximation graph collapses to the singleton {p} —
 // trivially strongly connected — and all n processes decide their own
 // values in round n. Only the prefix-free run reaches consensus.
-func E8Eventual(cfg Config) (*Result, error) {
+func e8Eventual(cfg Config) (*Result, error) {
 	res := &Result{Name: "E8 ♦Psrcs is too weak (isolation prefixes)"}
 	table := sim.NewTable("E8: distinct decisions vs isolation prefix length (n=8)",
 		"prefix", "distinct", "MinK of G^∩∞", "all own values")
@@ -584,11 +584,11 @@ func E8Eventual(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// E9Ablations measures the two interpretation knobs (DESIGN.md §2):
+// e9Ablations measures the two interpretation knobs (DESIGN.md §2):
 // merging one's own previous graph, and widening the purge window. Both
 // preserve all correctness properties; they change staleness and wire
 // size only.
-func E9Ablations(cfg Config) (*Result, error) {
+func e9Ablations(cfg Config) (*Result, error) {
 	res := &Result{Name: "E9 ablations (own-graph merge, purge window)"}
 	table := sim.NewTable("E9: ablations on random Psrcs runs (n=16)",
 		"variant", "trials", "mean last decision", "mean max bytes", "correctness")
@@ -651,45 +651,32 @@ type Experiment struct {
 	Run func() (*Result, error)
 }
 
-// Suite lists the reproduction suite in order — the one list All runs
-// and cmd/ksetbench filters.
+// Suite lists the reproduction suite in order — the one list
+// cmd/ksetbench filters and runs.
 func Suite(cfg Config) []Experiment {
 	with := func(run func(Config) (*Result, error)) func() (*Result, error) {
 		return func() (*Result, error) { return run(cfg) }
 	}
 	return []Experiment{
-		{"E1", E1Figure1},
-		{"E2", with(E2RootComponents)},
-		{"E3", with(E3LowerBound)},
-		{"E4", with(E4DecisionRounds)},
-		{"E5", with(E5MessageComplexity)},
-		{"E6", with(E6Baselines)},
-		{"E7", with(E7Consensus)},
-		{"E8", with(E8Eventual)},
-		{"E9", with(E9Ablations)},
-		{"E10", with(E10GuardFlaw)},
-		{"E11", with(E11Convergence)},
-		{"E12", with(E12Mobile)},
-		{"E13", with(E13TInterval)},
-		{"E14", with(E14PartitionMerge)},
-		{"E15", with(E15VertexStable)},
-		{"E16", with(E16Scaling)},
+		{"E1", e1Figure1},
+		{"E2", with(e2RootComponents)},
+		{"E3", with(e3LowerBound)},
+		{"E4", with(e4DecisionRounds)},
+		{"E5", with(e5MessageComplexity)},
+		{"E6", with(e6Baselines)},
+		{"E7", with(e7Consensus)},
+		{"E8", with(e8Eventual)},
+		{"E9", with(e9Ablations)},
+		{"E10", with(e10GuardFlaw)},
+		{"E11", with(e11Convergence)},
+		{"E12", with(e12Mobile)},
+		{"E13", with(e13TInterval)},
+		{"E14", with(e14PartitionMerge)},
+		{"E15", with(e15VertexStable)},
+		{"E16", with(e16Scaling)},
 		// The suite runs E20's CI rung; the full n = 1024 ladder is
 		// `ksetbench -only E20` (see e20SuiteSizes).
-		{"E20", with(E20Suite)},
-		{"E23", with(E23ApproxConvergence)},
+		{"E20", with(e20Suite)},
+		{"E23", with(e23ApproxConvergence)},
 	}
-}
-
-// All runs the full suite in order.
-func All(cfg Config) ([]*Result, error) {
-	var out []*Result
-	for _, e := range Suite(cfg) {
-		r, err := e.Run()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -13,7 +13,7 @@ import (
 // cmd/ksetbench runs DefaultConfig for EXPERIMENTS.md.
 
 func TestE1Figure1(t *testing.T) {
-	res, err := E1Figure1()
+	res, err := e1Figure1()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestE1Figure1(t *testing.T) {
 }
 
 func TestE2RootComponents(t *testing.T) {
-	res, err := E2RootComponents(QuickConfig())
+	res, err := e2RootComponents(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestE2RootComponents(t *testing.T) {
 }
 
 func TestE3LowerBound(t *testing.T) {
-	res, err := E3LowerBound(QuickConfig())
+	res, err := e3LowerBound(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestE3LowerBound(t *testing.T) {
 }
 
 func TestE4DecisionRounds(t *testing.T) {
-	res, err := E4DecisionRounds(QuickConfig())
+	res, err := e4DecisionRounds(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestE4DecisionRounds(t *testing.T) {
 }
 
 func TestE5MessageComplexity(t *testing.T) {
-	res, err := E5MessageComplexity(QuickConfig())
+	res, err := e5MessageComplexity(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestE5MessageComplexity(t *testing.T) {
 }
 
 func TestE6Baselines(t *testing.T) {
-	res, err := E6Baselines(QuickConfig())
+	res, err := e6Baselines(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestE6Baselines(t *testing.T) {
 }
 
 func TestE7Consensus(t *testing.T) {
-	res, err := E7Consensus(QuickConfig())
+	res, err := e7Consensus(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestE7Consensus(t *testing.T) {
 }
 
 func TestE8Eventual(t *testing.T) {
-	res, err := E8Eventual(QuickConfig())
+	res, err := e8Eventual(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestE8Eventual(t *testing.T) {
 func TestE9Ablations(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Trials = 8
-	res, err := E9Ablations(cfg)
+	res, err := e9Ablations(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,14 +132,15 @@ func TestAllQuick(t *testing.T) {
 	}
 	cfg := QuickConfig()
 	cfg.Trials = 5
-	results, err := All(cfg)
-	if err != nil {
-		t.Fatal(err)
+	suite := Suite(cfg)
+	if len(suite) != 18 {
+		t.Fatalf("suite size = %d", len(suite))
 	}
-	if len(results) != 18 {
-		t.Fatalf("suite size = %d", len(results))
-	}
-	for _, r := range results {
+	for _, e := range suite {
+		r, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
 		if r.Violations != 0 {
 			t.Errorf("%s: %d violations", r.Name, r.Violations)
 		}
@@ -150,7 +151,7 @@ func TestAllQuick(t *testing.T) {
 }
 
 func TestE10GuardFlaw(t *testing.T) {
-	res, err := E10GuardFlaw(QuickConfig())
+	res, err := e10GuardFlaw(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestE10GuardFlaw(t *testing.T) {
 }
 
 func TestE11Convergence(t *testing.T) {
-	res, err := E11Convergence(QuickConfig())
+	res, err := e11Convergence(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestE11Convergence(t *testing.T) {
 }
 
 func TestE12Mobile(t *testing.T) {
-	res, err := E12Mobile(QuickConfig())
+	res, err := e12Mobile(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestE12Mobile(t *testing.T) {
 }
 
 func TestE13TInterval(t *testing.T) {
-	res, err := E13TInterval(QuickConfig())
+	res, err := e13TInterval(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +207,7 @@ func TestE13TInterval(t *testing.T) {
 }
 
 func TestE14PartitionMerge(t *testing.T) {
-	res, err := E14PartitionMerge(QuickConfig())
+	res, err := e14PartitionMerge(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +220,7 @@ func TestE14PartitionMerge(t *testing.T) {
 }
 
 func TestE15VertexStable(t *testing.T) {
-	res, err := E15VertexStable(QuickConfig())
+	res, err := e15VertexStable(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +235,7 @@ func TestE15VertexStable(t *testing.T) {
 func TestE16Scaling(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.Trials = 8
-	res, err := E16Scaling(cfg)
+	res, err := e16Scaling(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestDynamicSuiteWorkerIndependent(t *testing.T) {
 		t.Skip("worker-independence sweep in short mode")
 	}
 	steps := []func(Config) (*Result, error){
-		E13TInterval, E14PartitionMerge, E15VertexStable, E16Scaling,
+		e13TInterval, e14PartitionMerge, e15VertexStable, e16Scaling,
 	}
 	for i, step := range steps {
 		cfg := QuickConfig()

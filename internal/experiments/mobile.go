@@ -7,7 +7,7 @@ import (
 	"kset/internal/sim"
 )
 
-// E12Mobile exercises the Santoro-Widmayer mobile-omission regime the
+// e12Mobile exercises the Santoro-Widmayer mobile-omission regime the
 // paper cites as [15, 16] ("Time is not a healer"): every round, f
 // freshly chosen processes are silenced in an otherwise fully synchronous
 // system. Nobody is permanently faulty, yet:
@@ -20,7 +20,7 @@ import (
 //   - if the silence settles on a fixed set from some round r_s, the
 //     skeleton retains the survivors' clique, MinK drops back to a small
 //     value, and Algorithm 1 terminates within the Lemma 11 bound.
-func E12Mobile(cfg Config) (*Result, error) {
+func e12Mobile(cfg Config) (*Result, error) {
 	res := &Result{Name: "E12 mobile omissions (Santoro-Widmayer regime)"}
 	table := sim.NewTable("E12: Algorithm 1 under mobile omission faults (n=8)",
 		"silence", "f", "distinct", "MinK", "last decision", "within bounds")

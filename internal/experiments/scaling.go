@@ -112,11 +112,11 @@ func e20(cfg Config, sizes []int) (*Result, error) {
 	return res, nil
 }
 
-// E20Suite runs the n = {128, 256} rung of the sweep — every kernel is
+// e20Suite runs the n = {128, 256} rung of the sweep — every kernel is
 // multi-word at both sizes, but the wall clock fits the tier-1 budget.
 // All() and `ksetbench -quick` run this rung; the full ladder is
 // E20LargeN.
-func E20Suite(cfg Config) (*Result, error) { return e20(cfg, e20SuiteSizes) }
+func e20Suite(cfg Config) (*Result, error) { return e20(cfg, e20SuiteSizes) }
 
 // E20LargeN is the multi-word scaling sweep: Algorithm 1 on hub-cluster
 // skeletons at n = 128..1024, where every bitset kernel (merge, purge,

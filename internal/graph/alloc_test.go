@@ -84,7 +84,7 @@ func TestSCCScratchReuseAllocs(t *testing.T) {
 		g.AddNode(v)
 		g.AddEdge(v, (v+1)%n)
 	}
-	var s SCCScratch
+	var s sccScratch
 	comps := s.SCC(g)
 	if len(comps) != 1 {
 		t.Fatalf("cycle has %d components, want 1", len(comps))

@@ -30,7 +30,7 @@ func BenchmarkKosaraju(b *testing.B) {
 	g := benchGraph(128, 0.1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		SCCKosaraju(g)
+		sccKosaraju(g)
 	}
 }
 
@@ -93,7 +93,7 @@ func BenchmarkReachable(b *testing.B) {
 	g := benchGraph(256, 0.05)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		Reachable(g, 0)
+		reachable(g, 0)
 	}
 }
 

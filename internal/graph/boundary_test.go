@@ -95,9 +95,6 @@ func TestNodeSetWordBoundaries(t *testing.T) {
 				if s.Len() != len(ref) {
 					t.Fatalf("step %d: Len = %d, ref %d", step, s.Len(), len(ref))
 				}
-				if s.Empty() != (len(ref) == 0) {
-					t.Fatalf("step %d: Empty = %v, ref %v", step, s.Empty(), len(ref) == 0)
-				}
 				for _, p := range probes {
 					if s.Has(p) != ref[p] {
 						t.Fatalf("step %d: Has(%d) = %v, ref %v", step, p, s.Has(p), ref[p])
@@ -112,7 +109,7 @@ func TestNodeSetWordBoundaries(t *testing.T) {
 							break
 						}
 					}
-					if got := s.Next(p); got != want {
+					if got := s.next(p); got != want {
 						t.Fatalf("step %d: Next(%d) = %d, ref %d", step, p, got, want)
 					}
 				}

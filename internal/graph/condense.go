@@ -1,19 +1,19 @@
 package graph
 
-// Condensation is the DAG obtained by contracting every strongly connected
+// condensation is the DAG obtained by contracting every strongly connected
 // component of a digraph to a single node (paper, proof of Lemma 11). Comp
 // i of Comps corresponds to node i of DAG; NodeComp maps each present node
 // of the original graph to its component index.
-type Condensation struct {
+type condensation struct {
 	Comps    []NodeSet
 	DAG      *Digraph
 	NodeComp []int
 }
 
-// Condense computes the condensation of g. Components are indexed in the
+// condense computes the condensation of g. Components are indexed in the
 // order returned by SCC (reverse topological). Self-loops of the DAG are
 // never created: an edge inside a component is contracted away.
-func Condense(g *Digraph) *Condensation {
+func condense(g *Digraph) *condensation {
 	comps := SCC(g)
 	nodeComp := make([]int, g.N())
 	for i := range nodeComp {
@@ -34,7 +34,7 @@ func Condense(g *Digraph) *Condensation {
 			}
 		})
 	})
-	return &Condensation{Comps: comps, DAG: dag, NodeComp: nodeComp}
+	return &condensation{Comps: comps, DAG: dag, NodeComp: nodeComp}
 }
 
 // RootComponents returns the root components of g: strongly connected
@@ -43,28 +43,13 @@ func Condense(g *Digraph) *Condensation {
 // because the condensation is acyclic (used in the proof of Lemma 11).
 // Results are ordered by smallest member for determinism.
 func RootComponents(g *Digraph) []NodeSet {
-	c := Condense(g)
+	c := condense(g)
 	var roots []NodeSet
 	for ci, comp := range c.Comps {
-		if c.DAG.InDegree(ci) == 0 {
+		if c.DAG.inDegree(ci) == 0 {
 			roots = append(roots, comp)
 		}
 	}
-	SortNodeSets(roots)
+	sortNodeSets(roots)
 	return roots
-}
-
-// IsDAG reports whether g has no directed cycle (self-loops count as
-// cycles).
-func IsDAG(g *Digraph) bool {
-	for _, comp := range SCC(g) {
-		if comp.Len() > 1 {
-			return false
-		}
-		v := comp.Min()
-		if g.HasEdge(v, v) {
-			return false
-		}
-	}
-	return true
 }

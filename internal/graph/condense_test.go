@@ -13,7 +13,7 @@ func TestCondenseSimple(t *testing.T) {
 	g.AddEdge(3, 2) // comp B
 	g.AddEdge(1, 2) // A -> B
 	g.AddNode(4)    // comp C isolated
-	c := Condense(g)
+	c := condense(g)
 	if len(c.Comps) != 3 {
 		t.Fatalf("comps = %v", c.Comps)
 	}
@@ -26,7 +26,7 @@ func TestCondenseSimple(t *testing.T) {
 	if !c.DAG.HasEdge(c.NodeComp[0], c.NodeComp[2]) {
 		t.Fatal("DAG missing inter-component edge")
 	}
-	if !IsDAG(c.DAG) {
+	if !isDAG(c.DAG) {
 		t.Fatal("condensation must be a DAG")
 	}
 }
@@ -36,7 +36,7 @@ func TestCondenseNoSelfLoopsInDAG(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 0)
 	g.AddEdge(0, 0)
-	c := Condense(g)
+	c := condense(g)
 	ci := c.NodeComp[0]
 	if c.DAG.HasEdge(ci, ci) {
 		t.Fatal("condensation has a self-loop")
@@ -47,8 +47,8 @@ func TestCondensationAlwaysDAG(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 200; trial++ {
 		g := RandomDigraph(9, rng.Float64()*0.6, rng)
-		c := Condense(g)
-		if !IsDAG(c.DAG) {
+		c := condense(g)
+		if !isDAG(c.DAG) {
 			t.Fatalf("condensation cyclic for %v", g)
 		}
 	}
@@ -115,16 +115,16 @@ func TestIsDAG(t *testing.T) {
 	g := NewDigraph(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	if !IsDAG(g) {
+	if !isDAG(g) {
 		t.Fatal("chain should be a DAG")
 	}
 	g.AddEdge(2, 0)
-	if IsDAG(g) {
+	if isDAG(g) {
 		t.Fatal("cycle reported as DAG")
 	}
 	h := NewDigraph(1)
 	h.AddEdge(0, 0)
-	if IsDAG(h) {
+	if isDAG(h) {
 		t.Fatal("self-loop reported as DAG")
 	}
 }
@@ -133,10 +133,10 @@ func TestRootComponentCountMatchesCondensationSources(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 200; trial++ {
 		g := RandomDigraph(10, 0.2, rng)
-		c := Condense(g)
+		c := condense(g)
 		sources := 0
 		c.DAG.Nodes().ForEach(func(ci int) {
-			if c.DAG.InDegree(ci) == 0 {
+			if c.DAG.inDegree(ci) == 0 {
 				sources++
 			}
 		})
@@ -158,10 +158,25 @@ func TestRandomRootedSkeletonExactRoots(t *testing.T) {
 		// Every node is reachable from some root component.
 		covered := NewNodeSet(n)
 		for _, root := range RootComponents(g) {
-			covered.UnionWith(Reachable(g, root.Min()))
+			covered.UnionWith(reachable(g, root.Min()))
 		}
 		if !covered.Equal(FullNodeSet(n)) {
 			t.Fatalf("nodes unreachable from roots: %v", covered)
 		}
 	}
+}
+
+// isDAG reports whether g has no directed cycle (self-loops count as
+// cycles).
+func isDAG(g *Digraph) bool {
+	for _, comp := range SCC(g) {
+		if comp.Len() > 1 {
+			return false
+		}
+		v := comp.Min()
+		if g.HasEdge(v, v) {
+			return false
+		}
+	}
+	return true
 }

@@ -176,8 +176,8 @@ func checkLabeledInvariants(t *testing.T, g *Labeled) {
 // edge enumeration.
 func checkLabeledMatchesRef(t *testing.T, g *Labeled, ref *refLabeled) {
 	t.Helper()
-	if g.NumNodes() != len(ref.present) {
-		t.Fatalf("NumNodes = %d, ref %d", g.NumNodes(), len(ref.present))
+	if g.Nodes().Len() != len(ref.present) {
+		t.Fatalf("NumNodes = %d, ref %d", g.Nodes().Len(), len(ref.present))
 	}
 	if g.NumEdges() != len(ref.labels) {
 		t.Fatalf("NumEdges = %d, ref %d", g.NumEdges(), len(ref.labels))
@@ -213,8 +213,8 @@ func checkLabeledMatchesRef(t *testing.T, g *Labeled, ref *refLabeled) {
 func checkUnlabeledIsCopy(t *testing.T, g *Labeled, ref *refLabeled) {
 	t.Helper()
 	d, n := g.Unlabeled(), g.N()
-	if d.NumNodes() != len(ref.present) || d.NumEdges() != len(ref.labels) {
-		t.Fatalf("Unlabeled has %d nodes %d edges, ref %d and %d", d.NumNodes(), d.NumEdges(), len(ref.present), len(ref.labels))
+	if d.numNodes() != len(ref.present) || d.NumEdges() != len(ref.labels) {
+		t.Fatalf("Unlabeled has %d nodes %d edges, ref %d and %d", d.numNodes(), d.NumEdges(), len(ref.present), len(ref.labels))
 	}
 	for k := range ref.labels {
 		if !d.HasEdge(k[0], k[1]) {
@@ -225,7 +225,7 @@ func checkUnlabeledIsCopy(t *testing.T, g *Labeled, ref *refLabeled) {
 		if d.HasNode(v) != ref.present[v] {
 			t.Fatalf("Unlabeled HasNode(%d) = %v, ref %v", v, d.HasNode(v), ref.present[v])
 		}
-		d.RemoveNode(v)
+		d.removeNode(v)
 	}
 	d.AddEdge(0, n-1)
 }
@@ -275,7 +275,7 @@ func TestDifferentialLabeledOps(t *testing.T) {
 					}
 				case 4: // remove a node
 					v := seamNode(rng, n)
-					g.RemoveNode(v)
+					g.removeNode(v)
 					ref.removeNode(v)
 				case 5: // purge old labels
 					thr := rng.Intn(60) - 5
@@ -419,14 +419,14 @@ func TestDifferentialDigraphReach(t *testing.T) {
 					continue
 				}
 				var s ReachScratch
-				got := ReachableInto(g, start, &s)
+				got := reachableInto(g, start, &s)
 				want := refReachable(g, start, true)
 				for v := 0; v < n; v++ {
 					if got.Has(v) != want[v] {
 						t.Fatalf("trial %d: Reachable(%d).Has(%d) = %v, ref %v", trial, start, v, got.Has(v), want[v])
 					}
 				}
-				got = NodesReachingInto(g, start, &s)
+				got = nodesReachingInto(g, start, &s)
 				want = refReachable(g, start, false)
 				for v := 0; v < n; v++ {
 					if got.Has(v) != want[v] {
@@ -466,7 +466,7 @@ func TestDifferentialEmbedding(t *testing.T) {
 		if small.StronglyConnected() != big.StronglyConnected() {
 			t.Fatalf("trial %d: connectivity differs across embedding", trial)
 		}
-		if small.NumEdges() != big.NumEdges() || small.NumNodes() != big.NumNodes() {
+		if small.NumEdges() != big.NumEdges() || small.Nodes().Len() != big.Nodes().Len() {
 			t.Fatalf("trial %d: edge/node counts differ across embedding", trial)
 		}
 		for u := 0; u < 64; u++ {

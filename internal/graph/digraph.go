@@ -96,9 +96,6 @@ func (g *Digraph) N() int { return g.n }
 // Nodes returns the set of present nodes (a copy).
 func (g *Digraph) Nodes() NodeSet { return g.present.Clone() }
 
-// NumNodes returns the number of present nodes.
-func (g *Digraph) NumNodes() int { return g.present.Len() }
-
 // HasNode reports whether v is present.
 func (g *Digraph) HasNode(v int) bool { return g.present.Has(v) }
 
@@ -108,8 +105,8 @@ func (g *Digraph) AddNode(v int) {
 	g.present.Add(v)
 }
 
-// RemoveNode removes v and all its incident edges.
-func (g *Digraph) RemoveNode(v int) {
+// removeNode removes v and all its incident edges.
+func (g *Digraph) removeNode(v int) {
 	g.check(v)
 	if !g.present.Has(v) {
 		return
@@ -195,8 +192,8 @@ func (g *Digraph) OutDegree(v int) int {
 	return g.out[v].Len()
 }
 
-// InDegree returns the number of in-neighbors of v.
-func (g *Digraph) InDegree(v int) int {
+// inDegree returns the number of in-neighbors of v.
+func (g *Digraph) inDegree(v int) int {
 	g.check(v)
 	return g.in[v].Len()
 }
@@ -256,7 +253,7 @@ func (g *Digraph) Intersect(h *Digraph) *Digraph {
 	r.present.CopyFrom(g.present) // same universe: stays inside r's arena slot
 	r.present.IntersectWith(h.present)
 	r.present.ForEach(func(u int) {
-		common := g.out[u].Intersect(h.out[u])
+		common := g.out[u].intersect(h.out[u])
 		common.IntersectWith(r.present)
 		common.ForEach(func(v int) { r.AddEdge(u, v) })
 	})
@@ -281,12 +278,12 @@ func (g *Digraph) IntersectWith(h *Digraph) bool {
 		for rem != 0 {
 			b := bits.TrailingZeros64(rem)
 			rem &^= 1 << b
-			g.RemoveNode(i*wordBits + b)
+			g.removeNode(i*wordBits + b)
 			changed = true
 		}
 	}
 	// Drop edges absent from h.
-	for u := g.present.Next(0); u >= 0; u = g.present.Next(u + 1) {
+	for u := g.present.next(0); u >= 0; u = g.present.next(u + 1) {
 		ow := g.out[u].words
 		hw := h.out[u].words
 		for i := range ow {
@@ -306,23 +303,10 @@ func (g *Digraph) IntersectWith(h *Digraph) bool {
 	return changed
 }
 
-// Union returns the graph ⟨V ∪ V', E ∪ E'⟩.
-func (g *Digraph) Union(h *Digraph) *Digraph {
-	if g.n != h.n {
-		panic(fmt.Sprintf("graph: union over different universes %d and %d", g.n, h.n))
-	}
-	r := g.Clone()
-	h.present.ForEach(func(v int) { r.AddNode(v) })
-	h.present.ForEach(func(u int) {
-		h.out[u].ForEach(func(v int) { r.AddEdge(u, v) })
-	})
-	return r
-}
-
 // InducedSubgraph returns the subgraph induced by keep ∩ present nodes.
 func (g *Digraph) InducedSubgraph(keep NodeSet) *Digraph {
 	r := NewDigraph(g.n)
-	kept := g.present.Intersect(keep)
+	kept := g.present.intersect(keep)
 	kept.ForEach(func(v int) { r.AddNode(v) })
 	kept.ForEach(func(u int) {
 		g.out[u].ForEach(func(v int) {
@@ -330,16 +314,6 @@ func (g *Digraph) InducedSubgraph(keep NodeSet) *Digraph {
 				r.AddEdge(u, v)
 			}
 		})
-	})
-	return r
-}
-
-// Transpose returns the graph with every edge reversed.
-func (g *Digraph) Transpose() *Digraph {
-	r := NewDigraph(g.n)
-	g.present.ForEach(func(v int) { r.AddNode(v) })
-	g.present.ForEach(func(u int) {
-		g.out[u].ForEach(func(v int) { r.AddEdge(v, u) })
 	})
 	return r
 }

@@ -7,7 +7,7 @@ import (
 
 func TestDigraphNodesAndEdges(t *testing.T) {
 	g := NewDigraph(5)
-	if g.NumNodes() != 0 {
+	if g.numNodes() != 0 {
 		t.Fatal("new graph should have no nodes")
 	}
 	g.AddEdge(0, 1) // implicitly adds both endpoints
@@ -39,7 +39,7 @@ func TestDigraphInOutNeighbors(t *testing.T) {
 	if !out.Equal(NodeSetOf(3)) {
 		t.Fatalf("OutNeighbors(2) = %v", out)
 	}
-	if g.InDegree(2) != 2 || g.OutDegree(2) != 1 {
+	if g.inDegree(2) != 2 || g.OutDegree(2) != 1 {
 		t.Fatal("degrees wrong")
 	}
 }
@@ -62,7 +62,7 @@ func TestDigraphRemoveNodeCleansAdjacency(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 1)
 	g.AddEdge(1, 1)
-	g.RemoveNode(1)
+	g.removeNode(1)
 	if g.HasNode(1) {
 		t.Fatal("node still present")
 	}
@@ -146,17 +146,6 @@ func TestDigraphIntersectWithMatchesIntersect(t *testing.T) {
 	}
 }
 
-func TestDigraphUnion(t *testing.T) {
-	a := NewDigraph(3)
-	a.AddEdge(0, 1)
-	b := NewDigraph(3)
-	b.AddEdge(1, 2)
-	u := a.Union(b)
-	if !u.HasEdge(0, 1) || !u.HasEdge(1, 2) {
-		t.Fatal("union missing edges")
-	}
-}
-
 func TestDigraphInducedSubgraph(t *testing.T) {
 	g := NewDigraph(4)
 	g.AddEdge(0, 1)
@@ -176,14 +165,14 @@ func TestDigraphTranspose(t *testing.T) {
 	g := NewDigraph(3)
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 1)
-	tr := g.Transpose()
+	tr := g.transpose()
 	if !tr.HasEdge(1, 0) || tr.HasEdge(0, 1) {
 		t.Fatal("transpose wrong")
 	}
 	if !tr.HasEdge(1, 1) {
 		t.Fatal("self-loop lost")
 	}
-	if !tr.Transpose().Equal(g) {
+	if !tr.transpose().Equal(g) {
 		t.Fatal("double transpose != original")
 	}
 }
@@ -209,7 +198,7 @@ func TestDigraphCloneIndependence(t *testing.T) {
 	if g.HasEdge(1, 2) {
 		t.Fatal("clone aliases original")
 	}
-	c.RemoveNode(0)
+	c.removeNode(0)
 	if !g.HasNode(0) {
 		t.Fatal("clone aliases original nodes")
 	}

@@ -8,23 +8,12 @@ import (
 	"strings"
 )
 
-// LabeledEdge is a directed edge carrying the round label of the paper's
-// approximation graphs: (From --Label--> To) means "To heard From in round
-// Label, and no fresher evidence is known".
-type LabeledEdge struct {
-	From, To, Label int
-}
-
-func (e LabeledEdge) String() string {
-	return fmt.Sprintf("p%d-%d->p%d", e.From+1, e.Label, e.To+1)
-}
-
-// MaxLabel is the largest edge label Labeled stores. Labels are round
+// maxLabel is the largest edge label Labeled stores. Labels are round
 // numbers; a label beyond 2^31-1 would mean a run of two billion rounds
 // and almost certainly indicates a caller bug, so MergeEdge rejects it
 // loudly instead of truncating (labels are stored as int32 to halve the
 // matrix footprint at large n).
-const MaxLabel = math.MaxInt32
+const maxLabel = math.MaxInt32
 
 // Labeled is a round-labeled digraph over the universe 0..n-1: the
 // weighted approximation graph G_p of Algorithm 1. Invariant (paper
@@ -42,7 +31,7 @@ const MaxLabel = math.MaxInt32
 // reachability, prune and the decision test are the Digraph's own
 // kernels. Labeled touches shadow rows only through the non-growing
 // set/unset, so they never leave the arena. Edges exist only between
-// present nodes: MergeEdge adds both endpoints, RemoveNode clears its row
+// present nodes: MergeEdge adds both endpoints, removeNode clears its row
 // and column.
 type Labeled struct {
 	shadow Digraph
@@ -79,7 +68,7 @@ func (g *Labeled) Reset() {
 		g.m = 0
 		return
 	}
-	for u := sh.present.Next(0); u >= 0; u = sh.present.Next(u + 1) {
+	for u := sh.present.next(0); u >= 0; u = sh.present.next(u + 1) {
 		row := sh.out[u].words
 		base := u * sh.n
 		for i, w := range row {
@@ -108,13 +97,10 @@ func (g *Labeled) HasNode(v int) bool { return g.shadow.HasNode(v) }
 // Nodes returns a copy of the present-node set.
 func (g *Labeled) Nodes() NodeSet { return g.shadow.Nodes() }
 
-// NumNodes returns the number of present nodes.
-func (g *Labeled) NumNodes() int { return g.shadow.NumNodes() }
-
-// RemoveNode removes v and all incident edges in O(degree) time: the bit
+// removeNode removes v and all incident edges in O(degree) time: the bit
 // shadows name exactly the label cells to clear, so no row or column scan
 // is needed.
-func (g *Labeled) RemoveNode(v int) {
+func (g *Labeled) removeNode(v int) {
 	sh := &g.shadow
 	sh.check(v)
 	if !sh.present.Has(v) {
@@ -160,8 +146,8 @@ func (g *Labeled) MergeEdge(u, v, label int) bool {
 	if label <= 0 {
 		panic(fmt.Sprintf("graph: non-positive label %d", label))
 	}
-	if label > MaxLabel {
-		panic(fmt.Sprintf("graph: label %d exceeds MaxLabel %d", label, MaxLabel))
+	if label > maxLabel {
+		panic(fmt.Sprintf("graph: label %d exceeds MaxLabel %d", label, maxLabel))
 	}
 	sh.present.set(u)
 	sh.present.set(v)
@@ -193,21 +179,12 @@ func (g *Labeled) HasEdge(u, v int) bool { return g.Label(u, v) != 0 }
 // maintained incrementally so the density dispatch and callers pay O(1).
 func (g *Labeled) NumEdges() int { return g.m }
 
-// Edges returns all labeled edges in deterministic (from, to) order.
-func (g *Labeled) Edges() []LabeledEdge {
-	out := make([]LabeledEdge, 0, g.NumEdges())
-	g.ForEachEdge(func(u, v, l int) {
-		out = append(out, LabeledEdge{From: u, To: v, Label: l})
-	})
-	return out
-}
-
 // ForEachEdge calls fn for every labeled edge in (from, to) order. The
 // row shadows word-skip the empty part of the matrix, so the walk is
 // proportional to the edge count, not n².
 func (g *Labeled) ForEachEdge(fn func(u, v, label int)) {
 	sh := &g.shadow
-	for u := sh.present.Next(0); u >= 0; u = sh.present.Next(u + 1) {
+	for u := sh.present.next(0); u >= 0; u = sh.present.next(u + 1) {
 		base := u * sh.n
 		for i, w := range sh.out[u].words {
 			for w != 0 {
@@ -261,7 +238,7 @@ func (g *Labeled) MergeFrom(src *Labeled) {
 		return
 	}
 	sh.present.UnionWith(ssh.present)
-	for u := ssh.present.Next(0); u >= 0; u = ssh.present.Next(u + 1) {
+	for u := ssh.present.next(0); u >= 0; u = ssh.present.next(u + 1) {
 		drow := sh.out[u].words
 		base := u * n
 		sl := src.labels[base : base+n]
@@ -292,8 +269,8 @@ func (g *Labeled) PurgeOlderThan(threshold int) int {
 	if threshold < 1 {
 		return 0
 	}
-	t32 := int32(MaxLabel)
-	if threshold < MaxLabel {
+	t32 := int32(maxLabel)
+	if threshold < maxLabel {
 		t32 = int32(threshold)
 	}
 	sh := &g.shadow
@@ -314,7 +291,7 @@ func (g *Labeled) PurgeOlderThan(threshold int) int {
 		g.m -= removed
 		return removed
 	}
-	for u := sh.present.Next(0); u >= 0; u = sh.present.Next(u + 1) {
+	for u := sh.present.next(0); u >= 0; u = sh.present.next(u + 1) {
 		row := sh.out[u].words
 		base := u * sh.n
 		for i, w := range row {
@@ -358,7 +335,7 @@ func (g *Labeled) PruneUnreachableToInPlace(p int, s *ReachScratch) int {
 		for dead != 0 {
 			b := bits.TrailingZeros64(dead)
 			dead &^= 1 << b
-			g.RemoveNode(i*wordBits + b)
+			g.removeNode(i*wordBits + b)
 			removed++
 		}
 	}
@@ -431,7 +408,7 @@ func (g *Labeled) LabelMultiset() []int {
 func (g *Labeled) String() string {
 	var parts []string
 	g.ForEachEdge(func(u, v, l int) {
-		parts = append(parts, LabeledEdge{u, v, l}.String())
+		parts = append(parts, fmt.Sprintf("p%d-%d->p%d", u+1, l, v+1))
 	})
 	if len(parts) == 0 {
 		return fmt.Sprintf("(nodes %s, no edges)", g.shadow.present.String())

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -41,8 +42,8 @@ func TestLabeledMergeAddsNodes(t *testing.T) {
 	if !g.HasNode(2) || !g.HasNode(3) {
 		t.Fatal("endpoints not added")
 	}
-	if g.NumNodes() != 2 {
-		t.Fatalf("NumNodes = %d", g.NumNodes())
+	if g.Nodes().Len() != 2 {
+		t.Fatalf("NumNodes = %d", g.Nodes().Len())
 	}
 }
 
@@ -81,7 +82,7 @@ func TestLabeledRemoveNode(t *testing.T) {
 	g.MergeEdge(0, 1, 1)
 	g.MergeEdge(1, 2, 2)
 	g.MergeEdge(2, 1, 2)
-	g.RemoveNode(1)
+	g.removeNode(1)
 	if g.NumEdges() != 0 {
 		t.Fatalf("NumEdges = %d after hub removal", g.NumEdges())
 	}
@@ -164,7 +165,7 @@ func TestLabeledReset(t *testing.T) {
 	g := NewLabeled(3)
 	g.MergeEdge(0, 1, 5)
 	g.Reset()
-	if g.NumNodes() != 0 || g.NumEdges() != 0 {
+	if g.Nodes().Len() != 0 || g.NumEdges() != 0 {
 		t.Fatal("Reset incomplete")
 	}
 	g.MergeEdge(1, 2, 1)
@@ -235,15 +236,11 @@ func TestLabeledEdgesDeterministic(t *testing.T) {
 	g.MergeEdge(2, 0, 1)
 	g.MergeEdge(0, 2, 3)
 	g.MergeEdge(0, 1, 2)
-	e := g.Edges()
-	want := []LabeledEdge{{0, 1, 2}, {0, 2, 3}, {2, 0, 1}}
-	if len(e) != len(want) {
-		t.Fatalf("Edges = %v", e)
-	}
-	for i := range want {
-		if e[i] != want[i] {
-			t.Fatalf("Edges = %v, want %v", e, want)
-		}
+	var e [][3]int
+	g.ForEachEdge(func(u, v, l int) { e = append(e, [3]int{u, v, l}) })
+	want := [][3]int{{0, 1, 2}, {0, 2, 3}, {2, 0, 1}}
+	if !slices.Equal(e, want) {
+		t.Fatalf("ForEachEdge visits %v, want %v", e, want)
 	}
 }
 

@@ -107,16 +107,6 @@ func (s NodeSet) Len() int {
 	return n
 }
 
-// Empty reports whether the set has no elements.
-func (s NodeSet) Empty() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clone returns an independent copy of the set.
 func (s NodeSet) Clone() NodeSet {
 	w := make([]uint64, len(s.words))
@@ -172,15 +162,8 @@ func (s *NodeSet) SubtractWith(t NodeSet) {
 	}
 }
 
-// Union returns a new set s ∪ t.
-func (s NodeSet) Union(t NodeSet) NodeSet {
-	r := s.Clone()
-	r.UnionWith(t)
-	return r
-}
-
-// Intersect returns a new set s ∩ t.
-func (s NodeSet) Intersect(t NodeSet) NodeSet {
+// intersect returns a new set s ∩ t.
+func (s NodeSet) intersect(t NodeSet) NodeSet {
 	r := s.Clone()
 	r.IntersectWith(t)
 	return r
@@ -244,17 +227,10 @@ func (s NodeSet) ForEach(fn func(v int)) {
 	}
 }
 
-// Elems returns the nodes in ascending order.
-func (s NodeSet) Elems() []int {
-	out := make([]int, 0, s.Len())
-	s.ForEach(func(v int) { out = append(out, v) })
-	return out
-}
-
-// Next returns the smallest element >= from, or -1 if there is none.
-// Iterating with Next avoids the closure of ForEach and the slice of
-// Elems, so traversals can run without allocating.
-func (s NodeSet) Next(from int) int {
+// next returns the smallest element >= from, or -1 if there is none.
+// Iterating with next avoids the closure of ForEach, so traversals can
+// run without allocating.
+func (s NodeSet) next(from int) int {
 	if from < 0 {
 		from = 0
 	}
@@ -299,8 +275,8 @@ func (s NodeSet) String() string {
 	return b.String()
 }
 
-// SortNodeSets orders a slice of sets by their smallest element; useful for
+// sortNodeSets orders a slice of sets by their smallest element; useful for
 // deterministic output of component lists.
-func SortNodeSets(sets []NodeSet) {
+func sortNodeSets(sets []NodeSet) {
 	sort.Slice(sets, func(i, j int) bool { return sets[i].Min() < sets[j].Min() })
 }

@@ -50,7 +50,7 @@ func pad(a, b *Digraph) (*Digraph, *Digraph) {
 
 func TestQuickTransposeInvolution(t *testing.T) {
 	f := func(w genGraph) bool {
-		return w.G.Transpose().Transpose().Equal(w.G)
+		return w.G.transpose().transpose().Equal(w.G)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -61,21 +61,6 @@ func TestQuickIntersectCommutative(t *testing.T) {
 	f := func(wa, wb genGraph) bool {
 		a, b := pad(wa.G, wb.G)
 		return a.Intersect(b).Equal(b.Intersect(a))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickUnionCommutativeAndAbsorbing(t *testing.T) {
-	f := func(wa, wb genGraph) bool {
-		a, b := pad(wa.G, wb.G)
-		u := a.Union(b)
-		if !u.Equal(b.Union(a)) {
-			return false
-		}
-		// a ⊆ a ∪ b and (a ∪ b) ∩ a = a.
-		return a.SubgraphOf(u) && u.Intersect(a).Equal(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -100,8 +85,8 @@ func TestQuickCloneEqual(t *testing.T) {
 			return false
 		}
 		// Mutating the clone must not affect the original.
-		c.Nodes().ForEach(func(v int) { c.RemoveNode(v) })
-		return c.NumNodes() == 0 && w.G.Equal(w.G.Clone())
+		c.Nodes().ForEach(func(v int) { c.removeNode(v) })
+		return c.numNodes() == 0 && w.G.Equal(w.G.Clone())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -113,7 +98,7 @@ func TestQuickSCCPartition(t *testing.T) {
 		comps := SCC(w.G)
 		seen := NewNodeSet(w.G.N())
 		for _, c := range comps {
-			if c.Empty() || seen.Intersects(c) {
+			if c.Len() == 0 || seen.Intersects(c) {
 				return false
 			}
 			seen.UnionWith(c)
@@ -127,7 +112,7 @@ func TestQuickSCCPartition(t *testing.T) {
 
 func TestQuickCondensationAcyclic(t *testing.T) {
 	f := func(w genGraph) bool {
-		return IsDAG(Condense(w.G).DAG)
+		return isDAG(condense(w.G).DAG)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -139,9 +124,9 @@ func TestQuickReachabilityTransitive(t *testing.T) {
 		g := w.G
 		ok := true
 		g.Nodes().ForEach(func(u int) {
-			ru := Reachable(g, u)
+			ru := reachable(g, u)
 			ru.ForEach(func(v int) {
-				if !Reachable(g, v).SubsetOf(ru) {
+				if !reachable(g, v).SubsetOf(ru) {
 					ok = false
 				}
 			})

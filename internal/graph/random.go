@@ -18,10 +18,10 @@ func RandomDigraph(n int, p float64, rng *rand.Rand) *Digraph {
 	return g
 }
 
-// RandomCycleComponent wires the given nodes into a random strongly
+// randomCycleComponent wires the given nodes into a random strongly
 // connected component of g: a random Hamiltonian cycle over the nodes plus
 // extra random internal chords with probability chord.
-func RandomCycleComponent(g *Digraph, nodes []int, chord float64, rng *rand.Rand) {
+func randomCycleComponent(g *Digraph, nodes []int, chord float64, rng *rand.Rand) {
 	if len(nodes) == 0 {
 		return
 	}
@@ -73,7 +73,7 @@ func RandomRootedSkeleton(n, roots int, rng *rand.Rand) *Digraph {
 		comps[c] = append(comps[c], v)
 	}
 	for _, comp := range comps {
-		RandomCycleComponent(g, comp, 0.3, rng)
+		randomCycleComponent(g, comp, 0.3, rng)
 	}
 
 	// Wire downstream nodes: node i gets 1-3 in-edges from earlier layers

@@ -37,10 +37,10 @@ func TestRandomCycleComponentStronglyConnected(t *testing.T) {
 		g.AddSelfLoops()
 		size := 1 + rng.Intn(n)
 		nodes := rng.Perm(n)[:size]
-		RandomCycleComponent(g, nodes, rng.Float64()*0.5, rng)
+		randomCycleComponent(g, nodes, rng.Float64()*0.5, rng)
 		set := NodeSetOf(nodes...)
 		sub := g.InducedSubgraph(set)
-		if !StronglyConnected(sub) {
+		if !sub.stronglyConnected(new(ReachScratch)) {
 			t.Fatalf("component over %v not strongly connected: %v", nodes, sub)
 		}
 	}
@@ -50,7 +50,7 @@ func TestRandomCycleComponentEmptyNoop(t *testing.T) {
 	g := NewFullDigraph(3)
 	g.AddSelfLoops()
 	before := g.NumEdges()
-	RandomCycleComponent(g, nil, 0.5, rand.New(rand.NewSource(1)))
+	randomCycleComponent(g, nil, 0.5, rand.New(rand.NewSource(1)))
 	if g.NumEdges() != before {
 		t.Fatal("empty component changed the graph")
 	}
@@ -97,7 +97,7 @@ func TestRandomRootedSkeletonDownstreamReachable(t *testing.T) {
 			if inRoot.Has(v) {
 				continue
 			}
-			back := Reachable(g, v)
+			back := reachable(g, v)
 			if back.Intersects(inRoot) {
 				t.Fatalf("downstream p%d reaches back into a root component", v+1)
 			}

@@ -58,36 +58,36 @@ func (s *ReachScratch) walk(rows []NodeSet, start int) NodeSet {
 	return s.seen
 }
 
-// Reachable returns the set of present nodes reachable from v by a
+// reachable returns the set of present nodes reachable from v by a
 // directed path of length >= 0 (v itself included). It panics if v is not
 // present.
-func Reachable(g *Digraph, v int) NodeSet {
+func reachable(g *Digraph, v int) NodeSet {
 	var s ReachScratch
-	return ReachableInto(g, v, &s)
+	return reachableInto(g, v, &s)
 }
 
-// ReachableInto is Reachable with caller-owned scratch: the returned set
+// reachableInto is reachable with caller-owned scratch: the returned set
 // is the scratch's visited set and stays valid only until the scratch is
 // reused.
-func ReachableInto(g *Digraph, v int, s *ReachScratch) NodeSet {
+func reachableInto(g *Digraph, v int, s *ReachScratch) NodeSet {
 	if !g.HasNode(v) {
 		panic("graph: Reachable from absent node")
 	}
 	return s.walk(g.out, v)
 }
 
-// NodesReaching returns the set of present nodes that can reach v by a
+// nodesReaching returns the set of present nodes that can reach v by a
 // directed path of length >= 0 (v itself included). Algorithm 1 line 25
 // keeps exactly these nodes in the approximation graph.
-func NodesReaching(g *Digraph, v int) NodeSet {
+func nodesReaching(g *Digraph, v int) NodeSet {
 	var s ReachScratch
-	return NodesReachingInto(g, v, &s)
+	return nodesReachingInto(g, v, &s)
 }
 
-// NodesReachingInto is NodesReaching with caller-owned scratch: the
+// nodesReachingInto is nodesReaching with caller-owned scratch: the
 // returned set is the scratch's visited set and stays valid only until
 // the scratch is reused.
-func NodesReachingInto(g *Digraph, v int, s *ReachScratch) NodeSet {
+func nodesReachingInto(g *Digraph, v int, s *ReachScratch) NodeSet {
 	if !g.HasNode(v) {
 		panic("graph: NodesReaching on absent node")
 	}

@@ -15,20 +15,20 @@ func chainGraph(n int) *Digraph {
 
 func TestReachable(t *testing.T) {
 	g := chainGraph(4)
-	if got := Reachable(g, 1); !got.Equal(NodeSetOf(1, 2, 3)) {
+	if got := reachable(g, 1); !got.Equal(NodeSetOf(1, 2, 3)) {
 		t.Fatalf("Reachable(1) = %v", got)
 	}
-	if got := Reachable(g, 3); !got.Equal(NodeSetOf(3)) {
+	if got := reachable(g, 3); !got.Equal(NodeSetOf(3)) {
 		t.Fatalf("Reachable(3) = %v", got)
 	}
 }
 
 func TestNodesReaching(t *testing.T) {
 	g := chainGraph(4)
-	if got := NodesReaching(g, 2); !got.Equal(NodeSetOf(0, 1, 2)) {
+	if got := nodesReaching(g, 2); !got.Equal(NodeSetOf(0, 1, 2)) {
 		t.Fatalf("NodesReaching(2) = %v", got)
 	}
-	if got := NodesReaching(g, 0); !got.Equal(NodeSetOf(0)) {
+	if got := nodesReaching(g, 0); !got.Equal(NodeSetOf(0)) {
 		t.Fatalf("NodesReaching(0) = %v", got)
 	}
 }
@@ -37,9 +37,9 @@ func TestReachableMirrorsNodesReachingOnTranspose(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 150; trial++ {
 		g := RandomDigraph(9, 0.25, rng)
-		tr := g.Transpose()
+		tr := g.transpose()
 		for v := 0; v < 9; v++ {
-			if !Reachable(g, v).Equal(NodesReaching(tr, v)) {
+			if !reachable(g, v).Equal(nodesReaching(tr, v)) {
 				t.Fatalf("mismatch at %d in %v", v, g)
 			}
 		}
@@ -86,5 +86,5 @@ func TestReachablePanicsOnAbsent(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Reachable(g, 0)
+	reachable(g, 0)
 }

@@ -1,11 +1,11 @@
 package graph
 
-// SCCScratch holds the reusable Tarjan state (index/low/onStack arrays,
+// sccScratch holds the reusable Tarjan state (index/low/onStack arrays,
 // component stack, and DFS frames), so repeated SCC computations stop
 // allocating traversal storage per call — only the resulting component
 // sets are allocated. The zero value is ready to use; one scratch may
 // serve graphs of different universe sizes.
-type SCCScratch struct {
+type sccScratch struct {
 	index, low []int
 	onStack    []bool
 	stack      []int
@@ -16,7 +16,7 @@ type SCCScratch struct {
 const sccUnvisited = -1
 
 // reset prepares the scratch for a universe of n nodes.
-func (s *SCCScratch) reset(n int) {
+func (s *sccScratch) reset(n int) {
 	if cap(s.index) < n {
 		s.index = make([]int, n)
 		s.low = make([]int, n)
@@ -44,14 +44,14 @@ func (s *SCCScratch) reset(n int) {
 // into), each as a NodeSet; only present nodes are considered. Components
 // are nonempty and maximal, matching the paper's convention.
 func SCC(g *Digraph) []NodeSet {
-	var s SCCScratch
+	var s sccScratch
 	return s.SCC(g)
 }
 
 // SCC is the scratch-reusing variant of the package-level SCC: traversal
 // state lives in s and is reused across calls; only the returned
 // component sets are freshly allocated.
-func (s *SCCScratch) SCC(g *Digraph) []NodeSet {
+func (s *sccScratch) SCC(g *Digraph) []NodeSet {
 	n := g.N()
 	s.reset(n)
 	var comps []NodeSet
@@ -71,7 +71,7 @@ func (s *SCCScratch) SCC(g *Digraph) []NodeSet {
 			v := s.frameV[ti]
 			advanced := false
 			for {
-				w := g.out[v].Next(s.frameCur[ti])
+				w := g.out[v].next(s.frameCur[ti])
 				if w < 0 {
 					break
 				}
@@ -127,81 +127,6 @@ func (s *SCCScratch) SCC(g *Digraph) []NodeSet {
 	return comps
 }
 
-// SCCKosaraju computes strongly connected components with Kosaraju's
-// two-pass algorithm. It exists as an independent implementation used by
-// the test suite to cross-check SCC; production code should prefer SCC.
-// Components are returned in topological order of the condensation.
-func SCCKosaraju(g *Digraph) []NodeSet {
-	n := g.N()
-	visited := make([]bool, n)
-	order := make([]int, 0, g.NumNodes())
-
-	// First pass: record reverse-finish order on g.
-	var stack []int
-	var iters [][]int
-	g.present.ForEach(func(s int) {
-		if visited[s] {
-			return
-		}
-		visited[s] = true
-		stack = append(stack[:0], s)
-		iters = append(iters[:0], g.out[s].Elems())
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			it := iters[len(iters)-1]
-			advanced := false
-			for len(it) > 0 {
-				w := it[0]
-				it = it[1:]
-				if !visited[w] {
-					visited[w] = true
-					iters[len(iters)-1] = it
-					stack = append(stack, w)
-					iters = append(iters, g.out[w].Elems())
-					advanced = true
-					break
-				}
-			}
-			if advanced {
-				continue
-			}
-			iters[len(iters)-1] = it
-			order = append(order, v)
-			stack = stack[:len(stack)-1]
-			iters = iters[:len(iters)-1]
-		}
-	})
-
-	// Second pass: DFS on the transpose in reverse finish order.
-	t := g.Transpose()
-	for i := range visited {
-		visited[i] = false
-	}
-	var comps []NodeSet
-	for i := len(order) - 1; i >= 0; i-- {
-		s := order[i]
-		if visited[s] {
-			continue
-		}
-		comp := NewNodeSet(n)
-		visited[s] = true
-		stack = append(stack[:0], s)
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			comp.Add(v)
-			t.out[v].ForEach(func(w int) {
-				if !visited[w] {
-					visited[w] = true
-					stack = append(stack, w)
-				}
-			})
-		}
-		comps = append(comps, comp)
-	}
-	return comps
-}
-
 // ComponentOf returns the strongly connected component of v in g, i.e. the
 // paper's C^r_p when g is the round-r skeleton. It panics if v is not
 // present.
@@ -209,18 +134,9 @@ func ComponentOf(g *Digraph, v int) NodeSet {
 	if !g.HasNode(v) {
 		panic("graph: ComponentOf on absent node")
 	}
-	fwd := Reachable(g, v)
-	bwd := NodesReaching(g, v)
-	return fwd.Intersect(bwd)
-}
-
-// StronglyConnected reports whether the present nodes of g form a single
-// strongly connected component. The empty graph is not strongly connected;
-// a single node is (with or without a self-loop), matching the decision
-// test of Algorithm 1 line 28.
-func StronglyConnected(g *Digraph) bool {
-	var s ReachScratch
-	return g.stronglyConnected(&s)
+	fwd := reachable(g, v)
+	bwd := nodesReaching(g, v)
+	return fwd.intersect(bwd)
 }
 
 // stronglyConnected is the one connectivity test of the package: from the

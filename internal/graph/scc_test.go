@@ -28,8 +28,8 @@ func sameComponents(a, b []NodeSet) bool {
 	}
 	a = append([]NodeSet(nil), a...)
 	b = append([]NodeSet(nil), b...)
-	SortNodeSets(a)
-	SortNodeSets(b)
+	sortNodeSets(a)
+	sortNodeSets(b)
 	for i := range a {
 		if !a[i].Equal(b[i]) {
 			return false
@@ -119,14 +119,14 @@ func TestSCCAgainstBruteForceAndKosaraju(t *testing.T) {
 		// Randomly drop some nodes so the present set is a strict subset.
 		for v := 0; v < n; v++ {
 			if rng.Float64() < 0.2 {
-				g.RemoveNode(v)
+				g.removeNode(v)
 			}
 		}
 		want := bruteSCC(g)
 		if got := SCC(g); !sameComponents(got, want) {
 			t.Fatalf("Tarjan mismatch on %v:\n got  %v\n want %v", g, got, want)
 		}
-		if got := SCCKosaraju(g); !sameComponents(got, want) {
+		if got := sccKosaraju(g); !sameComponents(got, want) {
 			t.Fatalf("Kosaraju mismatch on %v:\n got  %v\n want %v", g, got, want)
 		}
 	}
@@ -140,7 +140,7 @@ func TestSCCComponentsPartitionNodes(t *testing.T) {
 		union := NewNodeSet(10)
 		total := 0
 		for _, c := range comps {
-			if c.Empty() {
+			if c.Len() == 0 {
 				t.Fatal("empty component")
 			}
 			if union.Intersects(c) {
@@ -149,7 +149,7 @@ func TestSCCComponentsPartitionNodes(t *testing.T) {
 			union.UnionWith(c)
 			total += c.Len()
 		}
-		if !union.Equal(g.Nodes()) || total != g.NumNodes() {
+		if !union.Equal(g.Nodes()) || total != g.numNodes() {
 			t.Fatal("components do not partition the nodes")
 		}
 	}
@@ -188,23 +188,23 @@ func TestComponentOf(t *testing.T) {
 func TestStronglyConnected(t *testing.T) {
 	single := NewDigraph(3)
 	single.AddNode(1)
-	if !StronglyConnected(single) {
+	if !single.stronglyConnected(new(ReachScratch)) {
 		t.Fatal("single node should be strongly connected (Algorithm 1 line 28)")
 	}
 	empty := NewDigraph(3)
-	if StronglyConnected(empty) {
+	if empty.stronglyConnected(new(ReachScratch)) {
 		t.Fatal("empty graph should not be strongly connected")
 	}
 	cyc := NewDigraph(3)
 	cyc.AddEdge(0, 1)
 	cyc.AddEdge(1, 2)
 	cyc.AddEdge(2, 0)
-	if !StronglyConnected(cyc) {
+	if !cyc.stronglyConnected(new(ReachScratch)) {
 		t.Fatal("cycle should be strongly connected")
 	}
 	cyc.AddNode(0) // no-op
 	cyc.RemoveEdge(2, 0)
-	if StronglyConnected(cyc) {
+	if cyc.stronglyConnected(new(ReachScratch)) {
 		t.Fatal("broken cycle reported strongly connected")
 	}
 }
@@ -214,7 +214,7 @@ func TestStronglyConnectedMatchesSCCCount(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		g := RandomDigraph(8, rng.Float64(), rng)
 		want := len(SCC(g)) == 1
-		if got := StronglyConnected(g); got != want {
+		if got := g.stronglyConnected(new(ReachScratch)); got != want {
 			t.Fatalf("StronglyConnected = %v, SCC count says %v for %v", got, want, g)
 		}
 	}
@@ -228,7 +228,7 @@ func TestSCCLabelSetsSorted(t *testing.T) {
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 3)
 	g.AddEdge(3, 2)
-	comps := SCCKosaraju(g)
+	comps := sccKosaraju(g)
 	if len(comps) != 2 || !comps[0].Equal(NodeSetOf(0, 1)) {
 		t.Fatalf("Kosaraju order wrong: %v", comps)
 	}
@@ -251,3 +251,91 @@ func TestSCCSingletonSelfLoop(t *testing.T) {
 		t.Fatalf("comps = %v", comps)
 	}
 }
+
+// sccKosaraju computes strongly connected components with Kosaraju's
+// two-pass algorithm. It exists as an independent implementation used by
+// the test suite to cross-check SCC; production code should prefer SCC.
+// Components are returned in topological order of the condensation.
+func sccKosaraju(g *Digraph) []NodeSet {
+	n := g.N()
+	visited := make([]bool, n)
+	order := make([]int, 0, g.numNodes())
+
+	// First pass: record reverse-finish order on g.
+	var stack []int
+	var iters [][]int
+	g.present.ForEach(func(s int) {
+		if visited[s] {
+			return
+		}
+		visited[s] = true
+		stack = append(stack[:0], s)
+		iters = append(iters[:0], g.out[s].elems())
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			it := iters[len(iters)-1]
+			advanced := false
+			for len(it) > 0 {
+				w := it[0]
+				it = it[1:]
+				if !visited[w] {
+					visited[w] = true
+					iters[len(iters)-1] = it
+					stack = append(stack, w)
+					iters = append(iters, g.out[w].elems())
+					advanced = true
+					break
+				}
+			}
+			if advanced {
+				continue
+			}
+			iters[len(iters)-1] = it
+			order = append(order, v)
+			stack = stack[:len(stack)-1]
+			iters = iters[:len(iters)-1]
+		}
+	})
+
+	// Second pass: DFS on the transpose in reverse finish order.
+	t := g.transpose()
+	for i := range visited {
+		visited[i] = false
+	}
+	var comps []NodeSet
+	for i := len(order) - 1; i >= 0; i-- {
+		s := order[i]
+		if visited[s] {
+			continue
+		}
+		comp := NewNodeSet(n)
+		visited[s] = true
+		stack = append(stack[:0], s)
+		for len(stack) > 0 {
+			v := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			comp.Add(v)
+			t.out[v].ForEach(func(w int) {
+				if !visited[w] {
+					visited[w] = true
+					stack = append(stack, w)
+				}
+			})
+		}
+		comps = append(comps, comp)
+	}
+	return comps
+}
+
+// transpose returns the graph with every edge reversed.
+func (g *Digraph) transpose() *Digraph {
+	r := NewDigraph(g.n)
+	g.present.ForEach(func(v int) { r.AddNode(v) })
+	g.present.ForEach(func(u int) {
+		g.out[u].ForEach(func(v int) { r.AddEdge(v, u) })
+	})
+	return r
+}
+
+// numNodes returns the number of present nodes.
+func (g *Digraph) numNodes() int { return g.present.Len() }

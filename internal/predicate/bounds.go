@@ -6,7 +6,7 @@ import "kset/internal/graph"
 // independence number). For skeletons beyond a few dozen processes the
 // experiment harness needs cheap two-sided bounds:
 //
-//	MinKLower(skel) <= MinK(skel) <= MinKUpper(skel)
+//	minKLower(skel) <= MinK(skel) <= minKUpper(skel)
 //
 // The lower bound is a maximal independent set found greedily (any
 // independent set witnesses that Psrcs fails below its size); the upper
@@ -14,17 +14,17 @@ import "kset/internal/graph"
 // graph contributes at most one member to any independent set). Both are
 // deterministic.
 
-// MinKLower returns a lower bound on MinK: the size of a greedily built
+// minKLower returns a lower bound on MinK: the size of a greedily built
 // maximal independent set of the shares-a-source graph (minimum-degree
 // heuristic).
-func MinKLower(skel *graph.Digraph) int {
-	return greedyIndependent(SharesSourceGraph(skel)).Len()
+func minKLower(skel *graph.Digraph) int {
+	return greedyIndependent(sharesSourceGraph(skel)).Len()
 }
 
-// MinKUpper returns an upper bound on MinK: the number of cliques in a
+// minKUpper returns an upper bound on MinK: the number of cliques in a
 // greedy clique cover of the shares-a-source graph.
-func MinKUpper(skel *graph.Digraph) int {
-	h := SharesSourceGraph(skel)
+func minKUpper(skel *graph.Digraph) int {
+	h := sharesSourceGraph(skel)
 	n := h.N()
 	assigned := graph.NewNodeSet(n)
 	cliques := 0
@@ -93,5 +93,5 @@ func greedyIndependent(h *graph.Digraph) graph.NodeSet {
 // MinKBounds returns (lower, upper) bounds on MinK computed in polynomial
 // time. lower == upper pins MinK exactly without the exponential search.
 func MinKBounds(skel *graph.Digraph) (lower, upper int) {
-	return MinKLower(skel), MinKUpper(skel)
+	return minKLower(skel), minKUpper(skel)
 }

@@ -67,7 +67,7 @@ func TestGreedyIndependentIsIndependentAndMaximal(t *testing.T) {
 	for trial := 0; trial < 80; trial++ {
 		n := 2 + rng.Intn(10)
 		skel := graph.RandomDigraph(n, 0.3, rng)
-		h := SharesSourceGraph(skel)
+		h := sharesSourceGraph(skel)
 		is := greedyIndependent(h)
 		is.ForEach(func(u int) {
 			is.ForEach(func(v int) {

@@ -120,7 +120,7 @@ func TestMISMultiExactAtBoundaryWidths(t *testing.T) {
 				// Dense only: sparse exact MIS is exponential at
 				// these widths (see the density note above).
 				h := randomSymmetric(rng, n, 0.8)
-				set := MaxIndependentSet(h)
+				set := maxIndependentSet(h)
 				assertIndependent(t, h, set)
 				// Exactness witness: α ≥ greedy maximal set size.
 				greedy := greedyIndependent(h)
@@ -161,7 +161,7 @@ func TestMISMultiEmbeddedBruteForce(t *testing.T) {
 			// Absent high nodes count toward the independent set (the
 			// solver's contract: all universe nodes participate).
 			want := bruteIndependenceNumber(core) + (n - small)
-			got := MaxIndependentSet(h)
+			got := maxIndependentSet(h)
 			if got.Len() != want {
 				t.Fatalf("n=%d trial %d: α = %d, brute %d (core %s)", n, trial, got.Len(), want, core)
 			}

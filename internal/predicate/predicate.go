@@ -21,24 +21,10 @@ import (
 	"kset/internal/graph"
 )
 
-// Psrc reports whether p is a 2-source for the set S under the given
-// stable skeleton: ∃ q, q' ∈ S, q ≠ q', with p ∈ PT(q) ∩ PT(q')
-// (paper eq. (8), first line). PT(q) is the in-neighborhood of q, so this
-// checks that p has edges to two distinct members of S. p may itself be
-// in S (the paper allows p = q via self-loops).
-func Psrc(skel *graph.Digraph, p int, S graph.NodeSet) bool {
-	if !skel.HasNode(p) {
-		return false
-	}
-	timelyReceivers := skel.OutNeighbors(p)
-	timelyReceivers.IntersectWith(S)
-	return timelyReceivers.Len() >= 2
-}
-
-// SharesSourceGraph builds the undirected "shares-a-source" graph over
+// sharesSourceGraph builds the undirected "shares-a-source" graph over
 // all n processes: q and q' (q ≠ q') are adjacent iff PT(q) ∩ PT(q') ≠ ∅.
 // It is represented as a symmetric digraph without self-loops.
-func SharesSourceGraph(skel *graph.Digraph) *graph.Digraph {
+func sharesSourceGraph(skel *graph.Digraph) *graph.Digraph {
 	n := skel.N()
 	h := graph.NewFullDigraph(n)
 	for q := 0; q < n; q++ {
@@ -74,67 +60,10 @@ func Holds(skel *graph.Digraph, k int) bool {
 // (violating sets of size α+1 cannot exist, and an independent set of
 // size α is a violating set for k = α-1).
 func MinK(skel *graph.Digraph) int {
-	return IndependenceNumber(SharesSourceGraph(skel))
+	return independenceNumber(sharesSourceGraph(skel))
 }
 
-// Violation returns a set S of k+1 processes with no 2-source, i.e. a
-// witness that Psrcs(k) fails, or ok=false if Psrcs(k) holds.
-func Violation(skel *graph.Digraph, k int) (S graph.NodeSet, ok bool) {
-	if k >= skel.N() || k < 0 {
-		return graph.NodeSet{}, false
-	}
-	shares := SharesSourceGraph(skel)
-	is := MaxIndependentSet(shares)
-	if is.Len() >= k+1 {
-		// Any (k+1)-subset of a maximum independent set violates.
-		out := graph.NewNodeSet(skel.N())
-		count := 0
-		is.ForEach(func(v int) {
-			if count < k+1 {
-				out.Add(v)
-				count++
-			}
-		})
-		return out, true
-	}
-	return graph.NodeSet{}, false
-}
-
-// HoldsBrute checks Psrcs(k) by enumerating every (k+1)-subset; it is the
-// oracle the test suite uses to validate Holds and is exponential in n.
-func HoldsBrute(skel *graph.Digraph, k int) bool {
-	n := skel.N()
-	if k < 1 {
-		return false
-	}
-	if k >= n {
-		return true
-	}
-	subset := make([]int, 0, k+1)
-	var rec func(start int) bool
-	rec = func(start int) bool {
-		if len(subset) == k+1 {
-			S := graph.NodeSetOf(subset...)
-			found := false
-			for p := 0; p < n && !found; p++ {
-				found = Psrc(skel, p, S)
-			}
-			return found
-		}
-		for v := start; v < n; v++ {
-			subset = append(subset, v)
-			ok := rec(v + 1)
-			subset = subset[:len(subset)-1]
-			if !ok {
-				return false
-			}
-		}
-		return true
-	}
-	return rec(0)
-}
-
-// MaxIndependentSet computes a maximum independent set of an undirected
+// maxIndependentSet computes a maximum independent set of an undirected
 // graph (given as a symmetric digraph) exactly, by branch and bound. All
 // n universe nodes participate, present or not (absent nodes have no
 // edges and are trivially independent). Exponential worst case; fast in
@@ -146,7 +75,7 @@ func HoldsBrute(skel *graph.Digraph, k int) bool {
 // on the smallest candidate, include-branch first) is identical in both,
 // so they return bit-identical sets on any graph both can represent
 // (pinned by the differential tests).
-func MaxIndependentSet(h *graph.Digraph) graph.NodeSet {
+func maxIndependentSet(h *graph.Digraph) graph.NodeSet {
 	if h.N() <= 64 {
 		return maxIndependentSet64(h)
 	}
@@ -290,10 +219,10 @@ func maxIndependentSet64(h *graph.Digraph) graph.NodeSet {
 	return out
 }
 
-// IndependenceNumber returns the size of a maximum independent set of the
+// independenceNumber returns the size of a maximum independent set of the
 // undirected graph h.
-func IndependenceNumber(h *graph.Digraph) int {
-	return MaxIndependentSet(h).Len()
+func independenceNumber(h *graph.Digraph) int {
+	return maxIndependentSet(h).Len()
 }
 
 // RootComponentBound re-checks the inequality chain used by Theorem 1 on

@@ -28,11 +28,11 @@ func figure1Skeleton() *graph.Digraph {
 func TestPsrcBasic(t *testing.T) {
 	// p5 -> p3 and p5 -> p6 in Figure 1b: p5 is a 2-source for {p3, p6}.
 	skel := figure1Skeleton()
-	if !Psrc(skel, 4, graph.NodeSetOf(2, 5)) {
+	if !psrc(skel, 4, graph.NodeSetOf(2, 5)) {
 		t.Fatal("p5 should be 2-source for {p3,p6}")
 	}
 	// p1 only reaches p1, p2: not a 2-source for {p3, p6}.
-	if Psrc(skel, 0, graph.NodeSetOf(2, 5)) {
+	if psrc(skel, 0, graph.NodeSetOf(2, 5)) {
 		t.Fatal("p1 should not be a 2-source for {p3,p6}")
 	}
 }
@@ -41,14 +41,14 @@ func TestPsrcSelfCounts(t *testing.T) {
 	// The paper allows p = q: a process hearing itself plus one other.
 	// p1 -> p2 with self-loops: p1 ∈ PT(p1) ∩ PT(p2).
 	skel := loopy(2, [2]int{0, 1})
-	if !Psrc(skel, 0, graph.NodeSetOf(0, 1)) {
+	if !psrc(skel, 0, graph.NodeSetOf(0, 1)) {
 		t.Fatal("self-loop 2-source not recognized")
 	}
 }
 
 func TestPsrcRequiresTwoDistinct(t *testing.T) {
 	skel := loopy(3) // only self-loops
-	if Psrc(skel, 0, graph.NodeSetOf(0, 1, 2)) {
+	if psrc(skel, 0, graph.NodeSetOf(0, 1, 2)) {
 		t.Fatal("single receiver cannot make a 2-source")
 	}
 }
@@ -99,7 +99,7 @@ func TestSharesSourceGraphSymmetricNoSelfLoops(t *testing.T) {
 	rng := rand.New(rand.NewSource(50))
 	for trial := 0; trial < 50; trial++ {
 		skel := graph.RandomDigraph(7, 0.3, rng)
-		h := SharesSourceGraph(skel)
+		h := sharesSourceGraph(skel)
 		for u := 0; u < 7; u++ {
 			if h.HasEdge(u, u) {
 				t.Fatal("self-loop in shares graph")
@@ -115,7 +115,7 @@ func TestSharesSourceGraphSymmetricNoSelfLoops(t *testing.T) {
 
 func TestSharesSourceGraphEdges(t *testing.T) {
 	skel := figure1Skeleton()
-	h := SharesSourceGraph(skel)
+	h := sharesSourceGraph(skel)
 	// p3 and p6 share p5.
 	if !h.HasEdge(2, 5) {
 		t.Fatal("p3~p6 missing")
@@ -136,7 +136,7 @@ func TestHoldsMatchesBruteForce(t *testing.T) {
 		n := 2 + rng.Intn(6)
 		skel := graph.RandomDigraph(n, rng.Float64()*0.5, rng)
 		for k := 1; k <= n; k++ {
-			want := HoldsBrute(skel, k)
+			want := holdsBrute(skel, k)
 			if got := Holds(skel, k); got != want {
 				t.Fatalf("Holds(%d) = %v, brute = %v for %v", k, got, want, skel)
 			}
@@ -159,32 +159,6 @@ func TestMinKIsTight(t *testing.T) {
 	}
 }
 
-func TestViolationWitness(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	for trial := 0; trial < 60; trial++ {
-		n := 3 + rng.Intn(5)
-		skel := graph.RandomDigraph(n, rng.Float64()*0.4, rng)
-		k := MinK(skel)
-		if k > 1 {
-			S, ok := Violation(skel, k-1)
-			if !ok {
-				t.Fatalf("no witness though Psrcs(%d) fails", k-1)
-			}
-			if S.Len() != k {
-				t.Fatalf("witness size %d, want %d", S.Len(), k)
-			}
-			for p := 0; p < n; p++ {
-				if Psrc(skel, p, S) {
-					t.Fatalf("witness %v has the 2-source p%d", S, p+1)
-				}
-			}
-		}
-		if _, ok := Violation(skel, k); ok {
-			t.Fatalf("violation witness for holding predicate k=%d", k)
-		}
-	}
-}
-
 func TestMaxIndependentSetKnownGraphs(t *testing.T) {
 	// Triangle: α = 1.
 	tri := graph.NewFullDigraph(3)
@@ -195,7 +169,7 @@ func TestMaxIndependentSetKnownGraphs(t *testing.T) {
 			}
 		}
 	}
-	if got := IndependenceNumber(tri); got != 1 {
+	if got := independenceNumber(tri); got != 1 {
 		t.Fatalf("α(K3) = %d, want 1", got)
 	}
 	// 5-cycle: α = 2.
@@ -204,12 +178,12 @@ func TestMaxIndependentSetKnownGraphs(t *testing.T) {
 		c5.AddEdge(i, (i+1)%5)
 		c5.AddEdge((i+1)%5, i)
 	}
-	if got := IndependenceNumber(c5); got != 2 {
+	if got := independenceNumber(c5); got != 2 {
 		t.Fatalf("α(C5) = %d, want 2", got)
 	}
 	// Empty graph on 4 nodes: α = 4.
 	empty := graph.NewFullDigraph(4)
-	if got := IndependenceNumber(empty); got != 4 {
+	if got := independenceNumber(empty); got != 4 {
 		t.Fatalf("α(empty) = %d, want 4", got)
 	}
 }
@@ -228,7 +202,7 @@ func TestMaxIndependentSetAgainstBruteForce(t *testing.T) {
 			}
 		}
 		want := bruteAlpha(h)
-		got := MaxIndependentSet(h)
+		got := maxIndependentSet(h)
 		if got.Len() != want {
 			t.Fatalf("α = %d, brute = %d", got.Len(), want)
 		}
@@ -314,4 +288,52 @@ func TestTheorem2ConstructionSkeleton(t *testing.T) {
 			}
 		}
 	}
+}
+
+// holdsBrute checks Psrcs(k) by enumerating every (k+1)-subset; it is the
+// oracle the test suite uses to validate Holds and is exponential in n.
+func holdsBrute(skel *graph.Digraph, k int) bool {
+	n := skel.N()
+	if k < 1 {
+		return false
+	}
+	if k >= n {
+		return true
+	}
+	subset := make([]int, 0, k+1)
+	var rec func(start int) bool
+	rec = func(start int) bool {
+		if len(subset) == k+1 {
+			S := graph.NodeSetOf(subset...)
+			found := false
+			for p := 0; p < n && !found; p++ {
+				found = psrc(skel, p, S)
+			}
+			return found
+		}
+		for v := start; v < n; v++ {
+			subset = append(subset, v)
+			ok := rec(v + 1)
+			subset = subset[:len(subset)-1]
+			if !ok {
+				return false
+			}
+		}
+		return true
+	}
+	return rec(0)
+}
+
+// psrc reports whether p is a 2-source for the set S under the given
+// stable skeleton: ∃ q, q' ∈ S, q ≠ q', with p ∈ PT(q) ∩ PT(q')
+// (paper eq. (8), first line). PT(q) is the in-neighborhood of q, so this
+// checks that p has edges to two distinct members of S. p may itself be
+// in S (the paper allows p = q via self-loops).
+func psrc(skel *graph.Digraph, p int, S graph.NodeSet) bool {
+	if !skel.HasNode(p) {
+		return false
+	}
+	timelyReceivers := skel.OutNeighbors(p)
+	timelyReceivers.IntersectWith(S)
+	return timelyReceivers.Len() >= 2
 }

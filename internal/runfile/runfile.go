@@ -23,7 +23,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 
 	"kset/internal/adversary"
@@ -32,20 +31,20 @@ import (
 
 var magic = [4]byte{'K', 'S', 'R', '1'}
 
-// ErrBadMagic reports input that is not a runfile.
-var ErrBadMagic = errors.New("runfile: bad magic")
+// errBadMagic reports input that is not a runfile.
+var errBadMagic = errors.New("runfile: bad magic")
 
 // Decoding limits. A graph over universe n costs Θ(n²/8) bytes of bitset
 // arena, so untrusted headers must not be able to demand huge universes
 // or graph counts before any actual edge data has been seen (found by
 // FuzzDecode: a 10-byte input could previously request a 2^20-node
-// universe). MaxUniverse is far above any simulated system size;
-// MaxPrefix matches the longest schedules the adversaries generate.
+// universe). maxUniverse is far above any simulated system size;
+// maxPrefix matches the longest schedules the adversaries generate.
 const (
-	// MaxUniverse is the largest accepted universe size n.
-	MaxUniverse = 4096
-	// MaxPrefix is the largest accepted prefix length.
-	MaxPrefix = 1 << 20
+	// maxUniverse is the largest accepted universe size n.
+	maxUniverse = 4096
+	// maxPrefix is the largest accepted prefix length.
+	maxPrefix = 1 << 20
 )
 
 // Encode serializes a run.
@@ -59,12 +58,6 @@ func Encode(run *adversary.Run) []byte {
 		buf = appendGraph(buf, run.Graph(r))
 	}
 	return appendGraph(buf, run.Base())
-}
-
-// Write streams the encoding to w.
-func Write(w io.Writer, run *adversary.Run) error {
-	_, err := w.Write(Encode(run))
-	return err
 }
 
 func appendGraph(buf []byte, g *graph.Digraph) []byte {
@@ -91,7 +84,7 @@ func appendGraph(buf []byte, g *graph.Digraph) []byte {
 func Decode(buf []byte) (*adversary.Run, error) {
 	if len(buf) < 4 || buf[0] != magic[0] || buf[1] != magic[1] ||
 		buf[2] != magic[2] || buf[3] != magic[3] {
-		return nil, ErrBadMagic
+		return nil, errBadMagic
 	}
 	buf = buf[4:]
 	un, k := binary.Uvarint(buf)
@@ -100,7 +93,7 @@ func Decode(buf []byte) (*adversary.Run, error) {
 	}
 	buf = buf[k:]
 	n := int(un)
-	if n < 1 || n > MaxUniverse {
+	if n < 1 || n > maxUniverse {
 		return nil, fmt.Errorf("runfile: implausible universe %d", n)
 	}
 	up, k := binary.Uvarint(buf)
@@ -109,7 +102,7 @@ func Decode(buf []byte) (*adversary.Run, error) {
 	}
 	buf = buf[k:]
 	p := int(up)
-	if p < 0 || p > MaxPrefix {
+	if p < 0 || p > maxPrefix {
 		return nil, fmt.Errorf("runfile: implausible prefix length %d", p)
 	}
 	// Every graph costs at least one byte (its edge-count varint), so a
@@ -131,15 +124,6 @@ func Decode(buf []byte) (*adversary.Run, error) {
 		return nil, fmt.Errorf("runfile: %d trailing bytes", len(buf))
 	}
 	return adversary.NewRun(graphs[:p], graphs[p]), nil
-}
-
-// Read consumes all of r and decodes it.
-func Read(r io.Reader) (*adversary.Run, error) {
-	buf, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(buf)
 }
 
 // WriteFile encodes run into the named file — the counterexample-export

@@ -3,6 +3,7 @@ package runfile
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"kset/internal/adversary"
@@ -70,17 +71,17 @@ func TestReplayedRunProducesIdenticalDecisions(t *testing.T) {
 }
 
 func TestWriteRead(t *testing.T) {
-	var buf bytes.Buffer
+	path := filepath.Join(t.TempDir(), "lb.ksr")
 	orig := adversary.LowerBound(6, 3)
-	if err := Write(&buf, orig); err != nil {
+	if err := WriteFile(path, orig); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.StableSkeleton().Equal(orig.StableSkeleton()) {
-		t.Fatal("Write/Read mismatch")
+		t.Fatal("WriteFile/ReadFile mismatch")
 	}
 }
 
@@ -89,7 +90,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("nil accepted")
 	}
-	if _, err := Decode([]byte("XXXX")); err != ErrBadMagic {
+	if _, err := Decode([]byte("XXXX")); err != errBadMagic {
 		t.Fatalf("bad magic error = %v", err)
 	}
 	for cut := 4; cut < len(good); cut += 7 {

@@ -35,12 +35,12 @@ func (c countingCodec) Encode(dst []byte, msg any) ([]byte, error) {
 	return c.Codec.Encode(dst, msg)
 }
 
-func (c countingCodec) NewDecoder(n int) Decoder {
+func (c countingCodec) NewDecoder(n int) algo.Decoder {
 	return countingDecoder{c.Codec.NewDecoder(n), c.decodes}
 }
 
 type countingDecoder struct {
-	Decoder
+	algo.Decoder
 	decodes *atomic.Int64
 }
 
@@ -181,7 +181,7 @@ func TestDroppedLocalLinkStaysDropped(t *testing.T) {
 			if tc.plan != nil {
 				pol = crashCut{inner: pol, plan: tc.plan}
 			}
-			res, err := RunChaos(cfg, transport.NewInProc(n, pol), rawCodec{}, tc.plan, nil)
+			res, err := runChaos(cfg, transport.NewInProc(n, pol), rawCodec{}, tc.plan, nil)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
@@ -224,12 +224,12 @@ type failingCodec struct {
 	err      error
 }
 
-func (c failingCodec) NewDecoder(n int) Decoder {
+func (c failingCodec) NewDecoder(n int) algo.Decoder {
 	return &failingDecoder{Decoder: c.Codec.NewDecoder(n), c: c}
 }
 
 type failingDecoder struct {
-	Decoder
+	algo.Decoder
 	c    failingCodec
 	seen int
 }

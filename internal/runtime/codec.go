@@ -6,16 +6,12 @@ import (
 	"kset/internal/algo"
 )
 
-// Codec and Decoder are the registry's interfaces (internal/algo owns
-// the contract; see algo.Codec for the shared-statelessness and
-// decode-into-scratch requirements). The runtime aliases them so
-// transport plumbing keeps reading naturally; which codec a run uses is
-// the registry's answer for its family (NewRunner), never a default
-// hardwired here.
-type (
-	Codec   = algo.Codec
-	Decoder = algo.Decoder
-)
+// Codec is the registry's interface (internal/algo owns the contract;
+// see algo.Codec for the shared-statelessness and decode-into-scratch
+// requirements). The runtime aliases it so transport plumbing keeps
+// reading naturally; which codec a run uses is the registry's answer for
+// its family (NewRunner), never a default hardwired here.
+type Codec = algo.Codec
 
 // decodeShare deduplicates the decoding of one remote sender across the
 // receivers of one node. A mesh delivers one shared payload buffer per
@@ -25,7 +21,7 @@ type (
 // runtime knows nothing about that wraps InProc (all n), so without
 // sharing each of them decodes an identical byte string. The cache keys
 // on (sender, backing array): the first receiver to miss decodes with its
-// own Decoder and publishes the value; the others reuse it.
+// own decoder and publishes the value; the others reuse it.
 //
 // Sharing one decoded message among receivers is the round model's
 // native shape — the lockstep executor (rounds.RunSequential) hands
@@ -54,7 +50,7 @@ type shareEntry struct {
 
 // decode returns sender from's round-r message, decoding payload with
 // dec only if no co-located receiver already has.
-func (s *decodeShare) decode(dec Decoder, from, r int, payload []byte) (any, error) {
+func (s *decodeShare) decode(dec algo.Decoder, from, r int, payload []byte) (any, error) {
 	if len(payload) == 0 {
 		return dec.Decode(from, payload)
 	}

@@ -58,7 +58,7 @@ func (s CrashSite) String() string {
 // true) calls MarkDead on the transport at the crash, the way a
 // supervisor announces a dead child — required on a transport that
 // closes rounds by count only (in-proc, TCP without a round deadline)
-// and so never notices silence: RunChaos rejects a silent plan there.
+// and so never notices silence: runChaos rejects a silent plan there.
 // Silent (false) leaves detection to the transport's stall layer:
 // each node burns deadlines until its stall detector forgets the
 // victim's node. Silent crashes assume one process per node on the
@@ -95,8 +95,8 @@ func (p *CrashPlan) validate(n int) error {
 	return nil
 }
 
-// Crashes returns the number of processes the plan kills.
-func (p *CrashPlan) Crashes() int {
+// crashes returns the number of processes the plan kills.
+func (p *CrashPlan) crashes() int {
 	if p == nil {
 		return 0
 	}

@@ -71,7 +71,7 @@ type CrashReplayReport struct {
 // replay: LossReplay is exactly that call over UDP. The spec's algorithm
 // family is resolved once, up front, so any registered family replays.
 // With a silent crash plan on TCP, opts.TCP must enable chaos mode, or
-// RunChaos rejects the plan (see CrashPlan).
+// runChaos rejects the plan (see CrashPlan).
 //
 // A divergence in step 3 returns the report (Realized included) beside
 // the error, so the caller can file the realized graphs as a .ksr runfile
@@ -88,7 +88,7 @@ func CrashReplay(spec sim.Spec, opts RunnerOpts) (*CrashReplayReport, error) {
 	if err := plan.validate(n); err != nil {
 		return nil, err
 	}
-	if plan.Crashes() >= n {
+	if plan.crashes() >= n {
 		return nil, fmt.Errorf("runtime: crash plan kills all %d processes; need a survivor to meter the run", n)
 	}
 	// Resolve against the original adversary, before materialization can
@@ -169,7 +169,7 @@ func CrashReplay(spec sim.Spec, opts RunnerOpts) (*CrashReplayReport, error) {
 		Replay:    replayOut,
 		Realized:  realized,
 		LostLinks: lost,
-		Crashed:   plan.Crashes(),
+		Crashed:   plan.crashes(),
 	}
 	if replayOut.Rounds != liveOut.Rounds {
 		return rep, fmt.Errorf("runtime: replay executed %d rounds, live %d", replayOut.Rounds, liveOut.Rounds)

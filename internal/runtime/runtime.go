@@ -122,10 +122,10 @@ const inlineBelowN = 28
 // Graph calls: NewRunner makes any adversary so, adversary.MaterializeRun
 // does for a caller with a transport of its own.
 func Run(cfg rounds.Config, tr transport.Transport, codec Codec) (*rounds.Result, error) {
-	return RunChaos(cfg, tr, codec, nil, nil)
+	return runChaos(cfg, tr, codec, nil, nil)
 }
 
-// RunChaos is Run with fault injection: plan schedules process crashes
+// runChaos is Run with fault injection: plan schedules process crashes
 // (site-exact, see CrashPlan), stall delays processes' sends without
 // killing them. Both may be nil; with both nil this IS Run. A silent
 // plan (Notify false) that crashes anyone is rejected on a transport
@@ -138,7 +138,7 @@ func Run(cfg rounds.Config, tr transport.Transport, codec Codec) (*rounds.Result
 // surviving process has decided, since waiting on the dead is exactly
 // the wedge this layer exists to remove. Fixed-length runs (StopWhen ==
 // nil) still execute all MaxRounds with the survivors.
-func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
+func runChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
 	defer tr.Close()
 	n, err := cfg.Validate()
 	if err != nil {
@@ -159,7 +159,7 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 		return nil, errors.New("runtime: nil codec")
 	}
 	node, byCount := transport.Partition(tr)
-	if byCount && plan.Crashes() > 0 && !plan.Notify {
+	if byCount && plan.crashes() > 0 && !plan.Notify {
 		return nil, errors.New("runtime: silent crash plan on a transport that closes rounds by count only: nothing would notice the dead (set CrashPlan.Notify, or give the mesh a round deadline)")
 	}
 	workers := n
@@ -169,7 +169,7 @@ func RunChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 	return runLive(cfg, n, workers, node, tr, codec, plan, stall)
 }
 
-// runLive is RunChaos at a given worker count and node partition (nil:
+// runLive is runChaos at a given worker count and node partition (nil:
 // unknown, every link carries bytes), on validated inputs.
 func runLive(cfg rounds.Config, n, workers int, node []int, tr transport.Transport, codec Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
 	run := &liveRun{
@@ -259,7 +259,7 @@ type liveRun struct {
 type liveProc struct {
 	alg     rounds.Algorithm
 	ep      transport.Endpoint
-	dec     Decoder // built by the first message from another node
+	dec     algo.Decoder // built by the first message from another node
 	recv    []any
 	sendBuf []byte
 	frames  [][]byte
@@ -444,7 +444,7 @@ type RunnerOpts struct {
 	// Crash, when non-nil, injects process crashes (see CrashPlan): the
 	// planned processes die at their planned rounds and sites, their
 	// sends are cut accordingly in the transport policy, and the run
-	// continues with the survivors (RunChaos).
+	// continues with the survivors (runChaos).
 	Crash *CrashPlan
 	// Stall, when non-nil, delays processes' sends without killing them
 	// (see StallPlan) — the stimulus for deadline closures and stall
@@ -563,6 +563,6 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 		if opts.OnTransport != nil {
 			opts.OnTransport(tr)
 		}
-		return RunChaos(cfg, tr, alg.Codec, opts.Crash, opts.Stall)
+		return runChaos(cfg, tr, alg.Codec, opts.Crash, opts.Stall)
 	}
 }

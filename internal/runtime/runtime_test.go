@@ -49,7 +49,7 @@ func (rawCodec) Encode(dst []byte, msg any) ([]byte, error) {
 	return append(dst, b...), nil
 }
 
-func (rawCodec) NewDecoder(n int) Decoder { return rawDecoder{} }
+func (rawCodec) NewDecoder(n int) algo.Decoder { return rawDecoder{} }
 
 type rawDecoder struct{}
 
@@ -234,7 +234,7 @@ func TestCrashedSenderAsksNothing(t *testing.T) {
 		NewProcess: func(int) rounds.Algorithm { return &countingAlg{} },
 		MaxRounds:  maxRounds,
 	}
-	if _, err := RunChaos(cfg, transport.NewInProc(n, pol), rawCodec{}, plan, nil); err != nil {
+	if _, err := runChaos(cfg, transport.NewInProc(n, pol), rawCodec{}, plan, nil); err != nil {
 		t.Fatal(err)
 	}
 	for r := 1; r <= maxRounds; r++ {

@@ -280,7 +280,7 @@ type opaque struct{ transport.Transport }
 func TestInlineRunStartsNoGoroutine(t *testing.T) {
 	run := func(n int, tr transport.Transport, stall *StallPlan) (during int) {
 		t.Helper()
-		res, err := RunChaos(rounds.Config{
+		res, err := runChaos(rounds.Config{
 			Adversary:  adversary.Complete(n),
 			NewProcess: func(int) rounds.Algorithm { return &faulty{} },
 			MaxRounds:  3,

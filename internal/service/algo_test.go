@@ -149,7 +149,7 @@ func TestAlgorithmMetricsLabels(t *testing.T) {
 		}
 	}
 	var sb strings.Builder
-	s.WriteMetrics(&sb)
+	s.writeMetrics(&sb)
 	scrape := sb.String()
 	for _, want := range []string{
 		`ksetd_algorithm_sessions_total{algorithm="kset",status="completed"} 1`,
@@ -224,7 +224,7 @@ func TestPanickingProcessFailsOnlyItsSession(t *testing.T) {
 			}
 		}
 		var sb strings.Builder
-		s.WriteMetrics(&sb)
+		s.writeMetrics(&sb)
 		for _, line := range []string{
 			fmt.Sprintf("ksetd_sessions_failed_total %d", i+1),
 			fmt.Sprintf("ksetd_sessions_completed_total %d", 2*(i+1)),

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"regexp"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -133,7 +134,7 @@ func TestE2EHundredConcurrentSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var h Health
+	var h health
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
@@ -179,22 +180,31 @@ func TestHTTPErrors(t *testing.T) {
 	for _, tc := range []struct {
 		body string
 		code int
+		want string // in the answer
 	}{
-		{"{not json", http.StatusBadRequest},
-		{`{"sessions":[]}`, http.StatusBadRequest},
-		{`{"sessions":[{"n":0,"family":"rooted"}]}`, http.StatusTooManyRequests}, // all rejected
+		{"{not json", http.StatusBadRequest, ""},
+		{`{"sessions":[]}`, http.StatusBadRequest, ""},
+		// A misspelled field or bytes after the one JSON value make the
+		// request malformed instead of running a session the client did
+		// not ask for.
+		{`{"sessions":[{"n":4,"family":"complete","transprot":"tcp"}]}`, http.StatusBadRequest, `unknown field \"transprot\"`},
+		{`{"sessions":[{"n":4,"family":"complete","faithfull_guard":true}]}`, http.StatusBadRequest, `unknown field \"faithfull_guard\"`},
+		{`{"sessions":[{"n":4,"family":"complete"}]} trailing`, http.StatusBadRequest, "trailing data"},
+		{`{"sessions":[{"n":4,"family":"complete"}]}{}`, http.StatusBadRequest, "trailing data"},
+		{`{"sessions":[{"n":0,"family":"rooted"}]}`, http.StatusTooManyRequests, ""}, // all rejected
 		// Out-of-range lengths are rejected positionally, before any
 		// adversary is built from them (a negative prefix used to panic
 		// on the handler's goroutine).
-		{`{"sessions":[{"n":5,"family":"eventual","noisy":-1},{"n":5,"family":"rooted","noisy":1000000000},{"n":5,"family":"rooted","max_rounds":-1}]}`, http.StatusTooManyRequests},
+		{`{"sessions":[{"n":5,"family":"eventual","noisy":-1},{"n":5,"family":"rooted","noisy":1000000000},{"n":5,"family":"rooted","max_rounds":-1}]}`, http.StatusTooManyRequests, ""},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/sessions", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {
 			t.Fatal(err)
 		}
+		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != tc.code {
-			t.Errorf("body %q: status %d, want %d", tc.body, resp.StatusCode, tc.code)
+		if resp.StatusCode != tc.code || !strings.Contains(string(raw), tc.want) {
+			t.Errorf("body %q: status %d %s, want %d naming %s", tc.body, resp.StatusCode, raw, tc.code, tc.want)
 		}
 	}
 	resp, err := http.Get(srv.URL + "/v1/sessions/s-999999")

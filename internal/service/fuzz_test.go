@@ -14,7 +14,7 @@ import (
 // gets a positional answer, and a session it accepted — validation said
 // the spec is runnable — reaches a terminal status, "done" if it ran in
 // memory. Seeds live in testdata/fuzz/FuzzSubmit: every numeric field
-// negative and MaxInt64, a mixed kset/approx batch, MaxBatch + 1 specs,
+// negative and MaxInt64, a mixed kset/approx batch, maxBatch + 1 specs,
 // and the submission holes earlier PRs closed (the noisy and max_rounds
 // caps, lowerbound's k default at n = 1). MaxN = 16 keeps an accepted
 // session to milliseconds.

@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -23,22 +24,22 @@ type BatchResponse struct {
 	Rejected int `json:"rejected"`
 }
 
-// Health is the /healthz payload.
-type Health struct {
+// health is the /healthz payload.
+type health struct {
 	Status        string  `json:"status"`
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Running       int64   `json:"sessions_running"`
 	QueueDepth    int     `json:"queue_depth"`
 }
 
-// MaxBatch bounds one submission request; bigger batches get a 400
+// maxBatch bounds one submission request; bigger batches get a 400
 // (clients should split, the queue bound applies regardless).
-const MaxBatch = 1024
+const maxBatch = 1024
 
-// RetryAfter is the backoff hint a load-shed submission carries in its
+// retryAfter is the backoff hint a load-shed submission carries in its
 // Retry-After header: the queue is bounded and drains at session
 // granularity, so a short fixed hint beats an estimate.
-const RetryAfter = 2 * time.Second
+const retryAfter = 2 * time.Second
 
 // Handler returns the service's HTTP API:
 //
@@ -51,7 +52,8 @@ const RetryAfter = 2 * time.Second
 // Status codes: 202 when at least one session was accepted, 503 +
 // Retry-After when the whole batch was load-shed (queue full or
 // draining), 429 when it was rejected outright by validation, 400 for
-// malformed requests, 404 for unknown sessions.
+// malformed requests (a body that is not exactly one JSON value, or that
+// names a field a session spec does not have), 404 for unknown sessions.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sessions", s.handleSubmit)
@@ -65,16 +67,21 @@ func (s *Service) Handler() http.Handler {
 func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req BatchRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 8<<20))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		httpError(w, http.StatusBadRequest, "bad request body: trailing data after the JSON value")
 		return
 	}
 	if len(req.Sessions) == 0 {
 		httpError(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	if len(req.Sessions) > MaxBatch {
-		httpError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds MaxBatch %d", len(req.Sessions), MaxBatch))
+	if len(req.Sessions) > maxBatch {
+		httpError(w, http.StatusBadRequest, fmt.Sprintf("batch of %d exceeds MaxBatch %d", len(req.Sessions), maxBatch))
 		return
 	}
 	// An unknown algorithm name is a malformed request, not a rejected
@@ -108,7 +115,7 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// with a Retry-After so well-behaved clients back off and come
 		// back; a batch rejected purely by validation stays 429.
 		if shed {
-			w.Header().Set("Retry-After", strconv.Itoa(int(RetryAfter/time.Second)))
+			w.Header().Set("Retry-After", strconv.Itoa(int(retryAfter/time.Second)))
 			code = http.StatusServiceUnavailable
 		} else {
 			code = http.StatusTooManyRequests
@@ -128,12 +135,12 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
-		"sessions": s.List(r.URL.Query().Get("status"), 100),
+		"sessions": s.list(r.URL.Query().Get("status"), 100),
 	})
 }
 
 func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, Health{
+	writeJSON(w, http.StatusOK, health{
 		Status:        "ok",
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Running:       s.met.running.Load(),
@@ -143,7 +150,7 @@ func (s *Service) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.WriteMetrics(w)
+	s.writeMetrics(w)
 }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {

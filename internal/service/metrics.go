@@ -12,7 +12,7 @@ import (
 )
 
 // metrics are the service's atomically-updated counters, rendered in
-// the Prometheus text exposition format by WriteMetrics. Hand-rolled on
+// the Prometheus text exposition format by writeMetrics. Hand-rolled on
 // purpose: the repo carries no external dependencies, and counters +
 // gauges in text format are all a scraper needs.
 //
@@ -78,8 +78,8 @@ func (m *metrics) algoFamilies() ([]string, map[string]*algoMetrics) {
 	return names, snap
 }
 
-// WriteMetrics renders the /metrics payload.
-func (s *Service) WriteMetrics(w io.Writer) {
+// writeMetrics renders the /metrics payload.
+func (s *Service) writeMetrics(w io.Writer) {
 	counter := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
 	}

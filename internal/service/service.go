@@ -186,7 +186,7 @@ type Service struct {
 	mu       sync.Mutex
 	closed   bool
 	sessions map[string]*Session
-	finished []string // eviction order of done/failed sessions
+	finished []string // eviction order of terminated (done, failed or crashed) sessions
 	nextID   uint64
 }
 
@@ -301,9 +301,9 @@ func (s *Service) Get(id string) (Session, bool) {
 	return *sess, true
 }
 
-// List returns snapshots of up to limit sessions with the given status
+// list returns snapshots of up to limit sessions with the given status
 // ("" matches all), in unspecified order.
-func (s *Service) List(status string, limit int) []Session {
+func (s *Service) list(status string, limit int) []Session {
 	if limit <= 0 {
 		limit = 100
 	}

@@ -256,7 +256,7 @@ func TestFaithfulGuardIsObservable(t *testing.T) {
 		t.Fatal("KBound flag inconsistent with result")
 	}
 	var sb strings.Builder
-	s.WriteMetrics(&sb)
+	s.writeMetrics(&sb)
 	if !strings.Contains(sb.String(), "ksetd_kbound_violations_total") {
 		t.Fatal("metrics missing kbound violation counter")
 	}

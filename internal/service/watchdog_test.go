@@ -101,7 +101,7 @@ func TestWatchdogCrashesWedgedSession(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	s.WriteMetrics(&sb)
+	s.writeMetrics(&sb)
 	for _, want := range []string{
 		"ksetd_sessions_crashed_total 1",
 		"ksetd_peer_stalls_total",
@@ -209,7 +209,7 @@ func TestLoadSheddingRetryAfter(t *testing.T) {
 		t.Errorf("shedding a spec took %v; building it takes %v", shedIn, build)
 	}
 	var sb strings.Builder
-	s.WriteMetrics(&sb)
+	s.writeMetrics(&sb)
 	if !strings.Contains(sb.String(), "ksetd_sessions_shed_total") {
 		t.Error("metrics missing shed counter")
 	}

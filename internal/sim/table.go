@@ -8,14 +8,14 @@ import (
 // Table renders experiment results as aligned plain-text tables, the
 // format EXPERIMENTS.md and cmd/ksetbench print.
 type Table struct {
-	Title  string
+	title  string
 	Header []string
 	rows   [][]string
 }
 
 // NewTable creates a table with the given title and column headers.
 func NewTable(title string, header ...string) *Table {
-	return &Table{Title: title, Header: header}
+	return &Table{title: title, Header: header}
 }
 
 // AddRow appends a row; cells are rendered with %v. Row length must match
@@ -58,8 +58,8 @@ func (t *Table) Render() string {
 		}
 	}
 	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "%s\n", t.Title)
+	if t.title != "" {
+		fmt.Fprintf(&b, "%s\n", t.title)
 	}
 	writeRow := func(cells []string) {
 		for i, cell := range cells {

@@ -59,9 +59,6 @@ func (t *Tracker) OnRound(r int, g *graph.Digraph, _ []rounds.Algorithm) {
 	t.Observe(r, g)
 }
 
-// Round returns the last observed round.
-func (t *Tracker) Round() int { return t.round }
-
 // Skeleton returns a copy of the current skeleton G^∩r.
 func (t *Tracker) Skeleton() *graph.Digraph { return t.skel.Clone() }
 
@@ -87,17 +84,6 @@ func (t *Tracker) LastChange() int { return t.lastChange }
 // the set of processes from which p received a message in every round up
 // to and including r. Per the model's self-loop convention, p ∈ PT(p, r).
 func (t *Tracker) PT(p int) graph.NodeSet { return t.skel.InNeighbors(p) }
-
-// RootComponents returns the root components of the current skeleton.
-func (t *Tracker) RootComponents() []graph.NodeSet {
-	return graph.RootComponents(t.skel)
-}
-
-// ComponentOf returns C^r_p, the strongly connected component of p in the
-// current skeleton.
-func (t *Tracker) ComponentOf(p int) graph.NodeSet {
-	return graph.ComponentOf(t.skel, p)
-}
 
 // StableSkeleton computes G^∩∞ and the stabilization round for an
 // adversary whose graph sequence becomes constant. For adversaries

@@ -182,8 +182,8 @@ func TestTrackerAsObserver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Round() != 6 {
-		t.Fatalf("Round = %d", tr.Round())
+	if tr.round != 6 {
+		t.Fatalf("observed %d rounds, want 6", tr.round)
 	}
 	if tr.Skeleton().HasEdge(1, 2) {
 		t.Fatal("transient edge survived")
@@ -245,15 +245,15 @@ func TestTrackerRootComponentsAndComponentOf(t *testing.T) {
 		[2]int{4, 5})
 	tr := NewTracker(6, false)
 	tr.Observe(1, g)
-	roots := tr.RootComponents()
+	roots := graph.RootComponents(tr.Skeleton())
 	if len(roots) != 2 {
 		t.Fatalf("roots = %v", roots)
 	}
-	if !tr.ComponentOf(2).Equal(graph.NodeSetOf(2, 3, 4)) {
-		t.Fatalf("ComponentOf(p3) = %v", tr.ComponentOf(2))
+	if !graph.ComponentOf(tr.Skeleton(), 2).Equal(graph.NodeSetOf(2, 3, 4)) {
+		t.Fatalf("ComponentOf(p3) = %v", graph.ComponentOf(tr.Skeleton(), 2))
 	}
-	if !tr.ComponentOf(5).Equal(graph.NodeSetOf(5)) {
-		t.Fatalf("ComponentOf(p6) = %v", tr.ComponentOf(5))
+	if !graph.ComponentOf(tr.Skeleton(), 5).Equal(graph.NodeSetOf(5)) {
+		t.Fatalf("ComponentOf(p6) = %v", graph.ComponentOf(tr.Skeleton(), 5))
 	}
 }
 
@@ -270,7 +270,7 @@ func TestComponentMonotone(t *testing.T) {
 			g := graph.RandomDigraph(6, 0.7, rng)
 			tr.Observe(r, g)
 			for p := 0; p < 6; p++ {
-				cur := tr.ComponentOf(p)
+				cur := graph.ComponentOf(tr.Skeleton(), p)
 				if !cur.SubsetOf(prev[p]) {
 					t.Fatalf("component of p%d grew at round %d", p+1, r)
 				}

@@ -22,8 +22,8 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Min returns the smallest element; +Inf for an empty slice.
-func Min(xs []float64) float64 {
+// minimum returns the smallest element; +Inf for an empty slice.
+func minimum(xs []float64) float64 {
 	m := math.Inf(1)
 	for _, x := range xs {
 		if x < m {
@@ -44,9 +44,9 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// StdDev returns the population standard deviation; 0 for fewer than two
+// stdDev returns the population standard deviation; 0 for fewer than two
 // elements.
-func StdDev(xs []float64) float64 {
+func stdDev(xs []float64) float64 {
 	if len(xs) < 2 {
 		return 0
 	}
@@ -93,10 +93,10 @@ func Median(xs []float64) float64 { return Percentile(xs, 50) }
 
 // Summary bundles the usual descriptive statistics of a sample.
 type Summary struct {
-	N        int
+	n        int
 	Mean     float64
-	StdDev   float64
-	Min, Max float64
+	stdDev   float64
+	min, Max float64
 	P50, P95 float64
 }
 
@@ -106,10 +106,10 @@ func Summarize(xs []float64) Summary {
 		return Summary{}
 	}
 	return Summary{
-		N:      len(xs),
+		n:      len(xs),
 		Mean:   Mean(xs),
-		StdDev: StdDev(xs),
-		Min:    Min(xs),
+		stdDev: stdDev(xs),
+		min:    minimum(xs),
 		Max:    Max(xs),
 		P50:    Percentile(xs, 50),
 		P95:    Percentile(xs, 95),
@@ -120,13 +120,13 @@ func Summarize(xs []float64) Summary {
 // experiment notes.
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.0f p50=%.1f p95=%.1f max=%.0f",
-		s.N, s.Mean, s.StdDev, s.Min, s.P50, s.P95, s.Max)
+		s.n, s.Mean, s.stdDev, s.min, s.P50, s.P95, s.Max)
 }
 
-// LinearFit returns slope and intercept of the least-squares line through
+// linearFit returns slope and intercept of the least-squares line through
 // (x, y) points. It panics unless len(xs) == len(ys) >= 2 and the xs are
 // not all equal.
-func LinearFit(xs, ys []float64) (slope, intercept float64) {
+func linearFit(xs, ys []float64) (slope, intercept float64) {
 	if len(xs) != len(ys) || len(xs) < 2 {
 		panic("stats: LinearFit needs >= 2 equal-length samples")
 	}
@@ -157,6 +157,6 @@ func PowerLawExponent(xs, ys []float64) float64 {
 		lx[i] = math.Log(xs[i])
 		ly[i] = math.Log(ys[i])
 	}
-	slope, _ := LinearFit(lx, ly)
+	slope, _ := linearFit(lx, ly)
 	return slope
 }

@@ -19,19 +19,19 @@ func TestMean(t *testing.T) {
 
 func TestMinMax(t *testing.T) {
 	xs := []float64{3, -1, 7, 0}
-	if Min(xs) != -1 || Max(xs) != 7 {
+	if minimum(xs) != -1 || Max(xs) != 7 {
 		t.Fatal("Min/Max wrong")
 	}
-	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
+	if !math.IsInf(minimum(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Fatal("empty Min/Max sentinel wrong")
 	}
 }
 
 func TestStdDev(t *testing.T) {
-	if !almost(StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2) {
-		t.Fatalf("StdDev = %v, want 2", StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
+	if !almost(stdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}), 2) {
+		t.Fatalf("StdDev = %v, want 2", stdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}))
 	}
-	if StdDev([]float64{5}) != 0 {
+	if stdDev([]float64{5}) != 0 {
 		t.Fatal("StdDev of singleton should be 0")
 	}
 }
@@ -94,7 +94,7 @@ func TestMedian(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.N != 5 || !almost(s.Mean, 3) || !almost(s.P50, 3) || s.Min != 1 || s.Max != 5 {
+	if s.n != 5 || !almost(s.Mean, 3) || !almost(s.P50, 3) || s.min != 1 || s.Max != 5 {
 		t.Fatalf("Summary = %+v", s)
 	}
 	if (Summarize(nil) != Summary{}) {
@@ -109,7 +109,7 @@ func TestLinearFit(t *testing.T) {
 	// y = 3x + 1 exactly.
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{4, 7, 10, 13}
-	slope, intercept := LinearFit(xs, ys)
+	slope, intercept := linearFit(xs, ys)
 	if !almost(slope, 3) || !almost(intercept, 1) {
 		t.Fatalf("fit = (%v, %v)", slope, intercept)
 	}
@@ -123,7 +123,7 @@ func TestLinearFitNoise(t *testing.T) {
 		xs[i] = float64(i)
 		ys[i] = 2*xs[i] + 5 + rng.NormFloat64()*0.01
 	}
-	slope, intercept := LinearFit(xs, ys)
+	slope, intercept := linearFit(xs, ys)
 	if math.Abs(slope-2) > 0.01 || math.Abs(intercept-5) > 0.1 {
 		t.Fatalf("noisy fit = (%v, %v)", slope, intercept)
 	}
@@ -131,9 +131,9 @@ func TestLinearFitNoise(t *testing.T) {
 
 func TestLinearFitPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { LinearFit([]float64{1}, []float64{1}) },
-		func() { LinearFit([]float64{1, 2}, []float64{1}) },
-		func() { LinearFit([]float64{2, 2}, []float64{1, 5}) },
+		func() { linearFit([]float64{1}, []float64{1}) },
+		func() { linearFit([]float64{1, 2}, []float64{1}) },
+		func() { linearFit([]float64{2, 2}, []float64{1, 5}) },
 	} {
 		func() {
 			defer func() {

@@ -31,7 +31,7 @@ import (
 // link. Receive buffers are sized from this transport-derived bound,
 // never from length fields alone.
 func frameBodyLimit(snd, rcv int) int {
-	return (snd*rcv+7)/8 + snd*(binary.MaxVarintLen64+MaxPayload)
+	return (snd*rcv+7)/8 + snd*(binary.MaxVarintLen64+maxPayload)
 }
 
 // appendFrameBody builds this node's round frame body for peer node j
@@ -107,7 +107,7 @@ func decodeFrameBody(body []byte, snd, rcv int, deliver func(si, delivered int, 
 			continue
 		}
 		plen, k := binary.Uvarint(rest)
-		if k <= 0 || plen > MaxPayload || uint64(len(rest)-k) < plen {
+		if k <= 0 || plen > maxPayload || uint64(len(rest)-k) < plen {
 			return fmt.Errorf("transport: frame: bad payload length for sender %d", si)
 		}
 		deliver(si, delivered, rest[k:k+int(plen)], bitmap)

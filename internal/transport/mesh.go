@@ -365,8 +365,8 @@ func (ep *meshEndpoint) N() int { return ep.nd.t.n }
 // multi-node mesh the node's writer loop reads payload and row out of
 // the same slot and cuts each peer node's frame bitmap out of the row.
 func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return fmt.Errorf("transport: payload %d bytes exceeds MaxPayload %d", len(payload), MaxPayload)
+	if len(payload) > maxPayload {
+		return fmt.Errorf("transport: payload %d bytes exceeds MaxPayload %d", len(payload), maxPayload)
 	}
 	nd := ep.nd
 	t := nd.t
@@ -393,7 +393,7 @@ func (ep *meshEndpoint) Gather(r int, into [][]byte) ([][]byte, error) {
 		c.Stalls.Add(int64(len(missed)))
 	}
 	if t.opts.meter != nil {
-		t.opts.meter.Record(r, ep.self, recv)
+		t.opts.meter.record(r, ep.self, recv)
 	}
 	return recv, nil
 }

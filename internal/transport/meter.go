@@ -32,11 +32,11 @@ func NewHeardMeter(n int) *HeardMeter {
 	return &HeardMeter{n: n}
 }
 
-// Record notes the heard-set of receiver self in round r: recv[q] is
+// record notes the heard-set of receiver self in round r: recv[q] is
 // nil iff q's payload did not arrive (injected drop or real loss).
 // Safe for concurrent use by all receivers of a round; each (r, self)
 // pair must be recorded at most once per run.
-func (m *HeardMeter) Record(r, self int, recv [][]byte) {
+func (m *HeardMeter) record(r, self int, recv [][]byte) {
 	m.mu.Lock()
 	for len(m.graphs) < r {
 		m.graphs = append(m.graphs, graph.NewFullDigraph(m.n))

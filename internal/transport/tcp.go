@@ -49,25 +49,15 @@ type TCPMesh struct {
 // value means is in the package comment's option table.
 type TCPOpts struct {
 	// RoundTimeout is the receiver's per-round closure deadline: a Gather
-	// waits at most RoundTimeout (plus Grace extensions while frames are
-	// still trickling in) before recording missing senders as losses,
-	// exactly the UDP mesh's rule.
+	// waits at most RoundTimeout (plus grace extensions of RoundTimeout/8,
+	// at least 100µs, while frames are still trickling in) before
+	// recording missing senders as losses, exactly the UDP mesh's rule.
 	RoundTimeout time.Duration
-	// Grace extends a timed-out round while progress continues.
-	Grace time.Duration
 	// DeadAfter is the stall detector's verdict threshold, as
 	// UDPOpts.DeadAfter.
 	DeadAfter int
 	// Counters, when non-nil, receives stall and death events.
 	Counters *StallCounters
-}
-
-// withDefaults fills the derived defaults of the option table.
-func (o TCPOpts) withDefaults() TCPOpts {
-	if o.RoundTimeout > 0 && o.Grace == 0 {
-		o.Grace = max(o.RoundTimeout/8, 100*time.Microsecond)
-	}
-	return o
 }
 
 // NewTCPMeshLoopbackOpts returns a TCP mesh transport for n processes
@@ -78,12 +68,15 @@ func (o TCPOpts) withDefaults() TCPOpts {
 // accepted later. The zero TCPOpts is the
 // reliable lockstep-exact mesh; see TCPOpts for the chaos knobs.
 func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, error) {
-	o := opts.withDefaults()
+	var grace time.Duration
+	if opts.RoundTimeout > 0 {
+		grace = max(opts.RoundTimeout/8, 100*time.Microsecond)
+	}
 	core, err := newMesh(n, nodes, pol, meshOpts{
-		deadline:  o.RoundTimeout,
-		grace:     o.Grace,
-		deadAfter: o.DeadAfter,
-		counters:  o.Counters,
+		deadline:  opts.RoundTimeout,
+		grace:     grace,
+		deadAfter: opts.DeadAfter,
+		counters:  opts.Counters,
 	})
 	if err != nil {
 		return nil, err
@@ -92,7 +85,7 @@ func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, e
 	if nodes == 1 {
 		return t, nil // single node: every delivery is in-memory
 	}
-	t.sl = &streamLink{t: core, chaos: o.RoundTimeout > 0}
+	t.sl = &streamLink{t: core, chaos: opts.RoundTimeout > 0}
 	core.link = t.sl
 	if err := t.sl.open(); err != nil {
 		t.Close()

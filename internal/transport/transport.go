@@ -59,7 +59,7 @@
 //
 //	field         datagram link (UDPOpts)      stream link (TCPOpts)
 //	RoundTimeout  0 = 2ms                      0 = none: rounds close by count
-//	Grace         0 = 300µs                    0 = RoundTimeout/8, at least 100µs
+//	Grace         0 = 300µs                    - (RoundTimeout/8, at least 100µs)
 //	DeadAfter     0 = never forget a peer      0 = never forget a peer
 //	Counters      nil = events not counted     nil = events not counted
 //	SocketBuffer  0 = 1MiB                     -
@@ -105,10 +105,10 @@ import (
 // the endpoint) has been closed.
 var ErrClosed = errors.New("transport: closed")
 
-// MaxPayload bounds a single round payload. Algorithm 1 messages are
-// O(n²) varints (see internal/wire); even n = wire.MaxUniverse stays far
+// maxPayload bounds a single round payload. Algorithm 1 messages are
+// O(n²) varints (see internal/wire); even the largest universe internal/wire decodes (4096) stays far
 // below this, so anything larger is a protocol violation, not traffic.
-const MaxPayload = 1 << 24
+const maxPayload = 1 << 24
 
 // Endpoint is one process's port onto the network. An endpoint is owned
 // by a single goroutine: Broadcast and Gather must not be called

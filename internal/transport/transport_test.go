@@ -414,7 +414,7 @@ func TestBroadcastRejectsOversizedPayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ep.Broadcast(1, make([]byte, MaxPayload+1)); err == nil {
+	if err := ep.Broadcast(1, make([]byte, maxPayload+1)); err == nil {
 		t.Fatal("oversized broadcast succeeded")
 	}
 }

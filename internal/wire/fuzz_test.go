@@ -22,9 +22,9 @@ func fuzzSeeds() [][]byte {
 	g3 := graph.NewLabeled(1)
 	g3.MergeEdge(0, 0, 3)
 	return [][]byte{
-		Encode(core.Message{Kind: core.Prop, X: 1, G: g1}),
-		Encode(core.Message{Kind: core.Decide, X: -1 << 40, G: g2}),
-		Encode(core.Message{Kind: core.Prop, X: 0, G: g3}),
+		AppendEncode(nil, core.Message{Kind: core.Prop, X: 1, G: g1}),
+		AppendEncode(nil, core.Message{Kind: core.Decide, X: -1 << 40, G: g2}),
+		AppendEncode(nil, core.Message{Kind: core.Prop, X: 0, G: g3}),
 		{0x00}, // truncated after the kind byte
 	}
 }
@@ -42,7 +42,7 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := Encode(m)
+		re := AppendEncode(nil, m)
 		m2, err := Decode(re)
 		if err != nil {
 			t.Fatalf("re-encoded message does not decode: %v", err)
@@ -52,7 +52,7 @@ func FuzzDecode(f *testing.F) {
 		}
 		// Canonical form: encoding is deterministic, so a second
 		// encoding of the decoded message must be byte-identical.
-		if !bytes.Equal(re, Encode(m2)) {
+		if !bytes.Equal(re, AppendEncode(nil, m2)) {
 			t.Fatal("encoding is not canonical")
 		}
 	})

@@ -13,8 +13,8 @@
 //	per edge:     varint from, varint to, varint label
 //
 // Edges are emitted in deterministic (from, to) order, so encoding is
-// canonical: Encode(m1) == Encode(m2) iff the messages are semantically
-// equal.
+// canonical: the encodings of m1 and m2 are equal iff the messages are
+// semantically equal.
 package wire
 
 import (
@@ -28,23 +28,18 @@ import (
 )
 
 var (
-	// ErrTruncated reports an input shorter than its own header claims.
-	ErrTruncated = errors.New("wire: truncated message")
-	// ErrBadKind reports an unknown message tag.
-	ErrBadKind = errors.New("wire: unknown message kind")
+	// errTruncated reports an input shorter than its own header claims.
+	errTruncated = errors.New("wire: truncated message")
+	// errBadKind reports an unknown message tag.
+	errBadKind = errors.New("wire: unknown message kind")
 )
 
-// MaxUniverse is the largest universe size Decode accepts. A labeled
+// maxUniverse is the largest universe size Decode accepts. A labeled
 // graph costs Θ(n²) ints, so untrusted headers must not be able to
 // demand huge universes from a few input bytes (found by FuzzDecode: a
 // short input could previously request n = 2^20, an 8 TiB matrix).
 // Simulated systems are orders of magnitude below this bound.
-const MaxUniverse = 4096
-
-// Encode serializes a message into a fresh buffer.
-func Encode(m core.Message) []byte {
-	return AppendEncode(nil, m)
-}
+const maxUniverse = 4096
 
 // AppendEncode serializes m, appending to dst (which may be nil) and
 // returning the extended buffer; use it to amortize allocations across
@@ -75,55 +70,50 @@ func AppendEncode(dst []byte, m core.Message) []byte {
 	return dst
 }
 
-// EncodedSize returns len(Encode(m)) without retaining the buffer.
-func EncodedSize(m core.Message) int {
-	return len(AppendEncode(nil, m))
-}
-
-// Decode parses a message previously produced by Encode.
+// Decode parses a message previously produced by AppendEncode.
 func Decode(buf []byte) (core.Message, error) {
 	var m core.Message
 	err := DecodeInto(buf, &m)
 	return m, err
 }
 
-// DecodeInto parses a message previously produced by Encode, writing it
-// into *m. When m.G is non-nil with a universe matching the encoded one,
-// its storage is reset and reused instead of allocating a fresh graph —
-// the distributed runtime (internal/runtime) decodes n messages per
-// process per round into per-sender scratch, and this keeps that path
-// free of graph allocations in steady state. On error *m — including a
-// reused graph's contents — may be partially overwritten.
+// DecodeInto parses a message previously produced by AppendEncode,
+// writing it into *m. When m.G is non-nil with a universe matching the
+// encoded one, its storage is reset and reused instead of allocating a
+// fresh graph — the distributed runtime (internal/runtime) decodes n
+// messages per process per round into per-sender scratch, and this keeps
+// that path free of graph allocations in steady state. On error *m —
+// including a reused graph's contents — may be partially overwritten.
 func DecodeInto(buf []byte, m *core.Message) error {
 	if len(buf) < 1 {
-		return ErrTruncated
+		return errTruncated
 	}
 	kind := core.Kind(buf[0])
 	if kind != core.Prop && kind != core.Decide {
-		return fmt.Errorf("%w: %d", ErrBadKind, buf[0])
+		return fmt.Errorf("%w: %d", errBadKind, buf[0])
 	}
 	m.Kind = kind
 	buf = buf[1:]
 
 	x, k := binary.Varint(buf)
 	if k <= 0 {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.X = x
 	buf = buf[k:]
 
 	un, k := binary.Uvarint(buf)
 	if k <= 0 {
-		return ErrTruncated
+		return errTruncated
 	}
 	buf = buf[k:]
 	n := int(un)
-	if n < 0 || n > MaxUniverse {
+	if n < 0 || n > maxUniverse {
 		return fmt.Errorf("wire: implausible universe size %d", n)
 	}
 	bmLen := (n + 7) / 8
 	if len(buf) < bmLen {
-		return ErrTruncated
+		return errTruncated
 	}
 	g := m.G
 	if g != nil && g.N() == n {
@@ -140,7 +130,7 @@ func DecodeInto(buf []byte, m *core.Message) error {
 
 	edges, k := binary.Uvarint(buf)
 	if k <= 0 {
-		return ErrTruncated
+		return errTruncated
 	}
 	buf = buf[k:]
 	// Each stored edge is at least three varint bytes; reject lying
@@ -151,17 +141,17 @@ func DecodeInto(buf []byte, m *core.Message) error {
 	for i := uint64(0); i < edges; i++ {
 		u, k := binary.Uvarint(buf)
 		if k <= 0 {
-			return ErrTruncated
+			return errTruncated
 		}
 		buf = buf[k:]
 		v, k := binary.Uvarint(buf)
 		if k <= 0 {
-			return ErrTruncated
+			return errTruncated
 		}
 		buf = buf[k:]
 		label, k := binary.Uvarint(buf)
 		if k <= 0 {
-			return ErrTruncated
+			return errTruncated
 		}
 		buf = buf[k:]
 		// Compare in uint64 space: a >= 2^63 varint would overflow int to

@@ -28,7 +28,7 @@ func TestRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 500; trial++ {
 		m := randomMessage(rng)
-		got, err := Decode(Encode(m))
+		got, err := Decode(AppendEncode(nil, m))
 		if err != nil {
 			t.Fatalf("decode: %v (msg %v)", err, m)
 		}
@@ -48,19 +48,9 @@ func TestEncodeCanonical(t *testing.T) {
 	g2.MergeEdge(0, 1, 3)
 	m1 := core.Message{Kind: core.Prop, X: 5, G: g1}
 	m2 := core.Message{Kind: core.Prop, X: 5, G: g2}
-	a, b := Encode(m1), Encode(m2)
+	a, b := AppendEncode(nil, m1), AppendEncode(nil, m2)
 	if string(a) != string(b) {
 		t.Fatal("encoding not canonical")
-	}
-}
-
-func TestEncodedSizeMatches(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for trial := 0; trial < 100; trial++ {
-		m := randomMessage(rng)
-		if EncodedSize(m) != len(Encode(m)) {
-			t.Fatal("EncodedSize disagrees with Encode")
-		}
 	}
 }
 
@@ -79,7 +69,7 @@ func TestAppendEncodeExtends(t *testing.T) {
 
 func TestDecodeErrors(t *testing.T) {
 	m := randomMessage(rand.New(rand.NewSource(4)))
-	good := Encode(m)
+	good := AppendEncode(nil, m)
 
 	if _, err := Decode(nil); err == nil {
 		t.Fatal("empty input accepted")
@@ -116,14 +106,14 @@ func TestEncodeNilGraphPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	Encode(core.Message{Kind: core.Prop})
+	AppendEncode(nil, core.Message{Kind: core.Prop})
 }
 
 func TestNegativeXRoundTrip(t *testing.T) {
 	g := graph.NewLabeled(1)
 	g.AddNode(0)
 	m := core.Message{Kind: core.Decide, X: -123456789, G: g}
-	got, err := Decode(Encode(m))
+	got, err := Decode(AppendEncode(nil, m))
 	if err != nil || got.X != m.X || got.Kind != core.Decide {
 		t.Fatalf("negative X round-trip: %v %d", err, got.X)
 	}
@@ -154,8 +144,8 @@ func TestSizeGrowsWithGraph(t *testing.T) {
 			big.MergeEdge(u, v, 1+u+v)
 		}
 	}
-	sSmall := EncodedSize(core.Message{Kind: core.Prop, X: 0, G: small})
-	sBig := EncodedSize(core.Message{Kind: core.Prop, X: 0, G: big})
+	sSmall := len(AppendEncode(nil, core.Message{Kind: core.Prop, X: 0, G: small}))
+	sBig := len(AppendEncode(nil, core.Message{Kind: core.Prop, X: 0, G: big}))
 	if sBig <= sSmall {
 		t.Fatalf("size not monotone in edges: %d vs %d", sSmall, sBig)
 	}
@@ -170,7 +160,7 @@ func TestDecodeIntoReusesGraph(t *testing.T) {
 	var scratch core.Message
 	for trial := 0; trial < 300; trial++ {
 		m := randomMessage(rng)
-		buf := Encode(m)
+		buf := AppendEncode(nil, m)
 		prevG := scratch.G
 		if err := DecodeInto(buf, &scratch); err != nil {
 			t.Fatalf("DecodeInto: %v", err)
@@ -192,7 +182,7 @@ func TestDecodeIntoReusesGraph(t *testing.T) {
 // same-universe messages allocate nothing once the scratch graph exists.
 func TestDecodeIntoSteadyStateAllocs(t *testing.T) {
 	m := randomMessage(rand.New(rand.NewSource(9)))
-	buf := Encode(m)
+	buf := AppendEncode(nil, m)
 	var scratch core.Message
 	if err := DecodeInto(buf, &scratch); err != nil {
 		t.Fatal(err)
