@@ -260,9 +260,12 @@ func TestStallPlanRecoversWithoutVerdict(t *testing.T) {
 // verdict is the others' view of p2; p2 itself must keep hearing its own
 // messages (Algorithm 1 requires every self-loop), so the run finishes,
 // replays bit-for-bit, and every process — p2 included — decides within
-// the k-bound.
+// the k-bound. The udp-complete row runs all MaxRounds: once every other
+// node has forgotten it, nothing paces p2's node but its own rounds, the
+// shape in which a node whose frames left from a goroutine of their own
+// could outrun that goroutine and fail.
 func TestStallVerdictSparesItsSuspect(t *testing.T) {
-	for _, kind := range []string{"udp", "tcp"} {
+	for _, kind := range []string{"udp", "tcp", "udp-complete"} {
 		t.Run(kind, func(t *testing.T) {
 			t.Parallel()
 			const n = 4
@@ -274,13 +277,14 @@ func TestStallVerdictSparesItsSuspect(t *testing.T) {
 			}
 			stall.From[1], stall.To[1], stall.Delay[1] = 2, 5, 60*time.Millisecond
 			spec := sim.Spec{
-				Adversary: adversary.Complete(n),
-				Proposals: sim.SeqProposals(n),
-				Params:    core.Options{ConservativeDecide: true},
-				MaxRounds: 3*n + 10,
+				Adversary:       adversary.Complete(n),
+				Proposals:       sim.SeqProposals(n),
+				Params:          core.Options{ConservativeDecide: true},
+				MaxRounds:       3*n + 10,
+				RunToCompletion: kind == "udp-complete",
 			}
 			rep, err := runtime.CrashReplay(spec, runtime.RunnerOpts{
-				Kind:  kind,
+				Kind:  strings.TrimSuffix(kind, "-complete"),
 				Stall: stall,
 				TCP:   transport.TCPOpts{RoundTimeout: 10 * time.Millisecond, DeadAfter: 2, Counters: &counters},
 				UDP:   transport.UDPOpts{RoundTimeout: 10 * time.Millisecond, DeadAfter: 2, Counters: &counters},
@@ -383,8 +387,8 @@ func TestStallVerdictStaysWithItsNode(t *testing.T) {
 // the supervisor's MarkDead, the one verdict that reaches every node)
 // over the socket meshes, fully distributed and grouped, to decision and
 // to completion. A crashed process's node then has every hosted sender
-// dead, and its writer stops; the survivors' rounds must still close and
-// the run replay bit-for-bit.
+// dead, and it ships no more rounds; the survivors' rounds must still
+// close and the run replay bit-for-bit.
 func TestAnnouncedCrashOverSockets(t *testing.T) {
 	const n, crashes = 8, 3 // three victims: all three crash sites
 	for _, kind := range []string{"tcp", "udp"} {

@@ -26,7 +26,7 @@ import (
 
 // countingCodec counts the calls a run makes into a family's codec.
 type countingCodec struct {
-	Codec
+	algo.Codec
 	encodes, decodes *atomic.Int64
 }
 
@@ -219,7 +219,7 @@ func TestDroppedLocalLinkStaysDropped(t *testing.T) {
 // failingCodec's decoders refuse sender `from` from their at-th message
 // of it on.
 type failingCodec struct {
-	Codec
+	algo.Codec
 	from, at int
 	err      error
 }

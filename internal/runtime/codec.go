@@ -6,13 +6,6 @@ import (
 	"kset/internal/algo"
 )
 
-// Codec is the registry's interface (internal/algo owns the contract;
-// see algo.Codec for the shared-statelessness and decode-into-scratch
-// requirements). The runtime aliases it so transport plumbing keeps
-// reading naturally; which codec a run uses is the registry's answer for
-// its family (NewRunner), never a default hardwired here.
-type Codec = algo.Codec
-
 // decodeShare deduplicates the decoding of one remote sender across the
 // receivers of one node. A mesh delivers one shared payload buffer per
 // (sender, round) to every receiver hosted by the node the frame arrived

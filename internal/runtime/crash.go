@@ -62,9 +62,9 @@ func (s CrashSite) String() string {
 // Silent (false) leaves detection to the transport's stall layer:
 // each node burns deadlines until its stall detector forgets the
 // victim's node. Silent crashes assume one process per node on the
-// socket meshes — a silent co-located process would wedge its node's
-// shared writer, which is faithful to what an OS process crash does to
-// everything inside it.
+// socket meshes — a silent co-located process never posts, so its node
+// never ships again, which is faithful to what an OS process crash does
+// to everything inside it.
 type CrashPlan struct {
 	Round   []int
 	Site    []CrashSite

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"kset/internal/algo"
 	"kset/internal/rounds"
 	"kset/internal/transport"
 )
@@ -10,7 +11,7 @@ const InlineBelowN = inlineBelowN
 
 // RunWorkers is Run at an explicit worker count: the exported functions
 // only compute that count and ask the transport for its node partition.
-func RunWorkers(cfg rounds.Config, tr transport.Transport, codec Codec, workers int) (*rounds.Result, error) {
+func RunWorkers(cfg rounds.Config, tr transport.Transport, codec algo.Codec, workers int) (*rounds.Result, error) {
 	node, _ := transport.Partition(tr)
 	return runWith(cfg, tr, codec, workers, node)
 }
@@ -18,11 +19,11 @@ func RunWorkers(cfg rounds.Config, tr transport.Transport, codec Codec, workers 
 // RunWorkersByBytes is RunWorkers with the node partition withheld, as
 // from a transport that is not a mesh: every link, co-located or not,
 // carries encoded bytes — the reference the by-value path is held to.
-func RunWorkersByBytes(cfg rounds.Config, tr transport.Transport, codec Codec, workers int) (*rounds.Result, error) {
+func RunWorkersByBytes(cfg rounds.Config, tr transport.Transport, codec algo.Codec, workers int) (*rounds.Result, error) {
 	return runWith(cfg, tr, codec, workers, nil)
 }
 
-func runWith(cfg rounds.Config, tr transport.Transport, codec Codec, workers int, node []int) (*rounds.Result, error) {
+func runWith(cfg rounds.Config, tr transport.Transport, codec algo.Codec, workers int, node []int) (*rounds.Result, error) {
 	defer tr.Close()
 	n, err := cfg.Validate()
 	if err != nil {

@@ -45,20 +45,28 @@
 // round every worker takes its block of processes through send → gather
 // → receive → transition, Run's caller being worker 0, and between rounds
 // the caller alone runs the observers and the stop predicate on the
-// quiescent state. The worker count is derived, never set: 1 — the
-// caller steps every process inline: no goroutine, no channel operation,
-// and on the in-proc transport no Gather ever parks — unless a process
-// needs a clock of its own, and then n, one process per worker. That is
-// when the transport closes rounds by deadline (sequential Gathers would
-// serialise deadline + grace) or is not one of internal/transport's
-// meshes (transport.Partition answers these two), a crash or stall plan
-// is present (a stall's sleep would delay a whole block), or n >=
-// inlineBelowN on more than one core, where a round is big enough to
-// split; the policy is no part of the rule. Inside a block every round-r
-// send precedes the first round-r gather, so a count-closed gather only
-// waits on sends that do not wait on it; and a step that fails closes the
-// transport before it returns, so blocks parked in Gather wake with
-// ErrClosed and the pool cannot hang.
+// quiescent state. The worker count is derived, never set, and the
+// policy is no part of the rule:
+//
+//   - n, one process per worker, when a crash or stall plan is present
+//     (a stall's sleep would delay a whole block) or the transport is
+//     not one of internal/transport's meshes (transport.Partition says
+//     nil);
+//   - m, one per mesh node, on a mesh of m > 1 nodes: blocks are cut at
+//     w*n/m as the mesh cuts its nodes, so the worker that steps a
+//     node's processes makes the Broadcast that completes the node's
+//     round, and that call ships it. Under a deadline the node's first
+//     gather seals the round for all its receivers, so the node's
+//     gathers in sequence cost one deadline, not one per receiver;
+//   - on a single-node mesh, 1 — the caller steps every process inline:
+//     no goroutine, no channel operation, and on the in-proc transport
+//     no Gather ever parks — when rounds close by count and n <
+//     inlineBelowN or there is one core; else n.
+//
+// Inside a block every round-r send precedes the first round-r gather,
+// so a count-closed gather only waits on sends that do not wait on it;
+// and a step that fails closes the transport before it returns, so
+// blocks parked in Gather wake with ErrClosed and the pool cannot hang.
 //
 // # Pipelining
 //
@@ -121,7 +129,7 @@ const inlineBelowN = 28
 // transport policy — by every worker, so it must be safe for concurrent
 // Graph calls: NewRunner makes any adversary so, adversary.MaterializeRun
 // does for a caller with a transport of its own.
-func Run(cfg rounds.Config, tr transport.Transport, codec Codec) (*rounds.Result, error) {
+func Run(cfg rounds.Config, tr transport.Transport, codec algo.Codec) (*rounds.Result, error) {
 	return runChaos(cfg, tr, codec, nil, nil)
 }
 
@@ -138,7 +146,7 @@ func Run(cfg rounds.Config, tr transport.Transport, codec Codec) (*rounds.Result
 // surviving process has decided, since waiting on the dead is exactly
 // the wedge this layer exists to remove. Fixed-length runs (StopWhen ==
 // nil) still execute all MaxRounds with the survivors.
-func runChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
+func runChaos(cfg rounds.Config, tr transport.Transport, codec algo.Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
 	defer tr.Close()
 	n, err := cfg.Validate()
 	if err != nil {
@@ -163,7 +171,11 @@ func runChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 		return nil, errors.New("runtime: silent crash plan on a transport that closes rounds by count only: nothing would notice the dead (set CrashPlan.Notify, or give the mesh a round deadline)")
 	}
 	workers := n
-	if byCount && plan == nil && stall == nil && (n < inlineBelowN || goruntime.GOMAXPROCS(0) == 1) {
+	switch {
+	case plan != nil || stall != nil || node == nil:
+	case node[n-1] > 0: // blocks cut at w*n/m coincide with the nodes
+		workers = node[n-1] + 1
+	case byCount && (n < inlineBelowN || goruntime.GOMAXPROCS(0) == 1):
 		workers = 1
 	}
 	return runLive(cfg, n, workers, node, tr, codec, plan, stall)
@@ -171,7 +183,7 @@ func runChaos(cfg rounds.Config, tr transport.Transport, codec Codec, plan *Cras
 
 // runLive is runChaos at a given worker count and node partition (nil:
 // unknown, every link carries bytes), on validated inputs.
-func runLive(cfg rounds.Config, n, workers int, node []int, tr transport.Transport, codec Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
+func runLive(cfg rounds.Config, n, workers int, node []int, tr transport.Transport, codec algo.Codec, plan *CrashPlan, stall *StallPlan) (*rounds.Result, error) {
 	run := &liveRun{
 		maxRounds: cfg.MaxRounds,
 		// Exact only for fixed-length runs (package comment); a crash or
@@ -242,7 +254,7 @@ type liveRun struct {
 	maxRounds int
 	pipelined bool
 	tr        transport.Transport
-	codec     Codec
+	codec     algo.Codec
 	node      []int    // per process: its mesh node; nil when the transport is not a mesh
 	wire      bool     // some link leaves its node (or may): senders encode
 	sent      [2][]any // [r&1][sender]: its Send(r) value, read by its node's receivers

@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -273,10 +274,11 @@ func TestLivePanicReachesCaller(t *testing.T) {
 type opaque struct{ transport.Transport }
 
 // TestInlineRunStartsNoGoroutine pins the derivation of the worker count
-// by counting the pool's goroutines from inside the transitions: none
-// below the crossover and on one core at any n; n - 1 (the caller is
-// worker 0) from the crossover up and whenever a process needs a clock
-// of its own.
+// by counting the pool's goroutines from inside the transitions (the
+// caller is worker 0): on a single-node mesh none below the crossover
+// and on one core at any n, n - 1 from the crossover up and under a
+// deadline; m - 1 on a mesh of m > 1 nodes; n - 1 whenever a plan is
+// present or the transport is not a mesh.
 func TestInlineRunStartsNoGoroutine(t *testing.T) {
 	run := func(n int, tr transport.Transport, stall *StallPlan) (during int) {
 		t.Helper()
@@ -308,6 +310,10 @@ func TestInlineRunStartsNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	udp1, err := transport.NewUDPMeshLoopback(4, 1, nil, quietUDP())
+	if err != nil {
+		t.Fatal(err)
+	}
 	sched := transport.NewSchedule(adversary.Complete(small))
 	spread := big - 1
 	if goruntime.GOMAXPROCS(0) == 1 {
@@ -321,11 +327,12 @@ func TestInlineRunStartsNoGoroutine(t *testing.T) {
 		want  int
 	}{
 		{"inproc below the crossover", small, transport.NewInProc(small, sched), nil, 0},
-		{"tcp below the crossover", small, tcp, nil, 0},
+		{"2-node tcp mesh", small, tcp, nil, 1},
 		{"inproc from the crossover up", big, transport.NewInProc(big, nil), nil, spread},
 		{"empty stall plan", 4, transport.NewInProc(4, nil), &StallPlan{From: make([]int, 4), To: make([]int, 4), Delay: make([]time.Duration, 4)}, 3},
 		{"a policy of the caller's own", 4, transport.NewInProc(4, ownPolicy{transport.NewSchedule(adversary.Complete(4))}), nil, 0},
-		{"deadline mesh", 4, udp, nil, 3},
+		{"2-node deadline mesh", 4, udp, nil, 1},
+		{"single-node deadline mesh", 4, udp1, nil, 3},
 		{"not a mesh", 4, opaque{transport.NewInProc(4, nil)}, nil, 3},
 	} {
 		if got := run(tc.n, tc.tr, tc.stall); got != tc.want {
@@ -338,10 +345,63 @@ func TestInlineRunStartsNoGoroutine(t *testing.T) {
 	}
 }
 
+// stepper records the goroutine that steps it.
+type stepper struct {
+	countingAlg
+	goroutine string
+}
+
+func (s *stepper) Transition(r int, recv []any) {
+	s.countingAlg.Transition(r, recv)
+	buf := make([]byte, 64)
+	buf = buf[:goruntime.Stack(buf, false)]
+	s.goroutine = string(buf[:bytes.IndexByte(buf, '[')]) // "goroutine N "
+}
+
+// TestWorkerBlocksAreMeshNodes: on a mesh of several nodes the worker
+// blocks are the nodes transport.Partition reports — two processes are
+// stepped by one goroutine iff one node hosts them — so the worker that
+// completes a node's round is the one that ships it.
+func TestWorkerBlocksAreMeshNodes(t *testing.T) {
+	for _, tc := range []struct {
+		kind     string
+		n, nodes int
+	}{{"tcp", 7, 3}, {"tcp", 8, 2}, {"udp", 5, 2}} {
+		var tr transport.Transport
+		var err error
+		if tc.kind == "tcp" {
+			tr, err = transport.NewTCPMeshLoopbackOpts(tc.n, tc.nodes, nil, transport.TCPOpts{})
+		} else {
+			tr, err = transport.NewUDPMeshLoopback(tc.n, tc.nodes, nil, quietUDP())
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, _ := transport.Partition(tr)
+		res, err := Run(rounds.Config{
+			Adversary:  adversary.Complete(tc.n),
+			NewProcess: func(int) rounds.Algorithm { return &stepper{} },
+			MaxRounds:  3,
+		}, tr, rawCodec{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for p := range res.Procs {
+			for q := range res.Procs {
+				same := res.Procs[p].(*stepper).goroutine == res.Procs[q].(*stepper).goroutine
+				if same != (node[p] == node[q]) {
+					t.Errorf("%s n=%d nodes=%d: p%d (node %d) and p%d (node %d) on one worker = %v",
+						tc.kind, tc.n, tc.nodes, p+1, node[p], q+1, node[q], same)
+				}
+			}
+		}
+	}
+}
+
 // TestCloseAbortsInlineRun: a Close from another goroutine — ksetd's
 // watchdog path — ends a run with ErrClosed within one round, whoever
-// steps the processes (inline on in-proc and TCP, one per process on
-// UDP) and whether or not the run is pipelined.
+// steps the processes (inline on in-proc, one worker per node on the
+// 2-node TCP and UDP meshes) and whether or not the run is pipelined.
 func TestCloseAbortsInlineRun(t *testing.T) {
 	const n, closeAt = 4, 3
 	for _, kind := range []string{"inproc", "tcp", "udp"} {

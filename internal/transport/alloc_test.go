@@ -10,8 +10,8 @@ import (
 // scratch, and the links' batch, reassembly and writev state are warm,
 // a full round (every process broadcasts, every process gathers)
 // allocates nothing. AllocsPerRun counts mallocs across all goroutines,
-// so on the socket meshes the pin covers the writer and reader loops
-// too, not just the endpoint-facing calls. One goroutine drives every
+// so on the socket meshes the pin covers the reader loops too, not just
+// the endpoint-facing calls and the ship they make. One goroutine drives every
 // endpoint — broadcasts never block, so all of round r is deposited or
 // on the wire before the first gather — and GC is disabled for the
 // measurement so nothing the collector does is counted.

@@ -12,7 +12,7 @@ import (
 
 // leakCheck runs fn and then requires the goroutine count to settle back
 // to (at most) its starting value. Hand-rolled on runtime.NumGoroutine —
-// no external leak detector — with a settle loop because reader/writer
+// no external leak detector — with a settle loop because reader
 // goroutines unwind asynchronously after Close.
 func leakCheck(t *testing.T, fn func()) {
 	t.Helper()
@@ -49,7 +49,7 @@ func TestInProcCloseLeaksNoGoroutines(t *testing.T) {
 
 // TestTCPCloseLeaksNoGoroutines drives a full mesh (one node per
 // process and a grouped 2-node mesh) through several rounds and
-// requires every writer loop and reader loop to unwind on Close.
+// requires every reader loop to unwind on Close.
 func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 	for _, nodes := range []int{4, 2} {
 		leakCheck(t, func() {
@@ -67,8 +67,7 @@ func TestTCPCloseLeaksNoGoroutines(t *testing.T) {
 
 // TestTCPCloseWithoutTrafficLeaksNoGoroutines closes a freshly built
 // mesh whose streams never carried a frame: reader loops are parked in
-// Read and writer loops in their mailbox's wait for round 1's posts, and
-// Close must unwind both.
+// Read, and Close must unwind them.
 func TestTCPCloseWithoutTrafficLeaksNoGoroutines(t *testing.T) {
 	leakCheck(t, func() {
 		tr, err := NewTCPMeshLoopbackOpts(6, 3, nil, TCPOpts{})
@@ -82,29 +81,45 @@ func TestTCPCloseWithoutTrafficLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestTCPMeshRunsOnlyItsLoops: a node accepts its streams during set-up
-// and its listener closes when set-up ends, so a live m-node mesh runs
-// exactly its m writer loops and m(m-1) reader loops, nothing else.
+// and its listener closes when set-up ends, and a node's round ships
+// from the Broadcast that completes it, so a live m-node mesh runs
+// exactly its m(m-1) reader loops, nothing else.
 func TestTCPMeshRunsOnlyItsLoops(t *testing.T) {
 	for _, m := range []int{2, 4} {
-		leakCheck(t, func() {
-			tr, err := NewTCPMeshLoopbackOpts(4, m, nil, TCPOpts{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tr.Close()
-			want := m + m*(m-1)
-			for deadline := time.Now().Add(5 * time.Second); ; {
-				got := meshGoroutines()
-				if got == want {
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("m = %d: %d goroutines started by the transport, want %d", m, got, want)
-				}
-				time.Sleep(5 * time.Millisecond)
-			}
-		})
+		requireMeshGoroutines(t, m*(m-1), func() (Transport, error) { return NewTCPMeshLoopbackOpts(4, m, nil, TCPOpts{}) })
 	}
+}
+
+// TestUDPMeshRunsOnlyItsLoops: a live m-node datagram mesh runs one
+// reader loop per node socket, nothing else.
+func TestUDPMeshRunsOnlyItsLoops(t *testing.T) {
+	for _, m := range []int{2, 4} {
+		requireMeshGoroutines(t, m, func() (Transport, error) { return NewUDPMeshLoopback(4, m, nil, udpTestOpts()) })
+	}
+}
+
+// requireMeshGoroutines builds a mesh, drives it through a few rounds and
+// requires exactly want goroutines started by the transport.
+func requireMeshGoroutines(t *testing.T, want int, build func() (Transport, error)) {
+	t.Helper()
+	leakCheck(t, func() {
+		tr, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		driveRun(t, tr, 3)
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			got := meshGoroutines()
+			if got == want {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%d goroutines started by the transport, want %d", got, want)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	})
 }
 
 // meshGoroutines counts the live goroutines this package started.
@@ -158,8 +173,8 @@ func TestTCPLostLinkStaysOneLink(t *testing.T) {
 }
 
 // TestUDPCloseLeaksNoGoroutines drives UDP meshes (fully distributed
-// and grouped) through several rounds and requires every writer loop
-// and batch reader to unwind on Close.
+// and grouped) through several rounds and requires every batch reader
+// to unwind on Close.
 func TestUDPCloseLeaksNoGoroutines(t *testing.T) {
 	for _, nodes := range []int{4, 2} {
 		leakCheck(t, func() {
@@ -177,8 +192,7 @@ func TestUDPCloseLeaksNoGoroutines(t *testing.T) {
 
 // TestUDPCloseWithoutTrafficLeaksNoGoroutines closes a freshly built
 // mesh whose sockets never carried a datagram: readers are parked on
-// the netpoller and writer loops in their mailbox's wait for round 1's
-// posts, and Close must unwind both.
+// the netpoller, and Close must unwind them.
 func TestUDPCloseWithoutTrafficLeaksNoGoroutines(t *testing.T) {
 	leakCheck(t, func() {
 		tr, err := NewUDPMeshLoopback(6, 3, nil, udpTestOpts())

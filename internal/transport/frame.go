@@ -3,8 +3,6 @@ package transport
 import (
 	"encoding/binary"
 	"fmt"
-
-	"kset/internal/graph"
 )
 
 // This file is the codec of the coalesced round frame: the one message a
@@ -35,11 +33,12 @@ func frameBodyLimit(snd, rcv int) int {
 }
 
 // appendFrameBody builds this node's round frame body for peer node j
-// from its posts: sender si's bitmap row is its delivery row cut to the
-// peer's receivers, a dead local sender (nil post) ships as an
-// all-links tombstone, and each delivering sender's payload follows once.
-func (nd *meshNode) appendFrameBody(body []byte, j int, bufs [][]byte, rows []graph.NodeSet) []byte {
-	t := nd.t
+// from the posts its ship claimed (nd.bufs, nd.rows): sender si's bitmap
+// row is its delivery row cut to the peer's receivers, a dead local
+// sender (nil post) ships as an all-links tombstone, and each delivering
+// sender's payload follows once.
+func (nd *meshNode) appendFrameBody(body []byte, j int) []byte {
+	t, bufs, rows := nd.t, nd.bufs, nd.rows
 	peerLo := t.nodeLo(j)
 	rcv := t.nodeLo(j+1) - peerLo
 	// The bitmap is zero-extended byte-wise so the buffer's capacity is

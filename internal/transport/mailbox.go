@@ -24,19 +24,18 @@ const (
 	slotArrived                 // payload and delivery row are valid
 	slotDead                    // pre-filled by a death verdict: nil to every receiver, not missed
 	slotLost                    // a deadline closure gave up on it: nil to every receiver, and missed
-	slotLostPosted              // lost, then posted by a hosted sender: heard by itself alone on its node, shipped by the writer with its row
+	slotLostPosted              // lost, then posted by a hosted sender: heard by itself alone on its node, shipped with its row
 )
 
 // roundSlot is one round of the ring: one entry per sender. The payload
 // is copied once into a buffer the slot owns; the sender's row says which
 // processes the policy (or the frame bitmap) delivered it to.
 type roundSlot struct {
-	tag    int             // the round this slot serves; 0 = never used
-	count  int             // senders no longer waited for; n = the round is closed
-	posted int             // hosted senders whose payload the writer can ship
-	state  []uint8         // per sender
-	buf    [][]byte        // per sender, non-nil once arrived
-	row    []graph.NodeSet // per sender, over all n processes: who it is delivered to
+	tag   int             // the round this slot serves; 0 = never used
+	count int             // senders no longer waited for; n = the round is closed
+	state []uint8         // per sender
+	buf   [][]byte        // per sender, non-nil once arrived
+	row   []graph.NodeSet // per sender, over all n processes: who it is delivered to
 }
 
 // cursor is all a hosted receiver keeps: where it is in the ring and
@@ -54,8 +53,9 @@ type cursor struct {
 // own bit of each sender's delivery row. A sender (or a link's reader
 // loop, for a whole frame) writes under one lock without ever blocking;
 // a receiving process parks in await until the node's round closes, and
-// the node's writer loop reads the hosted senders' slots out of the same
-// ring. A round closes once, for the node. How — and what a deposit the
+// on a multi-node mesh the call that completes the hosted senders' round
+// claims it and ships their slots out of the same ring (claimLocked). A
+// round closes once, for the node. How — and what a deposit the
 // ring cannot take means — is one policy, derived from the deadline:
 //
 //	deadline  a round closes               unplaceable deposit
@@ -80,10 +80,11 @@ type cursor struct {
 // frames the network genuinely lost.
 //
 // The ring recycles by round tag: whoever first touches round r turns
-// slot r%window over from an earlier round. The slot's buffers are
-// reused only if every hosted receiver has called Gather past that
-// round; otherwise they are left to the GC, so a receiver that stopped
-// gathering neither wedges the others nor sees a view overwritten.
+// slot r%window over from an earlier round, never one whose ship is
+// pending. The slot's buffers are reused only if every hosted receiver
+// has called Gather past that round; otherwise they are left to the GC,
+// so a receiver that stopped gathering neither wedges the others nor
+// sees a view overwritten.
 //
 // Wake-ups use 1-buffered pulse channels so a deadline await can select
 // between closure and its round timer without polling. Only closure
@@ -107,9 +108,10 @@ type mailbox struct {
 
 	node *meshNode // whose stall detector a deadline seal feeds; nil = none
 
-	writing bool          // a writer loop ships the hosted senders' slots
-	shipped int           // highest round the writer is done with
-	wready  chan struct{} // pulsed when the writer's round may be complete
+	// Shipping: the hosted senders' rounds leave the node in order, one
+	// claim at a time (claimLocked).
+	next    int  // the next round to ship; 0 = none ever (single node, or every hosted sender dead)
+	claimed bool // a call is shipping round next
 
 	err    error
 	closed bool
@@ -119,9 +121,8 @@ func newMailbox(n, lo, hosted int, deadline, grace time.Duration) *mailbox {
 	b := &mailbox{
 		n: n, lo: lo, hosted: hosted,
 		deadline: deadline, grace: grace,
-		recv:   make([]cursor, hosted),
-		row:    graph.NewNodeSet(n),
-		wready: make(chan struct{}, 1),
+		recv: make([]cursor, hosted),
+		row:  graph.NewNodeSet(n),
 	}
 	for i := range b.ring {
 		s := roundSlot{state: make([]uint8, n), buf: make([][]byte, n), row: make([]graph.NodeSet, n)}
@@ -150,15 +151,12 @@ func pulse(ch chan struct{}) {
 }
 
 // wakeLocked pulses the receivers parked on round r; r = 0 pulses every
-// parked receiver and the writer.
+// parked receiver.
 func (b *mailbox) wakeLocked(r int) {
 	for i := range b.recv {
 		if c := &b.recv[i]; c.awaiting != 0 && (c.awaiting == r || r == 0) {
 			pulse(c.ready)
 		}
-	}
-	if r == 0 {
-		pulse(b.wready)
 	}
 }
 
@@ -178,7 +176,9 @@ func (b *mailbox) deadAt(q, r int) bool {
 // is the first to touch it: the earlier round's entries are cleared and
 // the dead senders' pre-filled — death is permanent. nil when the slot
 // already serves a later round, or when turning it over would recycle a
-// round the writer has not shipped, which fails the mailbox.
+// round whose ship is pending: a hosted sender ran window rounds ahead
+// of its node's ship, which breaks the transport contract's bounded
+// lookahead and fails the mailbox.
 func (b *mailbox) turnLocked(r int) *roundSlot {
 	s := &b.ring[r%window]
 	if s.tag == r {
@@ -187,8 +187,8 @@ func (b *mailbox) turnLocked(r int) *roundSlot {
 	if s.tag > r {
 		return nil
 	}
-	if b.writing && s.tag > b.shipped {
-		b.failLocked(fmt.Errorf("transport: node of p%d: round %d overran the writer window (round %d not shipped)",
+	if b.next != 0 && s.tag >= b.next {
+		b.failLocked(fmt.Errorf("transport: node of p%d: round %d reached the ring before round %d shipped (bounded lookahead)",
 			b.lo+1, r, s.tag))
 		return nil
 	}
@@ -199,7 +199,7 @@ func (b *mailbox) turnLocked(r int) *roundSlot {
 		}
 	}
 	clear(s.state)
-	s.tag, s.count, s.posted = r, 0, 0
+	s.tag, s.count = r, 0
 	for q, from := range b.dead {
 		if from != 0 && r >= from {
 			s.state[q] = slotDead
@@ -215,18 +215,11 @@ func (b *mailbox) openLocked(s *roundSlot) bool {
 	return s != nil && s.count < b.n && b.err == nil && !b.closed
 }
 
-// deposit places sender from's round-r frame: payload for the hosted
-// receivers in row, a drop tombstone for the rest. It never blocks; a
-// deposit that fails the mailbox surfaces at the next await.
-func (b *mailbox) deposit(from, r int, payload []byte, row graph.NodeSet) {
-	b.mu.Lock()
-	b.depositLocked(from, r, payload, row)
-	b.mu.Unlock()
-}
-
-// depositLocked is deposit under b.mu. A frame from a declared-dead
-// sender is in-flight bytes racing the death verdict: dropped under
-// either policy, never a violation.
+// depositLocked places sender from's round-r frame: payload for the
+// hosted receivers in row, a drop tombstone for the rest. It never
+// blocks; a deposit that fails the mailbox surfaces at the next await. A
+// frame from a declared-dead sender is in-flight bytes racing the death
+// verdict: dropped under either policy, never a violation.
 func (b *mailbox) depositLocked(from, r int, payload []byte, row graph.NodeSet) {
 	if b.closed || b.err != nil || b.deadAt(from, r) {
 		return
@@ -244,8 +237,8 @@ func (b *mailbox) depositLocked(from, r int, payload []byte, row graph.NodeSet) 
 	case s != nil && s.state[from] == slotLost && b.hosts(from):
 		// The node sealed the round before this hosted sender posted it:
 		// of its node only the sender still hears itself (the model
-		// requires the self-loop, see await); the writer ships its row to
-		// the other nodes.
+		// requires the self-loop, see await); its row still ships to the
+		// other nodes.
 		s.state[from] = slotLostPosted
 	case b.deadline > 0 || b.err != nil:
 		return // a late or replayed datagram, or turnLocked failed the mailbox
@@ -259,61 +252,48 @@ func (b *mailbox) depositLocked(from, r int, payload []byte, row graph.NodeSet) 
 	}
 	s.row[from].CopyFrom(row)
 	// A kept payload is non-nil whatever its length: nil means "not
-	// delivered" to Gather's caller and "dead sender" to the writer.
+	// delivered" to Gather's caller and "dead sender" to a frame.
 	if s.buf[from] = append(s.buf[from][:0], payload...); s.buf[from] == nil {
 		s.buf[from] = []byte{}
 	}
-	if b.hosts(from) {
-		// The writer wakes when the hosted row is complete.
-		if s.posted++; b.writing && s.posted >= b.writerTargetLocked(r) {
-			pulse(b.wready)
-		}
-	}
 }
 
-// writerTargetLocked is the number of round-r posts the writer loop must
-// wait for: the hosted senders not declared dead for r.
-func (b *mailbox) writerTargetLocked(r int) int {
-	target := b.hosted
-	for q := b.lo; b.dead != nil && q < b.lo+b.hosted; q++ {
-		if b.deadAt(q, r) {
-			target--
-		}
-	}
-	return target
-}
-
-// awaitPosted parks the node's writer until every live hosted sender has
-// posted round r, then fills bufs with their payloads (nil for a dead
+// claimLocked claims round next for the caller once every hosted sender
+// has posted it or is dead for it, unless another call holds the claim:
+// it fills bufs with the hosted senders' payloads (nil for a dead
 // sender: it ships as an all-links tombstone) and rows with their
-// delivery rows. The views stay valid until the next call, which tells
-// the ring round r-1 is shipped. false means nothing is left to ship,
-// ever — the mailbox is closed or failed, or every hosted sender is
-// dead, their slots pre-filled by an announced crash — and the writer
-// stops guarding the ring.
-func (b *mailbox) awaitPosted(r int, bufs [][]byte, rows []graph.NodeSet) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.shipped = r - 1
-	for {
-		target := b.writerTargetLocked(r)
-		if b.closed || b.err != nil || target == 0 {
-			b.writing = false
-			return false
-		}
-		if s := &b.ring[r%window]; s.tag == r && s.posted >= target {
-			for i := range bufs {
-				bufs[i] = nil
-				if st := s.state[b.lo+i]; st == slotArrived || st == slotLostPosted {
-					bufs[i], rows[i] = s.buf[b.lo+i], s.row[b.lo+i]
-				}
-			}
-			return true
-		}
-		b.mu.Unlock()
-		<-b.wready
-		b.mu.Lock()
+// delivery rows, and returns the round; 0 means nothing to ship now. The
+// views stay valid while the claim is held — the ring does not recycle
+// a round whose ship is pending — and the caller ends it by moving next
+// on. A round whose hosted senders are all dead ends the node's
+// shipping: death is permanent, so every later round is the same.
+func (b *mailbox) claimLocked(bufs [][]byte, rows []graph.NodeSet) int {
+	r := b.next
+	if r == 0 || b.claimed || b.closed || b.err != nil {
+		return 0
 	}
+	s := &b.ring[r%window]
+	live := false
+	// Last sender first: a block posts in order, so its last post is
+	// the one that completes the round.
+	for i := len(bufs) - 1; i >= 0; i-- {
+		q := b.lo + i
+		switch {
+		case s.tag == r && (s.state[q] == slotArrived || s.state[q] == slotLostPosted):
+			bufs[i], rows[i] = s.buf[q], s.row[q]
+			live = true
+		case b.deadAt(q, r):
+			bufs[i] = nil
+		default:
+			return 0 // not posted yet
+		}
+	}
+	if !live {
+		b.next = 0
+		return 0
+	}
+	b.claimed = true
+	return r
 }
 
 // await blocks hosted receiver qi until round r closes under the
@@ -430,20 +410,14 @@ func (b *mailbox) parkLocked(c *cursor, r int) *roundSlot {
 	}
 }
 
-// markDead declares sender `from` dead from round fromRound onward
-// (fromRound <= 1 means from the beginning): its missing entries for
-// every affected round in the ring are pre-filled so the rounds close by
-// count instead of wedging (count-only) or burning the deadline, later
-// rounds are pre-filled as their slots turn over, any frame from it
-// still in flight is silently dropped, and the writer stops waiting for
-// it. Absence is converted to an explicit, permanent tombstone the
-// moment the death verdict lands.
-func (b *mailbox) markDead(from, fromRound int) {
-	b.mu.Lock()
-	b.markDeadLocked(from, fromRound)
-	b.mu.Unlock()
-}
-
+// markDeadLocked declares sender `from` dead from round fromRound
+// onward (fromRound <= 1 means from the beginning): its missing entries
+// for every affected round in the ring are pre-filled so the rounds
+// close by count instead of wedging (count-only) or burning the
+// deadline, later rounds are pre-filled as their slots turn over, any
+// frame from it still in flight is silently dropped, and its node's
+// ship stops waiting for it. Absence is converted to an explicit,
+// permanent tombstone the moment the death verdict lands.
 func (b *mailbox) markDeadLocked(from, fromRound int) {
 	fromRound = max(fromRound, 1)
 	if b.closed || b.err != nil || (b.dead != nil && b.dead[from] != 0 && b.dead[from] <= fromRound) {
@@ -461,7 +435,6 @@ func (b *mailbox) markDeadLocked(from, fromRound int) {
 			}
 		}
 	}
-	pulse(b.wready)
 }
 
 // fail poisons the mailbox: pending and future awaits return err. Used
@@ -479,8 +452,8 @@ func (b *mailbox) failLocked(err error) {
 	}
 }
 
-// close wakes every parked await with ErrClosed, and the writer. Slot
-// buffers are left to the GC: a receiver may still be reading one.
+// close wakes every parked await with ErrClosed. Slot buffers are left
+// to the GC: a receiver may still be reading one.
 func (b *mailbox) close() {
 	b.mu.Lock()
 	if !b.closed {

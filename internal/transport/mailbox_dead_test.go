@@ -34,6 +34,21 @@ func closurePolicies() map[string]func(n int) *mailbox {
 	}
 }
 
+// deposit is depositLocked under the lock, as a hosted sender's
+// Broadcast or a link's frame makes it, without the ship.
+func (b *mailbox) deposit(from, r int, payload []byte, row graph.NodeSet) {
+	b.mu.Lock()
+	b.depositLocked(from, r, payload, row)
+	b.mu.Unlock()
+}
+
+// markDead is markDeadLocked under the lock.
+func (b *mailbox) markDead(from, fromRound int) {
+	b.mu.Lock()
+	b.markDeadLocked(from, fromRound)
+	b.mu.Unlock()
+}
+
 // awaitResult runs await under a watchdog: a count-only mailbox has no
 // deadline to fall back on, so a bug that leaves a round open would hang
 // the test forever otherwise.
@@ -306,7 +321,7 @@ func TestSealedRoundIsSharedByHostedReceivers(t *testing.T) {
 
 // TestStalledHostedSenderStillReachesPeerNode: on a 2-node deadline mesh
 // node 1 hosts p2 and p3. p3 posts round 2 only after p2 has sealed it
-// without p3: the node's writer still ships p3's payload, so p1 on the
+// without p3: p3's Broadcast still ships its payload, so p1 on the
 // other node hears it, and p3 still hears itself — the seal costs it its
 // co-hosted receiver, nothing else.
 func TestStalledHostedSenderStillReachesPeerNode(t *testing.T) {
@@ -411,17 +426,23 @@ func TestStoppedReceiverNeitherWedgesNorIsOverwritten(t *testing.T) {
 	}
 }
 
-// TestRingIsTheWritersWindow: the writer loop ships hosted senders'
-// payloads out of the ring, so the ring may not recycle a round it has
-// not shipped. While the writer keeps up nothing fails; once it stops,
-// the post that would turn over its unshipped round fails the node; and
-// a wholly dead node's writer exits and stops guarding.
-func TestRingIsTheWritersWindow(t *testing.T) {
+// TestShipClaimGuardsTheRing: a node's rounds ship out of the ring in
+// order, one claim at a time. A round is claimable once, when every live
+// hosted sender has posted it — or a death verdict stands in for the
+// last post — and the ring may not recycle a round whose ship is
+// pending: while a claim is held the next window-1 rounds fit beside it,
+// and one more fails the node. A wholly dead node ships nothing and
+// stops guarding.
+func TestShipClaimGuardsTheRing(t *testing.T) {
 	both := graph.NodeSetOf(0, 1)
-	round := func(b *mailbox, r int) error {
-		for q := 0; q < 2; q++ {
-			b.deposit(q, r, []byte{byte(r)}, both)
-		}
+	bufs, rows := make([][]byte, 2), make([]graph.NodeSet, 2)
+	claim := func(b *mailbox) int {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.claimLocked(bufs, rows)
+	}
+	post := func(b *mailbox, q, r int) { b.deposit(q, r, []byte{byte(r)}, both) }
+	gather := func(b *mailbox, r int) error {
 		for qi := 0; qi < 2; qi++ {
 			if _, _, err := b.await(qi, r, nil); err != nil {
 				return err
@@ -430,34 +451,48 @@ func TestRingIsTheWritersWindow(t *testing.T) {
 		return nil
 	}
 	b := newMailbox(2, 0, 2, 0, 0)
-	b.writing = true
-	bufs, rows := make([][]byte, 2), make([]graph.NodeSet, 2)
+	b.next = 1
 	r := 1
 	for ; r <= 3*window; r++ {
-		if err := round(b, r); err != nil {
-			t.Fatalf("round %d with the writer keeping up: %v", r, err)
+		post(b, 0, r)
+		if got := claim(b); got != 0 {
+			t.Fatalf("round %d claimed before p2 posted it", got)
 		}
-		if !b.awaitPosted(r, bufs, rows) || !bytes.Equal(bufs[0], []byte{byte(r)}) || !bytes.Equal(bufs[1], []byte{byte(r)}) {
-			t.Fatalf("writer read %v for round %d", bufs, r)
+		post(b, 1, r)
+		if got := claim(b); got != r || !bytes.Equal(bufs[0], []byte{byte(r)}) || !bytes.Equal(bufs[1], []byte{byte(r)}) {
+			t.Fatalf("claim %d read %v, want round %d", got, bufs, r)
 		}
+		if got := claim(b); got != 0 {
+			t.Fatalf("round %d claimed twice", got)
+		}
+		if err := gather(b, r); err != nil {
+			t.Fatalf("round %d with every round shipped: %v", r, err)
+		}
+		b.next, b.claimed = r+1, false
 	}
-	// The writer still holds round 3*window's views, so that round is not
-	// shipped: the next window-1 rounds fit beside it, one more does not.
-	for ; r < 4*window; r++ {
-		if err := round(b, r); err != nil {
-			t.Fatalf("round %d inside the writer's window: %v", r, err)
-		}
+	post(b, 0, r)
+	b.markDead(1, r)
+	if got := claim(b); got != r || bufs[1] != nil {
+		t.Fatalf("the verdict that completes round %d: claim %d read %v, want the round with a tombstone", r, got, bufs)
 	}
-	err := round(b, r)
-	if err == nil || !strings.Contains(err.Error(), "overran the writer window") {
-		t.Fatalf("round %d recycled an unshipped round: err = %v", r, err)
+	// Round r's claim is still held: the next window-1 rounds fit beside
+	// it, one more does not.
+	for ; r <= 4*window; r++ {
+		if err := gather(b, r); err != nil {
+			t.Fatalf("round %d while a claim is held: %v", r, err)
+		}
+		post(b, 0, r+1)
+	}
+	err := gather(b, r)
+	if err == nil || !strings.Contains(err.Error(), "bounded lookahead") {
+		t.Fatalf("round %d recycled a round whose ship is pending: err = %v", r, err)
 	}
 
 	gone := newMailbox(2, 0, 2, 0, 0)
-	gone.writing = true
+	gone.next = 1
 	gone.markDead(0, 1)
 	gone.markDead(1, 1)
-	if gone.awaitPosted(1, bufs, rows) || gone.writing {
-		t.Fatal("writer of a wholly dead node keeps waiting, or keeps guarding the ring")
+	if got := claim(gone); got != 0 || gone.next != 0 {
+		t.Fatal("a wholly dead node ships, or keeps guarding the ring")
 	}
 }

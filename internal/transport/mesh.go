@@ -14,12 +14,14 @@ import (
 // has one mailbox, the round ring its hosted processes all read; a
 // sender's payload and its delivery row — the policy's one answer for
 // its round — are one write into it, so co-hosted delivery never leaves
-// memory. For the other nodes, each node runs one writer event loop that
-// waits for every live hosted sender's round-r slot, cuts each peer
-// node's frame bitmap out of the same rows and coalesces one frame body
-// per peer node (frame.go), and hands the bodies to the link; a body the
-// link receives goes into the node's ring under one lock.
-// Goroutines, frames and link operations per round scale with nodes.
+// memory. For the other nodes, the call that completes a node's round —
+// the last live hosted sender's Broadcast, or the death verdict on the
+// last one unposted — ships it: it cuts each peer node's frame bitmap
+// out of the same rows, coalesces one frame body per peer node
+// (frame.go), and hands the bodies to the link; a body the link
+// receives goes into the node's ring under one lock. The only
+// goroutines are the link's readers; frames and link operations per
+// round scale with nodes.
 //
 // The three exported transports are this core under three links: InProc
 // is the single-node mesh, which needs no link at all; TCPMesh carries
@@ -49,13 +51,14 @@ type meshOpts struct {
 }
 
 // link moves finished frame bodies between mesh nodes. The core calls
-// send once per peer node per round from the sending node's writer loop,
-// then flush; the link hands every body it receives to the receiving
-// node's deliver. Loss is the link's to absorb (a datagram the kernel
-// refused, a frame on a stream lost in chaos mode): send and flush
-// return an error only when the node is cut off for good, and the core
-// then fails the node's processes. A link that loses a peer node rules
-// on it for the node at its own end alone, through meshNode.forget.
+// send once per peer node per round from the call that ships the sending
+// node's round (one at a time per node, in round order), then flush; the
+// link hands every body it receives to the receiving node's deliver.
+// Loss is the link's to absorb (a datagram the kernel refused, a frame
+// on a stream lost in chaos mode): send and flush return an error only
+// when the node is cut off for good, and the core then fails the node's
+// processes. A link that loses a peer node rules on it for the node at
+// its own end alone, through meshNode.forget.
 type link interface {
 	// send ships node from's round-r frame body to node to. body is valid
 	// only during the call.
@@ -70,8 +73,7 @@ type link interface {
 
 // newMesh validates the shape shared by every constructor and builds the
 // nodes and their mailboxes. On a multi-node mesh the caller then sets link
-// (before opening any socket, so that Close releases a half-built link)
-// and, once the link can send and receive, calls startWriters.
+// before opening any socket, so that Close releases a half-built link.
 func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("transport: n = %d, need >= 1", n)
@@ -93,8 +95,11 @@ func newMesh(n, nodes int, pol Policy, opts meshOpts) (*mesh, error) {
 	for i := 0; i < t.m; i++ {
 		nd := &meshNode{t: t, id: i, lo: t.nodeLo(i), hi: t.nodeLo(i + 1), peers: make([]peerWatch, t.m)}
 		nd.box = newMailbox(n, nd.lo, nd.localN(), opts.deadline, opts.grace)
-		nd.box.writing = t.m > 1
 		nd.box.node = nd
+		if t.m > 1 {
+			nd.box.next = 1
+			nd.bufs, nd.rows = make([][]byte, nd.localN()), make([]graph.NodeSet, nd.localN())
+		}
 		t.nodes = append(t.nodes, nd)
 	}
 	if opts.meter != nil {
@@ -112,12 +117,13 @@ func (t *mesh) core() *mesh { return t }
 // Partition reports what an executor may know about tr. node[p] is the
 // mesh node hosting process p: a link between two processes of one node
 // never leaves memory, so an executor may hand its receiver the message
-// itself once Gather says the link delivered. byCount is whether only
-// arrivals pace a Gather — the mesh closes rounds by count, so a Gather
-// never waits out a clock and nothing ever notices a sender that fell
-// silent unannounced — which an executor must know before one goroutine
-// steps several endpoints. For a transport that is not one of this
-// package's meshes nothing is known: nil and false.
+// itself once Gather says the link delivered, and one goroutine may
+// step a node's endpoints: its first Gather waits out the round for all
+// of them. byCount is whether only arrivals pace a Gather — the mesh
+// closes rounds by count, so a Gather never waits out a clock and
+// nothing ever notices a sender that fell silent unannounced. For a
+// transport that is not one of this package's meshes nothing is known:
+// nil and false.
 func Partition(tr Transport) (node []int, byCount bool) {
 	c, ok := tr.(interface{ core() *mesh })
 	if !ok {
@@ -146,13 +152,6 @@ func (t *mesh) setMeter(m *HeardMeter) error {
 	}
 	t.opts.meter = m
 	return nil
-}
-
-// startWriters launches the nodes' writer loops.
-func (t *mesh) startWriters() {
-	for _, nd := range t.nodes {
-		go nd.writeLoop()
-	}
 }
 
 // nodeLo returns the first process hosted by node i (processes are
@@ -188,11 +187,12 @@ func (t *mesh) Endpoint(self int) (Endpoint, error) {
 // round fromRound onward become permanent nil tombstones in every
 // node's mailbox — count-closed rounds stop wedging on it,
 // deadline-closed rounds stop waiting out its silence — and p's own
-// node's writer stops waiting for its slots (they ship as drop
-// tombstones). An announced crash is a supervisor's notice, so it is
-// the one verdict that reaches every node: a node whose processes have
-// all crashed has no receiver that gathers, and its ring takes no
-// round past asked+2, so it cannot pace tombstone frames of its own.
+// node stops waiting for its posts (they ship as drop tombstones; a
+// verdict that completes the node's round ships it). An announced crash
+// is a supervisor's notice, so it is the one verdict that reaches every
+// node: a node whose processes have all crashed has no receiver that
+// gathers, and its ring takes no round past asked+2, so it cannot pace
+// tombstone frames of its own.
 // What a node concludes from silence stays in its own mailbox (forget).
 //
 // On the in-process mesh an announced verdict is the only way a run
@@ -204,13 +204,14 @@ func (t *mesh) MarkDead(p, fromRound int) {
 		return
 	}
 	for _, nd := range t.nodes {
-		nd.box.markDead(p, fromRound)
+		nd.box.mu.Lock()
+		nd.box.markDeadLocked(p, fromRound)
+		nd.shipUnlock()
 	}
 }
 
-// Close implements Transport: it tears down the link and the writer
-// loops and wakes every parked Gather with ErrClosed. Idempotent and
-// safe from any goroutine.
+// Close implements Transport: it tears down the link and wakes every
+// parked Gather with ErrClosed. Idempotent and safe from any goroutine.
 func (t *mesh) Close() error {
 	t.mu.Lock()
 	if t.closed {
@@ -224,7 +225,7 @@ func (t *mesh) Close() error {
 		t.link.close()
 	}
 	for _, nd := range t.nodes {
-		nd.box.close() // parked Gathers and the writer loop wake and exit
+		nd.box.close() // parked Gathers wake and return
 	}
 	return nil
 }
@@ -241,13 +242,19 @@ func closed(done <-chan struct{}) bool {
 
 // meshNode is one event-loop domain of the mesh: the processes it hosts
 // and the mailbox they share, which is also the outbound round state its
-// writer loop consumes.
+// ship reads.
 type meshNode struct {
 	t      *mesh
 	id     int
 	lo, hi int // hosted processes [lo, hi)
 	box    *mailbox
 	peers  []peerWatch // per node, under box.mu
+
+	// The ship's views and frame scratch, owned by the call holding the
+	// node's claim (multi-node mesh only).
+	bufs [][]byte
+	rows []graph.NodeSet
+	body []byte
 }
 
 func (nd *meshNode) localN() int { return nd.hi - nd.lo }
@@ -277,38 +284,42 @@ func (nd *meshNode) forgetLocked(peer int) {
 	}
 }
 
-// writeLoop is the node's single outbound event loop: for each round in
-// order, once every live hosted process has posted its payload, it
-// coalesces them into one frame body per peer node and hands each to
-// the link, then flushes the round. A dead local sender's post is never
-// waited for.
-func (nd *meshNode) writeLoop() {
-	t := nd.t
-	bufs := make([][]byte, nd.localN())
-	rows := make([]graph.NodeSet, nd.localN())
-	var body []byte
-	for r := 1; nd.box.awaitPosted(r, bufs, rows); r++ {
-		var err error
-		for j := 0; j < t.m && err == nil && !closed(t.done); j++ {
-			if j == nd.id {
-				continue
-			}
-			body = nd.appendFrameBody(body[:0], j, bufs, rows)
-			err = t.link.send(nd.id, j, r, body)
-		}
-		if err == nil {
-			err = t.link.flush(nd.id)
-		}
-		if closed(t.done) {
-			return
-		}
-		if err != nil {
-			// Without its link the node is partitioned for good, so fail
-			// its processes rather than stall them.
-			nd.failLocal(err)
-			return
+// shipUnlock ships every round of the node that is complete, in order,
+// and releases box.mu, which the caller holds: a hosted sender's post or
+// death verdict is what completes a round, so the call that made it
+// ships it. It claims the round under the lock and outside it sends one
+// frame body per peer node, then flushes; a round that completes while
+// another call holds the claim is shipped by that call, after its own.
+func (nd *meshNode) shipUnlock() {
+	b := nd.box
+	for r := b.claimLocked(nd.bufs, nd.rows); r != 0; r = b.claimLocked(nd.bufs, nd.rows) {
+		b.mu.Unlock()
+		err := nd.ship(r)
+		b.mu.Lock()
+		b.next, b.claimed = r+1, false
+		if err != nil && !closed(nd.t.done) {
+			// Without its link the node is cut off for good, so fail its
+			// processes rather than stall them.
+			b.failLocked(err)
 		}
 	}
+	b.mu.Unlock()
+}
+
+// ship hands the link round r's frame body for every peer node, then
+// flushes the round.
+func (nd *meshNode) ship(r int) error {
+	t := nd.t
+	for j := 0; j < t.m && !closed(t.done); j++ {
+		if j == nd.id {
+			continue
+		}
+		nd.body = nd.appendFrameBody(nd.body[:0], j)
+		if err := t.link.send(nd.id, j, r, nd.body); err != nil {
+			return err
+		}
+	}
+	return t.link.flush(nd.id)
 }
 
 // deliver writes a round frame body received from peer node into the
@@ -362,8 +373,9 @@ func (ep *meshEndpoint) N() int { return ep.nd.t.n }
 // round — its row of receivers, plus itself — and payload and row go
 // into the node's mailbox in one write, no link involved; a dropped link
 // is a cleared bit, so the receivers' round still closes. On a
-// multi-node mesh the node's writer loop reads payload and row out of
-// the same slot and cuts each peer node's frame bitmap out of the row.
+// multi-node mesh the Broadcast that completes the node's round ships
+// it (shipUnlock), reading payload and row out of the same slot and
+// cutting each peer node's frame bitmap out of the row.
 func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 	if len(payload) > maxPayload {
 		return fmt.Errorf("transport: payload %d bytes exceeds MaxPayload %d", len(payload), maxPayload)
@@ -376,7 +388,9 @@ func (ep *meshEndpoint) Broadcast(r int, payload []byte) error {
 	ep.row.Clear()
 	t.pol.Deliver(r, ep.self, ep.row)
 	ep.row.Add(ep.self) // self-delivery is the mesh's rule, never the policy's
-	nd.box.deposit(ep.self, r, payload, ep.row)
+	nd.box.mu.Lock()
+	nd.box.depositLocked(ep.self, r, payload, ep.row)
+	nd.shipUnlock()
 	return nil
 }
 

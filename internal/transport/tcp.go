@@ -63,10 +63,10 @@ type TCPOpts struct {
 // NewTCPMeshLoopbackOpts returns a TCP mesh transport for n processes
 // grouped onto `nodes` loopback nodes, every listener bound to 127.0.0.1
 // on a kernel-assigned port. The full mesh — streams, handshakes, reader
-// and writer loops — is established before the constructor returns, and
-// the listeners are closed again, so Endpoint never dials and nothing is
-// accepted later. The zero TCPOpts is the
-// reliable lockstep-exact mesh; see TCPOpts for the chaos knobs.
+// loops — is established before the constructor returns, and the
+// listeners are closed again, so Endpoint never dials and nothing is
+// accepted later. The zero TCPOpts is the reliable lockstep-exact mesh;
+// see TCPOpts for the chaos knobs.
 func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, error) {
 	var grace time.Duration
 	if opts.RoundTimeout > 0 {
@@ -91,7 +91,6 @@ func NewTCPMeshLoopbackOpts(n, nodes int, pol Policy, opts TCPOpts) (*TCPMesh, e
 		t.Close()
 		return nil, err
 	}
-	core.startWriters()
 	return t, nil
 }
 
@@ -112,9 +111,9 @@ type streamNode struct {
 	nd *meshNode
 
 	mu    sync.Mutex
-	conns []net.Conn // by peer node id, nil once lost; writes owned by the node's writer loop
+	conns []net.Conn // by peer node id, nil once lost; writes owned by the node's ship claim
 
-	// Writer-loop scratch. vecs is re-sliced from a fixed backing array
+	// Ship scratch. vecs is re-sliced from a fixed backing array
 	// every frame: net.Buffers.WriteTo consumes the slice from the front,
 	// so appending to vecs[:0] would reallocate per frame.
 	round   [binary.MaxVarintLen64]byte
@@ -245,8 +244,8 @@ func (l *streamLink) send(from, to, r int, body []byte) error {
 func (l *streamLink) flush(int) error { return nil }
 
 // lose ends the link between sn's node and peer for the rest of the run
-// (chaos mode). The first notice — reader and writer can both hit the
-// failure — closes the stream and declares peer's processes dead in this
+// (chaos mode). The first notice — the reader and the ship can both hit
+// the failure — closes the stream and declares peer's processes dead in this
 // node's mailbox alone, so its rounds close by count without them. The
 // peer's end rules the same way when it sees the failure; no other node
 // is touched, and neither end's own processes are.

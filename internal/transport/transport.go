@@ -10,9 +10,13 @@
 // receiver through its bit of the sender's delivery row — and
 // coalesces everything a node sends a peer node in a round into one
 // frame body (frame.go: a drop bitmap over the sender x receiver link
-// matrix, then each delivering sender's payload once). A link — the
-// package's one internal seam — only moves finished frame bodies between
-// nodes. The three exported transports are the core under three links:
+// matrix, then each delivering sender's payload once). The call that
+// completes a node's round — its last live hosted sender's Broadcast,
+// or the death verdict on the last one unposted — ships it, so a round
+// leaves its node inside its own round step and the only goroutines a
+// mesh runs are its link's readers. A link — the package's one internal
+// seam — only moves finished frame bodies between nodes. The three
+// exported transports are the core under three links:
 //
 //   - InProc — the single-node mesh. With one mailbox there is nothing
 //     to move and no link: zero goroutines, zero OS involvement; the

@@ -311,9 +311,8 @@ func (p countingPolicy) Deliver(r, from int, to graph.NodeSet) {
 
 // TestPolicyIsAskedOncePerSenderAndRound: who hears a sender's round-r
 // message is decided once, at its Broadcast. Its co-hosted receivers and
-// its node's writer read that one row, so a round costs n questions
-// whatever the mesh's shape — never one per link, never one from a
-// writer loop.
+// its node's ship read that one row, so a round costs n questions
+// whatever the mesh's shape — never one per link, never one per frame.
 func TestPolicyIsAskedOncePerSenderAndRound(t *testing.T) {
 	const n, rounds = 6, 2 * window
 	g := graph.CompleteDigraph(n)

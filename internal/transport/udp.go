@@ -125,7 +125,6 @@ func NewUDPMeshLoopback(n, nodes int, pol Policy, opts UDPOpts) (*UDPMesh, error
 		t.Close()
 		return nil, err
 	}
-	core.startWriters()
 	return t, nil
 }
 
@@ -149,7 +148,7 @@ type udpNode struct {
 	nd   *meshNode
 	conn *net.UDPConn
 
-	sender    udpSender   // writer-loop owned
+	sender    udpSender   // owned by the node's ship claim
 	rcv       udpReceiver // reader-loop owned
 	reasm     []*udpReasm // by peer node id, reader-loop owned
 	badDgrams int         // datagrams dropped by validation, reader-loop owned

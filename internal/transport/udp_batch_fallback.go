@@ -13,7 +13,7 @@ import (
 // calls. Semantics are identical to the Linux path — per-datagram send
 // errors are loss, only a closed socket surfaces.
 
-// udpSender is the writer loop's batch sender.
+// udpSender is the node's batch sender, owned by its ship claim.
 type udpSender struct {
 	udpSendQueue
 	conn  *net.UDPConn

@@ -52,7 +52,7 @@ func sa4Port(sa *syscall.RawSockaddrInet4) uint16 {
 	return uint16(b[0])<<8 | uint16(b[1])
 }
 
-// udpSender is the writer loop's batch sender.
+// udpSender is the node's batch sender, owned by its ship claim.
 type udpSender struct {
 	udpSendQueue
 	conn   *net.UDPConn

@@ -120,9 +120,13 @@ func Execute(spec Spec) (*Outcome, error) { return sim.Execute(spec) }
 
 // Solve is the one-call entry point: run Algorithm 1 under adv with the
 // given proposals until everyone decides (or a generous automatic round
-// bound is hit) and return the instrumented outcome.
+// bound is hit) and return the instrumented outcome. It runs the
+// repaired decision guard r >= 2n-1 (Options.ConservativeDecide), which
+// keeps the package's promise of at most k values in every Psrcs(k)
+// run; the published guard r >= n does not (ConsensusViolation), and
+// Execute with the zero Options runs it.
 func Solve(adv Adversary, proposals []int64) (*Outcome, error) {
-	return sim.Execute(sim.Spec{Adversary: adv, Proposals: proposals})
+	return sim.Execute(sim.Spec{Adversary: adv, Proposals: proposals, Params: core.Options{ConservativeDecide: true}})
 }
 
 // StableSkeleton computes G^∩∞ and the stabilization round of an
@@ -191,7 +195,8 @@ func NewMobile(n, f, settleRound int, seed int64) *adversary.Mobile {
 // ConsensusViolation returns the deterministic 4-process Psrcs(1) run on
 // which the published Algorithm 1 decides two values (the E10
 // counterexample); pair it with ConsensusViolationProposals and compare
-// Options.ConservativeDecide on and off.
+// Execute with Options.ConservativeDecide off (two values) and on, as
+// Solve runs it (one value).
 func ConsensusViolation() *Run { return adversary.ConsensusViolation() }
 
 // ConsensusViolationProposals returns the proposal vector of the E10

@@ -123,25 +123,29 @@ func TestFacadeExtensions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := kset.Solve(run, kset.ConsensusViolationProposals())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(out.DistinctDecisions()); got != 2 {
-		t.Fatalf("replayed witness decided %d values, want the documented 2", got)
-	}
-
-	// The repaired guard on the same replayed run reaches consensus.
-	outR, err := kset.Execute(kset.Spec{
+	out, err := kset.Execute(kset.Spec{
 		Adversary: run,
 		Proposals: kset.ConsensusViolationProposals(),
-		Params:    kset.Options{ConservativeDecide: true},
+		Params:    kset.Options{},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(outR.DistinctDecisions()); got != 1 {
-		t.Fatalf("repaired guard decided %d values, want 1", got)
+	if got := len(out.DistinctDecisions()); got != 2 {
+		t.Fatalf("published guard on the replayed witness decided %d values, want the documented 2", got)
+	}
+
+	// Solve runs the repaired guard: on the same replayed run it keeps
+	// the package's promise and reaches consensus.
+	outR, err := kset.Solve(run, kset.ConsensusViolationProposals())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(outR.DistinctDecisions()); got != 1 || outR.MinK != 1 {
+		t.Fatalf("Solve decided %d values at MinK %d, want 1", got, outR.MinK)
+	}
+	if err := outR.Check(outR.MinK); err != nil {
+		t.Fatal(err)
 	}
 
 	// Mobile adversary through the facade.
