@@ -20,6 +20,10 @@ func TestRunRejectsBadArgs(t *testing.T) {
 		{"-mode", "no-such-mode"},
 		{"-mode", "runtime", "-transport", "avian"},
 		{"-mode", "runtime", "-n", "0"},
+		{"-mode", "runtime", "-transport", "tcp", "-nodes", "-1"},
+		{"-mode", "runtime", "-transport", "udp", "-loss", "-0.5"},
+		{"-mode", "runtime", "-transport", "udp", "-loss", "NaN"},
+		{"-mode", "runtime", "-transport", "udp", "-loss", "2"},
 		{"-mode", "service", "-sessions", "0"},
 	} {
 		if err := run(args, &out); err == nil {

@@ -36,7 +36,7 @@ import (
 // Codec translates between an algorithm's in-memory messages and the
 // byte payloads a transport carries. Codec values are shared by every
 // worker of a run and must be stateless; decode state lives in the
-// Decoder the runtime obtains from NewDecoder for each process. Only
+// Decoder the runtime obtains from NewDecoder for each worker. Only
 // links that leave a mesh node are encoded: a receiver on the sender's
 // own node is handed the Send value itself (rounds.Algorithm.Send states
 // how long it must stay intact), so a codec must be a faithful copy —
@@ -49,8 +49,9 @@ type Codec interface {
 	// algorithm's Send returns; encoding a foreign message type is an
 	// error, surfaced by Register's self-test before any run starts.
 	Encode(dst []byte, msg any) ([]byte, error)
-	// NewDecoder returns a decoder for one process on an n-process
-	// transport; only one goroutine at a time uses it.
+	// NewDecoder returns a decoder for one worker on an n-process
+	// transport, which decodes every sender for all the processes it
+	// steps; only one goroutine at a time uses it.
 	NewDecoder(n int) Decoder
 }
 

@@ -51,10 +51,11 @@ func (d countingDecoder) Decode(from int, payload []byte) (any, error) {
 
 // TestCodecCallsPerRound pins which links pay the codec, exactly, on a
 // complete schedule (every link delivers): none on the single-node mesh;
-// on a grouped mesh every sender encodes once and every node decodes each
-// remote sender once for all its receivers; fully distributed only the
-// self link is local; and a transport the runtime cannot see into runs as
-// it always did, one shared decode per sender.
+// on a grouped mesh every sender encodes once and every node's worker
+// decodes each remote sender once for all its receivers; fully
+// distributed only the self link is local; and a transport the runtime
+// cannot see into hides co-location, so with one worker per process
+// every link pays a decode, n² a round, as bytes on any wire do.
 func TestCodecCallsPerRound(t *testing.T) {
 	tcp := func(n, nodes int) transport.Transport {
 		tr, err := transport.NewTCPMeshLoopbackOpts(n, nodes, nil, transport.TCPOpts{})
@@ -72,7 +73,7 @@ func TestCodecCallsPerRound(t *testing.T) {
 		{"inproc", 8, func() transport.Transport { return transport.NewInProc(8, nil) }, 0, 0},
 		{"tcp n=8 on 2 nodes", 8, func() transport.Transport { return tcp(8, 2) }, 8, 8},
 		{"tcp one node per process", 5, func() transport.Transport { return tcp(5, 5) }, 5, 5 * 4},
-		{"not a mesh", 8, func() transport.Transport { return opaque{transport.NewInProc(8, nil)} }, 8, 8},
+		{"not a mesh", 8, func() transport.Transport { return opaque{transport.NewInProc(8, nil)} }, 8, 8 * 8},
 	} {
 		for _, toDecision := range []bool{false, true} {
 			var encodes, decodes atomic.Int64

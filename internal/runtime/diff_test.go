@@ -38,14 +38,14 @@ func TestDifferentialSuiteInProc(t *testing.T) {
 // on the distributed runtime over the in-process transport — 128
 // workers per run, every E1–E16 family — and requires exact
 // outcome equality with the simulator. This is the scale pin: the
-// runtime's control plane, codec sharing, and transport windowing must
+// runtime's control plane, by-value hand-off, and transport windowing must
 // not degrade into divergence (or deadlock) an order of magnitude above
 // the everyday test sizes. Rounds are capped: per-round cost at this n
 // is dominated by the O(n^4) knowledge-graph merges (~0.4s/round on one
 // core once knowledge saturates), so full-length decided runs belong to
 // benchmarks, not the default test budget — twelve rounds already cross
-// every multi-word bitset path, the shared-decode plane, and the
-// transport window machinery at full width.
+// every multi-word bitset path and the transport window machinery at
+// full width. In-proc, every link goes by value: nothing is decoded.
 func TestDifferentialSuiteN128(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=128 differential suite exceeds the short-test budget")

@@ -13,7 +13,7 @@
 // # What a link carries
 //
 // A link between two processes on different mesh nodes carries encoded
-// bytes, decoded once per receiving node (decodeShare). A link inside one
+// bytes, decoded once per receiving worker (liveWorker). A link inside one
 // node (transport.Partition; every link of an in-proc run) never leaves
 // memory, so once Gather reports it delivered the receiver takes the
 // sender's Send(r) value itself, as in the lockstep executor — kept in a
@@ -194,13 +194,15 @@ func runLive(cfg rounds.Config, n, workers int, node []int, tr transport.Transpo
 		node:      node,
 		wire:      node == nil || slices.Max(node) > slices.Min(node),
 		sent:      [2][]any{make([]any, n), make([]any, n)},
-		share:     decodeShare{slots: make([]shareSlot, n)},
 		procs:     make([]liveProc, n),
-		errs:      make([]error, workers),
+		workers:   make([]liveWorker, workers),
 		plan:      plan,
 		stall:     stall,
 	}
 	run.dm, _ = tr.(transport.DeadMarker)
+	for w := range run.workers {
+		run.workers[w].recv = make([]any, n)
+	}
 	algs := make([]rounds.Algorithm, n)
 	for i := range algs {
 		ep, err := tr.Endpoint(i)
@@ -209,7 +211,7 @@ func runLive(cfg rounds.Config, n, workers int, node []int, tr transport.Transpo
 		}
 		algs[i] = cfg.NewProcess(i)
 		algs[i].Init(i, n)
-		run.procs[i] = liveProc{alg: algs[i], ep: ep, recv: make([]any, n)}
+		run.procs[i] = liveProc{alg: algs[i], ep: ep}
 	}
 	pool := rounds.NewShards(n, workers, run.step)
 	defer pool.Stop()
@@ -258,24 +260,34 @@ type liveRun struct {
 	node      []int    // per process: its mesh node; nil when the transport is not a mesh
 	wire      bool     // some link leaves its node (or may): senders encode
 	sent      [2][]any // [r&1][sender]: its Send(r) value, read by its node's receivers
-	share     decodeShare
 	procs     []liveProc
-	errs      []error // per worker: what ended its last step early
+	workers   []liveWorker
 	plan      *CrashPlan
 	stall     *StallPlan
 	dm        transport.DeadMarker // nil when the transport takes no death verdicts
 }
 
-// liveProc is one process, its port onto the network and the buffers
-// its rounds reuse; during a phase only its block's worker touches it.
+// liveProc is one process and its port onto the network; during a phase
+// only its block's worker touches it.
 type liveProc struct {
-	alg     rounds.Algorithm
-	ep      transport.Endpoint
-	dec     algo.Decoder // built by the first message from another node
+	alg  rounds.Algorithm
+	ep   transport.Endpoint
+	dead bool // its planned crash has happened: nothing steps it again
+}
+
+// liveWorker is one worker's scratch, reused for every process of its
+// block as rounds.RunSequential reuses one recv per worker. Whoever hears
+// q in round r holds the bytes of q's one Send(r), so the worker decodes
+// them once for its block: decoded[q] stays valid until its next decode
+// of q, in phase r+1, after every Transition(r) of the block. Only this
+// worker touches any of it, so nothing is locked.
+type liveWorker struct {
 	recv    []any
-	sendBuf []byte
 	frames  [][]byte
-	dead    bool // its planned crash has happened: nothing steps it again
+	sendBuf []byte
+	dec     algo.Decoder // built by the block's first message from another node
+	decoded []any        // [q]: q's message of this phase's round, once decoded
+	err     error        // what ended its last step early
 }
 
 // err returns what ended the run early, if anything: the first failure
@@ -283,11 +295,11 @@ type liveProc struct {
 // under the run from outside (a watchdog) leaves only ErrClosed.
 func (run *liveRun) err() error {
 	var closed error
-	for _, err := range run.errs {
-		if err != nil && !errors.Is(err, transport.ErrClosed) {
-			return err
+	for _, wk := range run.workers {
+		if wk.err != nil && !errors.Is(wk.err, transport.ErrClosed) {
+			return wk.err
 		}
-		closed = cmp.Or(closed, err)
+		closed = cmp.Or(closed, wk.err)
 	}
 	return closed
 }
@@ -305,61 +317,60 @@ func (run *liveRun) step(w, lo, hi, r int) {
 			run.tr.Close()
 		}
 	}()
-	run.errs[w] = run.stepBlock(lo, hi, r)
-	completed = run.errs[w] == nil
+	wk := &run.workers[w]
+	wk.err = run.stepBlock(wk, lo, hi, r)
+	completed = wk.err == nil
 }
 
-func (run *liveRun) stepBlock(lo, hi, r int) error {
+func (run *liveRun) stepBlock(wk *liveWorker, lo, hi, r int) error {
 	if !run.pipelined {
 		for self := lo; self < hi; self++ {
-			if p := &run.procs[self]; !p.dead {
-				if err := run.begin(p, self, r); err != nil {
+			if !run.procs[self].dead {
+				if err := run.begin(wk, self, r); err != nil {
 					return abortErr(self, r, err)
 				}
 			}
 		}
 	}
-	n := len(run.procs)
+	clear(wk.decoded) // an earlier round's decodes are stale
 	for self := lo; self < hi; self++ {
 		p := &run.procs[self]
 		if p.dead {
 			continue
 		}
 		if r > 0 {
-			got, err := p.ep.Gather(r, p.frames)
+			got, err := p.ep.Gather(r, wk.frames)
 			if err != nil {
 				return abortErr(self, r, err)
 			}
-			p.frames = got
-			// The walk starts at the block's own first sender: workers
-			// decode disjoint senders first, not queue on one share slot.
-			for i, q := 0, lo; i < n; i, q = i+1, q+1 {
-				if q == n {
-					q = 0
-				}
+			wk.frames = got
+			for q := range got {
 				switch {
 				case got[q] == nil: // not delivered: the transport's verdict alone
-					p.recv[q] = nil
+					wk.recv[q] = nil
 				case run.node != nil && run.node[q] == run.node[self]:
 					// Written before q's Broadcast(r), intact until q's
 					// Transition(r+1) (rounds.Algorithm.Send): a phase away.
-					p.recv[q] = run.sent[r&1][q]
+					wk.recv[q] = run.sent[r&1][q]
 				default:
-					if p.dec == nil {
-						p.dec = run.codec.NewDecoder(n)
+					if wk.dec == nil {
+						wk.dec, wk.decoded = run.codec.NewDecoder(len(got)), make([]any, len(got))
 					}
-					if p.recv[q], err = run.share.decode(p.dec, q, r, got[q]); err != nil {
-						return abortErr(self, r, fmt.Errorf("decoding p%d's message: %w", q+1, err))
+					if wk.decoded[q] == nil {
+						if wk.decoded[q], err = wk.dec.Decode(q, got[q]); err != nil {
+							return abortErr(self, r, fmt.Errorf("decoding p%d's message: %w", q+1, err))
+						}
 					}
+					wk.recv[q] = wk.decoded[q]
 				}
 			}
-			p.alg.Transition(r, p.recv)
+			p.alg.Transition(r, wk.recv)
 		}
 		// Pipelined send, before the round barrier: the next round's
 		// frames are in flight while the caller runs the observers. The
 		// last round sends nothing: the schedule ends at MaxRounds.
 		if run.pipelined && r < run.maxRounds {
-			if err := run.send(p, self, r+1); err != nil {
+			if err := run.send(wk, self, r+1); err != nil {
 				return abortErr(self, r+1, err)
 			}
 		}
@@ -374,12 +385,12 @@ func (run *liveRun) stepBlock(lo, hi, r int) error {
 // in Partial get it); after-send broadcasts in full. Then the process is
 // gone — no gather, no transition, no later round — and, when the plan
 // says so, its death announced.
-func (run *liveRun) begin(p *liveProc, self, r int) error {
+func (run *liveRun) begin(wk *liveWorker, self, r int) error {
 	if plan := run.plan; plan != nil && plan.Round[self] == r {
-		p.dead = true
+		run.procs[self].dead = true
 		from := r
 		if plan.Site[self] != CrashBeforeSend {
-			if err := run.send(p, self, r); err != nil {
+			if err := run.send(wk, self, r); err != nil {
 				return err
 			}
 			from = r + 1 // the round-r frame was really sent; only later rounds are dead
@@ -392,7 +403,7 @@ func (run *liveRun) begin(p *liveProc, self, r int) error {
 	if d := run.stall.delay(self, r); d > 0 {
 		time.Sleep(d)
 	}
-	return run.send(p, self, r)
+	return run.send(wk, self, r)
 }
 
 // delivered is all a sender with no receiver on another node broadcasts:
@@ -400,18 +411,20 @@ func (run *liveRun) begin(p *liveProc, self, r int) error {
 // One byte, not none: Gather reports a delivery as a non-nil payload.
 var delivered = []byte{1}
 
-// send broadcasts p's round-r message: kept by value for the receivers
-// of its own node, encoded only if some link leaves the node.
-func (run *liveRun) send(p *liveProc, self, r int) (err error) {
+// send broadcasts self's round-r message: kept by value for the
+// receivers of its own node, encoded into the worker's buffer only if
+// some link leaves the node (Broadcast copies it before returning).
+func (run *liveRun) send(wk *liveWorker, self, r int) (err error) {
+	p := &run.procs[self]
 	msg := p.alg.Send(r)
 	run.sent[r&1][self] = msg
 	if !run.wire {
 		return p.ep.Broadcast(r, delivered)
 	}
-	if p.sendBuf, err = run.codec.Encode(p.sendBuf[:0], msg); err != nil {
+	if wk.sendBuf, err = run.codec.Encode(wk.sendBuf[:0], msg); err != nil {
 		return err
 	}
-	return p.ep.Broadcast(r, p.sendBuf)
+	return p.ep.Broadcast(r, wk.sendBuf)
 }
 
 // abortErr keeps teardown noise out of error reports: a transport closed
@@ -433,15 +446,15 @@ type RunnerOpts struct {
 	// Nodes groups the n processes onto this many mesh nodes for the
 	// socket transports (co-located processes share sockets and their
 	// rounds coalesce into one frame per node pair). 0 or >= n means one
-	// node per process — the fully distributed shape.
+	// node per process — the fully distributed shape; negative is an error.
 	Nodes int
 	// UDP configures the datagram mesh when Kind is "udp" (round
 	// deadline, grace, socket buffers, injected datagram loss).
 	// The zero value takes the transport's defaults.
 	UDP transport.UDPOpts
-	// Loss, when positive and Kind is "udp", loses each round frame on
-	// the wire i.i.d. with this probability (deterministically from
-	// LossSeed) — real absence-style loss, composed with any
+	// Loss, in [0, 1], when positive and Kind is "udp", loses each round
+	// frame on the wire i.i.d. with this probability (deterministically
+	// from LossSeed) — real absence-style loss, composed with any
 	// UDP.DropDatagram hook and with the schedule's Policy drops. The
 	// algorithm tolerates it by design; the loss-replay harness
 	// (LossReplay) verifies the realized run still satisfies the paper's
@@ -477,7 +490,7 @@ type RunnerOpts struct {
 
 // meshNodes resolves the node count for an n-process socket mesh.
 func (o RunnerOpts) meshNodes(n int) int {
-	if o.Nodes <= 0 || o.Nodes > n {
+	if o.Nodes == 0 || o.Nodes > n {
 		return n
 	}
 	return o.Nodes
@@ -533,7 +546,12 @@ func NewRunner(opts RunnerOpts) func(rounds.Config) (*rounds.Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if opts.Loss > 0 && opts.Kind != "udp" {
+		switch {
+		case opts.Nodes < 0:
+			return nil, fmt.Errorf("runtime: Nodes = %d out of range: want >= 0 (0: one node per process)", opts.Nodes)
+		case !(opts.Loss >= 0 && opts.Loss <= 1): // NaN too
+			return nil, fmt.Errorf("runtime: Loss = %g out of range [0,1]", opts.Loss)
+		case opts.Loss > 0 && opts.Kind != "udp":
 			return nil, fmt.Errorf("runtime: Loss = %g is wire loss on the datagram mesh; transport kind %q has none to lose", opts.Loss, opts.Kind)
 		}
 		adv := onDemand(cfg.Adversary, cfg.MaxRounds)

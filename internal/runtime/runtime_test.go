@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -327,6 +328,27 @@ func TestRunnerReusableConcurrently(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestRunnerRejectsOutOfRangeOpts: a mesh of -1 nodes or a loss outside
+// [0, 1] is a caller's mistake, not a request for some other run, so the
+// runner refuses it by field before building anything.
+func TestRunnerRejectsOutOfRangeOpts(t *testing.T) {
+	spec := sim.Spec{Adversary: adversary.Complete(4), Proposals: sim.SeqProposals(4)}
+	for _, tc := range []struct {
+		opts  RunnerOpts
+		field string
+	}{
+		{RunnerOpts{Kind: "tcp", Nodes: -1}, "Nodes = -1"},
+		{RunnerOpts{Kind: "udp", Loss: -0.5}, "Loss = -0.5"},
+		{RunnerOpts{Kind: "udp", Loss: math.NaN()}, "Loss = NaN"},
+		{RunnerOpts{Kind: "udp", Loss: 2}, "Loss = 2"},
+	} {
+		spec.Runner = NewRunner(tc.opts)
+		if _, err := sim.Execute(spec); err == nil || !strings.Contains(err.Error(), tc.field+" out of range") {
+			t.Errorf("%s: err = %v, want it out of range", tc.field, err)
+		}
+	}
 }
 
 func TestWireCodecRejectsForeignMessage(t *testing.T) {

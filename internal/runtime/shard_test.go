@@ -459,32 +459,37 @@ func TestCloseAbortsInlineRun(t *testing.T) {
 // goroutines earlier tests left winding down, and the waiter record
 // (sudog) the Go runtime allocates now and then when two blocks contend
 // for a mailbox mutex — where one allocation per round is 200. In-proc,
-// so every message goes by value: what is pinned is the table and the
-// mark, beside TestBuiltinCodecAllocs for the codec the sockets still pay.
+// both content paths: by value, the table and the mark; by bytes, the
+// encode buffer, the decoder and each worker's table of decoded
+// messages, beside TestBuiltinCodecAllocs for the codec itself.
 func TestLiveRoundAllocs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 8
 	adv := adversary.Complete(n)
 	codec := algo.MustLookup(algo.KSet).Codec
 	const slack = 20
-	for _, workers := range []int{1, 2} {
-		perRun := func(maxRounds int) float64 {
-			cfg := rounds.Config{
-				Adversary:  adv,
-				NewProcess: core.NewFactory(sim.SeqProposals(n), core.Options{}),
-				MaxRounds:  maxRounds,
-			}
-			return testing.AllocsPerRun(5, func() {
-				if _, err := RunWorkers(cfg, transport.NewInProc(n, transport.NewSchedule(adv)), codec, workers); err != nil {
-					t.Fatal(err)
+	for path, runWorkers := range map[string]func(rounds.Config, transport.Transport, algo.Codec, int) (*rounds.Result, error){
+		"by value": RunWorkers, "by bytes": RunWorkersByBytes,
+	} {
+		for _, workers := range []int{1, 2} {
+			perRun := func(maxRounds int) float64 {
+				cfg := rounds.Config{
+					Adversary:  adv,
+					NewProcess: core.NewFactory(sim.SeqProposals(n), core.Options{}),
+					MaxRounds:  maxRounds,
 				}
-			})
-		}
-		// Both runs are long past the decision round, with all scratch at
-		// its final size and every ring slot's buffer grown.
-		if short, long := perRun(400), perRun(600); long-short > slack || short-long > slack {
-			t.Errorf("workers=%d: live run allocates %v with 200 more rounds, %v without: %v allocs per round, want 0",
-				workers, long, short, (long-short)/200)
+				return testing.AllocsPerRun(5, func() {
+					if _, err := runWorkers(cfg, transport.NewInProc(n, transport.NewSchedule(adv)), codec, workers); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			// Both runs are long past the decision round, with all scratch at
+			// its final size and every ring slot's buffer grown.
+			if short, long := perRun(400), perRun(600); long-short > slack || short-long > slack {
+				t.Errorf("%s, workers=%d: live run allocates %v with 200 more rounds, %v without: %v allocs per round, want 0",
+					path, workers, long, short, (long-short)/200)
+			}
 		}
 	}
 }

@@ -428,13 +428,10 @@ func buildAdversary(spec SessionSpec) (rounds.Adversary, error) {
 	n := spec.N
 	// Only the two families that draw from it pay for a generator.
 	rng := func() *rand.Rand { return rand.New(rand.NewSource(spec.Seed)) }
-	roots := spec.Roots
-	if roots <= 0 {
-		roots = 1
+	if spec.Roots < 0 || spec.Roots > n {
+		return nil, fmt.Errorf("roots = %d out of range [0,%d]", spec.Roots, n)
 	}
-	if roots > n {
-		return nil, fmt.Errorf("roots = %d > n = %d", roots, n)
-	}
+	roots := max(spec.Roots, 1)
 	switch spec.Family {
 	case "complete":
 		return adversary.Complete(n), nil

@@ -43,6 +43,7 @@ func TestSubmitValidation(t *testing.T) {
 		{N: 4, Family: "rooted", Transport: "carrier-pigeon"},
 		{N: 7, Family: "figure1"},
 		{N: 4, Family: "rooted", Roots: 9},
+		{N: 4, Family: "rooted", Roots: -3},
 		{N: 4, Family: "lowerbound", K: 17},
 		{N: 129, Family: "rooted"},
 		{N: 5, Family: "eventual", Noisy: -1},
