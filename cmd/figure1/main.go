@@ -46,6 +46,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return err
 	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
 
 	fig := adversary.Figure1()
 	const n = 6

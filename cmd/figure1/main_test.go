@@ -43,10 +43,17 @@ func TestDotMode(t *testing.T) {
 	}
 }
 
-// TestFlagErrors pins flag parsing through the testable entry point.
+// TestFlagErrors pins flag parsing through the testable entry point: an
+// unknown flag, and a stray word, after which the flag parser would
+// silently drop every later flag.
 func TestFlagErrors(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-definitely-not-a-flag"}, &out); err == nil {
-		t.Fatal("no error for an unknown flag")
+	for _, args := range [][]string{
+		{"-definitely-not-a-flag"},
+		{"-rounds", "4", "stray", "-dot"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v: no error", args)
+		}
 	}
 }

@@ -78,6 +78,12 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return err
 	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
+	if *trials < 0 || *workers < 0 {
+		return fmt.Errorf("-trials = %d, -workers = %d: need >= 0 (0: the suite's default)", *trials, *workers)
+	}
 
 	cfg := experiments.DefaultConfig()
 	if *quick {

@@ -63,6 +63,27 @@ func TestTextMode(t *testing.T) {
 	}
 }
 
+// TestUsageErrors pins arguments the flags cannot mean: a stray word,
+// after which Go's flag parser would silently drop every later flag, and
+// negative counts, which would silently run the defaults. Each row names
+// a bad -only id too, so an unchecked row fails fast on that instead of
+// running the suite.
+func TestUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-quick", "-only", "E99", "stray"}, "unexpected arguments"},
+		{[]string{"-quick", "-trials", "-1", "-only", "E99"}, "-trials = -1"},
+		{[]string{"-quick", "-workers", "-2", "-only", "E99"}, "-workers = -2"},
+	} {
+		var out bytes.Buffer
+		if err := run(tc.args, &out); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: err = %v, want one containing %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 // TestUnknownOnly pins the error path for a bad -only id.
 func TestUnknownOnly(t *testing.T) {
 	var out bytes.Buffer

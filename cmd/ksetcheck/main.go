@@ -75,6 +75,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return err
 	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
 
 	cfg := check.Config{Opts: core.Options{ConservativeDecide: !*faithful}}
 	switch *oracle {

@@ -120,6 +120,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-mode", "exhaustive", "-n", "9"},
 		{"-mode", "fuzz", "-budget", "0"},
 		{"-mode", "fuzz", "-budget", "10", "-strategy", "bogus"},
+		{"-mode", "fuzz", "-n", "4", "-budget", "10", "-out", t.TempDir(), "stray"},
 	} {
 		var out bytes.Buffer
 		if err := run(args, &out); err == nil || err == errViolations {

@@ -77,6 +77,9 @@ func run(args []string, stdout io.Writer) error {
 		}
 		return err
 	}
+	if fs.NArg() != 0 {
+		return fmt.Errorf("unexpected arguments: %v", fs.Args())
+	}
 
 	// The range of every flag an adversary reads: a value outside it is an
 	// error here, not a panic in the adversary's constructor.

@@ -104,7 +104,9 @@ func TestTraceFlag(t *testing.T) {
 }
 
 // TestOutOfRangeFlagsAreErrors: a flag value the chosen adversary cannot
-// take is an error naming the flag and its valid range, never a panic.
+// take is an error naming the flag and its valid range, never a panic; a
+// stray word, after which the flag parser would drop every later flag, is
+// an error too.
 func TestOutOfRangeFlagsAreErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -123,6 +125,7 @@ func TestOutOfRangeFlagsAreErrors(t *testing.T) {
 		{[]string{"-adversary", "partition", "-n", "4", "-blocks", "9"}, "-blocks must be in [1, 4] at -n 4"},
 		{[]string{"-adversary", "crash", "-n", "4", "-crashes", "9"}, "-crashes must be in [0, 4] at -n 4"},
 		{[]string{"-adversary", "eventual", "-n", "3", "-prefix", "-2"}, "-prefix must be >= 0"},
+		{[]string{"-adversary", "complete", "-n", "3", "stray"}, "unexpected arguments"},
 	} {
 		var out bytes.Buffer
 		err := run(tc.args, &out)

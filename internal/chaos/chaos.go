@@ -83,18 +83,22 @@ type BatteryConfig struct {
 // replay verification. artifactDir, when non-empty, receives a .ksr of
 // the realized graphs if the replay diverges.
 func Run(cfg BatteryConfig, artifactDir string) (*runtime.CrashReplayReport, error) {
-	n := cfg.N
 	opts := runtime.RunnerOpts{
-		Kind: cfg.Kind,
-		// In-proc crashes are announced (MarkDead is the supervisor's
-		// notice); the socket meshes must detect theirs by stall.
-		Crash: randomCrashPlan(n, cfg.Crashes, n/2+2, cfg.Seed, cfg.Kind == "inproc"),
+		Kind:  cfg.Kind,
+		Crash: cfg.plan(),
 		// Each socket mesh reads its own timing; in-proc reads neither.
 		TCP: transport.TCPOpts{RoundTimeout: 25 * time.Millisecond, DeadAfter: 4},
 		UDP: transport.UDPOpts{RoundTimeout: 15 * time.Millisecond, Grace: 2 * time.Millisecond, DeadAfter: 4},
 	}
-	rep, err := runtime.CrashReplay(batterySpec(n, cfg.Seed), opts)
+	rep, err := runtime.CrashReplay(batterySpec(cfg.N, cfg.Seed), opts)
 	return rep, fileDivergence(artifactDir, rep, err)
+}
+
+// plan is the config's seeded crash plan. In-proc crashes are announced
+// (MarkDead is the supervisor's notice); the socket meshes must detect
+// theirs by stall.
+func (cfg BatteryConfig) plan() *runtime.CrashPlan {
+	return randomCrashPlan(cfg.N, cfg.Crashes, cfg.N/2+2, cfg.Seed, cfg.Kind == "inproc")
 }
 
 // batterySpec is the seeded schedule a battery run of n processes

@@ -30,7 +30,8 @@ func lossyUDP() transport.UDPOpts {
 
 // TestLossReplayLosslessEqualsSchedule runs suite schedules over a
 // quiet UDP mesh: nothing is lost, so the realized heard-sets equal the
-// scheduled ones and the loss-replay must verify with zero lost links.
+// scheduled ones, the loss-replay must verify with zero lost links, and
+// its replay is the simulator's run of the schedule itself.
 func TestLossReplayLosslessEqualsSchedule(t *testing.T) {
 	for _, sched := range ScheduleSuite(6, 88) {
 		// Families with fixed small n keep it; the meter adapts.
@@ -41,6 +42,18 @@ func TestLossReplayLosslessEqualsSchedule(t *testing.T) {
 		}
 		if rep.LostLinks != 0 {
 			t.Errorf("%s: quiet loopback lost %d scheduled deliveries", sched.Name, rep.LostLinks)
+		}
+		spec := sched.Spec
+		if err := spec.Resolve(); err != nil {
+			t.Fatal(err)
+		}
+		spec.Adversary = adversary.MaterializeRun(spec.Adversary, spec.MaxRounds)
+		want, err := sim.Execute(spec)
+		if err == nil {
+			err = CompareOutcomes(want, rep.Replay)
+		}
+		if err != nil {
+			t.Errorf("%s: the lossless replay is not the schedule's run: %v", sched.Name, err)
 		}
 		if rep.Live.Rounds != rep.Replay.Rounds {
 			t.Errorf("%s: live %d rounds, replay %d", sched.Name, rep.Live.Rounds, rep.Replay.Rounds)
@@ -152,11 +165,40 @@ func TestLossReplayPipelined(t *testing.T) {
 	}
 }
 
+// TestDiffRejectsALossyRun pins Diff's premise: it compares the live run
+// with the scheduled one, which is only the run that happened if the wire
+// lost nothing. Here node 0's datagrams to node 1 vanish from round 20 of
+// 30, after every process has decided, so decisions alone cannot tell the
+// runs apart: Diff must name the lost deliveries, and LossReplay, which
+// replays what the wire delivered, must accept the run and count them.
+func TestDiffRejectsALossyRun(t *testing.T) {
+	spec := sim.Spec{
+		Adversary:       adversary.Complete(4),
+		Proposals:       sim.SeqProposals(4),
+		MaxRounds:       30,
+		RunToCompletion: true,
+	}
+	u := lossyUDP()
+	u.DropDatagram = func(r, from, to, _ int) bool { return r >= 20 && from == 0 && to == 1 }
+	err := Diff(spec, RunnerOpts{Kind: "udp", UDP: u})
+	if err == nil || !strings.Contains(err.Error(), "lost") {
+		t.Errorf("Diff on a run that lost deliveries: got %v, want an error naming them", err)
+	}
+	rep, err := LossReplay(spec, RunnerOpts{UDP: u})
+	if err != nil {
+		t.Fatalf("LossReplay: %v", err)
+	}
+	if rep.LostLinks == 0 {
+		t.Errorf("LossReplay counted no lost deliveries; want the dropped p1->p2 links")
+	}
+}
+
 // TestHarnessOwnedFields pins which fields of the one RunnerOpts each
 // harness entry point fills in itself: a caller who set one gets an error
 // naming it, never a silent overwrite (LossReplay used to rewrite Kind
-// "tcp" to "udp" without a word). What an entry point does not own it
-// runs with.
+// "tcp" to "udp" without a word). Every entry owns Algorithm and the
+// meter; Diff refuses a crash plan and LossReplay any kind but udp. What
+// an entry point does not own it runs with.
 func TestHarnessOwnedFields(t *testing.T) {
 	// The two names the benchmark module spells are RunnerOpts itself.
 	var _ RunnerOpts = DiffOpts{}
@@ -176,7 +218,7 @@ func TestHarnessOwnedFields(t *testing.T) {
 		owned string // the field the error must name; "" = accepted
 	}{
 		{"Diff/Algorithm", diff, RunnerOpts{Algorithm: algo.KSet}, "Algorithm"},
-		{"Diff/Meter", diff, RunnerOpts{Meter: meter()}, ""},
+		{"Diff/Meter", diff, RunnerOpts{Meter: meter()}, "Meter"},
 		{"Diff/Crash", diff, RunnerOpts{Crash: nobody}, "Crash"},
 		{"Diff/Stall", diff, RunnerOpts{Stall: skewPlan(n, 1)}, ""},
 		{"Diff/Loss over tcp", diff, RunnerOpts{Kind: "tcp", Loss: 0.1}, "Loss"},

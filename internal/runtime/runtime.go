@@ -34,8 +34,9 @@
 // measurement against sim.Execute on the same schedule and seed. The
 // schedule itself is a pure read for the caller and every worker: a
 // NewRunner run generates each round's graph once, when a process first
-// reaches it; Diff and CrashReplay, which hand two executions the same
-// schedule, materialize theirs (adversary.MaterializeRun) before either.
+// reaches it; the replay harness (CrashReplay, which Diff and LossReplay
+// enter), handing two executions the same schedule, materializes it
+// (adversary.MaterializeRun) before either.
 //
 // # Who steps a process
 //

@@ -18,7 +18,6 @@ package service
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -30,6 +29,7 @@ import (
 	"kset/internal/rounds"
 	"kset/internal/runtime"
 	"kset/internal/sim"
+	"kset/internal/trace"
 	"kset/internal/transport"
 )
 
@@ -648,14 +648,7 @@ func (lr *liveRun) partial() *SessionResult {
 		Decisions: append([]int64(nil), lr.decision...),
 		Decided:   append([]bool(nil), lr.decided...),
 	}
-	seen := map[int64]bool{}
-	for i, d := range lr.decided {
-		if d && !seen[lr.decision[i]] {
-			seen[lr.decision[i]] = true
-			res.Distinct = append(res.Distinct, lr.decision[i])
-		}
-	}
-	sort.Slice(res.Distinct, func(i, j int) bool { return res.Distinct[i] < res.Distinct[j] })
+	res.Distinct = (&trace.Outcome{Decided: res.Decided, Decisions: res.Decisions}).DistinctDecisions()
 	return res
 }
 
