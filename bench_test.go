@@ -139,8 +139,51 @@ func BenchmarkHotTransitionRing(b *testing.B) {
 	}
 }
 
-// BenchmarkHotPruneInPlace measures the matrix-native line-25 prune with
-// a warm scratch.
+// BenchmarkHotTransitionHub is the sparse large-n regime of the E20
+// scaling sweep: one full lockstep round of all 256 processes over
+// HubClusters(256, 4, 8, 2/256) graphs, past the noisy prefix and the
+// decision, where each rebuilt G_p holds a hundred-odd edges of the
+// n² pairs.
+func BenchmarkHotTransitionHub(b *testing.B) {
+	const n = 256
+	b.Run(benchName("n", n), func(b *testing.B) {
+		adv := adversary.HubClusters(n, 4, 8, 2.0/n, rand.New(rand.NewSource(20)))
+		procs := make([]*core.Process, n)
+		factory := core.NewFactory(sim.SeqProposals(n), core.Options{})
+		for i := range procs {
+			procs[i] = factory(i).(*core.Process)
+			procs[i].Init(i, n)
+		}
+		msgs := make([]any, n)
+		recv := make([]any, n)
+		r := 0
+		round := func() {
+			r++
+			for j, p := range procs {
+				msgs[j] = p.Send(r)
+			}
+			g := adv.Graph(r)
+			for q := 0; q < n; q++ {
+				for j := range recv {
+					recv[j] = nil
+				}
+				g.ForEachIn(q, func(p int) { recv[p] = msgs[p] })
+				procs[q].Transition(r, recv)
+			}
+		}
+		for i := 0; i < n+12; i++ {
+			round() // past the noisy prefix and the decision
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			round()
+		}
+	})
+}
+
+// BenchmarkHotPruneInPlace measures the line-25 prune with a warm
+// scratch: the reverse walk and one compaction of the edge list.
 func BenchmarkHotPruneInPlace(b *testing.B) {
 	for _, n := range []int{8, 32, 64, 128, 256} {
 		b.Run(benchName("n", n), func(b *testing.B) {
@@ -161,8 +204,8 @@ func BenchmarkHotPruneInPlace(b *testing.B) {
 	}
 }
 
-// BenchmarkHotStronglyConnected measures the matrix-native line-28
-// connectivity test with a warm scratch.
+// BenchmarkHotStronglyConnected measures the line-28 connectivity test
+// with a warm scratch.
 func BenchmarkHotStronglyConnected(b *testing.B) {
 	for _, n := range []int{8, 32, 64, 128, 256} {
 		b.Run(benchName("n", n), func(b *testing.B) {

@@ -248,18 +248,19 @@ func (p *Process) Transition(r int, recv []any) {
 	ng := p.next
 	ng.Reset()
 	ng.AddNode(p.self) // line 15: Gp := ⟨{p}, ∅⟩
+	// Lines 18-23 before line 17: node union and per-edge max commute,
+	// so merging the received graphs first yields the same Gp, and the
+	// first merge, into the empty graph, is a copy.
 	p.pt.ForEach(func(q int) {
-		ng.MergeEdge(q, p.self, r) // line 17: (q -r-> p)
-		if q == p.self && !p.opts.MergeOwnGraph {
-			// Figure-faithful semantics: the process's own previous
-			// graph is not a merge input; its content reaches p only
-			// through timely neighbors.
-			return
+		if q != p.self || p.opts.MergeOwnGraph {
+			// Figure-faithful semantics skip q = p: the process's own
+			// previous graph is not a merge input; its content reaches
+			// p only through timely neighbors.
+			ng.MergeFrom(recv[q].(*Message).G) // Vp ∪= Vq, per-edge max
 		}
-		// Lines 18-23: Vp ∪= Vq and per-edge max-merge, as one
-		// matrix-level pass.
-		ng.MergeFrom(recv[q].(*Message).G)
 	})
+	// Line 17: (q -r-> p) for every timely q.
+	p.pt.ForEach(func(q int) { ng.MergeEdge(q, p.self, r) })
 	ng.PurgeOlderThan(r - p.purge)                 // line 24
 	ng.PruneUnreachableToInPlace(p.self, &p.reach) // line 25
 	p.g, p.next = ng, p.g

@@ -38,7 +38,7 @@ func e20Trials(cfg Config, n int) int {
 }
 
 // e20Workers caps sweep parallelism by memory: one in-flight trial holds
-// n processes × O(n²) label matrices (≈ 8.6 MB per process at n = 1024),
+// n processes × two O(n²/64) bitset arenas (≈ 0.75 MB per process at n = 1024),
 // so the largest size keeps at most a handful of trials resident.
 func e20Workers(cfg Config, n int) int {
 	if n >= 1024 {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -120,8 +121,8 @@ func TestNewDigraphAllocs(t *testing.T) {
 }
 
 func TestNewLabeledAllocs(t *testing.T) {
-	// Labeled construction: struct + set headers + word arena + label
-	// matrix, at any width.
+	// Labeled construction: struct + set headers + word arena + one
+	// buffer for the edge list and its merge spare, at any width.
 	for _, n := range []int{64, 128, 192} {
 		avg := testing.AllocsPerRun(50, func() {
 			if NewLabeled(n).N() != n {
@@ -131,6 +132,26 @@ func TestNewLabeledAllocs(t *testing.T) {
 		if avg > 4 {
 			t.Errorf("NewLabeled(%d) costs %v allocs, want <= 4", n, avg)
 		}
+	}
+}
+
+func TestNewLabeledBytes(t *testing.T) {
+	// An empty G_p is the bitset arena ((2n+1)·⌈n/64⌉ words), the set
+	// headers and 4n edge slots: under one byte per ordered pair, where
+	// an n×n label matrix alone would be four.
+	for _, n := range []int{256, 1024} {
+		const reps = 10
+		keep := make([]*Labeled, reps)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range keep {
+			keep[i] = NewLabeled(n)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / reps; per >= uint64(n*n) {
+			t.Errorf("NewLabeled(%d) allocates %d bytes, want < n² = %d", n, per, n*n)
+		}
+		runtime.KeepAlive(keep)
 	}
 }
 

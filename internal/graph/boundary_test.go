@@ -249,8 +249,9 @@ func TestDigraphArenaAppendConfinement(t *testing.T) {
 }
 
 // TestLabeledArenaBoundaries is the Labeled counterpart: one labeled
-// edge between seam nodes must produce exactly one label cell, one out
-// shadow bit, one in shadow bit, and the right presence bits.
+// edge between seam nodes must produce exactly one key, one out shadow
+// bit, one in shadow bit, and the right presence bits, and Label must
+// read it back at its own pair only.
 func TestLabeledArenaBoundaries(t *testing.T) {
 	for _, n := range boundaryWidths {
 		n := n
@@ -260,8 +261,8 @@ func TestLabeledArenaBoundaries(t *testing.T) {
 				for _, v := range probes {
 					g := NewLabeled(n)
 					g.MergeEdge(u, v, 7)
-					if g.NumEdges() != 1 || g.Label(u, v) != 7 {
-						t.Fatalf("edge %d->%d: NumEdges=%d Label=%d", u, v, g.NumEdges(), g.Label(u, v))
+					if g.NumEdges() != 1 || g.Label(u, v) != 7 || g.keys[0] != edgeKey(u, v) {
+						t.Fatalf("edge %d->%d: NumEdges=%d Label=%d keys=%#x", u, v, g.NumEdges(), g.Label(u, v), g.keys)
 					}
 					for w := 0; w < n; w++ {
 						wantOut := 0

@@ -145,30 +145,64 @@ func (r *refLabeled) stronglyConnected() bool {
 	return true
 }
 
-// checkLabeledInvariants verifies the shadow invariant directly against
-// the label matrix: shadow.out[u] has bit v and shadow.in[v] has bit u
-// exactly when labels[u*n+v] != 0, edges exist only between present
-// nodes, and m counts the shadow's edges.
+// checkLabeledInvariants verifies the layout invariant directly: keys
+// strictly ascend with one label >= 1 each, a key names an edge exactly
+// when both shadow bits are set (the shadow holds no other bit), edges
+// exist only between present nodes, and the four edge slots share one
+// capacity.
 func checkLabeledInvariants(t *testing.T, g *Labeled) {
 	t.Helper()
 	sh, n := &g.shadow, g.N()
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			l := g.labels[u*n+v]
-			if (l != 0) != sh.out[u].Has(v) {
-				t.Fatalf("shadow invariant: labels[%d->%d]=%d but out bit %v", u, v, l, sh.out[u].Has(v))
-			}
-			if (l != 0) != sh.in[v].Has(u) {
-				t.Fatalf("shadow invariant: labels[%d->%d]=%d but in bit %v", u, v, l, sh.in[v].Has(u))
-			}
-			if l != 0 && (!sh.present.Has(u) || !sh.present.Has(v)) {
-				t.Fatalf("edge %d->%d between non-present nodes", u, v)
-			}
+	if len(g.labels) != len(g.keys) {
+		t.Fatalf("%d keys but %d labels", len(g.keys), len(g.labels))
+	}
+	if c := cap(g.keys); cap(g.labels) != c || cap(g.spareKeys) != c || cap(g.spareLabels) != c {
+		t.Fatalf("slot capacities %d/%d/%d/%d differ", c, cap(g.labels), cap(g.spareKeys), cap(g.spareLabels))
+	}
+	for i, k := range g.keys {
+		u, v := int(k>>keyShift), int(k&keyMask)
+		if i > 0 && g.keys[i-1] >= k {
+			t.Fatalf("keys not strictly ascending at %d: %#x after %#x", i, k, g.keys[i-1])
+		}
+		if u >= n || v >= n {
+			t.Fatalf("key %#x outside the universe %d", k, n)
+		}
+		if l := g.labels[i]; l < 1 || l > maxLabel {
+			t.Fatalf("edge %d->%d has label %d", u, v, l)
+		}
+		if !sh.out[u].Has(v) || !sh.in[v].Has(u) {
+			t.Fatalf("edge %d->%d listed but shadow bits out=%v in=%v", u, v, sh.out[u].Has(v), sh.in[v].Has(u))
+		}
+		if !sh.present.Has(u) || !sh.present.Has(v) {
+			t.Fatalf("edge %d->%d between non-present nodes", u, v)
 		}
 	}
-	if g.m != sh.NumEdges() {
-		t.Fatalf("edge counter m = %d, shadow holds %d edges", g.m, sh.NumEdges())
+	out, in := 0, 0
+	for w := 0; w < n; w++ {
+		out += sh.out[w].Len()
+		in += sh.in[w].Len()
 	}
+	if out != len(g.keys) || in != len(g.keys) {
+		t.Fatalf("shadow holds %d out and %d in bits for %d listed edges", out, in, len(g.keys))
+	}
+}
+
+// removeNode removes v and its incident edges by rebuilding g without
+// them: node removal outside the prune is a test operation only.
+func (g *Labeled) removeNode(v int) {
+	g.shadow.check(v)
+	h := NewLabeled(g.N())
+	g.ForEachNode(func(u int) {
+		if u != v {
+			h.AddNode(u)
+		}
+	})
+	g.ForEachEdge(func(a, b, l int) {
+		if a != v && b != v {
+			h.MergeEdge(a, b, l)
+		}
+	})
+	g.CopyFrom(h)
 }
 
 // checkLabeledMatchesRef compares the full observable state of g with
@@ -243,13 +277,16 @@ func checkStep(t *testing.T, step string, g *Labeled, ref *refLabeled) {
 
 // TestDifferentialLabeledOps drives Labeled and the reference model
 // through identical seeded random operation sequences at every width,
-// comparing full state and shadow invariants after each step. The op mix
+// comparing full state and layout invariants after each step. The op mix
 // covers the entire per-round kernel surface of Algorithm 1's rebuild;
-// the merged-in side graph is either a handful of seam edges or wordRows,
-// so the receiver moves back and forth across dense()'s 25% line and both
-// tiers of every kernel run on it.
+// the merged-in side graph is a handful of seam edges, wordRows, or
+// complete on the receiver's present set, so the receiver moves back and
+// forth across dense()'s 25% line and every MergeFrom path runs: the
+// copy into an edgeless graph (which may hold nodes of its own) and the
+// list merge, each with per-edge and with whole-arena shadow updates,
+// and the label max of two complete graphs.
 func TestDifferentialLabeledOps(t *testing.T) {
-	flatMerges, crossings := 0, 0
+	var copies, flatCopies, completes, sparse, flat, crossings int
 	for _, n := range diffWidths {
 		n := n
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -281,21 +318,48 @@ func TestDifferentialLabeledOps(t *testing.T) {
 					thr := rng.Intn(60) - 5
 					g.PurgeOlderThan(thr)
 					ref.purgeOlderThan(thr)
-				case 6: // rebuild the side graph — a few seam edges, or word-filling rows — and merge it in
+				case 6: // rebuild the side graph — seam edges, word-filling rows, or complete on g's nodes — and merge it in
 					other.Reset()
 					refOther.reset()
-					if rng.Intn(2) == 0 {
+					switch rng.Intn(3) {
+					case 0:
 						for i := 0; i < 1+rng.Intn(10); i++ {
 							u, v := seamNode(rng, n), seamNode(rng, n)
 							l := 1 + rng.Intn(50)
 							other.MergeEdge(u, v, l)
 							refOther.mergeEdge(u, v, l)
 						}
-					} else {
+					case 1:
 						wordRows(rng, n, []int{15, 16, 17, 64}[rng.Intn(4)], other, refOther)
+					case 2:
+						g.ForEachNode(func(u int) {
+							g.ForEachNode(func(v int) {
+								l := 1 + rng.Intn(50)
+								other.MergeEdge(u, v, l)
+								refOther.mergeEdge(u, v, l)
+							})
+						})
 					}
-					if n >= 63 && other.dense() {
-						flatMerges++
+					if rng.Intn(5) == 0 { // an edgeless receiver with a node of its own
+						g.Reset()
+						ref.reset()
+						v := seamNode(rng, n)
+						g.AddNode(v)
+						ref.addNode(v)
+					}
+					nodes := g.Nodes().Len()
+					switch {
+					case other.NumEdges() == 0:
+					case g.NumEdges() == 0 && other.dense():
+						flatCopies++
+					case g.NumEdges() == 0:
+						copies++
+					case g.NumEdges() == nodes*nodes && other.NumEdges() == nodes*nodes && g.Nodes().Equal(other.Nodes()):
+						completes++
+					case other.dense():
+						flat++
+					default:
+						sparse++
 					}
 					g.MergeFrom(other)
 					ref.mergeFrom(refOther)
@@ -320,8 +384,9 @@ func TestDifferentialLabeledOps(t *testing.T) {
 			}
 		})
 	}
-	if flatMerges == 0 || crossings == 0 {
-		t.Fatalf("%d flat-tier merges and %d crossings of dense()'s line: the mix no longer reaches both tiers", flatMerges, crossings)
+	if copies == 0 || flatCopies == 0 || completes == 0 || sparse == 0 || flat == 0 || crossings == 0 {
+		t.Fatalf("MergeFrom paths: %d+%d copies (sparse+dense source), %d complete, %d sparse, %d flat; %d crossings of dense()'s line: the mix no longer reaches every path",
+			copies, flatCopies, completes, sparse, flat, crossings)
 	}
 }
 

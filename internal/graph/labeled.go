@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -11,9 +12,14 @@ import (
 // maxLabel is the largest edge label Labeled stores. Labels are round
 // numbers; a label beyond 2^31-1 would mean a run of two billion rounds
 // and almost certainly indicates a caller bug, so MergeEdge rejects it
-// loudly instead of truncating (labels are stored as int32 to halve the
-// matrix footprint at large n).
+// loudly instead of truncating.
 const maxLabel = math.MaxInt32
+
+// An edge u->v is stored as the key u<<keyShift | v, so ascending keys
+// are (from, to) order; the universe is therefore at most 1<<keyShift.
+const keyShift, keyMask = 16, 1<<16 - 1
+
+func edgeKey(u, v int) uint32 { return uint32(u)<<keyShift | uint32(v) }
 
 // Labeled is a round-labeled digraph over the universe 0..n-1: the
 // weighted approximation graph G_p of Algorithm 1. Invariant (paper
@@ -21,68 +27,76 @@ const maxLabel = math.MaxInt32
 // merging keeps the maximum label ever seen. Labels are >= 1; 0 means "no
 // edge".
 //
-// It is a Digraph plus labels: shadow is the paper's "unweighted version
-// of G_p" — shadow.out[u] holds bit v and shadow.in[v] holds bit u exactly
-// when labels[u*n+v] != 0 — and labels is the dense matrix beside it.
-// The shadow makes every structural kernel word-parallel and
-// edge-proportional (merge, purge, reachability and prune walk 64 node
-// pairs per machine word instead of one matrix cell at a time), which is
-// what lets the per-round rebuild scale past n = 64 (DESIGN.md §8), and
-// reachability, prune and the decision test are the Digraph's own
-// kernels. Labeled touches shadow rows only through the non-growing
-// set/unset, so they never leave the arena. Edges exist only between
-// present nodes: MergeEdge adds both endpoints, removeNode clears its row
-// and column.
+// It is a Digraph plus a sorted edge list: shadow is the paper's
+// "unweighted version of G_p" — shadow.out[u] holds bit v and
+// shadow.in[v] holds bit u exactly when keys holds edgeKey(u, v) — and
+// labels[i] is the label of keys[i], keys ascending. A purged and pruned
+// G_p holds O(n) edges, so storage is O(n²/64 + E), every label kernel is
+// a pass over edge lists, and reachability, prune and the decision test
+// stay the shadow's word-parallel walks (DESIGN.md §8). Edges exist only
+// between present nodes.
 type Labeled struct {
-	shadow Digraph
-	m      int     // edge count, maintained incrementally (= total bits in shadow.out)
-	labels []int32 // n*n row-major; labels[u*n+v] = label of u->v, 0 if absent
+	shadow                 Digraph
+	keys, labels           []uint32
+	spareKeys, spareLabels []uint32
 }
 
 // NewLabeled returns an empty labeled graph over the universe 0..n-1.
 func NewLabeled(n int) *Labeled {
-	return &Labeled{shadow: makeDigraph(n), labels: make([]int32, n*n)}
+	if n > 1<<keyShift {
+		panic(fmt.Sprintf("graph: universe %d exceeds %d", n, 1<<keyShift))
+	}
+	g := &Labeled{shadow: makeDigraph(n)}
+	g.grow(4 * n)
+	return g
+}
+
+// grow makes room for need edges (at most n², as keys are distinct) in
+// keys, labels and their merge spares: four equal slots of one
+// allocation, the edges kept. Reset keeps the capacity, so a graph grows
+// to its run's size once and then allocates nothing.
+func (g *Labeled) grow(need int) {
+	if c := cap(g.keys); need > c {
+		c = min(g.shadow.n*g.shadow.n, max(2*c, need))
+		buf := make([]uint32, 4*c)
+		g.keys = append(buf[0:0:c], g.keys...)
+		g.labels = append(buf[c:c:2*c], g.labels...)
+		g.spareKeys, g.spareLabels = buf[2*c:2*c:3*c], buf[3*c:3*c:4*c]
+	}
 }
 
 // N returns the universe size.
 func (g *Labeled) N() int { return g.shadow.n }
 
 // dense reports whether the graph is dense enough (>= 25% of all ordered
-// pairs labeled) that flat whole-matrix kernels beat the shadow-guided
-// edge-proportional ones. Complete-graph rounds — the decided steady
-// state of Algorithm 1 on a stable skeleton — sit firmly on the flat
-// side; large sparse approximations (E20's hub skeletons) on the other.
-// There is deliberately no tier between the two (DESIGN.md §8).
-func (g *Labeled) dense() bool { return 4*g.m >= g.shadow.n*g.shadow.n }
+// pairs labeled) that whole-arena bitset passes beat per-edge bit
+// updates: complete-graph rounds are, E20's hub skeletons are not.
+func (g *Labeled) dense() bool { return 4*len(g.keys) >= g.shadow.n*g.shadow.n }
+
+// setBits sets edge k's two shadow bits.
+func (g *Labeled) setBits(k uint32) {
+	u, v := int(k>>keyShift), int(k&keyMask)
+	g.shadow.out[u].set(v)
+	g.shadow.in[v].set(u)
+}
 
 // Reset empties the graph in place, retaining allocated storage; used by
-// the per-round rebuild (Algorithm 1 line 15). Dense graphs take one
-// flat clear of the label matrix and the bitset arena; sparse graphs
-// touch only rows and columns of present nodes (absent nodes have none
-// by invariant), costing O(present·words + edges), not O(n²).
+// the per-round rebuild (Algorithm 1 line 15). Labels are never written:
+// a dense graph clears the whole bitset arena, a sparse one zeroes the
+// two shadow words of each edge, O(edges + n/64).
 func (g *Labeled) Reset() {
 	sh := &g.shadow
 	if g.dense() {
-		clear(g.labels)
 		clear(sh.arena)
-		g.m = 0
-		return
-	}
-	for u := sh.present.next(0); u >= 0; u = sh.present.next(u + 1) {
-		row := sh.out[u].words
-		base := u * sh.n
-		for i, w := range row {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &^= 1 << b
-				g.labels[base+i*wordBits+b] = 0
-			}
-			row[i] = 0
+	} else {
+		for _, k := range g.keys {
+			u, v := int(k>>keyShift), int(k&keyMask)
+			sh.out[u].words[v/wordBits] = 0
+			sh.in[v].words[u/wordBits] = 0
 		}
-		sh.in[u].Clear()
+		sh.present.Clear()
 	}
-	sh.present.Clear()
-	g.m = 0
+	g.keys, g.labels = g.keys[:0], g.labels[:0]
 }
 
 // AddNode marks v present.
@@ -97,103 +111,69 @@ func (g *Labeled) HasNode(v int) bool { return g.shadow.HasNode(v) }
 // Nodes returns a copy of the present-node set.
 func (g *Labeled) Nodes() NodeSet { return g.shadow.Nodes() }
 
-// removeNode removes v and all incident edges in O(degree) time: the bit
-// shadows name exactly the label cells to clear, so no row or column scan
-// is needed.
-func (g *Labeled) removeNode(v int) {
-	sh := &g.shadow
-	sh.check(v)
-	if !sh.present.Has(v) {
-		return
-	}
-	g.m -= sh.out[v].Len() + sh.in[v].Len()
-	if sh.out[v].Has(v) {
-		g.m++ // the self-loop sits in both shadows but is one edge
-	}
-	row := sh.out[v].words
-	base := v * sh.n
-	for i, w := range row {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << b
-			t := i*wordBits + b
-			g.labels[base+t] = 0
-			sh.in[t].unset(v)
-		}
-		row[i] = 0
-	}
-	col := sh.in[v].words
-	for i, w := range col {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << b
-			s := i*wordBits + b
-			g.labels[s*sh.n+v] = 0
-			sh.out[s].unset(v)
-		}
-		col[i] = 0
-	}
-	sh.present.unset(v)
-}
-
 // MergeEdge merges the edge u --label--> v keeping the maximum label for
 // the pair (the paper's lines 19-23 collapsed: R_{i,j} max-merge). Both
 // endpoints become present. It reports whether the stored label changed.
+// An edge past the last key appends; any other new edge is an insertion.
 func (g *Labeled) MergeEdge(u, v, label int) bool {
 	sh := &g.shadow
 	sh.check(u)
 	sh.check(v)
-	if label <= 0 {
-		panic(fmt.Sprintf("graph: non-positive label %d", label))
-	}
-	if label > maxLabel {
-		panic(fmt.Sprintf("graph: label %d exceeds MaxLabel %d", label, maxLabel))
+	if label <= 0 || label > maxLabel {
+		panic(fmt.Sprintf("graph: label %d outside [1, %d]", label, maxLabel))
 	}
 	sh.present.set(u)
 	sh.present.set(v)
-	if int32(label) > g.labels[u*sh.n+v] {
-		if g.labels[u*sh.n+v] == 0 {
-			sh.out[u].set(v)
-			sh.in[v].set(u)
-			g.m++
+	k, l, e, i := edgeKey(u, v), uint32(label), len(g.keys), len(g.keys)
+	if sh.out[u].Has(v) {
+		var i int
+		if c := sh.present.Len(); e == c*c { // complete: row-major over the present nodes
+			i = sh.present.rank(u)*c + sh.present.rank(v)
+		} else {
+			i, _ = slices.BinarySearch(g.keys, k)
 		}
-		g.labels[u*sh.n+v] = int32(label)
+		if l <= g.labels[i] {
+			return false
+		}
+		g.labels[i] = l
 		return true
 	}
-	return false
+	if e > 0 && g.keys[e-1] > k {
+		i, _ = slices.BinarySearch(g.keys, k)
+	}
+	if e == cap(g.keys) {
+		g.grow(e + 1)
+	}
+	g.keys, g.labels = append(g.keys, k), append(g.labels, l)
+	if i < e { // an insertion, not an append
+		copy(g.keys[i+1:], g.keys[i:e])
+		copy(g.labels[i+1:], g.labels[i:e])
+		g.keys[i], g.labels[i] = k, l
+	}
+	g.setBits(k)
+	return true
 }
 
 // Label returns the label of u->v, or 0 if the edge is absent.
 func (g *Labeled) Label(u, v int) int {
 	n := g.shadow.n
-	if u < 0 || u >= n || v < 0 || v >= n {
+	if u < 0 || u >= n || v < 0 || v >= n || !g.shadow.out[u].Has(v) {
 		return 0
 	}
-	return int(g.labels[u*n+v])
+	i, _ := slices.BinarySearch(g.keys, edgeKey(u, v))
+	return int(g.labels[i])
 }
 
 // HasEdge reports whether the edge u->v is present.
 func (g *Labeled) HasEdge(u, v int) bool { return g.Label(u, v) != 0 }
 
-// NumEdges returns the number of labeled edges (self-loops included),
-// maintained incrementally so the density dispatch and callers pay O(1).
-func (g *Labeled) NumEdges() int { return g.m }
+// NumEdges returns the number of labeled edges (self-loops included).
+func (g *Labeled) NumEdges() int { return len(g.keys) }
 
-// ForEachEdge calls fn for every labeled edge in (from, to) order. The
-// row shadows word-skip the empty part of the matrix, so the walk is
-// proportional to the edge count, not n².
+// ForEachEdge calls fn for every labeled edge in (from, to) order.
 func (g *Labeled) ForEachEdge(fn func(u, v, label int)) {
-	sh := &g.shadow
-	for u := sh.present.next(0); u >= 0; u = sh.present.next(u + 1) {
-		base := u * sh.n
-		for i, w := range sh.out[u].words {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &^= 1 << b
-				v := i*wordBits + b
-				fn(u, v, int(g.labels[base+v]))
-			}
-		}
+	for i, k := range g.keys {
+		fn(int(k>>keyShift), int(k&keyMask), int(g.labels[i]))
 	}
 }
 
@@ -202,113 +182,97 @@ func (g *Labeled) ForEachNode(fn func(v int)) { g.shadow.present.ForEach(fn) }
 
 // MergeFrom merges every node and edge of src into g, keeping the maximum
 // label per ordered pair: Algorithm 1 lines 18-23 for one received graph.
-// A dense src takes the flat path — one element-wise max over the label
-// matrices plus one word-parallel OR of the whole bitset arena (nodes and
-// both shadows merge by union) — the branch-predictable scan that wins on
-// complete-graph rounds. A sparse src is walked edge-proportionally
-// through its row shadows: O(src present·words + src edges), not O(n²).
-// Either way it allocates nothing.
+// Two graphs complete on the same node set share their keys, so it is a
+// max over the labels; otherwise it merges the two sorted lists into the
+// spare slots, which swap in (into an edgeless g, a copy). The shadow
+// gains the bits of new edges, or src's whole arena when dense.
 func (g *Labeled) MergeFrom(src *Labeled) {
 	sh, ssh := &g.shadow, &src.shadow
-	n := sh.n
-	if n != ssh.n {
-		panic(fmt.Sprintf("graph: MergeFrom universe mismatch %d vs %d", n, ssh.n))
+	if sh.n != ssh.n {
+		panic(fmt.Sprintf("graph: MergeFrom universe mismatch %d vs %d", sh.n, ssh.n))
 	}
-	if src.dense() {
-		da := sh.arena[:len(ssh.arena)]
-		for i, w := range ssh.arena { // present + both shadows: union is OR
-			da[i] |= w
+	a, al, b, bl := g.keys, g.labels, src.keys, src.labels
+	if len(a) == len(b) && len(a) == sh.present.Len()*sh.present.Len() && sh.present.Equal(ssh.present) {
+		// Branch-free (a compare-and-store swung 2× with code placement)
+		// and four labels a trip (one a trip ran ~30 % slower).
+		al, i := al[:len(bl)], 0
+		for ; i+4 <= len(bl); i += 4 {
+			x, y := al[i:i+4:i+4], bl[i:i+4:i+4]
+			x[0], x[1], x[2], x[3] = max(x[0], y[0]), max(x[1], y[1]), max(x[2], y[2]), max(x[3], y[3])
 		}
-		words := len(sh.present.words)
-		m := 0
-		for _, w := range da[words : (1+n)*words] { // recount from the row shadows
-			m += bits.OnesCount64(w)
-		}
-		g.m = m
-		// Branch-free on purpose. In a complete-graph round source q is
-		// fresher than the merge so far in column q only, so a conditional
-		// store fires once per row; whether the predictor learns that
-		// period-n pattern depended on where the loop landed in the
-		// binary (0.43 or 0.9 ns/cell for the same instructions at n=32).
-		// The conditional move costs 0.5 wherever it lands.
-		dl := g.labels[:len(src.labels)]
-		for i, l := range src.labels {
-			dl[i] = max(dl[i], l)
+		for ; i < len(bl); i++ {
+			al[i] = max(al[i], bl[i])
 		}
 		return
 	}
-	sh.present.UnionWith(ssh.present)
-	for u := ssh.present.next(0); u >= 0; u = ssh.present.next(u + 1) {
-		drow := sh.out[u].words
-		base := u * n
-		sl := src.labels[base : base+n]
-		dl := g.labels[base : base+n]
-		for i, w := range ssh.out[u].words {
-			drow[i] |= w
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &^= 1 << b
-				v := i*wordBits + b
-				if sl[v] > dl[v] {
-					if dl[v] == 0 {
-						sh.in[v].set(u)
-						g.m++
-					}
-					dl[v] = sl[v]
-				}
+	flat := src.dense()
+	if flat {
+		for i, w := range ssh.arena { // present + both shadows: union is OR
+			sh.arena[i] |= w
+		}
+	} else {
+		sh.present.UnionWith(ssh.present)
+	}
+	g.grow(min(sh.n*sh.n, len(a)+len(b)))
+	a, al = g.keys, g.labels
+	out, ol := g.spareKeys[:cap(g.spareKeys)], g.spareLabels[:cap(g.spareLabels)]
+	i, j, e := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch ka, kb := a[i], b[j]; {
+		case ka < kb:
+			out[e], ol[e] = ka, al[i]
+			i++
+		case ka > kb:
+			out[e], ol[e] = kb, bl[j]
+			if !flat {
+				g.setBits(kb)
 			}
+			j++
+		default:
+			out[e], ol[e] = ka, max(al[i], bl[j])
+			i++
+			j++
+		}
+		e++
+	}
+	if !flat {
+		for _, k := range b[j:] {
+			g.setBits(k)
 		}
 	}
+	copy(ol[e:], al[i:])
+	e += copy(out[e:], a[i:])
+	copy(ol[e:], bl[j:])
+	e += copy(out[e:], b[j:])
+	g.keys, g.spareKeys = out[:e], a[:0]
+	g.labels, g.spareLabels = ol[:e], al[:0]
 }
 
 // PurgeOlderThan removes every edge with label <= threshold: Algorithm 1
 // line 24 with threshold = r - n. It returns the number of edges removed.
-// Labels are >= 1, so thresholds below 1 return immediately; otherwise
-// the row shadows restrict the scan to actual edges.
+// It is one compaction of the edge list, and a pure read pass when
+// nothing is stale.
 func (g *Labeled) PurgeOlderThan(threshold int) int {
 	if threshold < 1 {
 		return 0
 	}
-	t32 := int32(maxLabel)
-	if threshold < maxLabel {
-		t32 = int32(threshold)
+	t := uint32(min(threshold, maxLabel))
+	keys, labels, j := g.keys, g.labels, 0
+	for j < len(labels) && labels[j] > t {
+		j++ // the fresh prefix stays put
 	}
-	sh := &g.shadow
-	removed := 0
-	if g.dense() {
-		// Flat path: one predictable scan of the whole matrix. In the
-		// decided steady state every label is fresh, so this is a pure
-		// read pass; the per-edge shadow repair runs only on removal.
-		for i, l := range g.labels {
-			if l != 0 && l <= t32 {
-				u, v := i/sh.n, i%sh.n
-				g.labels[i] = 0
-				sh.out[u].unset(v)
-				sh.in[v].unset(u)
-				removed++
-			}
-		}
-		g.m -= removed
-		return removed
-	}
-	for u := sh.present.next(0); u >= 0; u = sh.present.next(u + 1) {
-		row := sh.out[u].words
-		base := u * sh.n
-		for i, w := range row {
-			for w != 0 {
-				b := bits.TrailingZeros64(w)
-				w &^= 1 << b
-				v := i*wordBits + b
-				if g.labels[base+v] <= t32 {
-					g.labels[base+v] = 0
-					row[i] &^= 1 << b
-					sh.in[v].unset(u)
-					removed++
-				}
-			}
+	for i := j; i < len(keys); i++ {
+		if l := labels[i]; l > t {
+			keys[j], labels[j] = keys[i], l
+			j++
+		} else {
+			u, v := int(keys[i]>>keyShift), int(keys[i]&keyMask)
+			g.shadow.out[u].unset(v)
+			g.shadow.in[v].unset(u)
 		}
 	}
-	g.m -= removed
+	removed := len(keys) - j
+	g.keys, g.labels = keys[:j], labels[:j]
 	return removed
 }
 
@@ -321,24 +285,53 @@ func (g *Labeled) Unlabeled() *Digraph { return g.shadow.Clone() }
 // PruneUnreachableToInPlace removes every node (and incident edges) from
 // which p is unreachable: Algorithm 1 line 25. p itself is always kept. It
 // returns the number of nodes removed. Reverse reachability from p is the
-// shadow's backward walk, the dead set is one word-level AND-NOT against
-// the present bitset, and each removal is O(degree); with a warm scratch
-// it allocates nothing.
+// shadow's backward walk; each dead node leaves the shadow in O(degree),
+// and the edge list is one compaction: an edge u->v stays exactly when v
+// reaches p, as u then does too. With a warm scratch it allocates
+// nothing.
 func (g *Labeled) PruneUnreachableToInPlace(p int, s *ReachScratch) int {
 	sh := &g.shadow
 	sh.check(p)
 	sh.present.set(p)
-	seen := s.walk(sh.in, p)
+	seen := s.walk(sh, true, p)
 	removed := 0
-	for i, word := range sh.present.words {
-		dead := word &^ seen.words[i]
-		for dead != 0 {
-			b := bits.TrailingZeros64(dead)
-			dead &^= 1 << b
-			g.removeNode(i*wordBits + b)
+	for i, w := range sh.present.words {
+		for dead := w &^ seen.words[i]; dead != 0; dead &= dead - 1 {
+			d := i*wordBits + bits.TrailingZeros64(dead)
+			// d's sources lose their edge to d; its targets are dead too,
+			// and their in rows clear in turn.
+			for x, w := range sh.in[d].words {
+				for ; w != 0; w &= w - 1 {
+					sh.out[x*wordBits+bits.TrailingZeros64(w)].unset(d)
+				}
+			}
+			clear(sh.out[d].words)
+			clear(sh.in[d].words)
 			removed++
 		}
 	}
+	if removed == 0 {
+		return 0
+	}
+	sh.present.IntersectWith(seen)
+	keys, labels, sw, j := g.keys, g.labels[:len(g.keys)], seen.words, 0
+	for j < len(keys) && seen.Has(int(keys[j]&keyMask)) {
+		j++ // the kept prefix stays put
+	}
+	if len(sw) == 1 { // branch-free: which edges go is unpredictable
+		for i, w := j, sw[0]; i < len(keys); i++ {
+			k := keys[i]
+			keys[j], labels[j] = k, labels[i]
+			j += int(w >> (k % wordBits) & 1)
+		}
+	} else {
+		for i := j; i < len(keys); i++ {
+			k, v := keys[i], keys[i]&keyMask
+			keys[j], labels[j] = k, labels[i]
+			j += int(sw[v/wordBits] >> (v % wordBits) & 1)
+		}
+	}
+	g.keys, g.labels = keys[:j], labels[:j]
 	return removed
 }
 
@@ -364,29 +357,22 @@ func (g *Labeled) Clone() *Labeled {
 }
 
 // CopyFrom overwrites g with the contents of src (same universe
-// required), reusing the receiver's arena and label matrix so repeated
-// copies allocate nothing. The whole bitset arena (present + both
-// shadows) is one flat copy.
+// required), reusing the receiver's storage so repeated copies allocate
+// nothing: one flat copy of the bitset arena and of the edge list.
 func (g *Labeled) CopyFrom(src *Labeled) {
 	if g.shadow.n != src.shadow.n {
 		panic(fmt.Sprintf("graph: CopyFrom universe mismatch %d vs %d", g.shadow.n, src.shadow.n))
 	}
 	copy(g.shadow.arena, src.shadow.arena)
-	copy(g.labels, src.labels)
-	g.m = src.m
+	g.grow(len(src.keys))
+	g.keys = append(g.keys[:0], src.keys...)
+	g.labels = append(g.labels[:0], src.labels...)
 }
 
 // Equal reports whether g and h have the same nodes, edges, and labels.
 func (g *Labeled) Equal(h *Labeled) bool {
-	if g.shadow.n != h.shadow.n || !g.shadow.present.Equal(h.shadow.present) {
-		return false
-	}
-	for i := range g.labels {
-		if g.labels[i] != h.labels[i] {
-			return false
-		}
-	}
-	return true
+	return g.shadow.n == h.shadow.n && g.shadow.present.Equal(h.shadow.present) &&
+		slices.Equal(g.keys, h.keys) && slices.Equal(g.labels, h.labels)
 }
 
 // LabelMultiset returns the sorted (descending) multiset of labels of

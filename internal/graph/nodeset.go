@@ -1,6 +1,6 @@
 // Package graph provides the directed-graph substrate used throughout the
 // stable-skeleton reproduction: node sets, one arena-backed digraph, the
-// round-labeled digraph built on it (a digraph plus a label matrix),
+// round-labeled digraph built on it (a digraph plus a sorted edge list),
 // reachability and the strong-connectivity test over one frontier walk,
 // strongly connected components, root components, and DOT/ASCII rendering.
 //
@@ -257,6 +257,11 @@ func (s NodeSet) Min() int {
 		}
 	}
 	return -1
+}
+
+// rank returns the number of elements of s below v.
+func (s NodeSet) rank(v int) int {
+	return NodeSet{s.words[:v/wordBits]}.Len() + bits.OnesCount64(s.words[v/wordBits]&(1<<(v%wordBits)-1))
 }
 
 // String renders the set as "{p1, p3}" using 1-based process names.

@@ -5,56 +5,64 @@ import "math/bits"
 // ReachScratch holds the reusable traversal state (visited bitset plus
 // DFS stack) of the reachability and connectivity kernels, so per-round
 // calls allocate nothing in steady state. The zero value is ready to use,
-// and one scratch may serve graphs of different universe sizes: reset
+// and one scratch may serve graphs of different universe sizes: walk
 // regrows it on demand and reuses the storage otherwise.
 type ReachScratch struct {
 	seen  NodeSet
 	stack []int
 }
 
-// reset prepares the scratch for one traversal over a universe of n
-// nodes: the visited set is sized and cleared, the stack emptied.
-func (s *ReachScratch) reset(n int) {
-	w := (n + wordBits - 1) / wordBits
+// walk fills s.seen with every node reachable from start in g along out
+// rows, or along in rows when backward. It is the one frontier walk
+// behind every reachability, prune and connectivity kernel of Digraph and
+// Labeled. The walk is word-parallel: each popped node merges its whole
+// arena row with one AND-NOT + OR per word, and only newly seen nodes are
+// pushed; in a one-word universe the frontier is a register, walked one
+// breadth-first level at a time. The returned set is s.seen and stays
+// valid only until the scratch is reused.
+func (s *ReachScratch) walk(g *Digraph, backward bool, start int) NodeSet {
+	w := len(g.present.words)
 	if cap(s.seen.words) < w {
 		s.seen.words = make([]uint64, w)
 	}
-	s.seen.words = s.seen.words[:w]
-	s.seen.Clear()
-	if cap(s.stack) < n {
-		s.stack = make([]int, 0, n)
+	seen := s.seen.words[:w]
+	clear(seen)
+	s.seen.words = seen
+	rows := g.arena[w : (1+g.n)*w]
+	if backward {
+		rows = g.arena[(1+g.n)*w:]
 	}
-	s.stack = s.stack[:0]
-}
-
-// walk fills s.seen with every node reachable from start along rows,
-// where rows[u] is the set of nodes one step from u: a graph's out rows
-// walk forward, its in rows backward. It is the one frontier walk behind
-// every reachability, prune and connectivity kernel of Digraph and
-// Labeled. The walk is word-parallel: each popped node merges its whole
-// row with one AND-NOT + OR per word, and only newly seen nodes are
-// pushed. The returned set is s.seen and stays valid only until the
-// scratch is reused.
-func (s *ReachScratch) walk(rows []NodeSet, start int) NodeSet {
-	s.reset(len(rows))
-	s.seen.set(start)
-	s.stack = append(s.stack, start)
-	for len(s.stack) > 0 {
-		u := s.stack[len(s.stack)-1]
-		s.stack = s.stack[:len(s.stack)-1]
-		for i, w := range rows[u].words {
-			nw := w &^ s.seen.words[i]
-			if nw == 0 {
-				continue
+	if w == 1 { // a level's row loads are independent of each other
+		v, level := uint64(1)<<start, uint64(1)<<start
+		for ; level != 0; v |= level {
+			var next uint64
+			for f := level; f != 0; f &= f - 1 {
+				next |= rows[bits.TrailingZeros64(f)]
 			}
-			s.seen.words[i] |= nw
-			for nw != 0 {
-				b := bits.TrailingZeros64(nw)
-				nw &^= 1 << b
-				s.stack = append(s.stack, i*wordBits+b)
+			level = next &^ v
+		}
+		seen[0] = v
+		return s.seen
+	}
+	seen[start/wordBits] |= 1 << (start % wordBits)
+	if cap(s.stack) < g.n {
+		s.stack = make([]int, 0, g.n)
+	}
+	stack := append(s.stack[:0], start)
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		row := rows[u*w : (u+1)*w]
+		seen := seen[:len(row)]
+		for i, x := range row {
+			nw := x &^ seen[i]
+			seen[i] |= nw
+			for ; nw != 0; nw &= nw - 1 {
+				stack = append(stack, i*wordBits+bits.TrailingZeros64(nw))
 			}
 		}
 	}
+	s.stack = stack
 	return s.seen
 }
 
@@ -73,7 +81,7 @@ func reachableInto(g *Digraph, v int, s *ReachScratch) NodeSet {
 	if !g.HasNode(v) {
 		panic("graph: Reachable from absent node")
 	}
-	return s.walk(g.out, v)
+	return s.walk(g, false, v)
 }
 
 // nodesReaching returns the set of present nodes that can reach v by a
@@ -91,7 +99,7 @@ func nodesReachingInto(g *Digraph, v int, s *ReachScratch) NodeSet {
 	if !g.HasNode(v) {
 		panic("graph: NodesReaching on absent node")
 	}
-	return s.walk(g.in, v)
+	return s.walk(g, true, v)
 }
 
 // Distances returns the BFS distance (number of edges on a shortest path)

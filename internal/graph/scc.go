@@ -147,5 +147,5 @@ func (g *Digraph) stronglyConnected(s *ReachScratch) bool {
 	if first < 0 {
 		return false
 	}
-	return s.walk(g.out, first).Equal(g.present) && s.walk(g.in, first).Equal(g.present)
+	return s.walk(g, false, first).Equal(g.present) && s.walk(g, true, first).Equal(g.present)
 }

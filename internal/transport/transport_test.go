@@ -443,3 +443,45 @@ func TestMeteredRejectsWhatItCannotMeter(t *testing.T) {
 		t.Error("a meter was attached after an endpoint was claimed")
 	}
 }
+
+// TestHeardMeterConcurrentRecord has every receiver of a two-word
+// universe record its own rows from its own goroutine, unsynchronized
+// with the others, over enough rounds that they race to add chunks; the
+// graphs the meter builds afterwards must hold exactly the recorded
+// edges (run it under -race).
+func TestHeardMeterConcurrentRecord(t *testing.T) {
+	const n, rounds = 70, 150
+	heard := func(q, p, r int) bool { return q == p || (q+p*r)%3 != 0 }
+	m := NewHeardMeter(n)
+	var wg sync.WaitGroup
+	for p := 0; p < n; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			recv := make([][]byte, n)
+			for r := 1; r <= rounds; r++ {
+				for q := range recv {
+					recv[q] = nil
+					if heard(q, p, r) {
+						recv[q] = []byte{}
+					}
+				}
+				m.record(r, p, recv)
+			}
+		}(p)
+	}
+	wg.Wait()
+	graphs := m.Graphs()
+	if len(graphs) != rounds {
+		t.Fatalf("%d graphs, want %d", len(graphs), rounds)
+	}
+	for r, g := range graphs {
+		for q := 0; q < n; q++ {
+			for p := 0; p < n; p++ {
+				if g.HasEdge(q, p) != heard(q, p, r+1) {
+					t.Fatalf("round %d: edge p%d->p%d is %v, recorded %v", r+1, q+1, p+1, g.HasEdge(q, p), heard(q, p, r+1))
+				}
+			}
+		}
+	}
+}
