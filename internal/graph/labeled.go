@@ -315,17 +315,18 @@ func (g *Labeled) PruneUnreachableToInPlace(p int, s *ReachScratch) int {
 	}
 	sh.present.IntersectWith(seen)
 	keys, labels, sw, j := g.keys, g.labels[:len(g.keys)], seen.words, 0
-	for j < len(keys) && seen.Has(int(keys[j]&keyMask)) {
-		j++ // the kept prefix stays put
-	}
-	if len(sw) == 1 { // branch-free: which edges go is unpredictable
-		for i, w := j, sw[0]; i < len(keys); i++ {
+	// Branch-free, as which edges go is unpredictable. One word of seen
+	// sits in a register: HotPruneInPlace n = 32/64 read −9/−4 % against
+	// the general loop, which reads +11/+6 % over the matrix's prune
+	// (medians of 11 alternating pairs each).
+	if len(sw) == 1 {
+		for i, w := 0, sw[0]; i < len(keys); i++ {
 			k := keys[i]
 			keys[j], labels[j] = k, labels[i]
 			j += int(w >> (k % wordBits) & 1)
 		}
 	} else {
-		for i := j; i < len(keys); i++ {
+		for i := range keys {
 			k, v := keys[i], keys[i]&keyMask
 			keys[j], labels[j] = k, labels[i]
 			j += int(sw[v/wordBits] >> (v % wordBits) & 1)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"kset/internal/graph"
 )
@@ -23,52 +22,26 @@ import (
 // transport) guarantees each recorded graph carries all self-loops —
 // the well-formedness the rounds model requires.
 //
-// A receiver writes its heard row straight into a preallocated chunk of
-// rounds (one row per receiver and round, so receivers never share a
-// word); the lock is taken only to add a chunk, and by Graphs, which
-// builds each round's Digraph once.
+// A receiver ORs its heard row into one flat table under the lock (one
+// row per receiver and round, appended as rounds arrive); Graphs builds
+// each round's Digraph once, after the run.
 type HeardMeter struct {
-	n, words, perChunk int
+	n, words int
 
-	chunks atomic.Pointer[[][]uint64] // chunk c holds rounds c·perChunk+1 … (c+1)·perChunk
-	rounds atomic.Int64               // the highest round recorded
-
-	mu     sync.Mutex       // adding chunks; Graphs
+	mu     sync.Mutex
+	rows   []uint64         // rows[((r-1)·n + p)·words …] = the senders p heard in round r
 	graphs []*graph.Digraph // graphs[r-1] = realized graph of round r, built by Graphs
 }
 
-// meterChunkWords is the size of one chunk of heard rows, in words.
-const meterChunkWords = 8192
-
 // NewHeardMeter returns a meter for an n-process run.
 func NewHeardMeter(n int) *HeardMeter {
-	words := (n + 63) / 64
-	return &HeardMeter{n: n, words: words, perChunk: max(1, meterChunkWords/max(1, n*words))}
+	return &HeardMeter{n: n, words: (n + 63) / 64}
 }
 
-// grow adds chunks until chunk c exists and returns the chunk list.
-func (m *HeardMeter) grow(c int) [][]uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var grown [][]uint64
-	if cur := m.chunks.Load(); cur != nil {
-		grown = *cur
-	}
-	if c < len(grown) {
-		return grown
-	}
-	grown = append([][]uint64(nil), grown...)
-	for len(grown) <= c {
-		grown = append(grown, make([]uint64, m.perChunk*m.n*m.words))
-	}
-	m.chunks.Store(&grown)
-	return grown
-}
-
-// row returns receiver self's heard row of round r in chunks.
-func (m *HeardMeter) row(chunks [][]uint64, r, self int) []uint64 {
-	off := ((r-1)%m.perChunk*m.n + self) * m.words
-	return chunks[(r-1)/m.perChunk][off : off+m.words]
+// row returns receiver self's heard row of round r.
+func (m *HeardMeter) row(r, self int) []uint64 {
+	off := ((r-1)*m.n + self) * m.words
+	return m.rows[off : off+m.words]
 }
 
 // record notes the heard-set of receiver self in round r: recv[q] is
@@ -76,25 +49,17 @@ func (m *HeardMeter) row(chunks [][]uint64, r, self int) []uint64 {
 // Safe for concurrent use by all receivers of a round; each (r, self)
 // pair must be recorded at most once per run.
 func (m *HeardMeter) record(r, self int, recv [][]byte) {
-	var chunks [][]uint64
-	if cur := m.chunks.Load(); cur != nil {
-		chunks = *cur
+	m.mu.Lock()
+	if need := r * m.n * m.words; need > len(m.rows) {
+		m.rows = append(m.rows, make([]uint64, need-len(m.rows))...)
 	}
-	if c := (r - 1) / m.perChunk; c >= len(chunks) {
-		chunks = m.grow(c)
-	}
-	row := m.row(chunks, r, self)
+	row := m.row(r, self)
 	for q, payload := range recv {
 		if payload != nil {
 			row[q/64] |= 1 << (q % 64)
 		}
 	}
-	for {
-		hi := m.rounds.Load()
-		if int64(r) <= hi || m.rounds.CompareAndSwap(hi, int64(r)) {
-			return
-		}
-	}
+	m.mu.Unlock()
 }
 
 // Graphs returns the recorded per-round graphs (graphs[r-1] = round r),
@@ -104,11 +69,10 @@ func (m *HeardMeter) record(r, self int, recv [][]byte) {
 func (m *HeardMeter) Graphs() []*graph.Digraph {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for r := len(m.graphs) + 1; r <= int(m.rounds.Load()); r++ {
-		chunks := *m.chunks.Load() // a recorded round's chunk exists
+	for r := len(m.graphs) + 1; r*m.n*m.words <= len(m.rows) && m.n > 0; r++ {
 		g := graph.NewFullDigraph(m.n)
 		for p := 0; p < m.n; p++ {
-			for x, w := range m.row(chunks, r, p) {
+			for x, w := range m.row(r, p) {
 				for ; w != 0; w &= w - 1 {
 					g.AddEdge(x*64+bits.TrailingZeros64(w), p)
 				}

@@ -446,9 +446,9 @@ func TestMeteredRejectsWhatItCannotMeter(t *testing.T) {
 
 // TestHeardMeterConcurrentRecord has every receiver of a two-word
 // universe record its own rows from its own goroutine, unsynchronized
-// with the others, over enough rounds that they race to add chunks; the
-// graphs the meter builds afterwards must hold exactly the recorded
-// edges (run it under -race).
+// with the others, over enough rounds that they race to grow the row
+// table; the graphs the meter builds afterwards must hold exactly the
+// recorded edges (run it under -race).
 func TestHeardMeterConcurrentRecord(t *testing.T) {
 	const n, rounds = 70, 150
 	heard := func(q, p, r int) bool { return q == p || (q+p*r)%3 != 0 }

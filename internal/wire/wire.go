@@ -12,9 +12,11 @@
 //	varint        edge count
 //	per edge:     varint from, varint to, varint label
 //
-// Edges are emitted in deterministic (from, to) order, so encoding is
-// canonical: the encodings of m1 and m2 are equal iff the messages are
-// semantically equal.
+// Edges are emitted in strictly ascending (from, to) order, so encoding
+// is canonical: the encodings of m1 and m2 are equal iff the messages are
+// semantically equal. Decode rejects any other order, so every decoded
+// edge appends to the graph's sorted edge list and a frame decodes in
+// time linear in its edges.
 package wire
 
 import (
@@ -35,10 +37,11 @@ var (
 )
 
 // maxUniverse is the largest universe size Decode accepts. A labeled
-// graph costs Θ(n²) ints, so untrusted headers must not be able to
-// demand huge universes from a few input bytes (found by FuzzDecode: a
-// short input could previously request n = 2^20, an 8 TiB matrix).
-// Simulated systems are orders of magnitude below this bound.
+// graph's bitset shadow costs Θ(n²) bits, so untrusted headers must not
+// be able to demand huge universes from a few input bytes (found by
+// FuzzDecode: a short input could once request n = 2^20, then an 8 TiB
+// label matrix). Simulated systems are orders of magnitude below this
+// bound.
 const maxUniverse = 4096
 
 // AppendEncode serializes m, appending to dst (which may be nil) and
@@ -138,6 +141,7 @@ func DecodeInto(buf []byte, m *core.Message) error {
 	if edges > uint64(len(buf))/3 {
 		return fmt.Errorf("wire: edge count %d exceeds remaining input %d", edges, len(buf))
 	}
+	var prev uint64 // key u*n + v + 1 of the previous edge; 0 before the first
 	for i := uint64(0); i < edges; i++ {
 		u, k := binary.Uvarint(buf)
 		if k <= 0 {
@@ -165,6 +169,13 @@ func DecodeInto(buf []byte, m *core.Message) error {
 			// platforms, where a larger value would wrap.
 			return fmt.Errorf("wire: implausible edge label %d", label)
 		}
+		// An edge before its predecessor would be a list insertion, and
+		// a frame of them decodes in time quadratic in its edges.
+		key := u*uint64(n) + v + 1
+		if key <= prev {
+			return errors.New("wire: edges out of order")
+		}
+		prev = key
 		g.MergeEdge(int(u), int(v), int(label))
 	}
 	if len(buf) != 0 {

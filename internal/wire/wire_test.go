@@ -100,6 +100,25 @@ func TestDecodeRejectsBadEdges(t *testing.T) {
 	}
 }
 
+func TestDecodeRejectsEdgesOutOfOrder(t *testing.T) {
+	// kind=0, x=0, n=3, bitmap=0b111, then the edges as given.
+	frame := func(edges ...byte) []byte {
+		return append([]byte{0, 0, 3, 0x07, byte(len(edges) / 3)}, edges...)
+	}
+	if _, err := Decode(frame(0, 1, 2, 1, 0, 2, 2, 2, 1)); err != nil {
+		t.Fatalf("ascending edges rejected: %v", err)
+	}
+	for name, buf := range map[string][]byte{
+		"descending": frame(2, 2, 1, 1, 0, 2, 0, 1, 2),
+		"same from":  frame(1, 2, 1, 1, 0, 1),
+		"duplicate":  frame(0, 1, 2, 0, 1, 3),
+	} {
+		if _, err := Decode(buf); err == nil || err.Error() != "wire: edges out of order" {
+			t.Errorf("%s edges: got %v, want the out-of-order error", name, err)
+		}
+	}
+}
+
 func TestEncodeNilGraphPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
